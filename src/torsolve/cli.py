@@ -12,7 +12,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 import time
 
@@ -209,11 +208,11 @@ def cmd_solve(args) -> int:
         return 1
     mv = mixed_volume(F.system)
     try:
-        report = solve_decomposable(F, seed=args.seed, settings=settings, threads=args.threads)
+        report = solve_decomposable(F, seed=args.seed, settings=settings)
     except (CountMismatchError, TorsolveError) as exc:
         print(f"decomposable solve failed ({exc}); falling back to start-system homotopy",
               file=sys.stderr)
-        report = solve_general(F, seed=args.seed, settings=settings, threads=args.threads)
+        report = solve_general(F, seed=args.seed, settings=settings)
     full = len(report.solutions) == mv
     if args.json:
         obj = {
@@ -246,8 +245,7 @@ def cmd_start(args) -> int:
     system, _ = load_system(args.file)
     settings = _settings(args)
     try:
-        G, sols = decomposable_start_system(system, seed=args.seed, settings=settings,
-                                            threads=args.threads)
+        G, sols = decomposable_start_system(system, seed=args.seed, settings=settings)
     except MixedVolumeZeroError as exc:
         print(f"error: mixed volume 0, witness {tuple(i + 1 for i in exc.witness)}",
               file=sys.stderr)
@@ -309,8 +307,7 @@ def cmd_bench(args) -> int:
         t_dec = t_bb = float("nan")
         t0 = time.perf_counter()
         try:
-            report = solve_decomposable(F, seed=args.seed + idx, settings=settings,
-                                        threads=args.threads)
+            report = solve_decomposable(F, seed=args.seed + idx, settings=settings)
             paths_dec = report.paths_tracked
             t_dec = (time.perf_counter() - t0) * 1e3
         except TorsolveError:
@@ -319,7 +316,7 @@ def cmd_bench(args) -> int:
         if status == "ok":
             t0 = time.perf_counter()
             try:
-                blackbox(F, seed=args.seed + idx, settings=settings, threads=args.threads)
+                blackbox(F, seed=args.seed + idx, settings=settings)
                 t_bb = (time.perf_counter() - t0) * 1e3
             except TorsolveError:
                 status = "bb-fail"
@@ -361,7 +358,6 @@ def main(argv=None) -> int:
             p.add_argument("file", help="system file (UTF-8 JSON)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=1e-8)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p_analyze = sub.add_parser("analyze", help="print the decomposition skeleton")
     p_analyze.add_argument("file")
@@ -377,7 +373,6 @@ def main(argv=None) -> int:
     p_bench.add_argument("--count", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--tolerance", type=float, default=1e-8)
-    p_bench.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     args = parser.parse_args(argv)
     handlers = {

@@ -235,7 +235,7 @@ class _FacetStore:
     def visible_from(self, p):
         if self.exact_only:
             return [
-                fid for fid, (_, a, b) in self.facets.items()
+                fid for fid, (_, a, b, _ridges) in self.facets.items()
                 if sum(x * y for x, y in zip(a, p)) > b
             ]
         if len(self._fids) > 2 * len(self.facets) + 64:

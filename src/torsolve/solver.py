@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,12 @@ from .tracking import (
     Homotopy,
     SolutionSet,
     TrackerSettings,
+    distinct,
     newton_refine,
-    relative_distance,
     track_all,
 )
 
 _MAX_GAMMA_RETRIES = 3
-_DEDUP_TOL = 1e-6
 
 
 @dataclass
@@ -82,48 +82,41 @@ def _report(sols, tree, seed, warnings=None) -> SolveReport:
 
 
 def solve_decomposable(F: SparseSystem, seed: int = 0,
-                       settings: TrackerSettings | None = None,
-                       threads: int = 1) -> SolveReport:
+                       settings: TrackerSettings | None = None) -> SolveReport:
     """All isolated torus solutions of a generic decomposable sparse system."""
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    sols, tree = _solve(F, np.random.SeedSequence(seed), settings, threads, "")
+    sols, tree = _solve(F, np.random.SeedSequence(seed), settings, "")
     return _report(sols, tree, seed)
 
 
 def solve_lacunary(F: SparseSystem, classification: Lacunary, seed: int = 0,
-                   settings: TrackerSettings | None = None,
-                   threads: int = 1) -> SolveReport:
+                   settings: TrackerSettings | None = None) -> SolveReport:
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    sols, tree = _solve_lacunary(F, classification, np.random.SeedSequence(seed),
-                                 settings, threads, "")
+    sols, tree = _solve_lacunary(F, classification, np.random.SeedSequence(seed), settings, "")
     return _report(sols, tree, seed)
 
 
 def solve_triangular(F: SparseSystem, classification: Triangular, seed: int = 0,
-                     settings: TrackerSettings | None = None,
-                     threads: int = 1) -> SolveReport:
+                     settings: TrackerSettings | None = None) -> SolveReport:
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    sols, tree = _solve_triangular(F, classification, np.random.SeedSequence(seed),
-                                   settings, threads, "")
+    sols, tree = _solve_triangular(F, classification, np.random.SeedSequence(seed), settings, "")
     return _report(sols, tree, seed)
 
 
 def blackbox(F: SparseSystem, seed: int = 0,
-             settings: TrackerSettings | None = None,
-             threads: int = 1) -> SolutionSet:
+             settings: TrackerSettings | None = None) -> SolutionSet:
     """Structure-free fallback solver; asserts the count equals the MV."""
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    sols, _tree = _blackbox(F, np.random.SeedSequence(seed), settings, threads, "")
+    sols, _tree = _blackbox(F, np.random.SeedSequence(seed), settings, "")
     return sols
 
 
 def decomposable_start_system(S: SupportSystem, seed: int = 0,
-                              settings: TrackerSettings | None = None,
-                              threads: int = 1):
+                              settings: TrackerSettings | None = None):
     """Random unit-modulus system on the vertex supports, fully solved.
 
     Returns (G, V(G)); the vertex system has the same mixed volume as S, so
@@ -137,13 +130,12 @@ def decomposable_start_system(S: SupportSystem, seed: int = 0,
     ss = np.random.SeedSequence(seed)
     coeff_ss, solve_ss = ss.spawn(2)
     G = _random_vertex_system(S, np.random.default_rng(coeff_ss))
-    sols, _tree = _solve(G, solve_ss, settings, threads, "start/")
+    sols, _tree = _solve(G, solve_ss, settings, "start/")
     return G, sols
 
 
 def solve_general(F: SparseSystem, seed: int = 0,
-                  settings: TrackerSettings | None = None,
-                  threads: int = 1) -> SolveReport:
+                  settings: TrackerSettings | None = None) -> SolveReport:
     """Solve any sparse system with finite V(F) via a decomposable start.
 
     Builds the vertex start system, tracks the straight-line homotopy to F,
@@ -158,17 +150,10 @@ def solve_general(F: SparseSystem, seed: int = 0,
     ss = np.random.SeedSequence(seed)
     coeff_ss, solve_ss, gamma_ss = ss.spawn(3)
     G = _random_vertex_system(F.system, np.random.default_rng(coeff_ss))
-    start_sols, start_tree = _solve(G, solve_ss, settings, threads, "start/")
+    start_sols, start_tree = _solve(G, solve_ss, settings, "start/")
     expected = len(start_sols)
 
-    T = _compacting_change(F.system)
-    if T is not None:
-        push = MonomialMap(T)
-        pull = MonomialMap(unimodular_inverse(T))
-        start_points = [torus_apply(pull, z) for z in start_sols.points]
-    else:
-        push = None
-        start_points = start_sols.points
+    T, push, start_points = _compacted(F.system, start_sols.points)
     G_c = _apply_change(G, T)
     F_c = _apply_change(F, T)
 
@@ -181,28 +166,16 @@ def solve_general(F: SparseSystem, seed: int = 0,
     for attempt in range(2):
         attempts += 1
         H = Homotopy.straight_line(G_c, F_c, _unit(rng))
-        endpoints, failures = track_all(H, start_points, settings, threads)
+        endpoints, failures = track_all(H, start_points, settings)
         total_paths += len(start_sols)
-        found = SolutionSet()
-        for pt, origin in zip(endpoints.points, endpoints.provenance):
-            if push is not None:
-                pt = torus_apply(push, pt)
-            try:
-                x, res = newton_refine(compiled, pt, settings)
-            except (SingularJacobianError, NoConvergenceError) as exc:
-                failures.append((origin, str(exc)))
-                continue
-            if not any(relative_distance(x, kept) < _DEDUP_TOL for kept in found.points):
-                found.append(x, res, origin)
-        found.sort()
+        found = _refined(compiled, ((pt if push is None else torus_apply(push, pt), origin)
+                                    for pt, origin in zip(endpoints.points, endpoints.provenance)),
+                         settings, failures)
         if len(found) > len(best):
             best = found
         if len(found) == expected:
             break
-        reasons = {}
-        for _, fail in failures:
-            key = getattr(fail, "reason", str(fail))
-            reasons[key] = reasons.get(key, 0) + 1
+        reasons = dict(Counter(getattr(fail, "reason", fail) for _, fail in failures))
         warnings.append(
             f"homotopy attempt {attempt + 1}: {len(found)}/{expected} endpoints"
             + (f" ({reasons})" if reasons else "")
@@ -223,39 +196,31 @@ def solve_general(F: SparseSystem, seed: int = 0,
 # Recursive machinery.
 
 
-def _solve(F: SparseSystem, ss, settings, threads, prov):
+def _solve(F: SparseSystem, ss, settings, prov):
     start = time.perf_counter()
     F, _ = normalize(F)
     cls = classify(F.system)
     if isinstance(cls, Lacunary):
-        sols, tree = _solve_lacunary(F, cls, ss, settings, threads, prov)
+        sols, tree = _solve_lacunary(F, cls, ss, settings, prov)
     elif isinstance(cls, Triangular):
-        sols, tree = _solve_triangular(F, cls, ss, settings, threads, prov)
+        sols, tree = _solve_triangular(F, cls, ss, settings, prov)
     elif F.n == 1:
         sols, tree = _univariate_roots(F, settings, prov)
     else:
-        sols, tree = _blackbox(F, ss, settings, threads, prov)
+        sols, tree = _blackbox(F, ss, settings, prov)
     tree.elapsed = time.perf_counter() - start
     return sols, tree
 
 
-def _solve_lacunary(F, cls: Lacunary, ss, settings, threads, prov):
+def _solve_lacunary(F, cls: Lacunary, ss, settings, prov):
     cover = relabel(F, cls.preimage)
-    child_sols, child_tree = _solve(cover, ss.spawn(1)[0], settings, threads, prov + "cover/")
+    child_sols, child_tree = _solve(cover, ss.spawn(1)[0], settings, prov + "cover/")
     expected = cls.index * len(child_sols)
     compiled = compile_system(F)
     psi_map = MonomialMap(cls.psi)
-    out = SolutionSet()
-    for yi, y in enumerate(child_sols.points):
-        for wi, w in enumerate(diagonal_fiber(cls.diagonal, y)):
-            x = torus_apply(psi_map, w)
-            try:
-                x, res = newton_refine(compiled, x, settings)
-            except (SingularJacobianError, NoConvergenceError):
-                continue
-            out.append(x, res, f"{prov}root[{yi}.{wi}]")
-    out = _dedup(out)
-    out.sort()
+    out = _refined(compiled, ((torus_apply(psi_map, w), f"{prov}root[{yi}.{wi}]")
+                              for yi, y in enumerate(child_sols.points)
+                              for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))), settings)
     if len(out) != expected:
         raise CountMismatchError("lacunary root extraction", expected, len(out), out)
     tree = DecompositionTree(
@@ -269,7 +234,7 @@ def _solve_lacunary(F, cls: Lacunary, ss, settings, threads, prov):
     return out, tree
 
 
-def _solve_triangular(F, cls: Triangular, ss, settings, threads, prov):
+def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     n = F.n
     I = cls.witness
     J = tuple(j for j in range(n) if j not in I)
@@ -281,7 +246,7 @@ def _solve_triangular(F, cls: Triangular, ss, settings, threads, prov):
     base_F = SparseSystem.from_pairs(base_pairs)
 
     base_ss, fiber_ss, transfer_ss = ss.spawn(3)
-    base_sols, base_tree = _solve(base_F, base_ss, settings, threads, prov + "base/")
+    base_sols, base_tree = _solve(base_F, base_ss, settings, prov + "base/")
 
     psi_map = MonomialMap(cls.psi)
     tail_ones = np.ones(n - k, dtype=complex)
@@ -290,18 +255,11 @@ def _solve_triangular(F, cls: Triangular, ss, settings, threads, prov):
         return torus_apply(psi_map, np.concatenate([y, z]))
 
     fiber0 = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[0]))
-    fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, threads, prov + "fiber0/")
+    fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
 
     # Track the transfers in compacted fiber coordinates.
-    T_fib = _compacting_change(fiber0.system)
+    T_fib, push, start_points = _compacted(fiber0.system, fiber_sols.points)
     start_fiber = _apply_change(fiber0, T_fib)
-    if T_fib is not None:
-        push = MonomialMap(T_fib)
-        pull = MonomialMap(unimodular_inverse(T_fib))
-        start_points = [torus_apply(pull, z) for z in fiber_sols.points]
-    else:
-        push = None
-        start_points = fiber_sols.points
 
     rng = np.random.default_rng(transfer_ss)
     per_base = [fiber_sols.points]
@@ -316,7 +274,7 @@ def _solve_triangular(F, cls: Triangular, ss, settings, threads, prov):
         got = SolutionSet()
         for attempt in range(_MAX_GAMMA_RETRIES + 1):
             H = Homotopy.straight_line(start_fiber, _apply_change(target, T_fib), _unit(rng))
-            got, _failures = track_all(H, start_points, settings, threads)
+            got, _failures = track_all(H, start_points, settings)
             if len(got) == len(fiber_sols):
                 endpoints = got
                 retries += attempt
@@ -331,18 +289,10 @@ def _solve_triangular(F, cls: Triangular, ss, settings, threads, prov):
             per_base.append(endpoints.points)
 
     compiled = compile_system(F)
-    out = SolutionSet()
-    for bi, zpts in enumerate(per_base):
-        y = base_sols.points[bi]
-        for zi, z in enumerate(zpts):
-            x = lift_point(y, np.asarray(z, dtype=complex))
-            try:
-                x, res = newton_refine(compiled, x, settings)
-            except (SingularJacobianError, NoConvergenceError):
-                continue
-            out.append(x, res, f"{prov}base[{bi}]/fiber[{zi}]")
-    out = _dedup(out)
-    out.sort()
+    lifted = ((lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
+              for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
+              for zi, z in enumerate(zpts))
+    out = _refined(compiled, lifted, settings)
     expected = len(base_sols) * len(fiber_sols)
     if len(out) != expected:
         raise CountMismatchError("triangular assembly", expected, len(out), out)
@@ -370,24 +320,15 @@ def _univariate_roots(F, settings, prov):
         dense[e - low] = c
     roots = np.roots(dense[::-1])
     compiled = compile_system(F)
-    out = SolutionSet()
-    for ri, r in enumerate(roots):
-        if abs(r) < 1e-10:
-            continue
-        try:
-            x, res = newton_refine(compiled, np.array([r], dtype=complex), settings)
-        except (SingularJacobianError, NoConvergenceError):
-            continue
-        out.append(x, res, f"{prov}eig[{ri}]")
-    out = _dedup(out)
-    out.sort()
+    out = _refined(compiled, ((np.array([r], dtype=complex), f"{prov}eig[{ri}]")
+                              for ri, r in enumerate(roots) if abs(r) >= 1e-10), settings)
     if len(out) != degree:
         raise CountMismatchError("univariate companion solve", degree, len(out), out)
     tree = DecompositionTree(kind="univariate", mv=degree, solutions=len(out))
     return out, tree
 
 
-def _blackbox(F, ss, settings, threads, prov):
+def _blackbox(F, ss, settings, prov):
     """Total-degree homotopy: start c_i x_i^{d_i} - b_i with random units.
 
     All prod(d_i) paths are tracked; endpoints off the torus are the excess
@@ -402,8 +343,8 @@ def _blackbox(F, ss, settings, threads, prov):
         return _univariate_roots(F, settings, prov)
     n = F.n
     expected = mixed_volume(F.system)
-    compact, T = _precondition(F)
-    back = MonomialMap(T) if T is not None else None
+    T, back, _ = _compacted(F.system, [])
+    compact = _apply_change(F, T)
 
     shifted_pairs = []
     degrees = []
@@ -428,19 +369,11 @@ def _blackbox(F, ss, settings, threads, prov):
         G = SparseSystem.from_pairs(start_pairs)
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
         H = Homotopy.straight_line(G, target, _unit(rng))
-        endpoints, _failures = track_all(H, starts, settings, threads)
-        sols = SolutionSet()
-        for pt, origin in zip(endpoints.points, endpoints.provenance):
-            if back is not None:
-                pt = torus_apply(back, pt)
-            try:
-                x, res = newton_refine(compiled, pt, settings)
-            except (SingularJacobianError, NoConvergenceError):
-                continue
-            if not any(relative_distance(x, kept) < _DEDUP_TOL for kept in sols.points):
-                sols.append(x, res, prov + origin)
+        endpoints, _failures = track_all(H, starts, settings)
+        sols = _refined(compiled, ((pt if back is None else torus_apply(back, pt), prov + origin)
+                                   for pt, origin in zip(endpoints.points, endpoints.provenance)),
+                        settings)
         if len(sols) == expected:
-            sols.sort()
             tree = DecompositionTree(
                 kind="blackbox",
                 mv=expected,
@@ -451,6 +384,25 @@ def _blackbox(F, ss, settings, threads, prov):
             )
             return sols, tree
     raise CountMismatchError("blackbox total-degree solve", expected, len(sols), sols)
+
+
+def _refined(compiled, candidates, settings, failures=None) -> SolutionSet:
+    """Newton-refine (point, origin) candidates on the full system; keep the
+    converged ones that distinct() keeps, sorted. Refinement failures go to
+    `failures` as (origin, message) when it is given."""
+    found = []
+    for pt, origin in candidates:
+        try:
+            found.append((*newton_refine(compiled, pt, settings), origin))
+        except (SingularJacobianError, NoConvergenceError) as exc:
+            if failures is not None:
+                failures.append((origin, str(exc)))
+    out = SolutionSet()
+    for keep, (x, res, origin) in zip(distinct([f[0] for f in found]), found):
+        if keep:
+            out.append(x, res, origin)
+    out.sort()
+    return out
 
 
 def bezout_path_count(S: SupportSystem) -> int:
@@ -505,6 +457,17 @@ def _compacting_change(S: SupportSystem) -> IntMatrix | None:
     return IntMatrix.from_rows(T)
 
 
+def _compacted(S: SupportSystem, points):
+    """(T, push, pulled): the change T of _compacting_change(S), the monomial
+    map that takes compacted points back, and `points` in compacted
+    coordinates. T and push are None when S is already compact."""
+    T = _compacting_change(S)
+    if T is None:
+        return None, None, points
+    pull = MonomialMap(unimodular_inverse(T))
+    return T, MonomialMap(T), [torus_apply(pull, z) for z in points]
+
+
 def _apply_change(F: SparseSystem, T: IntMatrix | None) -> SparseSystem:
     """G with G(w) = F(Phi_T(w)): exponents become T @ alpha."""
     if T is None:
@@ -514,26 +477,7 @@ def _apply_change(F: SparseSystem, T: IntMatrix | None) -> SparseSystem:
     )
 
 
-def _precondition(F: SparseSystem):
-    """Rewrite F in compacted torus coordinates.
-
-    Returns (G, T) with G(w) = F(Phi_T(w)); solutions map back through the
-    monomial map of T. T is None when F is already compact.
-    """
-    F, _ = normalize(F)
-    T = _compacting_change(F.system)
-    return _apply_change(F, T), T
-
-
 def _random_vertex_system(S: SupportSystem, rng) -> SparseSystem:
     vsys = SupportSystem(tuple(vertices(s) for s in S.supports))
     coeffs = tuple(tuple(_unit(rng) for _ in range(len(s))) for s in vsys.supports)
     return SparseSystem(vsys, coeffs)
-
-
-def _dedup(sols: SolutionSet) -> SolutionSet:
-    out = SolutionSet()
-    for pt, res, origin in zip(sols.points, sols.residuals, sols.provenance):
-        if not any(relative_distance(pt, kept) < _DEDUP_TOL for kept in out.points):
-            out.append(pt, res, origin)
-    return out

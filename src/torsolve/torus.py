@@ -186,10 +186,6 @@ class CompiledSystem:
     def residual(self, x: np.ndarray) -> float:
         return float(np.max(np.abs(self.evaluate(x))))
 
-    def term_scale(self, x: np.ndarray) -> float:
-        """Largest sum of term magnitudes; a backward-error scale."""
-        return float(np.max(np.add.reduceat(np.abs(self._terms(x)), self.starts)))
-
 
 def compile_system(F: SparseSystem) -> CompiledSystem:
     return CompiledSystem(F)

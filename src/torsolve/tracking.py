@@ -5,13 +5,17 @@ predictor on the Davidenko system and at most three Newton corrector steps
 per accepted t. gamma is a random unit-modulus twist of the start system;
 it leaves V(G) unchanged while steering the path bundle away from the
 discriminant for generic data.
+
+All start points of one homotopy are tracked together: a (P, n) array
+with per-path t, step size, success streak and step count, and per pass
+one predictor and corrector over the running paths on a (P, n, n) Jacobian
+stack. Each path takes the steps it would take alone, a failing path drops
+out without touching the others, and track_path is the batch of one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -88,6 +92,21 @@ def relative_distance(x, y) -> float:
     return float(np.max(np.abs(x - y))) / scale
 
 
+def distinct(points) -> np.ndarray:
+    """Mask of the points a greedy pass keeps: in order, a point is dropped
+    when its relative_distance to an earlier kept point is below _DEDUP_TOL."""
+    keep = np.zeros(len(points), dtype=bool)
+    if not len(points):
+        return keep
+    X = np.asarray(points, dtype=complex)
+    mags = np.abs(X).max(axis=1)
+    for i in range(len(X)):
+        kept = np.flatnonzero(keep[:i])
+        dist = np.abs(X[kept] - X[i]).max(axis=1) / np.maximum(1.0, np.maximum(mags[kept], mags[i]))
+        keep[i] = not np.any(dist < _DEDUP_TOL)
+    return keep
+
+
 class Homotopy:
     """Convex combination of two coefficient vectors on one shared support.
 
@@ -107,6 +126,10 @@ class Homotopy:
         self.E, self.starts = stack_exponents(system.supports)
         self.cs = np.concatenate([np.asarray(c, dtype=complex) for c in start_coeffs])
         self.ct = np.concatenate([np.asarray(c, dtype=complex) for c in target_coeffs])
+        self._gcs = self.gamma * self.cs
+        self._dc = self.ct - self._gcs
+        self._ET = np.ascontiguousarray(self.E.T)
+        self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
 
     @property
     def n(self) -> int:
@@ -128,30 +151,41 @@ class Homotopy:
             ct_rows.append([t_pairs.get(p, 0.0 + 0.0j) for p in union])
         return cls(SupportSystem(tuple(supports)), cs_rows, ct_rows, gamma)
 
-    def with_gamma(self, gamma) -> Homotopy:
-        h = object.__new__(Homotopy)
-        h.system = self.system
-        h.gamma = complex(gamma)
-        h.E = self.E
-        h.starts = self.starts
-        h.cs = self.cs
-        h.ct = self.ct
-        return h
+    def state(self, X: np.ndarray, t: np.ndarray):
+        """H, its x-Jacobian, dH/dt and a term-magnitude scale at P points.
 
-    def state(self, x: np.ndarray, t: float):
-        """H(x, t), its x-Jacobian, dH/dt, and a term-magnitude scale."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            mono = np.exp(self.E @ np.log(x))
-            gcs = self.gamma * self.cs
-            terms = (t * self.ct + (1.0 - t) * gcs) * mono
-            values = np.add.reduceat(terms, self.starts)
-            dt = np.add.reduceat((self.ct - gcs) * mono, self.starts)
-            jac = np.add.reduceat(terms[:, None] * self.E, self.starts, axis=0) / x[None, :]
-            scale = max(1.0, float(np.max(np.add.reduceat(np.abs(terms), self.starts))))
+        X is (P, n) and t is (P,); the results have shapes (P, n), (P, n, n),
+        (P, n) and (P,). Monomials are exp(log|x| @ E.T) times
+        cos/sin(arg x @ E.T): two real matmuls and a real exp cost a small
+        fraction of a complex matmul and a complex exp.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mag = np.exp(np.log(np.abs(X)) @ self._ET)
+            phase = np.angle(X) @ self._ET
+            mono = np.empty(mag.shape, dtype=complex)
+            np.multiply(mag, np.cos(phase), out=mono.real)
+            np.multiply(mag, np.sin(phase), out=mono.imag)
+            del mag, phase
+            # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary
+            # parts; a real t times a complex array goes through cast buffers.
+            terms = np.multiply.outer(t, self.ct.view(float))
+            terms += np.multiply.outer(1.0 - t, self._gcs.view(float))
+            terms = terms.view(complex)
+            terms *= mono
+            values = np.add.reduceat(terms, self.starts, axis=1)
+            mono *= self._dc
+            dt = np.add.reduceat(mono, self.starts, axis=1)
+            scale = np.maximum(1.0, np.add.reduceat(np.abs(terms), self.starts, axis=1).max(axis=1))
+            jac = np.empty((len(X), self.n, self.n), dtype=complex)
+            for i, (block, Eb) in enumerate(self._blocks):
+                np.matmul(terms.real[:, block], Eb, out=jac.real[:, i])
+                np.matmul(terms.imag[:, block], Eb, out=jac.imag[:, i])
+            jac /= X[:, None, :]
         return values, jac, dt, scale
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.state(x, t)[0]
+        """H(x, t) at a single point x."""
+        return self.state(np.asarray(x, dtype=complex)[None, :], np.array([float(t)]))[0][0]
 
     def target_system(self) -> CompiledSystem:
         compiled = object.__new__(CompiledSystem)
@@ -169,67 +203,99 @@ def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
     Near t=1 the tracker hands off to plain Newton on the target; endgames
     for singular endpoints are out of scope.
     """
-    settings = settings or TrackerSettings()
-    x = np.asarray(x0, dtype=complex).copy()
-    t = 0.0
-    step = settings.initial_step
-    streak = 0
-    nsteps = 0
+    return _track(H, [x0], settings or TrackerSettings())[0]
 
-    while t < _ENDGAME_T:
-        if nsteps >= settings.max_steps:
-            return PathFailure("max-steps", t, x)
-        nsteps += 1
-        dt = min(step, 1.0 - t)
+
+def _track(H: Homotopy, starts, settings: TrackerSettings) -> list:
+    """Track every start point together; one endpoint or PathFailure each."""
+    X = np.asarray(starts, dtype=complex).reshape(len(starts), H.n)
+    P = len(X)
+    t, step = np.zeros(P), np.full(P, settings.initial_step)
+    streak, nsteps = np.zeros((2, P), dtype=int)
+    running = np.ones(P, dtype=bool)
+    outcomes = [None] * P
+
+    def fail(paths, reason):
+        running[paths] = False
+        for i in paths:
+            outcomes[i] = PathFailure(reason, float(t[i]), X[i].copy())
+
+    # Overflow and NaN are caught per path by the finiteness checks.
+    with np.errstate(all="ignore"):
+        while True:
+            live = np.flatnonzero(running & (t < _ENDGAME_T))
+            fail(live[nsteps[live] >= settings.max_steps], "max-steps")
+            live = live[running[live]]
+            if not live.size:
+                break
+            nsteps[live] += 1
+            t0 = t[live]
+            dt = np.minimum(step[live], 1.0 - t0)
+            _, jac, dvals, _ = H.state(X[live], t0)
+            tangent, ok = _solve(jac, -dvals)
+            corrected, xn = _correct(H, X[live] + dt[:, None] * tangent, t0 + dt, settings)
+            ok &= corrected & np.isfinite(xn).all(axis=1)
+
+            won, lost = live[ok], live[~ok]
+            X[won] = xn[ok]
+            t[won] = (t0 + dt)[ok]
+            streak[won] += 1
+            size = np.abs(X[won])
+            diverged = size.max(axis=1) > _DIVERGENCE_NORM
+            fail(won[diverged], "divergence")
+            fail(won[~diverged & (size.min(axis=1) < _TRACK_TORUS_GUARD)], "left-torus")
+            grow = won[streak[won] >= _GROW_AFTER]
+            step[grow] = np.minimum(step[grow] * _STEP_GROWTH, settings.max_step)
+            streak[grow] = 0
+
+            streak[lost] = 0
+            step[lost] *= 0.5
+            fail(lost[step[lost] < settings.min_step], "step-underflow")
+
+    target = H.target_system()
+    for i in np.flatnonzero(running):
         try:
-            values, jac, dvals, scale = H.state(x, t)
-            tangent = np.linalg.solve(jac, -dvals)
-            xp = x + dt * tangent
-            ok, xn = _correct(H, xp, t + dt, settings)
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError):
-            ok = False
-        if ok and np.all(np.isfinite(xn)):
-            x = xn
-            t = t + dt
-            streak += 1
-            if float(np.max(np.abs(x))) > _DIVERGENCE_NORM:
-                return PathFailure("divergence", t, x)
-            if float(np.min(np.abs(x))) < _TRACK_TORUS_GUARD:
-                return PathFailure("left-torus", t, x)
-            if streak >= _GROW_AFTER:
-                step = min(step * _STEP_GROWTH, settings.max_step)
-                streak = 0
+            refined, _ = _newton(target, X[i], settings)
+        except (SingularJacobianError, NoConvergenceError):
+            outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
+            continue
+        if float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
+            outcomes[i] = PathFailure("left-torus", 1.0, refined)
         else:
-            streak = 0
-            step *= 0.5
-            if step < settings.min_step:
-                return PathFailure("step-underflow", t, x)
+            outcomes[i] = refined
+    return outcomes
 
+
+def _solve(A, b):
+    """Solve the stack A x = b; returns (x, ok). A singular matrix fails its row only."""
     try:
-        refined, _ = _newton(H.target_system(), x, settings)
-    except (SingularJacobianError, NoConvergenceError):
-        return PathFailure("no-convergence", 1.0, x)
-    if float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
-        return PathFailure("left-torus", 1.0, refined)
-    return refined
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(b) == 1:
+            return np.zeros_like(b), np.zeros(1, dtype=bool)
+    parts = [_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(b))]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _correct(H: Homotopy, x, t, settings):
-    """At most three Newton steps on H(., t); success is a small residual
-    relative to the term magnitudes."""
+def _correct(H: Homotopy, X, t, settings):
+    """At most three Newton steps on H(., t) for every row of X; success is
+    a small residual relative to the term magnitudes. Returns (ok, X)."""
+    ok = np.zeros(len(X), dtype=bool)
+    todo = np.arange(len(X))
     for _ in range(_CORRECTOR_ITERS):
-        values, jac, _, scale = H.state(x, t)
-        if float(np.max(np.abs(values))) <= settings.newton_tolerance * scale:
-            return True, x
-        try:
-            delta = np.linalg.solve(jac, -values)
-        except np.linalg.LinAlgError:
-            return False, x
-        x = x + delta
-        if not np.all(np.isfinite(x)) or np.any(np.abs(x) < _TRACK_TORUS_GUARD):
-            return False, x
-    values, _, _, scale = H.state(x, t)
-    return float(np.max(np.abs(values))) <= settings.newton_tolerance * scale, x
+        values, jac, _, scale = H.state(X[todo], t[todo])
+        done = np.abs(values).max(axis=1) <= settings.newton_tolerance * scale
+        ok[todo[done]] = True
+        delta, solved = _solve(jac[~done], -values[~done])
+        todo = todo[~done][solved]
+        X[todo] += delta[solved]
+        x = X[todo]
+        todo = todo[np.isfinite(x).all(axis=1) & ~(np.abs(x) < _TRACK_TORUS_GUARD).any(axis=1)]
+        if not todo.size:
+            return ok, X
+    values, _, _, scale = H.state(X[todo], t[todo])
+    ok[todo] = np.abs(values).max(axis=1) <= settings.newton_tolerance * scale
+    return ok, X
 
 
 def _newton(compiled: CompiledSystem, x, settings: TrackerSettings):
@@ -273,7 +339,7 @@ def newton_refine(F: SparseSystem | CompiledSystem, x, settings: TrackerSettings
     return _newton(compiled, x, settings)
 
 
-def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None, threads: int = 1):
+def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None):
     """Track every start point; deduplicate and sort the successes.
 
     Returns (SolutionSet, failures) where failures is a list of
@@ -282,11 +348,9 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None, thre
     """
     settings = settings or TrackerSettings()
     points = starts.points if isinstance(starts, SolutionSet) else list(starts)
-    if threads > 1 and len(points) >= 8:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda p: track_path(H, p, settings), points))
-    else:
-        outcomes = [track_path(H, p, settings) for p in points]
+    outcomes = _track(H, points, settings)
+    ends = [i for i, out in enumerate(outcomes) if not isinstance(out, PathFailure)]
+    kept = {i for i, keep in zip(ends, distinct([outcomes[i] for i in ends])) if keep}
 
     target = H.target_system()
     solutions = SolutionSet()
@@ -294,10 +358,9 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None, thre
     for i, out in enumerate(outcomes):
         if isinstance(out, PathFailure):
             failures.append((i, out))
-            continue
-        if any(relative_distance(kept, out) < _DEDUP_TOL for kept in solutions.points):
+        elif i in kept:
+            solutions.append(out, target.residual(out), origin=f"path {i}")
+        else:
             failures.append((i, PathFailure("duplicate-endpoint", 1.0, out)))
-            continue
-        solutions.append(out, target.residual(out), origin=f"path {i}")
     solutions.sort()
     return solutions, failures

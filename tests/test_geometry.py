@@ -182,3 +182,19 @@ def test_hull_facets_cover_boundary_points():
     on_boundary = {v for f in facets for v in f}
     interior = {pts.index((1, 1, 1))}
     assert interior.isdisjoint(on_boundary)
+
+
+@pytest.mark.parametrize("k", [512, 513])
+def test_hull_at_the_int64_coordinate_limit(k):
+    # 512 is the largest coordinate the vectorized int64 visibility test
+    # takes; from 513 on the hull tests visibility with exact objects.
+    cube = [tuple(k * c for c in p) for p in itertools.product([0, 1], repeat=3)]
+    assert polytope_volume(cube + [(1, 2, 3), (k - 1, 1, 1)]) == k ** 3
+    assert mixed_volume(SupportSystem.of_points([cube, cube, cube])) == 6 * k ** 3
+
+
+@pytest.mark.parametrize("supports, mv", [([START_A, START_A], 30), ([TRI_A, TRI_A, TRI_A3], 32)])
+def test_mixed_volume_of_dilated_supports(supports, mv):
+    n = len(supports)
+    dilated = [[tuple(1000 * c for c in p) for p in sup] for sup in supports]
+    assert mixed_volume(SupportSystem.of_points(dilated)) == 1000 ** n * mv

@@ -260,3 +260,25 @@ def test_is_strictly_triangular_family_cases():
         sorted(itertools.product((0, 1), repeat=3)),
     ])
     assert not is_strictly_triangular(S, (0, 1))  # MV(A_I) = MV(S) = 10
+
+
+@pytest.mark.parametrize("name, seed, count, ledger, nodes", [
+    ("lacunary-A", 0, 120, 10, [
+        ("lacunary", 120, 0, 120, 0, 0, 0), ("blackbox", 10, 10, 10, 0, 0, 20)]),
+    ("triangular", 7, 32, 22, [
+        ("lacunary", 32, 0, 32, 0, 0, 0), ("triangular", 16, 14, 16, 7, 0, 0),
+        ("blackbox", 8, 8, 8, 0, 0, 16), ("univariate", 2, 0, 2, 0, 0, 0)]),
+])
+def test_decomposable_tree_and_ledger_are_pinned(name, seed, count, ledger, nodes):
+    # Recorded from the per-path tracker; the batched tracker must follow
+    # every path the same way, so the tree, the ledger and the count agree.
+    if name == "lacunary-A":
+        F = unit_coeff_system([list(LAC_F1), list(LAC_F2)], 0)
+    else:
+        F = tri_system()
+    rep = solve_decomposable(F, seed=seed)
+    assert len(rep.solutions) == count
+    assert rep.tree.ledger() == rep.paths_tracked == ledger
+    assert [(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries,
+             nd.bezout_paths) for nd in rep.tree.walk()] == nodes
+    assert_solves(F, rep.solutions)

@@ -3,11 +3,14 @@ import pytest
 
 from torsolve.errors import NoConvergenceError, SingularJacobianError
 from torsolve.supports import SparseSystem
+from torsolve.torus import diagonal_fiber
 from torsolve.tracking import (
     Homotopy,
     PathFailure,
     SolutionSet,
     TrackerSettings,
+    _newton,
+    distinct,
     newton_refine,
     relative_distance,
     track_all,
@@ -143,3 +146,133 @@ def test_solution_set_sorting():
     s.append(np.array([1.0 + 0j]), 0.0, "a")
     s.sort()
     assert s.provenance == ["a", "b"]
+
+
+def assert_batch_matches_single_paths(H, starts):
+    """track_all gives every start the outcome that track_path, and the
+    per-path reference loop below, give it alone."""
+    sols, failures = track_all(H, starts)
+    batched = {int(origin.split()[1]): pt for pt, origin in zip(sols.points, sols.provenance)}
+    batched.update(failures)
+    assert sorted(batched) == list(range(len(starts)))
+    reasons = []
+    for i, start in enumerate(starts):
+        together = batched[i]
+        if isinstance(together, PathFailure) and together.reason == "duplicate-endpoint":
+            together = together.point
+        for alone in (track_path(H, start), reference_track_path(H, start)):
+            if isinstance(alone, PathFailure):
+                assert isinstance(together, PathFailure) and together.reason == alone.reason
+                assert together.t == pytest.approx(alone.t, abs=1e-12)
+            else:
+                assert not isinstance(together, PathFailure)
+                assert np.max(np.abs(together - alone)) <= 1e-10
+        reasons.append(together.reason if isinstance(together, PathFailure) else "ok")
+    return reasons
+
+
+def test_track_all_equals_track_path_on_total_degree_homotopy():
+    # 8 total-degree paths for a system of mixed volume 3: some excess paths
+    # fail, the rest end at the 3 roots, some of them more than once.
+    F = SparseSystem.from_pairs([
+        [((0, 0), 0.3 + 1.1j), ((1, 0), -0.7 + 0.2j), ((2, 2), 0.9 + 0.5j)],
+        [((0, 0), -1.2 + 0.3j), ((1, 1), 0.8 - 0.9j), ((0, 1), 0.4 + 0.4j)],
+    ])
+    b = [np.exp(0.4j), np.exp(2.1j)]
+    G = SparseSystem.from_pairs([[((0, 0), -b[0]), ((4, 0), 1.0)], [((0, 0), -b[1]), ((0, 2), 1.0)]])
+    H = Homotopy.straight_line(G, F, gamma=np.exp(1.3j))
+    starts = diagonal_fiber([4, 2], b)
+    reasons = assert_batch_matches_single_paths(H, starts)
+    assert len(reasons) == 8 and 3 <= reasons.count("ok") < 8
+    assert len(track_all(H, starts)[0]) == 3
+
+
+def test_mixed_batch_singular_and_diverging_paths():
+    # x^3 - 3x - 1 has a singular Jacobian at x = 1 (not a root), and the
+    # target 1e4 x^2 - 4e4 has lost one root, so one path runs to infinity.
+    G = univariate({0: -1.0, 1: -3.0, 3: 1.0})
+    F = univariate({0: -4e4, 2: 1e4})
+    H = Homotopy.straight_line(G, F, gamma=np.exp(0.3j))
+    starts = [np.array([r + 0j]) for r in np.roots([1, 0, -3, -1])] + [np.array([1.0 + 0j])]
+    reasons = assert_batch_matches_single_paths(H, starts)
+    assert sorted(reasons) == ["divergence", "ok", "ok", "step-underflow"]
+
+
+def test_distinct_matches_pairwise_greedy_loop():
+    rng = np.random.default_rng(4)
+    base = [rng.normal(size=3) * 10.0 ** rng.integers(-2, 4) + 1j * rng.normal(size=3)
+            for _ in range(12)]
+    points = []
+    for p in base:
+        points.append(p)
+        scale = max(1.0, float(np.max(np.abs(p))))
+        for rel in (0.3e-6, 0.9e-6, 3e-6):
+            points.append(p + rel * scale * np.exp(2j * np.pi * rng.random(3)) / np.sqrt(2))
+    rng.shuffle(points)
+    expected, kept = [], []
+    for p in points:
+        expected.append(not any(relative_distance(p, q) < 1e-6 for q in kept))
+        if expected[-1]:
+            kept.append(p)
+    assert distinct(points).tolist() == expected
+    assert 12 < sum(expected) < len(points)
+    assert distinct([]).tolist() == []
+
+
+def reference_track_path(H, x0, settings=TrackerSettings()):
+    """The per-path tracker the batched one replaced: one complex point, one
+    Euler step and at most three Newton corrections per pass."""
+
+    def state(x, t):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mono = np.exp(H.E @ np.log(x))
+            gcs = H.gamma * H.cs
+            terms = (t * H.ct + (1.0 - t) * gcs) * mono
+            values = np.add.reduceat(terms, H.starts)
+            dt = np.add.reduceat((H.ct - gcs) * mono, H.starts)
+            jac = np.add.reduceat(terms[:, None] * H.E, H.starts, axis=0) / x[None, :]
+            scale = max(1.0, float(np.max(np.add.reduceat(np.abs(terms), H.starts))))
+        return values, jac, dt, scale
+
+    def correct(x, t):
+        for _ in range(3):
+            values, jac, _, scale = state(x, t)
+            if float(np.max(np.abs(values))) <= settings.newton_tolerance * scale:
+                return True, x
+            try:
+                x = x + np.linalg.solve(jac, -values)
+            except np.linalg.LinAlgError:
+                return False, x
+            if not np.all(np.isfinite(x)) or np.any(np.abs(x) < 1e-12):
+                return False, x
+        values, _, _, scale = state(x, t)
+        return float(np.max(np.abs(values))) <= settings.newton_tolerance * scale, x
+
+    x, t, step, streak, nsteps = np.asarray(x0, dtype=complex).copy(), 0.0, settings.initial_step, 0, 0
+    while t < 1.0 - 1e-6:
+        if nsteps >= settings.max_steps:
+            return PathFailure("max-steps", t, x)
+        nsteps += 1
+        dt = min(step, 1.0 - t)
+        try:
+            _, jac, dvals, _ = state(x, t)
+            ok, xn = correct(x + dt * np.linalg.solve(jac, -dvals), t + dt)
+        except np.linalg.LinAlgError:
+            ok = False
+        if ok and np.all(np.isfinite(xn)):
+            x, t, streak = xn, t + dt, streak + 1
+            if float(np.max(np.abs(x))) > 1e8:
+                return PathFailure("divergence", t, x)
+            if float(np.min(np.abs(x))) < 1e-12:
+                return PathFailure("left-torus", t, x)
+            if streak >= 4:
+                step, streak = min(step * 1.5, settings.max_step), 0
+        else:
+            streak, step = 0, step * 0.5
+            if step < settings.min_step:
+                return PathFailure("step-underflow", t, x)
+    try:
+        refined, _ = _newton(H.target_system(), x, settings)
+    except (SingularJacobianError, NoConvergenceError):
+        return PathFailure("no-convergence", 1.0, x)
+    return PathFailure("left-torus", 1.0, refined) if np.min(np.abs(refined)) <= 1e-10 else refined
