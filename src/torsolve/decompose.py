@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import MixedVolumeZeroError
-from .geometry import mixed_volume, mv_is_zero
+from .geometry import hull_mixed_volume, mixed_volume
 from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
 from .supports import (
     Reindexing,
@@ -75,11 +75,14 @@ def classify(S: SupportSystem) -> Classification:
     data refers to the normalized system.
     """
     S, _ = normalize(S)
-    zero, witness = mv_is_zero(S)
-    if zero:
-        raise MixedVolumeZeroError(witness)
-
     n = S.n
+    subsets = [I for size in range(1, n + 1) for I in itertools.combinations(range(n), size)]
+    ranks = []
+    for I in subsets:
+        ranks.append(span_rank(S, I))
+        if ranks[-1] < len(I):
+            raise MixedVolumeZeroError(I)
+
     cols = [p for sup in S.supports for p in sup.points]
     form = smith_normal_form(IntMatrix.from_columns(cols))
     if form.rank != n:
@@ -99,10 +102,9 @@ def classify(S: SupportSystem) -> Classification:
             preimage=preimage_supports(S, phi),
         )
 
-    for size in range(1, n):
-        for I in itertools.combinations(range(n), size):
-            if span_rank(S, I) == size:
-                return _triangular_data(S, I)
+    for I, rank in zip(subsets[:-1], ranks):  # proper subsets only
+        if rank == len(I):
+            return _triangular_data(S, I)
     return Indecomposable()
 
 
@@ -187,8 +189,6 @@ class DecompositionTree:
 
 def predict_tree(S: SupportSystem) -> DecompositionTree:
     """Decomposition skeleton with mixed volumes, without solving anything."""
-    from .supports import quotient_supports  # local to keep import graph simple
-
     S, _ = normalize(S)
     cls = classify(S)
     if isinstance(cls, Lacunary):
@@ -202,8 +202,9 @@ def predict_tree(S: SupportSystem) -> DecompositionTree:
         )
     if isinstance(cls, Triangular):
         base = predict_tree(cls.base)
-        _, images = quotient_supports(S, cls.witness)
-        fiber = predict_tree(images)
+        fiber = predict_tree(SupportSystem(tuple(  # the fibers `restrict_to_fiber` builds
+            Support(tuple({cls.projection.apply(p) for p in sup.points}))
+            for j, sup in enumerate(S.supports) if j not in cls.witness)))
         return DecompositionTree(
             kind="triangular",
             mv=base.mv * fiber.mv,
@@ -211,4 +212,4 @@ def predict_tree(S: SupportSystem) -> DecompositionTree:
             witness=cls.witness,
         )
     kind = "univariate" if S.n == 1 else "blackbox"
-    return DecompositionTree(kind=kind, mv=mixed_volume(S))
+    return DecompositionTree(kind=kind, mv=hull_mixed_volume(S))

@@ -2,9 +2,10 @@
 
 The mixed volume is normalized as the coefficient of t_1*...*t_n in the
 volume polynomial of the scaled Minkowski sum, i.e. MV(K,...,K) equals
-n! * vol(K). It is assembled by inclusion-exclusion over subsets of the
-supports; each subset's Minkowski sum is built incrementally with vertex
-reduction between steps, and hull volumes come from an exact integer
+n! * vol(K). `mixed_volume` follows the lacunary/triangular decomposition
+tree; at its indecomposable and univariate leaves `hull_mixed_volume` runs
+inclusion-exclusion over the subsets' Minkowski sums, built incrementally
+with vertex reduction, whose volumes come from an exact integer
 beneath-beyond triangulation. No floats enter any volume.
 """
 
@@ -18,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MixedVolumeZeroError
 from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
 from .supports import Support, SupportSystem, point_in_hull, span_rank
 
@@ -66,7 +68,17 @@ def polytope_volume(P) -> Fraction:
 
 
 def mixed_volume(S: SupportSystem) -> int:
-    """BKK-normalized mixed volume of the support system.
+    """BKK-normalized mixed volume: `predict_tree(S).mv`, or 0 when it vanishes."""
+    from .decompose import predict_tree  # local: decompose imports this module
+
+    try:
+        return predict_tree(S).mv
+    except MixedVolumeZeroError:
+        return 0
+
+
+def hull_mixed_volume(S: SupportSystem) -> int:
+    """BKK-normalized mixed volume of the whole system from convex hulls.
 
     Inclusion-exclusion over nonempty subsets T of the supports:
     MV = sum over T of (-1)^(n-|T|) vol(sum of conv(A_i), i in T).

@@ -91,6 +91,19 @@ class IntMatrix:
             raise ValueError("determinant requires a square matrix")
         return _bareiss_det([list(r) for r in self.entries])
 
+    def adjugate(self) -> IntMatrix:
+        """Integer adjugate: A @ A.adjugate() == A.det() * identity."""
+        n = self.rows
+        if n != self.cols:
+            raise ValueError("adjugate requires a square matrix")
+
+        def cofactor(i, j):
+            minor = [[e for c, e in enumerate(row) if c != j]
+                     for r, row in enumerate(self.entries) if r != i]
+            return (-1) ** (i + j) * (_bareiss_det(minor) if minor else 1)
+
+        return IntMatrix.from_rows([[cofactor(j, i) for j in range(n)] for i in range(n)])
+
     def rank(self) -> int:
         """Rank by fraction-free Gaussian elimination."""
         return _bareiss_rank([list(r) for r in self.entries])
@@ -277,30 +290,13 @@ def _check_smith(A: IntMatrix, form: SmithForm):
 
 
 def unimodular_inverse(U: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix."""
+    """Exact integer inverse of a unimodular matrix: det(U) * adj(U), det = +-1."""
     if U.rows != U.cols:
         raise NotUnimodularError("matrix is not square")
-    if abs(U.det()) != 1:
+    det = U.det()
+    if abs(det) != 1:
         raise NotUnimodularError("determinant is not +-1")
-    n = U.rows
-    aug = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(U.entries)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [e * inv for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise AssertionError("inverse of unimodular matrix must be integral")
-        out.append([int(v) for v in vals])
-    result = IntMatrix.from_rows(out)
+    result = IntMatrix.from_rows([[det * e for e in row] for row in U.adjugate().entries])
     if not (U @ result).is_identity():
         raise AssertionError("inverse verification failed")
     return result

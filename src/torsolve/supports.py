@@ -183,12 +183,13 @@ def preimage_supports(S: SupportSystem, phi: IntMatrix) -> Reindexing:
     """
     if phi.rank() != phi.cols:
         raise ValueError("phi must be injective (full column rank)")
+    pull = _preimage_solver(phi)
     new_supports = []
     maps = []
     for sup in S.supports:
         pairs = []
         for idx, alpha in enumerate(sup.points):
-            beta = solve_integer(phi, alpha)
+            beta = pull(alpha)
             if beta is None:
                 raise LatticeMembershipError(
                     f"point {alpha} is not in the column lattice of the map"
@@ -198,6 +199,19 @@ def preimage_supports(S: SupportSystem, phi: IntMatrix) -> Reindexing:
         new_supports.append(Support(tuple(b for b, _ in pairs)))
         maps.append(tuple(i for _, i in pairs))
     return Reindexing(SupportSystem(tuple(new_supports)), tuple(maps))
+
+
+def _preimage_solver(phi: IntMatrix):
+    """alpha -> integer beta with phi @ beta == alpha, or None; square phi factored once."""
+    if phi.rows != phi.cols:
+        return lambda alpha: solve_integer(phi, alpha)
+    det, adj = phi.det(), phi.adjugate()
+
+    def pull(alpha):
+        num = adj.apply(alpha)
+        return None if any(v % det for v in num) else tuple(v // det for v in num)
+
+    return pull
 
 
 def quotient_supports(S: SupportSystem, I: Sequence[int]) -> tuple[IntMatrix, SupportSystem]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from torsolve.decompose import Lacunary, _triangular_data, classify
-from torsolve.geometry import mixed_volume, mv_is_zero
+from torsolve.geometry import hull_mixed_volume, mixed_volume, mv_is_zero
 from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer
 from torsolve.solver import _blackbox, decomposable_start_system, solve_decomposable, solve_general
 from torsolve.supports import SparseSystem, SupportSystem, normalize, quotient_supports, span_rank
@@ -237,8 +237,8 @@ def test_criterion_6_product_formula():
         witness = tuple(range(k))
         data = _triangular_data(S, witness)
         _, images = quotient_supports(S, witness)
-        mv = mixed_volume(S)
-        assert mixed_volume(data.base) * mixed_volume(images) == mv
+        mv = hull_mixed_volume(S)
+        assert hull_mixed_volume(data.base) * hull_mixed_volume(images) == mv
         checked += 1
     report(6, f"product formula exact on {checked} random triangular systems")
 
@@ -272,7 +272,7 @@ def test_criterion_7_bkk_counts():
         S = SupportSystem.of_points(sups)
         if mv_is_zero(S)[0]:
             continue
-        mv = mixed_volume(S)
+        mv = hull_mixed_volume(S)
         if not 1 <= mv <= 60:
             continue
         F = SparseSystem(S, unit_coeffs(S, crng))

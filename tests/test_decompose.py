@@ -12,7 +12,7 @@ from torsolve.decompose import (
     predict_tree,
 )
 from torsolve.errors import MixedVolumeZeroError
-from torsolve.geometry import mixed_volume
+from torsolve.geometry import hull_mixed_volume, mixed_volume
 from torsolve.intlinalg import IntMatrix, lattice_index, solve_integer
 from torsolve.supports import SupportSystem, normalize, quotient_supports
 
@@ -30,6 +30,9 @@ BENCH_A2 = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
 BENCH_B1 = [(0, 0), (2, 0), (0, 1), (2, 3)]
 BENCH_B2 = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2)]
 CUBE5 = sorted(itertools.product((0, 1), repeat=5))
+E5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+SHIFTED = [tuple(a - b for a, b in zip(E5[i], E5[i + 1])) for i in range(4)]
+START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
 
 
 def lacunary_system():
@@ -40,13 +43,13 @@ def embed5(pts, u, v):
     return [tuple(a * x + b * y for x, y in zip(u, v)) for a, b in pts]
 
 
-def family_system():
-    e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+def family_system(vectors=E5[:4]):
+    i1, i2, j1, j2 = vectors
     return SupportSystem.of_points([
-        embed5(BENCH_A1, e[0], e[1]),
-        embed5(BENCH_A2, e[0], e[1]),
-        embed5(BENCH_B1, e[2], e[3]),
-        embed5(BENCH_B2, e[2], e[3]),
+        embed5(BENCH_A1, i1, i2),
+        embed5(BENCH_A2, i1, i2),
+        embed5(BENCH_B1, j1, j2),
+        embed5(BENCH_B2, j1, j2),
         list(CUBE5),
     ])
 
@@ -144,11 +147,11 @@ def test_is_strictly_triangular():
 def test_product_formula_on_witness():
     S, _ = normalize(SupportSystem.of_points([TRI_A, TRI_A, TRI_A3]))
     _, images = quotient_supports(S, (0, 1))
-    mv_quotient = mixed_volume(images)
+    mv_quotient = hull_mixed_volume(images)
     from torsolve.decompose import _triangular_data
 
     base = _triangular_data(S, (0, 1)).base
-    assert mixed_volume(base) * mv_quotient == mixed_volume(S) == 32
+    assert hull_mixed_volume(base) * mv_quotient == hull_mixed_volume(S) == 32
 
 
 def test_product_formula_random_triangular():
@@ -172,7 +175,7 @@ def test_product_formula_random_triangular():
             sups.append([U.apply(p) for p in pts])
         S = SupportSystem.of_points(sups)
         try:
-            mv = mixed_volume(S)
+            mv = hull_mixed_volume(S)
             if mv == 0:
                 continue
             S, _ = normalize(S)
@@ -184,7 +187,7 @@ def test_product_formula_random_triangular():
 
             data = _triangular_data(S, witness)
             _, images = quotient_supports(S, witness)
-            assert mixed_volume(data.base) * mixed_volume(images) == mv
+            assert hull_mixed_volume(data.base) * hull_mixed_volume(images) == mv
             checked += 1
         except ValueError:
             continue
@@ -233,3 +236,50 @@ def test_predict_tree_three_var():
     child = tree.children[0]
     assert child.kind == "triangular"
     assert child.children[0].mv == 8
+
+
+def test_family_mixed_volumes_take_hulls_only_at_the_leaves(monkeypatch):
+    import torsolve.decompose as decompose
+
+    leaf_dims = []
+
+    def recording_hull(S):
+        leaf_dims.append(S.n)
+        return hull_mixed_volume(S)
+
+    monkeypatch.setattr(decompose, "hull_mixed_volume", recording_hull)
+    assert mixed_volume(family_system()) == 50
+    assert mixed_volume(family_system(SHIFTED)) == 250
+    assert leaf_dims and max(leaf_dims) <= 2
+
+
+def _tree_fields(tree):
+    return (tree.kind, tree.mv, tree.index, tree.diagonal, tree.witness,
+            tuple(_tree_fields(c) for c in tree.children))
+
+
+def _reference_tree(S):
+    """predict_tree with its fiber images taken from quotient_supports."""
+    S, _ = normalize(S)
+    cls = classify(S)
+    if isinstance(cls, Lacunary):
+        child = _reference_tree(cls.preimage.system)
+        return ("lacunary", cls.index * child[1], cls.index, cls.diagonal, None, (child,))
+    if isinstance(cls, Triangular):
+        base = _reference_tree(cls.base)
+        fiber = _reference_tree(quotient_supports(S, cls.witness)[1])
+        return ("triangular", base[1] * fiber[1], None, None, cls.witness, (base, fiber))
+    return ("univariate" if S.n == 1 else "blackbox", hull_mixed_volume(S), None, None, None, ())
+
+
+def test_predict_tree_fibers_match_quotient_supports():
+    systems = [
+        lacunary_system(),
+        SupportSystem.of_points([LACUNARY_B1, LACUNARY_B2]),
+        SupportSystem.of_points([START_A, START_A]),
+        SupportSystem.of_points([TRI_A, TRI_A, TRI_A3]),
+        family_system(),
+        family_system(SHIFTED),
+    ]
+    for S in systems:
+        assert _tree_fields(predict_tree(S)) == _reference_tree(S)

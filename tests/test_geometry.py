@@ -3,15 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsolve.geometry import (
     RationalPolytope,
     _hull,
     _reduce_to_vertices,
+    hull_mixed_volume,
     mixed_volume,
     mv_is_zero,
     polytope_volume,
 )
+from torsolve.intlinalg import IntMatrix
 from torsolve.supports import Support, SupportSystem, point_in_hull, vertices
 
 LACUNARY_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
@@ -159,6 +163,8 @@ def test_mv_is_zero():
     singleton = SupportSystem.of_points([[(0, 0)], [(0, 0), (1, 1)]])
     zero, witness = mv_is_zero(singleton)
     assert zero and witness == (0,)
+    assert mixed_volume(singleton) == 0
+    assert mixed_volume(SupportSystem.of_points([[(3,)]])) == 0
 
 
 def test_mv_is_zero_matches_mixed_volume():
@@ -190,11 +196,41 @@ def test_hull_at_the_int64_coordinate_limit(k):
     # takes; from 513 on the hull tests visibility with exact objects.
     cube = [tuple(k * c for c in p) for p in itertools.product([0, 1], repeat=3)]
     assert polytope_volume(cube + [(1, 2, 3), (k - 1, 1, 1)]) == k ** 3
-    assert mixed_volume(SupportSystem.of_points([cube, cube, cube])) == 6 * k ** 3
+    assert hull_mixed_volume(SupportSystem.of_points([cube, cube, cube])) == 6 * k ** 3
 
 
 @pytest.mark.parametrize("supports, mv", [([START_A, START_A], 30), ([TRI_A, TRI_A, TRI_A3], 32)])
 def test_mixed_volume_of_dilated_supports(supports, mv):
     n = len(supports)
     dilated = [[tuple(1000 * c for c in p) for p in sup] for sup in supports]
-    assert mixed_volume(SupportSystem.of_points(dilated)) == 1000 ** n * mv
+    assert hull_mixed_volume(SupportSystem.of_points(dilated)) == 1000 ** n * mv
+
+
+@st.composite
+def structured_systems(draw):
+    """Unimodular images of dilated supports with a triangular block.
+
+    The first k supports live in the first k coordinates (k = 0: no block);
+    each coordinate is then dilated by 1-3, which makes most draws lacunary.
+    """
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n - 1))
+    dilation = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    sups = []
+    for i in range(n):
+        dims = k if i < k else n
+        pts = draw(st.sets(st.tuples(*[st.integers(0, 2)] * dims), min_size=2, max_size=5))
+        sups.append([tuple(d * c for d, c in zip(dilation, p + (0,) * (n - dims))) for p in pts])
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    shears = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, q in draw(st.lists(shears, max_size=4)):
+        if i != j:
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    U = IntMatrix.from_rows(rows)
+    return SupportSystem.of_points([[U.apply(p) for p in sup] for sup in sups])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structured_systems())
+def test_mixed_volume_through_the_tree_matches_the_hulls(S):
+    assert mixed_volume(S) == hull_mixed_volume(S)

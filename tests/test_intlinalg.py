@@ -118,6 +118,17 @@ def test_rank_consistency():
         assert A.rank() == smith_normal_form(A).rank
 
 
+def test_adjugate():
+    rng = random.Random(71)
+    for n in range(1, 6):
+        for _ in range(10):
+            A = random_matrix(rng, n, n, -6, 6)
+            d = A.det()
+            assert (A @ A.adjugate()).entries == tuple(
+                tuple(d if i == j else 0 for j in range(n)) for i in range(n)
+            )
+
+
 def test_solve_integer():
     A = IntMatrix.from_rows([[3, 0], [-1, 4]])
     assert solve_integer(A, (3, 3)) == (1, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torsolve.errors import CountMismatchError, MixedVolumeZeroError
-from torsolve.geometry import mixed_volume
+from torsolve.geometry import hull_mixed_volume
 from torsolve.supports import SparseSystem, SupportSystem
 from torsolve.solver import (
     bezout_path_count,
@@ -135,7 +135,7 @@ def test_cross_validation_against_blackbox():
         )
         rep = solve_decomposable(F, seed=seed)
         bb = blackbox(F, seed=seed + 100)
-        assert len(rep.solutions) == mixed_volume(F.system) == len(bb)
+        assert len(rep.solutions) == hull_mixed_volume(F.system) == len(bb)
         match_sets(rep.solutions.points, bb.points)
 
 
@@ -244,7 +244,7 @@ def test_solve_triangular_entry_point():
     cls = classify(F.system)
     assert isinstance(cls, Triangular) and cls.witness == (0, 1)
     rep = solve_triangular(F, cls, seed=21)
-    assert len(rep.solutions) == mixed_volume(F.system)
+    assert len(rep.solutions) == hull_mixed_volume(F.system)
     assert_solves(F, rep.solutions)
     assert rep.tree.kind == "triangular"
     assert rep.tree.transfers == rep.tree.children[0].solutions - 1

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from torsolve.errors import LatticeMembershipError
-from torsolve.intlinalg import IntMatrix
+from torsolve.intlinalg import IntMatrix, solve_integer
 from torsolve.supports import (
     SparseSystem,
     Support,
     SupportSystem,
+    _preimage_solver,
     normalize,
     point_in_hull,
     preimage_supports,
@@ -129,6 +130,27 @@ def test_preimage_outside_lattice_errors():
     S = SupportSystem.of_points([[(0, 0), (1, 0)], [(0, 0), (0, 2)]])
     with pytest.raises(LatticeMembershipError):
         preimage_supports(S, IntMatrix.from_rows([[2, 0], [0, 2]]))
+
+
+def test_preimage_solver_matches_solve_integer():
+    rng = random.Random(61)
+    members = others = 0
+    tall = IntMatrix.from_rows([[1, 0], [0, 2], [1, 1]])
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        phi = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        if phi.det() == 0:
+            continue
+        for A in (phi, tall):
+            pull = _preimage_solver(A)
+            beta = tuple(rng.randint(-5, 5) for _ in range(A.cols))
+            alpha = A.apply(beta)
+            assert pull(alpha) == solve_integer(A, alpha) == beta
+            nudged = tuple(c + rng.randint(-1, 1) for c in alpha)
+            assert pull(nudged) == solve_integer(A, nudged)
+            members += 1
+            others += pull(nudged) is None
+    assert members > 100 and others > 30
 
 
 def test_quotient_supports_triangular_example():
