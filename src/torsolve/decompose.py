@@ -9,7 +9,6 @@ neither structure occurs the system goes to a black box solver.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -22,7 +21,7 @@ from .supports import (
     SupportSystem,
     normalize,
     preimage_supports,
-    span_rank,
+    subset_span_ranks,
 )
 
 
@@ -76,12 +75,11 @@ def classify(S: SupportSystem) -> Classification:
     """
     S, _ = normalize(S)
     n = S.n
-    subsets = [I for size in range(1, n + 1) for I in itertools.combinations(range(n), size)]
-    ranks = []
-    for I in subsets:
-        ranks.append(span_rank(S, I))
-        if ranks[-1] < len(I):
-            raise MixedVolumeZeroError(I)
+    ranks = []  # the zero test's subsets and ranks, reused for the witness search
+    for I, rank in subset_span_ranks(S):
+        if rank < len(I):
+            raise MixedVolumeZeroError(I)  # the witness `mv_is_zero` returns
+        ranks.append((I, rank))
 
     cols = [p for sup in S.supports for p in sup.points]
     form = smith_normal_form(IntMatrix.from_columns(cols))
@@ -102,7 +100,7 @@ def classify(S: SupportSystem) -> Classification:
             preimage=preimage_supports(S, phi),
         )
 
-    for I, rank in zip(subsets[:-1], ranks):  # proper subsets only
+    for I, rank in ranks[:-1]:  # proper subsets only
         if rank == len(I):
             return _triangular_data(S, I)
     return Indecomposable()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MixedVolumeZeroError
 from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
-from .supports import Support, SupportSystem, point_in_hull, span_rank
+from .supports import Support, SupportSystem, point_in_hull, subset_span_ranks
 
 _INT64_COORD_LIMIT = 512  # coordinates beyond this force exact-object visibility
 
@@ -128,11 +128,9 @@ def mv_is_zero(S: SupportSystem):
     Returns (True, witness I) with the first witness in (size, lex) order,
     or (False, None).
     """
-    n = S.n
-    for size in range(1, n + 1):
-        for I in itertools.combinations(range(n), size):
-            if span_rank(S, I) < size:
-                return True, I
+    for I, rank in subset_span_ranks(S):
+        if rank < len(I):
+            return True, I
     return False, None
 
 

@@ -7,6 +7,7 @@ stable. A square system carries one support per variable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -148,6 +149,14 @@ def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
     if not cols:
         return 0
     return IntMatrix.from_columns(cols).rank()
+
+
+def subset_span_ranks(S: SupportSystem):
+    """Yield (I, span_rank(S, I)) for every nonempty index subset I, by
+    increasing size and then lexicographically."""
+    for size in range(1, S.n + 1):
+        for I in itertools.combinations(range(S.n), size):
+            yield I, span_rank(S, I)
 
 
 def vertices(A: Support) -> Support:
