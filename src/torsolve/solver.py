@@ -2,9 +2,10 @@
 
 The main entry point classifies the supports, then either extracts roots
 through a monomial covering (lacunary), solves a subsystem first and
-populates its fibers by parameter homotopies (triangular), or falls back
-to a black box: companion-matrix eigenvalues for one variable, a
-total-degree homotopy otherwise. Recursion terminates because each level
+fills the fiber over each of its other solutions from the first fiber, all
+transfers tracked as one multi-target parameter homotopy (triangular), or
+falls back to a black box: companion-matrix eigenvalues for one variable,
+a total-degree homotopy otherwise. Recursion terminates because each level
 decreases either the mixed volume or the number of variables.
 """
 
@@ -31,7 +32,7 @@ from .errors import (
     NoConvergenceError,
     SingularJacobianError,
 )
-from .geometry import mixed_volume, mv_is_zero
+from .geometry import hull_mixed_volume, mixed_volume, mv_is_zero
 from .intlinalg import IntMatrix, unimodular_inverse
 from .supports import SparseSystem, SupportSystem, normalize, vertices
 from .torus import (
@@ -111,7 +112,10 @@ def blackbox(F: SparseSystem, seed: int = 0,
     """Structure-free fallback solver; asserts the count equals the MV."""
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    sols, _tree = _blackbox(F, np.random.SeedSequence(seed), settings, "")
+    zero, witness = mv_is_zero(F.system)
+    if zero:
+        raise MixedVolumeZeroError(witness)
+    sols, _tree = _blackbox(F, mixed_volume(F.system), np.random.SeedSequence(seed), settings, "")
     return sols
 
 
@@ -207,7 +211,7 @@ def _solve(F: SparseSystem, ss, settings, prov):
     elif F.n == 1:
         sols, tree = _univariate_roots(F, settings, prov)
     else:
-        sols, tree = _blackbox(F, ss, settings, prov)
+        sols, tree = _blackbox(F, hull_mixed_volume(F.system), ss, settings, prov)
     tree.elapsed = time.perf_counter() - start
     return sols, tree
 
@@ -261,32 +265,44 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     T_fib, push, start_points = _compacted(fiber0.system, fiber_sols.points)
     start_fiber = _apply_change(fiber0, T_fib)
 
-    rng = np.random.default_rng(transfer_ss)
-    per_base = [fiber_sols.points]
-    retries = 0
+    targets = []
     for idx in range(1, len(base_sols.points)):
         target = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[idx]))
         if target.system != fiber0.system:
             raise DegenerateFiberError(
                 f"fiber support over base solution {idx} differs from the start fiber"
             )
-        endpoints = None
-        got = SolutionSet()
-        for attempt in range(_MAX_GAMMA_RETRIES + 1):
-            H = Homotopy.straight_line(start_fiber, _apply_change(target, T_fib), _unit(rng))
-            got, _failures = track_all(H, start_points, settings)
-            if len(got) == len(fiber_sols):
-                endpoints = got
-                retries += attempt
-                break
-        if endpoints is None:
-            raise CountMismatchError(
-                f"fiber transfer to base solution {idx}", len(fiber_sols), len(got), got
-            )
-        if push is not None:
-            per_base.append([torus_apply(push, w) for w in endpoints.points])
-        else:
-            per_base.append(endpoints.points)
+        targets.append(_apply_change(target, T_fib))
+
+    # All transfers run as one multi-target homotopy, each with the gamma it
+    # would draw if they ran one after another: a transfer that comes up short
+    # takes the next gamma, and the later ones are tracked again after it.
+    rng = np.random.default_rng(transfer_ss)
+    gammas, got = [], {}
+    first, pos, attempt = 0, 0, 0  # first open transfer, its gamma's stream index, its attempt
+    while first < len(targets):
+        todo = range(first, len(targets))
+        gammas += [_unit(rng) for _ in range(pos + len(todo) - len(gammas))]
+        H = Homotopy.straight_line(start_fiber, [targets[m] for m in todo],
+                                   gammas[pos:pos + len(todo)])
+        endpoints, _failures = track_all(H, start_points * len(todo), settings)
+        batch = {m: SolutionSet() for m in todo}
+        for pt, res, origin in zip(endpoints.points, endpoints.residuals, endpoints.provenance):
+            block, path = divmod(int(origin.split()[1]), len(start_points))
+            batch[first + block].append(pt, res, f"path {path}")
+        short = next((m for m in todo if len(batch[m]) != len(fiber_sols)), len(targets))
+        got.update((m, batch[m]) for m in range(first, short))
+        if short == len(targets):
+            break
+        attempt = attempt + 1 if short == first else 1
+        first, pos = short, pos + short - first + 1
+        if attempt > _MAX_GAMMA_RETRIES:
+            raise CountMismatchError(f"fiber transfer to base solution {short + 1}",
+                                     len(fiber_sols), len(batch[short]), batch[short])
+    retries = pos - first  # each retry put the stream one gamma ahead of its transfer
+    per_base = [fiber_sols.points] + [
+        sols.points if push is None else [torus_apply(push, w) for w in sols.points]
+        for sols in got.values()]
 
     compiled = compile_system(F)
     lifted = ((lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
@@ -328,33 +344,23 @@ def _univariate_roots(F, settings, prov):
     return out, tree
 
 
-def _blackbox(F, ss, settings, prov):
+def _blackbox(F, expected, ss, settings, prov):
     """Total-degree homotopy: start c_i x_i^{d_i} - b_i with random units.
 
-    All prod(d_i) paths are tracked; endpoints off the torus are the excess
+    `expected` is the mixed volume of F, which must be nonzero. All
+    prod(d_i) paths are tracked; endpoints off the torus are the excess
     paths and are discarded. The path ledger counts this node as its
     solution count; the raw path total is kept in bezout_paths.
     """
     F, _ = normalize(F)
-    zero, witness = mv_is_zero(F.system)
-    if zero:
-        raise MixedVolumeZeroError(witness)
     if F.n == 1:
         return _univariate_roots(F, settings, prov)
     n = F.n
-    expected = mixed_volume(F.system)
     T, back, _ = _compacted(F.system, [])
     compact = _apply_change(F, T)
-
-    shifted_pairs = []
-    degrees = []
-    for i in range(n):
-        pts = compact.system.supports[i].points
-        base = tuple(min(p[c] for p in pts) for c in range(n))
-        moved = [tuple(a - b for a, b in zip(p, base)) for p in pts]
-        shifted_pairs.append(list(zip(moved, compact.coefficients[i])))
-        degrees.append(max(sum(p) for p in moved))
-    target = SparseSystem.from_pairs(shifted_pairs)
+    moved, degrees = _orthant_shifts(compact.system)
+    target = SparseSystem.from_pairs([list(zip(pts, c))
+                                      for pts, c in zip(moved, compact.coefficients)])
 
     rng = np.random.default_rng(ss)
     compiled = compile_system(F)
@@ -407,13 +413,17 @@ def _refined(compiled, candidates, settings, failures=None) -> SolutionSet:
 
 def bezout_path_count(S: SupportSystem) -> int:
     """Paths a total-degree homotopy tracks: product of the max total degrees."""
-    S, _ = normalize(S)
-    total = 1
+    return math.prod(_orthant_shifts(S)[1])
+
+
+def _orthant_shifts(S: SupportSystem):
+    """(moved, degrees): each support translated by its coordinate-wise
+    minimum into the positive orthant, and its maximal total degree there."""
+    moved = []
     for sup in S.supports:
-        pts = sup.points
-        base = tuple(min(p[c] for p in pts) for c in range(S.n))
-        total *= max(sum(a - b for a, b in zip(p, base)) for p in pts)
-    return total
+        base = [min(column) for column in zip(*sup.points)]
+        moved.append([tuple(a - b for a, b in zip(p, base)) for p in sup.points])
+    return moved, [max(sum(p) for p in pts) for pts in moved]
 
 
 def _nearest_quotient(num: int, den: int) -> int:

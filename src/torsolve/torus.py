@@ -158,16 +158,16 @@ def stack_exponents(supports):
 
 
 class CompiledSystem:
-    """Stacked exponent matrix and coefficients for fast evaluation.
+    """Stacked exponent matrix, row offsets (see stack_exponents) and one
+    coefficient vector, for fast evaluation; compile_system builds one.
 
     The Jacobian reuses the monomial values: d f / d x_j equals
     (sum of alpha_j * c_alpha * x^alpha) / x_j, valid on the torus.
     """
 
-    def __init__(self, F: SparseSystem):
-        self.n = F.n
-        self.E, self.starts = stack_exponents(F.system.supports)
-        self.c = np.concatenate([np.array(row, dtype=complex) for row in F.coefficients])
+    def __init__(self, E: np.ndarray, starts: np.ndarray, c: np.ndarray):
+        self.n = E.shape[1]
+        self.E, self.starts, self.c = E, starts, c
 
     def _terms(self, x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -188,4 +188,6 @@ class CompiledSystem:
 
 
 def compile_system(F: SparseSystem) -> CompiledSystem:
-    return CompiledSystem(F)
+    E, starts = stack_exponents(F.system.supports)
+    c = np.concatenate([np.array(row, dtype=complex) for row in F.coefficients])
+    return CompiledSystem(E, starts, c)

@@ -6,11 +6,14 @@ per accepted t. gamma is a random unit-modulus twist of the start system;
 it leaves V(G) unchanged while steering the path bundle away from the
 discriminant for generic data.
 
-All start points of one homotopy are tracked together: a (P, n) array
-with per-path t, step size, success streak and step count, and per pass
-one predictor and corrector over the running paths on a (P, n, n) Jacobian
-stack. Each path takes the steps it would take alone, a failing path drops
-out without touching the others, and track_path is the batch of one.
+A homotopy may hold K targets F_k with one gamma_k each: its P start
+points form K equal blocks, block k following t*F_k + (1-t)*gamma_k*G, so
+the fiber transfers of a triangular node run as one batch. All paths are
+tracked together: a (P, n) array with per-path target row, t, step size,
+success streak and step count, and per pass one predictor and corrector
+over the running paths on a (P, n, n) Jacobian stack. Each path takes the
+steps it would take alone, a failing path drops out without touching the
+others, and track_path is the batch of one.
 """
 
 from __future__ import annotations
@@ -108,56 +111,65 @@ def distinct(points) -> np.ndarray:
 
 
 class Homotopy:
-    """Convex combination of two coefficient vectors on one shared support.
+    """Convex combinations of a start and K target coefficient vectors on one
+    shared support, with one unit gamma per target (or one for all).
 
-    Start and target are aligned point-for-point on the union of their
+    Start and targets are aligned point-for-point on the union of their
     supports (absent monomials get zero coefficients), so a vertex-supported
-    or total-degree start system embeds into the target's coefficient space.
+    or total-degree start system embeds into the targets' coefficient space.
+    `ct` holds the K target rows and `targets` the target systems compiled.
     """
 
     def __init__(self, system: SupportSystem, start_coeffs, target_coeffs, gamma=1.0):
         self.system = system
-        self.gamma = complex(gamma)
-        if abs(abs(self.gamma) - 1.0) > 1e-9:
-            raise ValueError("gamma must have unit modulus")
         sizes = [len(s) for s in system.supports]
-        if [len(c) for c in start_coeffs] != sizes or [len(c) for c in target_coeffs] != sizes:
+        if not target_coeffs or any([len(c) for c in coeffs] != sizes
+                                    for coeffs in [start_coeffs, *target_coeffs]):
             raise ValueError("coefficient vectors must match the shared support")
+        self.gamma = np.broadcast_to(np.asarray(gamma, dtype=complex), len(target_coeffs)).copy()
+        if np.any(np.abs(np.abs(self.gamma) - 1.0) > 1e-9):
+            raise ValueError("gamma must have unit modulus")
         self.E, self.starts = stack_exponents(system.supports)
         self.cs = np.concatenate([np.asarray(c, dtype=complex) for c in start_coeffs])
-        self.ct = np.concatenate([np.asarray(c, dtype=complex) for c in target_coeffs])
-        self._gcs = self.gamma * self.cs
-        self._dc = self.ct - self._gcs
+        self.ct = np.array([np.concatenate([np.asarray(c, dtype=complex) for c in coeffs])
+                            for coeffs in target_coeffs])
+        gcs = self.gamma[:, None] * self.cs
+        self._ct_float, self._gcs_float = self.ct.view(float), gcs.view(float)
+        self._dc = self.ct - gcs
         self._ET = np.ascontiguousarray(self.E.T)
         self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
+        self.targets = [CompiledSystem(self.E, self.starts, c) for c in self.ct]
 
     @property
     def n(self) -> int:
         return self.system.n
 
     @classmethod
-    def straight_line(cls, start: SparseSystem, target: SparseSystem, gamma=1.0) -> Homotopy:
-        if start.n != target.n:
+    def straight_line(cls, start: SparseSystem, target, gamma=1.0) -> Homotopy:
+        """From `start` to a `target` system or a sequence of K, one gamma each."""
+        targets = [target] if isinstance(target, SparseSystem) else list(target)
+        if any(T.n != start.n for T in targets):
             raise ValueError("start and target must have the same shape")
         supports = []
         cs_rows = []
-        ct_rows = []
+        ct_rows = [[] for _ in targets]
         for i in range(start.n):
             s_pairs = dict(start.polynomial(i))
-            t_pairs = dict(target.polynomial(i))
-            union = sorted(set(s_pairs) | set(t_pairs))
+            t_pairs = [dict(T.polynomial(i)) for T in targets]
+            union = sorted(set(s_pairs).union(*t_pairs))
             supports.append(Support(tuple(union)))
             cs_rows.append([s_pairs.get(p, 0.0 + 0.0j) for p in union])
-            ct_rows.append([t_pairs.get(p, 0.0 + 0.0j) for p in union])
+            for rows, pairs in zip(ct_rows, t_pairs):
+                rows.append([pairs.get(p, 0.0 + 0.0j) for p in union])
         return cls(SupportSystem(tuple(supports)), cs_rows, ct_rows, gamma)
 
-    def state(self, X: np.ndarray, t: np.ndarray):
+    def state(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray):
         """H, its x-Jacobian, dH/dt and a term-magnitude scale at P points.
 
-        X is (P, n) and t is (P,); the results have shapes (P, n), (P, n, n),
-        (P, n) and (P,). Monomials are exp(log|x| @ E.T) times
-        cos/sin(arg x @ E.T): two real matmuls and a real exp cost a small
-        fraction of a complex matmul and a complex exp.
+        X is (P, n), t is (P,) and rows (P,) are the target rows; the results
+        have shapes (P, n), (P, n, n), (P, n) and (P,). Monomials are
+        exp(log|x| @ E.T) times cos/sin(arg x @ E.T): two real matmuls and a
+        real exp cost a small fraction of a complex matmul and a complex exp.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mag = np.exp(np.log(np.abs(X)) @ self._ET)
@@ -168,12 +180,16 @@ class Homotopy:
             del mag, phase
             # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary
             # parts; a real t times a complex array goes through cast buffers.
-            terms = np.multiply.outer(t, self.ct.view(float))
-            terms += np.multiply.outer(1.0 - t, self._gcs.view(float))
+            terms = self._ct_float[rows]
+            terms *= t[:, None]
+            twisted = self._gcs_float[rows]
+            twisted *= (1.0 - t)[:, None]
+            terms += twisted
+            del twisted
             terms = terms.view(complex)
             terms *= mono
             values = np.add.reduceat(terms, self.starts, axis=1)
-            mono *= self._dc
+            mono *= self._dc[rows]
             dt = np.add.reduceat(mono, self.starts, axis=1)
             scale = np.maximum(1.0, np.add.reduceat(np.abs(terms), self.starts, axis=1).max(axis=1))
             jac = np.empty((len(X), self.n, self.n), dtype=complex)
@@ -184,16 +200,10 @@ class Homotopy:
         return values, jac, dt, scale
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """H(x, t) at a single point x."""
-        return self.state(np.asarray(x, dtype=complex)[None, :], np.array([float(t)]))[0][0]
-
-    def target_system(self) -> CompiledSystem:
-        compiled = object.__new__(CompiledSystem)
-        compiled.n = self.n
-        compiled.E = self.E
-        compiled.starts = self.starts
-        compiled.c = self.ct
-        return compiled
+        """H_k(x, t) for every target row k at a single point x: (K, n)."""
+        K = len(self.ct)
+        X = np.repeat(np.asarray(x, dtype=complex)[None, :], K, axis=0)
+        return self.state(X, np.full(K, float(t)), np.arange(K))[0]
 
 
 def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
@@ -210,6 +220,9 @@ def _track(H: Homotopy, starts, settings: TrackerSettings) -> list:
     """Track every start point together; one endpoint or PathFailure each."""
     X = np.asarray(starts, dtype=complex).reshape(len(starts), H.n)
     P = len(X)
+    if P % len(H.ct):
+        raise ValueError(f"{P} start points do not split into {len(H.ct)} equal blocks")
+    rows = np.repeat(np.arange(len(H.ct)), P // len(H.ct))  # block k follows target k
     t, step = np.zeros(P), np.full(P, settings.initial_step)
     streak, nsteps = np.zeros((2, P), dtype=int)
     running = np.ones(P, dtype=bool)
@@ -231,9 +244,10 @@ def _track(H: Homotopy, starts, settings: TrackerSettings) -> list:
             nsteps[live] += 1
             t0 = t[live]
             dt = np.minimum(step[live], 1.0 - t0)
-            _, jac, dvals, _ = H.state(X[live], t0)
+            _, jac, dvals, _ = H.state(X[live], t0, rows[live])
             tangent, ok = _solve(jac, -dvals)
-            corrected, xn = _correct(H, X[live] + dt[:, None] * tangent, t0 + dt, settings)
+            corrected, xn = _correct(H, X[live] + dt[:, None] * tangent, t0 + dt, rows[live],
+                                     settings)
             ok &= corrected & np.isfinite(xn).all(axis=1)
 
             won, lost = live[ok], live[~ok]
@@ -252,10 +266,9 @@ def _track(H: Homotopy, starts, settings: TrackerSettings) -> list:
             step[lost] *= 0.5
             fail(lost[step[lost] < settings.min_step], "step-underflow")
 
-    target = H.target_system()
     for i in np.flatnonzero(running):
         try:
-            refined, _ = _newton(target, X[i], settings)
+            refined, _ = _newton(H.targets[rows[i]], X[i], settings)
         except (SingularJacobianError, NoConvergenceError):
             outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
             continue
@@ -277,13 +290,13 @@ def _solve(A, b):
     return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _correct(H: Homotopy, X, t, settings):
+def _correct(H: Homotopy, X, t, rows, settings):
     """At most three Newton steps on H(., t) for every row of X; success is
     a small residual relative to the term magnitudes. Returns (ok, X)."""
     ok = np.zeros(len(X), dtype=bool)
     todo = np.arange(len(X))
     for _ in range(_CORRECTOR_ITERS):
-        values, jac, _, scale = H.state(X[todo], t[todo])
+        values, jac, _, scale = H.state(X[todo], t[todo], rows[todo])
         done = np.abs(values).max(axis=1) <= settings.newton_tolerance * scale
         ok[todo[done]] = True
         delta, solved = _solve(jac[~done], -values[~done])
@@ -293,7 +306,7 @@ def _correct(H: Homotopy, X, t, settings):
         todo = todo[np.isfinite(x).all(axis=1) & ~(np.abs(x) < _TRACK_TORUS_GUARD).any(axis=1)]
         if not todo.size:
             return ok, X
-    values, _, _, scale = H.state(X[todo], t[todo])
+    values, _, _, scale = H.state(X[todo], t[todo], rows[todo])
     ok[todo] = np.abs(values).max(axis=1) <= settings.newton_tolerance * scale
     return ok, X
 
@@ -342,24 +355,29 @@ def newton_refine(F: SparseSystem | CompiledSystem, x, settings: TrackerSettings
 def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None):
     """Track every start point; deduplicate and sort the successes.
 
-    Returns (SolutionSet, failures) where failures is a list of
-    (start index, PathFailure). Duplicate endpoints are recorded as
+    With K targets the starts form K equal blocks, block k tracked toward
+    target k and deduplicated on its own. Returns (SolutionSet, failures)
+    where failures is a list of (start index, PathFailure) and a success
+    comes from "path {start index}". Duplicate endpoints are recorded as
     warnings in the failure list with reason "duplicate-endpoint".
     """
     settings = settings or TrackerSettings()
     points = starts.points if isinstance(starts, SolutionSet) else list(starts)
     outcomes = _track(H, points, settings)
+    size = len(points) // len(H.ct)
     ends = [i for i, out in enumerate(outcomes) if not isinstance(out, PathFailure)]
-    kept = {i for i, keep in zip(ends, distinct([outcomes[i] for i in ends])) if keep}
+    kept = set()
+    for k in range(len(H.ct)):
+        block = [i for i in ends if k * size <= i < (k + 1) * size]
+        kept.update(i for i, keep in zip(block, distinct([outcomes[i] for i in block])) if keep)
 
-    target = H.target_system()
     solutions = SolutionSet()
     failures = []
     for i, out in enumerate(outcomes):
         if isinstance(out, PathFailure):
             failures.append((i, out))
         elif i in kept:
-            solutions.append(out, target.residual(out), origin=f"path {i}")
+            solutions.append(out, H.targets[i // size].residual(out), origin=f"path {i}")
         else:
             failures.append((i, PathFailure("duplicate-endpoint", 1.0, out)))
     solutions.sort()

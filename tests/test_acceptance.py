@@ -189,7 +189,7 @@ def test_criterion_5_family_ledger_and_cross_check():
     transfer_counts = sorted(nd.transfers for nd in rep.tree.walk() if nd.kind == "triangular")
     assert transfer_counts == [4, 9]
     assert rep.paths_tracked == 64
-    equivalent = _blackbox(F, np.random.SeedSequence(12), TrackerSettings(), "")[0]
+    equivalent = _blackbox(F, mixed_volume(F.system), np.random.SeedSequence(12), TrackerSettings(), "")[0]
     assert len(equivalent) == 50
     scipy_opt = pytest.importorskip("scipy.optimize")
     P = np.array(rep.solutions.points)
@@ -276,7 +276,7 @@ def test_criterion_7_bkk_counts():
         if not 1 <= mv <= 60:
             continue
         F = SparseSystem(S, unit_coeffs(S, crng))
-        sols, tree = _blackbox(F, np.random.SeedSequence(9000 + attempts), TrackerSettings(), "")
+        sols, tree = _blackbox(F, mv, np.random.SeedSequence(9000 + attempts), TrackerSettings(), "")
         assert len(sols) == mv
         if tree.gamma_retries:
             retried += 1

@@ -282,3 +282,178 @@ def test_decomposable_tree_and_ledger_are_pinned(name, seed, count, ledger, node
     assert [(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries,
              nd.bezout_paths) for nd in rep.tree.walk()] == nodes
     assert_solves(F, rep.solutions)
+
+
+def triangular_node(F):
+    """The first triangular node of F's decomposition, below lacunary covers,
+    as the solver sees it: (normalized system, classification)."""
+    from torsolve.decompose import Lacunary, Triangular, classify
+    from torsolve.supports import normalize
+    from torsolve.torus import relabel
+
+    F, _ = normalize(F)
+    cls = classify(F.system)
+    while isinstance(cls, Lacunary):
+        F, _ = normalize(relabel(F, cls.preimage))
+        cls = classify(F.system)
+    assert isinstance(cls, Triangular)
+    return F, cls
+
+
+def reference_solve_triangular(F, cls, ss, settings, prov):
+    """The triangular solve before transfers were batched: one track_all per
+    base solution, each retried with fresh gammas before the next starts."""
+    from torsolve.decompose import DecompositionTree
+    from torsolve.errors import DegenerateFiberError
+    from torsolve.solver import (_MAX_GAMMA_RETRIES, _apply_change, _compacted, _refined,
+                                 _solve, _unit)
+    from torsolve.torus import MonomialMap, apply, restrict_to_fiber
+    from torsolve.tracking import Homotopy, SolutionSet
+    import torsolve.solver as solver
+
+    n, I, k = F.n, cls.witness, cls.k
+    J = tuple(j for j in range(n) if j not in I)
+    base_F = SparseSystem.from_pairs(
+        [[(cls.psi.apply(alpha)[:k], c) for alpha, c in F.polynomial(i)] for i in I])
+    base_ss, fiber_ss, transfer_ss = ss.spawn(3)
+    base_sols, base_tree = _solve(base_F, base_ss, settings, prov + "base/")
+    psi_map = MonomialMap(cls.psi)
+
+    def lift_point(y, z=np.ones(n - k, dtype=complex)):
+        return apply(psi_map, np.concatenate([y, z]))
+
+    fiber0 = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[0]))
+    fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
+    T_fib, push, start_points = _compacted(fiber0.system, fiber_sols.points)
+    start_fiber = _apply_change(fiber0, T_fib)
+    rng = np.random.default_rng(transfer_ss)
+    per_base = [fiber_sols.points]
+    retries = 0
+    for idx in range(1, len(base_sols.points)):
+        target = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[idx]))
+        if target.system != fiber0.system:
+            raise DegenerateFiberError(f"fiber over base solution {idx}")
+        endpoints = None
+        got = SolutionSet()
+        for attempt in range(_MAX_GAMMA_RETRIES + 1):
+            H = Homotopy.straight_line(start_fiber, _apply_change(target, T_fib), _unit(rng))
+            got, _ = solver.track_all(H, start_points, settings)
+            if len(got) == len(fiber_sols):
+                endpoints = got
+                retries += attempt
+                break
+        if endpoints is None:
+            raise CountMismatchError(
+                f"fiber transfer to base solution {idx}", len(fiber_sols), len(got), got)
+        per_base.append([w if push is None else apply(push, w) for w in endpoints.points])
+    out = _refined(compile_system(F), (
+        (lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
+        for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
+        for zi, z in enumerate(zpts)), settings)
+    tree = DecompositionTree(kind="triangular", mv=base_tree.mv * fiber_tree.mv,
+                             children=[base_tree, fiber_tree], solutions=len(out), witness=I,
+                             transfers=len(base_sols) - 1,
+                             paths=(len(base_sols) - 1) * len(fiber_sols), gamma_retries=retries)
+    return out, tree
+
+
+@pytest.mark.parametrize("system, seed", [("triangular", 7), ("triangular", 3),
+                                          ("e-basis", 0), ("e-basis", 11)])
+def test_batched_transfers_match_per_transfer_loop(system, seed):
+    from torsolve.cli import _bench_instance
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import TrackerSettings
+
+    if system == "triangular":
+        F = tri_system()
+    else:
+        F = _bench_instance("e-basis", np.random.default_rng(np.random.SeedSequence(seed)))
+    F, cls = triangular_node(F)
+    runs = [solve(F, cls, np.random.SeedSequence(seed), TrackerSettings(), "")
+            for solve in (_solve_triangular, reference_solve_triangular)]
+    (batched, tree), (looped, ref_tree) = runs
+    rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries)
+             for nd in t.walk()] for t in (tree, ref_tree)]
+    assert rows[0] == rows[1] and tree.transfers >= 4
+    assert batched.provenance == looped.provenance
+    assert len(batched) == tree.mv
+    for p, q in zip(batched.points, looped.points):
+        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
+
+
+def transfer_gammas(seed, count):
+    """The first `count` gammas of the transfer stream of a triangular node
+    solved from SeedSequence(seed)."""
+    from torsolve.solver import _unit
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    return [_unit(rng) for _ in range(count)]
+
+
+def failing_gammas(monkeypatch, seed, places):
+    """Make solver.track_all lose one endpoint of every transfer tracked with
+    the gamma at one of `places` in the transfer stream; returns the gammas
+    of every call that tracked transfers."""
+    import torsolve.solver as solver
+    from torsolve.tracking import SolutionSet
+
+    real, calls, draws = solver.track_all, [], transfer_gammas(seed, 64)
+
+    def track_all(H, starts, settings=None):
+        sols, failures = real(H, starts, settings)
+        gammas = H.gamma.tolist()
+        if not set(gammas) <= set(draws):
+            return sols, failures  # not a transfer
+        calls.append(gammas)
+        size, out = len(starts) // len(gammas), SolutionSet()
+        lose = {k for k, gamma in enumerate(gammas) if draws.index(gamma) in places}
+        for pt, res, origin in zip(sols.points, sols.residuals, sols.provenance):
+            block = int(origin.split()[1]) // size
+            if block in lose:
+                lose.discard(block)
+            else:
+                out.append(pt, res, origin)
+        return out, failures
+
+    monkeypatch.setattr(solver, "track_all", track_all)
+    return calls
+
+
+def test_retries_take_the_gammas_of_the_per_transfer_loop(monkeypatch):
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import TrackerSettings
+
+    F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
+    calls = failing_gammas(monkeypatch, 7, {2, 3, 9})
+    runs = [solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+            for solve in (reference_solve_triangular, _solve_triangular)]
+    (looped, ref_tree), (batched, tree) = runs
+    assert tree.gamma_retries == ref_tree.gamma_retries == 2 and tree.solutions == 16
+    assert batched.provenance == looped.provenance
+    for p, q in zip(batched.points, looped.points):
+        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
+    # The loop draws one gamma per attempt and transfer 2 fails on gammas 2
+    # and 3; the batch tracks transfers 0..6 on gammas 0..6, then 2..6 on
+    # gammas 3..7 and on gammas 4..8.
+    draws = transfer_gammas(7, 9)
+    assert calls == [[g] for g in draws] + [draws[0:7], draws[3:8], draws[4:9]]
+
+
+def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch):
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import TrackerSettings
+
+    F, cls = triangular_node(tri_system())
+    calls = failing_gammas(monkeypatch, 7, {1, 2, 3, 4, 6})
+    errors = []
+    for solve in (reference_solve_triangular, _solve_triangular):
+        with pytest.raises(CountMismatchError) as err:
+            solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+        errors.append(err.value)
+    for exc in errors:
+        assert "fiber transfer to base solution 2" in str(exc)
+        assert exc.expected == 2 and len(exc.partial) == 1
+    assert errors[0].partial.provenance == errors[1].partial.provenance
+    assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-10)
+    draws = transfer_gammas(7, 10)
+    assert calls == [[g] for g in draws[:5]] + [draws[0:7], draws[2:8], draws[3:9], draws[4:10]]

@@ -111,9 +111,9 @@ def test_homotopy_alignment_embeds_start():
     assert H.E.shape == (3, 1)  # union support {0, 1, 3}
     x = np.array([1.3 - 0.2j])
     g_direct = 1.0 + 2.0 * x[0] ** 3
-    assert abs(H.evaluate(x, 0.0)[0] - g_direct) < 1e-12
+    assert abs(H.evaluate(x, 0.0)[0, 0] - g_direct) < 1e-12
     f_direct = 0.5 + 1.5 * x[0] - 2.0 * x[0] ** 3
-    assert abs(H.evaluate(x, 1.0)[0] - f_direct) < 1e-12
+    assert abs(H.evaluate(x, 1.0)[0, 0] - f_direct) < 1e-12
 
 
 def test_bkk_count_small_system():
@@ -226,10 +226,10 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
     def state(x, t):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mono = np.exp(H.E @ np.log(x))
-            gcs = H.gamma * H.cs
-            terms = (t * H.ct + (1.0 - t) * gcs) * mono
+            gcs = H.gamma[0] * H.cs
+            terms = (t * H.ct[0] + (1.0 - t) * gcs) * mono
             values = np.add.reduceat(terms, H.starts)
-            dt = np.add.reduceat((H.ct - gcs) * mono, H.starts)
+            dt = np.add.reduceat((H.ct[0] - gcs) * mono, H.starts)
             jac = np.add.reduceat(terms[:, None] * H.E, H.starts, axis=0) / x[None, :]
             scale = max(1.0, float(np.max(np.add.reduceat(np.abs(terms), H.starts))))
         return values, jac, dt, scale
@@ -272,7 +272,58 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
             if step < settings.min_step:
                 return PathFailure("step-underflow", t, x)
     try:
-        refined, _ = _newton(H.target_system(), x, settings)
+        refined, _ = _newton(H.targets[0], x, settings)
     except (SingularJacobianError, NoConvergenceError):
         return PathFailure("no-convergence", 1.0, x)
     return PathFailure("left-torus", 1.0, refined) if np.min(np.abs(refined)) <= 1e-10 else refined
+
+
+def outcomes_by_path(result, count):
+    """Per start index: the endpoint, or the PathFailure reason."""
+    sols, failures = result
+    out = {int(origin.split()[1]): pt for pt, origin in zip(sols.points, sols.provenance)}
+    out.update((i, fail.reason) for i, fail in failures)
+    assert sorted(out) == list(range(count))
+    return [out[i] for i in range(count)]
+
+
+def test_multi_target_track_all_equals_one_target_at_a_time():
+    # The roots of x^3 - 3x - 1, a point where its Jacobian is singular and
+    # one root again; the targets differ in support and one loses a root at
+    # infinity, so the blocks hold ok, failing and duplicate paths.
+    G = univariate({0: -1.0, 1: -3.0, 3: 1.0})
+    targets = [univariate({0: -4e4, 2: 1e4}), univariate({0: 2.0, 1: -1.0, 3: 1.0}),
+               univariate({0: 0.5 - 1j, 2: 2.0, 3: 1.5j}), univariate({0: -8.0, 3: 1.0})]
+    gammas = np.exp(1j * np.array([0.3, 1.9, 4.0, 2.6]))
+    starts = [np.array([r + 0j]) for r in np.roots([1, 0, -3, -1])] + [np.array([1.0 + 0j])]
+    starts.append(starts[1])
+    H = Homotopy.straight_line(G, targets, gammas)
+    together = outcomes_by_path(track_all(H, starts * len(targets)), 4 * len(starts))
+    assert H.ct.shape == (4, 4) and len(H.targets) == 4
+    reasons = []
+    for k, (F, gamma) in enumerate(zip(targets, gammas)):
+        alone = outcomes_by_path(track_all(Homotopy.straight_line(G, F, gamma), starts), len(starts))
+        for mine, ref in zip(together[k * len(starts):], alone):
+            if isinstance(ref, str):
+                assert mine == ref
+            else:
+                assert np.max(np.abs(mine - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+            reasons.append(ref if isinstance(ref, str) else "ok")
+    assert {"ok", "divergence", "step-underflow", "duplicate-endpoint"} <= set(reasons)
+    with pytest.raises(ValueError):
+        track_all(H, starts[:3])  # 3 starts do not split into 4 equal blocks
+
+
+def test_targets_sharing_an_endpoint_both_keep_it():
+    # (x - 1)(x - 2) and (x - 1)(x - 3) share the root 1; dedup is per target.
+    G = univariate({0: -1.0, 2: 1.0})
+    targets = [univariate({0: 2.0, 1: -3.0, 2: 1.0}), univariate({0: 3.0, 1: -4.0, 2: 1.0})]
+    H = Homotopy.straight_line(G, targets, np.exp(1j * np.array([0.7, 2.2])))
+    starts = [np.array([1.0 + 0j]), np.array([-1.0 + 0j])]
+    sols, failures = track_all(H, starts * 2)
+    assert failures == [] and len(sols) == 4
+    roots = {int(origin.split()[1]) // 2: [] for origin in sols.provenance}
+    for pt, origin in zip(sols.points, sols.provenance):
+        roots[int(origin.split()[1]) // 2].append(round(pt[0].real, 8))
+    assert sorted(roots[0]) == [1.0, 2.0] and sorted(roots[1]) == [1.0, 3.0]
+    assert all(r <= 1e-8 for r in sols.residuals)
