@@ -12,14 +12,15 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
 from .decompose import DecompositionTree, predict_tree
-from .errors import CountMismatchError, MixedVolumeZeroError, SystemFileError, TorsolveError
-from .geometry import mixed_volume, mv_is_zero
+from .errors import MixedVolumeZeroError, SystemFileError, TorsolveError
+from .geometry import mixed_volume
 from .solver import (
     bezout_path_count,
     blackbox,
@@ -43,10 +44,13 @@ def parse_system(data, source="<input>"):
     def fail(path, message):
         raise SystemFileError(f"{source}: {path}: {message}")
 
+    def is_int(v):  # JSON true/false load as bool, a subclass of int
+        return isinstance(v, int) and not isinstance(v, bool)
+
     if not isinstance(data, dict):
         fail("$", "top level must be an object")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         fail("n", "must be a positive integer")
     polys = data.get("polynomials")
     if not isinstance(polys, list) or len(polys) != n:
@@ -64,7 +68,7 @@ def parse_system(data, source="<input>"):
         pts = []
         for j, vec in enumerate(support):
             if (not isinstance(vec, list) or len(vec) != n
-                    or any(not isinstance(c, int) for c in vec)):
+                    or not all(is_int(c) for c in vec)):
                 fail(f"{where}.support[{j}]", f"must be a list of {n} integers")
             pts.append(tuple(vec))
         if len(set(pts)) != len(pts):
@@ -82,8 +86,10 @@ def parse_system(data, source="<input>"):
         row = []
         for j, pair in enumerate(coeffs):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or any(not isinstance(v, (int, float)) for v in pair)):
+                    or not all(is_int(v) or isinstance(v, float) for v in pair)):
                 fail(f"{where}.coefficients[{j}]", "must be an [re, im] pair")
+            if not all(abs(v) <= sys.float_info.max for v in pair):  # NaN compares false
+                fail(f"{where}.coefficients[{j}]", "must be finite floating-point numbers")
             value = complex(pair[0], pair[1])
             if value == 0:
                 fail(f"{where}.coefficients[{j}]", "zero coefficient; remove the point instead")
@@ -157,7 +163,7 @@ def render_tree(tree: DecompositionTree, indent=0) -> list[str]:
         child = tree.children[0]
         head = f"{pad}lacunary, index {tree.index}; child MV {child.mv}; total {tree.mv}"
     elif tree.kind == "triangular":
-        base, fiber = tree.children
+        base, fiber = tree.children[:2]  # later children: fibers solved directly
         witness = "{" + ",".join(str(i + 1) for i in tree.witness) + "}"
         head = f"{pad}triangular, I = {witness}, MV {base.mv} x {fiber.mv} = {tree.mv}"
     elif tree.kind == "homotopy":
@@ -174,6 +180,8 @@ def render_tree(tree: DecompositionTree, indent=0) -> list[str]:
 
 def _settings(args) -> TrackerSettings:
     tol = args.tolerance
+    if not 0 < tol < math.inf:
+        raise TorsolveError(f"--tolerance must be a positive finite number, got {tol}")
     return TrackerSettings(newton_tolerance=tol, success_residual=tol)
 
 
@@ -202,14 +210,15 @@ def cmd_solve(args) -> int:
         print("error: coefficients required for solve", file=sys.stderr)
         return 1
     settings = _settings(args)
-    zero, witness = mv_is_zero(F.system)
-    if zero:
-        print(f"error: mixed volume 0, witness {tuple(i + 1 for i in witness)}", file=sys.stderr)
+    try:
+        mv = predict_tree(F.system).mv
+    except MixedVolumeZeroError as exc:
+        print(f"error: mixed volume 0, witness {tuple(i + 1 for i in exc.witness)}",
+              file=sys.stderr)
         return 1
-    mv = mixed_volume(F.system)
     try:
         report = solve_decomposable(F, seed=args.seed, settings=settings)
-    except (CountMismatchError, TorsolveError) as exc:
+    except TorsolveError as exc:
         print(f"decomposable solve failed ({exc}); falling back to start-system homotopy",
               file=sys.stderr)
         report = solve_general(F, seed=args.seed, settings=settings)
@@ -371,8 +380,7 @@ def main(argv=None) -> int:
     p_bench = sub.add_parser("bench", help="benchmark a family of instances")
     p_bench.add_argument("family", choices=["e-basis", "shifted", "random"])
     p_bench.add_argument("--count", type=int, default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--tolerance", type=float, default=1e-8)
+    common(p_bench, needs_file=False)
 
     args = parser.parse_args(argv)
     handlers = {
@@ -384,9 +392,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SystemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TorsolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ neither structure occurs the system goes to a black box solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -96,7 +97,7 @@ def classify(S: SupportSystem) -> Classification:
             phi=phi,
             psi=psi,
             diagonal=d,
-            index=_product(d),
+            index=math.prod(d),
             preimage=preimage_supports(S, phi),
         )
 
@@ -104,13 +105,6 @@ def classify(S: SupportSystem) -> Classification:
         if rank == len(I):
             return _triangular_data(S, I)
     return Indecomposable()
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def _triangular_data(S: SupportSystem, I) -> Triangular:
@@ -160,7 +154,9 @@ class DecompositionTree:
     blackbox node it is the solution count, matching a mixed-volume-optimal
     solver, while the raw total-degree path count is kept separately.
     Closed-form steps (root extraction, companion-matrix eigenvalues)
-    contribute zero.
+    contribute zero. A triangular node's children are its base and first
+    fiber, then one tree per fiber solved directly because its transfer
+    failed every gamma.
     """
 
     kind: str  # lacunary | triangular | blackbox | univariate | homotopy

@@ -6,7 +6,9 @@ n! * vol(K). `mixed_volume` follows the lacunary/triangular decomposition
 tree; at its indecomposable and univariate leaves `hull_mixed_volume` runs
 inclusion-exclusion over the subsets' Minkowski sums, built incrementally
 with vertex reduction, whose volumes come from an exact integer
-beneath-beyond triangulation. No floats enter any volume.
+beneath-beyond triangulation. Every simplex volume there is a facet height
+that the visibility test has already computed, so no determinant is taken;
+no floats enter any volume.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -243,17 +244,16 @@ class _FacetStore:
             self._fids.append(fid)
 
     def visible_from(self, p):
+        """{fid: a . p - b} over the facets that p lies strictly beyond."""
         if self.exact_only:
-            return [
-                fid for fid, (_, a, b, _ridges) in self.facets.items()
-                if sum(x * y for x, y in zip(a, p)) > b
-            ]
+            return {fid: h for fid, (_, a, b, _ridges) in self.facets.items()
+                    if (h := sum(x * y for x, y in zip(a, p)) - b) > 0}
         if len(self._fids) > 2 * len(self.facets) + 64:
             self._compact()
         k = len(self._fids)
         vals = self._normals[:k] @ np.asarray(p, dtype=np.int64) - self._offsets[:k]
         hits = np.nonzero(vals > 0)[0]
-        return [self._fids[h] for h in hits if self._fids[h] in self.facets]
+        return {self._fids[h]: int(vals[h]) for h in hits if self._fids[h] in self.facets}
 
 
 def _hull(pts, d):
@@ -262,6 +262,9 @@ def _hull(pts, d):
     Returns (d! * volume, facet list as tuples of point indices). The facet
     simplices triangulate the boundary; only strictly-beyond insertions add
     volume, so points already on the current boundary are skipped harmlessly.
+    Each volume is a facet height: with the facet's unreduced outward plane
+    a . x = b, the cone from a point p over it has d! * volume a . p - b,
+    the very value the visibility test computes.
     """
     if d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i])
@@ -270,7 +273,8 @@ def _hull(pts, d):
 
     seed = _seed_simplex(pts, d)
     ref = tuple(sum(pts[i][c] for i in seed) for c in range(d))  # (d+1) * centroid
-    dvol = abs(_det([[pts[i][c] - pts[seed[0]][c] for c in range(d)] for i in seed[1:]]))
+    a, b = _facet_plane([pts[i] for i in seed[:d]], d)
+    dvol = abs(sum(x * y for x, y in zip(a, pts[seed[d]])) - b)
 
     # Big coordinates could overflow the vectorized int64 visibility test.
     maxc = max(abs(c) for p in pts for c in p)
@@ -295,13 +299,13 @@ def _hull(pts, d):
 
     for i in rest:
         p = pts[i]
-        visible = set(store.visible_from(p))
+        visible = store.visible_from(p)
         if not visible:
             continue
         horizon = []
-        for fid in visible:
-            verts, _, _, ridges = store.facets[fid]
-            dvol += abs(_det([[pts[v][c] - p[c] for c in range(d)] for v in verts]))
+        for fid, height in visible.items():
+            dvol += height
+            _, _, _, ridges = store.facets[fid]
             for ridge in ridges:
                 owners = store.ridge_owners[ridge]
                 other = next((o for o in owners if o != fid), None)
@@ -337,7 +341,9 @@ def _facet_plane(points, d):
     """Hyperplane a . x = b through d affinely independent points.
 
     The normal is the generalized cross product of the edge vectors,
-    hand-rolled for d <= 5 with shared two-row minor tables.
+    hand-rolled for d <= 5 with shared two-row minor tables. It is not
+    reduced, so |a . p - b| is d! times the volume of the simplex that the
+    points span with p.
     """
     p0 = points[0]
     edges = [[q[c] - p0[c] for c in range(d)] for q in points[1:]]
@@ -395,106 +401,8 @@ def _facet_plane(points, d):
         for j in range(d):
             minor = [[row[c] for c in range(d) if c != j] for row in edges]
             sign = -1 if j % 2 else 1
-            a.append(sign * (_det(minor) if minor else 1))
+            a.append(sign * IntMatrix.from_rows(minor).det())
         a = tuple(a)
     b = sum(x * y for x, y in zip(a, p0))
     return a, b
 
-
-def _det2(m):
-    (a, b), (c, d) = m
-    return a * d - b * c
-
-
-def _det3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _det4(m):
-    # Laplace along the first two rows: six 2x2 minors of each half.
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
-    s01 = a0 * b1 - a1 * b0
-    s02 = a0 * b2 - a2 * b0
-    s03 = a0 * b3 - a3 * b0
-    s12 = a1 * b2 - a2 * b1
-    s13 = a1 * b3 - a3 * b1
-    s23 = a2 * b3 - a3 * b2
-    t01 = c0 * d1 - c1 * d0
-    t02 = c0 * d2 - c2 * d0
-    t03 = c0 * d3 - c3 * d0
-    t12 = c1 * d2 - c2 * d1
-    t13 = c1 * d3 - c3 * d1
-    t23 = c2 * d3 - c3 * d2
-    return s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
-
-
-def _det5(m):
-    # Laplace along the first two rows: 2x2 minors against 3x3 complements,
-    # with the complements assembled from shared 2x2 minors of the last rows.
-    r0, r1, r2, r3, r4 = m
-    s01 = r0[0] * r1[1] - r0[1] * r1[0]
-    s02 = r0[0] * r1[2] - r0[2] * r1[0]
-    s03 = r0[0] * r1[3] - r0[3] * r1[0]
-    s04 = r0[0] * r1[4] - r0[4] * r1[0]
-    s12 = r0[1] * r1[2] - r0[2] * r1[1]
-    s13 = r0[1] * r1[3] - r0[3] * r1[1]
-    s14 = r0[1] * r1[4] - r0[4] * r1[1]
-    s23 = r0[2] * r1[3] - r0[3] * r1[2]
-    s24 = r0[2] * r1[4] - r0[4] * r1[2]
-    s34 = r0[3] * r1[4] - r0[4] * r1[3]
-    t01 = r3[0] * r4[1] - r3[1] * r4[0]
-    t02 = r3[0] * r4[2] - r3[2] * r4[0]
-    t03 = r3[0] * r4[3] - r3[3] * r4[0]
-    t04 = r3[0] * r4[4] - r3[4] * r4[0]
-    t12 = r3[1] * r4[2] - r3[2] * r4[1]
-    t13 = r3[1] * r4[3] - r3[3] * r4[1]
-    t14 = r3[1] * r4[4] - r3[4] * r4[1]
-    t23 = r3[2] * r4[3] - r3[3] * r4[2]
-    t24 = r3[2] * r4[4] - r3[4] * r4[2]
-    t34 = r3[3] * r4[4] - r3[4] * r4[3]
-    c234 = r2[2] * t34 - r2[3] * t24 + r2[4] * t23
-    c134 = r2[1] * t34 - r2[3] * t14 + r2[4] * t13
-    c124 = r2[1] * t24 - r2[2] * t14 + r2[4] * t12
-    c123 = r2[1] * t23 - r2[2] * t13 + r2[3] * t12
-    c034 = r2[0] * t34 - r2[3] * t04 + r2[4] * t03
-    c024 = r2[0] * t24 - r2[2] * t04 + r2[4] * t02
-    c023 = r2[0] * t23 - r2[2] * t03 + r2[3] * t02
-    c014 = r2[0] * t14 - r2[1] * t04 + r2[4] * t01
-    c013 = r2[0] * t13 - r2[1] * t03 + r2[3] * t01
-    c012 = r2[0] * t12 - r2[1] * t02 + r2[2] * t01
-    return (s01 * c234 - s02 * c134 + s03 * c124 - s04 * c123
-            + s12 * c034 - s13 * c024 + s14 * c023
-            + s23 * c014 - s24 * c013 + s34 * c012)
-
-
-def _det(m):
-    k = len(m)
-    if k == 0:
-        return 1
-    if k == 1:
-        return m[0][0]
-    if k == 2:
-        return _det2(m)
-    if k == 3:
-        return _det3(m)
-    if k == 4:
-        return _det4(m)
-    if k == 5:
-        return _det5(m)
-    work = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for c in range(k - 1):
-        if work[c][c] == 0:
-            swap = next((i for i in range(c + 1, k) if work[i][c] != 0), None)
-            if swap is None:
-                return 0
-            work[c], work[swap] = work[swap], work[c]
-            sign = -sign
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                work[i][j] = (work[i][j] * work[c][c] - work[i][c] * work[c][j]) // prev
-            work[i][c] = 0
-        prev = work[c][c]
-    return sign * work[k - 1][k - 1]

@@ -3,7 +3,8 @@
 The main entry point classifies the supports, then either extracts roots
 through a monomial covering (lacunary), solves a subsystem first and
 fills the fiber over each of its other solutions from the first fiber, all
-transfers tracked as one multi-target parameter homotopy (triangular), or
+transfers tracked as one multi-target parameter homotopy and a fiber whose
+transfer fails every gamma solved directly (triangular), or
 falls back to a black box: companion-matrix eigenvalues for one variable,
 a total-degree homotopy otherwise. Recursion terminates because each level
 decreases either the mixed volume or the number of variables.
@@ -24,6 +25,7 @@ from .decompose import (
     Lacunary,
     Triangular,
     classify,
+    predict_tree,
 )
 from .errors import (
     CountMismatchError,
@@ -32,7 +34,7 @@ from .errors import (
     NoConvergenceError,
     SingularJacobianError,
 )
-from .geometry import hull_mixed_volume, mixed_volume, mv_is_zero
+from .geometry import hull_mixed_volume, mv_is_zero
 from .intlinalg import IntMatrix, unimodular_inverse
 from .supports import SparseSystem, SupportSystem, normalize, vertices
 from .torus import (
@@ -112,10 +114,7 @@ def blackbox(F: SparseSystem, seed: int = 0,
     """Structure-free fallback solver; asserts the count equals the MV."""
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    zero, witness = mv_is_zero(F.system)
-    if zero:
-        raise MixedVolumeZeroError(witness)
-    sols, _tree = _blackbox(F, mixed_volume(F.system), np.random.SeedSequence(seed), settings, "")
+    sols, _tree = _blackbox(F, predict_tree(F.system).mv, np.random.SeedSequence(seed), settings, "")
     return sols
 
 
@@ -249,7 +248,7 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
         base_pairs.append([(cls.psi.apply(alpha)[:k], c) for alpha, c in F.polynomial(i)])
     base_F = SparseSystem.from_pairs(base_pairs)
 
-    base_ss, fiber_ss, transfer_ss = ss.spawn(3)
+    base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
     base_sols, base_tree = _solve(base_F, base_ss, settings, prov + "base/")
 
     psi_map = MonomialMap(cls.psi)
@@ -265,20 +264,25 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     T_fib, push, start_points = _compacted(fiber0.system, fiber_sols.points)
     start_fiber = _apply_change(fiber0, T_fib)
 
-    targets = []
+    fibers = []
     for idx in range(1, len(base_sols.points)):
         target = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[idx]))
         if target.system != fiber0.system:
             raise DegenerateFiberError(
                 f"fiber support over base solution {idx} differs from the start fiber"
             )
-        targets.append(_apply_change(target, T_fib))
+        fibers.append(target)
+    targets = [_apply_change(target, T_fib) for target in fibers]
+
+    def pushed(sols):
+        return sols.points if push is None else [torus_apply(push, w) for w in sols.points]
 
     # All transfers run as one multi-target homotopy, each with the gamma it
     # would draw if they ran one after another: a transfer that comes up short
-    # takes the next gamma, and the later ones are tracked again after it.
+    # takes the next gamma, and the later ones are tracked again after it. A
+    # transfer short under every gamma has its fiber solved directly instead.
     rng = np.random.default_rng(transfer_ss)
-    gammas, got = [], {}
+    gammas, got, direct_trees = [], {}, []
     first, pos, attempt = 0, 0, 0  # first open transfer, its gamma's stream index, its attempt
     while first < len(targets):
         todo = range(first, len(targets))
@@ -291,18 +295,23 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
             block, path = divmod(int(origin.split()[1]), len(start_points))
             batch[first + block].append(pt, res, f"path {path}")
         short = next((m for m in todo if len(batch[m]) != len(fiber_sols)), len(targets))
-        got.update((m, batch[m]) for m in range(first, short))
+        got.update((m, pushed(batch[m])) for m in range(first, short))
         if short == len(targets):
             break
         attempt = attempt + 1 if short == first else 1
         first, pos = short, pos + short - first + 1
         if attempt > _MAX_GAMMA_RETRIES:
-            raise CountMismatchError(f"fiber transfer to base solution {short + 1}",
-                                     len(fiber_sols), len(batch[short]), batch[short])
+            try:
+                direct, direct_tree = _solve(fibers[short], direct_ss, settings,
+                                             f"{prov}fiber{short + 1}/")
+            except CountMismatchError as exc:
+                raise CountMismatchError(f"fiber transfer to base solution {short + 1}",
+                                         len(fiber_sols), len(batch[short]), batch[short]) from exc
+            got[short] = direct.points
+            direct_trees.append(direct_tree)
+            first, attempt = short + 1, 0  # the next transfer takes the next gamma
     retries = pos - first  # each retry put the stream one gamma ahead of its transfer
-    per_base = [fiber_sols.points] + [
-        sols.points if push is None else [torus_apply(push, w) for w in sols.points]
-        for sols in got.values()]
+    per_base = [fiber_sols.points] + [got[m] for m in range(len(targets))]
 
     compiled = compile_system(F)
     lifted = ((lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
@@ -315,7 +324,7 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     tree = DecompositionTree(
         kind="triangular",
         mv=base_tree.mv * fiber_tree.mv,
-        children=[base_tree, fiber_tree],
+        children=[base_tree, fiber_tree, *direct_trees],
         solutions=len(out),
         witness=I,
         transfers=len(base_sols) - 1,

@@ -25,10 +25,6 @@ TORUS_THRESHOLD = 1e-10
 _MERGE_DROP = 1e-13
 
 
-def on_torus(x) -> bool:
-    return bool(np.all(np.abs(np.asarray(x)) > TORUS_THRESHOLD))
-
-
 @dataclass(frozen=True)
 class MonomialMap:
     """Group homomorphism between tori; output i is the character x^(column i)."""
@@ -63,14 +59,7 @@ def apply(Phi: MonomialMap, x: Sequence[complex]) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (Phi.domain_dim,):
         raise ValueError("point dimension does not match the map domain")
-    out = np.empty(Phi.codomain_dim, dtype=complex)
-    for i in range(Phi.codomain_dim):
-        v = 1.0 + 0.0j
-        for j, e in enumerate(Phi.matrix.column(i)):
-            if e:
-                v *= _cpow(complex(x[j]), e)
-        out[i] = v
-    return out
+    return np.array([monomial_value(x, alpha) for alpha in Phi.matrix.columns()], dtype=complex)
 
 
 def monomial_value(x, alpha) -> complex:
@@ -114,7 +103,7 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     degenerate.
     """
     y0 = np.asarray(y0, dtype=complex)
-    if not on_torus(y0):
+    if not np.all(np.abs(y0) > TORUS_THRESHOLD):
         raise ValueError("fiber base point must lie on the torus")
     pairs_per_poly = []
     for j in sorted(J):

@@ -18,6 +18,9 @@ TRI_C3 = [1, 3, 9, 27, 81, 243]
 
 START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
 
+# Supports 2 and 3 span one direction only: MV 0, first witness {2, 3}.
+ZERO_MV = [[(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)], [(0, 0, 0), (0, 0, 2)]]
+
 
 def support_file(tmp_path, name, supports):
     data = {
@@ -58,6 +61,36 @@ def test_parse_rejects_duplicates_and_zeros():
         ]})
     with pytest.raises(SystemFileError, match=r"polynomials"):
         parse_system({"n": 2, "polynomials": [{"support": [[0, 0]]}]})
+
+
+def test_parse_rejects_booleans():
+    with pytest.raises(SystemFileError, match=r": n: "):
+        parse_system({"n": True, "polynomials": [{"support": [[0], [1]]}]})
+    with pytest.raises(SystemFileError, match=r"polynomials\[1\]\.support\[0\]"):
+        parse_system({"n": 2, "polynomials": [{"support": [[0, 0], [1, 0]]},
+                                              {"support": [[True, 0], [0, 1]]}]})
+    with pytest.raises(SystemFileError, match=r"polynomials\[0\]\.coefficients\[1\]"):
+        parse_system({"n": 1, "polynomials": [
+            {"support": [[0], [1]], "coefficients": [[1, 0], [True, 0]]}
+        ]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+def test_parse_rejects_non_finite_coefficients(value):
+    with pytest.raises(SystemFileError, match=r"coefficients\[0\]: must be finite"):
+        parse_system({"n": 1, "polynomials": [
+            {"support": [[0], [1]], "coefficients": [[1, value], [1, 0]]}
+        ]})
+
+
+@pytest.mark.parametrize("command", [["solve", "FILE"], ["start", "FILE"],
+                                     ["bench", "e-basis", "--count", "0"]])
+@pytest.mark.parametrize("tolerance", ["0", "-1e-8", "nan"])
+def test_tolerance_must_be_positive(tmp_path, capsys, command, tolerance):
+    path = tri_file(tmp_path)
+    argv = [path if a == "FILE" else a for a in command] + [f"--tolerance={tolerance}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: --tolerance must be a positive")
 
 
 def test_parse_roundtrip_is_canonical():
@@ -133,6 +166,12 @@ def test_cmd_solve_deterministic(tmp_path, capsys):
     for a, b in zip(first["solutions"], second["solutions"]):
         for (re1, im1), (re2, im2) in zip(a, b):
             assert abs(re1 - re2) <= 1e-8 and abs(im1 - im2) <= 1e-8
+
+
+def test_cmd_solve_mv_zero_reports_the_first_witness(tmp_path, capsys):
+    path = system_file(tmp_path, "z.json", ZERO_MV, [[1, 2, 3], [1, -1], [1, -1]])
+    assert main(["solve", path]) == 1
+    assert "error: mixed volume 0, witness (2, 3)" in capsys.readouterr().err
 
 
 def test_cmd_start(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from torsolve import geometry
 from torsolve.geometry import (
     RationalPolytope,
+    _affine_rank,
     _hull,
     _reduce_to_vertices,
     hull_mixed_volume,
@@ -13,6 +16,7 @@ from torsolve.geometry import (
     mv_is_zero,
     polytope_volume,
 )
+from torsolve.intlinalg import IntMatrix
 from torsolve.supports import Support, SupportSystem, point_in_hull, vertices
 
 LACUNARY_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
@@ -70,7 +74,7 @@ def test_polytope_volume_random_vs_shoelace():
 def test_hull_volume_random_vs_scipy():
     scipy_spatial = pytest.importorskip("scipy.spatial")
     rng = random.Random(23)
-    for dim in (2, 3, 4):
+    for dim in (2, 3, 4, 5):
         for _ in range(25):
             pts = {tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(dim + 2 + rng.randint(0, 10))}
             pts = sorted(pts)
@@ -81,6 +85,49 @@ def test_hull_volume_random_vs_scipy():
                 assert vol == 0
                 continue
             assert abs(float(vol) - qh.volume) < 1e-6 + 1e-3 * qh.volume
+
+
+def random_unimodular(d, rng):
+    """A product of random elementary integer row operations and a sign flip."""
+    U = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        q = rng.choice([-2, -1, 1, 2])
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+    U[0] = [-a for a in U[0]]
+    return IntMatrix.from_rows(U)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_polytope_volume_of_simplices_and_unimodular_cubes(d):
+    rng = random.Random(50 + d)
+    for _ in range(5):
+        simplex = [tuple(rng.randint(-9, 9) for _ in range(d)) for _ in range(d + 1)]
+        det = IntMatrix.from_rows([[a - b for a, b in zip(p, simplex[0])]
+                                   for p in simplex[1:]]).det()
+        assert polytope_volume(simplex) == Fraction(abs(det), math.factorial(d))
+    if d == 7:
+        return  # the 7-cube's 10,080 boundary simplices take seconds on the exact path
+    k = rng.randint(1, 3)
+    shift = [rng.randint(-5, 5) for _ in range(d)]
+    U = random_unimodular(d, rng)
+    cube = [U.apply([k * c + t for c, t in zip(p, shift)])
+            for p in itertools.product((0, 1), repeat=d)]
+    assert polytope_volume(cube) == k ** d
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_hull_exact_visibility_matches_int64(d, monkeypatch):
+    rng = random.Random(70 + d)
+    cases = []
+    while len(cases) < 8:
+        pts = sorted({tuple(rng.randint(-40, 40) for _ in range(d))
+                      for _ in range(d + 1 + rng.randint(0, 10))})
+        if _affine_rank(pts) == d:
+            cases.append(pts)
+    fast = [_hull(pts, d) for pts in cases]
+    monkeypatch.setattr(geometry, "_INT64_COORD_LIMIT", -1)  # every hull takes the exact path
+    assert [_hull(pts, d) for pts in cases] == fast
 
 
 def test_reduce_to_vertices_sound():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torsolve.errors import CountMismatchError, MixedVolumeZeroError
-from torsolve.geometry import hull_mixed_volume
+from torsolve.geometry import hull_mixed_volume, mv_is_zero
 from torsolve.supports import SparseSystem, SupportSystem
 from torsolve.solver import (
     bezout_path_count,
@@ -193,6 +193,18 @@ def test_blackbox_count_mismatch_on_multiple_root():
     assert err.value.partial is not None and len(err.value.partial) <= 1
 
 
+def test_blackbox_mv_zero_reports_the_first_witness():
+    F = SparseSystem.from_pairs([
+        [((0, 0, 0), 1.0), ((1, 0, 0), 2.0), ((0, 1, 0), 3.0)],
+        [((0, 0, 0), 1.0), ((0, 0, 1), -1.0)],
+        [((0, 0, 0), 1.0), ((0, 0, 2), -1.0)],
+    ])
+    assert mv_is_zero(F.system) == (True, (1, 2))
+    with pytest.raises(MixedVolumeZeroError) as err:
+        blackbox(F, seed=0)
+    assert err.value.witness == (1, 2)
+
+
 def test_determinism_same_seed():
     F = tri_system()
     rep1 = solve_decomposable(F, seed=42)
@@ -302,20 +314,21 @@ def triangular_node(F):
 
 def reference_solve_triangular(F, cls, ss, settings, prov):
     """The triangular solve before transfers were batched: one track_all per
-    base solution, each retried with fresh gammas before the next starts."""
+    base solution, each retried with fresh gammas before the next starts, and
+    a fiber solved directly when its transfer fails every gamma."""
     from torsolve.decompose import DecompositionTree
     from torsolve.errors import DegenerateFiberError
     from torsolve.solver import (_MAX_GAMMA_RETRIES, _apply_change, _compacted, _refined,
                                  _solve, _unit)
     from torsolve.torus import MonomialMap, apply, restrict_to_fiber
-    from torsolve.tracking import Homotopy, SolutionSet
+    from torsolve.tracking import Homotopy
     import torsolve.solver as solver
 
     n, I, k = F.n, cls.witness, cls.k
     J = tuple(j for j in range(n) if j not in I)
     base_F = SparseSystem.from_pairs(
         [[(cls.psi.apply(alpha)[:k], c) for alpha, c in F.polynomial(i)] for i in I])
-    base_ss, fiber_ss, transfer_ss = ss.spawn(3)
+    base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
     base_sols, base_tree = _solve(base_F, base_ss, settings, prov + "base/")
     psi_map = MonomialMap(cls.psi)
 
@@ -329,29 +342,34 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     rng = np.random.default_rng(transfer_ss)
     per_base = [fiber_sols.points]
     retries = 0
+    direct_trees = []
     for idx in range(1, len(base_sols.points)):
         target = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[idx]))
         if target.system != fiber0.system:
             raise DegenerateFiberError(f"fiber over base solution {idx}")
-        endpoints = None
-        got = SolutionSet()
         for attempt in range(_MAX_GAMMA_RETRIES + 1):
             H = Homotopy.straight_line(start_fiber, _apply_change(target, T_fib), _unit(rng))
             got, _ = solver.track_all(H, start_points, settings)
             if len(got) == len(fiber_sols):
-                endpoints = got
-                retries += attempt
                 break
-        if endpoints is None:
-            raise CountMismatchError(
-                f"fiber transfer to base solution {idx}", len(fiber_sols), len(got), got)
-        per_base.append([w if push is None else apply(push, w) for w in endpoints.points])
+        retries += attempt
+        if len(got) == len(fiber_sols):
+            per_base.append([w if push is None else apply(push, w) for w in got.points])
+            continue
+        try:
+            direct, direct_tree = _solve(target, direct_ss, settings, f"{prov}fiber{idx}/")
+        except CountMismatchError as exc:
+            raise CountMismatchError(f"fiber transfer to base solution {idx}",
+                                     len(fiber_sols), len(got), got) from exc
+        per_base.append(direct.points)
+        direct_trees.append(direct_tree)
     out = _refined(compile_system(F), (
         (lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
         for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
         for zi, z in enumerate(zpts)), settings)
     tree = DecompositionTree(kind="triangular", mv=base_tree.mv * fiber_tree.mv,
-                             children=[base_tree, fiber_tree], solutions=len(out), witness=I,
+                             children=[base_tree, fiber_tree, *direct_trees],
+                             solutions=len(out), witness=I,
                              transfers=len(base_sols) - 1,
                              paths=(len(base_sols) - 1) * len(fiber_sols), gamma_retries=retries)
     return out, tree
@@ -439,12 +457,48 @@ def test_retries_take_the_gammas_of_the_per_transfer_loop(monkeypatch):
     assert calls == [[g] for g in draws] + [draws[0:7], draws[3:8], draws[4:9]]
 
 
+def test_transfer_failing_every_gamma_is_solved_directly(monkeypatch):
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import TrackerSettings
+
+    F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
+    calls = failing_gammas(monkeypatch, 7, {1, 2, 3, 4, 6})
+    runs = [solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+            for solve in (reference_solve_triangular, _solve_triangular)]
+    (looped, ref_tree), (batched, tree) = runs
+    rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries)
+             for nd in t.walk()] for t in (tree, ref_tree)]
+    assert rows[0] == rows[1]
+    # The fiber over base solution 2 is solved directly and hangs off the
+    # node as a third child; three retries of that transfer and one of the
+    # transfer to base solution 4 count as gamma retries.
+    assert [c.kind for c in tree.children] == ["blackbox", "univariate", "univariate"]
+    assert tree.solutions == 16 and tree.gamma_retries == 4 and tree.ledger() == 22
+    assert batched.provenance == looped.provenance
+    for p, q in zip(batched.points, looped.points):
+        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
+    # After the direct solve the next transfer takes the next gamma: the batch
+    # tracks transfers 2..6 on gammas 5..9, then 3..6 on gammas 7..10.
+    draws = transfer_gammas(7, 11)
+    assert calls == [[g] for g in draws] + [draws[0:7], draws[2:8], draws[3:9], draws[4:10],
+                                            draws[5:10], draws[7:11]]
+
+
 def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch):
+    import torsolve.solver as solver
     from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())
     calls = failing_gammas(monkeypatch, 7, {1, 2, 3, 4, 6})
+    real_solve = solver._solve
+
+    def short_direct_solve(F, ss, settings, prov):
+        if prov == "fiber2/":
+            raise CountMismatchError("univariate companion solve", 2, 1)
+        return real_solve(F, ss, settings, prov)
+
+    monkeypatch.setattr(solver, "_solve", short_direct_solve)
     errors = []
     for solve in (reference_solve_triangular, _solve_triangular):
         with pytest.raises(CountMismatchError) as err:
@@ -453,6 +507,7 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
     for exc in errors:
         assert "fiber transfer to base solution 2" in str(exc)
         assert exc.expected == 2 and len(exc.partial) == 1
+        assert "univariate companion solve" in str(exc.__cause__)
     assert errors[0].partial.provenance == errors[1].partial.provenance
     assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-10)
     draws = transfer_gammas(7, 10)
