@@ -152,7 +152,9 @@ class DecompositionTree:
 
     `paths` counts homotopy paths tracked at this node itself; for a
     blackbox node it is the solution count, matching a mixed-volume-optimal
-    solver, while the raw total-degree path count is kept separately.
+    solver. `bezout_paths` stays the Bezout count of total-degree start
+    paths, not the number tracked to t = 1: the black box stops its paths
+    once the mixed volume's count of endpoints is in.
     Closed-form steps (root extraction, companion-matrix eigenvalues)
     contribute zero. A triangular node's children are its base and first
     fiber, then one tree per fiber solved directly because its transfer

@@ -356,10 +356,12 @@ def _univariate_roots(F, settings, prov):
 def _blackbox(F, expected, ss, settings, prov):
     """Total-degree homotopy: start c_i x_i^{d_i} - b_i with random units.
 
-    `expected` is the mixed volume of F, which must be nonzero. All
-    prod(d_i) paths are tracked; endpoints off the torus are the excess
-    paths and are discarded. The path ledger counts this node as its
-    solution count; the raw path total is kept in bezout_paths.
+    `expected` is the mixed volume of F, which must be nonzero. It bounds
+    the torus roots (Bernstein), so the prod(d_i) paths stop once that many
+    distinct endpoints are in; a stopped run whose refined count is not the
+    MV is tracked again in full before the next gamma. Endpoints off the
+    torus are excess paths and are discarded. The path ledger counts this
+    node as its solution count; bezout_paths keeps prod(d_i).
     """
     F, _ = normalize(F)
     if F.n == 1:
@@ -384,10 +386,12 @@ def _blackbox(F, expected, ss, settings, prov):
         G = SparseSystem.from_pairs(start_pairs)
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
         H = Homotopy.straight_line(G, target, _unit(rng))
-        endpoints, _failures = track_all(H, starts, settings)
-        sols = _refined(compiled, ((pt if back is None else torus_apply(back, pt), prov + origin)
-                                   for pt, origin in zip(endpoints.points, endpoints.provenance)),
-                        settings)
+        for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
+            ends, failures = track_all(H, starts, settings, count)
+            pulled = (pt if back is None else torus_apply(back, pt) for pt in ends.points)
+            sols = _refined(compiled, zip(pulled, (prov + o for o in ends.provenance)), settings)
+            if len(sols) == expected or all(f.reason != "count-reached" for _, f in failures):
+                break
         if len(sols) == expected:
             tree = DecompositionTree(
                 kind="blackbox",

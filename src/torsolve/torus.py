@@ -99,12 +99,14 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     The restricted support of f_j is the projection of its support, and the
     coefficient at an image point is the sum of c_alpha * y0^alpha over the
     original points alpha mapping there. Merged coefficients that cancel to
-    zero are dropped; a polynomial losing all its terms means the fiber is
-    degenerate.
+    zero are dropped; a polynomial losing all its terms, or a base point
+    with a coordinate of modulus at most TORUS_THRESHOLD or not finite,
+    means the fiber is degenerate.
     """
     y0 = np.asarray(y0, dtype=complex)
-    if not np.all(np.abs(y0) > TORUS_THRESHOLD):
-        raise ValueError("fiber base point must lie on the torus")
+    if not np.all((np.abs(y0) > TORUS_THRESHOLD) & np.isfinite(y0)):
+        raise DegenerateFiberError("fiber base point leaves the floating-point torus: "
+                                   f"|y0| = {np.abs(y0)}")
     pairs_per_poly = []
     for j in sorted(J):
         merged: dict[tuple[int, ...], complex] = {}

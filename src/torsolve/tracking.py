@@ -59,6 +59,7 @@ class TrackerSettings:
 @dataclass(frozen=True)
 class PathFailure:
     reason: str  # step-underflow | divergence | left-torus | max-steps | no-convergence
+    #              | count-reached (still running when track_all's expected count was in)
     t: float
     point: np.ndarray | None = None
 
@@ -95,18 +96,19 @@ def relative_distance(x, y) -> float:
     return float(np.max(np.abs(x - y))) / scale
 
 
+def _is_new(kept: np.ndarray, x: np.ndarray) -> bool:
+    """Whether x is at relative_distance at least _DEDUP_TOL from every row of kept."""
+    scale = np.maximum(1.0, np.maximum(np.abs(kept).max(axis=1), np.abs(x).max()))
+    return not np.any(np.abs(kept - x).max(axis=1) / scale < _DEDUP_TOL)
+
+
 def distinct(points) -> np.ndarray:
     """Mask of the points a greedy pass keeps: in order, a point is dropped
     when its relative_distance to an earlier kept point is below _DEDUP_TOL."""
-    keep = np.zeros(len(points), dtype=bool)
-    if not len(points):
-        return keep
     X = np.asarray(points, dtype=complex)
-    mags = np.abs(X).max(axis=1)
+    keep = np.zeros(len(X), dtype=bool)
     for i in range(len(X)):
-        kept = np.flatnonzero(keep[:i])
-        dist = np.abs(X[kept] - X[i]).max(axis=1) / np.maximum(1.0, np.maximum(mags[kept], mags[i]))
-        keep[i] = not np.any(dist < _DEDUP_TOL)
+        keep[i] = _is_new(X[:i][keep[:i]], X[i])
     return keep
 
 
@@ -216,26 +218,50 @@ def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
     return _track(H, [x0], settings or TrackerSettings())[0]
 
 
-def _track(H: Homotopy, starts, settings: TrackerSettings) -> list:
-    """Track every start point together; one endpoint or PathFailure each."""
+def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None = None) -> list:
+    """Track every start point together; one endpoint or PathFailure each.
+    A path gets its endgame Newton on reaching _ENDGAME_T; with `expected`
+    (one target only), the paths still running when that many distinct
+    endpoints are in end "count-reached"."""
     X = np.asarray(starts, dtype=complex).reshape(len(starts), H.n)
     P = len(X)
     if P % len(H.ct):
         raise ValueError(f"{P} start points do not split into {len(H.ct)} equal blocks")
+    if expected is not None and len(H.ct) != 1:
+        raise ValueError("an expected count needs a homotopy with one target")
     rows = np.repeat(np.arange(len(H.ct)), P // len(H.ct))  # block k follows target k
     t, step = np.zeros(P), np.full(P, settings.initial_step)
     streak, nsteps = np.zeros((2, P), dtype=int)
     running = np.ones(P, dtype=bool)
     outcomes = [None] * P
+    found = []  # distinct endpoints so far
 
     def fail(paths, reason):
         running[paths] = False
         for i in paths:
             outcomes[i] = PathFailure(reason, float(t[i]), X[i].copy())
 
+    def finish(paths):
+        running[paths] = False
+        for i in paths:
+            try:
+                refined, _ = _newton(H.targets[rows[i]], X[i], settings)
+            except (SingularJacobianError, NoConvergenceError):
+                outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
+                continue
+            if float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
+                outcomes[i] = PathFailure("left-torus", 1.0, refined)
+                continue
+            outcomes[i] = refined
+            if expected is not None and _is_new(np.reshape(found, (-1, H.n)), refined):
+                found.append(refined)
+
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):
         while True:
+            finish(np.flatnonzero(running & (t >= _ENDGAME_T)))
+            if expected is not None and len(found) >= expected:
+                fail(np.flatnonzero(running), "count-reached")
             live = np.flatnonzero(running & (t < _ENDGAME_T))
             fail(live[nsteps[live] >= settings.max_steps], "max-steps")
             live = live[running[live]]
@@ -266,16 +292,6 @@ def _track(H: Homotopy, starts, settings: TrackerSettings) -> list:
             step[lost] *= 0.5
             fail(lost[step[lost] < settings.min_step], "step-underflow")
 
-    for i in np.flatnonzero(running):
-        try:
-            refined, _ = _newton(H.targets[rows[i]], X[i], settings)
-        except (SingularJacobianError, NoConvergenceError):
-            outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
-            continue
-        if float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
-            outcomes[i] = PathFailure("left-torus", 1.0, refined)
-        else:
-            outcomes[i] = refined
     return outcomes
 
 
@@ -352,18 +368,22 @@ def newton_refine(F: SparseSystem | CompiledSystem, x, settings: TrackerSettings
     return _newton(compiled, x, settings)
 
 
-def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None):
+def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
+              expected: int | None = None):
     """Track every start point; deduplicate and sort the successes.
 
     With K targets the starts form K equal blocks, block k tracked toward
     target k and deduplicated on its own. Returns (SolutionSet, failures)
     where failures is a list of (start index, PathFailure) and a success
     comes from "path {start index}". Duplicate endpoints are recorded as
-    warnings in the failure list with reason "duplicate-endpoint".
+    warnings in the failure list with reason "duplicate-endpoint". With one
+    target, `expected` stops the tracking once that many distinct endpoints
+    are in; each path still running is then a "count-reached" failure, and
+    every endpoint in is the one a full run gives its path.
     """
     settings = settings or TrackerSettings()
     points = starts.points if isinstance(starts, SolutionSet) else list(starts)
-    outcomes = _track(H, points, settings)
+    outcomes = _track(H, points, settings, expected)
     size = len(points) // len(H.ct)
     ends = [i for i, out in enumerate(outcomes) if not isinstance(out, PathFailure)]
     kept = set()

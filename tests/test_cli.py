@@ -174,6 +174,21 @@ def test_cmd_solve_mv_zero_reports_the_first_witness(tmp_path, capsys):
     assert "error: mixed volume 0, witness (2, 3)" in capsys.readouterr().err
 
 
+def test_cmd_solve_base_point_off_the_torus_is_an_error(tmp_path, capsys):
+    # The decomposable solve comes up short, and the start-system homotopy
+    # lifts a base solution to a coordinate of modulus 1e-26: a typed error.
+    import numpy as np
+
+    from torsolve.cli import _bench_instance, system_to_obj
+
+    F = _bench_instance("random", np.random.default_rng(np.random.SeedSequence(7)))
+    path = tmp_path / "random7.json"
+    path.write_text(json.dumps(system_to_obj(F)))
+    assert main(["solve", str(path), "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert "error: fiber base point leaves the floating-point torus" in err
+
+
 def test_cmd_start(tmp_path, capsys):
     path = support_file(tmp_path, "start.json", [START_A, START_A])
     assert main(["start", path, "--seed", "2"]) == 0

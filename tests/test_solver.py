@@ -417,8 +417,8 @@ def failing_gammas(monkeypatch, seed, places):
 
     real, calls, draws = solver.track_all, [], transfer_gammas(seed, 64)
 
-    def track_all(H, starts, settings=None):
-        sols, failures = real(H, starts, settings)
+    def track_all(H, starts, settings=None, expected=None):
+        sols, failures = real(H, starts, settings, expected)
         gammas = H.gamma.tolist()
         if not set(gammas) <= set(draws):
             return sols, failures  # not a transfer
@@ -512,3 +512,191 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
     assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-10)
     draws = transfer_gammas(7, 10)
     assert calls == [[g] for g in draws[:5]] + [draws[0:7], draws[2:8], draws[3:9], draws[4:10]]
+
+
+def reference_blackbox(F, expected, ss, settings, prov, refined=None):
+    """The total-degree black box before the count stop: every path of every
+    gamma tracked to the end. `refined` stands in for solver._refined."""
+    import math
+
+    from torsolve.decompose import DecompositionTree
+    from torsolve.solver import (_MAX_GAMMA_RETRIES, _apply_change, _compacted,
+                                 _orthant_shifts, _refined, _unit)
+    from torsolve.supports import normalize
+    from torsolve.torus import apply, diagonal_fiber
+    from torsolve.tracking import Homotopy, SolutionSet, track_all
+
+    refined = refined or _refined
+    F, _ = normalize(F)
+    n = F.n
+    T, back, _ = _compacted(F.system, [])
+    compact = _apply_change(F, T)
+    moved, degrees = _orthant_shifts(compact.system)
+    target = SparseSystem.from_pairs([list(zip(pts, c))
+                                      for pts, c in zip(moved, compact.coefficients)])
+    rng = np.random.default_rng(ss)
+    compiled = compile_system(F)
+    sols = SolutionSet()
+    for attempt in range(_MAX_GAMMA_RETRIES + 1):
+        c = [_unit(rng) for _ in range(n)]
+        b = [_unit(rng) for _ in range(n)]
+        G = SparseSystem.from_pairs([[((0,) * n, -b[i]),
+                                      (tuple(degrees[i] if j == i else 0 for j in range(n)), c[i])]
+                                     for i in range(n)])
+        starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
+        H = Homotopy.straight_line(G, target, _unit(rng))
+        endpoints, _failures = track_all(H, starts, settings)
+        sols = refined(compiled, ((pt if back is None else apply(back, pt), prov + origin)
+                                  for pt, origin in zip(endpoints.points, endpoints.provenance)),
+                       settings)
+        if len(sols) == expected:
+            return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
+                                           paths=expected, bezout_paths=math.prod(degrees),
+                                           gamma_retries=attempt)
+    raise CountMismatchError("blackbox total-degree solve", expected, len(sols), sols)
+
+
+def blackbox_homotopies(monkeypatch, run):
+    """(H, starts, expected, result) of every track_all call with an expected
+    count that run() makes."""
+    import torsolve.solver as solver
+
+    real, seen = solver.track_all, []
+
+    def track_all(H, starts, settings=None, expected=None):
+        result = real(H, starts, settings, expected)
+        if expected is not None:
+            seen.append((H, list(starts), expected, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "track_all", track_all)
+        run()
+    return seen
+
+
+def e_basis(seed):
+    from torsolve.cli import _bench_instance
+
+    return _bench_instance("e-basis", np.random.default_rng(np.random.SeedSequence(seed)))
+
+
+def path_of(origin):
+    return int(origin.split()[-1])
+
+
+@pytest.mark.parametrize("leaf", ["blackbox", "e-basis MV 5"])
+def test_track_all_stops_at_the_expected_count(monkeypatch, leaf):
+    from torsolve.tracking import track_all
+
+    F = e_basis(0)
+    if leaf == "blackbox":  # the whole instance: 450 paths for 50 roots
+        seen = blackbox_homotopies(monkeypatch, lambda: blackbox(F, seed=0))
+    else:  # a black-box leaf of its decomposition: 6 paths for 5 roots
+        seen = blackbox_homotopies(monkeypatch, lambda: solve_decomposable(F, seed=0))
+    H, starts, expected, (sols, failures) = next(
+        s for s in seen if s[2] == (50 if leaf == "blackbox" else 5))
+
+    full_sols, full_failures = track_all(H, starts)
+    full = {path_of(o): pt for pt, o in zip(full_sols.points, full_sols.provenance)}
+    full.update((i, fail) for i, fail in full_failures)
+    indices = [path_of(o) for o in sols.provenance] + [i for i, _ in failures]
+    assert sorted(indices) == list(range(len(starts)))
+    assert len(sols) == len(full_sols) == expected
+    for pt, origin in zip(sols.points, sols.provenance):  # the full run's endpoint, bit for bit
+        end = full[path_of(origin)]
+        assert np.array_equal(pt, end if isinstance(end, np.ndarray) else end.point)
+    match_sets(sols.points, full_sols.points, tol=1e-10)
+    assert any(fail.reason == "count-reached" for _, fail in failures)
+    for i, fail in failures:  # any other failure happened before the stop
+        if fail.reason != "count-reached":
+            assert (fail.reason, fail.t) == (full[i].reason, full[i].t)
+            assert np.array_equal(fail.point, full[i].point)
+
+
+def shortened(sols):
+    from torsolve.tracking import SolutionSet
+
+    return SolutionSet(sols.points[:-1], sols.residuals[:-1], sols.provenance[:-1])
+
+
+def test_short_stopped_run_is_tracked_again_in_full(monkeypatch):
+    # The first gamma's runs all come out one root short, and so does every
+    # run stopped at the count: the black box tracks each gamma again in
+    # full and ends where the full-run loop ends, one gamma retry later.
+    import torsolve.solver as solver
+    from torsolve.decompose import predict_tree
+    from torsolve.supports import normalize
+    from torsolve.tracking import TrackerSettings
+
+    F, _ = normalize(tri_system())
+    mv, real, counts, calls = predict_tree(F.system).mv, solver._refined, [], []
+
+    def refined_first_short(*args):
+        calls.append(None)
+        return shortened(real(*args)) if len(calls) == 1 else real(*args)
+
+    ref, ref_tree = reference_blackbox(F, mv, np.random.SeedSequence(5), TrackerSettings(), "",
+                                       refined_first_short)
+
+    real_track = solver.track_all
+
+    def track_all(H, starts, settings=None, expected=None):
+        counts.append(expected)
+        return real_track(H, starts, settings, expected)
+
+    def refined(*args):
+        short = counts[-1] is not None or counts == [mv, None]
+        return shortened(real(*args)) if short else real(*args)
+
+    monkeypatch.setattr(solver, "track_all", track_all)
+    monkeypatch.setattr(solver, "_refined", refined)
+    sols, tree = solver._blackbox(F, mv, np.random.SeedSequence(5), TrackerSettings(), "")
+    assert counts == [mv, None, mv, None]
+    assert tree == ref_tree and tree.gamma_retries == 1
+    assert sols.provenance == ref.provenance
+    assert all(np.array_equal(p, q) for p, q in zip(sols.points, ref.points))
+
+
+def assert_same_points(A, B, tol=1e-10):
+    assert len(A) == len(B)
+    for p, q in zip(A, B):
+        assert np.max(np.abs(p - q)) <= tol * max(1.0, float(np.max(np.abs(q))))
+
+
+@pytest.mark.parametrize("name", ["lacunary-A", "triangular", "start-pair"])
+def test_blackbox_matches_the_full_run_loop_on_acceptance_systems(name):
+    from torsolve.decompose import predict_tree
+    from torsolve.solver import _blackbox
+    from torsolve.supports import normalize
+    from torsolve.tracking import TrackerSettings
+
+    F = {"lacunary-A": SparseSystem.from_pairs([list(LAC_F1.items()), list(LAC_F2.items())]),
+         "triangular": tri_system(),
+         "start-pair": unit_coeff_system([START_A, START_A], 0)}[name]
+    F, _ = normalize(F)
+    mv = predict_tree(F.system).mv
+    runs = []
+    for solve in (reference_blackbox, _blackbox):
+        try:
+            runs.append(solve(F, mv, np.random.SeedSequence(0), TrackerSettings(), ""))
+        except CountMismatchError as exc:  # start-pair: 29 of 30 roots under every gamma
+            runs.append((exc.partial, exc.found))
+    (ref, ref_tree), (sols, tree) = runs
+    assert tree == ref_tree
+    assert_same_points(sols.points, ref.points)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_blackbox_leaves_match_the_full_run_loop_on_e_basis(monkeypatch, seed):
+    import torsolve.solver as solver
+
+    F = e_basis(seed)
+    rep = solve_decomposable(F, seed=seed)
+    monkeypatch.setattr(solver, "_blackbox", reference_blackbox)
+    ref = solve_decomposable(F, seed=seed)
+    nodes = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries,
+               nd.bezout_paths) for nd in r.tree.walk()] for r in (rep, ref)]
+    assert nodes[0] == nodes[1] and "blackbox" in [row[0] for row in nodes[0]]
+    assert rep.solutions.provenance == ref.solutions.provenance
+    assert_same_points(rep.solutions.points, ref.solutions.points)

@@ -156,6 +156,17 @@ def test_restrict_constant_support_degenerate():
         restrict_to_fiber(F, [1], pi, y0)
 
 
+@pytest.mark.parametrize("modulus", [1e-27, np.inf])
+def test_restrict_to_fiber_rejects_base_points_off_the_float_torus(modulus):
+    # solve_general lifts a base solution of a random family instance to
+    # |y0| = (2.8e5, 9.7e-27, 6.1e34); an infinite coordinate is no better
+    F = tri_F()
+    pi_J, _images = quotient_supports(F.system, [0, 1])
+    y0 = np.array([2.8e5, modulus * np.exp(0.3j), 1.0])
+    with pytest.raises(DegenerateFiberError, match="floating-point torus"):
+        restrict_to_fiber(F, [2], pi_J, y0)
+
+
 def test_compiled_jacobian_matches_finite_differences():
     F = tri_F()
     cF = compile_system(F)

@@ -312,6 +312,8 @@ def test_multi_target_track_all_equals_one_target_at_a_time():
     assert {"ok", "divergence", "step-underflow", "duplicate-endpoint"} <= set(reasons)
     with pytest.raises(ValueError):
         track_all(H, starts[:3])  # 3 starts do not split into 4 equal blocks
+    with pytest.raises(ValueError):
+        track_all(H, starts * len(targets), None, 3)  # a count needs a single target
 
 
 def test_targets_sharing_an_endpoint_both_keep_it():
