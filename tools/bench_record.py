@@ -1,15 +1,17 @@
 """Record the benchmark's end-to-end medians in BENCH_<N>.json.
 
-    python3 tools/bench_record.py N [--seeds 0 1 2 3 4] [--seconds 25]
+    python3 tools/bench_record.py N
 
-Runs `perfbench/run.py --trace 0` once per workload listed in
-BENCHMARK.json and per seed, one run at a time, from the root of this
-checkout. The output file holds, per workload, the median over the seeds of
-each end-to-end metric with every run's value, and the failed and
-attempted op counts; the git sha, core count, Python and numpy versions
-and `src/torsolve` line count come from run.py's `# meta` line. Run it on a
-committed tree: the sha is the checkout's HEAD, and uncommitted edits
-under `src/` are measured but not named by it.
+Runs `perfbench/run.py --trace 0 --seconds <run_seconds>` once per workload
+listed in BENCHMARK.json and per seed 0-4, one run at a time, from the root
+of this checkout; the run length is BENCHMARK.json's `run_seconds`, so every
+bench file is taken on the same seeds and run length. The output file holds,
+per workload, the median over the seeds of each end-to-end metric with
+every run's value, and the failed and attempted op counts; the git sha, core
+count, Python and numpy versions and `src/torsolve` line count come from
+run.py's `# meta` line. Run it on a committed tree: the sha is the
+checkout's HEAD, and uncommitted edits under `src/` are measured but not
+named by it.
 """
 
 import argparse
@@ -21,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 META_KEYS = ("git_sha", "nproc", "python", "numpy", "src_lines")
+SEEDS = (0, 1, 2, 3, 4)
 
 
 def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -33,13 +36,14 @@ def run_once(workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
     return meta, json.loads(lines[-1])
 
 
-def record(seeds, seconds: int) -> dict:
+def record() -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     names = [m["name"] for m in bench["end_to_end"]]
     metas, workloads = [], {}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = []
-        for seed in seeds:
+        for seed in SEEDS:
             meta, result = run_once(workload, seed, seconds)
             metas.append(meta)
             runs.append(result)
@@ -56,17 +60,15 @@ def record(seeds, seconds: int) -> dict:
     meta = {key: metas[0][key] for key in META_KEYS}
     if any({key: m[key] for key in META_KEYS} != meta for m in metas):
         raise SystemExit("error: the runs disagree on their meta data")
-    return {**meta, "seeds": list(seeds), "seconds": seconds, "workloads": workloads}
+    return {**meta, "seeds": list(SEEDS), "seconds": seconds, "workloads": workloads}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("number", type=int, help="N of the BENCH_<N>.json to write")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.number}.json"
-    out.write_text(json.dumps(record(args.seeds, args.seconds), indent=2) + "\n")
+    out.write_text(json.dumps(record(), indent=2) + "\n")
     print(out, file=sys.stderr)
     return 0
 
