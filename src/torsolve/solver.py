@@ -27,20 +27,13 @@ from .decompose import (
     classify,
     predict_tree,
 )
-from .errors import (
-    CountMismatchError,
-    DegenerateFiberError,
-    MixedVolumeZeroError,
-    NoConvergenceError,
-    SingularJacobianError,
-)
+from .errors import CountMismatchError, DegenerateFiberError, MixedVolumeZeroError
 from .geometry import hull_mixed_volume, mv_is_zero
 from .intlinalg import IntMatrix, unimodular_inverse
 from .supports import SparseSystem, SupportSystem, normalize, vertices
 from .torus import (
     MonomialMap,
     apply as torus_apply,
-    compile_system,
     diagonal_fiber,
     relabel,
     restrict_to_fiber,
@@ -49,8 +42,8 @@ from .tracking import (
     Homotopy,
     SolutionSet,
     TrackerSettings,
+    _newton,
     distinct,
-    newton_refine,
     track_all,
 )
 
@@ -161,7 +154,6 @@ def solve_general(F: SparseSystem, seed: int = 0,
     F_c = _apply_change(F, T)
 
     rng = np.random.default_rng(gamma_ss)
-    compiled = compile_system(F)
     warnings = []
     best = SolutionSet()
     total_paths = 0
@@ -171,7 +163,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
         H = Homotopy.straight_line(G_c, F_c, _unit(rng))
         endpoints, failures = track_all(H, start_points, settings)
         total_paths += len(start_sols)
-        found = _refined(compiled, ((pt if push is None else torus_apply(push, pt), origin)
+        found = _refined(F, ((pt if push is None else torus_apply(push, pt), origin)
                                     for pt, origin in zip(endpoints.points, endpoints.provenance)),
                          settings, failures)
         if len(found) > len(best):
@@ -219,11 +211,10 @@ def _solve_lacunary(F, cls: Lacunary, ss, settings, prov):
     cover = relabel(F, cls.preimage)
     child_sols, child_tree = _solve(cover, ss.spawn(1)[0], settings, prov + "cover/")
     expected = cls.index * len(child_sols)
-    compiled = compile_system(F)
     psi_map = MonomialMap(cls.psi)
-    out = _refined(compiled, ((torus_apply(psi_map, w), f"{prov}root[{yi}.{wi}]")
-                              for yi, y in enumerate(child_sols.points)
-                              for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))), settings)
+    out = _refined(F, ((torus_apply(psi_map, w), f"{prov}root[{yi}.{wi}]")
+                       for yi, y in enumerate(child_sols.points)
+                       for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))), settings)
     if len(out) != expected:
         raise CountMismatchError("lacunary root extraction", expected, len(out), out)
     tree = DecompositionTree(
@@ -313,11 +304,10 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     retries = pos - first  # each retry put the stream one gamma ahead of its transfer
     per_base = [fiber_sols.points] + [got[m] for m in range(len(targets))]
 
-    compiled = compile_system(F)
     lifted = ((lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
               for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
               for zi, z in enumerate(zpts))
-    out = _refined(compiled, lifted, settings)
+    out = _refined(F, lifted, settings)
     expected = len(base_sols) * len(fiber_sols)
     if len(out) != expected:
         raise CountMismatchError("triangular assembly", expected, len(out), out)
@@ -344,9 +334,8 @@ def _univariate_roots(F, settings, prov):
     for e, c in zip(exps, F.coefficients[0]):
         dense[e - low] = c
     roots = np.roots(dense[::-1])
-    compiled = compile_system(F)
-    out = _refined(compiled, ((np.array([r], dtype=complex), f"{prov}eig[{ri}]")
-                              for ri, r in enumerate(roots) if abs(r) >= 1e-10), settings)
+    out = _refined(F, ((np.array([r], dtype=complex), f"{prov}eig[{ri}]")
+                       for ri, r in enumerate(roots) if abs(r) >= 1e-10), settings)
     if len(out) != degree:
         raise CountMismatchError("univariate companion solve", degree, len(out), out)
     tree = DecompositionTree(kind="univariate", mv=degree, solutions=len(out))
@@ -374,7 +363,6 @@ def _blackbox(F, expected, ss, settings, prov):
                                       for pts, c in zip(moved, compact.coefficients)])
 
     rng = np.random.default_rng(ss)
-    compiled = compile_system(F)
     sols = SolutionSet()
     for attempt in range(_MAX_GAMMA_RETRIES + 1):
         c = [_unit(rng) for _ in range(n)]
@@ -389,7 +377,7 @@ def _blackbox(F, expected, ss, settings, prov):
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
             ends, failures = track_all(H, starts, settings, count)
             pulled = (pt if back is None else torus_apply(back, pt) for pt in ends.points)
-            sols = _refined(compiled, zip(pulled, (prov + o for o in ends.provenance)), settings)
+            sols = _refined(F, zip(pulled, (prov + o for o in ends.provenance)), settings)
             if len(sols) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
         if len(sols) == expected:
@@ -405,21 +393,21 @@ def _blackbox(F, expected, ss, settings, prov):
     raise CountMismatchError("blackbox total-degree solve", expected, len(sols), sols)
 
 
-def _refined(compiled, candidates, settings, failures=None) -> SolutionSet:
-    """Newton-refine (point, origin) candidates on the full system; keep the
-    converged ones that distinct() keeps, sorted. Refinement failures go to
-    `failures` as (origin, message) when it is given."""
-    found = []
-    for pt, origin in candidates:
-        try:
-            found.append((*newton_refine(compiled, pt, settings), origin))
-        except (SingularJacobianError, NoConvergenceError) as exc:
-            if failures is not None:
-                failures.append((origin, str(exc)))
+def _refined(F: SparseSystem, candidates, settings, failures=None) -> SolutionSet:
+    """Newton-refine (point, origin) candidates on F, all in one batch; keep
+    the converged ones that distinct() keeps, sorted. Refinement failures go
+    to `failures` as (origin, message) when it is given."""
+    candidates = list(candidates)
+    X = np.array([pt for pt, _ in candidates], dtype=complex).reshape(len(candidates), F.n)
+    X, res, errors = _newton(Homotopy(F.system, F.coefficients, [F.coefficients]), X,
+                             np.zeros(len(X), dtype=int), settings)
+    if failures is not None:
+        failures.extend((origin, str(error)) for (_, origin), error in zip(candidates, errors)
+                        if error is not None)
+    found = np.array([k for k, error in enumerate(errors) if error is None], dtype=int)
     out = SolutionSet()
-    for keep, (x, res, origin) in zip(distinct([f[0] for f in found]), found):
-        if keep:
-            out.append(x, res, origin)
+    for k in found[distinct(X[found])]:
+        out.append(X[k], res[k], candidates[k][1])
     out.sort()
     return out
 

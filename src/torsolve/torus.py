@@ -134,51 +134,3 @@ def relabel(F: SparseSystem, iota: Reindexing) -> SparseSystem:
         for i in range(F.n)
     )
     return SparseSystem(iota.system, coeffs)
-
-
-def stack_exponents(supports):
-    """Stacked exponent matrix for a sequence of supports plus row offsets.
-
-    Monomials evaluate as exp(E @ log x), exact for integer exponents since
-    the branch ambiguity of the complex log cancels.
-    """
-    E = np.concatenate([np.array(s.points, dtype=np.int64) for s in supports])
-    sizes = [len(s) for s in supports]
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-    return E.astype(np.float64), starts
-
-
-class CompiledSystem:
-    """Stacked exponent matrix, row offsets (see stack_exponents) and one
-    coefficient vector, for fast evaluation; compile_system builds one.
-
-    The Jacobian reuses the monomial values: d f / d x_j equals
-    (sum of alpha_j * c_alpha * x^alpha) / x_j, valid on the torus.
-    """
-
-    def __init__(self, E: np.ndarray, starts: np.ndarray, c: np.ndarray):
-        self.n = E.shape[1]
-        self.E, self.starts, self.c = E, starts, c
-
-    def _terms(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.c * np.exp(self.E @ np.log(x))
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(self._terms(x), self.starts)
-
-    def eval_and_jacobian(self, x: np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self._terms(x)
-            values = np.add.reduceat(terms, self.starts)
-            jac = np.add.reduceat(terms[:, None] * self.E, self.starts, axis=0) / x[None, :]
-        return values, jac
-
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.evaluate(x))))
-
-
-def compile_system(F: SparseSystem) -> CompiledSystem:
-    E, starts = stack_exponents(F.system.supports)
-    c = np.concatenate([np.array(row, dtype=complex) for row in F.coefficients])
-    return CompiledSystem(E, starts, c)

@@ -14,6 +14,11 @@ success streak and step count, and per pass one predictor and corrector
 over the running paths on a (P, n, n) Jacobian stack. Each path takes the
 steps it would take alone, a failing path drops out without touching the
 others, and track_path is the batch of one.
+
+A target system is the homotopy at t = 1, so Homotopy.state is the one
+evaluator: the endgame Newton of the paths that reach _ENDGAME_T in a pass,
+and the refinement of a solver's candidates on the full system, run as one
+batched Newton on it; newton_refine is the batch of one.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, SingularJacobianError
 from .supports import SparseSystem, Support, SupportSystem
-from .torus import TORUS_THRESHOLD, CompiledSystem, compile_system, stack_exponents
+from .torus import TORUS_THRESHOLD
 
 _DIVERGENCE_NORM = 1e8
 _TRACK_TORUS_GUARD = 1e-12
@@ -119,7 +124,8 @@ class Homotopy:
     Start and targets are aligned point-for-point on the union of their
     supports (absent monomials get zero coefficients), so a vertex-supported
     or total-degree start system embeds into the targets' coefficient space.
-    `ct` holds the K target rows and `targets` the target systems compiled.
+    `ct` holds the K target rows. A system F alone is
+    Homotopy(F.system, F.coefficients, [F.coefficients]) at t = 1.
     """
 
     def __init__(self, system: SupportSystem, start_coeffs, target_coeffs, gamma=1.0):
@@ -131,7 +137,9 @@ class Homotopy:
         self.gamma = np.broadcast_to(np.asarray(gamma, dtype=complex), len(target_coeffs)).copy()
         if np.any(np.abs(np.abs(self.gamma) - 1.0) > 1e-9):
             raise ValueError("gamma must have unit modulus")
-        self.E, self.starts = stack_exponents(system.supports)
+        # All monomials stacked, one row each, and the first row of each polynomial.
+        self.E = np.concatenate([np.array(s.points, dtype=float) for s in system.supports])
+        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
         self.cs = np.concatenate([np.asarray(c, dtype=complex) for c in start_coeffs])
         self.ct = np.array([np.concatenate([np.asarray(c, dtype=complex) for c in coeffs])
                             for coeffs in target_coeffs])
@@ -140,7 +148,6 @@ class Homotopy:
         self._dc = self.ct - gcs
         self._ET = np.ascontiguousarray(self.E.T)
         self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
-        self.targets = [CompiledSystem(self.E, self.starts, c) for c in self.ct]
 
     @property
     def n(self) -> int:
@@ -201,12 +208,6 @@ class Homotopy:
             jac /= X[:, None, :]
         return values, jac, dt, scale
 
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """H_k(x, t) for every target row k at a single point x: (K, n)."""
-        K = len(self.ct)
-        X = np.repeat(np.asarray(x, dtype=complex)[None, :], K, axis=0)
-        return self.state(X, np.full(K, float(t)), np.arange(K))[0]
-
 
 def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
     """Track one solution of gamma*G from t=0 to a solution of F at t=1.
@@ -215,14 +216,15 @@ def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
     Near t=1 the tracker hands off to plain Newton on the target; endgames
     for singular endpoints are out of scope.
     """
-    return _track(H, [x0], settings or TrackerSettings())[0]
+    return _track(H, [x0], settings or TrackerSettings())[0][0]
 
 
-def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None = None) -> list:
-    """Track every start point together; one endpoint or PathFailure each.
-    A path gets its endgame Newton on reaching _ENDGAME_T; with `expected`
-    (one target only), the paths still running when that many distinct
-    endpoints are in end "count-reached"."""
+def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None = None):
+    """Track every start point together; returns (outcomes, residuals): one
+    endpoint or PathFailure each, and each endpoint's residual on its target.
+    The paths that reach _ENDGAME_T in a pass get their endgame Newton as one
+    batch; with `expected` (one target only), the paths still running when
+    that many distinct endpoints are in end "count-reached"."""
     X = np.asarray(starts, dtype=complex).reshape(len(starts), H.n)
     P = len(X)
     if P % len(H.ct):
@@ -234,6 +236,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     streak, nsteps = np.zeros((2, P), dtype=int)
     running = np.ones(P, dtype=bool)
     outcomes = [None] * P
+    residuals = np.full(P, np.nan)
     found = []  # distinct endpoints so far
 
     def fail(paths, reason):
@@ -242,19 +245,18 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             outcomes[i] = PathFailure(reason, float(t[i]), X[i].copy())
 
     def finish(paths):
+        if not paths.size:
+            return
         running[paths] = False
-        for i in paths:
-            try:
-                refined, _ = _newton(H.targets[rows[i]], X[i], settings)
-            except (SingularJacobianError, NoConvergenceError):
+        for i, refined, res, error in zip(paths, *_newton(H, X[paths], rows[paths], settings)):
+            if error is not None:
                 outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
-                continue
-            if float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
+            elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
                 outcomes[i] = PathFailure("left-torus", 1.0, refined)
-                continue
-            outcomes[i] = refined
-            if expected is not None and _is_new(np.reshape(found, (-1, H.n)), refined):
-                found.append(refined)
+            else:
+                outcomes[i], residuals[i] = refined, res
+                if expected is not None and _is_new(np.reshape(found, (-1, H.n)), refined):
+                    found.append(refined)
 
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):
@@ -292,7 +294,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             step[lost] *= 0.5
             fail(lost[step[lost] < settings.min_step], "step-underflow")
 
-    return outcomes
+    return outcomes, residuals
 
 
 def _solve(A, b):
@@ -327,45 +329,76 @@ def _correct(H: Homotopy, X, t, rows, settings):
     return ok, X
 
 
-def _newton(compiled: CompiledSystem, x, settings: TrackerSettings):
-    x = np.asarray(x, dtype=complex).copy()
-    values = compiled.evaluate(x)
-    res = float(np.max(np.abs(values)))
-    if res <= 0.01 * settings.success_residual:
-        return x, res
-    step_small = False
-    for it in range(settings.max_newton_iters):
-        values, jac = compiled.eval_and_jacobian(x)
-        res = float(np.max(np.abs(values)))
-        if res <= settings.success_residual and step_small:
-            return x, res
-        if it == 0:
-            cond = np.linalg.cond(jac)
-            if not np.isfinite(cond) or cond > _COND_LIMIT:
-                raise SingularJacobianError(f"Jacobian condition estimate {cond:.2e}")
-        try:
-            delta = np.linalg.solve(jac, -values)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        x = x + delta
-        if not np.all(np.isfinite(x)):
-            raise NoConvergenceError("Newton iterate left the finite range")
-        step_small = float(np.max(np.abs(delta))) <= _STEP_TOL * (1.0 + float(np.max(np.abs(x))))
-    res = compiled.residual(x)
-    if res <= settings.success_residual and step_small:
-        return x, res
-    raise NoConvergenceError(f"residual {res:.2e} after {settings.max_newton_iters} iterations")
+def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
+    """Newton on the target rows of H at t = 1, from every row of X at once.
+
+    Returns (X, residuals, errors): the refined points, their max-norm
+    residuals and per row None or the SingularJacobianError or
+    NoConvergenceError it failed with. A row stops before any step when its
+    residual is at most 0.01 * success_residual, its Jacobian's condition is
+    checked on the first iteration only, and it converges when its residual
+    is at most success_residual after a small step. Each row takes the steps
+    it would take alone, and a failing row, even a non-finite one, fails
+    only itself.
+    """
+    X = np.array(X, dtype=complex)
+    res = np.full(len(X), np.nan)
+    errors = [None] * len(X)
+    small = np.zeros(len(X), dtype=bool)
+    todo = np.arange(len(X))
+    # Overflow and NaN are caught per row by the finiteness checks.
+    with np.errstate(all="ignore"):
+        for it in range(settings.max_newton_iters + 1):
+            if not todo.size:
+                break
+            values, jac, _, _ = H.state(X[todo], np.ones(len(todo)), rows[todo])
+            res[todo] = np.abs(values).max(axis=1)
+            if it == 0:
+                done = res[todo] <= 0.01 * settings.success_residual
+            else:
+                done = (res[todo] <= settings.success_residual) & small[todo]
+            todo, values, jac = todo[~done], values[~done], jac[~done]
+            if it == settings.max_newton_iters:
+                for i in todo:
+                    errors[i] = NoConvergenceError(
+                        f"residual {res[i]:.2e} after {settings.max_newton_iters} iterations")
+                break
+            if it == 0:
+                cond = np.full(len(todo), np.inf)
+                finite = np.isfinite(jac).all(axis=(1, 2))
+                cond[finite] = np.linalg.cond(jac[finite])
+                keep = cond <= _COND_LIMIT
+                for i, c in zip(todo[~keep], cond[~keep]):
+                    errors[i] = SingularJacobianError(f"Jacobian condition estimate {c:.2e}")
+                todo, values, jac = todo[keep], values[keep], jac[keep]
+            delta, solved = _solve(jac, -values)
+            for i in todo[~solved]:
+                errors[i] = SingularJacobianError("Singular matrix")
+            todo, delta = todo[solved], delta[solved]
+            X[todo] += delta
+            finite = np.isfinite(X[todo]).all(axis=1)
+            for i in todo[~finite]:
+                errors[i] = NoConvergenceError("Newton iterate left the finite range")
+            todo, delta = todo[finite], delta[finite]
+            size = 1.0 + np.abs(X[todo]).max(axis=1)
+            small[todo] = np.abs(delta).max(axis=1) <= _STEP_TOL * size
+    return X, res, errors
 
 
-def newton_refine(F: SparseSystem | CompiledSystem, x, settings: TrackerSettings | None = None):
+def newton_refine(F: SparseSystem, x, settings: TrackerSettings | None = None):
     """Refine x to a root of F; returns (point, max-norm residual).
 
-    Raises SingularJacobianError for an ill-conditioned Jacobian and
-    NoConvergenceError when quadratic convergence does not materialize.
+    The batched Newton on F as the homotopy at t = 1, for a batch of one.
+    Raises SingularJacobianError for an ill-conditioned or non-finite
+    Jacobian and NoConvergenceError when quadratic convergence does not
+    materialize.
     """
-    settings = settings or TrackerSettings()
-    compiled = F if isinstance(F, CompiledSystem) else compile_system(F)
-    return _newton(compiled, x, settings)
+    H = Homotopy(F.system, F.coefficients, [F.coefficients])
+    (point,), (res,), (error,) = _newton(H, np.reshape(x, (1, F.n)), np.zeros(1, dtype=int),
+                                         settings or TrackerSettings())
+    if error is not None:
+        raise error
+    return point, float(res)
 
 
 def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
@@ -383,7 +416,7 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
     """
     settings = settings or TrackerSettings()
     points = starts.points if isinstance(starts, SolutionSet) else list(starts)
-    outcomes = _track(H, points, settings, expected)
+    outcomes, residuals = _track(H, points, settings, expected)
     size = len(points) // len(H.ct)
     ends = [i for i, out in enumerate(outcomes) if not isinstance(out, PathFailure)]
     kept = set()
@@ -397,7 +430,7 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
         if isinstance(out, PathFailure):
             failures.append((i, out))
         elif i in kept:
-            solutions.append(out, H.targets[i // size].residual(out), origin=f"path {i}")
+            solutions.append(out, residuals[i], origin=f"path {i}")
         else:
             failures.append((i, PathFailure("duplicate-endpoint", 1.0, out)))
     solutions.sort()

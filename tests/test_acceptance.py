@@ -17,7 +17,7 @@ from torsolve.geometry import hull_mixed_volume, mixed_volume, mv_is_zero
 from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer
 from torsolve.solver import _blackbox, decomposable_start_system, solve_decomposable, solve_general
 from torsolve.supports import SparseSystem, SupportSystem, normalize, quotient_supports, span_rank
-from torsolve.torus import compile_system, restrict_to_fiber
+from torsolve.torus import restrict_to_fiber
 from torsolve.tracking import TrackerSettings, relative_distance
 
 # --- fixed data -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,11 +111,11 @@ def test_homotopy_alignment_embeds_start():
     F = univariate({0: 0.5, 1: 1.5, 3: -2.0})
     H = Homotopy.straight_line(G, F, gamma=1.0)
     assert H.E.shape == (3, 1)  # union support {0, 1, 3}
-    x = np.array([1.3 - 0.2j])
-    g_direct = 1.0 + 2.0 * x[0] ** 3
-    assert abs(H.evaluate(x, 0.0)[0, 0] - g_direct) < 1e-12
-    f_direct = 0.5 + 1.5 * x[0] - 2.0 * x[0] ** 3
-    assert abs(H.evaluate(x, 1.0)[0, 0] - f_direct) < 1e-12
+    x = np.array([[1.3 - 0.2j]])
+    g_direct = 1.0 + 2.0 * x[0, 0] ** 3
+    assert abs(H.state(x, np.array([0.0]), np.array([0]))[0][0, 0] - g_direct) < 1e-12
+    f_direct = 0.5 + 1.5 * x[0, 0] - 2.0 * x[0, 0] ** 3
+    assert abs(H.state(x, np.array([1.0]), np.array([0]))[0][0, 0] - f_direct) < 1e-12
 
 
 def test_bkk_count_small_system():
@@ -272,10 +274,167 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
             if step < settings.min_step:
                 return PathFailure("step-underflow", t, x)
     try:
-        refined, _ = _newton(H.targets[0], x, settings)
+        refined, _ = reference_newton(point_system(H.E, H.starts, H.ct[0]), x, settings)
     except (SingularJacobianError, NoConvergenceError):
         return PathFailure("no-convergence", 1.0, x)
     return PathFailure("left-torus", 1.0, refined) if np.min(np.abs(refined)) <= 1e-10 else refined
+
+
+def point_system(E, starts, c):
+    """The per-point evaluator the batched Newton replaced: x -> (values,
+    Jacobian) of one coefficient row c on the stacked exponents E, with the
+    monomials as one complex exp."""
+
+    def evaluate(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            terms = c * np.exp(E @ np.log(x))
+            jac = np.add.reduceat(terms[:, None] * E, starts, axis=0) / x[None, :]
+        return np.add.reduceat(terms, starts), jac
+
+    return evaluate
+
+
+def reference_newton(evaluate, x, settings=TrackerSettings()):
+    """The per-point Newton the batched one replaced, on a point_system."""
+    x = np.asarray(x, dtype=complex).copy()
+    res = float(np.max(np.abs(evaluate(x)[0])))
+    if res <= 0.01 * settings.success_residual:
+        return x, res
+    step_small = False
+    for it in range(settings.max_newton_iters):
+        values, jac = evaluate(x)
+        res = float(np.max(np.abs(values)))
+        if res <= settings.success_residual and step_small:
+            return x, res
+        if it == 0:
+            cond = np.linalg.cond(jac)
+            if not np.isfinite(cond) or cond > 1e12:
+                raise SingularJacobianError(f"Jacobian condition estimate {cond:.2e}")
+        try:
+            delta = np.linalg.solve(jac, -values)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(str(exc)) from exc
+        x = x + delta
+        if not np.all(np.isfinite(x)):
+            raise NoConvergenceError("Newton iterate left the finite range")
+        step_small = float(np.max(np.abs(delta))) <= 1e-8 * (1.0 + float(np.max(np.abs(x))))
+    res = float(np.max(np.abs(evaluate(x)[0])))
+    if res <= settings.success_residual and step_small:
+        return x, res
+    raise NoConvergenceError(f"residual {res:.2e} after {settings.max_newton_iters} iterations")
+
+
+def as_homotopy(F):
+    """F as the homotopy whose target row 0 is F."""
+    return Homotopy(F.system, F.coefficients, [F.coefficients])
+
+
+# x^2 - 1 and (y - 1)^2 (y + 2) = y^3 - 3y + 2: a double root at y = 1.
+NEWTON_F = SparseSystem.from_pairs([[((0, 0), -1.0), ((2, 0), 1.0)],
+                                    [((0, 0), 2.0), ((0, 1), -3.0), ((0, 3), 1.0)]])
+NEWTON_BATCH = [
+    ("converged", [1.0, -2.0]),  # 0 steps
+    ("ordinary", [-1.1 + 0.1j, -2.1 + 0.05j]),
+    ("double root", [1.5, 1.0]),  # the Jacobian is singular at y = 1: condition limit
+    ("out of iterations", [1e6, -2.0]),  # halves x every step, 12 steps are not enough
+]
+
+
+def test_batched_newton_matches_the_per_point_newton():
+    from torsolve.solver import _refined
+
+    H = as_homotopy(NEWTON_F)
+    evaluate = point_system(H.E, H.starts, H.ct[0])
+    X = np.array([x for _, x in NEWTON_BATCH], dtype=complex)
+    points, residuals, errors = _newton(H, X, np.zeros(len(X), dtype=int), TrackerSettings())
+    kept, failed = [], []
+    for (origin, x), point, res, error in zip(NEWTON_BATCH, points, residuals, errors):
+        try:
+            ref, ref_res = reference_newton(evaluate, x)
+        except (SingularJacobianError, NoConvergenceError) as exc:
+            assert type(error) is type(exc) and str(error) == str(exc)
+            failed.append((origin, str(exc)))
+            continue
+        assert error is None
+        assert np.max(np.abs(point - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+        assert max(res, ref_res) <= 1e-8 and abs(res - ref_res) <= 1e-14
+        kept.append(ref)
+    assert np.array_equal(points[0], X[0])
+    assert [type(e).__name__ if e else "ok" for e in errors] == [
+        "ok", "ok", "SingularJacobianError", "NoConvergenceError"]
+    assert str(errors[2]) == "Jacobian condition estimate inf"
+    assert str(errors[3]).endswith("after 12 iterations")
+
+    failures = []
+    out = _refined(NEWTON_F, zip(X, (origin for origin, _ in NEWTON_BATCH)), TrackerSettings(),
+                   failures)
+    assert failures == failed
+    assert sorted(out.provenance) == ["converged", "ordinary"]
+    for point, origin in zip(out.points, out.provenance):
+        ref = kept[["converged", "ordinary"].index(origin)]
+        assert np.max(np.abs(point - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+NON_FINITE_STARTS = [[np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("x", NON_FINITE_STARTS)
+def test_newton_refine_on_a_non_finite_jacobian_raises_singular(x):
+    F = SparseSystem.from_pairs([
+        [((2, 1), 1.0), ((0, 0), -1.0)],
+        [((0, 1), 1.0), ((1, 0), -1.0)],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobianError):
+            newton_refine(F, np.array(x, dtype=complex))
+
+
+def test_non_finite_rows_fail_only_themselves():
+    H = as_homotopy(NEWTON_F)
+    good = [x for _, x in NEWTON_BATCH]
+    X = np.array(good[:2] + NON_FINITE_STARTS + good[2:], dtype=complex)
+    points, residuals, errors = _newton(H, X, np.zeros(len(X), dtype=int), TrackerSettings())
+    alone = [_newton(H, np.array([x], dtype=complex), np.zeros(1, dtype=int), TrackerSettings())
+             for x in good]
+    for k, (single_points, single_residuals, (single_error,)) in zip([0, 1, 6, 7], alone):
+        assert np.array_equal(points[k], single_points[0]) and residuals[k] == single_residuals[0]
+        assert str(errors[k]) == str(single_error)
+    for k in range(2, 6):
+        assert isinstance(errors[k], SingularJacobianError)
+
+
+def test_homotopy_state_matches_finite_differences():
+    # Two targets on three variables, one gamma each, from a start system on
+    # part of their supports.
+    rng = np.random.default_rng(17)
+    supports = [[(0, 0, 0), (1, 0, 1), (2, 1, 3), (0, 2, 1)],
+                [(0, 0, 0), (1, 1, 0), (0, 1, 2), (3, 0, 1)],
+                [(0, 0, 0), (0, 0, 2), (1, 0, 3), (1, 1, 4)]]
+
+    def system(size):  # the first `size` points of each support
+        return SparseSystem.from_pairs([[(p, complex(*rng.normal(size=2))) for p in sup[:size]]
+                                        for sup in supports])
+
+    H = Homotopy.straight_line(system(3), [system(4), system(4)], np.exp(1j * np.array([0.4, 2.9])))
+    X = rng.uniform(0.5, 1.5, (2, 3)) * np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 3)))
+    rows, h = np.array([0, 1]), 1e-6
+    for t in (1.0, 0.37):
+        T = np.full(2, t)
+        values, jac, dt, _ = H.state(X, T, rows)
+        for j in range(3):
+            bump = np.zeros(3)
+            bump[j] = h
+            approx = (H.state(X + bump, T, rows)[0] - H.state(X - bump, T, rows)[0]) / (2 * h)
+            assert np.max(np.abs(approx - jac[:, :, j])) <= 1e-6 * max(1.0, np.max(np.abs(jac)))
+        if t == 1.0:  # the targets themselves
+            for k in rows:
+                target = point_system(H.E, H.starts, H.ct[k])(X[k])[0]
+                scale = max(1.0, np.max(np.abs(target)))
+                assert np.max(np.abs(values[k] - target)) <= 1e-12 * scale
+        else:
+            approx = (H.state(X, T + h, rows)[0] - H.state(X, T - h, rows)[0]) / (2 * h)
+            assert np.max(np.abs(approx - dt)) <= 1e-6 * max(1.0, np.max(np.abs(dt)))
 
 
 def outcomes_by_path(result, count):
@@ -299,7 +458,7 @@ def test_multi_target_track_all_equals_one_target_at_a_time():
     starts.append(starts[1])
     H = Homotopy.straight_line(G, targets, gammas)
     together = outcomes_by_path(track_all(H, starts * len(targets)), 4 * len(starts))
-    assert H.ct.shape == (4, 4) and len(H.targets) == 4
+    assert H.ct.shape == (4, 4)
     reasons = []
     for k, (F, gamma) in enumerate(zip(targets, gammas)):
         alone = outcomes_by_path(track_all(Homotopy.straight_line(G, F, gamma), starts), len(starts))

@@ -1,0 +1,140 @@
+"""Check that two checkouts solve the benchmark's solver ops alike.
+
+    python3 tools/parity.py PARENT_DIR CHANGE_DIR
+
+Each checkout's `src/` runs in its own subprocess on the ops its
+`perfbench/workloads.py` builds: `decomposable` at seeds 0-9 with 5 rounds
+each, one `general` round and the `blackbox` op. Per op the two runs must
+agree on the status, the error type and message, the decomposition tree
+without `elapsed`, the provenance and the warnings, and the points to 1e-8
+relative, point by point. Prints the largest relative point difference and
+the largest residual change, lists the first differences, and exits 1 on any.
+"""
+
+import argparse
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+POINT_TOL = 1e-8
+SHOWN = 20
+# Run in a fresh interpreter from a checkout: solve every op and pickle
+# {(workload, seed, round, label): record} to standard output.
+CHILD = """
+import dataclasses, pickle, sys
+from pathlib import Path
+root = Path(sys.argv[1]).resolve()
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import numpy as np
+import torsolve
+import workloads
+if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
+    raise SystemExit(f"imported torsolve from {torsolve.__file__}")
+
+def tree_of(tree):
+    if tree is None:
+        return None
+    def strip(node):
+        node.pop("elapsed")
+        for child in node["children"]:
+            strip(child)
+        return node
+    return strip(dataclasses.asdict(tree))
+
+runs = [("decomposable", seed, 5) for seed in range(10)] + [("general", 0, 1), ("blackbox", 0, 1)]
+out = {}
+for workload, seed, rounds in runs:
+    for r, ops in enumerate(workloads.build(workload, seed, rounds)):
+        for op in ops:
+            try:
+                result = op.call()
+            except Exception as exc:
+                out[workload, seed, r, op.label] = {"status": type(exc).__name__,
+                                                    "message": str(exc)}
+                continue
+            sols = getattr(result, "solutions", result)
+            out[workload, seed, r, op.label] = {
+                "status": "ok",
+                "message": "",
+                "tree": tree_of(getattr(result, "tree", None)),
+                "warnings": list(getattr(result, "warnings", [])),
+                "provenance": list(sols.provenance),
+                "points": [np.asarray(p) for p in sols.points],
+                "residuals": list(sols.residuals),
+            }
+sys.stdout.buffer.write(pickle.dumps(out))
+"""
+
+
+def solve_all(checkouts):
+    """The CHILD records of each checkout, both run at the same time."""
+    procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d)], cwd=d,
+                              stdout=subprocess.PIPE) for d in checkouts]
+    results = []
+    for d, proc in zip(checkouts, procs):
+        data, _ = proc.communicate()
+        if proc.returncode:
+            raise SystemExit(f"error: the run in {d} exited with {proc.returncode}")
+        results.append(pickle.loads(data))
+    return results
+
+
+def relative_difference(p, q) -> float:
+    scale = max(1.0, float(max(abs(p).max(), abs(q).max())))
+    return float(abs(p - q).max()) / scale
+
+
+def compare(parent, change):
+    """(differences, largest point difference, largest residual change,
+    largest residual of each side, solutions compared)."""
+    diffs = []
+    worst_point = worst_change = 0.0
+    worst_res = [0.0, 0.0]
+    solutions = 0
+    for key in sorted(set(parent) | set(change), key=str):
+        a, b = parent.get(key), change.get(key)
+        if a is None or b is None:
+            diffs.append(f"{key}: only in the {'change' if a is None else 'parent'}")
+            continue
+        for field in ("status", "message", "tree", "warnings", "provenance"):
+            if a.get(field) != b.get(field):
+                diffs.append(f"{key}: {field} {a.get(field)!r} -> {b.get(field)!r}")
+        if a["status"] != "ok" or b["status"] != "ok" or len(a["points"]) != len(b["points"]):
+            continue
+        solutions += len(a["points"])
+        points = [relative_difference(p, q) for p, q in zip(a["points"], b["points"])]
+        worst_point = max([worst_point, *points])
+        changes = [abs(r - s) for r, s in zip(a["residuals"], b["residuals"])]
+        worst_change = max([worst_change, *changes])
+        worst_res = [max([worst_res[0], *a["residuals"]]), max([worst_res[1], *b["residuals"]])]
+        off = sum(not d <= POINT_TOL for d in points)  # NaN counts too
+        if off:
+            diffs.append(f"{key}: {off} of {len(points)} points differ by more than "
+                         f"{POINT_TOL:g} relative")
+    return diffs, worst_point, worst_change, worst_res, solutions
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout under test")
+    args = parser.parse_args(argv)
+    parent, change = solve_all([args.parent.resolve(), args.change.resolve()])
+    diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
+    failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
+    print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
+    print(f"solutions compared: {solutions}")
+    print(f"max relative point difference: {worst_point:.3g}")
+    print(f"max residual: {worst_res[0]:.3g} -> {worst_res[1]:.3g}; "
+          f"max residual change: {worst_change:.3g}")
+    for line in diffs[:SHOWN]:
+        print(line)
+    if len(diffs) > SHOWN:
+        print(f"... and {len(diffs) - SHOWN} more differences")
+    print("parity: " + ("FAIL" if diffs else "ok"))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
