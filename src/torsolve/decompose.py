@@ -52,7 +52,6 @@ class Triangular:
 
     witness: tuple[int, ...]
     k: int
-    phi: IntMatrix
     psi: IntMatrix
     projection: IntMatrix
     base: SupportSystem
@@ -116,7 +115,6 @@ def _triangular_data(S: SupportSystem, I) -> Triangular:
     if form.rank != k:
         raise ValueError("witness subset does not have matching rank")
     psi = unimodular_inverse(form.P)
-    phi = IntMatrix.from_columns([form.P.column(j) for j in range(k)])
     projection = IntMatrix.from_rows(psi.entries[k:])
     base_supports = []
     for i in I:
@@ -130,7 +128,6 @@ def _triangular_data(S: SupportSystem, I) -> Triangular:
     return Triangular(
         witness=I,
         k=k,
-        phi=phi,
         psi=psi,
         projection=projection,
         base=SupportSystem(tuple(base_supports)),

@@ -7,8 +7,8 @@ tree; at its indecomposable and univariate leaves `hull_mixed_volume` runs
 inclusion-exclusion over the subsets' Minkowski sums, built incrementally
 with vertex reduction, whose volumes come from an exact integer
 beneath-beyond triangulation. Every simplex volume there is a facet height
-that the visibility test has already computed, so no determinant is taken;
-no floats enter any volume.
+that the visibility test has already computed, so no volume takes a
+determinant of its own; no floats enter any volume.
 """
 
 from __future__ import annotations
@@ -17,14 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .errors import MixedVolumeZeroError
-from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
+from .intlinalg import IntMatrix, _bareiss_det, smith_normal_form, unimodular_inverse
 from .supports import Support, SupportSystem, point_in_hull, subset_span_ranks
-
-_INT64_COORD_LIMIT = 512  # coordinates beyond this force exact-object visibility
 
 
 @dataclass(frozen=True)
@@ -192,70 +189,6 @@ def _reduce_to_vertices(pts):
     return keep
 
 
-class _FacetStore:
-    """Facet set with a growing int64 buffer for vectorized visibility.
-
-    Rows for dropped facets go stale and are filtered out by the caller;
-    the buffer is compacted once stale rows dominate.
-    """
-
-    def __init__(self, d, exact_only):
-        self.d = d
-        self.exact_only = exact_only
-        self.facets = {}  # fid -> (verts, normal, offset, ridges)
-        self.ridge_owners = {}
-        self._serial = itertools.count()
-        cap = 64
-        self._normals = np.zeros((cap, d), dtype=np.int64)
-        self._offsets = np.zeros(cap, dtype=np.int64)
-        self._fids = []
-
-    def add(self, verts, a, b):
-        fid = next(self._serial)
-        ridges = tuple(itertools.combinations(sorted(verts), self.d - 1))
-        self.facets[fid] = (verts, a, b, ridges)
-        for ridge in ridges:
-            self.ridge_owners.setdefault(ridge, set()).add(fid)
-        if not self.exact_only:
-            k = len(self._fids)
-            if k == len(self._offsets):
-                self._normals = np.concatenate([self._normals, np.zeros_like(self._normals)])
-                self._offsets = np.concatenate([self._offsets, np.zeros_like(self._offsets)])
-            self._normals[k] = a
-            self._offsets[k] = b
-            self._fids.append(fid)
-        return fid
-
-    def drop(self, fid):
-        _, _, _, ridges = self.facets.pop(fid)
-        for ridge in ridges:
-            owners = self.ridge_owners[ridge]
-            owners.discard(fid)
-            if not owners:
-                del self.ridge_owners[ridge]
-
-    def _compact(self):
-        alive = [(fid, self.facets[fid]) for fid in self._fids if fid in self.facets]
-        self._fids = []
-        for fid, (_, a, b, _ridges) in alive:
-            k = len(self._fids)
-            self._normals[k] = a
-            self._offsets[k] = b
-            self._fids.append(fid)
-
-    def visible_from(self, p):
-        """{fid: a . p - b} over the facets that p lies strictly beyond."""
-        if self.exact_only:
-            return {fid: h for fid, (_, a, b, _ridges) in self.facets.items()
-                    if (h := sum(x * y for x, y in zip(a, p)) - b) > 0}
-        if len(self._fids) > 2 * len(self.facets) + 64:
-            self._compact()
-        k = len(self._fids)
-        vals = self._normals[:k] @ np.asarray(p, dtype=np.int64) - self._offsets[:k]
-        hits = np.nonzero(vals > 0)[0]
-        return {self._fids[h]: int(vals[h]) for h in hits if self._fids[h] in self.facets}
-
-
 def _hull(pts, d):
     """Beneath-beyond hull of a full-rank integer point set in Z^d.
 
@@ -264,7 +197,8 @@ def _hull(pts, d):
     volume, so points already on the current boundary are skipped harmlessly.
     Each volume is a facet height: with the facet's unreduced outward plane
     a . x = b, the cone from a point p over it has d! * volume a . p - b,
-    the very value the visibility test computes.
+    the very value the visibility test computes. All of it is Python
+    integer arithmetic, so no coordinate size can overflow it.
     """
     if d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i])
@@ -274,24 +208,26 @@ def _hull(pts, d):
     seed = _seed_simplex(pts, d)
     ref = tuple(sum(pts[i][c] for i in seed) for c in range(d))  # (d+1) * centroid
     a, b = _facet_plane([pts[i] for i in seed[:d]], d)
-    dvol = abs(sum(x * y for x, y in zip(a, pts[seed[d]])) - b)
+    dvol = abs(sum(map(mul, a, pts[seed[d]])) - b)
 
-    # Big coordinates could overflow the vectorized int64 visibility test.
-    maxc = max(abs(c) for p in pts for c in p)
-    store = _FacetStore(d, exact_only=maxc > _INT64_COORD_LIMIT or d > 6)
+    facets = {}  # verts -> (outward normal a, offset b, ridges), in insertion order
+    ridge_owners = {}  # ridge -> the facets that contain it
 
-    def oriented_facet(verts):
+    def add_facet(verts):
         a, b = _facet_plane([pts[v] for v in verts], d)
-        side = sum(x * y for x, y in zip(a, ref)) - (d + 1) * b
+        side = sum(map(mul, a, ref)) - (d + 1) * b
         if side == 0:
             raise AssertionError("reference point on facet hyperplane")
         if side > 0:
             a = tuple(-x for x in a)
             b = -b
-        store.add(verts, a, b)
+        ridges = tuple(itertools.combinations(sorted(verts), d - 1))
+        facets[verts] = (a, b, ridges)
+        for ridge in ridges:
+            ridge_owners.setdefault(ridge, set()).add(verts)
 
     for verts in itertools.combinations(seed, d):
-        oriented_facet(verts)
+        add_facet(verts)
 
     rest = [i for i in range(len(pts)) if i not in set(seed)]
     center = tuple(x / (d + 1) for x in ref)
@@ -299,26 +235,26 @@ def _hull(pts, d):
 
     for i in rest:
         p = pts[i]
-        visible = store.visible_from(p)
-        if not visible:
-            continue
+        visible = {f: h for f, (a, b, _) in facets.items() if (h := sum(map(mul, a, p)) - b) > 0}
         horizon = []
-        for fid, height in visible.items():
+        for f, height in visible.items():
             dvol += height
-            _, _, _, ridges = store.facets[fid]
-            for ridge in ridges:
-                owners = store.ridge_owners[ridge]
-                other = next((o for o in owners if o != fid), None)
+            for ridge in facets[f][2]:
+                other = next((o for o in ridge_owners[ridge] if o != f), None)
                 if other is None:
                     raise AssertionError("boundary complex lost a ridge neighbor")
                 if other not in visible:
                     horizon.append(ridge)
-        for fid in visible:
-            store.drop(fid)
+        for f in visible:
+            for ridge in facets.pop(f)[2]:
+                owners = ridge_owners[ridge]
+                owners.discard(f)
+                if not owners:
+                    del ridge_owners[ridge]
         for ridge in horizon:
-            oriented_facet(ridge + (i,))
+            add_facet(ridge + (i,))
 
-    return dvol, [f[0] for f in store.facets.values()]
+    return dvol, list(facets)
 
 
 def _seed_simplex(pts, d):
@@ -340,69 +276,14 @@ def _seed_simplex(pts, d):
 def _facet_plane(points, d):
     """Hyperplane a . x = b through d affinely independent points.
 
-    The normal is the generalized cross product of the edge vectors,
-    hand-rolled for d <= 5 with shared two-row minor tables. It is not
-    reduced, so |a . p - b| is d! times the volume of the simplex that the
-    points span with p.
+    The normal is the generalized cross product of the edge vectors
+    e_k = q_k - p0: the signed cofactors a_j = (-1)^j det(edges without
+    column j), one Bareiss determinant each. It is not reduced, so
+    |a . p - b| = |det[e_1, ..., e_(d-1), p - p0]|, d! times the volume of
+    the simplex that the points span with p.
     """
     p0 = points[0]
-    edges = [[q[c] - p0[c] for c in range(d)] for q in points[1:]]
-    if d == 2:
-        (e0, e1), = edges
-        a = (e1, -e0)
-    elif d == 3:
-        (u0, u1, u2), (v0, v1, v2) = edges
-        a = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
-    elif d == 4:
-        u, v, w = edges
-        # 2x2 minors of (u, v) by column pair
-        m = {}
-        for x in range(4):
-            for y in range(x + 1, 4):
-                m[x, y] = u[x] * v[y] - u[y] * v[x]
-        a = (
-            w[1] * m[2, 3] - w[2] * m[1, 3] + w[3] * m[1, 2],
-            -(w[0] * m[2, 3] - w[2] * m[0, 3] + w[3] * m[0, 2]),
-            w[0] * m[1, 3] - w[1] * m[0, 3] + w[3] * m[0, 1],
-            -(w[0] * m[1, 2] - w[1] * m[0, 2] + w[2] * m[0, 1]),
-        )
-    elif d == 5:
-        (e10, e11, e12, e13, e14), (e20, e21, e22, e23, e24) = edges[0], edges[1]
-        (e30, e31, e32, e33, e34), (e40, e41, e42, e43, e44) = edges[2], edges[3]
-        p01 = e10 * e21 - e11 * e20
-        p02 = e10 * e22 - e12 * e20
-        p03 = e10 * e23 - e13 * e20
-        p04 = e10 * e24 - e14 * e20
-        p12 = e11 * e22 - e12 * e21
-        p13 = e11 * e23 - e13 * e21
-        p14 = e11 * e24 - e14 * e21
-        p23 = e12 * e23 - e13 * e22
-        p24 = e12 * e24 - e14 * e22
-        p34 = e13 * e24 - e14 * e23
-        q01 = e30 * e41 - e31 * e40
-        q02 = e30 * e42 - e32 * e40
-        q03 = e30 * e43 - e33 * e40
-        q04 = e30 * e44 - e34 * e40
-        q12 = e31 * e42 - e32 * e41
-        q13 = e31 * e43 - e33 * e41
-        q14 = e31 * e44 - e34 * e41
-        q23 = e32 * e43 - e33 * e42
-        q24 = e32 * e44 - e34 * e42
-        q34 = e33 * e44 - e34 * e43
-        a = (
-            p12 * q34 - p13 * q24 + p14 * q23 + p23 * q14 - p24 * q13 + p34 * q12,
-            -(p02 * q34 - p03 * q24 + p04 * q23 + p23 * q04 - p24 * q03 + p34 * q02),
-            p01 * q34 - p03 * q14 + p04 * q13 + p13 * q04 - p14 * q03 + p34 * q01,
-            -(p01 * q24 - p02 * q14 + p04 * q12 + p12 * q04 - p14 * q02 + p24 * q01),
-            p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01,
-        )
-    else:
-        a = []
-        for j in range(d):
-            minor = [[row[c] for c in range(d) if c != j] for row in edges]
-            sign = -1 if j % 2 else 1
-            a.append(sign * IntMatrix.from_rows(minor).det())
-        a = tuple(a)
-    b = sum(x * y for x, y in zip(a, p0))
-    return a, b
-
+    edges = [[c - c0 for c, c0 in zip(q, p0)] for q in points[1:]]
+    a = tuple((-1) ** j * _bareiss_det([row[:j] + row[j + 1:] for row in edges])
+              for j in range(d))
+    return a, sum(map(mul, a, p0))

@@ -52,9 +52,6 @@ class IntMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 

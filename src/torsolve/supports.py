@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 from .errors import LatticeMembershipError
 from .intlinalg import IntMatrix, smith_normal_form, solve_integer, unimodular_inverse
 
-_COEFF_EPS = 0.0  # stored coefficients must be exactly nonzero
-
 
 @dataclass(frozen=True)
 class Support:
@@ -44,9 +42,6 @@ class Support:
 
     def translate(self, shift: Sequence[int]) -> Support:
         return Support(tuple(tuple(c - s for c, s in zip(p, shift)) for p in self.points))
-
-    def contains_zero(self) -> bool:
-        return any(all(c == 0 for c in p) for p in self.points)
 
 
 @dataclass(frozen=True)

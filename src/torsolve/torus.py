@@ -35,10 +35,6 @@ class MonomialMap:
     def domain_dim(self) -> int:
         return self.matrix.rows
 
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.cols
-
 
 def _cpow(base: complex, e: int) -> complex:
     """Binary exponentiation; one reciprocal per negative exponent."""

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from torsolve import geometry
 from torsolve.geometry import (
     RationalPolytope,
     _affine_rank,
+    _facet_plane,
     _hull,
     _reduce_to_vertices,
     hull_mixed_volume,
@@ -107,7 +107,7 @@ def test_polytope_volume_of_simplices_and_unimodular_cubes(d):
                                    for p in simplex[1:]]).det()
         assert polytope_volume(simplex) == Fraction(abs(det), math.factorial(d))
     if d == 7:
-        return  # the 7-cube's 10,080 boundary simplices take seconds on the exact path
+        return  # the 7-cube's 10,080 boundary simplices take seconds
     k = rng.randint(1, 3)
     shift = [rng.randint(-5, 5) for _ in range(d)]
     U = random_unimodular(d, rng)
@@ -117,7 +117,8 @@ def test_polytope_volume_of_simplices_and_unimodular_cubes(d):
 
 
 @pytest.mark.parametrize("d", range(2, 7))
-def test_hull_exact_visibility_matches_int64(d, monkeypatch):
+def test_hull_matches_scipy_convex_hull(d):
+    scipy_spatial = pytest.importorskip("scipy.spatial")
     rng = random.Random(70 + d)
     cases = []
     while len(cases) < 8:
@@ -125,9 +126,39 @@ def test_hull_exact_visibility_matches_int64(d, monkeypatch):
                       for _ in range(d + 1 + rng.randint(0, 10))})
         if _affine_rank(pts) == d:
             cases.append(pts)
-    fast = [_hull(pts, d) for pts in cases]
-    monkeypatch.setattr(geometry, "_INT64_COORD_LIMIT", -1)  # every hull takes the exact path
-    assert [_hull(pts, d) for pts in cases] == fast
+    for pts in cases:
+        dvol, facets = _hull(pts, d)
+        qh = scipy_spatial.ConvexHull(pts)
+        assert dvol == round(math.factorial(d) * qh.volume)
+        assert set(qh.vertices) <= {v for f in facets for v in f}
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_facet_plane_is_the_cofactor_normal(d):
+    rng = random.Random(90 + d)
+    for _ in range(5):
+        points = [tuple(rng.randint(-50, 50) for _ in range(d)) for _ in range(d)]
+        a, b = _facet_plane(points, d)
+        p0 = points[0]
+        edges = [[c - c0 for c, c0 in zip(q, p0)] for q in points[1:]]
+        for e in edges:
+            assert sum(x * y for x, y in zip(a, e)) == 0
+        for _ in range(5):
+            p = [rng.randint(-10**6, 10**6) for _ in range(d)]
+            det = IntMatrix.from_rows(edges + [[c - c0 for c, c0 in zip(p, p0)]]).det()
+            assert abs(sum(x * y for x, y in zip(a, p)) - b) == abs(det)
+
+
+def test_hull_volume_does_not_overflow_in_six_dimensions():
+    # Corners of {-512, 512}^6: the plane values a . p reach 2**63, past the int64 range.
+    unit = [(-1, -1, -1, -1, -1, 1), (-1, -1, -1, -1, 1, -1), (-1, 1, -1, -1, 1, 1),
+            (-1, 1, -1, 1, 1, -1), (-1, 1, 1, -1, -1, 1), (-1, 1, 1, -1, 1, 1),
+            (-1, 1, 1, 1, -1, -1), (1, -1, -1, -1, 1, 1), (1, -1, -1, 1, 1, 1),
+            (1, -1, 1, -1, -1, -1), (1, 1, -1, -1, -1, -1), (1, 1, -1, 1, -1, -1),
+            (1, 1, -1, 1, -1, 1), (1, 1, -1, 1, 1, -1)]
+    pts = [tuple(512 * c for c in p) for p in unit]
+    assert polytope_volume(pts) == 512 ** 6 * polytope_volume(unit)
+    assert polytope_volume(pts) * 720 == 122209679488325779456
 
 
 def test_reduce_to_vertices_sound():
@@ -238,9 +269,7 @@ def test_hull_facets_cover_boundary_points():
 
 
 @pytest.mark.parametrize("k", [512, 513])
-def test_hull_at_the_int64_coordinate_limit(k):
-    # 512 is the largest coordinate the vectorized int64 visibility test
-    # takes; from 513 on the hull tests visibility with exact objects.
+def test_hull_with_large_coordinates(k):
     cube = [tuple(k * c for c in p) for p in itertools.product([0, 1], repeat=3)]
     assert polytope_volume(cube + [(1, 2, 3), (k - 1, 1, 1)]) == k ** 3
     assert hull_mixed_volume(SupportSystem.of_points([cube, cube, cube])) == 6 * k ** 3

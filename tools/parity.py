@@ -1,12 +1,13 @@
-"""Check that two checkouts solve the benchmark's solver ops alike.
+"""Check that two checkouts solve the benchmark's ops alike.
 
     python3 tools/parity.py PARENT_DIR CHANGE_DIR
 
 Each checkout's `src/` runs in its own subprocess on the ops its
 `perfbench/workloads.py` builds: `decomposable` at seeds 0-9 with 5 rounds
-each, one `general` round and the `blackbox` op. Per op the two runs must
-agree on the status, the error type and message, the decomposition tree
-without `elapsed`, the provenance and the warnings, and the points to 1e-8
+each, `exact` at seeds 0-9 with 3 rounds each, one `general` round and the
+`blackbox` op. Per op the two runs must agree on the status, the error type
+and message, the returned mixed volume or the decomposition tree without
+`elapsed`, the provenance and the warnings, and the points to 1e-8
 relative, point by point. Prints the largest relative point difference and
 the largest residual change, lists the first differences, and exits 1 on any.
 """
@@ -42,7 +43,8 @@ def tree_of(tree):
         return node
     return strip(dataclasses.asdict(tree))
 
-runs = [("decomposable", seed, 5) for seed in range(10)] + [("general", 0, 1), ("blackbox", 0, 1)]
+runs = ([("decomposable", seed, 5) for seed in range(10)] + [("exact", seed, 3) for seed in range(10)]
+        + [("general", 0, 1), ("blackbox", 0, 1)])
 out = {}
 for workload, seed, rounds in runs:
     for r, ops in enumerate(workloads.build(workload, seed, rounds)):
@@ -52,6 +54,13 @@ for workload, seed, rounds in runs:
             except Exception as exc:
                 out[workload, seed, r, op.label] = {"status": type(exc).__name__,
                                                     "message": str(exc)}
+                continue
+            if isinstance(result, int):  # mixed_volume
+                out[workload, seed, r, op.label] = {"status": "ok", "message": "", "mv": result}
+                continue
+            if isinstance(result, torsolve.DecompositionTree):  # predict_tree
+                out[workload, seed, r, op.label] = {"status": "ok", "message": "",
+                                                    "tree": tree_of(result)}
                 continue
             sols = getattr(result, "solutions", result)
             out[workload, seed, r, op.label] = {
@@ -97,10 +106,10 @@ def compare(parent, change):
         if a is None or b is None:
             diffs.append(f"{key}: only in the {'change' if a is None else 'parent'}")
             continue
-        for field in ("status", "message", "tree", "warnings", "provenance"):
+        for field in ("status", "message", "mv", "tree", "warnings", "provenance"):
             if a.get(field) != b.get(field):
                 diffs.append(f"{key}: {field} {a.get(field)!r} -> {b.get(field)!r}")
-        if a["status"] != "ok" or b["status"] != "ok" or len(a["points"]) != len(b["points"]):
+        if "points" not in a or "points" not in b or len(a["points"]) != len(b["points"]):
             continue
         solutions += len(a["points"])
         points = [relative_difference(p, q) for p, q in zip(a["points"], b["points"])]
