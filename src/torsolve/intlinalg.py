@@ -8,6 +8,7 @@ so nothing here may round-trip through floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -83,10 +84,25 @@ class IntMatrix:
         )
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
+        """Determinant: Laplace expansion along the rows with one nonzero
+        entry, then fraction-free (Bareiss) elimination of the minor left."""
+        n = self.rows
+        if n != self.cols:
             raise ValueError("determinant requires a square matrix")
-        return _bareiss_det([list(r) for r in self.entries])
+        perm, scale = [None] * n, 1  # perm[i]: the column of row i's factor
+        for i, row in enumerate(self.entries):
+            if row.count(0) == n - 1:
+                scale *= (v := max(row) or min(row))
+                perm[i] = row.index(v)
+        rows, cols = [i for i in range(n) if perm[i] is None], sorted(set(range(n)).difference(perm))
+        if len(cols) != len(rows):
+            return 0  # two rows are multiples of one unit vector
+        for i, j in zip(rows, cols):
+            perm[i] = j
+        for i in range(n):  # the sign of perm, one flip per transposition
+            while (j := perm[i]) != i:
+                perm[i], perm[j], scale = perm[j], j, -scale
+        return scale * _bareiss_det([[self.entries[i][j] for j in cols] for i in rows])
 
     def adjugate(self) -> IntMatrix:
         """Integer adjugate: A @ A.adjugate() == A.det() * identity."""
@@ -97,7 +113,7 @@ class IntMatrix:
         def cofactor(i, j):
             minor = [[e for c, e in enumerate(row) if c != j]
                      for r, row in enumerate(self.entries) if r != i]
-            return (-1) ** (i + j) * (_bareiss_det(minor) if minor else 1)
+            return (-1) ** (i + j) * _bareiss_det(minor)
 
         return IntMatrix.from_rows([[cofactor(j, i) for j in range(n)] for i in range(n)])
 
@@ -124,7 +140,7 @@ def _bareiss_det(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def _bareiss_rank(m: list[list[int]]) -> int:
@@ -259,10 +275,7 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
             row_addmul(k, bad[0], -1)
             move_min_pivot(k)
 
-    factors = []
-    for k in range(min(n, m)):
-        if S[k][k] != 0:
-            factors.append(S[k][k])
+    factors = [S[k][k] for k in range(min(n, m)) if S[k][k] != 0]
     D = [[S[i][j] if i == j else 0 for j in range(m)] for i in range(n)]
 
     form = SmithForm(
@@ -276,11 +289,19 @@ def smith_normal_form(A: IntMatrix) -> SmithForm:
 
 
 def _check_smith(A: IntMatrix, form: SmithForm):
-    if (form.P @ form.D @ form.Q).entries != A.entries:
+    """Raise AssertionError unless A == P @ D @ Q, D == diag(d_1..d_r, 0, ...), |det P| ==
+    |det Q| == 1 and d_1 | ... | d_r: the whole definition of a Smith form of A. As d_k = 0
+    for k >= r, the product takes n*r*m multiplications; P's columns and Q's rows beyond r
+    meet D's zero rows and columns, so only the determinants, computed in full, see them."""
+    n, m, f = A.rows, A.cols, form.invariant_factors
+    diagonal = f + (0,) * (min(n, m) - len(f))
+    DQ = [tuple(map(operator.mul, f, column)) for column in zip(*form.Q.entries[:len(f)])]
+    if (len(diagonal) != min(n, m)
+            or form.D.entries != tuple(tuple(diagonal[i] if i == j else 0 for j in range(m)) for i in range(n))
+            or A.entries != tuple(tuple(sum(map(operator.mul, p, c)) for c in DQ) for p in form.P.entries)):
         raise AssertionError("Smith normal form reconstruction failed")
     if abs(form.P.det()) != 1 or abs(form.Q.det()) != 1:
         raise AssertionError("Smith normal form transform not unimodular")
-    f = form.invariant_factors
     for a, b in zip(f, f[1:]):
         if b % a != 0:
             raise AssertionError("invariant factor divisibility violated")

@@ -77,38 +77,32 @@ def _report(sols, tree, seed, warnings=None) -> SolveReport:
     )
 
 
+def _entry(solve, F: SparseSystem, seed: int, settings: TrackerSettings | None, *args):
+    """Run one of the recursive solvers below on normalized F, as the root."""
+    F, _ = normalize(F)
+    return solve(F, *args, np.random.SeedSequence(seed), settings or TrackerSettings(), "")
+
+
 def solve_decomposable(F: SparseSystem, seed: int = 0,
                        settings: TrackerSettings | None = None) -> SolveReport:
     """All isolated torus solutions of a generic decomposable sparse system."""
-    settings = settings or TrackerSettings()
-    F, _ = normalize(F)
-    sols, tree = _solve(F, np.random.SeedSequence(seed), settings, "")
-    return _report(sols, tree, seed)
+    return _report(*_entry(_solve, F, seed, settings), seed)
 
 
 def solve_lacunary(F: SparseSystem, classification: Lacunary, seed: int = 0,
                    settings: TrackerSettings | None = None) -> SolveReport:
-    settings = settings or TrackerSettings()
-    F, _ = normalize(F)
-    sols, tree = _solve_lacunary(F, classification, np.random.SeedSequence(seed), settings, "")
-    return _report(sols, tree, seed)
+    return _report(*_entry(_solve_lacunary, F, seed, settings, classification), seed)
 
 
 def solve_triangular(F: SparseSystem, classification: Triangular, seed: int = 0,
                      settings: TrackerSettings | None = None) -> SolveReport:
-    settings = settings or TrackerSettings()
-    F, _ = normalize(F)
-    sols, tree = _solve_triangular(F, classification, np.random.SeedSequence(seed), settings, "")
-    return _report(sols, tree, seed)
+    return _report(*_entry(_solve_triangular, F, seed, settings, classification), seed)
 
 
 def blackbox(F: SparseSystem, seed: int = 0,
              settings: TrackerSettings | None = None) -> SolutionSet:
     """Structure-free fallback solver; asserts the count equals the MV."""
-    settings = settings or TrackerSettings()
-    F, _ = normalize(F)
-    sols, _tree = _blackbox(F, predict_tree(F.system).mv, np.random.SeedSequence(seed), settings, "")
-    return sols
+    return _entry(_blackbox, F, seed, settings, predict_tree(F.system).mv)[0]
 
 
 def decomposable_start_system(S: SupportSystem, seed: int = 0,
