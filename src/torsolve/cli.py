@@ -12,7 +12,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import sys
 import time
 
@@ -179,10 +178,11 @@ def render_tree(tree: DecompositionTree, indent=0) -> list[str]:
 
 
 def _settings(args) -> TrackerSettings:
-    tol = args.tolerance
-    if not 0 < tol < math.inf:
-        raise TorsolveError(f"--tolerance must be a positive finite number, got {tol}")
-    return TrackerSettings(newton_tolerance=tol, success_residual=tol)
+    try:
+        return TrackerSettings(args.tolerance)
+    except ValueError:
+        raise TorsolveError(
+            f"--tolerance must be a positive finite number, got {args.tolerance}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -24,39 +23,13 @@ from .intlinalg import IntMatrix, _bareiss_det, smith_normal_form, unimodular_in
 from .supports import Support, SupportSystem, point_in_hull, subset_span_ranks
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Polytope given by its extreme points (lattice or rational)."""
-
-    vertices: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        vts = tuple(tuple(Fraction(c) for c in p) for p in self.vertices)
-        if not vts:
-            raise ValueError("polytope needs at least one vertex")
-        dim = len(vts[0])
-        if any(len(p) != dim for p in vts):
-            raise ValueError("inconsistent vertex dimensions")
-        object.__setattr__(self, "vertices", vts)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices[0])
-
-
 def polytope_volume(P) -> Fraction:
-    """Exact Euclidean volume; zero when the polytope is dimension deficient."""
-    if isinstance(P, RationalPolytope):
-        points = P.vertices
-    elif isinstance(P, Support):
-        points = P.points
-    else:
-        points = tuple(tuple(c) for c in P)
-    scale = 1
-    for p in points:
-        for c in p:
-            if isinstance(c, Fraction):
-                scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    """Exact Euclidean volume of the hull of a Support or of points with
+    int, Fraction or float coordinates; zero when it is dimension deficient."""
+    points = [tuple(map(Fraction, p)) for p in (P.points if isinstance(P, Support) else P)]
+    if not points or len({len(p) for p in points}) != 1:
+        raise ValueError("polytope_volume needs at least one point, all of one dimension")
+    scale = math.lcm(*(c.denominator for p in points for c in p))
     pts = sorted({tuple(int(c * scale) for c in p) for p in points})
     n = len(pts[0])
     if _affine_rank(pts) < n:

@@ -112,15 +112,8 @@ def decomposable_start_system(S: SupportSystem, seed: int = 0,
     Returns (G, V(G)); the vertex system has the same mixed volume as S, so
     V(G) seeds a straight-line homotopy to any system supported on S.
     """
-    settings = settings or TrackerSettings()
     S, _ = normalize(S)
-    zero, witness = mv_is_zero(S)
-    if zero:
-        raise MixedVolumeZeroError(witness)
-    ss = np.random.SeedSequence(seed)
-    coeff_ss, solve_ss = ss.spawn(2)
-    G = _random_vertex_system(S, np.random.default_rng(coeff_ss))
-    sols, _tree = _solve(G, solve_ss, settings, "start/")
+    G, sols, _ = _vertex_start(S, np.random.SeedSequence(seed), settings or TrackerSettings())
     return G, sols
 
 
@@ -134,20 +127,15 @@ def solve_general(F: SparseSystem, seed: int = 0,
     """
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    zero, witness = mv_is_zero(F.system)
-    if zero:
-        raise MixedVolumeZeroError(witness)
     ss = np.random.SeedSequence(seed)
-    coeff_ss, solve_ss, gamma_ss = ss.spawn(3)
-    G = _random_vertex_system(F.system, np.random.default_rng(coeff_ss))
-    start_sols, start_tree = _solve(G, solve_ss, settings, "start/")
+    G, start_sols, start_tree = _vertex_start(F.system, ss, settings)
     expected = len(start_sols)
 
     T, push, start_points = _compacted(F.system, start_sols.points)
     G_c = _apply_change(G, T)
     F_c = _apply_change(F, T)
 
-    rng = np.random.default_rng(gamma_ss)
+    rng = np.random.default_rng(ss.spawn(1)[0])
     warnings = []
     best = SolutionSet()
     total_paths = 0
@@ -482,7 +470,15 @@ def _apply_change(F: SparseSystem, T: IntMatrix | None) -> SparseSystem:
     )
 
 
-def _random_vertex_system(S: SupportSystem, rng) -> SparseSystem:
+def _vertex_start(S: SupportSystem, ss, settings):
+    """(G, V(G), tree) for a random unit-modulus system G on the vertex
+    supports of normalized S, solved by _solve; G's coefficients and its
+    solve take the first two children of `ss`."""
+    zero, witness = mv_is_zero(S)
+    if zero:
+        raise MixedVolumeZeroError(witness)
+    coeff_ss, solve_ss = ss.spawn(2)
     vsys = SupportSystem(tuple(vertices(s) for s in S.supports))
-    coeffs = tuple(tuple(_unit(rng) for _ in range(len(s))) for s in vsys.supports)
-    return SparseSystem(vsys, coeffs)
+    rng = np.random.default_rng(coeff_ss)
+    G = SparseSystem(vsys, tuple(tuple(_unit(rng) for _ in s.points) for s in vsys.supports))
+    return (G, *_solve(G, solve_ss, settings, "start/"))

@@ -23,6 +23,7 @@ batched Newton on it; newton_refine is the batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,13 @@ _DIVERGENCE_NORM = 1e8
 _TRACK_TORUS_GUARD = 1e-12
 _ENDGAME_T = 1.0 - 1e-6
 _CORRECTOR_ITERS = 3
+_NEWTON_ITERS = 12
+_STEP_START = 1e-2
+_STEP_FLOOR = 1e-10
+_STEP_CEILING = 1e-1
 _STEP_GROWTH = 1.5
 _GROW_AFTER = 4
+_MAX_PATH_STEPS = 4000
 _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
 _DEDUP_TOL = 1e-6
@@ -44,27 +50,22 @@ _DEDUP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TrackerSettings:
-    initial_step: float = 1e-2
-    min_step: float = 1e-10
-    max_step: float = 1e-1
-    newton_tolerance: float = 1e-8
-    max_newton_iters: int = 12
-    max_steps: int = 4000
-    success_residual: float = 1e-8
+    """The tracker's one tolerance: the corrector's residual bound relative
+    to the term magnitudes, and the max-norm residual at which Newton
+    accepts a root."""
+
+    tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= self.max_step < 1):
-            raise ValueError("need 0 < min_step <= initial_step <= max_step < 1")
-        if self.newton_tolerance <= 0 or self.success_residual <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_newton_iters < 1 or self.max_steps < 1:
-            raise ValueError("iteration limits must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
 class PathFailure:
     reason: str  # step-underflow | divergence | left-torus | max-steps | no-convergence
     #              | count-reached (still running when track_all's expected count was in)
+    #              | duplicate-endpoint (track_all: a kept endpoint's repeat)
     t: float
     point: np.ndarray | None = None
 
@@ -232,7 +233,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     if expected is not None and len(H.ct) != 1:
         raise ValueError("an expected count needs a homotopy with one target")
     rows = np.repeat(np.arange(len(H.ct)), P // len(H.ct))  # block k follows target k
-    t, step = np.zeros(P), np.full(P, settings.initial_step)
+    t, step = np.zeros(P), np.full(P, _STEP_START)
     streak, nsteps = np.zeros((2, P), dtype=int)
     running = np.ones(P, dtype=bool)
     outcomes = [None] * P
@@ -265,7 +266,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             if expected is not None and len(found) >= expected:
                 fail(np.flatnonzero(running), "count-reached")
             live = np.flatnonzero(running & (t < _ENDGAME_T))
-            fail(live[nsteps[live] >= settings.max_steps], "max-steps")
+            fail(live[nsteps[live] >= _MAX_PATH_STEPS], "max-steps")
             live = live[running[live]]
             if not live.size:
                 break
@@ -287,12 +288,12 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             fail(won[diverged], "divergence")
             fail(won[~diverged & (size.min(axis=1) < _TRACK_TORUS_GUARD)], "left-torus")
             grow = won[streak[won] >= _GROW_AFTER]
-            step[grow] = np.minimum(step[grow] * _STEP_GROWTH, settings.max_step)
+            step[grow] = np.minimum(step[grow] * _STEP_GROWTH, _STEP_CEILING)
             streak[grow] = 0
 
             streak[lost] = 0
             step[lost] *= 0.5
-            fail(lost[step[lost] < settings.min_step], "step-underflow")
+            fail(lost[step[lost] < _STEP_FLOOR], "step-underflow")
 
     return outcomes, residuals
 
@@ -315,7 +316,7 @@ def _correct(H: Homotopy, X, t, rows, settings):
     todo = np.arange(len(X))
     for _ in range(_CORRECTOR_ITERS):
         values, jac, _, scale = H.state(X[todo], t[todo], rows[todo])
-        done = np.abs(values).max(axis=1) <= settings.newton_tolerance * scale
+        done = np.abs(values).max(axis=1) <= settings.tolerance * scale
         ok[todo[done]] = True
         delta, solved = _solve(jac[~done], -values[~done])
         todo = todo[~done][solved]
@@ -325,7 +326,7 @@ def _correct(H: Homotopy, X, t, rows, settings):
         if not todo.size:
             return ok, X
     values, _, _, scale = H.state(X[todo], t[todo], rows[todo])
-    ok[todo] = np.abs(values).max(axis=1) <= settings.newton_tolerance * scale
+    ok[todo] = np.abs(values).max(axis=1) <= settings.tolerance * scale
     return ok, X
 
 
@@ -335,11 +336,11 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
     Returns (X, residuals, errors): the refined points, their max-norm
     residuals and per row None or the SingularJacobianError or
     NoConvergenceError it failed with. A row stops before any step when its
-    residual is at most 0.01 * success_residual, its Jacobian's condition is
-    checked on the first iteration only, and it converges when its residual
-    is at most success_residual after a small step. Each row takes the steps
-    it would take alone, and a failing row, even a non-finite one, fails
-    only itself.
+    residual is at most 0.01 * settings.tolerance, its Jacobian's condition
+    is checked on the first iteration only, and it converges when its
+    residual is at most settings.tolerance after a small step. Each row
+    takes the steps it would take alone, and a failing row, even a
+    non-finite one, fails only itself.
     """
     X = np.array(X, dtype=complex)
     res = np.full(len(X), np.nan)
@@ -348,20 +349,20 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
     todo = np.arange(len(X))
     # Overflow and NaN are caught per row by the finiteness checks.
     with np.errstate(all="ignore"):
-        for it in range(settings.max_newton_iters + 1):
+        for it in range(_NEWTON_ITERS + 1):
             if not todo.size:
                 break
             values, jac, _, _ = H.state(X[todo], np.ones(len(todo)), rows[todo])
             res[todo] = np.abs(values).max(axis=1)
             if it == 0:
-                done = res[todo] <= 0.01 * settings.success_residual
+                done = res[todo] <= 0.01 * settings.tolerance
             else:
-                done = (res[todo] <= settings.success_residual) & small[todo]
+                done = (res[todo] <= settings.tolerance) & small[todo]
             todo, values, jac = todo[~done], values[~done], jac[~done]
-            if it == settings.max_newton_iters:
+            if it == _NEWTON_ITERS:
                 for i in todo:
                     errors[i] = NoConvergenceError(
-                        f"residual {res[i]:.2e} after {settings.max_newton_iters} iterations")
+                        f"residual {res[i]:.2e} after {_NEWTON_ITERS} iterations")
                 break
             if it == 0:
                 cond = np.full(len(todo), np.inf)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from torsolve.geometry import (
-    RationalPolytope,
     _affine_rank,
     _facet_plane,
     _hull,
@@ -49,6 +48,9 @@ def test_polytope_volume_basics():
     assert polytope_volume([(0, 0), (3, 0), (0, 3)]) == Fraction(9, 2)
     assert polytope_volume([(0, 0), (2, 0)]) == 0  # segment in the plane
     assert polytope_volume([(0, 0, 0)]) == 0
+    for bad in ([], [(0, 0), (1, 0, 5), (0, 1)]):
+        with pytest.raises(ValueError, match="all of one dimension"):
+            polytope_volume(bad)
 
 
 def test_polytope_volume_start_example():
@@ -59,7 +61,10 @@ def test_polytope_volume_start_example():
 
 def test_polytope_volume_rational_scaling():
     tri = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))]
-    assert polytope_volume(RationalPolytope(tuple(tri))) == Fraction(1, 8)
+    assert polytope_volume(tri) == Fraction(1, 8)
+    # float coordinates count at their exact binary value, not truncated
+    assert polytope_volume([(0, 0), (1.5, 0), (0, 1.5)]) == Fraction(9, 8)
+    assert polytope_volume([(0.25, 0), (1, Fraction(1, 3)), (0, 0.5)]) == Fraction(11, 48)
 
 
 def test_polytope_volume_random_vs_shoelace():

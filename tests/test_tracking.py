@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,10 +9,16 @@ from torsolve.errors import NoConvergenceError, SingularJacobianError
 from torsolve.supports import SparseSystem
 from torsolve.torus import diagonal_fiber
 from torsolve.tracking import (
+    _MAX_PATH_STEPS,
+    _NEWTON_ITERS,
+    _STEP_CEILING,
+    _STEP_FLOOR,
+    _STEP_START,
     Homotopy,
     PathFailure,
     SolutionSet,
     TrackerSettings,
+    _correct,
     _newton,
     distinct,
     newton_refine,
@@ -25,13 +33,35 @@ def univariate(coeff_by_exp):
 
 
 def test_settings_validation():
-    TrackerSettings()
-    with pytest.raises(ValueError):
-        TrackerSettings(min_step=1e-2, initial_step=1e-3)
-    with pytest.raises(ValueError):
-        TrackerSettings(max_step=2.0)
-    with pytest.raises(ValueError):
-        TrackerSettings(newton_tolerance=0)
+    assert [f.name for f in dataclasses.fields(TrackerSettings)] == ["tolerance"]
+    assert TrackerSettings().tolerance == 1e-8
+    assert TrackerSettings(1e-6).tolerance == 1e-6
+    for bad in (math.nan, math.inf, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            TrackerSettings(bad)
+
+
+def test_tolerance_sets_the_corrector_bound_and_the_success_residual():
+    F = univariate({0: -2.0, 2: 1.0})  # x^2 - 2
+    H = as_homotopy(F)
+    root = math.sqrt(2.0)
+    one = np.zeros(1, dtype=int)
+
+    # Corrector: residual 2.8e-6 against term scale 4 is within 1e-3 relative,
+    # so the loose bound takes no step; the default one refines to the root.
+    x = np.array([[root + 1e-6]], dtype=complex)
+    runs = {tol: _correct(H, x.copy(), np.ones(1), one, TrackerSettings(tol))
+            for tol in (1e-3, 1e-8)}
+    assert runs[1e-3][0][0] and np.array_equal(runs[1e-3][1], x)
+    assert runs[1e-8][0][0] and abs(runs[1e-8][1][0, 0] - root) < 1e-12
+
+    # Newton: a start with residual 2.8e-7 is within 0.01 * 1e-3 and comes
+    # back untouched; at the default it is refined.
+    x0 = np.array([root + 1e-7])
+    point, res = newton_refine(F, x0, TrackerSettings(1e-3))
+    assert np.array_equal(point, x0) and 1e-7 < res < 1e-5
+    point, res = newton_refine(F, x0)
+    assert abs(point[0] - root) < 1e-14 and res <= 1e-8
 
 
 def test_constant_path():
@@ -239,7 +269,7 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
     def correct(x, t):
         for _ in range(3):
             values, jac, _, scale = state(x, t)
-            if float(np.max(np.abs(values))) <= settings.newton_tolerance * scale:
+            if float(np.max(np.abs(values))) <= settings.tolerance * scale:
                 return True, x
             try:
                 x = x + np.linalg.solve(jac, -values)
@@ -248,11 +278,11 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
             if not np.all(np.isfinite(x)) or np.any(np.abs(x) < 1e-12):
                 return False, x
         values, _, _, scale = state(x, t)
-        return float(np.max(np.abs(values))) <= settings.newton_tolerance * scale, x
+        return float(np.max(np.abs(values))) <= settings.tolerance * scale, x
 
-    x, t, step, streak, nsteps = np.asarray(x0, dtype=complex).copy(), 0.0, settings.initial_step, 0, 0
+    x, t, step, streak, nsteps = np.asarray(x0, dtype=complex).copy(), 0.0, _STEP_START, 0, 0
     while t < 1.0 - 1e-6:
-        if nsteps >= settings.max_steps:
+        if nsteps >= _MAX_PATH_STEPS:
             return PathFailure("max-steps", t, x)
         nsteps += 1
         dt = min(step, 1.0 - t)
@@ -268,10 +298,10 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
             if float(np.min(np.abs(x))) < 1e-12:
                 return PathFailure("left-torus", t, x)
             if streak >= 4:
-                step, streak = min(step * 1.5, settings.max_step), 0
+                step, streak = min(step * 1.5, _STEP_CEILING), 0
         else:
             streak, step = 0, step * 0.5
-            if step < settings.min_step:
+            if step < _STEP_FLOOR:
                 return PathFailure("step-underflow", t, x)
     try:
         refined, _ = reference_newton(point_system(H.E, H.starts, H.ct[0]), x, settings)
@@ -298,13 +328,13 @@ def reference_newton(evaluate, x, settings=TrackerSettings()):
     """The per-point Newton the batched one replaced, on a point_system."""
     x = np.asarray(x, dtype=complex).copy()
     res = float(np.max(np.abs(evaluate(x)[0])))
-    if res <= 0.01 * settings.success_residual:
+    if res <= 0.01 * settings.tolerance:
         return x, res
     step_small = False
-    for it in range(settings.max_newton_iters):
+    for it in range(_NEWTON_ITERS):
         values, jac = evaluate(x)
         res = float(np.max(np.abs(values)))
-        if res <= settings.success_residual and step_small:
+        if res <= settings.tolerance and step_small:
             return x, res
         if it == 0:
             cond = np.linalg.cond(jac)
@@ -319,9 +349,9 @@ def reference_newton(evaluate, x, settings=TrackerSettings()):
             raise NoConvergenceError("Newton iterate left the finite range")
         step_small = float(np.max(np.abs(delta))) <= 1e-8 * (1.0 + float(np.max(np.abs(x))))
     res = float(np.max(np.abs(evaluate(x)[0])))
-    if res <= settings.success_residual and step_small:
+    if res <= settings.tolerance and step_small:
         return x, res
-    raise NoConvergenceError(f"residual {res:.2e} after {settings.max_newton_iters} iterations")
+    raise NoConvergenceError(f"residual {res:.2e} after {_NEWTON_ITERS} iterations")
 
 
 def as_homotopy(F):

@@ -5,11 +5,15 @@
 Each checkout's `src/` runs in its own subprocess on the ops its
 `perfbench/workloads.py` builds: `decomposable` at seeds 0-9 with 5 rounds
 each, `exact` at seeds 0-9 with 3 rounds each, one `general` round and the
-`blackbox` op. Per op the two runs must agree on the status, the error type
-and message, the returned mixed volume or the decomposition tree without
-`elapsed`, the provenance and the warnings, and the points to 1e-8
-relative, point by point. Prints the largest relative point difference and
-the largest residual change, lists the first differences, and exits 1 on any.
+`blackbox` op; then `torsolve solve FILE --json --tolerance=T` on the three
+acceptance systems for each T in CLI_TOLERANCES, since no op sets a
+tolerance. Per op the two runs must agree on the status, the error type
+and message (for the CLI, its standard error), the returned mixed volume
+or the decomposition tree without `elapsed`, the provenance and the
+warnings, the CLI's JSON output without `elapsed_ms`, and the points to
+1e-8 relative, point by point. Prints the largest relative point
+difference and the largest residual change, lists the first differences,
+and exits 1 on any.
 """
 
 import argparse
@@ -20,16 +24,19 @@ from pathlib import Path
 
 POINT_TOL = 1e-8
 SHOWN = 20
+CLI_TOLERANCES = ("1e-6", "1e-10")
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # {(workload, seed, round, label): record} to standard output.
 CHILD = """
-import dataclasses, pickle, sys
+import contextlib, dataclasses, io, json, pickle, sys, tempfile
 from pathlib import Path
 root = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import numpy as np
 import torsolve
+import torsolve.cli
 import workloads
+TOLERANCES = sys.argv[2:]
 if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
     raise SystemExit(f"imported torsolve from {torsolve.__file__}")
 
@@ -72,13 +79,37 @@ for workload, seed, rounds in runs:
                 "points": [np.asarray(p) for p in sols.points],
                 "residuals": list(sols.residuals),
             }
+
+def strip_elapsed_ms(node):
+    node.pop("elapsed_ms")
+    for child in node.get("children", []):
+        strip_elapsed_ms(child)
+
+with tempfile.TemporaryDirectory() as tmp:
+    for name, F, _ in workloads.acceptance_systems():
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(torsolve.cli.system_to_obj(F)))
+        for tol in TOLERANCES:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = torsolve.cli.main(["solve", str(path), "--json", f"--tolerance={tol}"])
+            obj = json.loads(stdout.getvalue()) if stdout.getvalue() else {}
+            if "tree" in obj:
+                strip_elapsed_ms(obj["tree"])
+            out["cli --tolerance", tol, 0, name] = {
+                "status": "ok" if code == 0 else f"exit {code}",
+                "message": stderr.getvalue(),
+                "json": obj,
+                "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
+                "residuals": obj.get("residuals", []),
+            }
 sys.stdout.buffer.write(pickle.dumps(out))
 """
 
 
 def solve_all(checkouts):
     """The CHILD records of each checkout, both run at the same time."""
-    procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d)], cwd=d,
+    procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
     for d, proc in zip(checkouts, procs):
@@ -109,6 +140,10 @@ def compare(parent, change):
         for field in ("status", "message", "mv", "tree", "warnings", "provenance"):
             if a.get(field) != b.get(field):
                 diffs.append(f"{key}: {field} {a.get(field)!r} -> {b.get(field)!r}")
+        json_a, json_b = a.get("json", {}), b.get("json", {})
+        if json_a != json_b:
+            keys = sorted(k for k in {**json_a, **json_b} if json_a.get(k) != json_b.get(k))
+            diffs.append(f"{key}: JSON output differs in {keys}")
         if "points" not in a or "points" not in b or len(a["points"]) != len(b["points"]):
             continue
         solutions += len(a["points"])
