@@ -15,6 +15,12 @@ over the running paths on a (P, n, n) Jacobian stack. Each path takes the
 steps it would take alone, a failing path drops out without touching the
 others, and track_path is the batch of one.
 
+One state per tracker point: each path keeps H, its Jacobian and dH/dt at
+its current (x, t), from the corrector evaluation that accepted the point,
+so the next predictor evaluates nothing; only the first step evaluates its
+own, and a path that ends at t = 1 hands the kept H and Jacobian of its
+target to the endgame Newton's first iteration.
+
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton of the paths that reach _ENDGAME_T in a pass,
 and the refinement of a solver's candidates on the full system, run as one
@@ -46,6 +52,7 @@ _MAX_PATH_STEPS = 4000
 _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
 _DEDUP_TOL = 1e-6
+_CLOSE_PAIRS = 2048  # point pairs per block of _close
 
 
 @dataclass(frozen=True)
@@ -85,14 +92,15 @@ class SolutionSet:
         self.provenance.append(origin)
 
     def sort(self):
-        order = sorted(range(len(self.points)), key=lambda i: sort_key(self.points[i]))
+        """Order by the coordinates' real and imaginary parts, rounded to 9
+        decimals, first coordinate first; ties keep their order."""
+        if not self.points:
+            return
+        keys = np.round(np.array(self.points).view(float), 9)
+        order = np.lexsort(keys.T[::-1])
         self.points = [self.points[i] for i in order]
         self.residuals = [self.residuals[i] for i in order]
         self.provenance = [self.provenance[i] for i in order]
-
-
-def sort_key(point) -> tuple:
-    return tuple(v for z in point for v in (round(z.real, 9), round(z.imag, 9)))
 
 
 def relative_distance(x, y) -> float:
@@ -102,19 +110,34 @@ def relative_distance(x, y) -> float:
     return float(np.max(np.abs(x - y))) / scale
 
 
-def _is_new(kept: np.ndarray, x: np.ndarray) -> bool:
-    """Whether x is at relative_distance at least _DEDUP_TOL from every row of kept."""
-    scale = np.maximum(1.0, np.maximum(np.abs(kept).max(axis=1), np.abs(x).max()))
-    return not np.any(np.abs(kept - x).max(axis=1) / scale < _DEDUP_TOL)
+def _close(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) mask of the pairs of rows at relative_distance below
+    _DEDUP_TOL, built _CLOSE_PAIRS pairs and one coordinate at a time so that
+    its temporaries stay small."""
+    size_a, size_b = np.abs(A).max(axis=1), np.abs(B).max(axis=1)
+    close = np.empty((len(A), len(B)), dtype=bool)
+    step = max(1, _CLOSE_PAIRS // max(1, len(B)))
+    for lo in range(0, len(A), step):
+        rows = slice(lo, lo + step)
+        gap = np.zeros((len(A[rows]), len(B)))
+        for j in range(A.shape[1]):
+            np.maximum(gap, np.abs(A[rows, j, None] - B[None, :, j]), out=gap)
+        gap /= np.maximum(1.0, np.maximum(size_a[rows, None], size_b))
+        close[rows] = gap < _DEDUP_TOL
+    return close
 
 
 def distinct(points) -> np.ndarray:
     """Mask of the points a greedy pass keeps: in order, a point is dropped
     when its relative_distance to an earlier kept point is below _DEDUP_TOL."""
     X = np.asarray(points, dtype=complex)
-    keep = np.zeros(len(X), dtype=bool)
-    for i in range(len(X)):
-        keep[i] = _is_new(X[:i][keep[:i]], X[i])
+    if not len(X):
+        return np.zeros(0, dtype=bool)
+    close = _close(X, X)
+    close[np.arange(len(X))[:, None] <= np.arange(len(X))] = False  # keep close[i, k] for k < i
+    keep = ~close.any(axis=1)
+    for i in np.flatnonzero(~keep):  # rows near an earlier point, in order
+        keep[i] = not close[i, keep].any()
     return keep
 
 
@@ -147,8 +170,16 @@ class Homotopy:
         gcs = self.gamma[:, None] * self.cs
         self._ct_float, self._gcs_float = self.ct.view(float), gcs.view(float)
         self._dc = self.ct - gcs
-        self._ET = np.ascontiguousarray(self.E.T)
         self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
+        # The power table's exponents: row j holds the distinct exponents of
+        # x_j, zero-padded to one width U <= M; monomial a is the product over
+        # j of table column _columns[j][a] of the flattened (n * U) table.
+        exps = [sorted(set(column)) for column in self.E.T.tolist()]
+        width = max(map(len, exps))
+        self._exps = np.array([u + [0] * (width - len(u)) for u in exps], dtype=complex)
+        position = [{e: j * width + k for k, e in enumerate(u)} for j, u in enumerate(exps)]
+        self._columns = np.array([[at[e] for e in column]
+                                  for at, column in zip(position, self.E.T.tolist())])
 
     @property
     def n(self) -> int:
@@ -177,17 +208,18 @@ class Homotopy:
         """H, its x-Jacobian, dH/dt and a term-magnitude scale at P points.
 
         X is (P, n), t is (P,) and rows (P,) are the target rows; the results
-        have shapes (P, n), (P, n, n), (P, n) and (P,). Monomials are
-        exp(log|x| @ E.T) times cos/sin(arg x @ E.T): two real matmuls and a
-        real exp cost a small fraction of a complex matmul and a complex exp.
+        have shapes (P, n), (P, n, n), (P, n) and (P,). The monomials come
+        from a (P, n, U) table of the integer powers each variable occurs
+        with: numpy raises a complex number to an integer power below 100 by
+        repeated squaring, with no log, exp or trigonometric function, and U
+        is at most the monomial count whatever the exponents' size.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mag = np.exp(np.log(np.abs(X)) @ self._ET)
-            phase = np.angle(X) @ self._ET
-            mono = np.empty(mag.shape, dtype=complex)
-            np.multiply(mag, np.cos(phase), out=mono.real)
-            np.multiply(mag, np.sin(phase), out=mono.imag)
-            del mag, phase
+            table = np.power(X[:, :, None], self._exps).reshape(len(X), self._exps.size)
+            mono = table.take(self._columns[0], axis=1)
+            for columns in self._columns[1:]:
+                mono *= table.take(columns, axis=1)
+            del table
             # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary
             # parts; a real t times a complex array goes through cast buffers.
             terms = self._ct_float[rows]
@@ -239,6 +271,10 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     outcomes = [None] * P
     residuals = np.full(P, np.nan)
     found = []  # distinct endpoints so far
+    # H, its x-Jacobian and dH/dt at each path's (X, t): evaluated here for
+    # the first step, then kept from the corrector evaluation that accepted
+    # the path's point. A rejected step leaves X and t, so they stay valid.
+    kept = H.state(X, t, rows)[:3]
 
     def fail(paths, reason):
         running[paths] = False
@@ -249,14 +285,18 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
         if not paths.size:
             return
         running[paths] = False
-        for i, refined, res, error in zip(paths, *_newton(H, X[paths], rows[paths], settings)):
+        # A path at t = 1 keeps H and its Jacobian at the target already.
+        known = (t[paths] == 1.0, kept[0][paths], kept[1][paths])
+        newton = _newton(H, X[paths], rows[paths], settings, known)
+        for i, refined, res, error in zip(paths, *newton):
             if error is not None:
                 outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
             elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
                 outcomes[i] = PathFailure("left-torus", 1.0, refined)
             else:
                 outcomes[i], residuals[i] = refined, res
-                if expected is not None and _is_new(np.reshape(found, (-1, H.n)), refined):
+                if expected is not None and not _close(np.reshape(found, (-1, H.n)),
+                                                       refined[None]).any():
                     found.append(refined)
 
     # Overflow and NaN are caught per path by the finiteness checks.
@@ -272,16 +312,15 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
                 break
             nsteps[live] += 1
             t0 = t[live]
-            dt = np.minimum(step[live], 1.0 - t0)
-            _, jac, dvals, _ = H.state(X[live], t0, rows[live])
-            tangent, ok = _solve(jac, -dvals)
-            corrected, xn = _correct(H, X[live] + dt[:, None] * tangent, t0 + dt, rows[live],
-                                     settings)
-            ok &= corrected & np.isfinite(xn).all(axis=1)
+            t1 = t0 + np.minimum(step[live], 1.0 - t0)
+            tangent, solved = _solve(kept[1][live], -kept[2][live])
+            xn = X[live] + (t1 - t0)[:, None] * tangent
+            xn[~solved] = np.nan  # no predictor: the corrector rejects the step
+            ok = _correct(H, xn, t1, rows[live], settings, kept, live)
 
             won, lost = live[ok], live[~ok]
             X[won] = xn[ok]
-            t[won] = (t0 + dt)[ok]
+            t[won] = t1[ok]
             streak[won] += 1
             size = np.abs(X[won])
             diverged = size.max(axis=1) > _DIVERGENCE_NORM
@@ -309,28 +348,33 @@ def _solve(A, b):
     return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _correct(H: Homotopy, X, t, rows, settings):
-    """At most three Newton steps on H(., t) for every row of X; success is
-    a small residual relative to the term magnitudes. Returns (ok, X)."""
+def _correct(H: Homotopy, X, t, rows, settings, kept, paths):
+    """At most three Newton steps on H(., t) for every finite row of X,
+    corrected in place; success is a small residual relative to the term
+    magnitudes. Returns the success mask. For each row that succeeds, the
+    state evaluation that accepted it, H, its x-Jacobian and dH/dt, is
+    written to row paths[i] of the three arrays `kept`."""
     ok = np.zeros(len(X), dtype=bool)
-    todo = np.arange(len(X))
-    for _ in range(_CORRECTOR_ITERS):
-        values, jac, _, scale = H.state(X[todo], t[todo], rows[todo])
+    todo = np.flatnonzero(np.isfinite(X).all(axis=1))
+    for it in range(_CORRECTOR_ITERS + 1):
+        state = H.state(X[todo], t[todo], rows[todo])
+        values, jac, _, scale = state
         done = np.abs(values).max(axis=1) <= settings.tolerance * scale
         ok[todo[done]] = True
+        for out, new in zip(kept, state):
+            out[paths[todo[done]]] = new[done]
+        if it == _CORRECTOR_ITERS:
+            return ok
         delta, solved = _solve(jac[~done], -values[~done])
         todo = todo[~done][solved]
         X[todo] += delta[solved]
         x = X[todo]
         todo = todo[np.isfinite(x).all(axis=1) & ~(np.abs(x) < _TRACK_TORUS_GUARD).any(axis=1)]
         if not todo.size:
-            return ok, X
-    values, _, _, scale = H.state(X[todo], t[todo], rows[todo])
-    ok[todo] = np.abs(values).max(axis=1) <= settings.tolerance * scale
-    return ok, X
+            return ok
 
 
-def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
+def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
     """Newton on the target rows of H at t = 1, from every row of X at once.
 
     Returns (X, residuals, errors): the refined points, their max-norm
@@ -340,7 +384,8 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
     is checked on the first iteration only, and it converges when its
     residual is at most settings.tolerance after a small step. Each row
     takes the steps it would take alone, and a failing row, even a
-    non-finite one, fails only itself.
+    non-finite one, fails only itself. `known` is (mask, values, Jacobians):
+    the rows in the mask take their first H and Jacobian at t = 1 from it.
     """
     X = np.array(X, dtype=complex)
     res = np.full(len(X), np.nan)
@@ -352,7 +397,14 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
         for it in range(_NEWTON_ITERS + 1):
             if not todo.size:
                 break
-            values, jac, _, _ = H.state(X[todo], np.ones(len(todo)), rows[todo])
+            if it == 0 and known is not None:
+                mask, values, jac = known
+                fresh = np.flatnonzero(~mask)
+                if fresh.size:
+                    values[fresh], jac[fresh], _, _ = H.state(X[fresh], np.ones(len(fresh)),
+                                                              rows[fresh])
+            else:
+                values, jac, _, _ = H.state(X[todo], np.ones(len(todo)), rows[todo])
             res[todo] = np.abs(values).max(axis=1)
             if it == 0:
                 done = res[todo] <= 0.01 * settings.tolerance

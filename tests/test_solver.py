@@ -14,7 +14,7 @@ from torsolve.solver import (
     solve_general,
 )
 from torsolve.torus import monomial_value
-from torsolve.tracking import relative_distance, sort_key
+from torsolve.tracking import relative_distance
 
 START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
 
@@ -194,6 +194,34 @@ def test_blackbox_count_mismatch_on_multiple_root():
         blackbox(F, seed=1)
     assert err.value.expected == 2
     assert err.value.partial is not None and len(err.value.partial) <= 1
+
+
+# The MV-5 black-box leaf, unit coefficients, that `decomposable` seed 2,
+# round 1, e-basis[0] of the benchmark reaches. Its fifth root lies at
+# |x| = 382.4 and is well conditioned, but monomials taken as exp(e log|x|)
+# times cos/sin(e arg x) left its absolute residual between 3e-11 and 1e-7,
+# above the 1e-8 Newton accepts, so the leaf came up one root short under
+# every gamma.
+MV5_LEAF = SparseSystem.from_pairs([
+    [((0, 0), -0.4441441033124848 + 0.895955364676583j),
+     ((0, 1), 0.4243724729479075 + 0.905487716208275j),
+     ((1, 0), 0.4171212558036969 + 0.9088508447246704j),
+     ((1, 1), -0.3118919214761634 + 0.9501175871006213j),
+     ((2, 0), -0.07435073465427101 - 0.9972321536414528j)],
+    [((0, 0), 0.0350883892838405 - 0.9993842128718392j),
+     ((1, -1), 0.9376976768451935 + 0.3474522511642817j),
+     ((1, 0), -0.65593633454882 + 0.7548162193664485j),
+     ((1, 1), 0.204410683596754 + 0.9788852192323203j),
+     ((2, 0), -0.5572492630914295 - 0.8303452648049838j)],
+])
+
+
+def test_blackbox_finds_the_far_root_of_an_mv5_leaf():
+    sols = blackbox(MV5_LEAF)
+    assert len(sols) == 5 and max(sols.residuals) <= 1e-8
+    assert_solves(MV5_LEAF, sols)
+    sizes = sorted(float(np.abs(p).max()) for p in sols.points)
+    assert sizes[-1] == pytest.approx(382.4034, rel=1e-6) and sizes[-2] < 3
 
 
 def test_blackbox_mv_zero_reports_the_first_witness():

@@ -49,11 +49,18 @@ def test_tolerance_sets_the_corrector_bound_and_the_success_residual():
 
     # Corrector: residual 2.8e-6 against term scale 4 is within 1e-3 relative,
     # so the loose bound takes no step; the default one refines to the root.
+    # Either way it keeps H, the Jacobian and dH/dt at the point it accepts.
     x = np.array([[root + 1e-6]], dtype=complex)
-    runs = {tol: _correct(H, x.copy(), np.ones(1), one, TrackerSettings(tol))
-            for tol in (1e-3, 1e-8)}
-    assert runs[1e-3][0][0] and np.array_equal(runs[1e-3][1], x)
-    assert runs[1e-8][0][0] and abs(runs[1e-8][1][0, 0] - root) < 1e-12
+    runs = {}
+    for tol in (1e-3, 1e-8):
+        corrected = x.copy()
+        kept = [np.zeros((1, 1), complex), np.zeros((1, 1, 1), complex), np.zeros((1, 1), complex)]
+        ok = _correct(H, corrected, np.ones(1), one, TrackerSettings(tol), kept, np.arange(1))
+        assert ok[0]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, H.state(corrected, np.ones(1), one)))
+        runs[tol] = corrected
+    assert np.array_equal(runs[1e-3], x)
+    assert abs(runs[1e-8][0, 0] - root) < 1e-12
 
     # Newton: a start with residual 2.8e-7 is within 0.01 * 1e-3 and comes
     # back untouched; at the default it is refined.
@@ -180,6 +187,52 @@ def test_solution_set_sorting():
     assert s.provenance == ["a", "b"]
 
 
+def reference_sort_key(point) -> tuple:
+    """The per-point key the vectorized SolutionSet.sort replaced."""
+    return tuple(v for z in point for v in (round(z.real, 9), round(z.imag, 9)))
+
+
+def reference_is_new(kept, x) -> bool:
+    """The per-point test the pairwise distinct() replaced."""
+    scale = np.maximum(1.0, np.maximum(np.abs(kept).max(axis=1), np.abs(x).max()))
+    return not np.any(np.abs(kept - x).max(axis=1) / scale < 1e-6)
+
+
+def test_sort_and_distinct_match_the_per_point_references():
+    rng = np.random.default_rng(23)
+    base = [rng.integers(-3, 4, 3) * 1e-9 * rng.integers(1, 10**6) + 1j * rng.integers(-2, 3, 3)
+            for _ in range(20)]
+    points = []
+    for p in base:
+        points.append(p)
+        scale = max(1.0, float(np.max(np.abs(p))))
+        tie = p.copy()
+        tie[0] += 1e-12  # rounds like p in its first coordinate, then differs
+        tie[1:] = rng.integers(-2, 3, 2) + 0.5j
+        points += [tie, p.copy()]  # a rounding tie, and an exact repeat
+        # A chain: the second point is close to p, the third only to the second.
+        for rel in (0.6e-6, 1.2e-6):
+            points.append(p + rel * scale)
+    order = rng.permutation(len(points))
+    points = [points[i] for i in order]
+
+    s = SolutionSet()
+    for i, p in enumerate(points):
+        s.append(p, 0.0, str(i))
+    s.sort()
+    assert s.provenance == [str(i) for i in sorted(range(len(points)),
+                                                    key=lambda i: reference_sort_key(points[i]))]
+    assert len({reference_sort_key(p) for p in points}) < len(points)  # ties occur
+
+    expected, kept = [], np.empty((0, 3), dtype=complex)
+    for p in points:
+        expected.append(reference_is_new(kept, p))
+        if expected[-1]:
+            kept = np.vstack([kept, p])
+    assert distinct(points).tolist() == expected
+    assert 20 < sum(expected) < len(points) - 20
+
+
 def assert_batch_matches_single_paths(H, starts):
     """track_all gives every start the outcome that track_path, and the
     per-path reference loop below, give it alone."""
@@ -203,7 +256,9 @@ def assert_batch_matches_single_paths(H, starts):
     return reasons
 
 
-def test_track_all_equals_track_path_on_total_degree_homotopy():
+def mixed_batches():
+    """(H, starts) of two mixed batches: total degree with excess and
+    duplicate paths, and a batch with a singular and a diverging path."""
     # 8 total-degree paths for a system of mixed volume 3: some excess paths
     # fail, the rest end at the 3 roots, some of them more than once.
     F = SparseSystem.from_pairs([
@@ -212,22 +267,45 @@ def test_track_all_equals_track_path_on_total_degree_homotopy():
     ])
     b = [np.exp(0.4j), np.exp(2.1j)]
     G = SparseSystem.from_pairs([[((0, 0), -b[0]), ((4, 0), 1.0)], [((0, 0), -b[1]), ((0, 2), 1.0)]])
-    H = Homotopy.straight_line(G, F, gamma=np.exp(1.3j))
-    starts = diagonal_fiber([4, 2], b)
+    yield Homotopy.straight_line(G, F, gamma=np.exp(1.3j)), diagonal_fiber([4, 2], b)
+    # x^3 - 3x - 1 has a singular Jacobian at x = 1 (not a root), and the
+    # target 1e4 x^2 - 4e4 has lost one root, so one path runs to infinity.
+    G = univariate({0: -1.0, 1: -3.0, 3: 1.0})
+    F = univariate({0: -4e4, 2: 1e4})
+    starts = [np.array([r + 0j]) for r in np.roots([1, 0, -3, -1])] + [np.array([1.0 + 0j])]
+    yield Homotopy.straight_line(G, F, gamma=np.exp(0.3j)), starts
+
+
+def test_track_all_equals_track_path_on_total_degree_homotopy():
+    H, starts = list(mixed_batches())[0]
     reasons = assert_batch_matches_single_paths(H, starts)
     assert len(reasons) == 8 and 3 <= reasons.count("ok") < 8
     assert len(track_all(H, starts)[0]) == 3
 
 
 def test_mixed_batch_singular_and_diverging_paths():
-    # x^3 - 3x - 1 has a singular Jacobian at x = 1 (not a root), and the
-    # target 1e4 x^2 - 4e4 has lost one root, so one path runs to infinity.
-    G = univariate({0: -1.0, 1: -3.0, 3: 1.0})
-    F = univariate({0: -4e4, 2: 1e4})
-    H = Homotopy.straight_line(G, F, gamma=np.exp(0.3j))
-    starts = [np.array([r + 0j]) for r in np.roots([1, 0, -3, -1])] + [np.array([1.0 + 0j])]
+    H, starts = list(mixed_batches())[1]
     reasons = assert_batch_matches_single_paths(H, starts)
     assert sorted(reasons) == ["divergence", "ok", "ok", "step-underflow"]
+
+
+@pytest.mark.parametrize("batch", [0, 1])
+def test_track_all_evaluates_no_point_twice(monkeypatch, batch):
+    # The predictor takes the corrector's evaluation at the point it
+    # accepted, and the endgame Newton that of a path ending at t = 1.
+    H, starts = list(mixed_batches())[batch]
+    seen = []
+    state = Homotopy.state
+
+    def recording(self, X, t, rows):
+        seen.extend((int(r), float(s), x.tobytes()) for r, s, x in zip(rows, t, X))
+        return state(self, X, t, rows)
+
+    monkeypatch.setattr(Homotopy, "state", recording)
+    track_all(H, starts)
+    monkeypatch.undo()
+    assert len(seen) > 10 * len(starts) and len(set(seen)) == len(seen)
+    assert_batch_matches_single_paths(H, starts)
 
 
 def test_distinct_matches_pairwise_greedy_loop():
@@ -465,6 +543,76 @@ def test_homotopy_state_matches_finite_differences():
         else:
             approx = (H.state(X, T + h, rows)[0] - H.state(X, T - h, rows)[0]) / (2 * h)
             assert np.max(np.abs(approx - dt)) <= 1e-6 * max(1.0, np.max(np.abs(dt)))
+
+
+KERNEL_SUPPORTS = {
+    "negative": [[(0, 0, 0), (-1, 0, 2), (-3, -2, 1)], [(0, 0, 0), (0, -4, 0), (2, 1, -1)],
+                 [(1, 1, 1), (0, 0, -2), (-5, 0, 0)]],
+    "zero": [[(0, 0, 0), (2, 0, 0)], [(0, 0, 0), (0, 3, 0), (1, 0, 0)], [(0, 0, 0), (0, 0, 1)]],
+    "large": [[(0, 0, 0), (100, 0, 1), (0, 150, 0)], [(0, 0, 0), (1, 0, 0), (0, 0, 120)],
+              [(0, 1, 0), (101, 0, -100), (0, 0, 0)]],
+    "mixed": [[(0, 0, 0), (3, -2, 0), (-1, 4, 7)], [(2, -2, 2), (0, 1, 0), (-3, 0, 5)],
+              [(0, 0, 0), (1, 1, -1), (-2, 3, 0)]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_SUPPORTS))
+def test_homotopy_state_matches_python_complex_arithmetic(case):
+    """Values, Jacobian and dH/dt against a sum over monomials in Python
+    complex arithmetic. Below exponent 100 numpy and Python both raise to an
+    integer power by repeated squaring, so they agree to 1e-14 of the term
+    magnitudes; x**e has condition number |e|, so above that, where each
+    uses its own polar formula, the bound grows with the largest |e|."""
+    rng = np.random.default_rng(29)
+    supports = KERNEL_SUPPORTS[case]
+    emax = max(abs(e) for sup in supports for p in sup for e in p)
+    tol = 1e-14 * max(1.0, emax / 10) if emax >= 100 else 1e-14
+
+    def system():
+        return SparseSystem.from_pairs([[(p, complex(*rng.normal(size=2))) for p in sup]
+                                        for sup in supports])
+
+    H = Homotopy.straight_line(system(), [system(), system()], np.exp(1j * np.array([0.8, 2.3])))
+    spread = 0.01 if emax >= 100 else 0.5  # keep |x|^e within a few orders of 1
+    X = np.exp(rng.uniform(-spread, spread, (4, 3)) + 1j * rng.uniform(-np.pi, np.pi, (4, 3)))
+    t, rows = np.array([0.0, 0.3, 0.9, 1.0]), np.array([0, 1, 1, 0])
+    values, jac, dt, _ = H.state(X, t, rows)
+    for r in range(len(X)):
+        x = [complex(v) for v in X[r]]
+        for i, sup in enumerate(supports):
+            a, b = H.starts[i], H.starts[i] + len(sup)
+            cs = [complex(c) for c in H.gamma[rows[r]] * H.cs[a:b]]
+            ct = [complex(c) for c in H.ct[rows[r], a:b]]
+            mono = [math.prod(xj ** int(e) for xj, e in zip(x, E)) for E in H.E[a:b]]
+            terms = [(t[r] * f + (1 - t[r]) * g) * m for f, g, m in zip(ct, cs, mono)]
+            bound = tol * sum(map(abs, terms))
+            assert abs(values[r, i] - sum(terms)) <= bound
+            assert abs(dt[r, i] - sum((f - g) * m for f, g, m in zip(ct, cs, mono))) <= (
+                tol * sum(abs((f - g) * m) for f, g, m in zip(ct, cs, mono)))
+            for j in range(3):
+                parts = [term * E[j] / x[j] for term, E in zip(terms, H.E[a:b])]
+                assert abs(jac[r, i, j] - sum(parts)) <= tol * sum(map(abs, parts))
+
+
+def test_power_table_is_no_wider_than_the_monomial_count():
+    # x^1000 takes one column of the table, not a range of a thousand.
+    F = SparseSystem.from_pairs([[((0, 0), 1.0), ((1000, 0), -1.0), ((0, 1), 2.0)],
+                                 [((0, 0), 1.0), ((1, 1), 1.0), ((0, 1000), -1.0)]])
+    H = as_homotopy(F)
+    assert H._exps.shape == (2, 3) and H._exps.shape[1] <= len(H.E)
+    assert sorted(H._exps[0].real) == [0, 1, 1000]
+    x = np.exp(1j * np.array([[0.3, -1.1]]))
+    values = H.state(x, np.ones(1), np.zeros(1, dtype=int))[0]
+    assert abs(values[0, 0] - (1 - np.exp(300j) + 2 * np.exp(-1.1j))) <= 1e-12
+
+
+def test_newton_refine_at_a_zero_coordinate_raises_a_typed_error():
+    for supports in KERNEL_SUPPORTS.values():
+        F = SparseSystem.from_pairs([[(p, 1.0 + k) for k, p in enumerate(sup)] for sup in supports])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobianError):
+                newton_refine(F, np.array([0.0, 1.0, 1.0 + 1j]))
 
 
 def outcomes_by_path(result, count):

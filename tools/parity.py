@@ -12,8 +12,9 @@ and message (for the CLI, its standard error), the returned mixed volume
 or the decomposition tree without `elapsed`, the provenance and the
 warnings, the CLI's JSON output without `elapsed_ms`, and the points to
 1e-8 relative, point by point. Prints the largest relative point
-difference and the largest residual change, lists the first differences,
-and exits 1 on any.
+difference and the largest residual change, lists the first differences
+(a CLI run whose JSON `solutions` differ with its largest relative point
+difference), and exits 1 on any.
 """
 
 import argparse
@@ -140,14 +141,19 @@ def compare(parent, change):
         for field in ("status", "message", "mv", "tree", "warnings", "provenance"):
             if a.get(field) != b.get(field):
                 diffs.append(f"{key}: {field} {a.get(field)!r} -> {b.get(field)!r}")
+        paired = "points" in a and "points" in b and len(a["points"]) == len(b["points"])
+        points = ([relative_difference(p, q) for p, q in zip(a["points"], b["points"])]
+                  if paired else [])
         json_a, json_b = a.get("json", {}), b.get("json", {})
         if json_a != json_b:
             keys = sorted(k for k in {**json_a, **json_b} if json_a.get(k) != json_b.get(k))
-            diffs.append(f"{key}: JSON output differs in {keys}")
-        if "points" not in a or "points" not in b or len(a["points"]) != len(b["points"]):
+            note = ""
+            if "solutions" in keys and points:
+                note = f"; largest relative point difference {max(points):.3g}"
+            diffs.append(f"{key}: JSON output differs in {keys}{note}")
+        if not paired:
             continue
         solutions += len(a["points"])
-        points = [relative_difference(p, q) for p, q in zip(a["points"], b["points"])]
         worst_point = max([worst_point, *points])
         changes = [abs(r - s) for r, s in zip(a["residuals"], b["residuals"])]
         worst_change = max([worst_change, *changes])
