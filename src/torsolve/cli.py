@@ -178,6 +178,9 @@ def render_tree(tree: DecompositionTree, indent=0) -> list[str]:
 
 
 def _settings(args) -> TrackerSettings:
+    """The tracker settings, once --seed and --tolerance are checked."""
+    if args.seed < 0:
+        raise TorsolveError(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return TrackerSettings(args.tolerance)
     except ValueError:
@@ -303,6 +306,8 @@ def _bench_instance(kind, rng):
 
 def cmd_bench(args) -> int:
     settings = _settings(args)
+    if args.count < 1:
+        raise TorsolveError(f"--count must be a positive integer, got {args.count}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["instance_id", "mv", "paths_dec", "paths_bb",
                      "time_dec_ms", "time_bb_ms", "status"])

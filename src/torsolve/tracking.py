@@ -15,11 +15,13 @@ over the running paths on a (P, n, n) Jacobian stack. Each path takes the
 steps it would take alone, a failing path drops out without touching the
 others, and track_path is the batch of one.
 
-One state per tracker point: each path keeps H, its Jacobian and dH/dt at
-its current (x, t), from the corrector evaluation that accepted the point,
-so the next predictor evaluates nothing; only the first step evaluates its
-own, and a path that ends at t = 1 hands the kept H and Jacobian of its
-target to the endgame Newton's first iteration.
+One state per tracker point: each path keeps J^-1 dH/dt (minus its
+tangent) at its current (x, t), from the corrector iteration that accepted
+the point, so the next predictor evaluates and solves nothing; a path
+accepted at t = 1 also keeps H and its Jacobian there for the endgame
+Newton's first iteration. The corrector shrinks compact copies of its rows
+by one index per iteration, and one batched solve takes the Newton steps
+of the rows still correcting and the tangents of the rows that converged.
 
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton of the paths that reach _ENDGAME_T in a pass,
@@ -222,22 +224,23 @@ class Homotopy:
             del table
             # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary
             # parts; a real t times a complex array goes through cast buffers.
-            terms = self._ct_float[rows]
-            terms *= t[:, None]
-            twisted = self._gcs_float[rows]
-            twisted *= (1.0 - t)[:, None]
-            terms += twisted
-            del twisted
+            # One target broadcasts its coefficient row instead of copying it.
+            pick = rows if len(self.ct) > 1 else np.zeros(1, dtype=int)
+            terms = self._ct_float.take(pick, 0) * t[:, None]
+            terms += self._gcs_float.take(pick, 0) * (1.0 - t)[:, None]
             terms = terms.view(complex)
             terms *= mono
             values = np.add.reduceat(terms, self.starts, axis=1)
-            mono *= self._dc[rows]
+            mono *= self._dc.take(pick, 0)
             dt = np.add.reduceat(mono, self.starts, axis=1)
             scale = np.maximum(1.0, np.add.reduceat(np.abs(terms), self.starts, axis=1).max(axis=1))
+            # x_j dH_i/dx_j, one matmul per polynomial for the real and the
+            # imaginary parts of its terms, stacked on a leading axis of 2.
             jac = np.empty((len(X), self.n, self.n), dtype=complex)
+            parts = terms.view(float).reshape(len(X), len(self.E), 2).transpose(2, 0, 1)
+            out = jac.view(float).reshape(len(X), self.n, self.n, 2).transpose(3, 0, 1, 2)
             for i, (block, Eb) in enumerate(self._blocks):
-                np.matmul(terms.real[:, block], Eb, out=jac.real[:, i])
-                np.matmul(terms.imag[:, block], Eb, out=jac.imag[:, i])
+                np.matmul(parts[:, :, block], Eb, out=out[:, :, i])
             jac /= X[:, None, :]
         return values, jac, dt, scale
 
@@ -271,10 +274,13 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     outcomes = [None] * P
     residuals = np.full(P, np.nan)
     found = []  # distinct endpoints so far
-    # H, its x-Jacobian and dH/dt at each path's (X, t): evaluated here for
-    # the first step, then kept from the corrector evaluation that accepted
-    # the path's point. A rejected step leaves X and t, so they stay valid.
-    kept = H.state(X, t, rows)[:3]
+    # v = J^-1 dH/dt at each path's (X, t), minus its tangent (NaN where J
+    # is singular): solved here for the first step, then kept from the
+    # corrector iteration that accepted the path's point. A rejected step
+    # leaves X and t, so it stays valid. H and J at t = 1 are kept likewise.
+    _, jac, dt, _ = H.state(X, t, rows)
+    v = _solve(jac, dt)[0]
+    at_one = (np.empty((P, H.n), dtype=complex), np.empty((P, H.n, H.n), dtype=complex))
 
     def fail(paths, reason):
         running[paths] = False
@@ -286,7 +292,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             return
         running[paths] = False
         # A path at t = 1 keeps H and its Jacobian at the target already.
-        known = (t[paths] == 1.0, kept[0][paths], kept[1][paths])
+        known = (t[paths] == 1.0, at_one[0][paths], at_one[1][paths])
         newton = _newton(H, X[paths], rows[paths], settings, known)
         for i, refined, res, error in zip(paths, *newton):
             if error is not None:
@@ -302,10 +308,10 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):
         while True:
-            finish(np.flatnonzero(running & (t >= _ENDGAME_T)))
+            finish((running & (t >= _ENDGAME_T)).nonzero()[0])
             if expected is not None and len(found) >= expected:
                 fail(np.flatnonzero(running), "count-reached")
-            live = np.flatnonzero(running & (t < _ENDGAME_T))
+            live = (running & (t < _ENDGAME_T)).nonzero()[0]
             fail(live[nsteps[live] >= _MAX_PATH_STEPS], "max-steps")
             live = live[running[live]]
             if not live.size:
@@ -313,16 +319,15 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             nsteps[live] += 1
             t0 = t[live]
             t1 = t0 + np.minimum(step[live], 1.0 - t0)
-            tangent, solved = _solve(kept[1][live], -kept[2][live])
-            xn = X[live] + (t1 - t0)[:, None] * tangent
-            xn[~solved] = np.nan  # no predictor: the corrector rejects the step
-            ok = _correct(H, xn, t1, rows[live], settings, kept, live)
-
-            won, lost = live[ok], live[~ok]
-            X[won] = xn[ok]
-            t[won] = t1[ok]
+            xn = X.take(live, 0) - (t1 - t0)[:, None] * v.take(live, 0)  # NaN: rejected
+            at, xn, vn, ends, *state = _correct(H, xn, t1, rows[live], settings)
+            ok = np.zeros(len(live), dtype=bool)
+            ok[at] = True
+            won, lost = live[at], live[~ok]
+            X[won], t[won], v[won] = xn, t1[at], vn
+            at_one[0][live[ends]], at_one[1][live[ends]] = state
             streak[won] += 1
-            size = np.abs(X[won])
+            size = np.abs(xn)
             diverged = size.max(axis=1) > _DIVERGENCE_NORM
             fail(won[diverged], "divergence")
             fail(won[~diverged & (size.min(axis=1) < _TRACK_TORUS_GUARD)], "left-torus")
@@ -338,40 +343,46 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
 
 
 def _solve(A, b):
-    """Solve the stack A x = b; returns (x, ok). A singular matrix fails its row only."""
+    """Solve the stack A x = b; returns (x, ok). A singular matrix fails its
+    row only, which is NaN."""
     try:
         return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
     except np.linalg.LinAlgError:
         if len(b) == 1:
-            return np.zeros_like(b), np.zeros(1, dtype=bool)
+            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
     parts = [_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(b))]
     return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _correct(H: Homotopy, X, t, rows, settings, kept, paths):
-    """At most three Newton steps on H(., t) for every finite row of X,
-    corrected in place; success is a small residual relative to the term
-    magnitudes. Returns the success mask. For each row that succeeds, the
-    state evaluation that accepted it, H, its x-Jacobian and dH/dt, is
-    written to row paths[i] of the three arrays `kept`."""
-    ok = np.zeros(len(X), dtype=bool)
-    todo = np.flatnonzero(np.isfinite(X).all(axis=1))
+def _correct(H: Homotopy, X, t, rows, settings):
+    """At most three Newton steps on H(., t) for every finite row of X, on
+    compact copies of the rows still correcting; success is a small residual
+    relative to the term magnitudes. Returns (at, X, V, at1, H, J): the rows
+    of X that succeed, their corrected points and V = J^-1 dH/dt there (NaN
+    where J is singular), from the batched solve that also takes the other
+    rows' Newton steps; and the rows that succeed at t = 1 with H and the
+    x-Jacobian there."""
+    at = np.isfinite(X).all(axis=1).nonzero()[0]
+    X, t, rows = X.take(at, 0), t[at], rows[at]
+    won = []
     for it in range(_CORRECTOR_ITERS + 1):
-        state = H.state(X[todo], t[todo], rows[todo])
-        values, jac, _, scale = state
+        values, jac, dt, scale = H.state(X, t, rows)
         done = np.abs(values).max(axis=1) <= settings.tolerance * scale
-        ok[todo[done]] = True
-        for out, new in zip(kept, state):
-            out[paths[todo[done]]] = new[done]
-        if it == _CORRECTOR_ITERS:
-            return ok
-        delta, solved = _solve(jac[~done], -values[~done])
-        todo = todo[~done][solved]
-        X[todo] += delta[solved]
-        x = X[todo]
-        todo = todo[np.isfinite(x).all(axis=1) & ~(np.abs(x) < _TRACK_TORUS_GUARD).any(axis=1)]
-        if not todo.size:
-            return ok
+        # J y = dH/dt (rows done) or H (the rest): y is exactly minus the tangent or Newton step.
+        y = _solve(jac, np.where(done[:, None], dt, values))[0]
+        k = done.nonzero()[0]  # take() gathers rows at a fraction of a mask's cost
+        k1 = k[t[k] == 1.0]
+        won.append((at[k], X.take(k, 0), y.take(k, 0), at[k1], values.take(k1, 0), jac.take(k1, 0)))
+        if it == _CORRECTOR_ITERS:  # the rows still correcting fail
+            break
+        X -= y  # a singular row turns NaN
+        more = ~done & np.isfinite(X).all(axis=1)
+        more &= (np.abs(X) >= _TRACK_TORUS_GUARD).all(axis=1)
+        k = more.nonzero()[0]
+        if not k.size:
+            break
+        at, X, t, rows = at[k], X.take(k, 0), t[k], rows[k]
+    return [np.concatenate(part) for part in zip(*won)]
 
 
 def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):

@@ -93,6 +93,16 @@ def test_tolerance_must_be_positive(tmp_path, capsys, command, tolerance):
     assert capsys.readouterr().err.startswith("error: --tolerance must be a positive")
 
 
+@pytest.mark.parametrize("command", [["solve", "FILE"], ["start", "FILE"], ["bench", "e-basis"]])
+def test_seed_must_be_non_negative(tmp_path, capsys, command):
+    path = tri_file(tmp_path)
+    argv = [path if a == "FILE" else a for a in command] + ["--seed", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_parse_roundtrip_is_canonical():
     from torsolve.cli import system_to_obj
 
@@ -203,10 +213,12 @@ def test_cmd_start_mv_zero(tmp_path, capsys):
     assert "mixed volume 0" in capsys.readouterr().err
 
 
-def test_cmd_bench_empty(capsys):
-    assert main(["bench", "e-basis", "--count", "0"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["instance_id,mv,paths_dec,paths_bb,time_dec_ms,time_bb_ms,status"]
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cmd_bench_count_must_be_positive(capsys, count):
+    assert main(["bench", "e-basis", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be a positive integer, got {count}\n"
 
 
 def test_cmd_bench_one_instance(capsys):

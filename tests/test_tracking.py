@@ -49,15 +49,16 @@ def test_tolerance_sets_the_corrector_bound_and_the_success_residual():
 
     # Corrector: residual 2.8e-6 against term scale 4 is within 1e-3 relative,
     # so the loose bound takes no step; the default one refines to the root.
-    # Either way it keeps H, the Jacobian and dH/dt at the point it accepts.
+    # Either way it returns J^-1 dH/dt and, at t = 1, H and the Jacobian at
+    # the point it accepts.
     x = np.array([[root + 1e-6]], dtype=complex)
     runs = {}
     for tol in (1e-3, 1e-8):
-        corrected = x.copy()
-        kept = [np.zeros((1, 1), complex), np.zeros((1, 1, 1), complex), np.zeros((1, 1), complex)]
-        ok = _correct(H, corrected, np.ones(1), one, TrackerSettings(tol), kept, np.arange(1))
-        assert ok[0]
-        assert all(np.array_equal(a, b) for a, b in zip(kept, H.state(corrected, np.ones(1), one)))
+        at, corrected, *kept = _correct(H, x.copy(), np.ones(1), one, TrackerSettings(tol))
+        assert at.tolist() == [0] and kept[1].tolist() == [0]
+        values, jac, dt, _ = H.state(corrected, np.ones(1), one)
+        v = np.linalg.solve(jac, dt[:, :, None])[:, :, 0]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, (v, [0], values, jac)))
         runs[tol] = corrected
     assert np.array_equal(runs[1e-3], x)
     assert abs(runs[1e-8][0, 0] - root) < 1e-12
@@ -556,7 +557,16 @@ KERNEL_SUPPORTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_SUPPORTS))
+# Edge shapes of the kernel: (supports, targets, rows); the cases of
+# KERNEL_SUPPORTS have two targets and four rows.
+KERNEL_SHAPES = {
+    "one-target": (KERNEL_SUPPORTS["mixed"], 1, 4),  # one coefficient row, broadcast
+    "univariate": ([[(0,), (2,), (-3,), (5,), (1,)]], 2, 4),
+    "one-row": (KERNEL_SUPPORTS["negative"], 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_SUPPORTS) + list(KERNEL_SHAPES))
 def test_homotopy_state_matches_python_complex_arithmetic(case):
     """Values, Jacobian and dH/dt against a sum over monomials in Python
     complex arithmetic. Below exponent 100 numpy and Python both raise to an
@@ -564,7 +574,8 @@ def test_homotopy_state_matches_python_complex_arithmetic(case):
     magnitudes; x**e has condition number |e|, so above that, where each
     uses its own polar formula, the bound grows with the largest |e|."""
     rng = np.random.default_rng(29)
-    supports = KERNEL_SUPPORTS[case]
+    supports, targets, batch = KERNEL_SHAPES.get(case, (KERNEL_SUPPORTS.get(case), 2, 4))
+    n = len(supports)
     emax = max(abs(e) for sup in supports for p in sup for e in p)
     tol = 1e-14 * max(1.0, emax / 10) if emax >= 100 else 1e-14
 
@@ -572,11 +583,15 @@ def test_homotopy_state_matches_python_complex_arithmetic(case):
         return SparseSystem.from_pairs([[(p, complex(*rng.normal(size=2))) for p in sup]
                                         for sup in supports])
 
-    H = Homotopy.straight_line(system(), [system(), system()], np.exp(1j * np.array([0.8, 2.3])))
+    H = Homotopy.straight_line(system(), [system() for _ in range(targets)],
+                               np.exp(1j * np.array([0.8, 2.3]))[:targets])
     spread = 0.01 if emax >= 100 else 0.5  # keep |x|^e within a few orders of 1
-    X = np.exp(rng.uniform(-spread, spread, (4, 3)) + 1j * rng.uniform(-np.pi, np.pi, (4, 3)))
-    t, rows = np.array([0.0, 0.3, 0.9, 1.0]), np.array([0, 1, 1, 0])
+    X = np.exp(rng.uniform(-spread, spread, (batch, n)) + 1j * rng.uniform(-np.pi, np.pi, (batch, n)))
+    t, rows = np.array([0.0, 0.3, 0.9, 1.0]), np.array([0, 1, 1, 0]) % targets
+    if batch == 1:  # the row at t = 0.3
+        t, rows = t[1:2], rows[1:2]
     values, jac, dt, _ = H.state(X, t, rows)
+    assert values.shape == dt.shape == (batch, n) and jac.shape == (batch, n, n)
     for r in range(len(X)):
         x = [complex(v) for v in X[r]]
         for i, sup in enumerate(supports):
@@ -589,7 +604,7 @@ def test_homotopy_state_matches_python_complex_arithmetic(case):
             assert abs(values[r, i] - sum(terms)) <= bound
             assert abs(dt[r, i] - sum((f - g) * m for f, g, m in zip(ct, cs, mono))) <= (
                 tol * sum(abs((f - g) * m) for f, g, m in zip(ct, cs, mono)))
-            for j in range(3):
+            for j in range(n):
                 parts = [term * E[j] / x[j] for term, E in zip(terms, H.E[a:b])]
                 assert abs(jac[r, i, j] - sum(parts)) <= tol * sum(map(abs, parts))
 
@@ -624,18 +639,28 @@ def outcomes_by_path(result, count):
     return [out[i] for i in range(count)]
 
 
-def test_multi_target_track_all_equals_one_target_at_a_time():
-    # The roots of x^3 - 3x - 1, a point where its Jacobian is singular and
-    # one root again; the targets differ in support and one loses a root at
-    # infinity, so the blocks hold ok, failing and duplicate paths.
+FOUR_TARGETS = [univariate({0: -4e4, 2: 1e4}), univariate({0: 2.0, 1: -1.0, 3: 1.0}),
+                univariate({0: 0.5 - 1j, 2: 2.0, 3: 1.5j}), univariate({0: -8.0, 3: 1.0})]
+FOUR_GAMMAS = np.exp(1j * np.array([0.3, 1.9, 4.0, 2.6]))
+
+
+def four_target_batch():
+    """(H, starts) from x^3 - 3x - 1 to the four FOUR_TARGETS: per target
+    the roots of x^3 - 3x - 1, a point where its Jacobian is singular and
+    one root again. The targets differ in support and one loses a root at
+    infinity, so the blocks hold ok, failing and duplicate paths."""
     G = univariate({0: -1.0, 1: -3.0, 3: 1.0})
-    targets = [univariate({0: -4e4, 2: 1e4}), univariate({0: 2.0, 1: -1.0, 3: 1.0}),
-               univariate({0: 0.5 - 1j, 2: 2.0, 3: 1.5j}), univariate({0: -8.0, 3: 1.0})]
-    gammas = np.exp(1j * np.array([0.3, 1.9, 4.0, 2.6]))
     starts = [np.array([r + 0j]) for r in np.roots([1, 0, -3, -1])] + [np.array([1.0 + 0j])]
     starts.append(starts[1])
-    H = Homotopy.straight_line(G, targets, gammas)
-    together = outcomes_by_path(track_all(H, starts * len(targets)), 4 * len(starts))
+    return Homotopy.straight_line(G, FOUR_TARGETS, FOUR_GAMMAS), starts * len(FOUR_TARGETS)
+
+
+def test_multi_target_track_all_equals_one_target_at_a_time():
+    G = univariate({0: -1.0, 1: -3.0, 3: 1.0})
+    targets, gammas = FOUR_TARGETS, FOUR_GAMMAS
+    H, all_starts = four_target_batch()
+    starts = all_starts[:len(all_starts) // len(targets)]
+    together = outcomes_by_path(track_all(H, all_starts), 4 * len(starts))
     assert H.ct.shape == (4, 4)
     reasons = []
     for k, (F, gamma) in enumerate(zip(targets, gammas)):
@@ -666,3 +691,30 @@ def test_targets_sharing_an_endpoint_both_keep_it():
         roots[int(origin.split()[1]) // 2].append(round(pt[0].real, 8))
     assert sorted(roots[0]) == [1.0, 2.0] and sorted(roots[1]) == [1.0, 3.0]
     assert all(r <= 1e-8 for r in sols.residuals)
+
+
+def count_states(monkeypatch, H, starts):
+    """(calls, evaluated rows) of Homotopy.state in track_all(H, starts)."""
+    counts = [0, 0]
+    state = Homotopy.state
+
+    def counting(self, X, t, rows):
+        counts[0] += 1
+        counts[1] += len(X)
+        return state(self, X, t, rows)
+
+    monkeypatch.setattr(Homotopy, "state", counting)
+    track_all(H, starts)
+    monkeypatch.undo()
+    return tuple(counts)
+
+
+def test_tracker_steps_are_pinned(monkeypatch):
+    # Homotopy.state calls and evaluated rows of track_all on three batches.
+    # They follow from each path's t sequence, accept/reject decisions and
+    # corrector and Newton iterations, so a change to any step changes them.
+    batches = dict(zip(["total-degree", "singular-diverging"], mixed_batches()))
+    batches["four-targets"] = four_target_batch()
+    counts = {name: count_states(monkeypatch, H, starts) for name, (H, starts) in batches.items()}
+    assert counts == {"total-degree": (400, 1953), "singular-diverging": (552, 966),
+                      "four-targets": (566, 2239)}

@@ -14,7 +14,10 @@ warnings, the CLI's JSON output without `elapsed_ms`, and the points to
 1e-8 relative, point by point. Prints the largest relative point
 difference and the largest residual change, lists the first differences
 (a CLI run whose JSON `solutions` differ with its largest relative point
-difference), and exits 1 on any.
+difference), and exits 1 on any. It also prints, per workload and for
+each checkout, the number of `Homotopy.state` calls and the rows they
+evaluated, so that a change meant to keep every tracker step can show it;
+these counts are information, not a check.
 """
 
 import argparse
@@ -27,7 +30,8 @@ POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
 # Run in a fresh interpreter from a checkout: solve every op and pickle
-# {(workload, seed, round, label): record} to standard output.
+# ({(workload, seed, round, label): record}, {workload: [state calls, rows]})
+# to standard output.
 CHILD = """
 import contextlib, dataclasses, io, json, pickle, sys, tempfile
 from pathlib import Path
@@ -36,10 +40,22 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import numpy as np
 import torsolve
 import torsolve.cli
+import torsolve.tracking
 import workloads
 TOLERANCES = sys.argv[2:]
 if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
     raise SystemExit(f"imported torsolve from {torsolve.__file__}")
+
+steps = {}  # workload: [Homotopy.state calls, rows evaluated]
+state = torsolve.tracking.Homotopy.state
+
+def counted_state(self, X, t, rows):
+    tally = steps.setdefault(workload, [0, 0])
+    tally[0] += 1
+    tally[1] += len(X)
+    return state(self, X, t, rows)
+
+torsolve.tracking.Homotopy.state = counted_state
 
 def tree_of(tree):
     if tree is None:
@@ -86,6 +102,7 @@ def strip_elapsed_ms(node):
     for child in node.get("children", []):
         strip_elapsed_ms(child)
 
+workload = "cli --tolerance"
 with tempfile.TemporaryDirectory() as tmp:
     for name, F, _ in workloads.acceptance_systems():
         path = Path(tmp) / f"{name}.json"
@@ -104,12 +121,13 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps(out))
+sys.stdout.buffer.write(pickle.dumps((out, steps)))
 """
 
 
 def solve_all(checkouts):
-    """The CHILD records of each checkout, both run at the same time."""
+    """The CHILD records and step counts of each checkout, both run at the
+    same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -170,10 +188,16 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    parent, change = solve_all([args.parent.resolve(), args.change.resolve()])
+    (parent, parent_steps), (change, change_steps) = solve_all([args.parent.resolve(),
+                                                                args.change.resolve()])
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
+    print("Homotopy.state calls / rows evaluated, parent -> change:")
+    for workload in sorted(set(parent_steps) | set(change_steps)):
+        a, b = (f"{calls:,} / {rows:,}" for calls, rows in (
+            side.get(workload, (0, 0)) for side in (parent_steps, change_steps)))
+        print(f"  {workload}: {a} -> {b}" + ("" if a == b else "  (differs)"))
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
     print(f"max residual: {worst_res[0]:.3g} -> {worst_res[1]:.3g}; "
