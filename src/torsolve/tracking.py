@@ -1,10 +1,12 @@
 """Straight-line and parameter homotopy tracking with Newton correction.
 
-H(t) = t*F + (1-t)*gamma*G for t running 0 -> 1, with an explicit Euler
-predictor on the Davidenko system and at most three Newton corrector steps
-per accepted t. gamma is a random unit-modulus twist of the start system;
-it leaves V(G) unchanged while steering the path bundle away from the
-discriminant for generic data.
+H(t) = t*F + (1-t)*gamma*G for t running 0 -> 1, with a cubic Hermite
+predictor through a path's last two accepted points and their tangents on
+the Davidenko system (Euler on its first step) and at most three Newton
+corrector steps per accepted t. A step grows after two successes in a row
+and halves, even when 1 - t clipped it, on a rejection. gamma is a random
+unit-modulus twist of the start system; it leaves V(G) unchanged while
+steering the path bundle away from the discriminant for generic data.
 
 A homotopy may hold K targets F_k with one gamma_k each: its P start
 points form K equal blocks, block k following t*F_k + (1-t)*gamma_k*G, so
@@ -17,11 +19,12 @@ others, and track_path is the batch of one.
 
 One state per tracker point: each path keeps J^-1 dH/dt (minus its
 tangent) at its current (x, t), from the corrector iteration that accepted
-the point, so the next predictor evaluates and solves nothing; a path
-accepted at t = 1 also keeps H and its Jacobian there for the endgame
-Newton's first iteration. The corrector shrinks compact copies of its rows
-by one index per iteration, and one batched solve takes the Newton steps
-of the rows still correcting and the tangents of the rows that converged.
+the point, and the Hermite terms of its previous point, so the next
+predictor evaluates and solves nothing; a path accepted at t = 1 also
+keeps H and its Jacobian there for the endgame Newton's first iteration.
+The corrector shrinks compact copies of its rows by one index per
+iteration, and one batched solve takes the Newton steps of the rows still
+correcting and the tangents of the rows that converged.
 
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton of the paths that reach _ENDGAME_T in a pass,
@@ -49,7 +52,7 @@ _STEP_START = 1e-2
 _STEP_FLOOR = 1e-10
 _STEP_CEILING = 1e-1
 _STEP_GROWTH = 1.5
-_GROW_AFTER = 4
+_GROW_AFTER = 2
 _MAX_PATH_STEPS = 4000
 _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
@@ -278,8 +281,11 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     # is singular): solved here for the first step, then kept from the
     # corrector iteration that accepted the path's point. A rejected step
     # leaves X and t, so it stays valid. H and J at t = 1 are kept likewise.
+    # (e, g, d): _predict's terms from each path's previous accepted point,
+    # zero (so Euler) until the path accepts its first step.
     _, jac, dt, _ = H.state(X, t, rows)
     v = _solve(jac, dt)[0]
+    e, g, d = np.zeros_like(X), np.zeros_like(X), np.ones(P)
     at_one = (np.empty((P, H.n), dtype=complex), np.empty((P, H.n, H.n), dtype=complex))
 
     def fail(paths, reason):
@@ -319,11 +325,16 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             nsteps[live] += 1
             t0 = t[live]
             t1 = t0 + np.minimum(step[live], 1.0 - t0)
-            xn = X.take(live, 0) - (t1 - t0)[:, None] * v.take(live, 0)  # NaN: rejected
+            h = t1 - t0
+            xn = _predict(X.take(live, 0), v.take(live, 0), h, e.take(live, 0), g.take(live, 0),
+                          d[live])  # NaN: rejected
             at, xn, vn, ends, *state = _correct(H, xn, t1, rows[live], settings)
             ok = np.zeros(len(live), dtype=bool)
             ok[at] = True
             won, lost = live[at], live[~ok]
+            d[won] = hw = h[at]
+            e[won] = X.take(won, 0) - xn - hw[:, None] * vn
+            g[won] = hw[:, None] * (vn - v.take(won, 0))
             X[won], t[won], v[won] = xn, t1[at], vn
             at_one[0][live[ends]], at_one[1][live[ends]] = state
             streak[won] += 1
@@ -336,10 +347,19 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             streak[grow] = 0
 
             streak[lost] = 0
-            step[lost] *= 0.5
+            step[lost] = 0.5 * h[~ok]  # a step clipped to 1 - t shrinks too
             fail(lost[step[lost] < _STEP_FLOOR], "step-underflow")
 
     return outcomes, residuals
+
+
+def _predict(X, V, h, e, g, d):
+    """The cubic Hermite extrapolant to t + h through each path's point X
+    at t and its previous accepted point at t - d, whose tangents are -V
+    and -V0, from e = X0 - X - d*V and g = d*(V - V0); Euler where e and g
+    are zero. A NaN row of V gives a NaN prediction."""
+    r = (h / d)[:, None]
+    return X - h[:, None] * V + r * r * ((3.0 + 2.0 * r) * e + (1.0 + r) * g)
 
 
 def _solve(A, b):

@@ -20,6 +20,7 @@ from torsolve.tracking import (
     TrackerSettings,
     _correct,
     _newton,
+    _predict,
     distinct,
     newton_refine,
     relative_distance,
@@ -290,11 +291,29 @@ def test_mixed_batch_singular_and_diverging_paths():
     assert sorted(reasons) == ["divergence", "ok", "ok", "step-underflow"]
 
 
-@pytest.mark.parametrize("batch", [0, 1])
+def clipped_step_batch():
+    """(H, [start]) of one fiber-transfer path of the decomposable workload
+    (seed 1, round 4, shifted[0]) whose step to t = 1, clipped to 1 - t, is
+    rejected: halving the nominal step alone would leave it at 1 - t, so
+    the same predictor and corrector points would be evaluated again."""
+    G = univariate(dict(enumerate([
+        -0.8934621722067216 + 0.4491384495182375j, 27.538743767608512 - 33.68947456948835j,
+        -724.7168830293901 + 699.980215562779j, 5442.063585962351 + 1079.5576695462462j,
+        3894.9371160798364 - 9108.215020049502j, -2772.9254018430074 - 4828.319927446122j])))
+    F = univariate(dict(enumerate([
+        -0.8934621722067216 + 0.4491384495182375j, 0.17885308231453145 - 0.4795465255817188j,
+        -0.13362750854817762 - 0.748321958926581j, -0.11589838786281043 + 0.27703735718126904j,
+        0.1266458996153148 - 0.027579852836057756j, 0.01133456661528184 - 0.0023528079691897867j])))
+    H = Homotopy.straight_line(G, F, gamma=0.30553527765730326 + 0.952180757055547j)
+    return H, [np.array([-1.118861249467494 - 0.6305687025851783j])]
+
+
+@pytest.mark.parametrize("batch", [0, 1, 2])
 def test_track_all_evaluates_no_point_twice(monkeypatch, batch):
     # The predictor takes the corrector's evaluation at the point it
-    # accepted, and the endgame Newton that of a path ending at t = 1.
-    H, starts = list(mixed_batches())[batch]
+    # accepted, and the endgame Newton that of a path ending at t = 1; a
+    # rejected step shrinks even where 1 - t clipped it (batch 2).
+    H, starts = [*mixed_batches(), clipped_step_batch()][batch]
     seen = []
     state = Homotopy.state
 
@@ -332,7 +351,9 @@ def test_distinct_matches_pairwise_greedy_loop():
 
 def reference_track_path(H, x0, settings=TrackerSettings()):
     """The per-path tracker the batched one replaced: one complex point, one
-    Euler step and at most three Newton corrections per pass."""
+    predictor step and at most three Newton corrections per pass. The
+    predictor is the cubic Hermite extrapolant through the current and the
+    previous accepted point with their tangents, Euler on the first step."""
 
     def state(x, t):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -360,26 +381,35 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
         return float(np.max(np.abs(values))) <= settings.tolerance * scale, x
 
     x, t, step, streak, nsteps = np.asarray(x0, dtype=complex).copy(), 0.0, _STEP_START, 0, 0
+    previous = None  # (x, v, t - t_previous) of the previous accepted point
     while t < 1.0 - 1e-6:
         if nsteps >= _MAX_PATH_STEPS:
             return PathFailure("max-steps", t, x)
         nsteps += 1
-        dt = min(step, 1.0 - t)
+        t1 = t + min(step, 1.0 - t)
+        h = t1 - t
         try:
             _, jac, dvals, _ = state(x, t)
-            ok, xn = correct(x + dt * np.linalg.solve(jac, -dvals), t + dt)
+            v = np.linalg.solve(jac, dvals)  # minus the tangent dx/dt
+            xn = x - h * v
+            if previous is not None:
+                x0, v0, d = previous
+                r = h / d
+                xn = xn + r * r * ((3 + 2 * r) * (x0 - x - d * v) + (1 + r) * (d * (v - v0)))
+            ok, xn = correct(xn, t1)
         except np.linalg.LinAlgError:
             ok = False
         if ok and np.all(np.isfinite(xn)):
-            x, t, streak = xn, t + dt, streak + 1
+            previous = (x, v, h)
+            x, t, streak = xn, t1, streak + 1
             if float(np.max(np.abs(x))) > 1e8:
                 return PathFailure("divergence", t, x)
             if float(np.min(np.abs(x))) < 1e-12:
                 return PathFailure("left-torus", t, x)
-            if streak >= 4:
+            if streak >= 2:
                 step, streak = min(step * 1.5, _STEP_CEILING), 0
         else:
-            streak, step = 0, step * 0.5
+            streak, step = 0, 0.5 * h  # halve the step taken, which 1 - t may have clipped
             if step < _STEP_FLOOR:
                 return PathFailure("step-underflow", t, x)
     try:
@@ -713,8 +743,53 @@ def test_tracker_steps_are_pinned(monkeypatch):
     # Homotopy.state calls and evaluated rows of track_all on three batches.
     # They follow from each path's t sequence, accept/reject decisions and
     # corrector and Newton iterations, so a change to any step changes them.
+    # (With the Euler predictor and growth after 4 successes they were
+    # (400, 1953), (552, 966) and (566, 2239).)
     batches = dict(zip(["total-degree", "singular-diverging"], mixed_batches()))
     batches["four-targets"] = four_target_batch()
     counts = {name: count_states(monkeypatch, H, starts) for name, (H, starts) in batches.items()}
-    assert counts == {"total-degree": (400, 1953), "singular-diverging": (552, 966),
-                      "four-targets": (566, 2239)}
+    assert counts == {"total-degree": (331, 1419), "singular-diverging": (338, 605),
+                      "four-targets": (347, 1436)}
+
+
+def test_predictor_is_exact_on_a_cubic_path():
+    # x(t) = c0 + c1 t + c2 t^2 + c3 t^3 per coordinate, tangents -v.
+    rng = np.random.default_rng(37)
+    c = rng.normal(size=(4, 3, 2)) + 1j * rng.normal(size=(4, 3, 2))
+    t0, t1, h = np.array([0.1, 0.5, 0.93]), np.array([0.13, 0.61, 0.95]), np.array([0.05, 0.2, 0.05])
+
+    def x(t):
+        return sum(c[k] * t[:, None] ** k for k in range(4))
+
+    def v(t):
+        return -sum(k * c[k] * t[:, None] ** (k - 1) for k in range(1, 4))
+
+    d = t1 - t0
+    e = x(t0) - x(t1) - d[:, None] * v(t1)
+    g = d[:, None] * (v(t1) - v(t0))
+    assert np.max(np.abs(_predict(x(t1), v(t1), h, e, g, d) - x(t1 + h))) <= 1e-13
+
+
+def test_first_predictor_step_is_euler(monkeypatch):
+    H, starts = list(mixed_batches())[0]
+    calls = []
+
+    def recording(X, V, h, e, g, d):
+        out = _predict(X, V, h, e, g, d)
+        calls.append(np.array_equal(out, X - h[:, None] * V))
+        return out
+
+    monkeypatch.setattr("torsolve.tracking._predict", recording)
+    track_all(H, starts)
+    assert calls[0] and not all(calls)
+
+
+def test_nan_tangent_gives_a_prediction_the_corrector_rejects():
+    H = as_homotopy(univariate({0: -2.0, 2: 1.0}))
+    X = np.array([[1.4 + 0j], [1.5 + 0j]])
+    V = np.array([[np.nan + 0j], [0.1 + 0j]])
+    e, g = np.full_like(X, 1e-3), np.full_like(X, -1e-3)
+    xn = _predict(X, V, np.full(2, 0.01), e, g, np.full(2, 0.02))
+    assert np.isnan(xn[0]).all() and np.isfinite(xn[1]).all()
+    at = _correct(H, xn, np.ones(2), np.zeros(2, dtype=int), TrackerSettings())[0]
+    assert at.tolist() == [1]

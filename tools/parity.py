@@ -13,11 +13,13 @@ or the decomposition tree without `elapsed`, the provenance and the
 warnings, the CLI's JSON output without `elapsed_ms`, and the points to
 1e-8 relative, point by point. Prints the largest relative point
 difference and the largest residual change, lists the first differences
-(a CLI run whose JSON `solutions` differ with its largest relative point
-difference), and exits 1 on any. It also prints, per workload and for
-each checkout, the number of `Homotopy.state` calls and the rows they
-evaluated, so that a change meant to keep every tracker step can show it;
-these counts are information, not a check.
+(a differing tree as one line per node field, e.g. `/1/0 gamma_retries
+2 -> 0` for child 0 of the root's child 1; a CLI run whose JSON
+`solutions` differ with its largest relative point difference), and exits
+1 on any. It also prints, per workload and for each checkout, the number
+of tracker passes (`_correct` calls), `Homotopy.state` calls and the rows
+they evaluated, so that a change to the tracker's steps can show its
+effect; these counts are information, not a check.
 """
 
 import argparse
@@ -30,8 +32,8 @@ POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
 # Run in a fresh interpreter from a checkout: solve every op and pickle
-# ({(workload, seed, round, label): record}, {workload: [state calls, rows]})
-# to standard output.
+# ({(workload, seed, round, label): record},
+#  {workload: [tracker passes, state calls, rows]}) to standard output.
 CHILD = """
 import contextlib, dataclasses, io, json, pickle, sys, tempfile
 from pathlib import Path
@@ -46,16 +48,21 @@ TOLERANCES = sys.argv[2:]
 if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
     raise SystemExit(f"imported torsolve from {torsolve.__file__}")
 
-steps = {}  # workload: [Homotopy.state calls, rows evaluated]
-state = torsolve.tracking.Homotopy.state
+steps = {}  # workload: [tracker passes, Homotopy.state calls, rows evaluated]
+state, correct = torsolve.tracking.Homotopy.state, torsolve.tracking._correct
 
 def counted_state(self, X, t, rows):
-    tally = steps.setdefault(workload, [0, 0])
-    tally[0] += 1
-    tally[1] += len(X)
+    tally = steps.setdefault(workload, [0, 0, 0])
+    tally[1] += 1
+    tally[2] += len(X)
     return state(self, X, t, rows)
 
+def counted_correct(*args):
+    steps.setdefault(workload, [0, 0, 0])[0] += 1
+    return correct(*args)
+
 torsolve.tracking.Homotopy.state = counted_state
+torsolve.tracking._correct = counted_correct
 
 def tree_of(tree):
     if tree is None:
@@ -144,6 +151,21 @@ def relative_difference(p, q) -> float:
     return float(abs(p - q).max()) / scale
 
 
+def tree_differences(a, b, path=""):
+    """One line per field that differs between two trees as dicts, the node
+    named by its child indices from the root: `/1/0 gamma_retries 2 -> 0`."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [f"{path or '/'} {a!r} -> {b!r}"]
+    out = [f"{path or '/'} {field} {a.get(field)!r} -> {b.get(field)!r}"
+           for field in {**a, **b} if field != "children" and a.get(field) != b.get(field)]
+    kids = a.get("children", []), b.get("children", [])
+    if len(kids[0]) != len(kids[1]):
+        out.append(f"{path or '/'} children {len(kids[0])} -> {len(kids[1])}")
+    for k, (x, y) in enumerate(zip(*kids)):
+        out += tree_differences(x, y, f"{path}/{k}")
+    return out
+
+
 def compare(parent, change):
     """(differences, largest point difference, largest residual change,
     largest residual of each side, solutions compared)."""
@@ -157,7 +179,11 @@ def compare(parent, change):
             diffs.append(f"{key}: only in the {'change' if a is None else 'parent'}")
             continue
         for field in ("status", "message", "mv", "tree", "warnings", "provenance"):
-            if a.get(field) != b.get(field):
+            if a.get(field) == b.get(field):
+                continue
+            if field == "tree":
+                diffs += [f"{key}: tree {line}" for line in tree_differences(a["tree"], b["tree"])]
+            else:
                 diffs.append(f"{key}: {field} {a.get(field)!r} -> {b.get(field)!r}")
         paired = "points" in a and "points" in b and len(a["points"]) == len(b["points"])
         points = ([relative_difference(p, q) for p, q in zip(a["points"], b["points"])]
@@ -193,10 +219,10 @@ def main(argv=None) -> int:
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
-    print("Homotopy.state calls / rows evaluated, parent -> change:")
+    print("tracker passes / Homotopy.state calls / rows evaluated, parent -> change:")
     for workload in sorted(set(parent_steps) | set(change_steps)):
-        a, b = (f"{calls:,} / {rows:,}" for calls, rows in (
-            side.get(workload, (0, 0)) for side in (parent_steps, change_steps)))
+        a, b = (" / ".join(f"{count:,}" for count in side.get(workload, (0, 0, 0)))
+                for side in (parent_steps, change_steps))
         print(f"  {workload}: {a} -> {b}" + ("" if a == b else "  (differs)"))
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
