@@ -11,20 +11,20 @@ steering the path bundle away from the discriminant for generic data.
 A homotopy may hold K targets F_k with one gamma_k each: its P start
 points form K equal blocks, block k following t*F_k + (1-t)*gamma_k*G, so
 the fiber transfers of a triangular node run as one batch. All paths are
-tracked together: a (P, n) array with per-path target row, t, step size,
-success streak and step count, and per pass one predictor and corrector
-over the running paths on a (P, n, n) Jacobian stack. Each path takes the
-steps it would take alone, a failing path drops out without touching the
-others, and track_path is the batch of one.
+tracked together, one predictor and corrector per pass over the running
+paths on a (P, n, n) Jacobian stack. Each path takes the steps it would
+take alone, a failing path drops out without touching the others, and
+track_path is the batch of one.
 
 One state per tracker point: each path keeps J^-1 dH/dt (minus its
 tangent) at its current (x, t), from the corrector iteration that accepted
 the point, and the Hermite terms of its previous point, so the next
 predictor evaluates and solves nothing; a path accepted at t = 1 also
 keeps H and its Jacobian there for the endgame Newton's first iteration.
-The corrector shrinks compact copies of its rows by one index per
-iteration, and one batched solve takes the Newton steps of the rows still
-correcting and the tangents of the rows that converged.
+A pass is bound by numpy's per-call cost, so the running paths' arrays are
+compacted only when some path ends, the corrector works in place, and one
+batched solve takes the Newton steps of the rows still correcting and the
+tangents of the rows that converged.
 
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton of the paths that reach _ENDGAME_T in a pass,
@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergenceError, SingularJacobianError
 from .supports import SparseSystem, Support, SupportSystem
@@ -58,6 +59,7 @@ _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
 _DEDUP_TOL = 1e-6
 _CLOSE_PAIRS = 2048  # point pairs per block of _close
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,7 @@ class Homotopy:
 
     def __init__(self, system: SupportSystem, start_coeffs, target_coeffs, gamma=1.0):
         self.system = system
+        self.n = system.n
         sizes = [len(s) for s in system.supports]
         if not target_coeffs or any([len(c) for c in coeffs] != sizes
                                     for coeffs in [start_coeffs, *target_coeffs]):
@@ -173,8 +176,8 @@ class Homotopy:
         self.ct = np.array([np.concatenate([np.asarray(c, dtype=complex) for c in coeffs])
                             for coeffs in target_coeffs])
         gcs = self.gamma[:, None] * self.cs
-        self._ct_float, self._gcs_float = self.ct.view(float), gcs.view(float)
-        self._dc = self.ct - gcs
+        # Per target: ct and gamma*cs as interleaved floats, and dH/dt's coefficients.
+        self._coeffs = (self.ct.view(float), gcs.view(float), self.ct - gcs)
         self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
         # The power table's exponents: row j holds the distinct exponents of
         # x_j, zero-padded to one width U <= M; monomial a is the product over
@@ -185,10 +188,6 @@ class Homotopy:
         position = [{e: j * width + k for k, e in enumerate(u)} for j, u in enumerate(exps)]
         self._columns = np.array([[at[e] for e in column]
                                   for at, column in zip(position, self.E.T.tolist())])
-
-    @property
-    def n(self) -> int:
-        return self.system.n
 
     @classmethod
     def straight_line(cls, start: SparseSystem, target, gamma=1.0) -> Homotopy:
@@ -218,33 +217,37 @@ class Homotopy:
         with: numpy raises a complex number to an integer power below 100 by
         repeated squaring, with no log, exp or trigonometric function, and U
         is at most the monomial count whatever the exponents' size.
+
+        The caller owns np.errstate: the tracker and Newton evaluate under
+        np.errstate(all="ignore") and catch overflow and NaN per row.
         """
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            table = np.power(X[:, :, None], self._exps).reshape(len(X), self._exps.size)
-            mono = table.take(self._columns[0], axis=1)
-            for columns in self._columns[1:]:
-                mono *= table.take(columns, axis=1)
-            del table
-            # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary
-            # parts; a real t times a complex array goes through cast buffers.
-            # One target broadcasts its coefficient row instead of copying it.
-            pick = rows if len(self.ct) > 1 else np.zeros(1, dtype=int)
-            terms = self._ct_float.take(pick, 0) * t[:, None]
-            terms += self._gcs_float.take(pick, 0) * (1.0 - t)[:, None]
-            terms = terms.view(complex)
-            terms *= mono
-            values = np.add.reduceat(terms, self.starts, axis=1)
-            mono *= self._dc.take(pick, 0)
-            dt = np.add.reduceat(mono, self.starts, axis=1)
-            scale = np.maximum(1.0, np.add.reduceat(np.abs(terms), self.starts, axis=1).max(axis=1))
-            # x_j dH_i/dx_j, one matmul per polynomial for the real and the
-            # imaginary parts of its terms, stacked on a leading axis of 2.
-            jac = np.empty((len(X), self.n, self.n), dtype=complex)
-            parts = terms.view(float).reshape(len(X), len(self.E), 2).transpose(2, 0, 1)
-            out = jac.view(float).reshape(len(X), self.n, self.n, 2).transpose(3, 0, 1, 2)
-            for i, (block, Eb) in enumerate(self._blocks):
-                np.matmul(parts[:, :, block], Eb, out=out[:, :, i])
-            jac /= X[:, None, :]
+        table = np.power(X[:, :, None], self._exps).reshape(len(X), self._exps.size)
+        mono = table.take(self._columns[0], axis=1)
+        for columns in self._columns[1:]:
+            mono *= table.take(columns, axis=1)
+        del table
+        # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary parts;
+        # a real t times a complex array goes through cast buffers. One
+        # target broadcasts its coefficient rows instead of gathering them.
+        ct, gcs, dc = self._coeffs if len(self.ct) == 1 else [c.take(rows, 0) for c in self._coeffs]
+        tc = t[:, None]
+        terms = ct * tc
+        terms += gcs * (1.0 - tc)
+        terms = terms.view(complex)
+        terms *= mono
+        values = np.add.reduceat(terms, self.starts, axis=1)
+        mono *= dc
+        dt = np.add.reduceat(mono, self.starts, axis=1)
+        sums = np.add.reduceat(np.abs(terms), self.starts, axis=1)
+        scale = np.maximum(1.0, np.maximum.reduce(sums, axis=1))
+        # x_j dH_i/dx_j, one matmul per polynomial for the real and the
+        # imaginary parts of its terms, stacked on a leading axis of 2.
+        jac = np.empty((len(X), self.n, self.n), dtype=complex)
+        parts = terms.view(float).reshape(len(X), len(self.E), 2).transpose(2, 0, 1)
+        out = jac.view(float).reshape(len(X), self.n, self.n, 2).transpose(3, 0, 1, 2)
+        for i, (block, Eb) in enumerate(self._blocks):
+            np.matmul(parts[:, :, block], Eb, out=out[:, :, i])
+        jac /= X[:, None, :]
         return values, jac, dt, scale
 
 
@@ -270,86 +273,84 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
         raise ValueError(f"{P} start points do not split into {len(H.ct)} equal blocks")
     if expected is not None and len(H.ct) != 1:
         raise ValueError("an expected count needs a homotopy with one target")
-    rows = np.repeat(np.arange(len(H.ct)), P // len(H.ct))  # block k follows target k
-    t, step = np.zeros(P), np.full(P, _STEP_START)
-    streak, nsteps = np.zeros((2, P), dtype=int)
-    running = np.ones(P, dtype=bool)
     outcomes = [None] * P
     residuals = np.full(P, np.nan)
     found = []  # distinct endpoints so far
-    # v = J^-1 dH/dt at each path's (X, t), minus its tangent (NaN where J
-    # is singular): solved here for the first step, then kept from the
-    # corrector iteration that accepted the path's point. A rejected step
-    # leaves X and t, so it stays valid. H and J at t = 1 are kept likewise.
-    # (e, g, d): _predict's terms from each path's previous accepted point,
-    # zero (so Euler) until the path accepts its first step.
-    _, jac, dt, _ = H.state(X, t, rows)
-    v = _solve(jac, dt)[0]
+    # The running paths in start order, compacted when some end: start index,
+    # target row (block k follows target k), point, t, step, success streak,
+    # v = J^-1 dH/dt minus the tangent (NaN where J is singular) and _predict's
+    # (e, g, d), zero (Euler) before a first step. H, J at t = 1 go by start.
+    ids, rows = np.arange(P), np.repeat(np.arange(len(H.ct)), P // len(H.ct))
+    t, step, streak = np.zeros(P), np.full(P, _STEP_START), np.zeros(P, dtype=int)
     e, g, d = np.zeros_like(X), np.zeros_like(X), np.ones(P)
     at_one = (np.empty((P, H.n), dtype=complex), np.empty((P, H.n, H.n), dtype=complex))
+    passes = 0  # every running path takes every pass: this is its step count
 
     def fail(paths, reason):
-        running[paths] = False
-        for i in paths:
-            outcomes[i] = PathFailure(reason, float(t[i]), X[i].copy())
-
-    def finish(paths):
-        if not paths.size:
-            return
-        running[paths] = False
-        # A path at t = 1 keeps H and its Jacobian at the target already.
-        known = (t[paths] == 1.0, at_one[0][paths], at_one[1][paths])
-        newton = _newton(H, X[paths], rows[paths], settings, known)
-        for i, refined, res, error in zip(paths, *newton):
-            if error is not None:
-                outcomes[i] = PathFailure("no-convergence", 1.0, X[i].copy())
-            elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
-                outcomes[i] = PathFailure("left-torus", 1.0, refined)
-            else:
-                outcomes[i], residuals[i] = refined, res
-                if expected is not None and not _close(np.reshape(found, (-1, H.n)),
-                                                       refined[None]).any():
-                    found.append(refined)
+        for k in paths:
+            outcomes[ids[k]] = PathFailure(reason, float(t[k]), X[k].copy())
 
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):
-        while True:
-            finish((running & (t >= _ENDGAME_T)).nonzero()[0])
+        _, jac, dt, _ = H.state(X, t, rows)
+        v = _solve(jac, dt)[0]
+        while len(ids):
             if expected is not None and len(found) >= expected:
-                fail(np.flatnonzero(running), "count-reached")
-            live = (running & (t < _ENDGAME_T)).nonzero()[0]
-            fail(live[nsteps[live] >= _MAX_PATH_STEPS], "max-steps")
-            live = live[running[live]]
-            if not live.size:
+                fail(range(len(ids)), "count-reached")
                 break
-            nsteps[live] += 1
-            t0 = t[live]
-            t1 = t0 + np.minimum(step[live], 1.0 - t0)
-            h = t1 - t0
-            xn = _predict(X.take(live, 0), v.take(live, 0), h, e.take(live, 0), g.take(live, 0),
-                          d[live])  # NaN: rejected
-            at, xn, vn, ends, *state = _correct(H, xn, t1, rows[live], settings)
-            ok = np.zeros(len(live), dtype=bool)
-            ok[at] = True
-            won, lost = live[at], live[~ok]
-            d[won] = hw = h[at]
-            e[won] = X.take(won, 0) - xn - hw[:, None] * vn
-            g[won] = hw[:, None] * (vn - v.take(won, 0))
-            X[won], t[won], v[won] = xn, t1[at], vn
-            at_one[0][live[ends]], at_one[1][live[ends]] = state
-            streak[won] += 1
-            size = np.abs(xn)
-            diverged = size.max(axis=1) > _DIVERGENCE_NORM
-            fail(won[diverged], "divergence")
-            fail(won[~diverged & (size.min(axis=1) < _TRACK_TORUS_GUARD)], "left-torus")
-            grow = won[streak[won] >= _GROW_AFTER]
-            step[grow] = np.minimum(step[grow] * _STEP_GROWTH, _STEP_CEILING)
-            streak[grow] = 0
-
-            streak[lost] = 0
-            step[lost] = 0.5 * h[~ok]  # a step clipped to 1 - t shrinks too
-            fail(lost[step[lost] < _STEP_FLOOR], "step-underflow")
-
+            if passes == _MAX_PATH_STEPS:
+                fail(range(len(ids)), "max-steps")
+                break
+            passes += 1
+            t1 = t + np.minimum(step, 1.0 - t)
+            h = t1 - t
+            xn = _predict(X, v, h, e, g, d)  # NaN: rejected
+            at, xn, vn, ends, *state = _correct(H, xn, t1, rows, settings)
+            if ends.size:
+                at_one[0][ids[ends]], at_one[1][ids[ends]] = state
+            new = (xn, vn, X - xn - h[:, None] * vn, h[:, None] * (vn - v))
+            if at.size == len(ids):  # every step accepted
+                (X, v, e, g), t, d, won = new, t1, h, None
+                streak += 1
+            else:
+                won = np.zeros(len(ids), dtype=bool)
+                won[at] = True
+                X, v, e, g = (np.where(won[:, None], a, b) for a, b in zip(new, (X, v, e, g)))
+                t, d = np.where(won, t1, t), np.where(won, h, d)
+                streak = np.where(won, streak + 1, 0)
+                step = np.where(won, step, 0.5 * h)  # a step clipped to 1 - t shrinks too
+            grow = (streak >= _GROW_AFTER).nonzero()[0]
+            if grow.size:
+                step[grow] = np.minimum(step[grow] * _STEP_GROWTH, _STEP_CEILING)
+                streak[grow] = 0
+            size = np.abs(X)
+            far = np.maximum.reduce(size, axis=1) > _DIVERGENCE_NORM
+            near = np.minimum.reduce(size, axis=1) < _TRACK_TORUS_GUARD
+            if won is not None:  # only a step just taken moved X; only a rejected one shrank
+                far &= won
+                near &= won
+            short, late = step < _STEP_FLOOR, t >= _ENDGAME_T
+            gone = far | near | short | late
+            if gone.nonzero()[0].size:
+                fail(far.nonzero()[0], "divergence")
+                fail((near & ~far).nonzero()[0], "left-torus")
+                fail(short.nonzero()[0], "step-underflow")
+                paths = (late & ~far & ~near).nonzero()[0]
+                idx = ids[paths]
+                known = (t[paths] == 1.0, at_one[0][idx], at_one[1][idx])
+                newton = _newton(H, X[paths], rows[paths], settings, known)
+                for k, i, refined, res, error in zip(paths, idx, *newton):
+                    if error is not None:
+                        outcomes[i] = PathFailure("no-convergence", 1.0, X[k].copy())
+                    elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
+                        outcomes[i] = PathFailure("left-torus", 1.0, refined)
+                    else:
+                        outcomes[i], residuals[i] = refined, res
+                        if expected is not None and not _close(np.reshape(found, (-1, H.n)),
+                                                               refined[None]).any():
+                            found.append(refined)
+                ids, rows, X, t, step, streak, e, g, d, v = (
+                    a[~gone] for a in (ids, rows, X, t, step, streak, e, g, d, v))
     return outcomes, residuals
 
 
@@ -363,46 +364,57 @@ def _predict(X, V, h, e, g, d):
 
 
 def _solve(A, b):
-    """Solve the stack A x = b; returns (x, ok). A singular matrix fails its
-    row only, which is NaN."""
+    """Solve the stack A x = b, b (P, n), bit for bit as np.linalg.solve but
+    without its checks; returns (x, singular): an exactly singular matrix
+    fails its row only, which is NaN and listed in `singular`."""
     try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _umath_linalg.solve1(A, b, signature="DD->D"), _NO_ROWS
+    except FloatingPointError:
         if len(b) == 1:
-            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
+            return np.full_like(b, np.nan), np.zeros(1, dtype=np.intp)
     parts = [_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(b))]
-    return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
+    return (np.concatenate([x for x, _ in parts]),
+            np.array([k for k, (_, bad) in enumerate(parts) if bad.size], dtype=np.intp))
 
 
 def _correct(H: Homotopy, X, t, rows, settings):
-    """At most three Newton steps on H(., t) for every finite row of X, on
-    compact copies of the rows still correcting; success is a small residual
+    """At most three Newton steps on H(., t) for every finite row of X, in
+    place, on the rows still correcting; success is a small residual
     relative to the term magnitudes. Returns (at, X, V, at1, H, J): the rows
-    of X that succeed, their corrected points and V = J^-1 dH/dt there (NaN
-    where J is singular), from the batched solve that also takes the other
-    rows' Newton steps; and the rows that succeed at t = 1 with H and the
-    x-Jacobian there."""
-    at = np.isfinite(X).all(axis=1).nonzero()[0]
-    X, t, rows = X.take(at, 0), t[at], rows[at]
-    won = []
+    that succeed; X with their corrected points and V with J^-1 dH/dt there
+    (NaN where J is singular), from the batched solve that also takes the
+    other rows' Newton steps; and the rows that succeed at t = 1, with H and
+    the x-Jacobian there. X and V hold no result in the other rows."""
+    V = np.empty_like(X)
+    won = np.zeros(len(X), dtype=bool)
+    at = np.logical_and.reduce(np.isfinite(X), axis=1).nonzero()[0]
+    Xa, ta, ra = (X, t, rows) if at.size == len(X) else (X.take(at, 0), t[at], rows[at])
+    if one := at.size and np.maximum.reduce(ta) == 1.0:  # some row may succeed at t = 1
+        H1, J1 = np.empty_like(X), np.empty((len(X), H.n, H.n), dtype=complex)
     for it in range(_CORRECTOR_ITERS + 1):
-        values, jac, dt, scale = H.state(X, t, rows)
-        done = np.abs(values).max(axis=1) <= settings.tolerance * scale
+        values, jac, dt, scale = H.state(Xa, ta, ra)
+        done = np.maximum.reduce(np.abs(values), axis=1) <= settings.tolerance * scale
         # J y = dH/dt (rows done) or H (the rest): y is exactly minus the tangent or Newton step.
         y = _solve(jac, np.where(done[:, None], dt, values))[0]
-        k = done.nonzero()[0]  # take() gathers rows at a fraction of a mask's cost
-        k1 = k[t[k] == 1.0]
-        won.append((at[k], X.take(k, 0), y.take(k, 0), at[k1], values.take(k1, 0), jac.take(k1, 0)))
+        won[at], V[at] = done, y
+        if one:
+            H1[at], J1[at] = values, jac
+        if Xa is not X:
+            X[at] = Xa
         if it == _CORRECTOR_ITERS:  # the rows still correcting fail
             break
-        X -= y  # a singular row turns NaN
-        more = ~done & np.isfinite(X).all(axis=1)
-        more &= (np.abs(X) >= _TRACK_TORUS_GUARD).all(axis=1)
+        more = ~done
+        np.subtract(Xa, y, out=Xa, where=more[:, None])  # a singular row turns NaN
+        more &= np.logical_and.reduce(np.isfinite(Xa) & (np.abs(Xa) >= _TRACK_TORUS_GUARD), axis=1)
         k = more.nonzero()[0]
         if not k.size:
             break
-        at, X, t, rows = at[k], X.take(k, 0), t[k], rows[k]
-    return [np.concatenate(part) for part in zip(*won)]
+        if k.size < at.size:
+            at, Xa, ta, ra = at[k], Xa.take(k, 0), ta[k], ra[k]
+    ends = (won & (t == 1.0)).nonzero()[0] if one else _NO_ROWS
+    H1, J1 = (H1, J1) if one else (values, jac)
+    return won.nonzero()[0], X, V, ends, H1[ends], J1[ends]
 
 
 def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
@@ -455,10 +467,11 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
                 for i, c in zip(todo[~keep], cond[~keep]):
                     errors[i] = SingularJacobianError(f"Jacobian condition estimate {c:.2e}")
                 todo, values, jac = todo[keep], values[keep], jac[keep]
-            delta, solved = _solve(jac, -values)
-            for i in todo[~solved]:
-                errors[i] = SingularJacobianError("Singular matrix")
-            todo, delta = todo[solved], delta[solved]
+            delta, singular = _solve(jac, -values)
+            if singular.size:
+                for i in todo[singular]:
+                    errors[i] = SingularJacobianError("Singular matrix")
+                todo, delta = np.delete(todo, singular), np.delete(delta, singular, axis=0)
             X[todo] += delta
             finite = np.isfinite(X[todo]).all(axis=1)
             for i in todo[~finite]:

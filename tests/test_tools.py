@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    """A script under tools/ as a module, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parity_lists_a_change_between_an_exception_and_a_result():
+    parity = load("parity")
+    key = ("general", 0, 0, "start-pair")
+    raised = {"status": "CountMismatchError", "message": "expected 30 solutions, found 29"}
+    tree = {"kind": "blackbox", "children": []}
+    solved = {"status": "ok", "message": "", "tree": tree, "warnings": [],
+              "provenance": ["path 0"], "points": [np.array([1.0 + 0j])], "residuals": [1e-12]}
+    for a, b in ((raised, solved), (solved, raised)):
+        diffs = parity.compare({key: a}, {key: b})[0]
+        assert f"{key}: status {a['status']!r} -> {b['status']!r}" in diffs
+        assert f"{key}: tree / {a.get('tree')!r} -> {b.get('tree')!r}" in diffs
+
+
+def test_pairs_claims_a_gain_only_by_the_paired_rule():
+    pairs = load("pairs")
+    parent = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 1.95, 2.1, 2.0, 2.15]
+    faster = [x - 0.3 for x in parent]
+    s = pairs.summarize(parent, faster, "lower")
+    assert (s["won"], s["lost"], s["pairs"], s["claim"]) == (10, 0, 10, True)
+    assert not pairs.summarize(parent, faster, "higher")["claim"]
+    # Two ties and one loss leave 7 wins of 10: no claim, however large the gain.
+    mixed = faster[:7] + parent[7:9] + [parent[9] + 1.0]
+    s = pairs.summarize(parent, mixed, "lower")
+    assert (s["won"], s["lost"], s["claim"]) == (7, 1, False)
+    # Every pair won, but by less than the parent's interquartile range.
+    s = pairs.summarize(parent, [x - 0.01 for x in parent], "lower")
+    assert s["won"] == 10 and not s["claim"]

@@ -21,6 +21,7 @@ from torsolve.tracking import (
     _correct,
     _newton,
     _predict,
+    _solve,
     distinct,
     newton_refine,
     relative_distance,
@@ -793,3 +794,86 @@ def test_nan_tangent_gives_a_prediction_the_corrector_rejects():
     assert np.isnan(xn[0]).all() and np.isfinite(xn[1]).all()
     at = _correct(H, xn, np.ones(2), np.zeros(2, dtype=int), TrackerSettings())[0]
     assert at.tolist() == [1]
+
+
+def reference_state(H, X, t, rows):
+    """Homotopy.state before its numpy calls were cut, with the power table,
+    blocks and coefficient rows that Homotopy.__init__ built for it then."""
+    n, M = X.shape[1], len(H.E)
+    exps = [sorted(set(column)) for column in H.E.T.tolist()]
+    width = max(map(len, exps))
+    powers = np.array([u + [0] * (width - len(u)) for u in exps], dtype=complex)
+    position = [{e: j * width + k for k, e in enumerate(u)} for j, u in enumerate(exps)]
+    columns = np.array([[at[e] for e in column] for at, column in zip(position, H.E.T.tolist())])
+    blocks = [(slice(a, b), H.E[a:b]) for a, b in zip(H.starts, [*H.starts[1:], M])]
+    gcs = H.gamma[:, None] * H.cs
+    ct_float, gcs_float, dc = H.ct.view(float), gcs.view(float), H.ct - gcs
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = np.power(X[:, :, None], powers).reshape(len(X), powers.size)
+        mono = table.take(columns[0], axis=1)
+        for c in columns[1:]:
+            mono *= table.take(c, axis=1)
+        del table
+        pick = rows if len(H.ct) > 1 else np.zeros(1, dtype=int)
+        terms = ct_float.take(pick, 0) * t[:, None]
+        terms += gcs_float.take(pick, 0) * (1.0 - t)[:, None]
+        terms = terms.view(complex)
+        terms *= mono
+        values = np.add.reduceat(terms, H.starts, axis=1)
+        mono *= dc.take(pick, 0)
+        dt = np.add.reduceat(mono, H.starts, axis=1)
+        scale = np.maximum(1.0, np.add.reduceat(np.abs(terms), H.starts, axis=1).max(axis=1))
+        jac = np.empty((len(X), n, n), dtype=complex)
+        parts = terms.view(float).reshape(len(X), M, 2).transpose(2, 0, 1)
+        out = jac.view(float).reshape(len(X), n, n, 2).transpose(3, 0, 1, 2)
+        for i, (block, Eb) in enumerate(blocks):
+            np.matmul(parts[:, :, block], Eb, out=out[:, :, i])
+        jac /= X[:, None, :]
+    return values, jac, dt, scale
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_SUPPORTS) + list(KERNEL_SHAPES))
+def test_homotopy_state_is_bit_identical_to_the_reference(case):
+    # The inputs of test_homotopy_state_matches_python_complex_arithmetic,
+    # and the same points with a zero first coordinate, where the Jacobian
+    # and negative powers are not finite.
+    rng = np.random.default_rng(29)
+    supports, targets, batch = KERNEL_SHAPES.get(case, (KERNEL_SUPPORTS.get(case), 2, 4))
+    emax = max(abs(e) for sup in supports for p in sup for e in p)
+
+    def system():
+        return SparseSystem.from_pairs([[(p, complex(*rng.normal(size=2))) for p in sup]
+                                        for sup in supports])
+
+    H = Homotopy.straight_line(system(), [system() for _ in range(targets)],
+                               np.exp(1j * np.array([0.8, 2.3]))[:targets])
+    spread = 0.01 if emax >= 100 else 0.5
+    X = np.exp(rng.uniform(-spread, spread, (batch, len(supports)))
+               + 1j * rng.uniform(-np.pi, np.pi, (batch, len(supports))))
+    t, rows = np.array([0.0, 0.3, 0.9, 1.0]), np.array([0, 1, 1, 0]) % targets
+    if batch == 1:
+        t, rows = t[1:2], rows[1:2]
+    zero = X.copy()
+    zero[:, 0] = 0.0
+    for Y in (X, zero):
+        with np.errstate(all="ignore"):
+            got = H.state(Y, t, rows)
+        for a, b in zip(got, reference_state(H, Y, t, rows)):
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+    assert np.isfinite(np.concatenate([a.ravel() for a in H.state(X, t, rows)])).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_fails_an_exactly_singular_row_only(n):
+    rng = np.random.default_rng(40 + n)
+    A = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+    b = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    x, singular = _solve(A, b)
+    assert np.array_equal(x, np.linalg.solve(A, b[:, :, None])[:, :, 0]) and singular.size == 0
+    A[2, -1] = A[2, 0] if n > 1 else 0.0  # two equal rows: elimination leaves an exact zero
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A[2], b[2])
+    x, singular = _solve(A, b)
+    assert singular.tolist() == [2] and np.isnan(x[2]).all()
+    for k in (0, 1, 3, 4, 5):
+        assert np.array_equal(x[k], np.linalg.solve(A[k], b[k]))

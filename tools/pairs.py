@@ -1,0 +1,96 @@
+"""Compare two checkouts on one workload by alternating benchmark runs.
+
+    python3 tools/pairs.py PARENT_DIR CHANGE_DIR --workload W [--pairs N]
+
+Pair i runs `perfbench/run.py --workload W --seed i --seconds S --trace 0`
+once in each checkout, one run at a time, for i = 0 .. N-1 (N = 10 by
+default); the parent goes first in even pairs and the change in odd ones.
+S is `run_seconds` and the metrics are the `end_to_end` list of this
+checkout's BENCHMARK.json, so both sides run the same length. Each side
+runs its own `perfbench/`; this tool only reads run.py's last line.
+
+For every metric it prints each side's median and quartiles, the relative
+change of the medians, and the pairs the change won and lost (ties count
+for neither), and says whether a gain may be claimed: the change wins at
+least nine tenths of the pairs and its median is better than the parent's
+by more than the distance between the parent's quartiles. It also prints
+each side's failed and attempted op counts.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """The result object run.py prints as its last line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def quartiles(values) -> tuple:
+    """(first quartile, median, third quartile)."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def summarize(parent, change, better: str) -> dict:
+    """Paired runs of one metric, `better` "lower" or "higher": both sides'
+    quartiles, the pairs the change won and lost, and whether the gain rule
+    holds."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    lost = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
+    qp, qc = quartiles(parent), quartiles(change)
+    return {"parent": qp, "change": qc, "won": won, "lost": lost, "pairs": len(parent),
+            "claim": won >= 0.9 * len(parent) and sign * (qc[1] - qp[1]) > qp[2] - qp[0]}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {side: [] for side in sides}
+    for seed in range(args.pairs):
+        order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
+        for side in order:
+            result = run_once(sides[side], args.workload, seed, bench["run_seconds"])
+            runs[side].append(result)
+            print(f"pair {seed} {side}: " + ", ".join(
+                f"{name} {result['metrics'][name]['value']:.4g}" for name in metrics), flush=True)
+    print(f"{args.workload}: {args.pairs} pairs of {bench['run_seconds']} s runs")
+    for side in sides:
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        correct = all(r["correct"] for r in runs[side])
+        print(f"  {side}: failed {failed} of {attempted} ops, correct {correct}")
+    for name, metric in metrics.items():
+        values = [[r["metrics"][name]["value"] for r in runs[side]] for side in sides]
+        s = summarize(*values, metric["better"])
+        (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
+        relative = f"{cm / pm - 1:+.1%}" if pm else "n/a"
+        print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
+              f"parent {pm:.4g} [{p1:.4g}, {p3:.4g}], change {cm:.4g} [{c1:.4g}, {c3:.4g}], "
+              f"{relative}; change won {s['won']}, lost {s['lost']} of {s['pairs']}; "
+              f"gain {'holds' if s['claim'] else 'not shown'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -182,7 +182,8 @@ def compare(parent, change):
             if a.get(field) == b.get(field):
                 continue
             if field == "tree":
-                diffs += [f"{key}: tree {line}" for line in tree_differences(a["tree"], b["tree"])]
+                diffs += [f"{key}: tree {line}"
+                          for line in tree_differences(a.get("tree"), b.get("tree"))]
             else:
                 diffs.append(f"{key}: {field} {a.get(field)!r} -> {b.get(field)!r}")
         paired = "points" in a and "points" in b and len(a["points"]) == len(b["points"])
