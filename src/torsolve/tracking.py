@@ -3,8 +3,9 @@
 H(t) = t*F + (1-t)*gamma*G for t running 0 -> 1, with a cubic Hermite
 predictor through a path's last two accepted points and their tangents on
 the Davidenko system (Euler on its first step) and at most three Newton
-corrector steps per accepted t. A step grows after two successes in a row
-and halves, even when 1 - t clipped it, on a rejection. gamma is a random
+corrector steps per accepted t. An accepted step scales by (tau/delta)^(1/4)
+for the cubic predictor, delta its error as the corrector just measured it;
+a rejected one halves, even when 1 - t clipped it. gamma is a random
 unit-modulus twist of the start system; it leaves V(G) unchanged while
 steering the path bundle away from the discriminant for generic data.
 
@@ -27,8 +28,9 @@ batched solve takes the Newton steps of the rows still correcting and the
 tangents of the rows that converged.
 
 A target system is the homotopy at t = 1, so Homotopy.state is the one
-evaluator: the endgame Newton of the paths that reach _ENDGAME_T in a pass,
-and the refinement of a solver's candidates on the full system, run as one
+evaluator: the endgame Newton, one batch for all the paths of a homotopy
+that reach _ENDGAME_T (several only when a count stop is near), and the
+refinement of a solver's candidates on the full system, run as one
 batched Newton on it; newton_refine is the batch of one.
 """
 
@@ -51,9 +53,8 @@ _CORRECTOR_ITERS = 3
 _NEWTON_ITERS = 12
 _STEP_START = 1e-2
 _STEP_FLOOR = 1e-10
-_STEP_CEILING = 1e-1
-_STEP_GROWTH = 1.5
-_GROW_AFTER = 2
+_STEP_CEILING = 0.25
+_STEP_TOL_PREDICT = 2e-2  # corrector displacement, relative to 1 + |x|, that keeps a step
 _MAX_PATH_STEPS = 4000
 _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
@@ -264,9 +265,14 @@ def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
 def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None = None):
     """Track every start point together; returns (outcomes, residuals): one
     endpoint or PathFailure each, and each endpoint's residual on its target.
-    The paths that reach _ENDGAME_T in a pass get their endgame Newton as one
-    batch; with `expected` (one target only), the paths still running when
-    that many distinct endpoints are in end "count-reached"."""
+
+    An accepted step of size s whose corrector moved the prediction by
+    delta relative to 1 + |x| is followed by s * clip((_STEP_TOL_PREDICT /
+    delta)^(1/4), 1/4, 2), capped at _STEP_CEILING; a rejected step halves.
+    Paths that reach _ENDGAME_T queue for the endgame Newton, run as one
+    batch when no path is left running or, with `expected` (one target
+    only), once the distinct endpoints in plus the queue could make that
+    count; the paths still running when it is in end "count-reached"."""
     X = np.asarray(starts, dtype=complex).reshape(len(starts), H.n)
     P = len(X)
     if P % len(H.ct):
@@ -276,12 +282,13 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     outcomes = [None] * P
     residuals = np.full(P, np.nan)
     found = []  # distinct endpoints so far
+    queue = []  # per pass: start index, point, target row and t = 1 of the paths to refine
     # The running paths in start order, compacted when some end: start index,
-    # target row (block k follows target k), point, t, step, success streak,
-    # v = J^-1 dH/dt minus the tangent (NaN where J is singular) and _predict's
-    # (e, g, d), zero (Euler) before a first step. H, J at t = 1 go by start.
+    # target row (block k follows target k), point, t, step, v = J^-1 dH/dt
+    # minus the tangent (NaN where J is singular) and _predict's (e, g, d),
+    # zero (Euler) before a first step. H, J at t = 1 go by start index.
     ids, rows = np.arange(P), np.repeat(np.arange(len(H.ct)), P // len(H.ct))
-    t, step, streak = np.zeros(P), np.full(P, _STEP_START), np.zeros(P, dtype=int)
+    t, step = np.zeros(P), np.full(P, _STEP_START)
     e, g, d = np.zeros_like(X), np.zeros_like(X), np.ones(P)
     at_one = (np.empty((P, H.n), dtype=complex), np.empty((P, H.n, H.n), dtype=complex))
     passes = 0  # every running path takes every pass: this is its step count
@@ -289,6 +296,21 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     def fail(paths, reason):
         for k in paths:
             outcomes[ids[k]] = PathFailure(reason, float(t[k]), X[k].copy())
+
+    def endgame():
+        idx, points, targets, one = (np.concatenate(a) for a in zip(*queue))
+        queue.clear()
+        newton = _newton(H, points, targets, settings, (one, at_one[0][idx], at_one[1][idx]))
+        for i, x, refined, res, error in zip(idx, points, *newton):
+            if error is not None:
+                outcomes[i] = PathFailure("no-convergence", 1.0, x.copy())
+            elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
+                outcomes[i] = PathFailure("left-torus", 1.0, refined)
+            else:
+                outcomes[i], residuals[i] = refined, res
+                if expected is not None and not _close(np.reshape(found, (-1, H.n)),
+                                                       refined[None]).any():
+                    found.append(refined)
 
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):
@@ -304,53 +326,44 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             passes += 1
             t1 = t + np.minimum(step, 1.0 - t)
             h = t1 - t
-            xn = _predict(X, v, h, e, g, d)  # NaN: rejected
-            at, xn, vn, ends, *state = _correct(H, xn, t1, rows, settings)
+            xp = _predict(X, v, h, e, g, d)  # NaN: rejected
+            at, xn, vn, ends, *state = _correct(H, xp.copy(), t1, rows, settings)
             if ends.size:
                 at_one[0][ids[ends]], at_one[1][ids[ends]] = state
             new = (xn, vn, X - xn - h[:, None] * vn, h[:, None] * (vn - v))
+            size = np.abs(xn)
+            top = np.maximum.reduce(size, axis=1)
+            far = top > _DIVERGENCE_NORM
+            near = np.minimum.reduce(size, axis=1) < _TRACK_TORUS_GUARD
+            # (tau / delta)^(1/4), delta the corrector's move relative to 1 + |x|.
+            ratio = _STEP_TOL_PREDICT * (1.0 + top) / np.maximum.reduce(np.abs(xn - xp), axis=1)
+            factor = np.minimum(np.maximum(np.sqrt(np.sqrt(ratio)), 0.25), 2.0)
+            grown = np.minimum(step * factor, _STEP_CEILING)
             if at.size == len(ids):  # every step accepted
-                (X, v, e, g), t, d, won = new, t1, h, None
-                streak += 1
+                (X, v, e, g), t, d, step, won = new, t1, h, grown, None
             else:
                 won = np.zeros(len(ids), dtype=bool)
                 won[at] = True
                 X, v, e, g = (np.where(won[:, None], a, b) for a, b in zip(new, (X, v, e, g)))
                 t, d = np.where(won, t1, t), np.where(won, h, d)
-                streak = np.where(won, streak + 1, 0)
-                step = np.where(won, step, 0.5 * h)  # a step clipped to 1 - t shrinks too
-            grow = (streak >= _GROW_AFTER).nonzero()[0]
-            if grow.size:
-                step[grow] = np.minimum(step[grow] * _STEP_GROWTH, _STEP_CEILING)
-                streak[grow] = 0
-            size = np.abs(X)
-            far = np.maximum.reduce(size, axis=1) > _DIVERGENCE_NORM
-            near = np.minimum.reduce(size, axis=1) < _TRACK_TORUS_GUARD
-            if won is not None:  # only a step just taken moved X; only a rejected one shrank
-                far &= won
+                step = np.where(won, grown, 0.5 * h)  # a step clipped to 1 - t shrinks too
+                far &= won  # only a step just taken moved X
                 near &= won
             short, late = step < _STEP_FLOOR, t >= _ENDGAME_T
             gone = far | near | short | late
             if gone.nonzero()[0].size:
+                fail(short.nonzero()[0], "step-underflow")
                 fail(far.nonzero()[0], "divergence")
                 fail((near & ~far).nonzero()[0], "left-torus")
-                fail(short.nonzero()[0], "step-underflow")
                 paths = (late & ~far & ~near).nonzero()[0]
-                idx = ids[paths]
-                known = (t[paths] == 1.0, at_one[0][idx], at_one[1][idx])
-                newton = _newton(H, X[paths], rows[paths], settings, known)
-                for k, i, refined, res, error in zip(paths, idx, *newton):
-                    if error is not None:
-                        outcomes[i] = PathFailure("no-convergence", 1.0, X[k].copy())
-                    elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
-                        outcomes[i] = PathFailure("left-torus", 1.0, refined)
-                    else:
-                        outcomes[i], residuals[i] = refined, res
-                        if expected is not None and not _close(np.reshape(found, (-1, H.n)),
-                                                               refined[None]).any():
-                            found.append(refined)
-                ids, rows, X, t, step, streak, e, g, d, v = (
-                    a[~gone] for a in (ids, rows, X, t, step, streak, e, g, d, v))
+                if paths.size:
+                    queue.append((ids[paths], X[paths], rows[paths], t[paths] == 1.0))
+                ids, rows, X, t, step, e, g, d, v = (
+                    a[~gone] for a in (ids, rows, X, t, step, e, g, d, v))
+                if expected is not None and len(found) + sum(len(q[0]) for q in queue) >= expected:
+                    endgame()
+        if queue:
+            endgame()
     return outcomes, residuals
 
 
@@ -433,8 +446,8 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
     X = np.array(X, dtype=complex)
     res = np.full(len(X), np.nan)
     errors = [None] * len(X)
-    small = np.zeros(len(X), dtype=bool)
-    todo = np.arange(len(X))
+    todo, ones = np.arange(len(X)), np.ones(len(X))
+    Y = X  # the rows todo of X, gathered once some row leaves
     # Overflow and NaN are caught per row by the finiteness checks.
     with np.errstate(all="ignore"):
         for it in range(_NEWTON_ITERS + 1):
@@ -444,41 +457,42 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
                 mask, values, jac = known
                 fresh = np.flatnonzero(~mask)
                 if fresh.size:
-                    values[fresh], jac[fresh], _, _ = H.state(X[fresh], np.ones(len(fresh)),
+                    values[fresh], jac[fresh], _, _ = H.state(X[fresh], ones[:fresh.size],
                                                               rows[fresh])
             else:
-                values, jac, _, _ = H.state(X[todo], np.ones(len(todo)), rows[todo])
-            res[todo] = np.abs(values).max(axis=1)
-            if it == 0:
-                done = res[todo] <= 0.01 * settings.tolerance
-            else:
-                done = (res[todo] <= settings.tolerance) & small[todo]
-            todo, values, jac = todo[~done], values[~done], jac[~done]
+                values, jac, _, _ = H.state(Y, ones[:todo.size], rows.take(todo))
+            res[todo] = r = np.maximum.reduce(np.abs(values), axis=1)
+            done = r <= 0.01 * settings.tolerance if it == 0 else (r <= settings.tolerance) & small
+            if it == 0:  # the rows about to take their first step
+                cond = np.full(len(todo), np.inf)
+                finite = np.logical_and.reduce(np.isfinite(jac), axis=(1, 2)) & ~done
+                cond[finite] = np.linalg.cond(jac[finite])
+                bad = (~done & ~(cond <= _COND_LIMIT)).nonzero()[0]
+                for i, c in zip(todo.take(bad), cond.take(bad)):
+                    errors[i] = SingularJacobianError(f"Jacobian condition estimate {c:.2e}")
+                done[bad] = True
+            keep = (~done).nonzero()[0]
+            if keep.size < todo.size:
+                todo, Y, values, jac = (a.take(keep, 0) for a in (todo, Y, values, jac))
             if it == _NEWTON_ITERS:
                 for i in todo:
                     errors[i] = NoConvergenceError(
                         f"residual {res[i]:.2e} after {_NEWTON_ITERS} iterations")
                 break
-            if it == 0:
-                cond = np.full(len(todo), np.inf)
-                finite = np.isfinite(jac).all(axis=(1, 2))
-                cond[finite] = np.linalg.cond(jac[finite])
-                keep = cond <= _COND_LIMIT
-                for i, c in zip(todo[~keep], cond[~keep]):
-                    errors[i] = SingularJacobianError(f"Jacobian condition estimate {c:.2e}")
-                todo, values, jac = todo[keep], values[keep], jac[keep]
             delta, singular = _solve(jac, -values)
             if singular.size:
                 for i in todo[singular]:
                     errors[i] = SingularJacobianError("Singular matrix")
-                todo, delta = np.delete(todo, singular), np.delete(delta, singular, axis=0)
-            X[todo] += delta
-            finite = np.isfinite(X[todo]).all(axis=1)
-            for i in todo[~finite]:
-                errors[i] = NoConvergenceError("Newton iterate left the finite range")
-            todo, delta = todo[finite], delta[finite]
-            size = 1.0 + np.abs(X[todo]).max(axis=1)
-            small[todo] = np.abs(delta).max(axis=1) <= _STEP_TOL * size
+                todo, Y, delta = (np.delete(a, singular, axis=0) for a in (todo, Y, delta))
+            Y = Y + delta
+            X[todo] = Y
+            finite = np.logical_and.reduce(np.isfinite(Y), axis=1)
+            if not finite.all():
+                for i in todo[~finite]:
+                    errors[i] = NoConvergenceError("Newton iterate left the finite range")
+                todo, Y, delta = (a[finite] for a in (todo, Y, delta))
+            size = 1.0 + np.maximum.reduce(np.abs(Y), axis=1)
+            small = np.maximum.reduce(np.abs(delta), axis=1) <= _STEP_TOL * size
     return X, res, errors
 
 

@@ -41,3 +41,23 @@ def test_pairs_claims_a_gain_only_by_the_paired_rule():
     # Every pair won, but by less than the parent's interquartile range.
     s = pairs.summarize(parent, [x - 0.01 for x in parent], "lower")
     assert s["won"] == 10 and not s["claim"]
+
+
+def test_parity_counts_newton_calls_and_gamma_retries_per_workload():
+    parity = load("parity")
+    tree = {"kind": "triangular", "gamma_retries": 1,
+            "children": [{"kind": "blackbox", "gamma_retries": 2, "children": []},
+                         {"kind": "univariate", "gamma_retries": 0, "children": []}]}
+    parent = {("decomposable", 0, 0, "e-basis[0]"): {"status": "ok", "tree": tree},
+              ("decomposable", 0, 1, "e-basis[0]"): {"status": "ok", "tree": tree},
+              ("decomposable", 1, 0, "shifted[0]"): {"status": "CountMismatchError"},
+              ("cli --tolerance", "1e-6", 0, "triangular"): {"status": "ok", "json": {"tree": tree}},
+              ("exact", 0, 0, "mv"): {"status": "ok", "mv": 5}}
+    change = {**parent, ("decomposable", 0, 1, "e-basis[0]"): {"status": "ok", "tree": None}}
+    assert parity.gamma_retries(parent) == {"decomposable": 6, "cli --tolerance": 3, "exact": 0}
+    steps = ({"decomposable": [10, 40, 400, 7]}, {"decomposable": [9, 30, 300, 2]})
+    assert parity.count_lines((parent, change), steps) == [
+        "  cli --tolerance: 0 / 0 / 0 / 0 / 3 -> 0 / 0 / 0 / 0 / 3",
+        "  decomposable: 10 / 40 / 400 / 7 / 6 -> 9 / 30 / 300 / 2 / 3  (differs)",
+        "  exact: 0 / 0 / 0 / 0 / 0 -> 0 / 0 / 0 / 0 / 0",
+    ]

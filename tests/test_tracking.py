@@ -14,6 +14,7 @@ from torsolve.tracking import (
     _STEP_CEILING,
     _STEP_FLOOR,
     _STEP_START,
+    _STEP_TOL_PREDICT,
     Homotopy,
     PathFailure,
     SolutionSet,
@@ -381,7 +382,7 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
         values, _, _, scale = state(x, t)
         return float(np.max(np.abs(values))) <= settings.tolerance * scale, x
 
-    x, t, step, streak, nsteps = np.asarray(x0, dtype=complex).copy(), 0.0, _STEP_START, 0, 0
+    x, t, step, nsteps = np.asarray(x0, dtype=complex).copy(), 0.0, _STEP_START, 0
     previous = None  # (x, v, t - t_previous) of the previous accepted point
     while t < 1.0 - 1e-6:
         if nsteps >= _MAX_PATH_STEPS:
@@ -392,27 +393,31 @@ def reference_track_path(H, x0, settings=TrackerSettings()):
         try:
             _, jac, dvals, _ = state(x, t)
             v = np.linalg.solve(jac, dvals)  # minus the tangent dx/dt
-            xn = x - h * v
+            xp = x - h * v
             if previous is not None:
                 x0, v0, d = previous
                 r = h / d
-                xn = xn + r * r * ((3 + 2 * r) * (x0 - x - d * v) + (1 + r) * (d * (v - v0)))
-            ok, xn = correct(xn, t1)
+                xp = xp + r * r * ((3 + 2 * r) * (x0 - x - d * v) + (1 + r) * (d * (v - v0)))
+            ok, xn = correct(xp, t1)
         except np.linalg.LinAlgError:
             ok = False
         if ok and np.all(np.isfinite(xn)):
             previous = (x, v, h)
-            x, t, streak = xn, t1, streak + 1
-            if float(np.max(np.abs(x))) > 1e8:
+            x, t = xn, t1
+            top = np.max(np.abs(x))
+            if top > 1e8:
                 return PathFailure("divergence", t, x)
             if float(np.min(np.abs(x))) < 1e-12:
                 return PathFailure("left-torus", t, x)
-            if streak >= 2:
-                step, streak = min(step * 1.5, _STEP_CEILING), 0
+            # The next step from the corrector's move delta relative to 1 + |x|:
+            # times (2e-2 / delta)^(1/4), within [1/4, 2], at most _STEP_CEILING.
+            with np.errstate(divide="ignore"):
+                ratio = _STEP_TOL_PREDICT * (1.0 + top) / np.max(np.abs(xn - xp))
+            step = min(step * min(max(np.sqrt(np.sqrt(ratio)), 0.25), 2.0), _STEP_CEILING)
         else:
-            streak, step = 0, 0.5 * h  # halve the step taken, which 1 - t may have clipped
-            if step < _STEP_FLOOR:
-                return PathFailure("step-underflow", t, x)
+            step = 0.5 * h  # halve the step taken, which 1 - t may have clipped
+        if step < _STEP_FLOOR and t < 1.0 - 1e-6:
+            return PathFailure("step-underflow", t, x)
     try:
         refined, _ = reference_newton(point_system(H.E, H.starts, H.ct[0]), x, settings)
     except (SingularJacobianError, NoConvergenceError):
@@ -745,12 +750,90 @@ def test_tracker_steps_are_pinned(monkeypatch):
     # They follow from each path's t sequence, accept/reject decisions and
     # corrector and Newton iterations, so a change to any step changes them.
     # (With the Euler predictor and growth after 4 successes they were
-    # (400, 1953), (552, 966) and (566, 2239).)
+    # (400, 1953), (552, 966) and (566, 2239); with the Hermite predictor,
+    # growth by 1.5 after 2 successes up to 0.1 and one endgame Newton per
+    # pass, (331, 1419), (338, 605) and (347, 1436).)
     batches = dict(zip(["total-degree", "singular-diverging"], mixed_batches()))
     batches["four-targets"] = four_target_batch()
     counts = {name: count_states(monkeypatch, H, starts) for name, (H, starts) in batches.items()}
-    assert counts == {"total-degree": (331, 1419), "singular-diverging": (338, 605),
-                      "four-targets": (347, 1436)}
+    assert counts == {"total-degree": (308, 1481), "singular-diverging": (285, 484),
+                      "four-targets": (289, 1131)}
+
+
+def spy(monkeypatch, name, record):
+    """Wrap torsolve.tracking's `name`, calling record(*args) before it."""
+    import torsolve.tracking as tracking
+
+    real = getattr(tracking, name)
+
+    def wrapper(*args):
+        record(*args)
+        return real(*args)
+
+    monkeypatch.setattr(tracking, name, wrapper)
+
+
+def test_track_all_runs_one_endgame_newton(monkeypatch):
+    # The paths that reach the endgame wait in one queue, refined by one
+    # batched Newton once no path is left running, although they arrive on
+    # different passes.
+    arrivals, batches = [], []
+    spy(monkeypatch, "_correct", lambda H, X, t, *rest: arrivals.append(int((t == 1.0).sum())))
+    spy(monkeypatch, "_newton", lambda H, X, *rest: batches.append(len(X)))
+    for H, starts in [*mixed_batches(), four_target_batch()]:
+        arrivals.clear()
+        batches.clear()
+        sols, failures = track_all(H, starts)
+        assert batches == [len(sols) + sum(fail.t == 1.0 for _, fail in failures)]
+        assert sum(count > 0 for count in arrivals) >= 2
+
+
+def test_count_stop_fires_on_the_pass_a_full_run_reaches_the_count(monkeypatch):
+    # 8 total-degree paths for 3 roots, stopped at 3 distinct endpoints: it
+    # stops on the first pass after which a run without a count has 3 in,
+    # and every path that ended before the stop ends as in the full run, bit
+    # for bit.
+    import torsolve.tracking as tracking
+
+    H, starts = list(mixed_batches())[0]
+    passes = []
+    with monkeypatch.context() as patch:
+        spy(patch, "_correct", lambda *args: passes.append(None))
+        stopped = tracking._track(H, starts, TrackerSettings(), 3)[0]
+    full = tracking._track(H, starts, TrackerSettings())[0]
+    reached = [isinstance(out, PathFailure) and out.reason == "count-reached" for out in stopped]
+    assert 0 < sum(reached) < len(starts)
+    for mine, ref, cut in zip(stopped, full, reached):
+        if cut:
+            continue
+        if isinstance(ref, PathFailure):
+            assert (mine.reason, mine.t) == (ref.reason, ref.t)
+            mine, ref = mine.point, ref.point
+        assert np.array_equal(mine, ref)
+    for cap, count in ((len(passes) - 1, 2), (len(passes), 3)):
+        monkeypatch.setattr(tracking, "_MAX_PATH_STEPS", cap)
+        assert len(track_all(H, starts)[0]) == count
+
+
+def test_paths_with_steps_of_their_own_match_their_runs_alone(monkeypatch):
+    # All paths take the first step, and soon each takes a step of its own;
+    # each still ends as it ends alone, bit for bit.
+    from torsolve.tracking import _track
+
+    H, starts = list(mixed_batches())[0]
+    steps = []
+    with monkeypatch.context() as patch:
+        spy(patch, "_correct", lambda H, X, t, *rest: steps.append(t.copy()))
+        together = _track(H, starts, TrackerSettings())[0]
+    assert np.all(steps[0] == _STEP_START)
+    assert any(len(set(t.tolist())) == len(starts) for t in steps)
+    for start, mine in zip(starts, together):
+        alone = track_path(H, start)
+        if isinstance(alone, PathFailure):
+            assert (mine.reason, mine.t) == (alone.reason, alone.t)
+            assert np.array_equal(mine.point, alone.point)
+        else:
+            assert np.array_equal(mine, alone)
 
 
 def test_predictor_is_exact_on_a_cubic_path():

@@ -17,9 +17,11 @@ difference and the largest residual change, lists the first differences
 2 -> 0` for child 0 of the root's child 1; a CLI run whose JSON
 `solutions` differ with its largest relative point difference), and exits
 1 on any. It also prints, per workload and for each checkout, the number
-of tracker passes (`_correct` calls), `Homotopy.state` calls and the rows
-they evaluated, so that a change to the tracker's steps can show its
-effect; these counts are information, not a check.
+of tracker passes (`_correct` calls), `Homotopy.state` calls, the rows
+they evaluated, `_newton` calls (the tracker's endgame batches and the
+solver's refinements) and the sum of `gamma_retries` over every node of
+every op's tree, so that a change to the tracker's steps can show its
+effect and its cost in retries; these counts are information, not a check.
 """
 
 import argparse
@@ -33,7 +35,7 @@ SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
-#  {workload: [tracker passes, state calls, rows]}) to standard output.
+#  {workload: [tracker passes, state calls, rows, _newton calls]}) to standard output.
 CHILD = """
 import contextlib, dataclasses, io, json, pickle, sys, tempfile
 from pathlib import Path
@@ -42,27 +44,36 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import numpy as np
 import torsolve
 import torsolve.cli
+import torsolve.solver
 import torsolve.tracking
 import workloads
 TOLERANCES = sys.argv[2:]
 if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
     raise SystemExit(f"imported torsolve from {torsolve.__file__}")
 
-steps = {}  # workload: [tracker passes, Homotopy.state calls, rows evaluated]
+steps = {}  # workload: [tracker passes, Homotopy.state calls, rows evaluated, _newton calls]
 state, correct = torsolve.tracking.Homotopy.state, torsolve.tracking._correct
+newton = torsolve.tracking._newton
+
+def tally():
+    return steps.setdefault(workload, [0, 0, 0, 0])
 
 def counted_state(self, X, t, rows):
-    tally = steps.setdefault(workload, [0, 0, 0])
-    tally[1] += 1
-    tally[2] += len(X)
+    tally()[1] += 1
+    tally()[2] += len(X)
     return state(self, X, t, rows)
 
 def counted_correct(*args):
-    steps.setdefault(workload, [0, 0, 0])[0] += 1
+    tally()[0] += 1
     return correct(*args)
+
+def counted_newton(*args):
+    tally()[3] += 1
+    return newton(*args)
 
 torsolve.tracking.Homotopy.state = counted_state
 torsolve.tracking._correct = counted_correct
+torsolve.tracking._newton = torsolve.solver._newton = counted_newton
 
 def tree_of(tree):
     if tree is None:
@@ -166,6 +177,31 @@ def tree_differences(a, b, path=""):
     return out
 
 
+def gamma_retries(records) -> dict:
+    """{workload: the sum of gamma_retries over every node of every op's
+    tree}, from the records' trees or the CLI's JSON trees."""
+    def total(node):
+        return node.get("gamma_retries", 0) + sum(map(total, node.get("children", [])))
+    out = {}
+    for key, record in records.items():
+        tree = record.get("tree") or record.get("json", {}).get("tree")
+        out[key[0]] = out.get(key[0], 0) + (total(tree) if tree else 0)
+    return out
+
+
+def count_lines(records, steps) -> list:
+    """Per workload, `  W: a / b / c / d / e -> ...`: the tracker passes,
+    state calls, rows, _newton calls and gamma_retries of each side."""
+    retries = [gamma_retries(side) for side in records]
+    lines = []
+    for workload in sorted(set().union(*steps, *retries)):
+        a, b = (" / ".join(f"{count:,}" for count in [*side.get(workload, (0, 0, 0, 0)),
+                                                     tried.get(workload, 0)])
+                for side, tried in zip(steps, retries))
+        lines.append(f"  {workload}: {a} -> {b}" + ("" if a == b else "  (differs)"))
+    return lines
+
+
 def compare(parent, change):
     """(differences, largest point difference, largest residual change,
     largest residual of each side, solutions compared)."""
@@ -220,11 +256,10 @@ def main(argv=None) -> int:
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
-    print("tracker passes / Homotopy.state calls / rows evaluated, parent -> change:")
-    for workload in sorted(set(parent_steps) | set(change_steps)):
-        a, b = (" / ".join(f"{count:,}" for count in side.get(workload, (0, 0, 0)))
-                for side in (parent_steps, change_steps))
-        print(f"  {workload}: {a} -> {b}" + ("" if a == b else "  (differs)"))
+    print("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / "
+          "gamma_retries, parent -> change:")
+    for line in count_lines((parent, change), (parent_steps, change_steps)):
+        print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
     print(f"max residual: {worst_res[0]:.3g} -> {worst_res[1]:.3g}; "
