@@ -352,7 +352,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             short, late = step < _STEP_FLOOR, t >= _ENDGAME_T
             gone = far | near | short | late
             if gone.nonzero()[0].size:
-                fail(short.nonzero()[0], "step-underflow")
+                fail(short.nonzero()[0], "step-underflow")  # the reasons below win over it
                 fail(far.nonzero()[0], "divergence")
                 fail((near & ~far).nonzero()[0], "left-torus")
                 paths = (late & ~far & ~near).nonzero()[0]
