@@ -150,8 +150,8 @@ class DecompositionTree:
     `paths` counts homotopy paths tracked at this node itself; for a
     blackbox node it is the solution count, matching a mixed-volume-optimal
     solver. `bezout_paths` stays the Bezout count of total-degree start
-    paths, not the number tracked to t = 1: the black box stops its paths
-    once the mixed volume's count of endpoints is in.
+    paths, even where fewer are tracked: the black box stops its paths at
+    the MV's count of endpoints, and tracks none at a resultant-solved leaf.
     Closed-form steps (root extraction, companion-matrix eigenvalues)
     contribute zero. A triangular node's children are its base and first
     fiber, then one tree per fiber solved directly because its transfer

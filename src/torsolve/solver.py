@@ -6,8 +6,9 @@ fills the fiber over each of its other solutions from the first fiber, all
 transfers tracked as one multi-target parameter homotopy and a fiber whose
 transfer fails every gamma solved directly (triangular), or
 falls back to a black box: companion-matrix eigenvalues for one variable,
-a total-degree homotopy otherwise. Recursion terminates because each level
-decreases either the mixed volume or the number of variables.
+hidden-variable resultant eigenvalues for two, a total-degree homotopy
+otherwise or when those come up short. Recursion terminates because each
+level decreases either the mixed volume or the number of variables.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .geometry import hull_mixed_volume, mv_is_zero
 from .intlinalg import IntMatrix, unimodular_inverse
 from .supports import SparseSystem, SupportSystem, normalize, vertices
 from .torus import (
+    TORUS_THRESHOLD,
     MonomialMap,
     apply as torus_apply,
     diagonal_fiber,
@@ -325,14 +327,16 @@ def _univariate_roots(F, settings, prov):
 
 
 def _blackbox(F, expected, ss, settings, prov):
-    """Total-degree homotopy: start c_i x_i^{d_i} - b_i with random units.
+    """Resultant eigenvalues for n = 2; otherwise, or when they come up
+    short, a total-degree homotopy from c_i x_i^{d_i} - b_i, random units.
 
-    `expected` is the mixed volume of F, which must be nonzero. It bounds
-    the torus roots (Bernstein), so the prod(d_i) paths stop once that many
-    distinct endpoints are in; a stopped run whose refined count is not the
-    MV is tracked again in full before the next gamma. Endpoints off the
-    torus are excess paths and are discarded. The path ledger counts this
-    node as its solution count; bezout_paths keeps prod(d_i).
+    `expected` is the mixed volume of F, which must be nonzero, and bounds
+    the torus roots (Bernstein). For n = 2 the candidates `eig[i]` of
+    _resultant_roots, its units drawn from a child of `ss`, are kept if they
+    refine to `expected` roots. Otherwise the prod(d_i) paths stop once that
+    many distinct endpoints are in; a stopped run short of the MV is tracked
+    again in full before the next gamma. The path ledger counts this node
+    as its solution count; bezout_paths keeps prod(d_i) either way.
     """
     F, _ = normalize(F)
     if F.n == 1:
@@ -344,8 +348,20 @@ def _blackbox(F, expected, ss, settings, prov):
     target = SparseSystem.from_pairs([list(zip(pts, c))
                                       for pts, c in zip(moved, compact.coefficients)])
 
+    def refined(points, provenance):
+        pulled = (pt if back is None else torus_apply(back, pt) for pt in points)
+        return _refined(F, zip(pulled, (prov + o for o in provenance)), settings)
+
+    def solved(sols, retries):
+        return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
+                                       paths=expected, bezout_paths=math.prod(degrees),
+                                       gamma_retries=retries)
+
+    if n == 2:  # the child leaves the gamma stream of `ss` as it is
+        sols = refined(*_resultant_roots(target, ss.spawn(1)[0]))
+        if len(sols) == expected:
+            return solved(sols, 0)
     rng = np.random.default_rng(ss)
-    sols = SolutionSet()
     for attempt in range(_MAX_GAMMA_RETRIES + 1):
         c = [_unit(rng) for _ in range(n)]
         b = [_unit(rng) for _ in range(n)]
@@ -358,27 +374,55 @@ def _blackbox(F, expected, ss, settings, prov):
         H = Homotopy.straight_line(G, target, _unit(rng))
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
             ends, failures = track_all(H, starts, settings, count)
-            pulled = (pt if back is None else torus_apply(back, pt) for pt in ends.points)
-            sols = _refined(F, zip(pulled, (prov + o for o in ends.provenance)), settings)
+            sols = refined(ends.points, ends.provenance)
             if len(sols) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
         if len(sols) == expected:
-            tree = DecompositionTree(
-                kind="blackbox",
-                mv=expected,
-                solutions=expected,
-                paths=expected,
-                bezout_paths=math.prod(degrees),
-                gamma_retries=attempt,
-            )
-            return sols, tree
+            return solved(sols, attempt)
     raise CountMismatchError("blackbox total-degree solve", expected, len(sols), sols)
+
+
+def _resultant_roots(target: SparseSystem, ss) -> tuple:
+    """(points, origins `eig[i]`): per eigenvalue i a finite, nonzero
+    candidate root (x, y) of the polynomials f, g of `target`, exponents >= 0.
+
+    The Sylvester matrix of f and g in y is a matrix polynomial S(x) of size
+    N = deg_y f + deg_y g whose kernel at a root's x holds (y^(N-1), ..., 1).
+    Under x = (a s + b) / (c s + d), units drawn from `ss`, its leading
+    coefficient c^D S(a/c) is generically invertible; an eigenvalue s of the
+    block companion matrix gives x, and the first block v of its eigenvector
+    y = v[N-2] / v[N-1]. Nothing when N < 2 or that coefficient is singular.
+    """
+    f, g = target.polynomial(0), target.polynomial(1)
+    m, k = (max(alpha[1] for alpha, _ in poly) for poly in (f, g))
+    N, D = m + k, max(alpha[0] for poly in (f, g) for alpha, _ in poly)
+    if N < 2 or D < 1:
+        return [], []
+    S = np.zeros((D + 1, N, N), dtype=complex)  # S[e]: the coefficient of x^e
+    for row, (poly, shift) in enumerate([(f, r) for r in range(k)] + [(g, r) for r in range(m)]):
+        for (e, j), coef in poly:  # the row of y^shift f or y^shift g
+            S[e, row, N - 1 - j - shift] = coef
+    a, b, c, d = np.exp(2j * np.pi * np.random.default_rng(ss).random(4))  # units
+    # P(s) = sum_e S[e] (a s + b)^e (c s + d)^(D - e), interpolated at the roots of unity
+    w, e = np.exp(2j * np.pi * np.arange(D + 1) / (D + 1)), np.arange(D + 1)
+    M = np.linalg.solve(np.vander(w, increasing=True),
+                        (a * w[:, None] + b) ** e * (c * w[:, None] + d) ** (D - e))
+    P = np.tensordot(M, S, axes=(1, 0))
+    with np.errstate(all="ignore"):
+        try:  # raised for a singular leading coefficient or non-finite entries
+            Q = np.linalg.solve(P[D], np.concatenate(P[:D], axis=1))
+            s, V = np.linalg.eig(np.vstack([np.eye(N * D - N, N * D, k=N), -Q]))
+        except np.linalg.LinAlgError:
+            return [], []
+        X = np.column_stack([(a * s + b) / (c * s + d), V[N - 2] / V[N - 1]])
+    keep = np.flatnonzero(np.isfinite(X).all(axis=1) & X.all(axis=1))  # a zero has no image
+    return list(X[keep]), [f"eig[{i}]" for i in keep]
 
 
 def _refined(F: SparseSystem, candidates, settings, failures=None) -> SolutionSet:
     """Newton-refine (point, origin) candidates on F, all in one batch; keep
-    the converged ones that distinct() keeps, sorted. Refinement failures go
-    to `failures` as (origin, message) when it is given."""
+    the converged ones on the torus that distinct() keeps, sorted.
+    Refinement failures go to `failures` as (origin, message) when given."""
     candidates = list(candidates)
     X = np.array([pt for pt, _ in candidates], dtype=complex).reshape(len(candidates), F.n)
     X, res, errors = _newton(Homotopy(F.system, F.coefficients, [F.coefficients]), X,
@@ -386,7 +430,8 @@ def _refined(F: SparseSystem, candidates, settings, failures=None) -> SolutionSe
     if failures is not None:
         failures.extend((origin, str(error)) for (_, origin), error in zip(candidates, errors)
                         if error is not None)
-    found = np.array([k for k, error in enumerate(errors) if error is None], dtype=int)
+    on = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
+    found = np.array([k for k, error in enumerate(errors) if error is None and on[k]], dtype=int)
     out = SolutionSet()
     for k in found[distinct(X[found])]:
         out.append(X[k], res[k], candidates[k][1])

@@ -622,7 +622,9 @@ def test_track_all_stops_at_the_expected_count(monkeypatch, leaf):
     F = e_basis(0)
     if leaf == "blackbox":  # the whole instance: 450 paths for 50 roots
         seen = blackbox_homotopies(monkeypatch, lambda: blackbox(F, seed=0))
-    else:  # a black-box leaf of its decomposition: 6 paths for 5 roots
+    else:  # a black-box leaf of its decomposition: 6 paths for 5 roots, tracked
+        # only once the resultant eigenproblem gives no candidates
+        monkeypatch.setattr("torsolve.solver._resultant_roots", no_candidates)
         seen = blackbox_homotopies(monkeypatch, lambda: solve_decomposable(F, seed=0))
     H, starts, expected, (sols, failures) = next(
         s for s in seen if s[2] == (50 if leaf == "blackbox" else 5))
@@ -730,3 +732,135 @@ def test_blackbox_leaves_match_the_full_run_loop_on_e_basis(monkeypatch, seed):
     assert nodes[0] == nodes[1] and "blackbox" in [row[0] for row in nodes[0]]
     assert rep.solutions.provenance == ref.solutions.provenance
     assert_same_points(rep.solutions.points, ref.solutions.points)
+
+
+def no_candidates(target, ss):
+    return [], []
+
+
+def leaves_of(monkeypatch, run):
+    """(F, expected) of every _blackbox call that run() makes."""
+    import torsolve.solver as solver
+
+    real, seen = solver._blackbox, []
+
+    def spy(F, expected, *args):
+        seen.append((F, expected))
+        return real(F, expected, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_blackbox", spy)
+        run()
+    return seen
+
+
+def test_resultant_roots_equal_the_gamma_loop_on_e_basis_leaves(monkeypatch):
+    import torsolve.solver as solver
+    from torsolve.tracking import TrackerSettings
+
+    leaves = leaves_of(monkeypatch, lambda: solve_decomposable(e_basis(0), seed=0))
+    assert {5, 10} <= {mv for _, mv in leaves}
+    for F, mv in leaves:
+        if F.n != 2:
+            continue
+        eig, eig_tree = solver._blackbox(F, mv, np.random.SeedSequence(0), TrackerSettings(), "")
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_resultant_roots", no_candidates)
+            ref, ref_tree = solver._blackbox(F, mv, np.random.SeedSequence(0),
+                                             TrackerSettings(), "")
+        assert eig_tree == ref_tree and len(eig) == mv
+        assert all(o.startswith("eig[") for o in eig.provenance)
+        assert all(o.startswith("path ") for o in ref.provenance)
+        match_sets(eig.points, ref.points, tol=1e-8)
+
+
+def test_a_short_resultant_count_falls_back_to_the_gamma_loop(monkeypatch):
+    # Only one eigen candidate is kept, so the count comes up short and the
+    # black box runs the total-degree loop on the gamma stream it always drew.
+    import torsolve.solver as solver
+    from torsolve.supports import normalize
+    from torsolve.tracking import TrackerSettings
+
+    F, _ = normalize(MV5_LEAF)
+    real, calls = solver._resultant_roots, []
+
+    def one_candidate(target, ss):
+        calls.append(ss)
+        points, origins = real(target, ss)
+        return points[:1], origins[:1]
+
+    monkeypatch.setattr(solver, "_resultant_roots", one_candidate)
+    sols, tree = solver._blackbox(F, 5, np.random.SeedSequence(3), TrackerSettings(), "")
+    ref, ref_tree = reference_blackbox(F, 5, np.random.SeedSequence(3), TrackerSettings(), "")
+    assert len(calls) == 1 and tree == ref_tree
+    assert sols.provenance == ref.provenance and "eig[" not in str(sols.provenance)
+    assert all(np.array_equal(p, q) for p, q in zip(sols.points, ref.points))
+
+
+DEGENERATE_PENCILS = {
+    # g is free of y: S(x) = g(x) I, every eigenvalue double.
+    "free of y": ([(0, 0), (1, 0), (0, 1), (0, 2), (1, 2)], [(0, 0), (1, 0), (2, 0)]),
+    # x^3 only in f: the x^3 coefficient of S(x) has zero rows.
+    "singular leading coefficient": ([(0, 0), (3, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_PENCILS)
+def test_blackbox_on_a_degenerate_pencil_matches_the_gamma_loop(monkeypatch, name):
+    import torsolve.solver as solver
+
+    F = unit_coeff_system(list(DEGENERATE_PENCILS[name]), 4)
+    sols = blackbox(F)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_resultant_roots", no_candidates)
+        ref = blackbox(F)
+    assert len(sols) == len(ref) == hull_mixed_volume(F.system)
+    match_sets(sols.points, ref.points, tol=1e-8)
+
+
+def test_resultant_roots_give_nothing_without_a_regular_pencil():
+    from torsolve.solver import _resultant_roots
+
+    y_divides_both = SparseSystem.from_pairs([[((0, 1), 1.0), ((1, 2), 2.0)],
+                                              [((0, 1), 1.0), ((1, 1), 3.0)]])
+    y_linear_in_one = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 1), 2.0)],
+                                               [((0, 0), 1.0), ((1, 0), 3.0)]])
+    for target in (y_divides_both, y_linear_in_one):  # singular leading coefficient; N = 1
+        assert _resultant_roots(target, np.random.SeedSequence(0)) == ([], [])
+
+
+# The MV-10 black-box leaf of `decomposable` seed 7, round 1, e-basis[3]
+# (the leaves of seed 7 round 4 shifted[0] and seed 9 round 3 e-basis[3] are
+# alike). The total-degree homotopy finds 9 of its 10 roots under every
+# gamma at seeds 0-3; the resultant eigenproblem finds all 10.
+MV10_LEAF = SparseSystem.from_pairs([
+    [((0, 0), -0.9806868482467768 + 0.19558452309884702j),
+     ((0, 1), -0.18463624936003992 - 0.9828069268285898j),
+     ((2, 0), -0.8411854078340061 + 0.5407468073388292j),
+     ((2, 3), -0.9893039425480171 - 0.14586880838256536j)],
+    [((0, 0), -0.12004001708300427 - 0.9927690538583039j),
+     ((0, 1), -0.934085317616785 - 0.35704988364757906j),
+     ((0, 2), 0.9691964959061864 + 0.24628875801215444j),
+     ((1, 0), 0.8615153806733897 + 0.5077314731855653j),
+     ((2, 0), -0.923176184831298 - 0.38437706976396124j),
+     ((2, 1), 0.9104022659221946 - 0.4137242006503046j)],
+])
+
+
+def test_blackbox_finds_every_root_of_an_mv10_leaf():
+    from torsolve.tracking import distinct
+
+    sols = blackbox(MV10_LEAF)
+    assert len(sols) == hull_mixed_volume(MV10_LEAF.system) == 10
+    assert distinct(sols.points).all() and max(sols.residuals) <= 1e-8
+    assert all(o.startswith("eig[") for o in sols.provenance)
+
+
+
+def test_refined_drops_a_converged_point_off_the_torus():
+    from torsolve.solver import _refined
+    from torsolve.tracking import TrackerSettings
+
+    F = SparseSystem.from_pairs([[((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -1.0)],
+                                 [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 1.0)]])  # root (0, 1)
+    assert len(_refined(F, [(np.array([1e-3, 1.01]), "near (0, 1)")], TrackerSettings())) == 0

@@ -61,3 +61,14 @@ def test_parity_counts_newton_calls_and_gamma_retries_per_workload():
         "  decomposable: 10 / 40 / 400 / 7 / 6 -> 9 / 30 / 300 / 2 / 3  (differs)",
         "  exact: 0 / 0 / 0 / 0 / 0 -> 0 / 0 / 0 / 0 / 0",
     ]
+
+
+def test_parity_lists_the_two_variable_leaves_solved_and_fallen_back():
+    parity = load("parity")
+    leaves = ({"decomposable": [0, 612], "general": [0, 12]},
+              {"decomposable": [612, 0], "general": [11, 1], "cli --tolerance": [6, 2]})
+    assert parity.leaf_lines(leaves) == [
+        "  cli --tolerance: 0 / 0 -> 6 / 2",
+        "  decomposable: 0 / 612 -> 612 / 0",
+        "  general: 0 / 12 -> 11 / 1",
+    ]

@@ -21,7 +21,10 @@ of tracker passes (`_correct` calls), `Homotopy.state` calls, the rows
 they evaluated, `_newton` calls (the tracker's endgame batches and the
 solver's refinements) and the sum of `gamma_retries` over every node of
 every op's tree, so that a change to the tracker's steps can show its
-effect and its cost in retries; these counts are information, not a check.
+effect and its cost in retries; and the two-variable black-box leaves
+(`solver._blackbox` calls with n = 2) that tracked no path, solved by the
+resultant eigenproblem, against those that fell back to tracking. These
+counts are information, not a check.
 """
 
 import argparse
@@ -35,7 +38,8 @@ SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
-#  {workload: [tracker passes, state calls, rows, _newton calls]}) to standard output.
+#  {workload: [tracker passes, state calls, rows, _newton calls]},
+#  {workload: [n = 2 black-box leaves that tracked no path, those that did]}) to standard output.
 CHILD = """
 import contextlib, dataclasses, io, json, pickle, sys, tempfile
 from pathlib import Path
@@ -74,6 +78,23 @@ def counted_newton(*args):
 torsolve.tracking.Homotopy.state = counted_state
 torsolve.tracking._correct = counted_correct
 torsolve.tracking._newton = torsolve.solver._newton = counted_newton
+
+leaves, tracked = {}, [0]  # workload: [n = 2 leaves solved untracked, leaves that tracked]
+blackbox, track_all = torsolve.solver._blackbox, torsolve.solver.track_all
+
+def counted_track_all(*args):
+    tracked[0] += 1
+    return track_all(*args)
+
+def counted_blackbox(F, *args):
+    before = tracked[0]
+    try:
+        return blackbox(F, *args)
+    finally:
+        if F.n == 2:
+            leaves.setdefault(workload, [0, 0])[tracked[0] > before] += 1
+
+torsolve.solver._blackbox, torsolve.solver.track_all = counted_blackbox, counted_track_all
 
 def tree_of(tree):
     if tree is None:
@@ -139,13 +160,13 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves)))
 """
 
 
 def solve_all(checkouts):
-    """The CHILD records and step counts of each checkout, both run at the
-    same time."""
+    """The CHILD records, step counts and leaf counts of each checkout,
+    both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -202,6 +223,18 @@ def count_lines(records, steps) -> list:
     return lines
 
 
+def leaf_lines(leaves) -> list:
+    """Per workload, `  W: a / b -> c / d`: each side's two-variable
+    black-box leaves solved by the eigenproblem (a, c) and those that fell
+    back to tracking (b, d)."""
+    lines = []
+    for workload in sorted(set().union(*leaves)):
+        a, b = (" / ".join(f"{count:,}" for count in side.get(workload, (0, 0)))
+                for side in leaves)
+        lines.append(f"  {workload}: {a} -> {b}")
+    return lines
+
+
 def compare(parent, change):
     """(differences, largest point difference, largest residual change,
     largest residual of each side, solutions compared)."""
@@ -251,14 +284,18 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, parent_steps), (change, change_steps) = solve_all([args.parent.resolve(),
-                                                                args.change.resolve()])
+    (parent, parent_steps, parent_leaves), (change, change_steps, change_leaves) = solve_all(
+        [args.parent.resolve(), args.change.resolve()])
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
     print("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / "
           "gamma_retries, parent -> change:")
     for line in count_lines((parent, change), (parent_steps, change_steps)):
+        print(line)
+    print("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking, "
+          "parent -> change:")
+    for line in leaf_lines((parent_leaves, change_leaves)):
         print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
