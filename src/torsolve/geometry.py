@@ -4,11 +4,12 @@ The mixed volume is normalized as the coefficient of t_1*...*t_n in the
 volume polynomial of the scaled Minkowski sum, i.e. MV(K,...,K) equals
 n! * vol(K). `mixed_volume` follows the lacunary/triangular decomposition
 tree; at its indecomposable and univariate leaves `hull_mixed_volume` runs
-inclusion-exclusion over the subsets' Minkowski sums, built incrementally
-with vertex reduction, whose volumes come from an exact integer
-beneath-beyond triangulation. Every simplex volume there is a facet height
-that the visibility test has already computed, so no volume takes a
-determinant of its own; no floats enter any volume.
+inclusion-exclusion over the subsets' Minkowski sums, built incrementally:
+each full-rank partial sum passes on only the points on the facets of the
+hull that gives its volume, an exact integer beneath-beyond triangulation.
+Every simplex volume there is a facet height that the visibility test has
+already computed, so no volume takes a determinant of its own; no floats
+enter any volume.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import MixedVolumeZeroError
-from .intlinalg import IntMatrix, _bareiss_det, smith_normal_form, unimodular_inverse
-from .supports import Support, SupportSystem, point_in_hull, subset_span_ranks
+from .intlinalg import IntMatrix, _bareiss_det
+from .supports import Support, SupportSystem, subset_span_ranks
 
 
 def polytope_volume(P) -> Fraction:
@@ -54,15 +55,12 @@ def hull_mixed_volume(S: SupportSystem) -> int:
     Inclusion-exclusion over nonempty subsets T of the supports:
     MV = sum over T of (-1)^(n-|T|) vol(sum of conv(A_i), i in T).
     Subsets are enumerated depth-first so partial Minkowski sums are shared,
-    with larger supports placed last.
+    with larger supports placed last. A full-rank partial sum passes on
+    only the points on the facets of the hull built for its volume, which
+    include every vertex; a lower-rank sum passes on all its points.
     """
     n = S.n
-    order = sorted(range(n), key=lambda i: len(S.supports[i]))
-    sups = []
-    for i in order:
-        pts = S.supports[i].points
-        base = tuple(min(p[c] for p in pts) for c in range(n))
-        sups.append(sorted(tuple(c - b for c, b in zip(p, base)) for p in pts))
+    sups = sorted((s.points for s in S.supports), key=len)
     ranks = [_affine_rank(p) for p in sups]
     suffix_rank = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -78,14 +76,15 @@ def hull_mixed_volume(S: SupportSystem) -> int:
             if r + suffix_rank[j + 1] < n:
                 continue  # no completion of this branch reaches full rank
             if r == n:
-                dvol, _ = _hull(new, n)
+                dvol, facets = _hull(new, n)
                 vol = Fraction(dvol, math.factorial(n))
                 if (n - size - 1) % 2:
                     total -= vol
                 else:
                     total += vol
+                new = [new[v] for v in sorted({v for f in facets for v in f})]
             if j + 1 < n:
-                visit(j + 1, _reduce_to_vertices(new), size + 1)
+                visit(j + 1, new, size + 1)
 
     visit(0, None, 0)
     if total.denominator != 1 or total < 0:
@@ -120,46 +119,6 @@ def _affine_rank(pts) -> int:
 
 def _minkowski_points(A, B):
     return sorted({tuple(a + b for a, b in zip(p, q)) for p in A for q in B})
-
-
-def _project_full(pts):
-    """Map points bijectively onto Z^r, r their affine rank, preserving hulls."""
-    base = pts[0]
-    diffs = [tuple(c - b for c, b in zip(p, base)) for p in pts]
-    r = _affine_rank(pts)
-    n = len(base)
-    if r == n:
-        return diffs, r
-    cols = [d for d in diffs if any(d)]
-    psi = unimodular_inverse(smith_normal_form(IntMatrix.from_columns(cols)).P)
-    proj = [psi.apply(d)[:r] for d in diffs]
-    return proj, r
-
-
-def _reduce_to_vertices(pts):
-    """Subset of pts with the same convex hull.
-
-    All genuine vertices survive: the neighbor test below only ever removes
-    a point it proves to be a convex combination of others.
-    """
-    pts = sorted(set(map(tuple, pts)))
-    if len(pts) <= 2:
-        return pts
-    proj, r = _project_full(pts)
-    if r == 0:
-        return [pts[0]]
-    _, facets = _hull(proj, r)
-    on_boundary = sorted({v for f in facets for v in f})
-    neighbors = {v: set() for v in on_boundary}
-    for f in facets:
-        for v in f:
-            neighbors[v].update(f)
-    keep = []
-    for v in on_boundary:
-        others = [proj[w] for w in neighbors[v] if w != v]
-        if not point_in_hull(proj[v], others):
-            keep.append(pts[v])
-    return keep
 
 
 def _hull(pts, d):

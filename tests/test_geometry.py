@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from torsolve.decompose import Indecomposable, classify
+from torsolve.errors import MixedVolumeZeroError
 from torsolve.geometry import (
     _affine_rank,
     _facet_plane,
     _hull,
-    _reduce_to_vertices,
     hull_mixed_volume,
     mixed_volume,
     mv_is_zero,
@@ -121,6 +122,10 @@ def test_polytope_volume_of_simplices_and_unimodular_cubes(d):
     assert polytope_volume(cube) == k ** d
 
 
+def minkowski_sum(*supports):
+    return sorted({tuple(map(sum, zip(*ps))) for ps in itertools.product(*supports)})
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_hull_matches_scipy_convex_hull(d):
     scipy_spatial = pytest.importorskip("scipy.spatial")
@@ -131,10 +136,19 @@ def test_hull_matches_scipy_convex_hull(d):
                       for _ in range(d + 1 + rng.randint(0, 10))})
         if _affine_rank(pts) == d:
             cases.append(pts)
+    # Minkowski sums of small supports, dense and rich in coplanar points:
+    # the partial sums that `hull_mixed_volume` hands to `_hull` unthinned.
+    while d <= 4 and len(cases) < 16:
+        supports = [{tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(2, d + 2))}
+                    for _ in range(rng.randint(2, 3))]
+        pts = minkowski_sum(*supports)
+        if _affine_rank(pts) == d:
+            cases.append(pts)
     for pts in cases:
         dvol, facets = _hull(pts, d)
         qh = scipy_spatial.ConvexHull(pts)
         assert dvol == round(math.factorial(d) * qh.volume)
+        # `hull_mixed_volume` passes on only the facets' points
         assert set(qh.vertices) <= {v for f in facets for v in f}
 
 
@@ -164,20 +178,6 @@ def test_hull_volume_does_not_overflow_in_six_dimensions():
     pts = [tuple(512 * c for c in p) for p in unit]
     assert polytope_volume(pts) == 512 ** 6 * polytope_volume(unit)
     assert polytope_volume(pts) * 720 == 122209679488325779456
-
-
-def test_reduce_to_vertices_sound():
-    rng = random.Random(31)
-    for dim in (2, 3, 4):
-        for _ in range(15):
-            pts = sorted({tuple(rng.randint(0, 5) for _ in range(dim)) for _ in range(rng.randint(4, 20))})
-            red = _reduce_to_vertices(pts)
-            true_verts = {
-                p for p in pts if not point_in_hull(p, [q for q in pts if q != p])
-            }
-            assert true_verts <= set(red) <= set(pts)
-            # reduction preserves the hull
-            assert polytope_volume(red) == polytope_volume(pts)
 
 
 def test_mixed_volume_unit_square():
@@ -228,6 +228,34 @@ def test_mixed_volume_vertices_invariance():
     S = SupportSystem.of_points([START_A, START_A])
     V = SupportSystem(tuple(vertices(s) for s in S.supports))
     assert mixed_volume(V) == mixed_volume(S) == 30
+
+
+@pytest.mark.parametrize("n, count", [(2, 8), (3, 6), (4, 2)])
+def test_hull_mixed_volume_matches_scipy_inclusion_exclusion(n, count):
+    # Indecomposable draws, whose mixed volume the tree itself takes from
+    # `hull_mixed_volume`; few at n = 4, where one call takes about 0.5 s.
+    scipy_spatial = pytest.importorskip("scipy.spatial")
+    rng = random.Random(110 + n)
+    checked = 0
+    while checked < count:
+        S = SupportSystem.of_points(
+            [{tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(n, n + 2))}
+             for _ in range(n)])
+        try:
+            if not isinstance(classify(S), Indecomposable):
+                continue
+        except MixedVolumeZeroError:
+            continue
+        total = 0.0
+        for size in range(1, n + 1):
+            for T in itertools.combinations(S.supports, size):
+                try:
+                    vol = scipy_spatial.ConvexHull(minkowski_sum(*(s.points for s in T))).volume
+                except scipy_spatial.QhullError:
+                    vol = 0.0  # a lower-dimensional sum
+                total += (-1) ** (n - size) * vol
+        assert hull_mixed_volume(S) == round(total)
+        checked += 1
 
 
 def test_mv_is_zero():
