@@ -9,7 +9,7 @@ general sparse systems.
 from .intlinalg import IntMatrix, SmithForm, lattice_index, smith_normal_form, unimodular_inverse
 from .supports import SparseSystem, Support, SupportSystem, normalize, preimage_supports, quotient_supports, span_rank, vertices
 from .geometry import mixed_volume, mv_is_zero, polytope_volume
-from .torus import MonomialMap, diagonal_fiber, relabel, restrict_to_fiber
+from .torus import MonomialMap, diagonal_fiber, relabel, restrict_to_fiber, restrict_to_fibers
 from .tracking import Homotopy, SolutionSet, TrackerSettings, newton_refine, track_all, track_path
 from .decompose import (
     Classification,
@@ -36,7 +36,7 @@ __all__ = [
     "Support", "SupportSystem", "SparseSystem", "normalize", "span_rank", "vertices",
     "preimage_supports", "quotient_supports",
     "mixed_volume", "mv_is_zero", "polytope_volume",
-    "MonomialMap", "diagonal_fiber", "restrict_to_fiber", "relabel",
+    "MonomialMap", "diagonal_fiber", "restrict_to_fiber", "restrict_to_fibers", "relabel",
     "Homotopy", "TrackerSettings", "SolutionSet", "track_path", "track_all", "newton_refine",
     "Classification", "Lacunary", "Triangular", "Indecomposable",
     "DecompositionTree", "classify", "is_strictly_triangular", "predict_tree",

@@ -70,8 +70,10 @@ def classify(S: SupportSystem) -> Classification:
 
     The full-lattice check runs first; only when the lattice is all of Z^n
     are triangular witnesses searched, by increasing size then
-    lexicographically, the first witness winning. The returned coordinate
-    data refers to the normalized system.
+    lexicographically, the first witness winning. The check takes a Smith
+    form unless the pivot columns of the points, smallest first, are n
+    columns of determinant +-1. The coordinate data refers to the
+    normalized system.
     """
     S, _ = normalize(S)
     n = S.n
@@ -82,23 +84,26 @@ def classify(S: SupportSystem) -> Classification:
         ranks.append((I, rank))
 
     cols = [p for sup in S.supports for p in sup.points]
-    form = smith_normal_form(IntMatrix.from_columns(cols))
-    if form.rank != n:
-        raise AssertionError("nonzero mixed volume forces a full-rank span")
-    if form.invariant_factors[-1] > 1:
-        d = form.invariant_factors
-        D_n = IntMatrix.from_rows(
-            [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-        phi = form.P @ D_n
-        psi = unimodular_inverse(form.P)
-        return Lacunary(
-            phi=phi,
-            psi=psi,
-            diagonal=d,
-            index=math.prod(d),
-            preimage=preimage_supports(S, phi),
-        )
+    by_size = sorted(cols, key=lambda p: sum(map(abs, p)))
+    pivots = [by_size[c] for c in IntMatrix.from_columns(by_size).pivot_columns()]
+    if len(pivots) != n or abs(IntMatrix.from_columns(pivots).det()) != 1:
+        form = smith_normal_form(IntMatrix.from_columns(cols))
+        if form.rank != n:
+            raise AssertionError("nonzero mixed volume forces a full-rank span")
+        if form.invariant_factors[-1] > 1:
+            d = form.invariant_factors
+            D_n = IntMatrix.from_rows(
+                [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            )
+            phi = form.P @ D_n
+            psi = unimodular_inverse(form.P)
+            return Lacunary(
+                phi=phi,
+                psi=psi,
+                diagonal=d,
+                index=math.prod(d),
+                preimage=preimage_supports(S, phi),
+            )
 
     for I, rank in ranks[:-1]:  # proper subsets only
         if rank == len(I):

@@ -119,6 +119,10 @@ class IntMatrix:
 
     def rank(self) -> int:
         """Rank by fraction-free Gaussian elimination."""
+        return len(self.pivot_columns())
+
+    def pivot_columns(self) -> list[int]:
+        """Indices of the columns outside the span of those before them: a basis over Q."""
         return _bareiss_rank([list(r) for r in self.entries])
 
 
@@ -143,12 +147,14 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
+def _bareiss_rank(m: list[list[int]]) -> list[int]:
+    """Pivot columns of fraction-free elimination; their count is the rank."""
     rows = len(m)
     cols = len(m[0])
     prev = 1
-    r = 0  # current pivot row
+    pivots = []
     for c in range(cols):
+        r = len(pivots)  # the pivot row
         pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -158,10 +164,10 @@ def _bareiss_rank(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
-        r += 1
-        if r == rows:
+        pivots.append(c)
+        if r + 1 == rows:
             break
-    return r
+    return pivots
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .torus import (
     apply as torus_apply,
     diagonal_fiber,
     relabel,
-    restrict_to_fiber,
+    restrict_to_fibers,
 )
 from .tracking import (
     Homotopy,
@@ -232,7 +232,8 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     def lift_point(y, z=tail_ones):
         return torus_apply(psi_map, np.concatenate([y, z]))
 
-    fiber0 = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[0]))
+    restricted = restrict_to_fibers(F, J, cls.projection, map(lift_point, base_sols.points))
+    fiber0 = next(restricted)
     fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
 
     # Track the transfers in compacted fiber coordinates.
@@ -240,8 +241,7 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     start_fiber = _apply_change(fiber0, T_fib)
 
     fibers = []
-    for idx in range(1, len(base_sols.points)):
-        target = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[idx]))
+    for idx, target in enumerate(restricted, 1):
         if target.system != fiber0.system:
             raise DegenerateFiberError(
                 f"fiber support over base solution {idx} differs from the start fiber"

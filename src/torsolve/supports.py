@@ -148,10 +148,15 @@ def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
 
 def subset_span_ranks(S: SupportSystem):
     """Yield (I, span_rank(S, I)) for every nonempty index subset I, by
-    increasing size and then lexicographically."""
+    increasing size and then lexicographically. I is ranked on the union of
+    its supports' bases, each support's difference columns reduced once to
+    their pivot columns: at most n columns per support."""
+    bases = [[cols[c] for c in IntMatrix.from_columns(cols).pivot_columns()] if cols else []
+             for cols in (_difference_columns(S, [i]) for i in range(S.n))]
     for size in range(1, S.n + 1):
         for I in itertools.combinations(range(S.n), size):
-            yield I, span_rank(S, I)
+            cols = [c for i in I for c in bases[i]]
+            yield I, IntMatrix.from_columns(cols).rank() if cols else 0
 
 
 def vertices(A: Support) -> Support:

@@ -10,7 +10,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class MonomialMap:
     def domain_dim(self) -> int:
         return self.matrix.rows
 
+    @cached_property
+    def factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per output, the (j, e) pairs of its column's nonzero entries."""
+        return tuple(_factors(alpha) for alpha in self.matrix.columns())
+
 
 def _cpow(base: complex, e: int) -> complex:
     """Binary exponentiation; one reciprocal per negative exponent."""
@@ -55,7 +61,8 @@ def apply(Phi: MonomialMap, x: Sequence[complex]) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (Phi.domain_dim,):
         raise ValueError("point dimension does not match the map domain")
-    return np.array([monomial_value(x, alpha) for alpha in Phi.matrix.columns()], dtype=complex)
+    xs = x.tolist()
+    return np.array([_power_product(xs, f) for f in Phi.factors], dtype=complex)
 
 
 def monomial_value(x, alpha) -> complex:
@@ -64,6 +71,18 @@ def monomial_value(x, alpha) -> complex:
     for xj, e in zip(x, alpha):
         if e:
             v *= _cpow(complex(xj), int(e))
+    return v
+
+
+def _factors(alpha) -> tuple[tuple[int, int], ...]:
+    return tuple((j, int(e)) for j, e in enumerate(alpha) if e)
+
+
+def _power_product(xs: list[complex], factors) -> complex:
+    """monomial_value(xs, alpha) from alpha's _factors, multiplied in the same order."""
+    v = 1.0 + 0.0j
+    for j, e in factors:
+        v *= _cpow(xs[j], e)
     return v
 
 
@@ -99,24 +118,34 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     with a coordinate of modulus at most TORUS_THRESHOLD or not finite,
     means the fiber is degenerate.
     """
-    y0 = np.asarray(y0, dtype=complex)
-    if not np.all((np.abs(y0) > TORUS_THRESHOLD) & np.isfinite(y0)):
-        raise DegenerateFiberError("fiber base point leaves the floating-point torus: "
-                                   f"|y0| = {np.abs(y0)}")
-    pairs_per_poly = []
-    for j in sorted(J):
-        merged: dict[tuple[int, ...], complex] = {}
-        for alpha, c in F.polynomial(j):
-            beta = pi_J.apply(alpha)
-            merged[beta] = merged.get(beta, 0.0 + 0.0j) + c * monomial_value(y0, alpha)
-        top = max(abs(v) for v in merged.values())
-        kept = [(b, v) for b, v in merged.items() if abs(v) > _MERGE_DROP * top]
-        if not kept:
-            raise DegenerateFiberError(
-                f"polynomial {j} vanishes identically on the fiber"
-            )
-        pairs_per_poly.append(kept)
-    return SparseSystem.from_pairs(pairs_per_poly)
+    return next(restrict_to_fibers(F, J, pi_J, [y0]))
+
+
+def restrict_to_fibers(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
+                       base_points: Iterable[Sequence[complex]]) -> Iterator[SparseSystem]:
+    """Yield restrict_to_fiber(F, J, pi_J, y0) for each y0 of base_points in
+    turn, the images pi_J(alpha) and the exponents' factors computed once."""
+    terms = None  # per J-polynomial (pi_J(alpha), c_alpha, factors of alpha), after y0's check
+    for y0 in base_points:
+        y0 = np.asarray(y0, dtype=complex)
+        if not np.all((np.abs(y0) > TORUS_THRESHOLD) & np.isfinite(y0)):
+            raise DegenerateFiberError("fiber base point leaves the floating-point torus: "
+                                       f"|y0| = {np.abs(y0)}")
+        if terms is None:
+            terms = [(j, [(pi_J.apply(alpha), c, _factors(alpha)) for alpha, c in F.polynomial(j)])
+                     for j in sorted(J)]
+        ys = y0.tolist()
+        pairs_per_poly = []
+        for j, poly in terms:
+            merged: dict[tuple[int, ...], complex] = {}
+            for beta, c, factors in poly:
+                merged[beta] = merged.get(beta, 0.0 + 0.0j) + c * _power_product(ys, factors)
+            top = max(abs(v) for v in merged.values())
+            kept = [(b, v) for b, v in merged.items() if abs(v) > _MERGE_DROP * top]
+            if not kept:
+                raise DegenerateFiberError(f"polynomial {j} vanishes identically on the fiber")
+            pairs_per_poly.append(kept)
+        yield SparseSystem.from_pairs(pairs_per_poly)
 
 
 def relabel(F: SparseSystem, iota: Reindexing) -> SparseSystem:

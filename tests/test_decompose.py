@@ -1,20 +1,25 @@
 import itertools
+import math
 import random
 
 import pytest
 
+import torsolve.decompose
 from torsolve.decompose import (
     Indecomposable,
     Lacunary,
     Triangular,
+    _triangular_data,
     classify,
     is_strictly_triangular,
     predict_tree,
 )
 from torsolve.errors import MixedVolumeZeroError
 from torsolve.geometry import hull_mixed_volume, mixed_volume
-from torsolve.intlinalg import IntMatrix, lattice_index, solve_integer
-from torsolve.supports import SupportSystem, normalize, quotient_supports
+from torsolve.intlinalg import (IntMatrix, lattice_index, smith_normal_form, solve_integer,
+                                unimodular_inverse)
+from torsolve.supports import (SupportSystem, normalize, preimage_supports, quotient_supports,
+                               subset_span_ranks)
 
 LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
 LACUNARY_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
@@ -283,3 +288,72 @@ def test_predict_tree_fibers_match_quotient_supports():
     ]
     for S in systems:
         assert _tree_fields(predict_tree(S)) == _reference_tree(S)
+
+
+def _classify_by_smith_form(S):
+    """classify with its full-lattice check always taken by a Smith form."""
+    S, _ = normalize(S)
+    n = S.n
+    ranks = list(subset_span_ranks(S))
+    for I, rank in ranks:
+        if rank < len(I):
+            raise MixedVolumeZeroError(I)
+    form = smith_normal_form(IntMatrix.from_columns([p for sup in S.supports for p in sup.points]))
+    d = form.invariant_factors
+    if d[-1] > 1:
+        phi = form.P @ IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(n)]
+                                            for i in range(n)])
+        return Lacunary(phi=phi, psi=unimodular_inverse(form.P), diagonal=d,
+                        index=math.prod(d), preimage=preimage_supports(S, phi))
+    return next((_triangular_data(S, I) for I, rank in ranks[:-1] if rank == len(I)),
+                Indecomposable())
+
+
+def _random_system(rng):
+    """n <= 4 supports in Z^n, the first k of them in the span of the first k
+    unit vectors, mapped by a random unimodular matrix times a random
+    dilation of each coordinate."""
+    n = rng.randint(1, 4)
+    k = rng.randint(0, n - 1)
+    U = _random_unimodular(rng, n) if n > 1 else IntMatrix.identity(1)
+    scale = (1, 2, 3) if rng.random() < 0.5 else (1,)
+    dilate = IntMatrix.from_rows([[rng.choice(scale) if i == j else 0 for j in range(n)]
+                                  for i in range(n)])
+    M = U @ dilate
+    return SupportSystem.of_points([
+        {M.apply([rng.randint(0, 3) if i >= k or c < k else 0 for c in range(n)])
+         for _ in range(rng.randint(2, 5))}
+        for i in range(n)])
+
+
+def test_classify_shortcut_returns_the_smith_form_result(monkeypatch):
+    # Wherever the full-lattice check skips its Smith form, the points
+    # generate all of Z^n, and the result is that of the Smith-form path.
+    rng = random.Random(20)
+    taken = []
+    smith = torsolve.decompose.smith_normal_form
+    monkeypatch.setattr(torsolve.decompose, "smith_normal_form",
+                        lambda A: taken.append(A) or smith(A))
+    systems = [family_system(), family_system(SHIFTED), lacunary_system(),
+               SupportSystem.of_points([TRI_A, TRI_A, TRI_A3])]
+    systems += [SupportSystem.of_points([[tuple(7 * c for c in p) for p in sup.points]
+                                         for sup in S.supports]) for S in systems[:2]]
+    systems += [_random_system(rng) for _ in range(300)]
+    fired = skipped = 0
+    for S in systems:
+        try:
+            want = _classify_by_smith_form(S)
+        except MixedVolumeZeroError as exc:
+            with pytest.raises(MixedVolumeZeroError) as got:
+                classify(S)
+            assert got.value.args == exc.args
+            continue
+        taken.clear()
+        assert classify(S) == want
+        points = IntMatrix.from_columns([p for sup in normalize(S)[0].supports for p in sup.points])
+        if points in taken:
+            skipped += 1
+        else:
+            fired += 1
+            assert lattice_index(points) == 1
+    assert fired >= 40 and skipped >= 100

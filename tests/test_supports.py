@@ -1,19 +1,22 @@
+import itertools
 import random
 
 import pytest
 
 from torsolve.errors import LatticeMembershipError
-from torsolve.intlinalg import IntMatrix, solve_integer
+from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer
 from torsolve.supports import (
     SparseSystem,
     Support,
     SupportSystem,
+    _difference_columns,
     _preimage_solver,
     normalize,
     point_in_hull,
     preimage_supports,
     quotient_supports,
     span_rank,
+    subset_span_ranks,
     vertices,
 )
 
@@ -203,3 +206,48 @@ def test_vertices_random_consistency():
         for p in sup.points:
             if p not in set(v.points):
                 assert point_in_hull(p, [q for q in sup.points if q != p])
+
+
+def _random_support(rng, n):
+    """Random, collinear, dilated or single points in Z^n, or points on a
+    random sublattice of rank below n."""
+    kind = rng.choice(("random", "collinear", "dilated", "sublattice", "point"))
+    def vec(lo=-3, hi=3):
+        return tuple(rng.randint(lo, hi) for _ in range(n))
+    if kind == "point":
+        return [vec()]
+    if kind == "collinear":
+        base, step = vec(), vec(-2, 2)
+        pts = {tuple(b + t * v for b, v in zip(base, step)) for t in rng.sample(range(-4, 5), 3)}
+    elif kind == "sublattice":
+        gens = [vec(-2, 2) for _ in range(rng.randint(1, max(1, n - 1)))]
+        pts = {tuple(sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(n))
+               for _ in range(rng.randint(2, 6))}
+    else:
+        d = rng.choice((2, 3, 100)) if kind == "dilated" else 1
+        pts = {tuple(d * c for c in vec()) for _ in range(rng.randint(2, 7))}
+    return sorted(pts)
+
+
+def test_subset_span_ranks_equal_the_rank_of_every_difference_column():
+    # Ranking a subset on its supports' pivot bases equals ranking it on all
+    # of its difference columns; each basis is independent and rank-many,
+    # with the rank taken independently by a Smith form.
+    rng = random.Random(2020)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        S = SupportSystem.of_points([_random_support(rng, n) for _ in range(n)])
+        got = list(subset_span_ranks(S))
+        for I, rank in got:
+            cols = _difference_columns(S, I)
+            assert rank == (IntMatrix.from_columns(cols).rank() if cols else 0)
+        assert [I for I, _ in got] == [I for size in range(1, n + 1)
+                                       for I in itertools.combinations(range(n), size)]
+        for i in range(n):
+            cols = _difference_columns(S, [i])
+            if not cols:
+                continue
+            pivots = IntMatrix.from_columns(cols).pivot_columns()
+            full = smith_normal_form(IntMatrix.from_columns(cols)).rank
+            assert len(pivots) == full == dict(got)[(i,)]
+            assert smith_normal_form(IntMatrix.from_columns([cols[c] for c in pivots])).rank == full

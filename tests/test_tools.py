@@ -1,4 +1,7 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +70,34 @@ def test_parity_lists_the_two_variable_leaves_solved_and_fallen_back():
     parity = load("parity")
     leaves = ({"decomposable": [0, 612], "general": [0, 12]},
               {"decomposable": [612, 0], "general": [11, 1], "cli --tolerance": [6, 2]})
-    assert parity.leaf_lines(leaves) == [
+    assert parity.pair_lines(leaves) == [
         "  cli --tolerance: 0 / 0 -> 6 / 2",
         "  decomposable: 0 / 612 -> 612 / 0",
         "  general: 0 / 12 -> 11 / 1",
+    ]
+
+
+def test_parity_counts_classify_calls_and_the_smith_forms_inside_them():
+    # The counters of the parity child, run on this checkout: a Smith form
+    # counts only when a classify call takes it, so the "outside" one does not.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.intlinalg import IntMatrix
+from torsolve.supports import SupportSystem
+LACUNARY = [[(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)], [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]]
+TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+workload = "lacunary"
+torsolve.predict_tree(SupportSystem.of_points(LACUNARY))
+workload = "triangular"
+torsolve.predict_tree(SupportSystem.of_points([TRI_A, TRI_A, TRI_A3]))
+workload = "outside"
+torsolve.decompose.smith_normal_form(IntMatrix.from_rows([[2]]))
+print(json.dumps(nodes))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert parity.pair_lines(({}, json.loads(out))) == [
+        "  lacunary: 0 / 0 -> 2 / 1",
+        "  triangular: 0 / 0 -> 4 / 2",
     ]

@@ -5,6 +5,7 @@ from torsolve.decompose import Triangular, _triangular_data
 from torsolve.errors import DegenerateFiberError
 from torsolve.intlinalg import IntMatrix
 from torsolve.supports import SparseSystem, SupportSystem, normalize, preimage_supports, quotient_supports
+from torsolve import solver
 from torsolve.torus import (
     MonomialMap,
     apply,
@@ -12,6 +13,7 @@ from torsolve.torus import (
     monomial_value,
     relabel,
     restrict_to_fiber,
+    restrict_to_fibers,
 )
 
 LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
@@ -172,3 +174,96 @@ def test_restrict_to_fiber_rejects_base_points_off_the_float_torus(modulus):
 def test_monomial_value_negative_exponents():
     x = np.array([2.0, 4.0])
     assert abs(monomial_value(x, (-1, 2)) - 8.0) < 1e-14
+
+
+def bits(values):
+    """Exact text of each complex value: equal iff bit for bit equal."""
+    return [repr(complex(v)) for v in values]
+
+
+def test_apply_matches_monomial_value_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        n, m = (int(v) for v in rng.integers(1, 6, 2))
+        Phi = MonomialMap(IntMatrix.from_rows(rng.integers(-5, 6, (n, m)).tolist()))
+        x = random_torus_point(rng, n)
+        assert bits(apply(Phi, x)) == bits(monomial_value(x, alpha)
+                                           for alpha in Phi.matrix.columns())
+
+
+def restriction_by_monomial_value(F, J, pi_J, y0):
+    """The restricted coefficients term by term: c * monomial_value(y0, alpha)
+    summed over each image point in the order of F's points."""
+    out = []
+    for j in sorted(J):
+        merged = {}
+        for alpha, c in F.polynomial(j):
+            beta = pi_J.apply(alpha)
+            merged[beta] = merged.get(beta, 0j) + c * monomial_value(y0, alpha)
+        out.append(sorted(merged.items()))
+    return out
+
+
+def test_restrict_to_fibers_matches_each_point_bit_for_bit():
+    rng = np.random.default_rng(21)
+    cases = [(tri_F(), [2], quotient_supports(tri_F().system, [0, 1])[0])]
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        F = SparseSystem.from_pairs([
+            {tuple(rng.integers(-3, 4, n).tolist()): complex(*rng.normal(size=2))
+             for _ in range(int(rng.integers(1, 7)))}.items() for _ in range(n)])
+        J = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+        cases.append((F, J, IntMatrix.from_rows(rng.integers(-2, 3, (len(J), n)).tolist())))
+    for F, J, pi_J in cases:
+        points = [random_torus_point(rng, F.n) for _ in range(4)]
+        for got, y0 in zip(restrict_to_fibers(F, J, pi_J, points), points, strict=True):
+            want = restrict_to_fiber(F, J, pi_J, y0)
+            assert got.system == want.system
+            assert bits(np.concatenate(got.coefficients)) == bits(np.concatenate(want.coefficients))
+            reference = restriction_by_monomial_value(F, J, pi_J, y0)
+            for i, terms in enumerate(reference):  # nothing cancels on random points
+                assert [b for b, _ in terms] == list(got.system.supports[i].points)
+                assert bits(v for _, v in terms) == bits(got.coefficients[i])
+
+
+def test_restrict_to_fibers_raises_the_first_error_of_a_per_point_loop():
+    # f_1 = 1 - x restricts to the constant 1 - x0, which vanishes at x0 = 1.
+    F = SparseSystem.from_pairs([
+        [((0, 0), 1.0), ((1, 0), 2.0)],
+        [((0, 0), 1.0), ((1, 0), -1.0)],
+    ])
+    pi = IntMatrix.from_rows([[0, 1]])
+    good, vanishing, off = [2.0, 1.0], [1.0, 3.0], [1e-30, 1.0]
+    for points in ([good, vanishing, off], [good, good, off, vanishing], [vanishing], [off]):
+        fibers = restrict_to_fibers(F, [1], pi, points)
+        for y0 in points:
+            try:
+                want = restrict_to_fiber(F, [1], pi, y0)
+            except DegenerateFiberError as exc:
+                with pytest.raises(DegenerateFiberError,
+                                   match="vanishes" if y0 is vanishing else "torus") as got:
+                    next(fibers)
+                assert str(got.value) == str(exc)
+                break
+            assert next(fibers) == want
+        else:
+            raise AssertionError("every list holds a degenerate base point")
+
+
+@pytest.mark.parametrize("idx", [1, 2])
+def test_a_fiber_support_that_differs_names_its_base_solution(monkeypatch, idx):
+    # The fiber over base solution idx loses a term; the triangular solve
+    # must stop there, naming idx.
+    restrict = solver.restrict_to_fibers
+
+    def losing_a_term(F, J, pi_J, base_points):
+        for k, fiber in enumerate(restrict(F, J, pi_J, base_points)):
+            if k == idx:
+                polys = [fiber.polynomial(i) for i in range(fiber.n)]
+                fiber = SparseSystem.from_pairs([polys[0][1:], *polys[1:]])
+            yield fiber
+
+    monkeypatch.setattr(solver, "restrict_to_fibers", losing_a_term)
+    with pytest.raises(DegenerateFiberError,
+                       match=f"over base solution {idx} differs from the start fiber"):
+        solver.solve_decomposable(tri_F(), seed=0)

@@ -23,7 +23,8 @@ solver's refinements) and the sum of `gamma_retries` over every node of
 every op's tree, so that a change to the tracker's steps can show its
 effect and its cost in retries; and the two-variable black-box leaves
 (`solver._blackbox` calls with n = 2) that tracked no path, solved by the
-resultant eigenproblem, against those that fell back to tracking. These
+resultant eigenproblem, against those that fell back to tracking; and the
+`classify` calls with the `smith_normal_form` calls made inside them. These
 counts are information, not a check.
 """
 
@@ -36,11 +37,9 @@ from pathlib import Path
 POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
-# Run in a fresh interpreter from a checkout: solve every op and pickle
-# ({(workload, seed, round, label): record},
-#  {workload: [tracker passes, state calls, rows, _newton calls]},
-#  {workload: [n = 2 black-box leaves that tracked no path, those that did]}) to standard output.
-CHILD = """
+# Import the torsolve of the checkout named by the first argument and wrap
+# the functions it counts, each count going to the global `workload`'s entry.
+SETUP = """
 import contextlib, dataclasses, io, json, pickle, sys, tempfile
 from pathlib import Path
 root = Path(sys.argv[1]).resolve()
@@ -96,6 +95,31 @@ def counted_blackbox(F, *args):
 
 torsolve.solver._blackbox, torsolve.solver.track_all = counted_blackbox, counted_track_all
 
+nodes, inside = {}, [0]  # workload: [classify calls, smith_normal_form calls inside them]
+classify, smith = torsolve.decompose.classify, torsolve.decompose.smith_normal_form
+
+def counted_classify(S):
+    nodes.setdefault(workload, [0, 0])[0] += 1
+    inside[0] += 1
+    try:
+        return classify(S)
+    finally:
+        inside[0] -= 1
+
+def counted_smith(A):
+    if inside[0]:
+        nodes.setdefault(workload, [0, 0])[1] += 1
+    return smith(A)
+
+torsolve.decompose.classify = torsolve.solver.classify = counted_classify
+torsolve.decompose.smith_normal_form = counted_smith
+"""
+# Run in a fresh interpreter from a checkout: solve every op and pickle
+# ({(workload, seed, round, label): record},
+#  {workload: [tracker passes, state calls, rows, _newton calls]},
+#  {workload: [n = 2 black-box leaves that tracked no path, those that did]},
+#  {workload: [classify calls, smith_normal_form calls inside them]}) to standard output.
+CHILD = SETUP + """
 def tree_of(tree):
     if tree is None:
         return None
@@ -160,13 +184,13 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, nodes)))
 """
 
 
 def solve_all(checkouts):
-    """The CHILD records, step counts and leaf counts of each checkout,
-    both run at the same time."""
+    """The CHILD records, step counts, leaf counts and classify counts of
+    each checkout, both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -223,14 +247,14 @@ def count_lines(records, steps) -> list:
     return lines
 
 
-def leaf_lines(leaves) -> list:
-    """Per workload, `  W: a / b -> c / d`: each side's two-variable
-    black-box leaves solved by the eigenproblem (a, c) and those that fell
-    back to tracking (b, d)."""
+def pair_lines(counts) -> list:
+    """Per workload, `  W: a / b -> c / d`: two counts of each side, e.g. the
+    two-variable black-box leaves solved by the eigenproblem (a, c) and
+    those that fell back to tracking (b, d)."""
     lines = []
-    for workload in sorted(set().union(*leaves)):
+    for workload in sorted(set().union(*counts)):
         a, b = (" / ".join(f"{count:,}" for count in side.get(workload, (0, 0)))
-                for side in leaves)
+                for side in counts)
         lines.append(f"  {workload}: {a} -> {b}")
     return lines
 
@@ -284,18 +308,21 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, parent_steps, parent_leaves), (change, change_steps, change_leaves) = solve_all(
-        [args.parent.resolve(), args.change.resolve()])
+    (parent, change), steps, leaves, nodes = zip(*solve_all(
+        [args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
     print("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / "
           "gamma_retries, parent -> change:")
-    for line in count_lines((parent, change), (parent_steps, change_steps)):
+    for line in count_lines((parent, change), steps):
         print(line)
     print("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking, "
           "parent -> change:")
-    for line in leaf_lines((parent_leaves, change_leaves)):
+    for line in pair_lines(leaves):
+        print(line)
+    print("classify calls / smith_normal_form calls inside them, parent -> change:")
+    for line in pair_lines(nodes):
         print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
