@@ -158,9 +158,10 @@ class DecompositionTree:
     paths, even where fewer are tracked: the black box stops its paths at
     the MV's count of endpoints, and tracks none at a resultant-solved leaf.
     Closed-form steps (root extraction, companion-matrix eigenvalues)
-    contribute zero. A triangular node's children are its base and first
-    fiber, then one tree per fiber solved directly because its transfer
-    failed every gamma.
+    contribute zero. A triangular node books every transfer and its paths,
+    tracked or, for one-variable fibers, taken as companion eigenvalues. Its
+    children are its base and first fiber, then one tree per fiber solved
+    directly because its transfer failed every gamma.
     """
 
     kind: str  # lacunary | triangular | blackbox | univariate | homotopy

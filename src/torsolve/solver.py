@@ -1,14 +1,16 @@
 """Recursive solver for decomposable sparse systems, plus start systems.
 
 The main entry point classifies the supports, then either extracts roots
-through a monomial covering (lacunary), solves a subsystem first and
-fills the fiber over each of its other solutions from the first fiber, all
-transfers tracked as one multi-target parameter homotopy and a fiber whose
-transfer fails every gamma solved directly (triangular), or
-falls back to a black box: companion-matrix eigenvalues for one variable,
-hidden-variable resultant eigenvalues for two, a total-degree homotopy
-otherwise or when those come up short. Recursion terminates because each
-level decreases either the mixed volume or the number of variables.
+through a monomial covering (lacunary), or solves a subsystem first and
+fills the fiber over each of its other solutions (triangular): one-variable
+fibers at once as companion-matrix eigenvalues, other fibers, or all when
+one comes up short, by transfers from the first fiber tracked as one
+multi-target parameter homotopy, a fiber whose transfer fails every gamma
+solved directly. Otherwise it falls back to a black box: companion-matrix
+eigenvalues for one variable, hidden-variable resultant eigenvalues for
+two, a total-degree homotopy otherwise or when those come up short.
+Recursion terminates because each level decreases either the mixed volume
+or the number of variables.
 """
 
 from __future__ import annotations
@@ -259,6 +261,10 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     rng = np.random.default_rng(transfer_ss)
     gammas, got, direct_trees = [], {}, []
     first, pos, attempt = 0, 0, 0  # first open transfer, its gamma's stream index, its attempt
+    if n - k == 1 and fibers:  # one-variable fibers: every transfer's roots are eigenvalues
+        solved = _companion_roots(fiber0, [fiber.coefficients[0] for fiber in fibers], settings)
+        if all(len(sols) == len(fiber_sols) for sols in solved):
+            got, first, pos = dict(enumerate(s.points for s in solved)), len(fibers), len(fibers)
     while first < len(targets):
         todo = range(first, len(targets))
         gammas += [_unit(rng) for _ in range(pos + len(todo) - len(gammas))]
@@ -309,21 +315,33 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
 
 
 def _univariate_roots(F, settings, prov):
-    """Companion-matrix solve after normalizing away the lowest exponent."""
-    points = F.system.supports[0].points
-    exps = [p[0] for p in points]
-    low = exps[0]
-    degree = exps[-1] - low
-    dense = np.zeros(degree + 1, dtype=complex)
-    for e, c in zip(exps, F.coefficients[0]):
-        dense[e - low] = c
-    roots = np.roots(dense[::-1])
-    out = _refined(F, ((np.array([r], dtype=complex), f"{prov}eig[{ri}]")
-                       for ri, r in enumerate(roots) if abs(r) >= 1e-10), settings)
+    """Companion-matrix solve: the case K = 1 of _companion_roots."""
+    out = _companion_roots(F, F.coefficients, settings, prov)[0]
+    degree = F.system.supports[0].points[-1][0] - F.system.supports[0].points[0][0]
     if len(out) != degree:
         raise CountMismatchError("univariate companion solve", degree, len(out), out)
     tree = DecompositionTree(kind="univariate", mv=degree, solutions=len(out))
     return out, tree
+
+
+def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionSet]:
+    """Per coefficient row on the one-variable support of F, its torus roots:
+    the eigenvalues `eig[i]` of K companion matrices stacked in np.roots'
+    layout, so bit for bit its roots, refined in one batched Newton on the
+    K targets. Non-finite matrices, from a zero end coefficient, give none."""
+    exps = [p[0] for p in F.system.supports[0].points]
+    K, degree = len(rows), exps[-1] - exps[0]
+    dense = np.zeros((K, degree + 1), dtype=complex)  # highest power first
+    dense[:, [exps[-1] - e for e in exps]] = rows
+    A = np.zeros((K, degree, degree), dtype=complex)
+    A[:, np.arange(1, degree), np.arange(degree - 1)] = 1
+    with np.errstate(all="ignore"):
+        A[:, 0] = -dense[:, 1:] / dense[:, :1]
+    roots = np.linalg.eigvals(A) if np.isfinite(A).all() else np.zeros((K, degree))
+    block, index = np.nonzero(np.abs(roots) >= TORUS_THRESHOLD)
+    H = Homotopy(F.system, F.coefficients, [[row] for row in rows])
+    return _refined_rows(H, roots[block, index, None], block,
+                         [f"{prov}eig[{i}]" for i in index], settings)
 
 
 def _blackbox(F, expected, ss, settings, prov):
@@ -425,17 +443,28 @@ def _refined(F: SparseSystem, candidates, settings, failures=None) -> SolutionSe
     Refinement failures go to `failures` as (origin, message) when given."""
     candidates = list(candidates)
     X = np.array([pt for pt, _ in candidates], dtype=complex).reshape(len(candidates), F.n)
-    X, res, errors = _newton(Homotopy(F.system, F.coefficients, [F.coefficients]), X,
-                             np.zeros(len(X), dtype=int), settings)
+    return _refined_rows(Homotopy(F.system, F.coefficients, [F.coefficients]), X,
+                         np.zeros(len(X), dtype=int), [o for _, o in candidates], settings,
+                         failures)[0]
+
+
+def _refined_rows(H: Homotopy, X, rows, origins, settings, failures=None) -> list[SolutionSet]:
+    """_refined on the target rows of H at t = 1: one SolutionSet per target,
+    of the points of X on that row."""
+    X, res, errors = _newton(H, X, rows, settings)
     if failures is not None:
-        failures.extend((origin, str(error)) for (_, origin), error in zip(candidates, errors)
+        failures.extend((origin, str(error)) for origin, error in zip(origins, errors)
                         if error is not None)
-    on = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
-    found = np.array([k for k, error in enumerate(errors) if error is None and on[k]], dtype=int)
-    out = SolutionSet()
-    for k in found[distinct(X[found])]:
-        out.append(X[k], res[k], candidates[k][1])
-    out.sort()
+    ok = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
+    ok &= np.array([error is None for error in errors], dtype=bool)
+    out = []
+    for k in range(len(H.ct)):
+        found = np.flatnonzero(ok & (rows == k))
+        sols = SolutionSet()
+        for i in found[distinct(X[found])]:
+            sols.append(X[i], res[i], origins[i])
+        sols.sort()
+        out.append(sols)
     return out
 
 

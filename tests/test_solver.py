@@ -441,8 +441,9 @@ def transfer_gammas(seed, count):
 
 def failing_gammas(monkeypatch, seed, places):
     """Make solver.track_all lose one endpoint of every transfer tracked with
-    the gamma at one of `places` in the transfer stream; returns the gammas
-    of every call that tracked transfers."""
+    the gamma at one of `places` in the transfer stream, and the eigenvalue
+    solve of several one-variable fibers come up short, so that they are
+    tracked; returns the gammas of every call that tracked transfers."""
     import torsolve.solver as solver
     from torsolve.tracking import SolutionSet
 
@@ -465,6 +466,9 @@ def failing_gammas(monkeypatch, seed, places):
         return out, failures
 
     monkeypatch.setattr(solver, "track_all", track_all)
+    monkeypatch.setattr(solver, "_companion_roots",
+                        lambda F, rows, *rest, real=solver._companion_roots: real(F, rows, *rest)
+                        if len(rows) == 1 else [SolutionSet()] * len(rows))
     return calls
 
 
@@ -543,6 +547,50 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
     assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-10)
     draws = transfer_gammas(7, 10)
     assert calls == [[g] for g in draws[:5]] + [draws[0:7], draws[2:8], draws[3:9], draws[4:10]]
+
+
+@pytest.mark.parametrize("exponents", [(0, 2, 4), (-3, -1, 0, 2), (0, 1, 2, 3, 4, 5), (-2, 5)])
+def test_companion_roots_equal_np_roots_refined_row_by_row(exponents):
+    from torsolve.solver import _companion_roots, _refined
+    from torsolve.tracking import TrackerSettings
+
+    rng = np.random.default_rng(len(exponents))
+    shape = (7, len(exponents))
+    rows = np.exp(2j * np.pi * rng.random(shape)) * rng.uniform(0.5, 2.0, shape)
+    systems = [SparseSystem.from_pairs([list(zip(((e,) for e in exponents), row))])
+               for row in rows]
+    batched = _companion_roots(systems[0], rows, TrackerSettings(), "x/")
+    assert len(batched) == len(rows)
+    for F, row, sols in zip(systems, rows, batched):
+        dense = np.zeros(exponents[-1] - exponents[0] + 1, dtype=complex)
+        dense[np.subtract(exponents, exponents[0])] = row
+        roots = np.roots(dense[::-1])
+        alone = _refined(F, ((np.array([r]), f"x/eig[{i}]") for i, r in enumerate(roots)
+                             if abs(r) >= 1e-10), TrackerSettings())
+        assert len(sols) == exponents[-1] - exponents[0]
+        assert sols.provenance == alone.provenance and sols.residuals == alone.residuals
+        assert np.array_equal(sols.points, alone.points)
+
+
+def test_one_variable_fibers_are_solved_without_tracking(monkeypatch):
+    import torsolve.solver as solver
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import TrackerSettings
+
+    F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
+    assert F.n - cls.k == 1
+    ref, ref_tree = reference_solve_triangular(F, cls, np.random.SeedSequence(7),
+                                               TrackerSettings(), "")
+    calls = []
+    monkeypatch.setattr(solver, "track_all", lambda *args: calls.append(args))
+    out, tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+    assert calls == []
+    rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries)
+             for nd in t.walk()] for t in (tree, ref_tree)]
+    assert rows[0] == rows[1] and tree.paths == 14 and tree.ledger() == ref_tree.ledger()
+    assert out.provenance == ref.provenance
+    for p, q in zip(out.points, ref.points):
+        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
 
 
 def reference_blackbox(F, expected, ss, settings, prov, refined=None):

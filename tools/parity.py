@@ -23,9 +23,11 @@ solver's refinements) and the sum of `gamma_retries` over every node of
 every op's tree, so that a change to the tracker's steps can show its
 effect and its cost in retries; and the two-variable black-box leaves
 (`solver._blackbox` calls with n = 2) that tracked no path, solved by the
-resultant eigenproblem, against those that fell back to tracking; and the
-`classify` calls with the `smith_normal_form` calls made inside them. These
-counts are information, not a check.
+resultant eigenproblem, against those that fell back to tracking; the same
+for the triangular nodes with one-variable fibers and at least one transfer
+that returned, solved by companion eigenvalues or by `track_all` calls of
+their own; and the `classify` calls with the `smith_normal_form` calls made
+inside them. These counts are information, not a check.
 """
 
 import argparse
@@ -83,6 +85,8 @@ blackbox, track_all = torsolve.solver._blackbox, torsolve.solver.track_all
 
 def counted_track_all(*args):
     tracked[0] += 1
+    if frames and frames[-1] is not None:
+        frames[-1] += 1
     return track_all(*args)
 
 def counted_blackbox(F, *args):
@@ -94,6 +98,30 @@ def counted_blackbox(F, *args):
             leaves.setdefault(workload, [0, 0])[tracked[0] > before] += 1
 
 torsolve.solver._blackbox, torsolve.solver.track_all = counted_blackbox, counted_track_all
+
+# workload: [one-variable-fiber triangular nodes that tracked no transfer, those that did];
+# frames: per open solve, None or, for a triangular node, the track_all calls it made itself
+fibers, frames = {}, []
+solve, triangular = torsolve.solver._solve, torsolve.solver._solve_triangular
+
+def counted_solve(*args):
+    frames.append(None)
+    try:
+        return solve(*args)
+    finally:
+        frames.pop()
+
+def counted_triangular(F, cls, *args):
+    frames.append(0)
+    try:
+        out = triangular(F, cls, *args)
+    finally:
+        calls = frames.pop()
+    if F.n - cls.k == 1 and out[1].transfers:
+        fibers.setdefault(workload, [0, 0])[calls > 0] += 1
+    return out
+
+torsolve.solver._solve, torsolve.solver._solve_triangular = counted_solve, counted_triangular
 
 nodes, inside = {}, [0]  # workload: [classify calls, smith_normal_form calls inside them]
 classify, smith = torsolve.decompose.classify, torsolve.decompose.smith_normal_form
@@ -118,6 +146,7 @@ torsolve.decompose.smith_normal_form = counted_smith
 # ({(workload, seed, round, label): record},
 #  {workload: [tracker passes, state calls, rows, _newton calls]},
 #  {workload: [n = 2 black-box leaves that tracked no path, those that did]},
+#  {workload: [one-variable-fiber triangular nodes that tracked no transfer, those that did]},
 #  {workload: [classify calls, smith_normal_form calls inside them]}) to standard output.
 CHILD = SETUP + """
 def tree_of(tree):
@@ -184,13 +213,13 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, nodes)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, nodes)))
 """
 
 
 def solve_all(checkouts):
-    """The CHILD records, step counts, leaf counts and classify counts of
-    each checkout, both run at the same time."""
+    """The CHILD records, step counts, leaf counts, fiber-node counts and
+    classify counts of each checkout, both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -308,7 +337,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, nodes = zip(*solve_all(
+    (parent, change), steps, leaves, fibers, nodes = zip(*solve_all(
         [args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
@@ -320,6 +349,10 @@ def main(argv=None) -> int:
     print("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking, "
           "parent -> change:")
     for line in pair_lines(leaves):
+        print(line)
+    print("triangular nodes with one-variable fibers solved by eigenvalues / fell back to "
+          "tracking, parent -> change:")
+    for line in pair_lines(fibers):
         print(line)
     print("classify calls / smith_normal_form calls inside them, parent -> change:")
     for line in pair_lines(nodes):
