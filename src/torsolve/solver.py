@@ -3,14 +3,15 @@
 The main entry point classifies the supports, then either extracts roots
 through a monomial covering (lacunary), or solves a subsystem first and
 fills the fiber over each of its other solutions (triangular): one-variable
-fibers at once as companion-matrix eigenvalues, other fibers, or all when
-one comes up short, by transfers from the first fiber tracked as one
-multi-target parameter homotopy, a fiber whose transfer fails every gamma
-solved directly. Otherwise it falls back to a black box: companion-matrix
-eigenvalues for one variable, hidden-variable resultant eigenvalues for
-two, a total-degree homotopy otherwise or when those come up short.
-Recursion terminates because each level decreases either the mixed volume
-or the number of variables.
+fibers at once as companion-matrix eigenvalues, other fibers and short ones
+by transfers from the first fiber tracked as one multi-target parameter
+homotopy, short transfers again on fresh gammas, a fiber whose transfer
+fails every gamma solved directly. Otherwise it falls back to a black box:
+companion-matrix eigenvalues for one variable, hidden-variable resultant
+eigenvalues for two, a total-degree homotopy otherwise or when those come
+up short. All three homotopies go through _tracked, in coordinates from
+_compacted. Recursion terminates because each level decreases either the
+mixed volume or the number of variables.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .decompose import (
     classify,
     predict_tree,
 )
-from .errors import CountMismatchError, DegenerateFiberError, MixedVolumeZeroError
-from .geometry import hull_mixed_volume, mv_is_zero
+from .errors import CountMismatchError, DegenerateFiberError
+from .geometry import hull_mixed_volume
 from .intlinalg import IntMatrix, unimodular_inverse
 from .supports import SparseSystem, SupportSystem, normalize, vertices
 from .torus import (
@@ -134,24 +135,14 @@ def solve_general(F: SparseSystem, seed: int = 0,
     ss = np.random.SeedSequence(seed)
     G, start_sols, start_tree = _vertex_start(F.system, ss, settings)
     expected = len(start_sols)
-
-    T, push, start_points = _compacted(F.system, start_sols.points)
-    G_c = _apply_change(G, T)
-    F_c = _apply_change(F, T)
+    F_c, (G_c,), back, start_points = _compacted(F, [G], start_sols.points)
 
     rng = np.random.default_rng(ss.spawn(1)[0])
     warnings = []
     best = SolutionSet()
-    total_paths = 0
-    attempts = 0
     for attempt in range(2):
-        attempts += 1
-        H = Homotopy.straight_line(G_c, F_c, _unit(rng))
-        endpoints, failures = track_all(H, start_points, settings)
-        total_paths += len(start_sols)
-        found = _refined(F, ((pt if push is None else torus_apply(push, pt), origin)
-                                    for pt, origin in zip(endpoints.points, endpoints.provenance)),
-                         settings, failures)
+        (ends,), failures = _tracked(G_c, [F_c], [_unit(rng)], start_points, back, settings)
+        found = _refined(F, zip(ends.points, ends.provenance), settings, failures)
         if len(found) > len(best):
             best = found
         if len(found) == expected:
@@ -166,9 +157,9 @@ def solve_general(F: SparseSystem, seed: int = 0,
         kind="homotopy",
         mv=expected,
         children=[start_tree],
-        paths=total_paths,
+        paths=(attempt + 1) * expected,
         solutions=len(best),
-        transfers=attempts,
+        transfers=attempt + 1,
     )
     return _report(best, tree, seed, warnings)
 
@@ -238,10 +229,6 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     fiber0 = next(restricted)
     fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
 
-    # Track the transfers in compacted fiber coordinates.
-    T_fib, push, start_points = _compacted(fiber0.system, fiber_sols.points)
-    start_fiber = _apply_change(fiber0, T_fib)
-
     fibers = []
     for idx, target in enumerate(restricted, 1):
         if target.system != fiber0.system:
@@ -249,50 +236,37 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
                 f"fiber support over base solution {idx} differs from the start fiber"
             )
         fibers.append(target)
-    targets = [_apply_change(target, T_fib) for target in fibers]
+    # Transfers run in compacted fiber coordinates, in rounds. Round 0 tracks
+    # every transfer, or for one-variable fibers those whose eigenvalues came
+    # up short, as one multi-target homotopy; each later round tracks the
+    # transfers still short, ascending, each on the next gamma of the stream.
+    # A transfer short after the last round has its fiber solved directly.
+    start_fiber, targets, back, start_points = _compacted(fiber0, fibers, fiber_sols.points)
+    got, attempts, direct_trees = {}, Counter(), []  # got: per transfer, its latest roots
+    if n - k == 1 and fibers:
+        got = dict(enumerate(_companion_roots(fiber0, [f.coefficients[0] for f in fibers],
+                                              settings)))
 
-    def pushed(sols):
-        return sols.points if push is None else [torus_apply(push, w) for w in sols.points]
+    def short():
+        return [m for m in range(len(fibers)) if len(got.get(m, ())) != len(fiber_sols)]
 
-    # All transfers run as one multi-target homotopy, each with the gamma it
-    # would draw if they ran one after another: a transfer that comes up short
-    # takes the next gamma, and the later ones are tracked again after it. A
-    # transfer short under every gamma has its fiber solved directly instead.
     rng = np.random.default_rng(transfer_ss)
-    gammas, got, direct_trees = [], {}, []
-    first, pos, attempt = 0, 0, 0  # first open transfer, its gamma's stream index, its attempt
-    if n - k == 1 and fibers:  # one-variable fibers: every transfer's roots are eigenvalues
-        solved = _companion_roots(fiber0, [fiber.coefficients[0] for fiber in fibers], settings)
-        if all(len(sols) == len(fiber_sols) for sols in solved):
-            got, first, pos = dict(enumerate(s.points for s in solved)), len(fibers), len(fibers)
-    while first < len(targets):
-        todo = range(first, len(targets))
-        gammas += [_unit(rng) for _ in range(pos + len(todo) - len(gammas))]
-        H = Homotopy.straight_line(start_fiber, [targets[m] for m in todo],
-                                   gammas[pos:pos + len(todo)])
-        endpoints, _failures = track_all(H, start_points * len(todo), settings)
-        batch = {m: SolutionSet() for m in todo}
-        for pt, res, origin in zip(endpoints.points, endpoints.residuals, endpoints.provenance):
-            block, path = divmod(int(origin.split()[1]), len(start_points))
-            batch[first + block].append(pt, res, f"path {path}")
-        short = next((m for m in todo if len(batch[m]) != len(fiber_sols)), len(targets))
-        got.update((m, pushed(batch[m])) for m in range(first, short))
-        if short == len(targets):
+    for _ in range(_MAX_GAMMA_RETRIES + 1):
+        todo = short()
+        if not todo:
             break
-        attempt = attempt + 1 if short == first else 1
-        first, pos = short, pos + short - first + 1
-        if attempt > _MAX_GAMMA_RETRIES:
-            try:
-                direct, direct_tree = _solve(fibers[short], direct_ss, settings,
-                                             f"{prov}fiber{short + 1}/")
-            except CountMismatchError as exc:
-                raise CountMismatchError(f"fiber transfer to base solution {short + 1}",
-                                         len(fiber_sols), len(batch[short]), batch[short]) from exc
-            got[short] = direct.points
-            direct_trees.append(direct_tree)
-            first, attempt = short + 1, 0  # the next transfer takes the next gamma
-    retries = pos - first  # each retry put the stream one gamma ahead of its transfer
-    per_base = [fiber_sols.points] + [got[m] for m in range(len(targets))]
+        tracked, _ = _tracked(start_fiber, [targets[m] for m in todo],
+                              [_unit(rng) for _ in todo], start_points, back, settings)
+        got.update(zip(todo, tracked))
+        attempts.update(todo)
+    for m in short():
+        try:
+            got[m], direct_tree = _solve(fibers[m], direct_ss, settings, f"{prov}fiber{m + 1}/")
+        except CountMismatchError as exc:
+            raise CountMismatchError(f"fiber transfer to base solution {m + 1}",
+                                     len(fiber_sols), len(got[m]), got[m]) from exc
+        direct_trees.append(direct_tree)
+    per_base = [fiber_sols.points] + [got[m].points for m in range(len(fibers))]
 
     lifted = ((lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
               for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
@@ -309,7 +283,7 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
         witness=I,
         transfers=len(base_sols) - 1,
         paths=(len(base_sols) - 1) * len(fiber_sols),
-        gamma_retries=retries,
+        gamma_retries=sum(attempts.values()) - len(attempts),
     )
     return out, tree
 
@@ -360,15 +334,13 @@ def _blackbox(F, expected, ss, settings, prov):
     if F.n == 1:
         return _univariate_roots(F, settings, prov)
     n = F.n
-    T, back, _ = _compacted(F.system, [])
-    compact = _apply_change(F, T)
+    compact, _, back, _ = _compacted(F)
     moved, degrees = _orthant_shifts(compact.system)
     target = SparseSystem.from_pairs([list(zip(pts, c))
                                       for pts, c in zip(moved, compact.coefficients)])
 
     def refined(points, provenance):
-        pulled = (pt if back is None else torus_apply(back, pt) for pt in points)
-        return _refined(F, zip(pulled, (prov + o for o in provenance)), settings)
+        return _refined(F, zip(points, (prov + o for o in provenance)), settings)
 
     def solved(sols, retries):
         return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
@@ -376,7 +348,8 @@ def _blackbox(F, expected, ss, settings, prov):
                                        gamma_retries=retries)
 
     if n == 2:  # the child leaves the gamma stream of `ss` as it is
-        sols = refined(*_resultant_roots(target, ss.spawn(1)[0]))
+        points, origins = _resultant_roots(target, ss.spawn(1)[0])
+        sols = refined(map(back, points), origins)
         if len(sols) == expected:
             return solved(sols, 0)
     rng = np.random.default_rng(ss)
@@ -389,9 +362,9 @@ def _blackbox(F, expected, ss, settings, prov):
             start_pairs.append([((0,) * n, -b[i]), (power, c[i])])
         G = SparseSystem.from_pairs(start_pairs)
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
-        H = Homotopy.straight_line(G, target, _unit(rng))
+        gamma = _unit(rng)
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
-            ends, failures = track_all(H, starts, settings, count)
+            (ends,), failures = _tracked(G, [target], [gamma], starts, back, settings, count)
             sols = refined(ends.points, ends.provenance)
             if len(sols) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
@@ -524,33 +497,41 @@ def _compacting_change(S: SupportSystem) -> IntMatrix | None:
     return IntMatrix.from_rows(T)
 
 
-def _compacted(S: SupportSystem, points):
-    """(T, push, pulled): the change T of _compacting_change(S), the monomial
-    map that takes compacted points back, and `points` in compacted
-    coordinates. T and push are None when S is already compact."""
-    T = _compacting_change(S)
+def _compacted(F: SparseSystem, others=(), points=()):
+    """(F_c, others_c, back, points_c): F and each system of `others` in the
+    coordinates of _compacting_change(F.system), with exponents T @ alpha so
+    that F_c(w) = F(Phi_T(w)); the map `back` that takes a compacted point
+    back, Phi_T; and `points` in compacted coordinates. Nothing changes, and
+    `back` is the identity, when F is already compact."""
+    T = _compacting_change(F.system)
     if T is None:
-        return None, None, points
-    pull = MonomialMap(unimodular_inverse(T))
-    return T, MonomialMap(T), [torus_apply(pull, z) for z in points]
+        return F, list(others), lambda w: w, list(points)
+    changed = [SparseSystem.from_pairs([[(T.apply(alpha), c) for alpha, c in G.polynomial(i)]
+                                        for i in range(G.n)]) for G in (F, *others)]
+    push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))
+    return (changed[0], changed[1:], lambda w: torus_apply(push, w),
+            [torus_apply(pull, z) for z in points])
 
 
-def _apply_change(F: SparseSystem, T: IntMatrix | None) -> SparseSystem:
-    """G with G(w) = F(Phi_T(w)): exponents become T @ alpha."""
-    if T is None:
-        return F
-    return SparseSystem.from_pairs(
-        [[(T.apply(alpha), c) for alpha, c in F.polynomial(i)] for i in range(F.n)]
-    )
+def _tracked(start, targets, gammas, points, back, settings, expected=None):
+    """(per target its endpoints, failures): `points` tracked from `start` to
+    each of `targets`, under its own gamma, by one straight-line homotopy
+    and track_all; the endpoints mapped by `back`, each from "path {i}" for
+    start point i, and the failures of track_all, indexed over all blocks."""
+    H = Homotopy.straight_line(start, targets, gammas)
+    ends, failures = track_all(H, list(points) * len(targets), settings, expected)
+    out = [SolutionSet() for _ in targets]
+    for pt, res, origin in zip(ends.points, ends.residuals, ends.provenance):
+        block, path = divmod(int(origin.split()[1]), len(points))
+        out[block].append(back(pt), res, f"path {path}")
+    return out, failures
 
 
 def _vertex_start(S: SupportSystem, ss, settings):
     """(G, V(G), tree) for a random unit-modulus system G on the vertex
-    supports of normalized S, solved by _solve; G's coefficients and its
-    solve take the first two children of `ss`."""
-    zero, witness = mv_is_zero(S)
-    if zero:
-        raise MixedVolumeZeroError(witness)
+    supports of normalized S, solved by _solve, which raises
+    MixedVolumeZeroError for S; G's coefficients and its solve take the
+    first two children of `ss`."""
     coeff_ss, solve_ss = ss.spawn(2)
     vsys = SupportSystem(tuple(vertices(s) for s in S.supports))
     rng = np.random.default_rng(coeff_ss)

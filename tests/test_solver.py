@@ -161,10 +161,10 @@ def test_start_system_simplex_and_mv_zero():
     simplex = [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]]
     G, sols = decomposable_start_system(SupportSystem.of_points(simplex), seed=4)
     assert len(sols) == 1
-    with pytest.raises(MixedVolumeZeroError):
-        decomposable_start_system(
-            SupportSystem.of_points([[(0, 0), (1, 0)], [(0, 0), (2, 0)]]), seed=1
-        )
+    flat = SupportSystem.of_points([[(0, 0), (1, 0)], [(0, 0), (2, 0)]])
+    with pytest.raises(MixedVolumeZeroError) as err:
+        decomposable_start_system(flat, seed=1)
+    assert err.value.witness == mv_is_zero(flat)[1] == (0, 1)
 
 
 def test_solve_general_full_support():
@@ -349,8 +349,7 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     a fiber solved directly when its transfer fails every gamma."""
     from torsolve.decompose import DecompositionTree
     from torsolve.errors import DegenerateFiberError
-    from torsolve.solver import (_MAX_GAMMA_RETRIES, _apply_change, _compacted, _refined,
-                                 _solve, _unit)
+    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _refined, _solve, _unit
     from torsolve.torus import MonomialMap, apply, restrict_to_fiber
     from torsolve.tracking import Homotopy
     import torsolve.solver as solver
@@ -368,8 +367,7 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
 
     fiber0 = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[0]))
     fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
-    T_fib, push, start_points = _compacted(fiber0.system, fiber_sols.points)
-    start_fiber = _apply_change(fiber0, T_fib)
+    start_fiber, _, back, start_points = _compacted(fiber0, (), fiber_sols.points)
     rng = np.random.default_rng(transfer_ss)
     per_base = [fiber_sols.points]
     retries = 0
@@ -379,13 +377,14 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
         if target.system != fiber0.system:
             raise DegenerateFiberError(f"fiber over base solution {idx}")
         for attempt in range(_MAX_GAMMA_RETRIES + 1):
-            H = Homotopy.straight_line(start_fiber, _apply_change(target, T_fib), _unit(rng))
+            H = Homotopy.straight_line(start_fiber, _compacted(fiber0, [target])[1][0],
+                                       _unit(rng))
             got, _ = solver.track_all(H, start_points, settings)
             if len(got) == len(fiber_sols):
                 break
         retries += attempt
         if len(got) == len(fiber_sols):
-            per_base.append([w if push is None else apply(push, w) for w in got.points])
+            per_base.append([back(w) for w in got.points])
             continue
         try:
             direct, direct_tree = _solve(target, direct_ss, settings, f"{prov}fiber{idx}/")
@@ -430,24 +429,26 @@ def test_batched_transfers_match_per_transfer_loop(system, seed):
         assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
 
 
-def transfer_gammas(seed, count):
+def transfer_gammas(seed, count, node=()):
     """The first `count` gammas of the transfer stream of a triangular node
-    solved from SeedSequence(seed)."""
+    solved from SeedSequence(seed), or from its descendant with spawn key
+    `node`."""
     from torsolve.solver import _unit
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*node, 2)))
     return [_unit(rng) for _ in range(count)]
 
 
-def failing_gammas(monkeypatch, seed, places):
+def failing_gammas(monkeypatch, seed, places, node=()):
     """Make solver.track_all lose one endpoint of every transfer tracked with
-    the gamma at one of `places` in the transfer stream, and the eigenvalue
-    solve of several one-variable fibers come up short, so that they are
-    tracked; returns the gammas of every call that tracked transfers."""
+    the gamma at one of `places` in the transfer stream of transfer_gammas(seed,
+    64, node), and the eigenvalue solve of several one-variable fibers come up
+    short, so that they are tracked; returns the gammas of every call that
+    tracked transfers."""
     import torsolve.solver as solver
     from torsolve.tracking import SolutionSet
 
-    real, calls, draws = solver.track_all, [], transfer_gammas(seed, 64)
+    real, calls, draws = solver.track_all, [], transfer_gammas(seed, 64, node)
 
     def track_all(H, starts, settings=None, expected=None):
         sols, failures = real(H, starts, settings, expected)
@@ -472,7 +473,19 @@ def failing_gammas(monkeypatch, seed, places):
     return calls
 
 
-def test_retries_take_the_gammas_of_the_per_transfer_loop(monkeypatch):
+def assert_same_solve(runs):
+    """The two (solutions, tree) of `runs` have equal tree rows without
+    gamma_retries, equal provenance and points within 1e-10 relative."""
+    (first, first_tree), (second, second_tree) = runs
+    rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers) for nd in t.walk()]
+            for t in (first_tree, second_tree)]
+    assert rows[0] == rows[1]
+    assert first.provenance == second.provenance
+    for p, q in zip(second.points, first.points):
+        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
+
+
+def test_retries_take_the_next_gammas_for_the_short_transfers_only(monkeypatch):
     from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
@@ -480,16 +493,14 @@ def test_retries_take_the_gammas_of_the_per_transfer_loop(monkeypatch):
     calls = failing_gammas(monkeypatch, 7, {2, 3, 9})
     runs = [solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
             for solve in (reference_solve_triangular, _solve_triangular)]
-    (looped, ref_tree), (batched, tree) = runs
+    assert_same_solve(runs)
+    (_, ref_tree), (_, tree) = runs
     assert tree.gamma_retries == ref_tree.gamma_retries == 2 and tree.solutions == 16
-    assert batched.provenance == looped.provenance
-    for p, q in zip(batched.points, looped.points):
-        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
-    # The loop draws one gamma per attempt and transfer 2 fails on gammas 2
-    # and 3; the batch tracks transfers 0..6 on gammas 0..6, then 2..6 on
-    # gammas 3..7 and on gammas 4..8.
+    # The loop draws one gamma per attempt, and transfer 2 fails on gammas 2
+    # and 3. The rounds track transfers 0..6 on gammas 0..6, where transfers
+    # 2 and 3 come up short, then only those two on gammas 7 and 8.
     draws = transfer_gammas(7, 9)
-    assert calls == [[g] for g in draws] + [draws[0:7], draws[3:8], draws[4:9]]
+    assert calls == [[g] for g in draws] + [draws[0:7], draws[7:9]]
 
 
 def test_transfer_failing_every_gamma_is_solved_directly(monkeypatch):
@@ -497,26 +508,22 @@ def test_transfer_failing_every_gamma_is_solved_directly(monkeypatch):
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
-    calls = failing_gammas(monkeypatch, 7, {1, 2, 3, 4, 6})
+    calls = failing_gammas(monkeypatch, 7, set(range(5, 13)))
     runs = [solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
             for solve in (reference_solve_triangular, _solve_triangular)]
-    (looped, ref_tree), (batched, tree) = runs
-    rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries)
-             for nd in t.walk()] for t in (tree, ref_tree)]
-    assert rows[0] == rows[1]
-    # The fiber over base solution 2 is solved directly and hangs off the
-    # node as a third child; three retries of that transfer and one of the
-    # transfer to base solution 4 count as gamma retries.
-    assert [c.kind for c in tree.children] == ["blackbox", "univariate", "univariate"]
-    assert tree.solutions == 16 and tree.gamma_retries == 4 and tree.ledger() == 22
-    assert batched.provenance == looped.provenance
-    for p, q in zip(batched.points, looped.points):
-        assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
-    # After the direct solve the next transfer takes the next gamma: the batch
-    # tracks transfers 2..6 on gammas 5..9, then 3..6 on gammas 7..10.
-    draws = transfer_gammas(7, 11)
-    assert calls == [[g] for g in draws] + [draws[0:7], draws[2:8], draws[3:9], draws[4:10],
-                                            draws[5:10], draws[7:11]]
+    assert_same_solve(runs)
+    (_, ref_tree), (_, tree) = runs
+    # The fibers over base solutions 6 and 7 are solved directly, in that
+    # order, and hang off the node as its third and fourth children; each of
+    # their transfers counts three gamma retries.
+    assert [c.kind for c in tree.children] == ["blackbox", "univariate", "univariate",
+                                               "univariate"]
+    assert tree.solutions == 16 and tree.ledger() == 22
+    assert tree.gamma_retries == ref_tree.gamma_retries == 6
+    # The loop fails transfer 5 on gammas 5..8 and transfer 6 on gammas
+    # 9..12; each round tracks transfers 5 and 6 on the next two gammas.
+    draws = transfer_gammas(7, 13)
+    assert calls == [[g] for g in draws] + [draws[0:7], draws[7:9], draws[9:11], draws[11:13]]
 
 
 def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch):
@@ -525,11 +532,11 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())
-    calls = failing_gammas(monkeypatch, 7, {1, 2, 3, 4, 6})
+    calls = failing_gammas(monkeypatch, 7, set(range(5, 13)))
     real_solve = solver._solve
 
     def short_direct_solve(F, ss, settings, prov):
-        if prov == "fiber2/":
+        if prov == "fiber6/":
             raise CountMismatchError("univariate companion solve", 2, 1)
         return real_solve(F, ss, settings, prov)
 
@@ -540,13 +547,104 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
             solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
         errors.append(err.value)
     for exc in errors:
-        assert "fiber transfer to base solution 2" in str(exc)
+        assert "fiber transfer to base solution 6" in str(exc)
         assert exc.expected == 2 and len(exc.partial) == 1
         assert "univariate companion solve" in str(exc.__cause__)
     assert errors[0].partial.provenance == errors[1].partial.provenance
-    assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-10)
-    draws = transfer_gammas(7, 10)
-    assert calls == [[g] for g in draws[:5]] + [draws[0:7], draws[2:8], draws[3:9], draws[4:10]]
+    assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-8)
+    # Both direct solves are due after the last round; the first one raises.
+    draws = transfer_gammas(7, 13)
+    assert calls == [[g] for g in draws[:9]] + [draws[0:7], draws[7:9], draws[9:11],
+                                                draws[11:13]]
+
+
+def test_no_transfer_that_reached_its_count_is_tracked_again(monkeypatch):
+    import torsolve.solver as solver
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import TrackerSettings
+
+    F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
+    places = {1, 2, 4, 8, 9}
+    calls, draws = failing_gammas(monkeypatch, 7, places), transfer_gammas(7, 64)
+    lossy, targets = solver.track_all, []
+
+    def track_all(H, *args):
+        targets.append([row.tobytes() for row in H.ct])
+        return lossy(H, *args)
+
+    monkeypatch.setattr(solver, "track_all", track_all)
+    _, tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+    assert len(targets) == len(calls) == 3 and len(targets[0]) == 7
+    reached = set()
+    for gammas, rows in zip(calls, targets):  # round 0 tracks transfer m as block m
+        for gamma, row in zip(gammas, rows):
+            m = targets[0].index(row)
+            assert m not in reached
+            if draws.index(gamma) not in places:
+                reached.add(m)
+    assert reached == set(range(7))
+    assert tree.gamma_retries == 5 and tree.solutions == 16 and len(tree.children) == 2
+
+
+def test_a_short_eigenvalue_fiber_alone_is_tracked(monkeypatch):
+    import torsolve.solver as solver
+    from torsolve.solver import _solve_triangular
+    from torsolve.tracking import SolutionSet, TrackerSettings
+
+    F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
+    eigen, eigen_tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(),
+                                          "")
+    real_roots, real_track = solver._companion_roots, solver.track_all
+    calls = []
+
+    def short_fiber_3(F, rows, *rest):
+        out = real_roots(F, rows, *rest)
+        return out if len(rows) == 1 else out[:3] + [SolutionSet()] + out[4:]
+
+    def track_all(H, *args):
+        calls.append(H.ct)
+        return real_track(H, *args)
+
+    monkeypatch.setattr(solver, "_companion_roots", short_fiber_3)
+    monkeypatch.setattr(solver, "track_all", track_all)
+    out, tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+    assert len(calls) == 1 and len(calls[0]) == 1  # one call, one target: transfer 3
+    assert tree.gamma_retries == 0
+    assert_same_solve([(eigen, eigen_tree), (out, tree)])
+    # The other fibers keep their eigenvalue roots: base solution 4's fiber
+    # alone was tracked, and its points alone may differ in the last bits.
+    for origin, p, q in zip(out.provenance, out.points, eigen.points):
+        if not origin.startswith("base[4]/"):
+            assert np.array_equal(p, q)
+
+
+def test_a_failed_transfer_reports_its_partial_roots_on_its_fiber(monkeypatch):
+    # The start system's root triangular node on these supports has one
+    # transfer, to a two-variable fiber tracked in compacted coordinates.
+    import torsolve.solver as solver
+
+    S = SupportSystem.of_points([[(0, 0, 0), (0, 2, 0)],
+                                 [(0, 0, 0), (0, 0, 2), (0, 1, 1), (1, 1, 0)],
+                                 [(0, 0, 0), (1, 2, 2)]])
+    calls = failing_gammas(monkeypatch, 0, set(range(64)), node=(1,))
+    real_solve, fibers = solver._solve, []
+
+    def short_direct_solve(F, ss, settings, prov):
+        if prov == "start/fiber1/":
+            fibers.append(F)
+            raise CountMismatchError("blackbox total-degree solve", 4, 0)
+        return real_solve(F, ss, settings, prov)
+
+    monkeypatch.setattr(solver, "_solve", short_direct_solve)
+    with pytest.raises(CountMismatchError, match="fiber transfer to base solution 1") as err:
+        decomposable_start_system(S, seed=0)
+    (fiber,) = fibers
+    assert fiber.n == 2 and solver._compacted(fiber)[0] is not fiber
+    assert len(calls) == 4 and len(err.value.partial) == 3
+    for p in err.value.partial.points:
+        for i in range(fiber.n):
+            terms = [c * monomial_value(p, alpha) for alpha, c in fiber.polynomial(i)]
+            assert abs(sum(terms)) <= 1e-10 * sum(map(abs, terms))
 
 
 @pytest.mark.parametrize("exponents", [(0, 2, 4), (-3, -1, 0, 2), (0, 1, 2, 3, 4, 5), (-2, 5)])
@@ -599,17 +697,15 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
     import math
 
     from torsolve.decompose import DecompositionTree
-    from torsolve.solver import (_MAX_GAMMA_RETRIES, _apply_change, _compacted,
-                                 _orthant_shifts, _refined, _unit)
+    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _orthant_shifts, _refined, _unit
     from torsolve.supports import normalize
-    from torsolve.torus import apply, diagonal_fiber
+    from torsolve.torus import diagonal_fiber
     from torsolve.tracking import Homotopy, SolutionSet, track_all
 
     refined = refined or _refined
     F, _ = normalize(F)
     n = F.n
-    T, back, _ = _compacted(F.system, [])
-    compact = _apply_change(F, T)
+    compact, _, back, _ = _compacted(F)
     moved, degrees = _orthant_shifts(compact.system)
     target = SparseSystem.from_pairs([list(zip(pts, c))
                                       for pts, c in zip(moved, compact.coefficients)])
@@ -624,7 +720,7 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
         H = Homotopy.straight_line(G, target, _unit(rng))
         endpoints, _failures = track_all(H, starts, settings)
-        sols = refined(F, ((pt if back is None else apply(back, pt), prov + origin)
+        sols = refined(F, ((back(pt), prov + origin)
                            for pt, origin in zip(endpoints.points, endpoints.provenance)),
                        settings)
         if len(sols) == expected:

@@ -132,3 +132,38 @@ print(json.dumps(fibers))
         "  eigenvalues: 0 / 0 -> 1 / 0",
         "  tracked: 0 / 0 -> 0 / 1",
     ]
+
+
+def test_parity_counts_the_target_blocks_that_track_all_tracks():
+    # The counters of the parity child, run on this checkout, on the triangular
+    # node of seven one-variable transfers below the printed example's cover,
+    # with the eigenvalue solve of one fiber or of all seven coming up short:
+    # each short fiber is one target block of one track_all call.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.supports import SparseSystem
+from torsolve.tracking import SolutionSet
+TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
+                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+workload = "eigenvalues"
+torsolve.solve_decomposable(F, seed=7)
+roots = torsolve.solver._companion_roots
+for workload, lost in (("one short", slice(3, 4)), ("all short", slice(None))):
+    def short(F, rows, *rest, lost=lost):
+        out = roots(F, rows, *rest)
+        if len(rows) > 1:
+            out[lost] = [SolutionSet()] * len(out[lost])
+        return out
+    torsolve.solver._companion_roots = short
+    torsolve.solve_decomposable(F, seed=7)
+print(json.dumps(blocks))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert parity.pair_lines(({}, json.loads(out))) == [
+        "  all short: 0 / 0 -> 1 / 7",
+        "  one short: 0 / 0 -> 1 / 1",
+    ]

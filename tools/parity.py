@@ -26,8 +26,10 @@ effect and its cost in retries; and the two-variable black-box leaves
 resultant eigenproblem, against those that fell back to tracking; the same
 for the triangular nodes with one-variable fibers and at least one transfer
 that returned, solved by companion eigenvalues or by `track_all` calls of
-their own; and the `classify` calls with the `smith_normal_form` calls made
-inside them. These counts are information, not a check.
+their own; the solver's `track_all` calls with the target blocks they
+tracked, summed over calls, so that a transfer tracked again shows; and the
+`classify` calls with the `smith_normal_form` calls made inside them. These
+counts are information, not a check.
 """
 
 import argparse
@@ -81,10 +83,14 @@ torsolve.tracking._correct = counted_correct
 torsolve.tracking._newton = torsolve.solver._newton = counted_newton
 
 leaves, tracked = {}, [0]  # workload: [n = 2 leaves solved untracked, leaves that tracked]
+blocks = {}  # workload: [the solver's track_all calls, target blocks they tracked]
 blackbox, track_all = torsolve.solver._blackbox, torsolve.solver.track_all
 
 def counted_track_all(*args):
     tracked[0] += 1
+    calls = blocks.setdefault(workload, [0, 0])
+    calls[0] += 1
+    calls[1] += len(args[0].ct)
     if frames and frames[-1] is not None:
         frames[-1] += 1
     return track_all(*args)
@@ -147,6 +153,7 @@ torsolve.decompose.smith_normal_form = counted_smith
 #  {workload: [tracker passes, state calls, rows, _newton calls]},
 #  {workload: [n = 2 black-box leaves that tracked no path, those that did]},
 #  {workload: [one-variable-fiber triangular nodes that tracked no transfer, those that did]},
+#  {workload: [track_all calls, target blocks they tracked]},
 #  {workload: [classify calls, smith_normal_form calls inside them]}) to standard output.
 CHILD = SETUP + """
 def tree_of(tree):
@@ -213,13 +220,14 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, nodes)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes)))
 """
 
 
 def solve_all(checkouts):
-    """The CHILD records, step counts, leaf counts, fiber-node counts and
-    classify counts of each checkout, both run at the same time."""
+    """The CHILD records, step counts, leaf counts, fiber-node counts,
+    track_all counts and classify counts of each checkout, both run at the
+    same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -337,7 +345,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, nodes = zip(*solve_all(
+    (parent, change), steps, leaves, fibers, blocks, nodes = zip(*solve_all(
         [args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
@@ -353,6 +361,9 @@ def main(argv=None) -> int:
     print("triangular nodes with one-variable fibers solved by eigenvalues / fell back to "
           "tracking, parent -> change:")
     for line in pair_lines(fibers):
+        print(line)
+    print("track_all calls / target blocks tracked, parent -> change:")
+    for line in pair_lines(blocks):
         print(line)
     print("classify calls / smith_normal_form calls inside them, parent -> change:")
     for line in pair_lines(nodes):
