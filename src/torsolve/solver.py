@@ -505,7 +505,7 @@ def _compacted(F: SparseSystem, others=(), points=()):
     `back` is the identity, when F is already compact."""
     T = _compacting_change(F.system)
     if T is None:
-        return F, list(others), lambda w: w, list(points)
+        return F, others, lambda w: w, points
     changed = [SparseSystem.from_pairs([[(T.apply(alpha), c) for alpha, c in G.polynomial(i)]
                                         for i in range(G.n)]) for G in (F, *others)]
     push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))

@@ -551,7 +551,7 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
         assert exc.expected == 2 and len(exc.partial) == 1
         assert "univariate companion solve" in str(exc.__cause__)
     assert errors[0].partial.provenance == errors[1].partial.provenance
-    assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-8)
+    assert np.allclose(errors[0].partial.points, errors[1].partial.points, rtol=0, atol=1e-10)
     # Both direct solves are due after the last round; the first one raises.
     draws = transfer_gammas(7, 13)
     assert calls == [[g] for g in draws[:9]] + [draws[0:7], draws[7:9], draws[9:11],
