@@ -3,15 +3,15 @@
 The main entry point classifies the supports, then either extracts roots
 through a monomial covering (lacunary), or solves a subsystem first and
 fills the fiber over each of its other solutions (triangular): one-variable
-fibers at once as companion-matrix eigenvalues, other fibers and short ones
-by transfers from the first fiber tracked as one multi-target parameter
-homotopy, short transfers again on fresh gammas, a fiber whose transfer
-fails every gamma solved directly. Otherwise it falls back to a black box:
-companion-matrix eigenvalues for one variable, hidden-variable resultant
-eigenvalues for two, a total-degree homotopy otherwise or when those come
-up short. All three homotopies go through _tracked, in coordinates from
-_compacted. Recursion terminates because each level decreases either the
-mixed volume or the number of variables.
+fibers at once as companion-matrix eigenvalues, other fibers (and those the
+eigensolve leaves short) by transfers from the first fiber tracked as one
+multi-target homotopy, short transfers again on fresh gammas, and a fiber
+whose transfer fails every gamma solved directly. Otherwise it falls back
+to a black box: companion-matrix eigenvalues for one variable,
+hidden-variable resultant eigenvalues for two, a total-degree homotopy
+otherwise or when those come up short. All three homotopies go through
+_tracked, in coordinates from _compacted. Recursion terminates because
+each level decreases either the mixed volume or the number of variables.
 """
 
 from __future__ import annotations
