@@ -190,8 +190,8 @@ class DecompositionTree:
 
 
 def predict_tree(S: SupportSystem) -> DecompositionTree:
-    """Decomposition skeleton with mixed volumes, without solving anything."""
-    S, _ = normalize(S)
+    """Decomposition skeleton with mixed volumes, without solving anything;
+    classify normalizes S, and nothing else here depends on its translation."""
     cls = classify(S)
     if isinstance(cls, Lacunary):
         child = predict_tree(cls.preimage.system)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import MixedVolumeZeroError
-from .intlinalg import IntMatrix, _bareiss_det
-from .supports import Support, SupportSystem, subset_span_ranks
+from .intlinalg import _bareiss_det
+from .supports import Support, SupportSystem, _affine_pivots, subset_span_ranks
 
 
 def polytope_volume(P) -> Fraction:
@@ -32,10 +32,10 @@ def polytope_volume(P) -> Fraction:
         raise ValueError("polytope_volume needs at least one point, all of one dimension")
     scale = math.lcm(*(c.denominator for p in points for c in p))
     pts = sorted({tuple(int(c * scale) for c in p) for p in points})
-    n = len(pts[0])
-    if _affine_rank(pts) < n:
+    n, pivots = len(pts[0]), _affine_pivots(pts)
+    if len(pivots) < n:
         return Fraction(0)
-    dvol, _ = _hull(pts, n)
+    dvol, _ = _hull(pts, [0, *pivots])
     return Fraction(dvol, math.factorial(n) * scale**n)
 
 
@@ -55,13 +55,15 @@ def hull_mixed_volume(S: SupportSystem) -> int:
     Inclusion-exclusion over nonempty subsets T of the supports:
     MV = sum over T of (-1)^(n-|T|) vol(sum of conv(A_i), i in T).
     Subsets are enumerated depth-first so partial Minkowski sums are shared,
-    with larger supports placed last. A full-rank partial sum passes on
-    only the points on the facets of the hull built for its volume, which
-    include every vertex; a lower-rank sum passes on all its points.
+    with larger supports placed last. Each sum's _affine_pivots give its
+    rank and, when it is full, the seed simplex of the hull built for its
+    volume. A full-rank partial sum passes on only the points on that
+    hull's facets, which include every vertex; a lower-rank sum passes on
+    all its points.
     """
     n = S.n
     sups = sorted((s.points for s in S.supports), key=len)
-    ranks = [_affine_rank(p) for p in sups]
+    ranks = [len(_affine_pivots(p)) for p in sups]
     suffix_rank = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_rank[i] = suffix_rank[i + 1] + ranks[i]
@@ -72,11 +74,11 @@ def hull_mixed_volume(S: SupportSystem) -> int:
         nonlocal total
         for j in range(idx, n):
             new = _minkowski_points(pts, sups[j]) if pts is not None else sups[j]
-            r = _affine_rank(new)
-            if r + suffix_rank[j + 1] < n:
+            pivots = _affine_pivots(new)
+            if len(pivots) + suffix_rank[j + 1] < n:
                 continue  # no completion of this branch reaches full rank
-            if r == n:
-                dvol, facets = _hull(new, n)
+            if len(pivots) == n:
+                dvol, facets = _hull(new, [0, *pivots])
                 vol = Fraction(dvol, math.factorial(n))
                 if (n - size - 1) % 2:
                     total -= vol
@@ -108,21 +110,13 @@ def mv_is_zero(S: SupportSystem):
 # Exact hull machinery.
 
 
-def _affine_rank(pts) -> int:
-    base = pts[0]
-    cols = [tuple(c - b for c, b in zip(p, base)) for p in pts[1:]]
-    cols = [c for c in cols if any(c)]
-    if not cols:
-        return 0
-    return IntMatrix.from_columns(cols).rank()
-
-
 def _minkowski_points(A, B):
     return sorted({tuple(a + b for a, b in zip(p, q)) for p in A for q in B})
 
 
-def _hull(pts, d):
-    """Beneath-beyond hull of a full-rank integer point set in Z^d.
+def _hull(pts, seed):
+    """Beneath-beyond hull of a full-rank integer point set in Z^d, grown
+    from the d + 1 affinely independent points indexed by `seed`.
 
     Returns (d! * volume, facet list as tuples of point indices). The facet
     simplices triangulate the boundary; only strictly-beyond insertions add
@@ -132,12 +126,12 @@ def _hull(pts, d):
     the very value the visibility test computes. All of it is Python
     integer arithmetic, so no coordinate size can overflow it.
     """
+    d = len(seed) - 1
     if d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i])
         hi = max(range(len(pts)), key=lambda i: pts[i])
         return pts[hi][0] - pts[lo][0], [(lo,), (hi,)]
 
-    seed = _seed_simplex(pts, d)
     ref = tuple(sum(pts[i][c] for i in seed) for c in range(d))  # (d+1) * centroid
     a, b = _facet_plane([pts[i] for i in seed[:d]], d)
     dvol = abs(sum(map(mul, a, pts[seed[d]])) - b)
@@ -187,22 +181,6 @@ def _hull(pts, d):
             add_facet(ridge + (i,))
 
     return dvol, list(facets)
-
-
-def _seed_simplex(pts, d):
-    base = 0
-    chosen = [base]
-    vecs = []
-    for i in range(1, len(pts)):
-        cand = tuple(a - b for a, b in zip(pts[i], pts[base]))
-        if not any(cand):
-            continue
-        if IntMatrix.from_columns(vecs + [cand]).rank() == len(vecs) + 1:
-            vecs.append(cand)
-            chosen.append(i)
-            if len(vecs) == d:
-                return chosen
-    raise ValueError("point set is not full-dimensional")
 
 
 def _facet_plane(points, d):

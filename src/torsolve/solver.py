@@ -328,9 +328,9 @@ def _blackbox(F, expected, ss, settings, prov):
     refine to `expected` roots. Otherwise the prod(d_i) paths stop once that
     many distinct endpoints are in; a stopped run short of the MV is tracked
     again in full before the next gamma. The path ledger counts this node
-    as its solution count; bezout_paths keeps prod(d_i) either way.
+    as its solution count; bezout_paths keeps prod(d_i) either way. F comes
+    normalized from _solve or _entry.
     """
-    F, _ = normalize(F)
     if F.n == 1:
         return _univariate_roots(F, settings, prov)
     n = F.n

@@ -124,12 +124,19 @@ def normalize(obj):
 
 
 def _difference_columns(S: SupportSystem, indices) -> list[tuple[int, ...]]:
-    cols = []
-    for i in indices:
-        pts = S.supports[i].points
-        base = pts[0]
-        cols.extend(tuple(c - b for c, b in zip(p, base)) for p in pts[1:])
-    return cols
+    return [d for i in indices for d in _differences(S.supports[i].points)]
+
+
+def _differences(points) -> list[tuple[int, ...]]:
+    return [tuple(c - b for c, b in zip(p, points[0])) for p in points[1:]]
+
+
+def _affine_pivots(points) -> list[int]:
+    """Indices j >= 1 whose p_j - p_0 lies outside the span of the
+    differences before it, from one elimination: with 0 an affine basis of
+    the points, and its length their affine rank."""
+    cols = _differences(points)
+    return [c + 1 for c in IntMatrix.from_columns(cols).pivot_columns()] if cols else []
 
 
 def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
@@ -149,10 +156,10 @@ def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
 def subset_span_ranks(S: SupportSystem):
     """Yield (I, span_rank(S, I)) for every nonempty index subset I, by
     increasing size and then lexicographically. I is ranked on the union of
-    its supports' bases, each support's difference columns reduced once to
-    their pivot columns: at most n columns per support."""
-    bases = [[cols[c] for c in IntMatrix.from_columns(cols).pivot_columns()] if cols else []
-             for cols in (_difference_columns(S, [i]) for i in range(S.n))]
+    its supports' bases, each support's differences p_j - p_0 at its
+    _affine_pivots: at most n columns per support."""
+    bases = [[tuple(c - b for c, b in zip(sup.points[j], sup.points[0]))
+              for j in _affine_pivots(sup.points)] for sup in S.supports]
     for size in range(1, S.n + 1):
         for I in itertools.combinations(range(S.n), size):
             cols = [c for i in I for c in bases[i]]

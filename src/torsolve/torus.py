@@ -114,9 +114,9 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     The restricted support of f_j is the projection of its support, and the
     coefficient at an image point is the sum of c_alpha * y0^alpha over the
     original points alpha mapping there. Merged coefficients that cancel to
-    zero are dropped; a polynomial losing all its terms, or a base point
-    with a coordinate of modulus at most TORUS_THRESHOLD or not finite,
-    means the fiber is degenerate.
+    zero are dropped; a polynomial losing all its terms or with a merged
+    coefficient not finite, or a base point with a coordinate of modulus at
+    most TORUS_THRESHOLD or not finite, means the fiber is degenerate.
     """
     return next(restrict_to_fibers(F, J, pi_J, [y0]))
 
@@ -124,7 +124,8 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
 def restrict_to_fibers(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
                        base_points: Iterable[Sequence[complex]]) -> Iterator[SparseSystem]:
     """Yield restrict_to_fiber(F, J, pi_J, y0) for each y0 of base_points in
-    turn, the images pi_J(alpha) and the exponents' factors computed once."""
+    turn, the images pi_J(alpha) and the exponents' factors computed once. A
+    merged coefficient that overflows (inf, or NaN from inf - inf) raises."""
     terms = None  # per J-polynomial (pi_J(alpha), c_alpha, factors of alpha), after y0's check
     for y0 in base_points:
         y0 = np.asarray(y0, dtype=complex)
@@ -140,6 +141,9 @@ def restrict_to_fibers(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
             merged: dict[tuple[int, ...], complex] = {}
             for beta, c, factors in poly:
                 merged[beta] = merged.get(beta, 0.0 + 0.0j) + c * _power_product(ys, factors)
+            if not all(map(cmath.isfinite, merged.values())):
+                raise DegenerateFiberError(f"polynomial {j} has a non-finite coefficient on the "
+                                           f"fiber: |y0| = {np.abs(y0)}")
             top = max(abs(v) for v in merged.values())
             kept = [(b, v) for b, v in merged.items() if abs(v) > _MERGE_DROP * top]
             if not kept:

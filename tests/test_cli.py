@@ -181,7 +181,25 @@ def test_cmd_solve_deterministic(tmp_path, capsys):
 def test_cmd_solve_mv_zero_reports_the_first_witness(tmp_path, capsys):
     path = system_file(tmp_path, "z.json", ZERO_MV, [[1, 2, 3], [1, -1], [1, -1]])
     assert main(["solve", path]) == 1
-    assert "error: mixed volume 0, witness (2, 3)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: mixed volume 0, witness (2, 3)\n"
+
+
+def test_cmd_solve_fallback_reports_the_start_systems_mixed_volume(tmp_path, capsys,
+                                                                    monkeypatch):
+    import torsolve.cli
+    from torsolve.errors import CountMismatchError
+
+    def short(F, seed, settings):
+        raise CountMismatchError("forced", 32, 0)
+
+    monkeypatch.setattr(torsolve.cli, "solve_decomposable", short)
+    code = main(["solve", tri_file(tmp_path), "--seed", "3", "--json"])
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert "falling back to start-system homotopy" in captured.err
+    assert out["tree"]["kind"] == "homotopy"
+    assert out["mixed_volume"] == 32
+    assert code == (0 if out["count"] == 32 else 2)
 
 
 def test_cmd_solve_base_point_off_the_torus_is_an_error(tmp_path, capsys):
@@ -239,6 +257,13 @@ def test_bad_file_reports_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["mv", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with its byte-order mark
+    assert main(["mv", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_missing_file(capsys):

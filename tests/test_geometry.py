@@ -8,7 +8,6 @@ import pytest
 from torsolve.decompose import Indecomposable, classify
 from torsolve.errors import MixedVolumeZeroError
 from torsolve.geometry import (
-    _affine_rank,
     _facet_plane,
     _hull,
     hull_mixed_volume,
@@ -17,7 +16,7 @@ from torsolve.geometry import (
     polytope_volume,
 )
 from torsolve.intlinalg import IntMatrix
-from torsolve.supports import Support, SupportSystem, point_in_hull, vertices
+from torsolve.supports import Support, SupportSystem, _affine_pivots, point_in_hull, vertices
 
 LACUNARY_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
 LACUNARY_B2 = [(0, 0), (1, 2), (2, 1), (3, 1), (3, 2)]
@@ -134,7 +133,7 @@ def test_hull_matches_scipy_convex_hull(d):
     while len(cases) < 8:
         pts = sorted({tuple(rng.randint(-40, 40) for _ in range(d))
                       for _ in range(d + 1 + rng.randint(0, 10))})
-        if _affine_rank(pts) == d:
+        if len(_affine_pivots(pts)) == d:
             cases.append(pts)
     # Minkowski sums of small supports, dense and rich in coplanar points:
     # the partial sums that `hull_mixed_volume` hands to `_hull` unthinned.
@@ -142,14 +141,49 @@ def test_hull_matches_scipy_convex_hull(d):
         supports = [{tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(2, d + 2))}
                     for _ in range(rng.randint(2, 3))]
         pts = minkowski_sum(*supports)
-        if _affine_rank(pts) == d:
+        if len(_affine_pivots(pts)) == d:
             cases.append(pts)
     for pts in cases:
-        dvol, facets = _hull(pts, d)
+        dvol, facets = _hull(pts, [0, *_affine_pivots(pts)])
         qh = scipy_spatial.ConvexHull(pts)
         assert dvol == round(math.factorial(d) * qh.volume)
         # `hull_mixed_volume` passes on only the facets' points
         assert set(qh.vertices) <= {v for f in facets for v in f}
+
+
+def greedy_seed(pts, d):
+    """The hull seed found one rank at a time: index 0, then each point whose
+    difference from point 0 raises the rank of the differences chosen so far."""
+    chosen, vecs = [0], []
+    for i in range(1, len(pts)):
+        cand = tuple(a - b for a, b in zip(pts[i], pts[0]))
+        if any(cand) and IntMatrix.from_columns(vecs + [cand]).rank() == len(vecs) + 1:
+            vecs.append(cand)
+            chosen.append(i)
+            if len(vecs) == d:
+                return chosen
+    raise ValueError("point set is not full-dimensional")
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_affine_pivots_give_the_seed_of_the_greedy_loop(d):
+    rng = random.Random(110 + d)
+    cases = 0
+    while cases < 20:
+        pts = {tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(rng.randint(1, 6))}
+        # many points on a line or a plane through a random point
+        base = [rng.randint(-6, 6) for _ in range(d)]
+        dirs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, 2))]
+        for _ in range(rng.randint(3, 12)):
+            coef = [rng.randint(-4, 4) for _ in dirs]
+            pts.add(tuple(b + sum(c * v[k] for c, v in zip(coef, dirs)) for k, b in enumerate(base)))
+        pts = sorted(pts)
+        if rng.random() < 0.5:
+            rng.shuffle(pts)  # points on the line or plane before the others, or after
+        if len(_affine_pivots(pts)) < d:
+            continue
+        assert [0, *_affine_pivots(pts)] == greedy_seed(pts, d)
+        cases += 1
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -294,7 +328,7 @@ def test_mv_is_zero_matches_mixed_volume():
 
 def test_hull_facets_cover_boundary_points():
     pts = sorted(itertools.product([0, 1, 2], repeat=3))
-    dvol, facets = _hull(pts, 3)
+    dvol, facets = _hull(pts, [0, *_affine_pivots(pts)])
     assert dvol == 6 * 8  # 3! * volume of the 2-cube
     on_boundary = {v for f in facets for v in f}
     interior = {pts.index((1, 1, 1))}

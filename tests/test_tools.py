@@ -103,6 +103,35 @@ print(json.dumps(nodes))
     ]
 
 
+def test_parity_counts_normalize_calls_and_rank_eliminations():
+    # The counters of the parity child, run on this checkout: normalize counts
+    # through every module that binds it, once per classify (the lacunary
+    # root and its cover) and once through the package; the hull mixed volume
+    # of the start pair takes one elimination per point set, each support's
+    # rank and then the three sums {A}, {A, A}, {A}.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.supports import SupportSystem
+LACUNARY = [[(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)], [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]]
+START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4),
+           (6, 4)]
+workload = "lacunary"
+torsolve.predict_tree(SupportSystem.of_points(LACUNARY))
+workload = "package"
+torsolve.normalize(SupportSystem.of_points(LACUNARY))
+workload = "hull"
+torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
+print(json.dumps(exact))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert parity.pair_lines(({}, json.loads(out))) == [
+        "  hull: 0 / 0 -> 0 / 5",
+        "  lacunary: 0 / 0 -> 2 / 18",
+        "  package: 0 / 0 -> 1 / 0",
+    ]
+
+
 def test_parity_counts_one_variable_fiber_nodes_solved_and_fallen_back():
     # The counters of the parity child, run on this checkout, on the triangular
     # node of seven one-variable transfers below the printed example's cover:

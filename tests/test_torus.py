@@ -171,6 +171,18 @@ def test_restrict_to_fiber_rejects_base_points_off_the_float_torus(modulus):
         restrict_to_fiber(F, [2], pi_J, y0)
 
 
+def test_restrict_to_fiber_raises_on_a_coefficient_that_overflows():
+    # At x0 = 1e8 the terms x^40 y and -x^41 y overflow and merge to inf - inf
+    # = NaN; dropped as a cancellation, they would leave the fiber 1 + y^2.
+    F = SparseSystem.from_pairs([
+        [((0, 0), 1.0), ((1, 0), 1.0)],
+        [((0, 0), 1.0), ((40, 1), 1.0), ((41, 1), -1.0), ((0, 2), 1.0)],
+    ])
+    pi = IntMatrix.from_rows([[0, 1]])
+    with pytest.raises(DegenerateFiberError, match=r"polynomial 1 .*non-finite.*\|y0\|"):
+        restrict_to_fiber(F, [1], pi, np.array([1e8, 1.0]))
+
+
 def test_monomial_value_negative_exponents():
     x = np.array([2.0, 4.0])
     assert abs(monomial_value(x, (-1, 2)) - 8.0) < 1e-14

@@ -27,9 +27,12 @@ resultant eigenproblem, against those that fell back to tracking; the same
 for the triangular nodes with one-variable fibers and at least one transfer
 that returned, solved by companion eigenvalues or by `track_all` calls of
 their own; the solver's `track_all` calls with the target blocks they
-tracked, summed over calls, so that a transfer tracked again shows; and the
-`classify` calls with the `smith_normal_form` calls made inside them. These
-counts are information, not a check.
+tracked, summed over calls, so that a transfer tracked again shows; the
+`classify` calls with the `smith_normal_form` calls made inside them; and
+the `normalize` calls, wrapped in every `torsolve` module that binds the
+function, with the rank eliminations (`intlinalg._bareiss_rank` calls), so
+that exact work done twice shows. These counts are information, not a
+check.
 """
 
 import argparse
@@ -147,6 +150,22 @@ def counted_smith(A):
 
 torsolve.decompose.classify = torsolve.solver.classify = counted_classify
 torsolve.decompose.smith_normal_form = counted_smith
+
+exact = {}  # workload: [normalize calls, rank eliminations]
+normalize, bareiss_rank = torsolve.supports.normalize, torsolve.intlinalg._bareiss_rank
+
+def counted_normalize(obj):
+    exact.setdefault(workload, [0, 0])[0] += 1
+    return normalize(obj)
+
+def counted_bareiss_rank(m):
+    exact.setdefault(workload, [0, 0])[1] += 1
+    return bareiss_rank(m)
+
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "torsolve" and getattr(module, "normalize", None) is normalize:
+        module.normalize = counted_normalize
+torsolve.intlinalg._bareiss_rank = counted_bareiss_rank
 """
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
@@ -154,7 +173,8 @@ torsolve.decompose.smith_normal_form = counted_smith
 #  {workload: [n = 2 black-box leaves that tracked no path, those that did]},
 #  {workload: [one-variable-fiber triangular nodes that tracked no transfer, those that did]},
 #  {workload: [track_all calls, target blocks they tracked]},
-#  {workload: [classify calls, smith_normal_form calls inside them]}) to standard output.
+#  {workload: [classify calls, smith_normal_form calls inside them]},
+#  {workload: [normalize calls, rank eliminations]}) to standard output.
 CHILD = SETUP + """
 def tree_of(tree):
     if tree is None:
@@ -220,14 +240,14 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact)))
 """
 
 
 def solve_all(checkouts):
     """The CHILD records, step counts, leaf counts, fiber-node counts,
-    track_all counts and classify counts of each checkout, both run at the
-    same time."""
+    track_all counts, classify counts and normalize and elimination counts
+    of each checkout, both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -345,7 +365,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, blocks, nodes = zip(*solve_all(
+    (parent, change), steps, leaves, fibers, blocks, nodes, exact = zip(*solve_all(
         [args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
@@ -367,6 +387,9 @@ def main(argv=None) -> int:
         print(line)
     print("classify calls / smith_normal_form calls inside them, parent -> change:")
     for line in pair_lines(nodes):
+        print(line)
+    print("normalize calls / rank eliminations, parent -> change:")
+    for line in pair_lines(exact):
         print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
