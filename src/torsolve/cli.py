@@ -19,7 +19,7 @@ import numpy as np
 
 from .decompose import DecompositionTree, predict_tree
 from .errors import MixedVolumeZeroError, SystemFileError, TorsolveError
-from .geometry import mixed_volume, mv_is_zero
+from .geometry import mixed_volume
 from .solver import (
     bezout_path_count,
     blackbox,
@@ -213,9 +213,11 @@ def cmd_solve(args) -> int:
         print("error: coefficients required for solve", file=sys.stderr)
         return 1
     settings = _settings(args)
-    zero, witness = mv_is_zero(F.system)  # the witness classify would raise
-    if zero:
-        print(f"error: mixed volume 0, witness {tuple(i + 1 for i in witness)}", file=sys.stderr)
+    try:
+        mv = predict_tree(F.system).mv
+    except MixedVolumeZeroError as exc:
+        print(f"error: mixed volume 0, witness {tuple(i + 1 for i in exc.witness)}",
+              file=sys.stderr)
         return 1
     try:
         report = solve_decomposable(F, seed=args.seed, settings=settings)
@@ -223,7 +225,6 @@ def cmd_solve(args) -> int:
         print(f"decomposable solve failed ({exc}); falling back to start-system homotopy",
               file=sys.stderr)
         report = solve_general(F, seed=args.seed, settings=settings)
-    mv = report.tree.mv  # the root MV, or the start system's count, the MV when it returns
     full = len(report.solutions) == mv
     if args.json:
         obj = {

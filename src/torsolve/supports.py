@@ -158,8 +158,8 @@ def subset_span_ranks(S: SupportSystem):
     increasing size and then lexicographically. I is ranked on the union of
     its supports' bases, each support's differences p_j - p_0 at its
     _affine_pivots: at most n columns per support."""
-    bases = [[tuple(c - b for c, b in zip(sup.points[j], sup.points[0]))
-              for j in _affine_pivots(sup.points)] for sup in S.supports]
+    bases = [[d[j - 1] for j in _affine_pivots(sup.points)]
+             for sup in S.supports for d in [_differences(sup.points)]]
     for size in range(1, S.n + 1):
         for I in itertools.combinations(range(S.n), size):
             cols = [c for i in I for c in bases[i]]

@@ -184,8 +184,7 @@ def test_cmd_solve_mv_zero_reports_the_first_witness(tmp_path, capsys):
     assert capsys.readouterr().err == "error: mixed volume 0, witness (2, 3)\n"
 
 
-def test_cmd_solve_fallback_reports_the_start_systems_mixed_volume(tmp_path, capsys,
-                                                                    monkeypatch):
+def test_cmd_solve_fallback_reports_the_input_mixed_volume(tmp_path, capsys, monkeypatch):
     import torsolve.cli
     from torsolve.errors import CountMismatchError
 
@@ -200,6 +199,18 @@ def test_cmd_solve_fallback_reports_the_start_systems_mixed_volume(tmp_path, cap
     assert out["tree"]["kind"] == "homotopy"
     assert out["mixed_volume"] == 32
     assert code == (0 if out["count"] == 32 else 2)
+
+
+def test_cmd_solve_mixed_volume_is_the_inputs_when_a_fiber_loses_terms(tmp_path, capsys):
+    # F = (x - 1, 1 + y + y^2 - x y^2): over the base root x = 1 the fiber is
+    # 1 + y, with one root, while the supports have MV 2.
+    path = system_file(tmp_path, "drop.json", [[(0, 0), (1, 0)], [(0, 0), (0, 1), (0, 2), (1, 2)]],
+                       [[-1, 1], [1, 1, 1, -1]])
+    code = main(["solve", path, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["mixed_volume"] == 2
+    assert out["count"] == 1
+    assert code == 2
 
 
 def test_cmd_solve_base_point_off_the_torus_is_an_error(tmp_path, capsys):
