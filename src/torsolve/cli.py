@@ -297,11 +297,8 @@ def _bench_instance(kind, rng):
         list(BENCH_CUBE),
     ]
     system = SupportSystem.of_points(supports)
-    coeffs = []
-    for sup in system.supports:
-        coeffs.append([complex(np.exp(2j * np.pi * rng.random())) for _ in range(len(sup))])
-    F = SparseSystem(system, tuple(tuple(row) for row in coeffs))
-    return F
+    return SparseSystem(system, [[np.exp(2j * np.pi * rng.random()) for _ in sup.points]
+                                 for sup in system.supports])
 
 
 def cmd_bench(args) -> int:

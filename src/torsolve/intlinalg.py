@@ -18,24 +18,22 @@ from .errors import NotUnimodularError, ZeroMatrixError
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major. Each entry is converted here, once,
+    by operator.index: a Python or numpy integer is accepted, a float raises."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
+        if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("rows have inconsistent lengths")
-            for e in row:
-                if not isinstance(e, int):
-                    raise TypeError(f"entries must be int, got {type(e).__name__}")
+        if any(len(row) != len(entries[0]) for row in entries):
+            raise ValueError("rows have inconsistent lengths")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> IntMatrix:
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def from_columns(cls, columns) -> IntMatrix:
@@ -350,7 +348,7 @@ def solve_integer(A: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
     n, m = A.rows, A.cols
     if len(rhs) != n:
         raise ValueError("right-hand side length mismatch")
-    aug = [[Fraction(e) for e in row] + [Fraction(int(b))]
+    aug = [[Fraction(e) for e in row] + [Fraction(operator.index(b))]
            for row, b in zip(A.entries, rhs)]
     pivots = []
     r = 0

@@ -7,7 +7,9 @@ stable. A square system carries one support per variable.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,12 +19,14 @@ from .intlinalg import IntMatrix, smith_normal_form, solve_integer, unimodular_i
 
 @dataclass(frozen=True)
 class Support:
-    """Finite set of distinct lattice points, sorted lexicographically."""
+    """Finite set of distinct lattice points, sorted lexicographically. Each
+    coordinate is converted here, once, by operator.index: a Python or numpy
+    integer is accepted, a float raises TypeError instead of truncating."""
 
     points: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        pts = tuple(sorted(tuple(int(c) for c in p) for p in self.points))
+        pts = tuple(sorted(tuple(map(operator.index, p)) for p in self.points))
         if not pts:
             raise ValueError("support must be nonempty")
         dim = len(pts[0])
@@ -65,12 +69,12 @@ class SupportSystem:
 
     @classmethod
     def of_points(cls, point_lists: Iterable[Iterable[Sequence[int]]]) -> SupportSystem:
-        return cls(tuple(Support(tuple(tuple(p) for p in pts)) for pts in point_lists))
+        return cls(tuple(map(Support, point_lists)))
 
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Support system plus one nonzero complex coefficient per point."""
+    """Support system plus one nonzero, finite complex coefficient per point."""
 
     system: SupportSystem
     coefficients: tuple[tuple[complex, ...], ...]
@@ -82,8 +86,8 @@ class SparseSystem:
         for sup, row in zip(self.system.supports, coeffs):
             if len(row) != len(sup):
                 raise ValueError("coefficient count must match support size")
-            if any(c == 0 for c in row):
-                raise ValueError("zero coefficients are not stored; drop the point instead")
+            if not all(c != 0 and cmath.isfinite(c) for c in row):
+                raise ValueError("coefficients must be nonzero and finite; drop a zero term's point")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -92,14 +96,13 @@ class SparseSystem:
 
     @classmethod
     def from_pairs(cls, pairs_per_poly) -> SparseSystem:
-        """Build from unsorted (point, coefficient) pairs, dropping nothing."""
-        supports = []
-        coeffs = []
-        for pairs in pairs_per_poly:
-            pairs = sorted(((tuple(int(c) for c in p), complex(v)) for p, v in pairs))
-            supports.append(Support(tuple(p for p, _ in pairs)))
-            coeffs.append(tuple(v for _, v in pairs))
-        return cls(SupportSystem(tuple(supports)), tuple(coeffs))
+        """Build from unsorted (point, coefficient) pairs, dropping nothing. The
+        pairs are sorted by point alone; Support converts the points and rejects
+        a repeated one, and __post_init__ checks the coefficients."""
+        polys = [sorted(((tuple(p), v) for p, v in pairs), key=operator.itemgetter(0))
+                 for pairs in pairs_per_poly]
+        return cls(SupportSystem(tuple(Support(p for p, _ in poly) for poly in polys)),
+                   tuple(tuple(v for _, v in poly) for poly in polys))
 
     def polynomial(self, i: int) -> list[tuple[tuple[int, ...], complex]]:
         return list(zip(self.system.supports[i].points, self.coefficients[i]))
@@ -111,16 +114,16 @@ def normalize(obj):
     Returns (translated object, tuple of applied translation vectors). The
     lexicographically smallest point of each support is subtracted; on the
     torus this only drops an invertible monomial factor, so coefficients
-    are unchanged.
+    are unchanged. obj itself is returned when no support moves.
     """
-    if isinstance(obj, SparseSystem):
-        system, shifts = normalize(obj.system)
-        return SparseSystem(system, obj.coefficients), shifts
-    if not isinstance(obj, SupportSystem):
+    S = obj.system if isinstance(obj, SparseSystem) else obj
+    if not isinstance(S, SupportSystem):
         raise TypeError("normalize expects a SupportSystem or SparseSystem")
-    shifts = tuple(s.points[0] for s in obj.supports)
-    system = SupportSystem(tuple(s.translate(b) for s, b in zip(obj.supports, shifts)))
-    return system, shifts
+    shifts = tuple(s.points[0] for s in S.supports)
+    if any(map(any, shifts)):
+        S = SupportSystem(tuple(s.translate(b) for s, b in zip(S.supports, shifts)))
+        obj = SparseSystem(S, obj.coefficients) if isinstance(obj, SparseSystem) else S
+    return obj, shifts
 
 
 def _difference_columns(S: SupportSystem, indices) -> list[tuple[int, ...]]:
@@ -272,8 +275,8 @@ def point_in_hull(point: Sequence[int], pts: Sequence[Sequence[int]]) -> bool:
     rows = []
     for r in range(nrows):
         if r < n:
-            coeffs = [int(q[r]) for q in pts]
-            b = int(point[r])
+            coeffs = [operator.index(q[r]) for q in pts]
+            b = operator.index(point[r])
         else:
             coeffs = [1] * m
             b = 1

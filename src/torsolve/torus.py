@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -75,7 +76,7 @@ def monomial_value(x, alpha) -> complex:
 
 
 def _factors(alpha) -> tuple[tuple[int, int], ...]:
-    return tuple((j, int(e)) for j, e in enumerate(alpha) if e)
+    return tuple((j, e) for j, e in enumerate(alpha) if e)
 
 
 def _power_product(xs: list[complex], factors) -> complex:
@@ -93,7 +94,7 @@ def diagonal_fiber(d: Sequence[int], y: Sequence[complex]) -> list[np.ndarray]:
     and the branch index ascending from 0, so the enumeration order is
     deterministic.
     """
-    d = [int(v) for v in d]
+    d = list(map(operator.index, d))
     y = np.asarray(y, dtype=complex)
     if len(d) != len(y) or any(v <= 0 for v in d):
         raise ValueError("need one positive root order per coordinate")

@@ -1,7 +1,14 @@
-"""Property test: the mixed volume read off the decomposition tree equals
-the inclusion-exclusion over convex hulls. Needs `hypothesis`."""
-import pytest
+"""Property tests: the mixed volume read off the decomposition tree equals
+the inclusion-exclusion over convex hulls, and the classification and the
+mixed volume do not move under translations and unimodular maps. Needs
+`hypothesis`."""
+import random
 
+import pytest
+from test_decompose import START_A, _random_unimodular, family_system
+
+from torsolve.decompose import classify
+from torsolve.errors import MixedVolumeZeroError
 from torsolve.geometry import hull_mixed_volume, mixed_volume
 from torsolve.intlinalg import IntMatrix
 from torsolve.supports import SupportSystem
@@ -38,3 +45,27 @@ def structured_systems(draw):
 @given(structured_systems())
 def test_mixed_volume_through_the_tree_matches_the_hulls(S):
     assert mixed_volume(S) == hull_mixed_volume(S)
+
+
+def _shape(S):
+    """classify's kind, lacunary index and triangular or zero-MV witness."""
+    try:
+        cls = classify(S)
+    except MixedVolumeZeroError as exc:
+        return "zero", None, exc.witness
+    return type(cls).__name__, getattr(cls, "index", None), getattr(cls, "witness", None)
+
+
+# The drawn systems are mostly lacunary or of zero MV; the two examples add a
+# triangular and an indecomposable one.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(structured_systems(), st.randoms(use_true_random=False))
+@hypothesis.example(family_system(), random.Random(0))
+@hypothesis.example(SupportSystem.of_points([START_A, START_A]), random.Random(1))
+def test_classify_and_mixed_volume_survive_translations_and_unimodular_maps(S, rng):
+    U = _random_unimodular(rng, S.n) if S.n > 1 else IntMatrix.from_rows([[-1]])
+    shifts = [[rng.randint(-3, 3) for _ in range(S.n)] for _ in range(S.n)]
+    moved = SupportSystem.of_points([[tuple(map(sum, zip(U.apply(p), b))) for p in sup.points]
+                                     for sup, b in zip(S.supports, shifts)])
+    assert _shape(moved) == _shape(S)
+    assert mixed_volume(moved) == mixed_volume(S)

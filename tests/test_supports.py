@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from torsolve.errors import LatticeMembershipError
@@ -78,6 +80,60 @@ def test_normalize_sparse_keeps_coefficients():
     assert shifts[0] == (1, 0)
     assert g.coefficients == f.coefficients
     assert g.system.supports[0].points == ((0, 0), (1, 0))
+
+
+# int() would truncate both supports onto the unit triangle, of mixed volume 1.
+FLOAT_SUPPORTS = [[(0, 0), (1.9, 0), (0, 1)], [(0, 0), (1, 0), (0, 1.7)]]
+
+
+def test_a_float_exponent_or_entry_raises_instead_of_truncating():
+    with pytest.raises(TypeError):
+        Support(FLOAT_SUPPORTS[0])
+    with pytest.raises(TypeError):
+        SupportSystem.of_points(FLOAT_SUPPORTS)
+    with pytest.raises(TypeError):
+        SparseSystem.from_pairs([[(p, 1.0) for p in pts] for pts in FLOAT_SUPPORTS])
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows(FLOAT_SUPPORTS[1])
+    with pytest.raises(TypeError):
+        IntMatrix(tuple(FLOAT_SUPPORTS[1]))
+
+
+def test_numpy_integer_exponents_build_the_objects_python_integers_build():
+    pts = [LACUNARY_A1, LACUNARY_A2]
+    S = SupportSystem.of_points(pts)
+    S64 = SupportSystem.of_points([np.array(a, dtype=np.int64) for a in pts])
+    assert S64 == S
+    assert all(type(c) is int for sup in S64.supports for p in sup.points for c in p)
+    pairs = [[(p, 1.0 + k) for k, p in enumerate(a)] for a in pts]
+    pairs64 = [[(np.array(p, dtype=np.int64), v) for p, v in poly] for poly in pairs]
+    assert SparseSystem.from_pairs(pairs64) == SparseSystem.from_pairs(pairs)
+    rows = np.array(PHI.entries, dtype=np.int64)
+    assert IntMatrix.from_rows(rows) == IntMatrix(tuple(map(tuple, rows))) == PHI
+    assert all(type(e) is int for row in IntMatrix(tuple(map(tuple, rows))).entries for e in row)
+
+
+def test_from_pairs_rejects_a_repeated_point_by_name():
+    with pytest.raises(ValueError, match=r"duplicate point \(1, 0\)"):
+        SparseSystem.from_pairs([[((0, 0), 1), ((1, 0), 2j), ((1, 0), 3j)],
+                                 [((0, 0), 1), ((0, 1), 1)]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf)])
+def test_sparse_system_rejects_a_coefficient_that_is_not_finite(bad):
+    # F = (bad + x^2 + y, 1 + x + 2y^2): with nan, solve_general returned 0 of
+    # its 4 solutions without an error.
+    with pytest.raises(ValueError, match="finite"):
+        SparseSystem.from_pairs([[((0, 0), bad), ((2, 0), 1), ((0, 1), 1)],
+                                 [((0, 0), 1), ((1, 0), 1), ((0, 2), 2)]])
+
+
+def test_normalize_returns_a_normalized_system_itself():
+    S = SupportSystem.of_points([LACUNARY_A1, LACUNARY_A2])
+    T, shifts = normalize(S)
+    assert T is S and shifts == ((0, 0), (0, 0))
+    F = SparseSystem(S, tuple(tuple(range(1, len(sup) + 1)) for sup in S.supports))
+    assert normalize(F)[0] is F
 
 
 def test_span_rank():

@@ -30,20 +30,55 @@ def test_parity_lists_a_change_between_an_exception_and_a_result():
         assert f"{key}: tree / {a.get('tree')!r} -> {b.get('tree')!r}" in diffs
 
 
+PARENT_RUNS = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 1.95, 2.1, 2.0, 2.15]  # spread 15%
+
+
 def test_pairs_claims_a_gain_only_by_the_paired_rule():
     pairs = load("pairs")
-    parent = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 1.95, 2.1, 2.0, 2.15]
+    parent = PARENT_RUNS
     faster = [x - 0.3 for x in parent]
-    s = pairs.summarize(parent, faster, "lower")
+    s = pairs.summarize(parent, faster, "lower", 0.2)
     assert (s["won"], s["lost"], s["pairs"], s["claim"]) == (10, 0, 10, True)
-    assert not pairs.summarize(parent, faster, "higher")["claim"]
+    assert not pairs.summarize(parent, faster, "higher", 0.2)["claim"]
     # Two ties and one loss leave 7 wins of 10: no claim, however large the gain.
     mixed = faster[:7] + parent[7:9] + [parent[9] + 1.0]
-    s = pairs.summarize(parent, mixed, "lower")
+    s = pairs.summarize(parent, mixed, "lower", 0.2)
     assert (s["won"], s["lost"], s["claim"]) == (7, 1, False)
     # Every pair won, but by less than the parent's interquartile range.
-    s = pairs.summarize(parent, [x - 0.01 for x in parent], "lower")
+    s = pairs.summarize(parent, [x - 0.01 for x in parent], "lower", 0.2)
     assert s["won"] == 10 and not s["claim"]
+
+
+def test_pairs_claims_no_gain_when_the_change_fails_more_ops():
+    pairs = load("pairs")
+    faster = [x - 0.3 for x in PARENT_RUNS]
+    assert pairs.summarize(PARENT_RUNS, faster, "lower", 0.2, failed=(2, 2))["claim"]
+    assert not pairs.summarize(PARENT_RUNS, faster, "lower", 0.2, failed=(2, 3))["claim"]
+
+
+def test_pairs_calls_a_metric_unresolved_when_the_parent_spreads_wider_than_its_bound():
+    pairs = load("pairs")
+    s = pairs.summarize(PARENT_RUNS, PARENT_RUNS, "lower", 0.2)
+    assert round(s["spread"], 4) == round(0.3 / 2.025, 4) and not s["unresolved"]
+    # A 22% spread against a 20% bound: nothing can be told, not even a large gain.
+    wide = [0.2, 0.21, 0.19, 0.232, 0.2, 0.205, 0.195, 0.21, 0.2, 0.215]
+    s = pairs.summarize(wide, [x - 0.03 for x in wide], "lower", 0.2)
+    assert s["unresolved"] and s["won"] == 10 and not s["claim"]
+    assert not pairs.summarize(wide, wide, "lower", 0.25)["unresolved"]
+    # Unless every change run beats every parent run.
+    s = pairs.summarize(wide, [x - 0.05 for x in wide], "lower", 0.2)
+    assert not s["unresolved"] and s["claim"]
+    s = pairs.summarize(wide, [x + 0.05 for x in wide], "higher", 0.2)
+    assert not s["unresolved"] and s["claim"]
+
+
+def test_pairs_calls_a_median_worse_by_more_than_the_bound_a_regression():
+    pairs = load("pairs")
+    for worse, regressed in ((0.19, False), (0.21, True)):
+        s = pairs.summarize(PARENT_RUNS, [x * (1 + worse) for x in PARENT_RUNS], "lower", 0.2)
+        assert s["regression"] is regressed and not s["claim"]
+        s = pairs.summarize(PARENT_RUNS, [x * (1 - worse) for x in PARENT_RUNS], "higher", 0.2)
+        assert s["regression"] is regressed and not s["claim"]
 
 
 def test_parity_counts_newton_calls_and_gamma_retries_per_workload():

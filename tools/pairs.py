@@ -11,14 +11,20 @@ runs its own `perfbench/`; this tool only reads run.py's last line.
 
 For every metric it prints each side's median and quartiles, the relative
 change of the medians, and the pairs the change won and lost (ties count
-for neither), and says whether a gain may be claimed: the change wins at
-least nine tenths of the pairs and its median is better than the parent's
-by more than the distance between the parent's quartiles. It also prints
-each side's failed and attempted op counts.
+for neither). It calls the metric "unresolved" when the parent's runs
+spread, (max - min) / median, wider than the metric's `bound`, unless
+every change run beats every parent run; a "regression" when the change's
+median is worse than the parent's by more than the bound; and says whether
+a gain may be claimed: the metric is resolved, the change failed no more
+ops than the parent, wins at least nine tenths of the pairs, and its
+median is better than the parent's by more than the distance between the
+parent's quartiles. It also prints each side's failed and attempted op
+counts.
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -42,16 +48,24 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4))
 
 
-def summarize(parent, change, better: str) -> dict:
-    """Paired runs of one metric, `better` "lower" or "higher": both sides'
-    quartiles, the pairs the change won and lost, and whether the gain rule
-    holds."""
+def summarize(parent, change, better: str, bound: float, failed=(0, 0)) -> dict:
+    """Paired runs of one metric, `better` "lower" or "higher", with its
+    relative `bound` and the (parent, change) failed op counts: both sides'
+    quartiles, the pairs the change won and lost, the parent's spread, and
+    whether the metric is unresolved, regressed, or shows a gain."""
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     lost = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
     qp, qc = quartiles(parent), quartiles(change)
+    width = max(parent) - min(parent)
+    spread = width / abs(qp[1]) if qp[1] else (math.inf if width else 0.0)
+    beats = min(sign * v for v in change) > max(sign * v for v in parent)
+    unresolved = spread > bound and not beats
     return {"parent": qp, "change": qc, "won": won, "lost": lost, "pairs": len(parent),
-            "claim": won >= 0.9 * len(parent) and sign * (qc[1] - qp[1]) > qp[2] - qp[0]}
+            "spread": spread, "unresolved": unresolved,
+            "regression": sign * (qp[1] - qc[1]) > bound * abs(qp[1]),
+            "claim": (not unresolved and failed[1] <= failed[0] and won >= 0.9 * len(parent)
+                      and sign * (qc[1] - qp[1]) > qp[2] - qp[0])}
 
 
 def main(argv=None) -> int:
@@ -75,20 +89,28 @@ def main(argv=None) -> int:
             print(f"pair {seed} {side}: " + ", ".join(
                 f"{name} {result['metrics'][name]['value']:.4g}" for name in metrics), flush=True)
     print(f"{args.workload}: {args.pairs} pairs of {bench['run_seconds']} s runs")
+    failed = {}
     for side in sides:
-        failed = sum(r["failed"] for r in runs[side])
+        failed[side] = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
         correct = all(r["correct"] for r in runs[side])
-        print(f"  {side}: failed {failed} of {attempted} ops, correct {correct}")
+        print(f"  {side}: failed {failed[side]} of {attempted} ops, correct {correct}")
+    if failed["change"] > failed["parent"]:
+        print("  the change failed more ops than the parent: no gain may be claimed")
     for name, metric in metrics.items():
         values = [[r["metrics"][name]["value"] for r in runs[side]] for side in sides]
-        s = summarize(*values, metric["better"])
+        s = summarize(*values, metric["better"], metric["bound"], tuple(failed.values()))
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         relative = f"{cm / pm - 1:+.1%}" if pm else "n/a"
+        verdicts = [f"gain {'holds' if s['claim'] else 'not shown'}"]
+        if s["regression"]:
+            verdicts.append(f"regression beyond the {metric['bound']:.0%} bound")
+        if s["unresolved"]:
+            verdicts.append(f"unresolved: parent spread {s['spread']:.0%} > {metric['bound']:.0%} bound")
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
               f"parent {pm:.4g} [{p1:.4g}, {p3:.4g}], change {cm:.4g} [{c1:.4g}, {c3:.4g}], "
               f"{relative}; change won {s['won']}, lost {s['lost']} of {s['pairs']}; "
-              f"gain {'holds' if s['claim'] else 'not shown'}")
+              + "; ".join(verdicts))
     return 0
 
 

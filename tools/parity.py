@@ -31,8 +31,11 @@ tracked, summed over calls, so that a transfer tracked again shows; the
 `classify` calls with the `smith_normal_form` calls made inside them; and
 the `normalize` calls, wrapped in every `torsolve` module that binds the
 function, with the rank eliminations (`intlinalg._bareiss_rank` calls), so
-that exact work done twice shows. These counts are information, not a
-check.
+that exact work done twice shows. A call counts once whatever it is given;
+a checkout whose `normalize` passed a `SparseSystem`'s supports back to
+itself counts that inner call too, so the two sides' `normalize` counts
+differ in meaning when only one of them does so. These counts are
+information, not a check.
 """
 
 import argparse
