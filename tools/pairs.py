@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         if s["regression"]:
             verdicts.append(f"regression beyond the {metric['bound']:.0%} bound")
         if s["unresolved"]:
-            verdicts.append(f"unresolved: parent spread {s['spread']:.0%} > {metric['bound']:.0%} bound")
+            verdicts.append(f"unresolved: parent spread {s['spread']:.1%} > {metric['bound']:.0%} bound")
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
               f"parent {pm:.4g} [{p1:.4g}, {p3:.4g}], change {cm:.4g} [{c1:.4g}, {c3:.4g}], "
               f"{relative}; change won {s['won']}, lost {s['lost']} of {s['pairs']}; "
