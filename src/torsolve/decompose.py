@@ -159,9 +159,9 @@ class DecompositionTree:
     the MV's count of endpoints, and tracks none at a resultant-solved leaf.
     Closed-form steps (root extraction, companion-matrix eigenvalues)
     contribute zero. A triangular node books every transfer and its paths,
-    tracked or, for one-variable fibers, taken as companion eigenvalues. Its
-    children are its base and first fiber, then one tree per fiber solved
-    directly because its transfer failed every gamma. `gamma_retries` counts
+    tracked or solved with the first fiber as one family. Its children are
+    its base and first fiber, then one tree per fiber solved directly
+    because its transfer failed every gamma. `gamma_retries` counts
     gammas drawn after the first: at a triangular node the sum over its
     transfers of tracked attempts less one, at a black box its total-degree
     attempts less one.

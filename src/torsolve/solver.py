@@ -1,17 +1,22 @@
 """Recursive solver for decomposable sparse systems, plus start systems.
 
-The main entry point classifies the supports, then either extracts roots
-through a monomial covering (lacunary), or solves a subsystem first and
-fills the fiber over each of its other solutions (triangular): one-variable
-fibers at once as companion-matrix eigenvalues, other fibers (and those the
-eigensolve leaves short) by transfers from the first fiber tracked as one
+The recursive solver takes a family: K coefficient rows on one support,
+row 0 the system itself. It classifies the supports once per family, then
+either extracts roots through a monomial covering (lacunary), or solves a
+subsystem first and fills the fiber over each of its other solutions
+(triangular): every fiber is restricted first, and all fibers, of every
+row, are solved as one family, its row 0 the first fiber of row 0.
+Otherwise it falls back to a black box: companion-matrix eigenvalues for
+one variable, hidden-variable resultant eigenvalues for two, each for all
+rows at once, and for row 0 alone a total-degree homotopy otherwise or
+when those come up short. Only row 0 ever tracks a path; another row a
+leaf cannot complete comes back short. A triangular node's short fibers of
+row 0 are reached from its first fiber by transfers tracked as one
 multi-target homotopy, short transfers again on fresh gammas, and a fiber
-whose transfer fails every gamma solved directly. Otherwise it falls back
-to a black box: companion-matrix eigenvalues for one variable,
-hidden-variable resultant eigenvalues for two, a total-degree homotopy
-otherwise or when those come up short. All three homotopies go through
-_tracked, in coordinates from _compacted. Recursion terminates because
-each level decreases either the mixed volume or the number of variables.
+whose transfer fails every gamma solved directly. All three homotopies go
+through _tracked, in coordinates from _compacted. Recursion terminates
+because each level decreases either the mixed volume or the number of
+variables.
 """
 
 from __future__ import annotations
@@ -34,14 +39,14 @@ from .decompose import (
 from .errors import CountMismatchError, DegenerateFiberError
 from .geometry import hull_mixed_volume
 from .intlinalg import IntMatrix, unimodular_inverse
-from .supports import SparseSystem, SupportSystem, normalize, vertices
+from .supports import SparseSystem, Support, SupportSystem, normalize, vertices
 from .torus import (
     TORUS_THRESHOLD,
     MonomialMap,
     apply as torus_apply,
     diagonal_fiber,
+    fiber_restriction,
     relabel,
-    restrict_to_fibers,
 )
 from .tracking import (
     Homotopy,
@@ -83,9 +88,12 @@ def _report(sols, tree, seed, warnings=None) -> SolveReport:
 
 
 def _entry(solve, F: SparseSystem, seed: int, settings: TrackerSettings | None, *args):
-    """Run one of the recursive solvers below on normalized F, as the root."""
+    """Run one of the recursive solvers below on normalized F, as the root:
+    the family of F alone."""
     F, _ = normalize(F)
-    return solve(F, *args, np.random.SeedSequence(seed), settings or TrackerSettings(), "")
+    (sols,), tree = solve(F, _rows(F), *args, np.random.SeedSequence(seed),
+                          settings or TrackerSettings(), "")
+    return sols, tree
 
 
 def solve_decomposable(F: SparseSystem, seed: int = 0,
@@ -135,13 +143,18 @@ def solve_general(F: SparseSystem, seed: int = 0,
     ss = np.random.SeedSequence(seed)
     G, start_sols, start_tree = _vertex_start(F.system, ss, settings)
     expected = len(start_sols)
-    F_c, (G_c,), back, start_points = _compacted(F, [G], start_sols.points)
+    on_vertices = [dict(G.polynomial(i)) for i in range(F.n)]  # G on F's support, 0 elsewhere
+    G_row = [on_vertices[i].get(alpha, 0j) for i, sup in enumerate(F.system.supports)
+             for alpha in sup.points]
+    F_c, (F_row, G_row), back, start_points = _compacted(F, np.vstack([_rows(F), G_row]),
+                                                         start_sols.points)
 
     rng = np.random.default_rng(ss.spawn(1)[0])
     warnings = []
     best = SolutionSet()
     for attempt in range(2):
-        (ends,), failures = _tracked(G_c, [F_c], [_unit(rng)], start_points, back, settings)
+        H = _homotopy(F_c, G_row, [F_row], [_unit(rng)])
+        (ends,), failures = _tracked(H, start_points, back, settings)
         found = _refined(F, zip(ends.points, ends.provenance), settings, failures)
         if len(found) > len(best):
             best = found
@@ -168,56 +181,60 @@ def solve_general(F: SparseSystem, seed: int = 0,
 # Recursive machinery.
 
 
-def _solve(F: SparseSystem, ss, settings, prov):
+def _solve(F: SparseSystem, C, ss, settings, prov):
+    """(per row of C its SolutionSet, the tree of row 0) for the family of
+    F: the rows of the (K, M) array C are coefficient vectors of F's
+    support, polynomial by polynomial, row 0 F's own. The exact work runs
+    once for the family and the numerics once over all rows. Row 0 is
+    solved in full or raises; another row that a leaf cannot complete
+    without tracking comes back short."""
     start = time.perf_counter()
     F, _ = normalize(F)
     cls = classify(F.system)
     if isinstance(cls, Lacunary):
-        sols, tree = _solve_lacunary(F, cls, ss, settings, prov)
+        sols, tree = _solve_lacunary(F, C, cls, ss, settings, prov)
     elif isinstance(cls, Triangular):
-        sols, tree = _solve_triangular(F, cls, ss, settings, prov)
+        sols, tree = _solve_triangular(F, C, cls, ss, settings, prov)
     elif F.n == 1:
-        sols, tree = _univariate_roots(F, settings, prov)
+        sols, tree = _univariate_roots(F, C, settings, prov)
     else:
-        sols, tree = _blackbox(F, hull_mixed_volume(F.system), ss, settings, prov)
+        sols, tree = _blackbox(F, C, hull_mixed_volume(F.system), ss, settings, prov)
     tree.elapsed = time.perf_counter() - start
     return sols, tree
 
 
-def _solve_lacunary(F, cls: Lacunary, ss, settings, prov):
+def _solve_lacunary(F, C, cls: Lacunary, ss, settings, prov):
     cover = relabel(F, cls.preimage)
-    child_sols, child_tree = _solve(cover, ss.spawn(1)[0], settings, prov + "cover/")
-    expected = cls.index * len(child_sols)
+    cover_C = C[:, _positions(F, range(F.n), cls.preimage.index_maps)]
+    child_sols, child_tree = _solve(cover, cover_C, ss.spawn(1)[0], settings, prov + "cover/")
+    expected = cls.index * len(child_sols[0])
     psi_map = MonomialMap(cls.psi)
-    out = _refined(F, ((torus_apply(psi_map, w), f"{prov}root[{yi}.{wi}]")
-                       for yi, y in enumerate(child_sols.points)
-                       for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))), settings)
-    if len(out) != expected:
-        raise CountMismatchError("lacunary root extraction", expected, len(out), out)
+    out = _refined_rows(F, C, ((r, torus_apply(psi_map, w), f"{prov}root[{yi}.{wi}]")
+                               for r, sols in enumerate(child_sols)
+                               for yi, y in enumerate(sols.points)
+                               for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))), settings)
+    if len(out[0]) != expected:
+        raise CountMismatchError("lacunary root extraction", expected, len(out[0]), out[0])
     tree = DecompositionTree(
         kind="lacunary",
         mv=cls.index * child_tree.mv,
         children=[child_tree],
-        solutions=len(out),
+        solutions=len(out[0]),
         index=cls.index,
         diagonal=cls.diagonal,
     )
     return out, tree
 
 
-def _solve_triangular(F, cls: Triangular, ss, settings, prov):
+def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     n = F.n
     I = cls.witness
     J = tuple(j for j in range(n) if j not in I)
     k = cls.k
 
-    base_pairs = []
-    for i in I:
-        base_pairs.append([(cls.psi.apply(alpha)[:k], c) for alpha, c in F.polynomial(i)])
-    base_F = SparseSystem.from_pairs(base_pairs)
-
+    base_F, base_C = _mapped(F, C, I, lambda alpha: cls.psi.apply(alpha)[:k])
     base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
-    base_sols, base_tree = _solve(base_F, base_ss, settings, prov + "base/")
+    base_sols, base_tree = _solve(base_F, base_C, base_ss, settings, prov + "base/")
 
     psi_map = MonomialMap(cls.psi)
     tail_ones = np.ones(n - k, dtype=complex)
@@ -225,76 +242,102 @@ def _solve_triangular(F, cls: Triangular, ss, settings, prov):
     def lift_point(y, z=tail_ones):
         return torus_apply(psi_map, np.concatenate([y, z]))
 
-    restricted = restrict_to_fibers(F, J, cls.projection, map(lift_point, base_sols.points))
-    fiber0 = next(restricted)
-    fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
+    # Every fiber of every row is restricted first, in base order, and
+    # checked against the support of the first fiber of row 0. Another row
+    # with a degenerate fiber is left without fibers, so short. Row 0 raises
+    # for one, once its first fiber is solved: that solve's own error came
+    # first when the transfers followed it.
+    restrict, support = fiber_restriction(F.system, J, cls.projection), None
+    per_row, degenerate = [], None  # per row, its fibers over its base solutions
+    for r, sols in enumerate(base_sols):
+        coefficients, fibers = C[r].tolist(), []
+        try:
+            for idx, y in enumerate(sols.points):
+                fibers.append(restrict(coefficients, lift_point(y)))
+                support = support or fibers[0].system
+                if fibers[-1].system != support:
+                    raise DegenerateFiberError(
+                        f"fiber support over base solution {idx} differs from the start fiber"
+                    )
+        except DegenerateFiberError as exc:
+            if r == 0 and not fibers:
+                raise
+            if r == 0:
+                per_row, degenerate = [fibers[:1]], exc
+                break
+            fibers = []
+        per_row.append(fibers)
+    # All fibers are solved as one family, the first fiber of row 0 as its
+    # row 0; each row's fibers are consecutive, row 0's first.
+    fibers = per_row[0]
+    family_C = np.array([np.concatenate(fiber.coefficients) for row in per_row for fiber in row])
+    fiber_sols, fiber_tree = _solve(fibers[0], family_C, fiber_ss, settings, prov + "fiber0/")
+    if degenerate is not None:
+        raise degenerate
+    count = len(fiber_sols[0])
+    family_roots = iter(fiber_sols)  # per row, the roots over each of its base solutions
+    roots = [[next(family_roots) for _ in row] for row in per_row]
 
-    fibers = []
-    for idx, target in enumerate(restricted, 1):
-        if target.system != fiber0.system:
-            raise DegenerateFiberError(
-                f"fiber support over base solution {idx} differs from the start fiber"
-            )
-        fibers.append(target)
-    # Transfers run in compacted fiber coordinates, in rounds. Round 0 tracks
-    # every transfer, or for one-variable fibers those whose eigenvalues came
-    # up short, as one multi-target homotopy; each later round tracks the
-    # transfers still short, ascending, each on the next gamma of the stream.
-    # A transfer short after the last round has its fiber solved directly.
-    start_fiber, targets, back, start_points = _compacted(fiber0, fibers, fiber_sols.points)
-    got, attempts, direct_trees = {}, Counter(), []  # got: per transfer, its latest roots
-    if n - k == 1 and fibers:
-        got = dict(enumerate(_companion_roots(fiber0, [f.coefficients[0] for f in fibers],
-                                              settings)))
+    # Row 0's fibers the family left short are reached by transfers from its
+    # first fiber, in compacted fiber coordinates, in rounds: each round
+    # tracks the transfers still short, ascending, each on the next gamma of
+    # the stream, as one multi-target homotopy. A transfer short after the
+    # last round has its fiber solved directly.
+    got = roots[0]  # got[m]: the latest roots over base solution m of row 0
+    attempts, direct_trees = Counter(), []
 
     def short():
-        return [m for m in range(len(fibers)) if len(got.get(m, ())) != len(fiber_sols)]
+        return [m for m in range(1, len(fibers)) if len(got[m]) != count]
 
-    rng = np.random.default_rng(transfer_ss)
+    todo, rng = short(), np.random.default_rng(transfer_ss)
+    if todo:
+        start, start_C, back, start_points = _compacted(fibers[0], family_C[:len(fibers)],
+                                                        fiber_sols[0].points)
     for _ in range(_MAX_GAMMA_RETRIES + 1):
-        todo = short()
         if not todo:
             break
-        tracked, _ = _tracked(start_fiber, [targets[m] for m in todo],
-                              [_unit(rng) for _ in todo], start_points, back, settings)
-        got.update(zip(todo, tracked))
+        H = _homotopy(start, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
+        for m, sols in zip(todo, _tracked(H, start_points, back, settings)[0]):
+            got[m] = sols
         attempts.update(todo)
-    for m in short():
+        todo = short()
+    for m in todo:
         try:
-            got[m], direct_tree = _solve(fibers[m], direct_ss, settings, f"{prov}fiber{m + 1}/")
+            (got[m],), direct_tree = _solve(fibers[m], _rows(fibers[m]), direct_ss, settings,
+                                            f"{prov}fiber{m}/")
         except CountMismatchError as exc:
-            raise CountMismatchError(f"fiber transfer to base solution {m + 1}",
-                                     len(fiber_sols), len(got[m]), got[m]) from exc
+            raise CountMismatchError(f"fiber transfer to base solution {m}",
+                                     count, len(got[m]), got[m]) from exc
         direct_trees.append(direct_tree)
-    per_base = [fiber_sols.points] + [got[m].points for m in range(len(fibers))]
 
-    lifted = ((lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
-              for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
-              for zi, z in enumerate(zpts))
-    out = _refined(F, lifted, settings)
-    expected = len(base_sols) * len(fiber_sols)
-    if len(out) != expected:
-        raise CountMismatchError("triangular assembly", expected, len(out), out)
+    out = _refined_rows(F, C, ((r, lift_point(y, np.asarray(z, dtype=complex)),
+                                f"{prov}base[{bi}]/fiber[{zi}]")
+                               for r, (sols, zs_per_base) in enumerate(zip(base_sols, roots))
+                               for bi, (y, zs) in enumerate(zip(sols.points, zs_per_base))
+                               for zi, z in enumerate(zs.points)), settings)
+    expected = len(base_sols[0]) * count
+    if len(out[0]) != expected:
+        raise CountMismatchError("triangular assembly", expected, len(out[0]), out[0])
     tree = DecompositionTree(
         kind="triangular",
         mv=base_tree.mv * fiber_tree.mv,
         children=[base_tree, fiber_tree, *direct_trees],
-        solutions=len(out),
+        solutions=len(out[0]),
         witness=I,
-        transfers=len(base_sols) - 1,
-        paths=(len(base_sols) - 1) * len(fiber_sols),
+        transfers=len(base_sols[0]) - 1,
+        paths=(len(base_sols[0]) - 1) * count,
         gamma_retries=sum(attempts.values()) - len(attempts),
     )
     return out, tree
 
 
-def _univariate_roots(F, settings, prov):
-    """Companion-matrix solve: the case K = 1 of _companion_roots."""
-    out = _companion_roots(F, F.coefficients, settings, prov)[0]
+def _univariate_roots(F, C, settings, prov):
+    """Companion-matrix solve of every row; row 0 must give its degree."""
+    out = _companion_roots(F, C, settings, prov)
     degree = F.system.supports[0].points[-1][0] - F.system.supports[0].points[0][0]
-    if len(out) != degree:
-        raise CountMismatchError("univariate companion solve", degree, len(out), out)
-    tree = DecompositionTree(kind="univariate", mv=degree, solutions=len(out))
+    if len(out[0]) != degree:
+        raise CountMismatchError("univariate companion solve", degree, len(out[0]), out[0])
+    tree = DecompositionTree(kind="univariate", mv=degree, solutions=len(out[0]))
     return out, tree
 
 
@@ -303,6 +346,7 @@ def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionS
     the eigenvalues `eig[i]` of K companion matrices stacked in np.roots'
     layout, so bit for bit its roots, refined in one batched Newton on the
     K targets. Non-finite matrices, from a zero end coefficient, give none."""
+    rows = np.asarray(rows, dtype=complex)
     exps = [p[0] for p in F.system.supports[0].points]
     K, degree = len(rows), exps[-1] - exps[0]
     dense = np.zeros((K, degree + 1), dtype=complex)  # highest power first
@@ -313,44 +357,44 @@ def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionS
         A[:, 0] = -dense[:, 1:] / dense[:, :1]
     roots = np.linalg.eigvals(A) if np.isfinite(A).all() else np.zeros((K, degree))
     block, index = np.nonzero(np.abs(roots) >= TORUS_THRESHOLD)
-    H = Homotopy(F.system, F.coefficients, [[row] for row in rows])
-    return _refined_rows(H, roots[block, index, None], block,
-                         [f"{prov}eig[{i}]" for i in index], settings)
+    return _refined_rows(F, rows, zip(block, roots[block, index, None],
+                                      (f"{prov}eig[{i}]" for i in index)), settings)
 
 
-def _blackbox(F, expected, ss, settings, prov):
+def _blackbox(F, C, expected, ss, settings, prov):
     """Resultant eigenvalues for n = 2; otherwise, or when they come up
-    short, a total-degree homotopy from c_i x_i^{d_i} - b_i, random units.
+    short for row 0, a total-degree homotopy for row 0 alone from
+    c_i x_i^{d_i} - b_i, random units. Another row short stays short.
 
     `expected` is the mixed volume of F, which must be nonzero, and bounds
     the torus roots (Bernstein). For n = 2 the candidates `eig[i]` of
-    _resultant_roots, its units drawn from a child of `ss`, are kept if they
-    refine to `expected` roots. Otherwise the prod(d_i) paths stop once that
-    many distinct endpoints are in; a stopped run short of the MV is tracked
-    again in full before the next gamma. The path ledger counts this node
-    as its solution count; bezout_paths keeps prod(d_i) either way. F comes
-    normalized from _solve or _entry.
+    _resultant_roots, for all rows at once, its units drawn from a child of
+    `ss`, are kept for each row that refines them to `expected` roots.
+    Otherwise the prod(d_i) paths stop once that many distinct endpoints
+    are in; a stopped run short of the MV is tracked again in full before
+    the next gamma. The path ledger counts this node as its solution count;
+    bezout_paths keeps prod(d_i) either way. F comes normalized from _solve
+    or _entry.
     """
     if F.n == 1:
-        return _univariate_roots(F, settings, prov)
+        return _univariate_roots(F, C, settings, prov)
     n = F.n
-    compact, _, back, _ = _compacted(F)
-    moved, degrees = _orthant_shifts(compact.system)
+    compact, compact_C, back, _ = _compacted(F, C)
+    moved, degrees = _orthant_shifts(compact.system)  # translations keep the terms' order
     target = SparseSystem.from_pairs([list(zip(pts, c))
                                       for pts, c in zip(moved, compact.coefficients)])
-
-    def refined(points, provenance):
-        return _refined(F, zip(points, (prov + o for o in provenance)), settings)
 
     def solved(sols, retries):
         return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
                                        paths=expected, bezout_paths=math.prod(degrees),
                                        gamma_retries=retries)
 
+    sols = [SolutionSet() for _ in C]
     if n == 2:  # the child leaves the gamma stream of `ss` as it is
-        points, origins = _resultant_roots(target, ss.spawn(1)[0])
-        sols = refined(map(back, points), origins)
-        if len(sols) == expected:
+        points, rows, origins = _resultant_roots(target, compact_C, ss.spawn(1)[0])
+        sols = _refined_rows(F, C, ((r, back(p), prov + o)
+                                    for r, p, o in zip(rows, points, origins)), settings)
+        if len(sols[0]) == expected:
             return solved(sols, 0)
     rng = np.random.default_rng(ss)
     for attempt in range(_MAX_GAMMA_RETRIES + 1):
@@ -362,80 +406,104 @@ def _blackbox(F, expected, ss, settings, prov):
             start_pairs.append([((0,) * n, -b[i]), (power, c[i])])
         G = SparseSystem.from_pairs(start_pairs)
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
-        gamma = _unit(rng)
+        H = Homotopy.straight_line(G, [target], [_unit(rng)])
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
-            (ends,), failures = _tracked(G, [target], [gamma], starts, back, settings, count)
-            sols = refined(ends.points, ends.provenance)
-            if len(sols) == expected or all(f.reason != "count-reached" for _, f in failures):
+            (ends,), failures = _tracked(H, starts, back, settings, count)
+            sols[0] = _refined(F, zip(ends.points, (prov + o for o in ends.provenance)), settings)
+            if len(sols[0]) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
-        if len(sols) == expected:
+        if len(sols[0]) == expected:
             return solved(sols, attempt)
-    raise CountMismatchError("blackbox total-degree solve", expected, len(sols), sols)
+    raise CountMismatchError("blackbox total-degree solve", expected, len(sols[0]), sols[0])
 
 
-def _resultant_roots(target: SparseSystem, ss) -> tuple:
-    """(points, origins `eig[i]`): per eigenvalue i a finite, nonzero
-    candidate root (x, y) of the polynomials f, g of `target`, exponents >= 0.
+def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
+    """(points, rows, origins `eig[i]`): per eigenvalue i of row r of C, a
+    coefficient row of `target`'s support (exponents >= 0), a finite,
+    nonzero candidate root (x, y) of that row's polynomials f and g.
 
     The Sylvester matrix of f and g in y is a matrix polynomial S(x) of size
     N = deg_y f + deg_y g whose kernel at a root's x holds (y^(N-1), ..., 1).
     Under x = (a s + b) / (c s + d), units drawn from `ss`, its leading
     coefficient c^D S(a/c) is generically invertible; an eigenvalue s of the
     block companion matrix gives x, and the first block v of its eigenvector
-    y = v[N-2] / v[N-1]. Nothing when N < 2 or that coefficient is singular.
+    y = v[N-2] / v[N-1]. The rows share one stacked eigensolve. Nothing when
+    N < 2, and nothing for a row whose leading coefficient is singular.
     """
-    f, g = target.polynomial(0), target.polynomial(1)
-    m, k = (max(alpha[1] for alpha, _ in poly) for poly in (f, g))
-    N, D = m + k, max(alpha[0] for poly in (f, g) for alpha, _ in poly)
+    f, g = target.system.supports
+    m, k = (max(p[1] for p in sup.points) for sup in (f, g))
+    N, D = m + k, max(p[0] for sup in (f, g) for p in sup.points)
     if N < 2 or D < 1:
-        return [], []
-    S = np.zeros((D + 1, N, N), dtype=complex)  # S[e]: the coefficient of x^e
-    for row, (poly, shift) in enumerate([(f, r) for r in range(k)] + [(g, r) for r in range(m)]):
-        for (e, j), coef in poly:  # the row of y^shift f or y^shift g
-            S[e, row, N - 1 - j - shift] = coef
+        return [], np.zeros(0, dtype=np.intp), []
+    K = len(C)
+    # Per Sylvester entry (term of the row, power of x, matrix row, column):
+    # matrix row `row` holds y^shift f or y^shift g.
+    entries = [(offset + t, e, row, N - 1 - j - shift)
+               for row, (sup, offset, shift) in enumerate(
+                   [(f, 0, r) for r in range(k)] + [(g, len(f), r) for r in range(m)])
+               for t, (e, j) in enumerate(sup.points)]
+    term, power, row, column = np.array(entries).T
+    S = np.zeros((K, D + 1, N, N), dtype=complex)  # S[r, e]: row r's coefficient of x^e
+    S[:, power, row, column] = C[:, term]
     a, b, c, d = np.exp(2j * np.pi * np.random.default_rng(ss).random(4))  # units
     # P(s) = sum_e S[e] (a s + b)^e (c s + d)^(D - e), interpolated at the roots of unity
     w, e = np.exp(2j * np.pi * np.arange(D + 1) / (D + 1)), np.arange(D + 1)
     M = np.linalg.solve(np.vander(w, increasing=True),
                         (a * w[:, None] + b) ** e * (c * w[:, None] + d) ** (D - e))
-    P = np.tensordot(M, S, axes=(1, 0))
+    P = np.matmul(M, S.reshape(K, D + 1, N * N)).reshape(K, D + 1, N, N)
+    top = np.eye(N * D - N, N * D, k=N)
+
+    def eig(P):  # raises for a singular leading coefficient or non-finite entries
+        Q = np.linalg.solve(P[:, D], P[:, :D].transpose(0, 2, 1, 3).reshape(len(P), N, N * D))
+        return np.linalg.eig(np.concatenate([np.broadcast_to(top, (len(P), *top.shape)), -Q], 1))
+
+    rows = np.arange(K)
     with np.errstate(all="ignore"):
-        try:  # raised for a singular leading coefficient or non-finite entries
-            Q = np.linalg.solve(P[D], np.concatenate(P[:D], axis=1))
-            s, V = np.linalg.eig(np.vstack([np.eye(N * D - N, N * D, k=N), -Q]))
-        except np.linalg.LinAlgError:
-            return [], []
-        X = np.column_stack([(a * s + b) / (c * s + d), V[N - 2] / V[N - 1]])
-    keep = np.flatnonzero(np.isfinite(X).all(axis=1) & X.all(axis=1))  # a zero has no image
-    return list(X[keep]), [f"eig[{i}]" for i in keep]
+        try:
+            s, V = eig(P)
+        except np.linalg.LinAlgError:  # the rows one by one, each that raises left out
+            parts = {}
+            for r in rows:
+                try:
+                    parts[r] = eig(P[r:r + 1])
+                except np.linalg.LinAlgError:
+                    pass
+            if not parts:
+                return [], np.zeros(0, dtype=np.intp), []
+            rows = np.array(list(parts), dtype=np.intp)
+            s, V = (np.concatenate(x) for x in zip(*parts.values()))
+        X = np.stack([(a * s + b) / (c * s + d), V[:, N - 2] / V[:, N - 1]], axis=-1)
+    keep, index = np.nonzero(np.isfinite(X).all(axis=2) & X.all(axis=2))  # a zero has no image
+    return list(X[keep, index]), rows[keep], [f"eig[{i}]" for i in index]
 
 
 def _refined(F: SparseSystem, candidates, settings, failures=None) -> SolutionSet:
     """Newton-refine (point, origin) candidates on F, all in one batch; keep
     the converged ones on the torus that distinct() keeps, sorted.
     Refinement failures go to `failures` as (origin, message) when given."""
-    candidates = list(candidates)
-    X = np.array([pt for pt, _ in candidates], dtype=complex).reshape(len(candidates), F.n)
-    return _refined_rows(Homotopy(F.system, F.coefficients, [F.coefficients]), X,
-                         np.zeros(len(X), dtype=int), [o for _, o in candidates], settings,
+    return _refined_rows(F, _rows(F), ((0, pt, o) for pt, o in candidates), settings,
                          failures)[0]
 
 
-def _refined_rows(H: Homotopy, X, rows, origins, settings, failures=None) -> list[SolutionSet]:
-    """_refined on the target rows of H at t = 1: one SolutionSet per target,
-    of the points of X on that row."""
-    X, res, errors = _newton(H, X, rows, settings)
+def _refined_rows(F: SparseSystem, C, candidates, settings, failures=None) -> list[SolutionSet]:
+    """_refined on the family of F: each (row, point, origin) candidate
+    refined on its row of C, all in one batched Newton; one SolutionSet per
+    row, of its points."""
+    candidates = list(candidates)
+    rows = np.array([r for r, _, _ in candidates], dtype=np.intp)
+    X = np.array([x for _, x, _ in candidates], dtype=complex).reshape(len(rows), F.n)
+    X, res, errors = _newton(_homotopy(F, C[0], C), X, rows, settings)
     if failures is not None:
-        failures.extend((origin, str(error)) for origin, error in zip(origins, errors)
+        failures.extend((origin, str(error)) for (_, _, origin), error in zip(candidates, errors)
                         if error is not None)
     ok = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
     ok &= np.array([error is None for error in errors], dtype=bool)
     out = []
-    for k in range(len(H.ct)):
+    for k in range(len(C)):
         found = np.flatnonzero(ok & (rows == k))
         sols = SolutionSet()
         for i in found[distinct(X[found])]:
-            sols.append(X[i], res[i], origins[i])
+            sols.append(X[i], res[i], candidates[i][2])
         sols.sort()
         out.append(sols)
     return out
@@ -497,30 +565,63 @@ def _compacting_change(S: SupportSystem) -> IntMatrix | None:
     return IntMatrix.from_rows(T)
 
 
-def _compacted(F: SparseSystem, others=(), points=()):
-    """(F_c, others_c, back, points_c): F and each system of `others` in the
+def _rows(F: SparseSystem) -> np.ndarray:
+    """F's coefficients as the one row of its family: a (1, M) array,
+    polynomial by polynomial."""
+    return np.concatenate(F.coefficients)[None]
+
+
+def _positions(F: SparseSystem, polys, maps) -> np.ndarray:
+    """The columns of F's coefficient rows that hold term maps[q][j] of
+    polynomial polys[q], for each q and j in turn."""
+    offsets = np.cumsum([0] + [len(s) for s in F.system.supports])
+    return np.concatenate([offsets[i] + np.asarray(m, dtype=np.intp) for i, m in zip(polys, maps)])
+
+
+def _mapped(F: SparseSystem, C, polys, image):
+    """(G, C_G): the polynomials `polys` of F with each exponent alpha taken
+    to image(alpha), their terms sorted as SparseSystem.from_pairs sorts
+    them, and the rows C of F's family in G's term order."""
+    supports, coefficients, maps = [], [], []
+    for i in polys:
+        points = [image(alpha) for alpha in F.system.supports[i].points]
+        order = sorted(range(len(points)), key=points.__getitem__)
+        supports.append(Support(tuple(points[j] for j in order)))
+        coefficients.append(tuple(F.coefficients[i][j] for j in order))
+        maps.append(order)
+    return (SparseSystem(SupportSystem(tuple(supports)), tuple(coefficients)),
+            C[:, _positions(F, polys, maps)])
+
+
+def _homotopy(F: SparseSystem, start, C, gamma=1.0) -> Homotopy:
+    """The straight-line homotopy on F's support from the coefficient row
+    `start` to each row of C, under gamma."""
+    cuts = np.cumsum([len(s) for s in F.system.supports])[:-1]
+    return Homotopy(F.system, np.split(np.asarray(start), cuts),
+                    [np.split(row, cuts) for row in C], gamma)
+
+
+def _compacted(F: SparseSystem, C, points=()):
+    """(F_c, C_c, back, points_c): F and the rows C of its family in the
     coordinates of _compacting_change(F.system), with exponents T @ alpha so
     that F_c(w) = F(Phi_T(w)); the map `back` that takes a compacted point
     back, Phi_T; and `points` in compacted coordinates. Nothing changes, and
     `back` is the identity, when F is already compact."""
     T = _compacting_change(F.system)
     if T is None:
-        return F, others, lambda w: w, points
-    changed = [SparseSystem.from_pairs([[(T.apply(alpha), c) for alpha, c in G.polynomial(i)]
-                                        for i in range(G.n)]) for G in (F, *others)]
+        return F, C, lambda w: w, points
+    F_c, C_c = _mapped(F, C, range(F.n), T.apply)
     push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))
-    return (changed[0], changed[1:], lambda w: torus_apply(push, w),
-            [torus_apply(pull, z) for z in points])
+    return F_c, C_c, lambda w: torus_apply(push, w), [torus_apply(pull, z) for z in points]
 
 
-def _tracked(start, targets, gammas, points, back, settings, expected=None):
-    """(per target its endpoints, failures): `points` tracked from `start` to
-    each of `targets`, under its own gamma, by one straight-line homotopy
-    and track_all; the endpoints mapped by `back`, each from "path {i}" for
-    start point i, and the failures of track_all, indexed over all blocks."""
-    H = Homotopy.straight_line(start, targets, gammas)
-    ends, failures = track_all(H, list(points) * len(targets), settings, expected)
-    out = [SolutionSet() for _ in targets]
+def _tracked(H: Homotopy, points, back, settings, expected=None):
+    """(per target of H its endpoints, failures): `points` tracked to each
+    target of H by track_all; the endpoints mapped by `back`, each from
+    "path {i}" for start point i, and the failures of track_all, indexed
+    over all blocks."""
+    ends, failures = track_all(H, list(points) * len(H.ct), settings, expected)
+    out = [SolutionSet() for _ in H.ct]
     for pt, res, origin in zip(ends.points, ends.residuals, ends.provenance):
         block, path = divmod(int(origin.split()[1]), len(points))
         out[block].append(back(pt), res, f"path {path}")
@@ -536,4 +637,5 @@ def _vertex_start(S: SupportSystem, ss, settings):
     vsys = SupportSystem(tuple(vertices(s) for s in S.supports))
     rng = np.random.default_rng(coeff_ss)
     G = SparseSystem(vsys, tuple(tuple(_unit(rng) for _ in s.points) for s in vsys.supports))
-    return (G, *_solve(G, solve_ss, settings, "start/"))
+    (sols,), tree = _solve(G, _rows(G), solve_ss, settings, "start/")
+    return G, sols, tree

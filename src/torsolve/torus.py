@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateFiberError
 from .intlinalg import IntMatrix
-from .supports import Reindexing, SparseSystem
+from .supports import Reindexing, SparseSystem, SupportSystem
 
 TORUS_THRESHOLD = 1e-10
 
@@ -125,23 +125,35 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
 def restrict_to_fibers(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
                        base_points: Iterable[Sequence[complex]]) -> Iterator[SparseSystem]:
     """Yield restrict_to_fiber(F, J, pi_J, y0) for each y0 of base_points in
-    turn, the images pi_J(alpha) and the exponents' factors computed once. A
-    merged coefficient that overflows (inf, or NaN from inf - inf) raises."""
-    terms = None  # per J-polynomial (pi_J(alpha), c_alpha, factors of alpha), after y0's check
+    turn, through one fiber_restriction of F's supports."""
+    restrict = fiber_restriction(F.system, J, pi_J)
+    coefficients = [c for row in F.coefficients for c in row]
     for y0 in base_points:
+        yield restrict(coefficients, y0)
+
+
+def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
+    """The function (coefficients, y0) -> restrict_to_fiber(F, J, pi_J, y0)
+    for the system F on S with these coefficients, listed polynomial by
+    polynomial; the images pi_J(alpha) and the exponents' factors are
+    computed once, here. A merged coefficient that overflows (inf, or NaN
+    from inf - inf) raises."""
+    offsets = list(itertools.accumulate((len(s) for s in S.supports), initial=0))
+    terms = [(j, [(pi_J.apply(alpha), offsets[j] + a, _factors(alpha))
+                  for a, alpha in enumerate(S.supports[j].points)]) for j in sorted(J)]
+
+    def restrict(coefficients, y0) -> SparseSystem:
         y0 = np.asarray(y0, dtype=complex)
         if not np.all((np.abs(y0) > TORUS_THRESHOLD) & np.isfinite(y0)):
             raise DegenerateFiberError("fiber base point leaves the floating-point torus: "
                                        f"|y0| = {np.abs(y0)}")
-        if terms is None:
-            terms = [(j, [(pi_J.apply(alpha), c, _factors(alpha)) for alpha, c in F.polynomial(j)])
-                     for j in sorted(J)]
         ys = y0.tolist()
         pairs_per_poly = []
         for j, poly in terms:
             merged: dict[tuple[int, ...], complex] = {}
-            for beta, c, factors in poly:
-                merged[beta] = merged.get(beta, 0.0 + 0.0j) + c * _power_product(ys, factors)
+            for beta, a, factors in poly:
+                value = coefficients[a] * _power_product(ys, factors)
+                merged[beta] = merged.get(beta, 0.0 + 0.0j) + value
             if not all(map(cmath.isfinite, merged.values())):
                 raise DegenerateFiberError(f"polynomial {j} has a non-finite coefficient on the "
                                            f"fiber: |y0| = {np.abs(y0)}")
@@ -150,7 +162,9 @@ def restrict_to_fibers(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
             if not kept:
                 raise DegenerateFiberError(f"polynomial {j} vanishes identically on the fiber")
             pairs_per_poly.append(kept)
-        yield SparseSystem.from_pairs(pairs_per_poly)
+        return SparseSystem.from_pairs(pairs_per_poly)
+
+    return restrict
 
 
 def relabel(F: SparseSystem, iota: Reindexing) -> SparseSystem:

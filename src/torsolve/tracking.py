@@ -59,7 +59,6 @@ _MAX_PATH_STEPS = 4000
 _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
 _DEDUP_TOL = 1e-6
-_CLOSE_PAIRS = 2048  # point pairs per block of _close
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
@@ -118,34 +117,40 @@ def relative_distance(x, y) -> float:
     return float(np.max(np.abs(x - y))) / scale
 
 
-def _close(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len(A), len(B)) mask of the pairs of rows at relative_distance below
-    _DEDUP_TOL, built _CLOSE_PAIRS pairs and one coordinate at a time so that
-    its temporaries stay small."""
-    size_a, size_b = np.abs(A).max(axis=1), np.abs(B).max(axis=1)
-    close = np.empty((len(A), len(B)), dtype=bool)
-    step = max(1, _CLOSE_PAIRS // max(1, len(B)))
-    for lo in range(0, len(A), step):
-        rows = slice(lo, lo + step)
-        gap = np.zeros((len(A[rows]), len(B)))
-        for j in range(A.shape[1]):
-            np.maximum(gap, np.abs(A[rows, j, None] - B[None, :, j]), out=gap)
-        gap /= np.maximum(1.0, np.maximum(size_a[rows, None], size_b))
-        close[rows] = gap < _DEDUP_TOL
-    return close
+def _relative_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """relative_distance between the rows of A and B, pair by pair; a
+    single row broadcasts."""
+    scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=1), np.abs(B).max(axis=1)))
+    return np.abs(A - B).max(axis=1) / scale
 
 
 def distinct(points) -> np.ndarray:
     """Mask of the points a greedy pass keeps: in order, a point is dropped
-    when its relative_distance to an earlier kept point is below _DEDUP_TOL."""
+    when its relative_distance to an earlier kept point is below _DEDUP_TOL.
+
+    Two points that close differ in the real part of their first coordinate
+    by less than _DEDUP_TOL * max(1, the largest |x|inf of the set), which
+    bounds every pair's own scale from above, so only the pairs within that
+    window of one sort are measured."""
     X = np.asarray(points, dtype=complex)
-    if not len(X):
-        return np.zeros(0, dtype=bool)
-    close = _close(X, X)
-    close[np.arange(len(X))[:, None] <= np.arange(len(X))] = False  # keep close[i, k] for k < i
-    keep = ~close.any(axis=1)
-    for i in np.flatnonzero(~keep):  # rows near an earlier point, in order
-        keep[i] = not close[i, keep].any()
+    keep = np.ones(len(X), dtype=bool)
+    if len(X) < 2:
+        return keep
+    order = np.argsort(X[:, 0].real, kind="stable")
+    key = X[order, 0].real
+    # Sorted position p pairs with p + 1 .. last[p]; the window is widened by
+    # one part in 1e9 so that rounding cannot drop a pair.
+    window = _DEDUP_TOL * max(1.0, float(np.abs(X).max())) * (1 + 1e-9)
+    counts = np.searchsorted(key, key + window, side="right") - np.arange(1, len(X) + 1)
+    first = np.repeat(np.arange(len(X)), counts)
+    second = first + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[second]
+    close = _relative_gaps(X[a], X[b]) < _DEDUP_TOL
+    # Each close pair as (later, earlier), in order: an earlier point is
+    # settled before any pair of a later one is read.
+    for i, k in sorted(zip(np.maximum(a, b)[close].tolist(), np.minimum(a, b)[close].tolist())):
+        if keep[k]:
+            keep[i] = False
     return keep
 
 
@@ -308,9 +313,10 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
                 outcomes[i] = PathFailure("left-torus", 1.0, refined)
             else:
                 outcomes[i], residuals[i] = refined, res
-                if expected is not None and not _close(np.reshape(found, (-1, H.n)),
-                                                       refined[None]).any():
-                    found.append(refined)
+                if expected is not None:
+                    gaps = _relative_gaps(np.reshape(found, (-1, H.n)), refined[None])
+                    if not (gaps < _DEDUP_TOL).any():
+                        found.append(refined)
 
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):

@@ -15,7 +15,8 @@ import pytest
 from torsolve.decompose import Lacunary, _triangular_data, classify
 from torsolve.geometry import hull_mixed_volume, mixed_volume, mv_is_zero
 from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer
-from torsolve.solver import _blackbox, decomposable_start_system, solve_decomposable, solve_general
+from torsolve.solver import (_blackbox, _rows, decomposable_start_system, solve_decomposable,
+                             solve_general)
 from torsolve.supports import SparseSystem, SupportSystem, normalize, quotient_supports, span_rank
 from torsolve.torus import restrict_to_fiber
 from torsolve.tracking import TrackerSettings, relative_distance
@@ -189,7 +190,8 @@ def test_criterion_5_family_ledger_and_cross_check():
     transfer_counts = sorted(nd.transfers for nd in rep.tree.walk() if nd.kind == "triangular")
     assert transfer_counts == [4, 9]
     assert rep.paths_tracked == 64
-    equivalent = _blackbox(F, mixed_volume(F.system), np.random.SeedSequence(12), TrackerSettings(), "")[0]
+    (equivalent,), _ = _blackbox(F, _rows(F), mixed_volume(F.system), np.random.SeedSequence(12),
+                                 TrackerSettings(), "")
     assert len(equivalent) == 50
     scipy_opt = pytest.importorskip("scipy.optimize")
     P = np.array(rep.solutions.points)
@@ -276,7 +278,8 @@ def test_criterion_7_bkk_counts():
         if not 1 <= mv <= 60:
             continue
         F = SparseSystem(S, unit_coeffs(S, crng))
-        sols, tree = _blackbox(F, mv, np.random.SeedSequence(9000 + attempts), TrackerSettings(), "")
+        (sols,), tree = _blackbox(F, _rows(F), mv, np.random.SeedSequence(9000 + attempts),
+                                  TrackerSettings(), "")
         assert len(sols) == mv
         if tree.gamma_retries:
             retried += 1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -343,15 +344,30 @@ def triangular_node(F):
     return F, cls
 
 
+def alone(solve, F, *args):
+    """A recursive solver of torsolve.solver run on the family of F alone:
+    (F's solutions, tree)."""
+    from torsolve.solver import _rows
+
+    (sols,), tree = solve(F, _rows(F), *args)
+    return sols, tree
+
+
+def solve_triangular_alone(F, cls, ss, settings, prov):
+    """torsolve.solver._solve_triangular on the family of F alone."""
+    import torsolve.solver as solver
+
+    return alone(solver._solve_triangular, F, cls, ss, settings, prov)
+
+
 def reference_solve_triangular(F, cls, ss, settings, prov):
     """The triangular solve before transfers were batched: one track_all per
     base solution, each retried with fresh gammas before the next starts, and
     a fiber solved directly when its transfer fails every gamma."""
     from torsolve.decompose import DecompositionTree
     from torsolve.errors import DegenerateFiberError
-    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _refined, _solve, _unit
+    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _homotopy, _refined, _rows, _unit
     from torsolve.torus import MonomialMap, apply, restrict_to_fiber
-    from torsolve.tracking import Homotopy
     import torsolve.solver as solver
 
     n, I, k = F.n, cls.witness, cls.k
@@ -359,15 +375,15 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     base_F = SparseSystem.from_pairs(
         [[(cls.psi.apply(alpha)[:k], c) for alpha, c in F.polynomial(i)] for i in I])
     base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
-    base_sols, base_tree = _solve(base_F, base_ss, settings, prov + "base/")
+    base_sols, base_tree = alone(solver._solve, base_F, base_ss, settings, prov + "base/")
     psi_map = MonomialMap(cls.psi)
 
     def lift_point(y, z=np.ones(n - k, dtype=complex)):
         return apply(psi_map, np.concatenate([y, z]))
 
     fiber0 = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[0]))
-    fiber_sols, fiber_tree = _solve(fiber0, fiber_ss, settings, prov + "fiber0/")
-    start_fiber, _, back, start_points = _compacted(fiber0, (), fiber_sols.points)
+    fiber_sols, fiber_tree = alone(solver._solve, fiber0, fiber_ss, settings, prov + "fiber0/")
+    start_fiber, _, back, start_points = _compacted(fiber0, _rows(fiber0), fiber_sols.points)
     rng = np.random.default_rng(transfer_ss)
     per_base = [fiber_sols.points]
     retries = 0
@@ -377,8 +393,8 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
         if target.system != fiber0.system:
             raise DegenerateFiberError(f"fiber over base solution {idx}")
         for attempt in range(_MAX_GAMMA_RETRIES + 1):
-            H = Homotopy.straight_line(start_fiber, _compacted(fiber0, [target])[1][0],
-                                       _unit(rng))
+            H = _homotopy(start_fiber, _rows(start_fiber)[0],
+                          _compacted(fiber0, _rows(target))[1], _unit(rng))
             got, _ = solver.track_all(H, start_points, settings)
             if len(got) == len(fiber_sols):
                 break
@@ -387,7 +403,8 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
             per_base.append([back(w) for w in got.points])
             continue
         try:
-            direct, direct_tree = _solve(target, direct_ss, settings, f"{prov}fiber{idx}/")
+            direct, direct_tree = alone(solver._solve, target, direct_ss, settings,
+                                        f"{prov}fiber{idx}/")
         except CountMismatchError as exc:
             raise CountMismatchError(f"fiber transfer to base solution {idx}",
                                      len(fiber_sols), len(got), got) from exc
@@ -409,7 +426,6 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
                                           ("e-basis", 0), ("e-basis", 11)])
 def test_batched_transfers_match_per_transfer_loop(system, seed):
     from torsolve.cli import _bench_instance
-    from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     if system == "triangular":
@@ -418,7 +434,7 @@ def test_batched_transfers_match_per_transfer_loop(system, seed):
         F = _bench_instance("e-basis", np.random.default_rng(np.random.SeedSequence(seed)))
     F, cls = triangular_node(F)
     runs = [solve(F, cls, np.random.SeedSequence(seed), TrackerSettings(), "")
-            for solve in (_solve_triangular, reference_solve_triangular)]
+            for solve in (solve_triangular_alone, reference_solve_triangular)]
     (batched, tree), (looped, ref_tree) = runs
     rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries)
              for nd in t.walk()] for t in (tree, ref_tree)]
@@ -439,12 +455,28 @@ def transfer_gammas(seed, count, node=()):
     return [_unit(rng) for _ in range(count)]
 
 
+def short_families(monkeypatch, keep=lambda prov, r: False):
+    """Make every row r >= 1 of a family solve under prov come back without
+    roots unless keep(prov, r), so that its transfer is tracked."""
+    import torsolve.solver as solver
+    from torsolve.tracking import SolutionSet
+
+    real = solver._solve
+
+    def solve(F, C, ss, settings, prov):
+        sols, tree = real(F, C, ss, settings, prov)
+        return [s if r == 0 or keep(prov, r) else SolutionSet()
+                for r, s in enumerate(sols)], tree
+
+    monkeypatch.setattr(solver, "_solve", solve)
+
+
 def failing_gammas(monkeypatch, seed, places, node=()):
     """Make solver.track_all lose one endpoint of every transfer tracked with
     the gamma at one of `places` in the transfer stream of transfer_gammas(seed,
-    64, node), and the eigenvalue solve of several one-variable fibers come up
-    short, so that they are tracked; returns the gammas of every call that
-    tracked transfers."""
+    64, node), and every family row after the first come up short, so that
+    the transfers are tracked; returns the gammas of every call that tracked
+    transfers."""
     import torsolve.solver as solver
     from torsolve.tracking import SolutionSet
 
@@ -467,9 +499,7 @@ def failing_gammas(monkeypatch, seed, places, node=()):
         return out, failures
 
     monkeypatch.setattr(solver, "track_all", track_all)
-    monkeypatch.setattr(solver, "_companion_roots",
-                        lambda F, rows, *rest, real=solver._companion_roots: real(F, rows, *rest)
-                        if len(rows) == 1 else [SolutionSet()] * len(rows))
+    short_families(monkeypatch)
     return calls
 
 
@@ -486,13 +516,12 @@ def assert_same_solve(runs):
 
 
 def test_retries_take_the_next_gammas_for_the_short_transfers_only(monkeypatch):
-    from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
     calls = failing_gammas(monkeypatch, 7, {2, 3, 9})
     runs = [solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
-            for solve in (reference_solve_triangular, _solve_triangular)]
+            for solve in (reference_solve_triangular, solve_triangular_alone)]
     assert_same_solve(runs)
     (_, ref_tree), (_, tree) = runs
     assert tree.gamma_retries == ref_tree.gamma_retries == 2 and tree.solutions == 16
@@ -504,13 +533,12 @@ def test_retries_take_the_next_gammas_for_the_short_transfers_only(monkeypatch):
 
 
 def test_transfer_failing_every_gamma_is_solved_directly(monkeypatch):
-    from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
     calls = failing_gammas(monkeypatch, 7, set(range(5, 13)))
     runs = [solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
-            for solve in (reference_solve_triangular, _solve_triangular)]
+            for solve in (reference_solve_triangular, solve_triangular_alone)]
     assert_same_solve(runs)
     (_, ref_tree), (_, tree) = runs
     # The fibers over base solutions 6 and 7 are solved directly, in that
@@ -528,21 +556,20 @@ def test_transfer_failing_every_gamma_is_solved_directly(monkeypatch):
 
 def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch):
     import torsolve.solver as solver
-    from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())
     calls = failing_gammas(monkeypatch, 7, set(range(5, 13)))
     real_solve = solver._solve
 
-    def short_direct_solve(F, ss, settings, prov):
+    def short_direct_solve(F, C, ss, settings, prov):
         if prov == "fiber6/":
             raise CountMismatchError("univariate companion solve", 2, 1)
-        return real_solve(F, ss, settings, prov)
+        return real_solve(F, C, ss, settings, prov)
 
     monkeypatch.setattr(solver, "_solve", short_direct_solve)
     errors = []
-    for solve in (reference_solve_triangular, _solve_triangular):
+    for solve in (reference_solve_triangular, solve_triangular_alone):
         with pytest.raises(CountMismatchError) as err:
             solve(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
         errors.append(err.value)
@@ -560,7 +587,6 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
 
 def test_no_transfer_that_reached_its_count_is_tracked_again(monkeypatch):
     import torsolve.solver as solver
-    from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
@@ -573,7 +599,7 @@ def test_no_transfer_that_reached_its_count_is_tracked_again(monkeypatch):
         return lossy(H, *args)
 
     monkeypatch.setattr(solver, "track_all", track_all)
-    _, tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+    _, tree = solve_triangular_alone(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
     assert len(targets) == len(calls) == 3 and len(targets[0]) == 7
     reached = set()
     for gammas, rows in zip(calls, targets):  # round 0 tracks transfer m as block m
@@ -587,35 +613,37 @@ def test_no_transfer_that_reached_its_count_is_tracked_again(monkeypatch):
 
 
 def test_a_short_eigenvalue_fiber_alone_is_tracked(monkeypatch):
+    # One row of a node's fiber family comes back short: its transfer alone
+    # is tracked, and every other fiber keeps the family's roots. Once for
+    # one-variable fibers (8 base solutions, fibers of 2: 7 transfers), once
+    # for the e-basis root's three-variable fibers (5 base solutions).
     import torsolve.solver as solver
-    from torsolve.solver import _solve_triangular
-    from torsolve.tracking import SolutionSet, TrackerSettings
+    from torsolve.tracking import TrackerSettings
 
-    F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
-    eigen, eigen_tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(),
-                                          "")
-    real_roots, real_track = solver._companion_roots, solver.track_all
-    calls = []
+    for F, seed, lost in ((tri_system(), 7, 4), (e_basis(0), 0, 2)):
+        F, cls = triangular_node(F)
+        family, family_tree = solve_triangular_alone(F, cls, np.random.SeedSequence(seed),
+                                                     TrackerSettings(), "")
+        calls = []
+        with monkeypatch.context() as patch:
+            real_track = solver.track_all
 
-    def short_fiber_3(F, rows, *rest):
-        out = real_roots(F, rows, *rest)
-        return out if len(rows) == 1 else out[:3] + [SolutionSet()] + out[4:]
+            def track_all(H, *args):
+                calls.append(H.ct)
+                return real_track(H, *args)
 
-    def track_all(H, *args):
-        calls.append(H.ct)
-        return real_track(H, *args)
-
-    monkeypatch.setattr(solver, "_companion_roots", short_fiber_3)
-    monkeypatch.setattr(solver, "track_all", track_all)
-    out, tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
-    assert len(calls) == 1 and len(calls[0]) == 1  # one call, one target: transfer 3
-    assert tree.gamma_retries == 0
-    assert_same_solve([(eigen, eigen_tree), (out, tree)])
-    # The other fibers keep their eigenvalue roots: base solution 4's fiber
-    # alone was tracked, and its points alone may differ in the last bits.
-    for origin, p, q in zip(out.provenance, out.points, eigen.points):
-        if not origin.startswith("base[4]/"):
-            assert np.array_equal(p, q)
+            patch.setattr(solver, "track_all", track_all)
+            short_families(patch, keep=lambda prov, r: prov != "fiber0/" or r != lost)
+            out, tree = solve_triangular_alone(F, cls, np.random.SeedSequence(seed),
+                                               TrackerSettings(), "")
+        assert len(calls) == 1 and len(calls[0]) == 1  # one call, one target
+        assert tree.gamma_retries == 0
+        assert_same_solve([(family, family_tree), (out, tree)])
+        # Only the fiber over base solution `lost` was tracked, and only its
+        # points may differ in the last bits.
+        for origin, p, q in zip(out.provenance, out.points, family.points):
+            if not origin.startswith(f"base[{lost}]/"):
+                assert np.array_equal(p, q)
 
 
 def test_a_failed_transfer_reports_its_partial_roots_on_its_fiber(monkeypatch):
@@ -629,17 +657,17 @@ def test_a_failed_transfer_reports_its_partial_roots_on_its_fiber(monkeypatch):
     calls = failing_gammas(monkeypatch, 0, set(range(64)), node=(1,))
     real_solve, fibers = solver._solve, []
 
-    def short_direct_solve(F, ss, settings, prov):
+    def short_direct_solve(F, C, ss, settings, prov):
         if prov == "start/fiber1/":
             fibers.append(F)
             raise CountMismatchError("blackbox total-degree solve", 4, 0)
-        return real_solve(F, ss, settings, prov)
+        return real_solve(F, C, ss, settings, prov)
 
     monkeypatch.setattr(solver, "_solve", short_direct_solve)
     with pytest.raises(CountMismatchError, match="fiber transfer to base solution 1") as err:
         decomposable_start_system(S, seed=0)
     (fiber,) = fibers
-    assert fiber.n == 2 and solver._compacted(fiber)[0] is not fiber
+    assert fiber.n == 2 and solver._compacted(fiber, solver._rows(fiber))[0] is not fiber
     assert len(calls) == 4 and len(err.value.partial) == 3
     for p in err.value.partial.points:
         for i in range(fiber.n):
@@ -672,7 +700,6 @@ def test_companion_roots_equal_np_roots_refined_row_by_row(exponents):
 
 def test_one_variable_fibers_are_solved_without_tracking(monkeypatch):
     import torsolve.solver as solver
-    from torsolve.solver import _solve_triangular
     from torsolve.tracking import TrackerSettings
 
     F, cls = triangular_node(tri_system())  # 8 base solutions, fibers of 2: 7 transfers
@@ -681,7 +708,7 @@ def test_one_variable_fibers_are_solved_without_tracking(monkeypatch):
                                                TrackerSettings(), "")
     calls = []
     monkeypatch.setattr(solver, "track_all", lambda *args: calls.append(args))
-    out, tree = _solve_triangular(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
+    out, tree = solve_triangular_alone(F, cls, np.random.SeedSequence(7), TrackerSettings(), "")
     assert calls == []
     rows = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries)
              for nd in t.walk()] for t in (tree, ref_tree)]
@@ -691,13 +718,38 @@ def test_one_variable_fibers_are_solved_without_tracking(monkeypatch):
         assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
 
 
+@pytest.mark.parametrize("family, seed", [("e-basis", 0), ("e-basis", 5), ("shifted", 0),
+                                          ("shifted", 3)])
+def test_multivariate_fibers_are_solved_without_tracking(monkeypatch, family, seed):
+    # The root's fibers have three variables; each is a triangular node over
+    # an n = 2 resultant leaf and a one-variable companion leaf, so no row of
+    # the fiber family tracks a path.
+    import torsolve.solver as solver
+    from torsolve.cli import _bench_instance
+    from torsolve.tracking import TrackerSettings
+
+    F = _bench_instance(family, np.random.default_rng(np.random.SeedSequence(seed)))
+    F, cls = triangular_node(F)
+    assert F.n - cls.k == 3
+    ref, ref_tree = reference_solve_triangular(F, cls, np.random.SeedSequence(seed),
+                                               TrackerSettings(), "")
+    calls = []
+    monkeypatch.setattr(solver, "track_all", lambda *args: calls.append(args))
+    out, tree = solve_triangular_alone(F, cls, np.random.SeedSequence(seed), TrackerSettings(),
+                                       "")
+    assert calls == []
+    assert tree.transfers == 4 and tree.ledger() == ref_tree.ledger()
+    assert_same_solve([(ref, ref_tree), (out, tree)])
+
+
 def reference_blackbox(F, expected, ss, settings, prov, refined=None):
     """The total-degree black box before the count stop: every path of every
     gamma tracked to the end. `refined` stands in for solver._refined."""
     import math
 
     from torsolve.decompose import DecompositionTree
-    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _orthant_shifts, _refined, _unit
+    from torsolve.solver import (_MAX_GAMMA_RETRIES, _compacted, _orthant_shifts, _refined,
+                                 _rows, _unit)
     from torsolve.supports import normalize
     from torsolve.torus import diagonal_fiber
     from torsolve.tracking import Homotopy, SolutionSet, track_all
@@ -705,7 +757,7 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
     refined = refined or _refined
     F, _ = normalize(F)
     n = F.n
-    compact, _, back, _ = _compacted(F)
+    compact, _, back, _ = _compacted(F, _rows(F))
     moved, degrees = _orthant_shifts(compact.system)
     target = SparseSystem.from_pairs([list(zip(pts, c))
                                       for pts, c in zip(moved, compact.coefficients)])
@@ -827,7 +879,8 @@ def test_short_stopped_run_is_tracked_again_in_full(monkeypatch):
 
     monkeypatch.setattr(solver, "track_all", track_all)
     monkeypatch.setattr(solver, "_refined", refined)
-    sols, tree = solver._blackbox(F, mv, np.random.SeedSequence(5), TrackerSettings(), "")
+    sols, tree = alone(solver._blackbox, F, mv, np.random.SeedSequence(5), TrackerSettings(),
+                       "")
     assert counts == [mv, None, mv, None]
     assert tree == ref_tree and tree.gamma_retries == 1
     assert sols.provenance == ref.provenance
@@ -853,7 +906,7 @@ def test_blackbox_matches_the_full_run_loop_on_acceptance_systems(name):
     F, _ = normalize(F)
     mv = predict_tree(F.system).mv
     runs = []
-    for solve in (reference_blackbox, _blackbox):
+    for solve in (reference_blackbox, functools.partial(alone, _blackbox)):
         try:
             runs.append(solve(F, mv, np.random.SeedSequence(0), TrackerSettings(), ""))
         except CountMismatchError as exc:  # start-pair: 29 of 30 roots under every gamma
@@ -863,13 +916,32 @@ def test_blackbox_matches_the_full_run_loop_on_acceptance_systems(name):
     assert_same_points(sols.points, ref.points)
 
 
+def reference_family_blackbox(F, C, expected, *args):
+    """reference_blackbox on each row of the family of F in turn: per row its
+    solutions, and the tree of row 0. A row after the first that it cannot
+    complete keeps its partial roots."""
+    out, tree = [], None
+    cuts = np.cumsum([len(s) for s in F.system.supports])[:-1]
+    for r, row in enumerate(C):
+        G = SparseSystem(F.system, tuple(map(tuple, np.split(row, cuts))))
+        try:
+            sols, row_tree = reference_blackbox(G, expected, *args)
+        except CountMismatchError as exc:
+            if r == 0:
+                raise
+            sols = exc.partial
+        out.append(sols)
+        tree = tree or row_tree
+    return out, tree
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_blackbox_leaves_match_the_full_run_loop_on_e_basis(monkeypatch, seed):
     import torsolve.solver as solver
 
     F = e_basis(seed)
     rep = solve_decomposable(F, seed=seed)
-    monkeypatch.setattr(solver, "_blackbox", reference_blackbox)
+    monkeypatch.setattr(solver, "_blackbox", reference_family_blackbox)
     ref = solve_decomposable(F, seed=seed)
     nodes = [[(nd.kind, nd.mv, nd.paths, nd.solutions, nd.transfers, nd.gamma_retries,
                nd.bezout_paths) for nd in r.tree.walk()] for r in (rep, ref)]
@@ -878,8 +950,8 @@ def test_blackbox_leaves_match_the_full_run_loop_on_e_basis(monkeypatch, seed):
     assert_same_points(rep.solutions.points, ref.solutions.points)
 
 
-def no_candidates(target, ss):
-    return [], []
+def no_candidates(target, C, ss):
+    return [], np.zeros(0, dtype=np.intp), []
 
 
 def leaves_of(monkeypatch, run):
@@ -888,9 +960,9 @@ def leaves_of(monkeypatch, run):
 
     real, seen = solver._blackbox, []
 
-    def spy(F, expected, *args):
+    def spy(F, C, expected, *args):
         seen.append((F, expected))
-        return real(F, expected, *args)
+        return real(F, C, expected, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_blackbox", spy)
@@ -907,11 +979,12 @@ def test_resultant_roots_equal_the_gamma_loop_on_e_basis_leaves(monkeypatch):
     for F, mv in leaves:
         if F.n != 2:
             continue
-        eig, eig_tree = solver._blackbox(F, mv, np.random.SeedSequence(0), TrackerSettings(), "")
+        eig, eig_tree = alone(solver._blackbox, F, mv, np.random.SeedSequence(0),
+                              TrackerSettings(), "")
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_resultant_roots", no_candidates)
-            ref, ref_tree = solver._blackbox(F, mv, np.random.SeedSequence(0),
-                                             TrackerSettings(), "")
+            ref, ref_tree = alone(solver._blackbox, F, mv, np.random.SeedSequence(0),
+                                  TrackerSettings(), "")
         assert eig_tree == ref_tree and len(eig) == mv
         assert all(o.startswith("eig[") for o in eig.provenance)
         assert all(o.startswith("path ") for o in ref.provenance)
@@ -928,13 +1001,13 @@ def test_a_short_resultant_count_falls_back_to_the_gamma_loop(monkeypatch):
     F, _ = normalize(MV5_LEAF)
     real, calls = solver._resultant_roots, []
 
-    def one_candidate(target, ss):
+    def one_candidate(target, C, ss):
         calls.append(ss)
-        points, origins = real(target, ss)
-        return points[:1], origins[:1]
+        points, rows, origins = real(target, C, ss)
+        return points[:1], rows[:1], origins[:1]
 
     monkeypatch.setattr(solver, "_resultant_roots", one_candidate)
-    sols, tree = solver._blackbox(F, 5, np.random.SeedSequence(3), TrackerSettings(), "")
+    sols, tree = alone(solver._blackbox, F, 5, np.random.SeedSequence(3), TrackerSettings(), "")
     ref, ref_tree = reference_blackbox(F, 5, np.random.SeedSequence(3), TrackerSettings(), "")
     assert len(calls) == 1 and tree == ref_tree
     assert sols.provenance == ref.provenance and "eig[" not in str(sols.provenance)
@@ -963,14 +1036,16 @@ def test_blackbox_on_a_degenerate_pencil_matches_the_gamma_loop(monkeypatch, nam
 
 
 def test_resultant_roots_give_nothing_without_a_regular_pencil():
-    from torsolve.solver import _resultant_roots
+    from torsolve.solver import _resultant_roots, _rows
 
     y_divides_both = SparseSystem.from_pairs([[((0, 1), 1.0), ((1, 2), 2.0)],
                                               [((0, 1), 1.0), ((1, 1), 3.0)]])
     y_linear_in_one = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 1), 2.0)],
                                                [((0, 0), 1.0), ((1, 0), 3.0)]])
     for target in (y_divides_both, y_linear_in_one):  # singular leading coefficient; N = 1
-        assert _resultant_roots(target, np.random.SeedSequence(0)) == ([], [])
+        points, rows, origins = _resultant_roots(target, _rows(target),
+                                                 np.random.SeedSequence(0))
+        assert points == [] and len(rows) == 0 and origins == []
 
 
 # The MV-10 black-box leaf of `decomposable` seed 7, round 1, e-basis[3]

@@ -168,10 +168,13 @@ print(json.dumps(exact))
 
 
 def test_parity_counts_one_variable_fiber_nodes_solved_and_fallen_back():
-    # The counters of the parity child, run on this checkout, on the triangular
-    # node of seven one-variable transfers below the printed example's cover:
-    # once as eigenvalues, once with the eigenvalue solve of several fibers
-    # coming up short, so that the node tracks its transfers.
+    # The counters of the parity child, run on this checkout: on the
+    # triangular node of seven one-variable transfers below the printed
+    # example's cover, and on the e-basis root's four transfers to
+    # three-variable fibers, whose first fiber is a triangular node of nine
+    # one-variable transfers. Once as families, once with every family row
+    # after the first coming back short, so that each node tracks its
+    # transfers.
     parity = load("parity")
     run = parity.SETUP + """
 from torsolve.supports import SparseSystem
@@ -181,19 +184,24 @@ TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
 F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
                              list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
                              list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
-workload = "eigenvalues"
-torsolve.solve_decomposable(F, seed=7)
-roots = torsolve.solver._companion_roots
-torsolve.solver._companion_roots = lambda F, rows, *rest: (
-    roots(F, rows, *rest) if len(rows) == 1 else [SolutionSet()] * len(rows))
-workload = "tracked"
-torsolve.solve_decomposable(F, seed=7)
+E = torsolve.cli._bench_instance("e-basis", np.random.default_rng(np.random.SeedSequence(0)))
+for workload in ("families", "e-basis families"):
+    torsolve.solve_decomposable(F if workload == "families" else E, seed=7)
+family = torsolve.solver._solve
+def short_rows(F, C, *rest):
+    sols, tree = family(F, C, *rest)
+    return [sols[0]] + [SolutionSet() for _ in sols[1:]], tree
+torsolve.solver._solve = short_rows
+for workload in ("tracked", "e-basis tracked"):
+    torsolve.solve_decomposable(F if workload == "tracked" else E, seed=7)
 print(json.dumps(fibers))
 """
     out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
                          text=True, check=True).stdout
     assert parity.pair_lines(({}, json.loads(out))) == [
-        "  eigenvalues: 0 / 0 -> 1 / 0",
+        "  e-basis families: 0 / 0 -> 2 / 0",
+        "  e-basis tracked: 0 / 0 -> 0 / 2",
+        "  families: 0 / 0 -> 1 / 0",
         "  tracked: 0 / 0 -> 0 / 1",
     ]
 
@@ -201,8 +209,9 @@ print(json.dumps(fibers))
 def test_parity_counts_the_target_blocks_that_track_all_tracks():
     # The counters of the parity child, run on this checkout, on the triangular
     # node of seven one-variable transfers below the printed example's cover,
-    # with the eigenvalue solve of one fiber or of all seven coming up short:
-    # each short fiber is one target block of one track_all call.
+    # with the eigenvalue solve of one fiber or of all seven after the first
+    # coming up short: each short fiber is one target block of one track_all
+    # call.
     parity = load("parity")
     run = parity.SETUP + """
 from torsolve.supports import SparseSystem
@@ -215,7 +224,7 @@ F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
 workload = "eigenvalues"
 torsolve.solve_decomposable(F, seed=7)
 roots = torsolve.solver._companion_roots
-for workload, lost in (("one short", slice(3, 4)), ("all short", slice(None))):
+for workload, lost in (("one short", slice(3, 4)), ("all short", slice(1, None))):
     def short(F, rows, *rest, lost=lost):
         out = roots(F, rows, *rest)
         if len(rows) > 1:

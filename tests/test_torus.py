@@ -265,17 +265,24 @@ def test_restrict_to_fibers_raises_the_first_error_of_a_per_point_loop():
 @pytest.mark.parametrize("idx", [1, 2])
 def test_a_fiber_support_that_differs_names_its_base_solution(monkeypatch, idx):
     # The fiber over base solution idx loses a term; the triangular solve
-    # must stop there, naming idx.
-    restrict = solver.restrict_to_fibers
+    # must stop there, naming idx. The node restricts its fibers in base
+    # order, so the fiber over base solution idx is its call idx.
+    real = solver.fiber_restriction
 
-    def losing_a_term(F, J, pi_J, base_points):
-        for k, fiber in enumerate(restrict(F, J, pi_J, base_points)):
-            if k == idx:
+    def losing_a_term(S, J, pi_J):
+        restrict, calls = real(S, J, pi_J), []
+
+        def restricted(coefficients, y0):
+            fiber = restrict(coefficients, y0)
+            calls.append(y0)
+            if len(calls) == idx + 1:
                 polys = [fiber.polynomial(i) for i in range(fiber.n)]
                 fiber = SparseSystem.from_pairs([polys[0][1:], *polys[1:]])
-            yield fiber
+            return fiber
 
-    monkeypatch.setattr(solver, "restrict_to_fibers", losing_a_term)
+        return restricted
+
+    monkeypatch.setattr(solver, "fiber_restriction", losing_a_term)
     with pytest.raises(DegenerateFiberError,
                        match=f"over base solution {idx} differs from the start fiber"):
         solver.solve_decomposable(tri_F(), seed=0)

@@ -351,6 +351,50 @@ def test_distinct_matches_pairwise_greedy_loop():
     assert distinct([]).tolist() == []
 
 
+def pairwise_distinct(points):
+    """distinct() before it sorted: every pair's relative gap, one
+    coordinate at a time, then the same greedy pass."""
+    X = np.asarray(points, dtype=complex)
+    size = np.abs(X).max(axis=1)
+    gap = np.zeros((len(X), len(X)))
+    for j in range(X.shape[1]):
+        np.maximum(gap, np.abs(X[:, j, None] - X[None, :, j]), out=gap)
+    close = gap / np.maximum(1.0, np.maximum(size[:, None], size)) < 1e-6
+    close[np.arange(len(X))[:, None] <= np.arange(len(X))] = False
+    keep = ~close.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not close[i, keep].any()
+    return keep
+
+
+def test_distinct_matches_the_pairwise_mask_on_planted_near_duplicates():
+    # Clusters of near-duplicates at moduli from 1e-3 to 1e4: copies within
+    # and just beyond 1e-6 of their own pair's scale, chains whose links are
+    # close but whose ends are not, and first coordinates with equal real
+    # parts. Where the moduli are above 1 the gap that counts as close grows
+    # with the pair, so a copy 5e-7 of a large point's scale away is a
+    # duplicate even though it is farther from it than 1e-6 in absolute terms.
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 5):
+        points = []
+        for scale in 10.0 ** rng.integers(-3, 5, 40):
+            p = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            size = max(1.0, float(np.max(np.abs(p))))
+            points.append(p)
+            for rel in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
+                unit = np.exp(2j * np.pi * rng.random(n))
+                points.append(p + rel * size * unit)
+            q = p.copy()
+            q[1:] += 0.5e-6 * size  # the same first coordinate
+            points += [q, p + 0.7e-6 * size, p + 1.4e-6 * size]  # a chain of two links
+        order = rng.permutation(len(points))
+        points = [points[i] for i in order]
+        want = pairwise_distinct(points)
+        assert distinct(points).tolist() == want.tolist()
+        assert 40 < want.sum() < len(points) - 40
+    assert distinct(np.ones((1, 3))).tolist() == [True]
+
+
 def reference_track_path(H, x0, settings=TrackerSettings()):
     """The per-path tracker the batched one replaced: one complex point, one
     predictor step and at most three Newton corrections per pass. The

@@ -24,8 +24,8 @@ every op's tree, so that a change to the tracker's steps can show its
 effect and its cost in retries; and the two-variable black-box leaves
 (`solver._blackbox` calls with n = 2) that tracked no path, solved by the
 resultant eigenproblem, against those that fell back to tracking; the same
-for the triangular nodes with one-variable fibers and at least one transfer
-that returned, solved by companion eigenvalues or by `track_all` calls of
+for the triangular nodes with at least one transfer that returned, their
+fibers all solved as one family or some reached by `track_all` calls of
 their own; the solver's `track_all` calls with the target blocks they
 tracked, summed over calls, so that a transfer tracked again shows; the
 `classify` calls with the `smith_normal_form` calls made inside them; and
@@ -111,7 +111,7 @@ def counted_blackbox(F, *args):
 
 torsolve.solver._blackbox, torsolve.solver.track_all = counted_blackbox, counted_track_all
 
-# workload: [one-variable-fiber triangular nodes that tracked no transfer, those that did];
+# workload: [triangular nodes with a transfer that tracked none, those that did];
 # frames: per open solve, None or, for a triangular node, the track_all calls it made itself
 fibers, frames = {}, []
 solve, triangular = torsolve.solver._solve, torsolve.solver._solve_triangular
@@ -123,13 +123,13 @@ def counted_solve(*args):
     finally:
         frames.pop()
 
-def counted_triangular(F, cls, *args):
+def counted_triangular(*args):
     frames.append(0)
     try:
-        out = triangular(F, cls, *args)
+        out = triangular(*args)
     finally:
         calls = frames.pop()
-    if F.n - cls.k == 1 and out[1].transfers:
+    if out[1].transfers:
         fibers.setdefault(workload, [0, 0])[calls > 0] += 1
     return out
 
@@ -174,7 +174,7 @@ torsolve.intlinalg._bareiss_rank = counted_bareiss_rank
 # ({(workload, seed, round, label): record},
 #  {workload: [tracker passes, state calls, rows, _newton calls]},
 #  {workload: [n = 2 black-box leaves that tracked no path, those that did]},
-#  {workload: [one-variable-fiber triangular nodes that tracked no transfer, those that did]},
+#  {workload: [triangular nodes with a transfer that tracked none, those that did]},
 #  {workload: [track_all calls, target blocks they tracked]},
 #  {workload: [classify calls, smith_normal_form calls inside them]},
 #  {workload: [normalize calls, rank eliminations]}) to standard output.
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
           "parent -> change:")
     for line in pair_lines(leaves):
         print(line)
-    print("triangular nodes with one-variable fibers solved by eigenvalues / fell back to "
+    print("triangular nodes with a transfer, fibers solved as one family / fell back to "
           "tracking, parent -> change:")
     for line in pair_lines(fibers):
         print(line)
