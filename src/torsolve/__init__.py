@@ -6,40 +6,25 @@ coefficient homotopies, and generates decomposable start systems for
 general sparse systems.
 """
 
-from .intlinalg import IntMatrix, SmithForm, lattice_index, smith_normal_form, unimodular_inverse
+from .intlinalg import IntMatrix, SmithForm, smith_normal_form, unimodular_inverse
 from .supports import SparseSystem, Support, SupportSystem, normalize, preimage_supports, quotient_supports, span_rank, vertices
 from .geometry import mixed_volume, mv_is_zero, polytope_volume
-from .torus import MonomialMap, diagonal_fiber, relabel, restrict_to_fiber, restrict_to_fibers
-from .tracking import Homotopy, SolutionSet, TrackerSettings, newton_refine, track_all, track_path
-from .decompose import (
-    Classification,
-    DecompositionTree,
-    Indecomposable,
-    Lacunary,
-    Triangular,
-    classify,
-    is_strictly_triangular,
-    predict_tree,
-)
-from .solver import (
-    SolveReport,
-    blackbox,
-    decomposable_start_system,
-    solve_decomposable,
-    solve_general,
-    solve_lacunary,
-    solve_triangular,
-)
+from .torus import MonomialMap, diagonal_fiber, relabel, restrict_to_fiber
+from .tracking import Homotopy, SolutionSet, TrackerSettings, track_all
+from .decompose import (Classification, DecompositionTree, Indecomposable, Lacunary,
+                        Triangular, classify, predict_tree)
+from .solver import (SolveReport, blackbox, decomposable_start_system, solve_decomposable,
+                     solve_general)
 
 __all__ = [
-    "IntMatrix", "SmithForm", "smith_normal_form", "unimodular_inverse", "lattice_index",
+    "IntMatrix", "SmithForm", "smith_normal_form", "unimodular_inverse",
     "Support", "SupportSystem", "SparseSystem", "normalize", "span_rank", "vertices",
     "preimage_supports", "quotient_supports",
     "mixed_volume", "mv_is_zero", "polytope_volume",
-    "MonomialMap", "diagonal_fiber", "restrict_to_fiber", "restrict_to_fibers", "relabel",
-    "Homotopy", "TrackerSettings", "SolutionSet", "track_path", "track_all", "newton_refine",
+    "MonomialMap", "diagonal_fiber", "restrict_to_fiber", "relabel",
+    "Homotopy", "TrackerSettings", "SolutionSet", "track_all",
     "Classification", "Lacunary", "Triangular", "Indecomposable",
-    "DecompositionTree", "classify", "is_strictly_triangular", "predict_tree",
-    "SolveReport", "solve_decomposable", "solve_general", "solve_lacunary", "solve_triangular",
+    "DecompositionTree", "classify", "predict_tree",
+    "SolveReport", "solve_decomposable", "solve_general",
     "blackbox", "decomposable_start_system",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import MixedVolumeZeroError
-from .geometry import hull_mixed_volume, mixed_volume
+from .geometry import hull_mixed_volume
 from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
 from .supports import (
     Reindexing,
@@ -139,13 +139,13 @@ def _triangular_data(S: SupportSystem, I) -> Triangular:
     )
 
 
-def is_strictly_triangular(S: SupportSystem, I) -> bool:
-    """True when 1 < MV of the witness subsystem < MV of the whole system."""
-    S, _ = normalize(S)
-    data = _triangular_data(S, I)
-    mv_base = mixed_volume(data.base)
-    mv_full = mixed_volume(S)
-    return 1 < mv_base < mv_full
+def _fiber_supports(S: SupportSystem, data: Triangular) -> SupportSystem:
+    """The supports of S outside the witness, projected to the quotient with
+    duplicate images merged: the supports of the fibers `restrict_to_fiber`
+    builds. A translate of S gives translates of the same supports."""
+    return SupportSystem(tuple(
+        Support(tuple({data.projection.apply(p) for p in sup.points}))
+        for j, sup in enumerate(S.supports) if j not in data.witness))
 
 
 @dataclass
@@ -204,9 +204,7 @@ def predict_tree(S: SupportSystem) -> DecompositionTree:
         )
     if isinstance(cls, Triangular):
         base = predict_tree(cls.base)
-        fiber = predict_tree(SupportSystem(tuple(  # the fibers `restrict_to_fiber` builds
-            Support(tuple({cls.projection.apply(p) for p in sup.points}))
-            for j, sup in enumerate(S.supports) if j not in cls.witness)))
+        fiber = predict_tree(_fiber_supports(S, cls))
         return DecompositionTree(
             kind="triangular",
             mv=base.mv * fiber.mv,

@@ -7,7 +7,6 @@ so nothing here may round-trip through floats.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,20 +321,6 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
     if not (U @ result).is_identity():
         raise AssertionError("inverse verification failed")
     return result
-
-
-def lattice_index(A: IntMatrix) -> int | float:
-    """Index of the column lattice of A inside Z^rows.
-
-    Returns the product of the invariant factors when the columns span a
-    full-rank sublattice, and math.inf otherwise.
-    """
-    if all(e == 0 for row in A.entries for e in row):
-        return math.inf
-    form = smith_normal_form(A)
-    if form.rank < A.rows:
-        return math.inf
-    return math.prod(form.invariant_factors)
 
 
 def solve_integer(A: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:

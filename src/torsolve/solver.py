@@ -30,7 +30,6 @@ import numpy as np
 
 from .decompose import (
     DecompositionTree,
-    Indecomposable,
     Lacunary,
     Triangular,
     classify,
@@ -100,16 +99,6 @@ def solve_decomposable(F: SparseSystem, seed: int = 0,
                        settings: TrackerSettings | None = None) -> SolveReport:
     """All isolated torus solutions of a generic decomposable sparse system."""
     return _report(*_entry(_solve, F, seed, settings), seed)
-
-
-def solve_lacunary(F: SparseSystem, classification: Lacunary, seed: int = 0,
-                   settings: TrackerSettings | None = None) -> SolveReport:
-    return _report(*_entry(_solve_lacunary, F, seed, settings, classification), seed)
-
-
-def solve_triangular(F: SparseSystem, classification: Triangular, seed: int = 0,
-                     settings: TrackerSettings | None = None) -> SolveReport:
-    return _report(*_entry(_solve_triangular, F, seed, settings, classification), seed)
 
 
 def blackbox(F: SparseSystem, seed: int = 0,
@@ -298,6 +287,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
             break
         H = _homotopy(start, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
         for m, sols in zip(todo, _tracked(H, start_points, back, settings)[0]):
+            sols.sort()  # in fiber coordinates, as the family's rows are
             got[m] = sols
         attempts.update(todo)
         todo = short()

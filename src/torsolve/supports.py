@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import LatticeMembershipError
-from .intlinalg import IntMatrix, smith_normal_form, solve_integer, unimodular_inverse
+from .intlinalg import IntMatrix, solve_integer
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,7 @@ def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
     """
     if not I:
         raise ValueError("index subset must be nonempty")
+    _check_indices(S, I)
     cols = _difference_columns(S, I)
     if not cols:
         return 0
@@ -233,31 +234,31 @@ def _preimage_solver(phi: IntMatrix):
     return pull
 
 
+def _check_indices(S: SupportSystem, I: Sequence[int]) -> None:
+    for i in I:
+        if not 0 <= i < S.n:
+            raise ValueError(f"index {i} is outside 0..{S.n - 1}")
+
+
 def quotient_supports(S: SupportSystem, I: Sequence[int]) -> tuple[IntMatrix, SupportSystem]:
     """Project the complementary supports to the quotient by the I-span.
 
-    Computes the saturation of the lattice spanned by the supports in I via
-    a Smith normal form, completes it to a basis of Z^n, and returns the
-    induced projection onto the last n-k coordinates together with the
-    images of the supports outside I (duplicate images merged).
+    The Triangular data classify gives the witness I of the normalized
+    system: a Smith normal form saturates the lattice spanned by the
+    supports in I and completes it to a basis of Z^n. Returns the induced
+    projection onto the last n-k coordinates together with the images of
+    the supports of S outside I (duplicate images merged).
     """
+    from .decompose import _fiber_supports, _triangular_data  # local: decompose imports us
+
+    _check_indices(S, I)
     I = sorted(set(I))
-    n = S.n
-    k = len(I)
-    if not 0 < k < n:
+    if not 0 < len(I) < S.n:
         raise ValueError("index subset must be nonempty and proper")
-    if span_rank(S, I) != k:
+    if span_rank(S, I) != len(I):
         raise ValueError("supports indexed by I do not span rank |I|")
-    cols = _difference_columns(S, I)
-    form = smith_normal_form(IntMatrix.from_columns(cols))
-    psi = unimodular_inverse(form.P)
-    pi_J = IntMatrix.from_rows(psi.entries[k:])
-    J = [j for j in range(n) if j not in I]
-    images = []
-    for j in J:
-        pts = {pi_J.apply(p) for p in S.supports[j].points}
-        images.append(Support(tuple(pts)))
-    return pi_J, SupportSystem(tuple(images))
+    data = _triangular_data(normalize(S)[0], I)
+    return data.projection, _fiber_supports(S, data)
 
 
 def point_in_hull(point: Sequence[int], pts: Sequence[Sequence[int]]) -> bool:

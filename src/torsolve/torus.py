@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,17 +119,7 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     coefficient not finite, or a base point with a coordinate of modulus at
     most TORUS_THRESHOLD or not finite, means the fiber is degenerate.
     """
-    return next(restrict_to_fibers(F, J, pi_J, [y0]))
-
-
-def restrict_to_fibers(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
-                       base_points: Iterable[Sequence[complex]]) -> Iterator[SparseSystem]:
-    """Yield restrict_to_fiber(F, J, pi_J, y0) for each y0 of base_points in
-    turn, through one fiber_restriction of F's supports."""
-    restrict = fiber_restriction(F.system, J, pi_J)
-    coefficients = [c for row in F.coefficients for c in row]
-    for y0 in base_points:
-        yield restrict(coefficients, y0)
+    return fiber_restriction(F.system, J, pi_J)([c for row in F.coefficients for c in row], y0)
 
 
 def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):

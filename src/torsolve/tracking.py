@@ -14,8 +14,7 @@ points form K equal blocks, block k following t*F_k + (1-t)*gamma_k*G, so
 the fiber transfers of a triangular node run as one batch. All paths are
 tracked together, one predictor and corrector per pass over the running
 paths on a (P, n, n) Jacobian stack. Each path takes the steps it would
-take alone, a failing path drops out without touching the others, and
-track_path is the batch of one.
+take alone, and a failing path drops out without touching the others.
 
 One state per tracker point: each path keeps J^-1 dH/dt (minus its
 tangent) at its current (x, t), from the corrector iteration that accepted
@@ -31,7 +30,7 @@ A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton, one batch for all the paths of a homotopy
 that reach _ENDGAME_T (several only when a count stop is near), and the
 refinement of a solver's candidates on the full system, run as one
-batched Newton on it; newton_refine is the batch of one.
+batched Newton on it.
 """
 
 from __future__ import annotations
@@ -255,16 +254,6 @@ class Homotopy:
             np.matmul(parts[:, :, block], Eb, out=out[:, :, i])
         jac /= X[:, None, :]
         return values, jac, dt, scale
-
-
-def track_path(H: Homotopy, x0, settings: TrackerSettings | None = None):
-    """Track one solution of gamma*G from t=0 to a solution of F at t=1.
-
-    Returns the refined endpoint or a PathFailure naming what went wrong.
-    Near t=1 the tracker hands off to plain Newton on the target; endgames
-    for singular endpoints are out of scope.
-    """
-    return _track(H, [x0], settings or TrackerSettings())[0][0]
 
 
 def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None = None):
@@ -500,22 +489,6 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
             size = 1.0 + np.maximum.reduce(np.abs(Y), axis=1)
             small = np.maximum.reduce(np.abs(delta), axis=1) <= _STEP_TOL * size
     return X, res, errors
-
-
-def newton_refine(F: SparseSystem, x, settings: TrackerSettings | None = None):
-    """Refine x to a root of F; returns (point, max-norm residual).
-
-    The batched Newton on F as the homotopy at t = 1, for a batch of one.
-    Raises SingularJacobianError for an ill-conditioned or non-finite
-    Jacobian and NoConvergenceError when quadratic convergence does not
-    materialize.
-    """
-    H = Homotopy(F.system, F.coefficients, [F.coefficients])
-    (point,), (res,), (error,) = _newton(H, np.reshape(x, (1, F.n)), np.zeros(1, dtype=int),
-                                         settings or TrackerSettings())
-    if error is not None:
-        raise error
-    return point, float(res)
 
 
 def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,

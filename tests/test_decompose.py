@@ -11,15 +11,13 @@ from torsolve.decompose import (
     Triangular,
     _triangular_data,
     classify,
-    is_strictly_triangular,
     predict_tree,
 )
 from torsolve.errors import MixedVolumeZeroError
 from torsolve.geometry import hull_mixed_volume, mixed_volume
-from torsolve.intlinalg import (IntMatrix, lattice_index, smith_normal_form, solve_integer,
-                                unimodular_inverse)
-from torsolve.supports import (SupportSystem, normalize, preimage_supports, quotient_supports,
-                               subset_span_ranks)
+from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer, unimodular_inverse
+from torsolve.supports import (Support, SupportSystem, normalize, preimage_supports,
+                               quotient_supports, subset_span_ranks)
 
 LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
 LACUNARY_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
@@ -84,7 +82,7 @@ def test_classify_lacunary_example():
 def test_lacunary_preimage_has_full_span():
     cls = classify(lacunary_system())
     cols = [p for sup in cls.preimage.system.supports for p in sup.points]
-    assert lattice_index(IntMatrix.from_columns(cols)) == 1
+    assert smith_normal_form(IntMatrix.from_columns(cols)).invariant_factors == (1, 1)
 
 
 def test_classify_cover_indecomposable():
@@ -140,13 +138,13 @@ def test_classify_invariant_under_translation_and_permutation():
 
 def test_is_strictly_triangular():
     S = SupportSystem.of_points([TRI_A, TRI_A, TRI_A3])
-    assert is_strictly_triangular(S, (0, 1))
+    assert 1 < mixed_volume(_triangular_data(S, (0, 1)).base) < mixed_volume(S)
     # witness subsystem with a single solution is not strict
     T = SupportSystem.of_points([
         [(0, 0), (1, 0)],
         [(0, 0), (0, 1), (0, 2)],
     ])
-    assert not is_strictly_triangular(T, (0,))
+    assert mixed_volume(_triangular_data(T, (0,)).base) == 1
 
 
 def test_product_formula_on_witness():
@@ -263,8 +261,19 @@ def _tree_fields(tree):
             tuple(_tree_fields(c) for c in tree.children))
 
 
+def _reference_images(S, I):
+    """The supports outside I projected by a Smith form of the difference
+    columns of the supports in I, taken apart from _triangular_data's."""
+    form = smith_normal_form(IntMatrix.from_columns(
+        [tuple(a - b for a, b in zip(p, S.supports[i].points[0]))
+         for i in I for p in S.supports[i].points[1:]]))
+    pi = IntMatrix.from_rows(unimodular_inverse(form.P).entries[len(I):])
+    return SupportSystem(tuple(Support(tuple({pi.apply(p) for p in sup.points}))
+                               for j, sup in enumerate(S.supports) if j not in I))
+
+
 def _reference_tree(S):
-    """predict_tree with its fiber images taken from quotient_supports."""
+    """predict_tree with its fiber images from their own Smith form."""
     S, _ = normalize(S)
     cls = classify(S)
     if isinstance(cls, Lacunary):
@@ -272,7 +281,7 @@ def _reference_tree(S):
         return ("lacunary", cls.index * child[1], cls.index, cls.diagonal, None, (child,))
     if isinstance(cls, Triangular):
         base = _reference_tree(cls.base)
-        fiber = _reference_tree(quotient_supports(S, cls.witness)[1])
+        fiber = _reference_tree(_reference_images(S, cls.witness))
         return ("triangular", base[1] * fiber[1], None, None, cls.witness, (base, fiber))
     return ("univariate" if S.n == 1 else "blackbox", hull_mixed_volume(S), None, None, None, ())
 
@@ -355,5 +364,5 @@ def test_classify_shortcut_returns_the_smith_form_result(monkeypatch):
             skipped += 1
         else:
             fired += 1
-            assert lattice_index(points) == 1
+            assert smith_normal_form(points).invariant_factors == (1,) * S.n
     assert fired >= 40 and skipped >= 100

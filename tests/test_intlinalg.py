@@ -11,7 +11,6 @@ from torsolve.intlinalg import (
     SmithForm,
     _bareiss_det,
     _check_smith,
-    lattice_index,
     smith_normal_form,
     solve_integer,
     unimodular_inverse,
@@ -95,10 +94,14 @@ def test_unimodular_inverse_rejects():
 
 
 def test_lattice_index():
-    assert lattice_index(IntMatrix.from_columns([(1, 0), (0, 1)])) == 1
-    assert lattice_index(IntMatrix.from_columns(LACUNARY_A1 + LACUNARY_A2)) == 12
-    assert lattice_index(IntMatrix.from_columns([(1, 2)])) == math.inf
-    assert lattice_index(IntMatrix.from_rows([[0, 0], [0, 0]])) == math.inf
+    # The index of a full-rank column lattice is the product of the
+    # invariant factors; a lower rank leaves it infinite.
+    assert smith_normal_form(IntMatrix.from_columns([(1, 0), (0, 1)])).invariant_factors == (1, 1)
+    form = smith_normal_form(IntMatrix.from_columns(LACUNARY_A1 + LACUNARY_A2))
+    assert form.rank == 2 and math.prod(form.invariant_factors) == 12
+    assert smith_normal_form(IntMatrix.from_columns([(1, 2)])).rank == 1
+    with pytest.raises(ZeroMatrixError):
+        smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
 
 
 def test_lattice_index_matches_basis_determinant():
@@ -111,7 +114,8 @@ def test_lattice_index_matches_basis_determinant():
         if det == 0:
             continue
         M = IntMatrix.from_columns([(a, c), (b, d)])
-        assert lattice_index(M) == abs(det)
+        form = smith_normal_form(M)
+        assert form.rank == 2 and math.prod(form.invariant_factors) == abs(det)
 
 
 def test_rank_consistency():

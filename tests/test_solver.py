@@ -255,6 +255,15 @@ def test_ledger_equals_tree_sum():
     )
 
 
+def test_the_exported_surface_resolves():
+    import torsolve
+
+    namespace = {}
+    exec("from torsolve import *", namespace)  # raises for a stale name in __all__
+    assert all(hasattr(torsolve, name) for name in torsolve.__all__)
+    assert set(torsolve.__all__) <= set(namespace)
+
+
 def test_bezout_path_count():
     S = SupportSystem.of_points([[(0, 0), (2, 1)], [(0, 0), (1, 2)]])
     assert bezout_path_count(S) == 9
@@ -262,13 +271,11 @@ def test_bezout_path_count():
 
 def test_solve_lacunary_entry_point():
     from torsolve.decompose import Lacunary, classify
-    from torsolve.solver import solve_lacunary
 
     F = SparseSystem.from_pairs([list(LAC_F1.items()), list(LAC_F2.items())])
-    cls = classify(F.system)
-    assert isinstance(cls, Lacunary)
-    rep = solve_lacunary(F, cls, seed=15)
-    assert len(rep.solutions) == 120
+    assert isinstance(classify(F.system), Lacunary)
+    rep = solve_decomposable(F, seed=15)
+    assert len(rep.solutions) == 120 and rep.tree.kind == "lacunary"
     assert_solves(F, rep.solutions)
 
 
@@ -276,7 +283,6 @@ def test_solve_triangular_entry_point():
     import itertools as it
 
     from torsolve.decompose import Triangular, classify
-    from torsolve.solver import solve_triangular
 
     cube = sorted(it.product((0, 1), repeat=3))
     F = unit_coeff_system(
@@ -287,7 +293,7 @@ def test_solve_triangular_entry_point():
     )
     cls = classify(F.system)
     assert isinstance(cls, Triangular) and cls.witness == (0, 1)
-    rep = solve_triangular(F, cls, seed=21)
+    rep = solve_decomposable(F, seed=21)
     assert len(rep.solutions) == hull_mixed_volume(F.system)
     assert_solves(F, rep.solutions)
     assert rep.tree.kind == "triangular"
@@ -295,7 +301,8 @@ def test_solve_triangular_entry_point():
 
 
 def test_is_strictly_triangular_family_cases():
-    from torsolve.decompose import is_strictly_triangular
+    from torsolve.decompose import _triangular_data
+    from torsolve.geometry import mixed_volume
 
     # base MV 10 times fiber degree 1: witness subsystem carries everything
     S = SupportSystem.of_points([
@@ -303,7 +310,7 @@ def test_is_strictly_triangular_family_cases():
         [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (2, 1, 0), (0, 2, 0)],
         sorted(itertools.product((0, 1), repeat=3)),
     ])
-    assert not is_strictly_triangular(S, (0, 1))  # MV(A_I) = MV(S) = 10
+    assert mixed_volume(_triangular_data(S, (0, 1)).base) == mixed_volume(S) == 10
 
 
 @pytest.mark.parametrize("name, seed, count, ledger, nodes", [
@@ -368,6 +375,7 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     from torsolve.errors import DegenerateFiberError
     from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _homotopy, _refined, _rows, _unit
     from torsolve.torus import MonomialMap, apply, restrict_to_fiber
+    from torsolve.tracking import SolutionSet
     import torsolve.solver as solver
 
     n, I, k = F.n, cls.witness, cls.k
@@ -399,8 +407,10 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
             if len(got) == len(fiber_sols):
                 break
         retries += attempt
-        if len(got) == len(fiber_sols):
-            per_base.append([back(w) for w in got.points])
+        if len(got) == len(fiber_sols):  # sorted in fiber coordinates, as the solver sorts
+            got = SolutionSet([back(w) for w in got.points], got.residuals, got.provenance)
+            got.sort()
+            per_base.append(got.points)
             continue
         try:
             direct, direct_tree = alone(solver._solve, target, direct_ss, settings,
@@ -644,6 +654,26 @@ def test_a_short_eigenvalue_fiber_alone_is_tracked(monkeypatch):
         for origin, p, q in zip(out.provenance, out.points, family.points):
             if not origin.startswith(f"base[{lost}]/"):
                 assert np.array_equal(p, q)
+
+
+def test_a_tracked_transfer_labels_its_roots_as_the_family_does(monkeypatch):
+    # The root node's one transfer goes to a two-variable fiber, tracked in
+    # compacted coordinates; its roots are sorted back in fiber coordinates,
+    # as a family row's are, so base[1]/fiber[z] names the same point either
+    # way. Sorted in compacted coordinates, fiber[0] and fiber[1] swapped.
+    import torsolve.solver as solver
+
+    F = unit_coeff_system([[(0, 0, 0), (1, 0, -3), (2, 0, -6)],
+                           [(-1, 1, 2), (0, 0, 0), (1, 0, -3), (1, 1, -6)],
+                           [(-1, 1, 2), (0, 0, 0), (1, 1, -5), (1, 1, -4)]], seed=12)
+    family = solve_decomposable(F, seed=0)
+    calls, real_track = [], solver.track_all
+    monkeypatch.setattr(solver, "track_all",
+                        lambda H, *args: calls.append(H) or real_track(H, *args))
+    short_families(monkeypatch)
+    tracked = solve_decomposable(F, seed=0)
+    assert len(calls) == 1 and tracked.tree.transfers == 1
+    assert_same_solve([(family.solutions, family.tree), (tracked.solutions, tracked.tree)])
 
 
 def test_a_failed_transfer_reports_its_partial_roots_on_its_fiber(monkeypatch):

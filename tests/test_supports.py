@@ -245,6 +245,18 @@ def test_quotient_supports_coordinate_subspace():
     assert images2.supports[0].points == ((0,),)
 
 
+def test_span_rank_and_quotient_supports_reject_an_index_outside_the_system():
+    s = SupportSystem.of_points([
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        [(0, 0, 0), (2, 1, 0)],
+        [(0, 0, 0), (1, 1, 1)],
+    ])
+    for I, bad in (([0, -2], -2), ([0, 5], 5), ([3], 3)):
+        for check in (span_rank, quotient_supports):
+            with pytest.raises(ValueError, match=rf"index {bad} is outside 0\.\.2"):
+                check(s, I)
+
+
 def test_quotient_rank_violation():
     with pytest.raises(ValueError):
         quotient_supports(tri_system(), [0, 1, 2][:2] and [0])  # rank(A_1)=2 > 1

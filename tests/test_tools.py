@@ -30,6 +30,16 @@ def test_parity_lists_a_change_between_an_exception_and_a_result():
         assert f"{key}: tree / {a.get('tree')!r} -> {b.get('tree')!r}" in diffs
 
 
+def test_parity_counts_the_src_lines_of_a_checkout(tmp_path):
+    parity = load("parity")
+    package = tmp_path / "src" / "torsolve"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3")
+    (package / "notes.md").write_text("not code\n")
+    assert parity.src_lines(tmp_path) == 4
+
+
 PARENT_RUNS = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 1.95, 2.1, 2.0, 2.15]  # spread 15%
 
 

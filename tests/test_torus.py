@@ -10,10 +10,10 @@ from torsolve.torus import (
     MonomialMap,
     apply,
     diagonal_fiber,
+    fiber_restriction,
     monomial_value,
     relabel,
     restrict_to_fiber,
-    restrict_to_fibers,
 )
 
 LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
@@ -227,9 +227,10 @@ def test_restrict_to_fibers_matches_each_point_bit_for_bit():
         J = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
         cases.append((F, J, IntMatrix.from_rows(rng.integers(-2, 3, (len(J), n)).tolist())))
     for F, J, pi_J in cases:
-        points = [random_torus_point(rng, F.n) for _ in range(4)]
-        for got, y0 in zip(restrict_to_fibers(F, J, pi_J, points), points, strict=True):
-            want = restrict_to_fiber(F, J, pi_J, y0)
+        restrict = fiber_restriction(F.system, J, pi_J)
+        coefficients = [c for row in F.coefficients for c in row]
+        for y0 in [random_torus_point(rng, F.n) for _ in range(4)]:
+            got, want = restrict(coefficients, y0), restrict_to_fiber(F, J, pi_J, y0)
             assert got.system == want.system
             assert bits(np.concatenate(got.coefficients)) == bits(np.concatenate(want.coefficients))
             reference = restriction_by_monomial_value(F, J, pi_J, y0)
@@ -246,20 +247,18 @@ def test_restrict_to_fibers_raises_the_first_error_of_a_per_point_loop():
     ])
     pi = IntMatrix.from_rows([[0, 1]])
     good, vanishing, off = [2.0, 1.0], [1.0, 3.0], [1e-30, 1.0]
-    for points in ([good, vanishing, off], [good, good, off, vanishing], [vanishing], [off]):
-        fibers = restrict_to_fibers(F, [1], pi, points)
-        for y0 in points:
-            try:
-                want = restrict_to_fiber(F, [1], pi, y0)
-            except DegenerateFiberError as exc:
-                with pytest.raises(DegenerateFiberError,
-                                   match="vanishes" if y0 is vanishing else "torus") as got:
-                    next(fibers)
-                assert str(got.value) == str(exc)
-                break
-            assert next(fibers) == want
-        else:
-            raise AssertionError("every list holds a degenerate base point")
+    restrict = fiber_restriction(F.system, [1], pi)
+    coefficients = [c for row in F.coefficients for c in row]
+    for y0 in (good, vanishing, off, good):  # an error leaves the shared function usable
+        try:
+            want = restrict_to_fiber(F, [1], pi, y0)
+        except DegenerateFiberError as exc:
+            with pytest.raises(DegenerateFiberError,
+                               match="vanishes" if y0 is vanishing else "torus") as got:
+                restrict(coefficients, y0)
+            assert str(got.value) == str(exc)
+            continue
+        assert y0 is good and restrict(coefficients, y0) == want
 
 
 @pytest.mark.parametrize("idx", [1, 2])

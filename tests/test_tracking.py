@@ -23,11 +23,10 @@ from torsolve.tracking import (
     _newton,
     _predict,
     _solve,
+    _track,
     distinct,
-    newton_refine,
     relative_distance,
     track_all,
-    track_path,
 )
 
 
@@ -69,16 +68,16 @@ def test_tolerance_sets_the_corrector_bound_and_the_success_residual():
     # Newton: a start with residual 2.8e-7 is within 0.01 * 1e-3 and comes
     # back untouched; at the default it is refined.
     x0 = np.array([root + 1e-7])
-    point, res = newton_refine(F, x0, TrackerSettings(1e-3))
-    assert np.array_equal(point, x0) and 1e-7 < res < 1e-5
-    point, res = newton_refine(F, x0)
-    assert abs(point[0] - root) < 1e-14 and res <= 1e-8
+    (point,), (res,), (error,) = newton_one(F, x0, TrackerSettings(1e-3))
+    assert error is None and np.array_equal(point, x0) and 1e-7 < res < 1e-5
+    (point,), (res,), (error,) = newton_one(F, x0)
+    assert error is None and abs(point[0] - root) < 1e-14 and res <= 1e-8
 
 
 def test_constant_path():
     F = univariate({0: -1.0, 2: 1.0})  # x^2 - 1
     H = Homotopy.straight_line(F, F, gamma=1.0)
-    out = track_path(H, np.array([1.0 + 0j]))
+    out = _track(H, [np.array([1.0 + 0j])], TrackerSettings())[0][0]
     assert not isinstance(out, PathFailure)
     assert abs(out[0] - 1.0) < 1e-10
 
@@ -88,10 +87,10 @@ def test_univariate_continuation():
     F = univariate({0: -4.0, 2: 1.0})  # x^2 - 4
     gamma = np.exp(0.77j)
     H = Homotopy.straight_line(G, F, gamma=gamma)
-    out = track_path(H, np.array([1.0 + 0j]))
+    out = _track(H, [np.array([1.0 + 0j])], TrackerSettings())[0][0]
     assert not isinstance(out, PathFailure)
     assert abs(out[0] - 2.0) < 1e-9
-    out2 = track_path(H, np.array([-1.0 + 0j]))
+    out2 = _track(H, [np.array([-1.0 + 0j])], TrackerSettings())[0][0]
     assert abs(out2[0] + 2.0) < 1e-9
 
 
@@ -117,22 +116,22 @@ def test_track_all_empty():
 
 def test_newton_refine_exact_root():
     F = univariate({0: -1.0, 2: 1.0})
-    x, res = newton_refine(F, np.array([1.0 + 0j]))
-    assert abs(x[0] - 1.0) < 1e-14
+    (x,), (res,), (error,) = newton_one(F, np.array([1.0 + 0j]))
+    assert error is None and abs(x[0] - 1.0) < 1e-14
     assert res < 1e-12
 
 
 def test_newton_refine_sqrt2():
     F = univariate({0: -2.0, 2: 1.0})
-    x, res = newton_refine(F, np.array([1.4 + 0j]))
-    assert abs(x[0] - np.sqrt(2)) < 1e-12
+    (x,), (res,), (error,) = newton_one(F, np.array([1.4 + 0j]))
+    assert error is None and abs(x[0] - np.sqrt(2)) < 1e-12
     assert res <= 1e-8
 
 
 def test_newton_refine_double_root_fails():
     F = univariate({2: 1.0})  # x^2: double root at the origin, off the torus
-    with pytest.raises((NoConvergenceError, SingularJacobianError)):
-        newton_refine(F, np.array([0.1 + 0j]))
+    (error,) = newton_one(F, np.array([0.1 + 0j]))[2]
+    assert isinstance(error, (NoConvergenceError, SingularJacobianError))
 
 
 def test_newton_refine_multivariate():
@@ -141,8 +140,8 @@ def test_newton_refine_multivariate():
         [((2, 1), 1.0), ((0, 0), -1.0)],
         [((0, 1), 1.0), ((1, 0), -1.0)],
     ])
-    x, res = newton_refine(F, np.array([0.9 + 0.1j, 1.1 - 0.1j]))
-    assert abs(x[0] ** 3 - 1.0) < 1e-10
+    (x,), (res,), (error,) = newton_one(F, np.array([0.9 + 0.1j, 1.1 - 0.1j]))
+    assert error is None and abs(x[0] ** 3 - 1.0) < 1e-10
     assert res <= 1e-8
 
 
@@ -238,8 +237,8 @@ def test_sort_and_distinct_match_the_per_point_references():
 
 
 def assert_batch_matches_single_paths(H, starts):
-    """track_all gives every start the outcome that track_path, and the
-    per-path reference loop below, give it alone."""
+    """track_all gives every start the outcome that _track on it alone, and
+    the per-path reference loop below, give it."""
     sols, failures = track_all(H, starts)
     batched = {int(origin.split()[1]): pt for pt, origin in zip(sols.points, sols.provenance)}
     batched.update(failures)
@@ -249,7 +248,7 @@ def assert_batch_matches_single_paths(H, starts):
         together = batched[i]
         if isinstance(together, PathFailure) and together.reason == "duplicate-endpoint":
             together = together.point
-        for alone in (track_path(H, start), reference_track_path(H, start)):
+        for alone in (_track(H, [start], TrackerSettings())[0][0], reference_track_path(H, start)):
             if isinstance(alone, PathFailure):
                 assert isinstance(together, PathFailure) and together.reason == alone.reason
                 assert together.t == pytest.approx(alone.t, abs=1e-12)
@@ -518,6 +517,11 @@ def as_homotopy(F):
     return Homotopy(F.system, F.coefficients, [F.coefficients])
 
 
+def newton_one(F, x, settings=TrackerSettings()):
+    """(X, residuals, errors) of _newton on F from the one point x."""
+    return _newton(as_homotopy(F), [x], np.zeros(1, dtype=int), settings)
+
+
 # x^2 - 1 and (y - 1)^2 (y + 2) = y^3 - 3y + 2: a double root at y = 1.
 NEWTON_F = SparseSystem.from_pairs([[((0, 0), -1.0), ((2, 0), 1.0)],
                                     [((0, 0), 2.0), ((0, 1), -3.0), ((0, 3), 1.0)]])
@@ -575,8 +579,8 @@ def test_newton_refine_on_a_non_finite_jacobian_raises_singular(x):
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularJacobianError):
-            newton_refine(F, np.array(x, dtype=complex))
+        (error,) = newton_one(F, np.array(x, dtype=complex))[2]
+    assert isinstance(error, SingularJacobianError)
 
 
 def test_non_finite_rows_fail_only_themselves():
@@ -706,8 +710,8 @@ def test_newton_refine_at_a_zero_coordinate_raises_a_typed_error():
         F = SparseSystem.from_pairs([[(p, 1.0 + k) for k, p in enumerate(sup)] for sup in supports])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularJacobianError):
-                newton_refine(F, np.array([0.0, 1.0, 1.0 + 1j]))
+            (error,) = newton_one(F, np.array([0.0, 1.0, 1.0 + 1j]))[2]
+        assert isinstance(error, SingularJacobianError)
 
 
 def outcomes_by_path(result, count):
@@ -862,8 +866,6 @@ def test_count_stop_fires_on_the_pass_a_full_run_reaches_the_count(monkeypatch):
 def test_paths_with_steps_of_their_own_match_their_runs_alone(monkeypatch):
     # All paths take the first step, and soon each takes a step of its own;
     # each still ends as it ends alone, bit for bit.
-    from torsolve.tracking import _track
-
     H, starts = list(mixed_batches())[0]
     steps = []
     with monkeypatch.context() as patch:
@@ -872,7 +874,7 @@ def test_paths_with_steps_of_their_own_match_their_runs_alone(monkeypatch):
     assert np.all(steps[0] == _STEP_START)
     assert any(len(set(t.tolist())) == len(starts) for t in steps)
     for start, mine in zip(starts, together):
-        alone = track_path(H, start)
+        alone = _track(H, [start], TrackerSettings())[0][0]
         if isinstance(alone, PathFailure):
             assert (mine.reason, mine.t) == (alone.reason, alone.t)
             assert np.array_equal(mine.point, alone.point)

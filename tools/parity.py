@@ -35,7 +35,8 @@ that exact work done twice shows. A call counts once whatever it is given;
 a checkout whose `normalize` passed a `SparseSystem`'s supports back to
 itself counts that inner call too, so the two sides' `normalize` counts
 differ in meaning when only one of them does so. These counts are
-information, not a check.
+information, not a check; so is each checkout's `src/` line count, taken
+over the `*.py` files of `src/torsolve` as `perfbench/run.py` takes it.
 """
 
 import argparse
@@ -262,6 +263,12 @@ def solve_all(checkouts):
     return results
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the `*.py` files of the checkout's `src/torsolve`."""
+    files = (checkout / "src" / "torsolve").glob("*.py")
+    return sum(len(p.read_text().splitlines()) for p in files)
+
+
 def relative_difference(p, q) -> float:
     scale = max(1.0, float(max(abs(p).max(), abs(q).max())))
     return float(abs(p - q).max()) / scale
@@ -373,6 +380,7 @@ def main(argv=None) -> int:
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
+    print("src/ lines: {:,} -> {:,}".format(*map(src_lines, (args.parent, args.change))))
     print("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / "
           "gamma_retries, parent -> change:")
     for line in count_lines((parent, change), steps):
