@@ -141,8 +141,9 @@ def _triangular_data(S: SupportSystem, I) -> Triangular:
 
 def _fiber_supports(S: SupportSystem, data: Triangular) -> SupportSystem:
     """The supports of S outside the witness, projected to the quotient with
-    duplicate images merged: the supports of the fibers `restrict_to_fiber`
-    builds. A translate of S gives translates of the same supports."""
+    duplicate images merged: the supports of the fibers `fiber_restriction`
+    builds before it drops cancelled terms. A translate of S gives
+    translates of the same supports."""
     return SupportSystem(tuple(
         Support(tuple({data.projection.apply(p) for p in sup.points}))
         for j, sup in enumerate(S.supports) if j not in data.witness))

@@ -35,7 +35,7 @@ from .decompose import (
     classify,
     predict_tree,
 )
-from .errors import CountMismatchError, DegenerateFiberError
+from .errors import CountMismatchError
 from .geometry import hull_mixed_volume
 from .intlinalg import IntMatrix, unimodular_inverse
 from .supports import SparseSystem, Support, SupportSystem, normalize, vertices
@@ -144,7 +144,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
     for attempt in range(2):
         H = _homotopy(F_c, G_row, [F_row], [_unit(rng)])
         (ends,), failures = _tracked(H, start_points, back, settings)
-        found = _refined(F, zip(ends.points, ends.provenance), settings, failures)
+        found = _refined(F, ends.points, ends.provenance, settings, failures)
         if len(found) > len(best):
             best = found
         if len(found) == expected:
@@ -197,11 +197,11 @@ def _solve_lacunary(F, C, cls: Lacunary, ss, settings, prov):
     cover_C = C[:, _positions(F, range(F.n), cls.preimage.index_maps)]
     child_sols, child_tree = _solve(cover, cover_C, ss.spawn(1)[0], settings, prov + "cover/")
     expected = cls.index * len(child_sols[0])
-    psi_map = MonomialMap(cls.psi)
-    out = _refined_rows(F, C, ((r, torus_apply(psi_map, w), f"{prov}root[{yi}.{wi}]")
-                               for r, sols in enumerate(child_sols)
-                               for yi, y in enumerate(sols.points)
-                               for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))), settings)
+    roots = [(r, w, f"{prov}root[{yi}.{wi}]") for r, sols in enumerate(child_sols)
+             for yi, y in enumerate(sols.points)
+             for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))]
+    rows, W, origins = zip(*roots)
+    out = _refined_rows(F, C, rows, torus_apply(MonomialMap(cls.psi), W), origins, settings)
     if len(out[0]) != expected:
         raise CountMismatchError("lacunary root extraction", expected, len(out[0]), out[0])
     tree = DecompositionTree(
@@ -225,62 +225,47 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
     base_sols, base_tree = _solve(base_F, base_C, base_ss, settings, prov + "base/")
 
+    # The base solutions of every row in one stack, row by row: position p
+    # holds base solution p - starts[rows[p]] of row rows[p].
+    sizes = [len(sols) for sols in base_sols]
+    rows, starts = np.repeat(np.arange(len(C)), sizes), np.cumsum([0] + sizes)
+    Y = np.reshape([y for sols in base_sols for y in sols.points], (-1, k))
     psi_map = MonomialMap(cls.psi)
-    tail_ones = np.ones(n - k, dtype=complex)
 
-    def lift_point(y, z=tail_ones):
-        return torus_apply(psi_map, np.concatenate([y, z]))
-
-    # Every fiber of every row is restricted first, in base order, and
-    # checked against the support of the first fiber of row 0. Another row
-    # with a degenerate fiber is left without fibers, so short. Row 0 raises
-    # for one, once its first fiber is solved: that solve's own error came
-    # first when the transfers followed it.
-    restrict, support = fiber_restriction(F.system, J, cls.projection), None
-    per_row, degenerate = [], None  # per row, its fibers over its base solutions
-    for r, sols in enumerate(base_sols):
-        coefficients, fibers = C[r].tolist(), []
-        try:
-            for idx, y in enumerate(sols.points):
-                fibers.append(restrict(coefficients, lift_point(y)))
-                support = support or fibers[0].system
-                if fibers[-1].system != support:
-                    raise DegenerateFiberError(
-                        f"fiber support over base solution {idx} differs from the start fiber"
-                    )
-        except DegenerateFiberError as exc:
-            if r == 0 and not fibers:
-                raise
-            if r == 0:
-                per_row, degenerate = [fibers[:1]], exc
-                break
-            fibers = []
-        per_row.append(fibers)
+    # Every fiber of every row is restricted at once and checked against the
+    # support of the first fiber of row 0, which raises for a degenerate one.
+    # Another row with a degenerate fiber is left without fibers, so short.
+    # Row 0 raises for one once its first fiber is solved: that solve's own
+    # error came first when the transfers followed it.
+    restrict = fiber_restriction(F.system, J, cls.projection)
+    Y0 = torus_apply(psi_map, np.hstack([Y, np.ones((len(Y), n - k))]))  # fiber base points
+    fiber0, fiber_C, errors = restrict(C[rows], Y0)
+    row_error = [next(filter(None, errors[a:b]), None) for a, b in zip(starts, starts[1:])]
     # All fibers are solved as one family, the first fiber of row 0 as its
     # row 0; each row's fibers are consecutive, row 0's first.
-    fibers = per_row[0]
-    family_C = np.array([np.concatenate(fiber.coefficients) for row in per_row for fiber in row])
-    fiber_sols, fiber_tree = _solve(fibers[0], family_C, fiber_ss, settings, prov + "fiber0/")
-    if degenerate is not None:
-        raise degenerate
+    family = [0] if row_error[0] else [p for p, r in enumerate(rows) if not row_error[r]]
+    fiber_sols, fiber_tree = _solve(fiber0, fiber_C[family], fiber_ss, settings, prov + "fiber0/")
+    if row_error[0]:
+        raise row_error[0]
     count = len(fiber_sols[0])
-    family_roots = iter(fiber_sols)  # per row, the roots over each of its base solutions
-    roots = [[next(family_roots) for _ in row] for row in per_row]
+    got = [SolutionSet() for _ in Y]  # got[p]: the latest roots over stack position p
+    for p, sols in zip(family, fiber_sols):
+        got[p] = sols
 
     # Row 0's fibers the family left short are reached by transfers from its
     # first fiber, in compacted fiber coordinates, in rounds: each round
     # tracks the transfers still short, ascending, each on the next gamma of
     # the stream, as one multi-target homotopy. A transfer short after the
-    # last round has its fiber solved directly.
-    got = roots[0]  # got[m]: the latest roots over base solution m of row 0
+    # last round has its fiber solved directly. Row 0's base solution m is
+    # stack position m.
     attempts, direct_trees = Counter(), []
 
     def short():
-        return [m for m in range(1, len(fibers)) if len(got[m]) != count]
+        return [m for m in range(1, sizes[0]) if len(got[m]) != count]
 
     todo, rng = short(), np.random.default_rng(transfer_ss)
     if todo:
-        start, start_C, back, start_points = _compacted(fibers[0], family_C[:len(fibers)],
+        start, start_C, back, start_points = _compacted(fiber0, fiber_C[:sizes[0]],
                                                         fiber_sols[0].points)
     for _ in range(_MAX_GAMMA_RETRIES + 1):
         if not todo:
@@ -292,19 +277,21 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
         attempts.update(todo)
         todo = short()
     for m in todo:
+        fiber = restrict(C[:1], Y0[m:m + 1])[0]  # the fiber over base solution m alone
         try:
-            (got[m],), direct_tree = _solve(fibers[m], _rows(fibers[m]), direct_ss, settings,
+            (got[m],), direct_tree = _solve(fiber, _rows(fiber), direct_ss, settings,
                                             f"{prov}fiber{m}/")
         except CountMismatchError as exc:
             raise CountMismatchError(f"fiber transfer to base solution {m}",
                                      count, len(got[m]), got[m]) from exc
         direct_trees.append(direct_tree)
 
-    out = _refined_rows(F, C, ((r, lift_point(y, np.asarray(z, dtype=complex)),
-                                f"{prov}base[{bi}]/fiber[{zi}]")
-                               for r, (sols, zs_per_base) in enumerate(zip(base_sols, roots))
-                               for bi, (y, zs) in enumerate(zip(sols.points, zs_per_base))
-                               for zi, z in enumerate(zs.points)), settings)
+    counts = [len(sols) for sols in got]
+    Z = np.reshape([z for sols in got for z in sols.points], (-1, n - k))
+    origins = [f"{prov}base[{p - starts[r]}]/fiber[{zi}]"
+               for p, (r, c) in enumerate(zip(rows, counts)) for zi in range(c)]
+    lifted = torus_apply(psi_map, np.hstack([np.repeat(Y, counts, axis=0), Z]))
+    out = _refined_rows(F, C, np.repeat(rows, counts), lifted, origins, settings)
     expected = len(base_sols[0]) * count
     if len(out[0]) != expected:
         raise CountMismatchError("triangular assembly", expected, len(out[0]), out[0])
@@ -335,7 +322,8 @@ def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionS
     """Per coefficient row on the one-variable support of F, its torus roots:
     the eigenvalues `eig[i]` of K companion matrices stacked in np.roots'
     layout, so bit for bit its roots, refined in one batched Newton on the
-    K targets. Non-finite matrices, from a zero end coefficient, give none."""
+    K targets. A row whose matrix is not finite, from a zero or tiny end
+    coefficient, gets no roots; the other rows are solved as they are alone."""
     rows = np.asarray(rows, dtype=complex)
     exps = [p[0] for p in F.system.supports[0].points]
     K, degree = len(rows), exps[-1] - exps[0]
@@ -345,10 +333,12 @@ def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionS
     A[:, np.arange(1, degree), np.arange(degree - 1)] = 1
     with np.errstate(all="ignore"):
         A[:, 0] = -dense[:, 1:] / dense[:, :1]
-    roots = np.linalg.eigvals(A) if np.isfinite(A).all() else np.zeros((K, degree))
+    finite = np.isfinite(A).all(axis=(1, 2))
+    roots = np.zeros((K, degree), dtype=complex)
+    roots[finite] = np.linalg.eigvals(A[finite])
     block, index = np.nonzero(np.abs(roots) >= TORUS_THRESHOLD)
-    return _refined_rows(F, rows, zip(block, roots[block, index, None],
-                                      (f"{prov}eig[{i}]" for i in index)), settings)
+    return _refined_rows(F, rows, block, roots[block, index, None],
+                         [f"{prov}eig[{i}]" for i in index], settings)
 
 
 def _blackbox(F, C, expected, ss, settings, prov):
@@ -382,8 +372,7 @@ def _blackbox(F, C, expected, ss, settings, prov):
     sols = [SolutionSet() for _ in C]
     if n == 2:  # the child leaves the gamma stream of `ss` as it is
         points, rows, origins = _resultant_roots(target, compact_C, ss.spawn(1)[0])
-        sols = _refined_rows(F, C, ((r, back(p), prov + o)
-                                    for r, p, o in zip(rows, points, origins)), settings)
+        sols = _refined_rows(F, C, rows, back(points), [prov + o for o in origins], settings)
         if len(sols[0]) == expected:
             return solved(sols, 0)
     rng = np.random.default_rng(ss)
@@ -399,7 +388,7 @@ def _blackbox(F, C, expected, ss, settings, prov):
         H = Homotopy.straight_line(G, [target], [_unit(rng)])
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
             (ends,), failures = _tracked(H, starts, back, settings, count)
-            sols[0] = _refined(F, zip(ends.points, (prov + o for o in ends.provenance)), settings)
+            sols[0] = _refined(F, ends.points, [prov + o for o in ends.provenance], settings)
             if len(sols[0]) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
         if len(sols[0]) == expected:
@@ -410,7 +399,8 @@ def _blackbox(F, C, expected, ss, settings, prov):
 def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
     """(points, rows, origins `eig[i]`): per eigenvalue i of row r of C, a
     coefficient row of `target`'s support (exponents >= 0), a finite,
-    nonzero candidate root (x, y) of that row's polynomials f and g.
+    nonzero candidate root (x, y) of that row's polynomials f and g, a row
+    of the (P, 2) stack `points`.
 
     The Sylvester matrix of f and g in y is a matrix polynomial S(x) of size
     N = deg_y f + deg_y g whose kernel at a root's x holds (y^(N-1), ..., 1).
@@ -424,7 +414,7 @@ def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
     m, k = (max(p[1] for p in sup.points) for sup in (f, g))
     N, D = m + k, max(p[0] for sup in (f, g) for p in sup.points)
     if N < 2 or D < 1:
-        return [], np.zeros(0, dtype=np.intp), []
+        return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=np.intp), []
     K = len(C)
     # Per Sylvester entry (term of the row, power of x, matrix row, column):
     # matrix row `row` holds y^shift f or y^shift g.
@@ -459,32 +449,33 @@ def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
                 except np.linalg.LinAlgError:
                     pass
             if not parts:
-                return [], np.zeros(0, dtype=np.intp), []
+                return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=np.intp), []
             rows = np.array(list(parts), dtype=np.intp)
             s, V = (np.concatenate(x) for x in zip(*parts.values()))
         X = np.stack([(a * s + b) / (c * s + d), V[:, N - 2] / V[:, N - 1]], axis=-1)
     keep, index = np.nonzero(np.isfinite(X).all(axis=2) & X.all(axis=2))  # a zero has no image
-    return list(X[keep, index]), rows[keep], [f"eig[{i}]" for i in index]
+    return X[keep, index], rows[keep], [f"eig[{i}]" for i in index]
 
 
-def _refined(F: SparseSystem, candidates, settings, failures=None) -> SolutionSet:
-    """Newton-refine (point, origin) candidates on F, all in one batch; keep
-    the converged ones on the torus that distinct() keeps, sorted.
-    Refinement failures go to `failures` as (origin, message) when given."""
-    return _refined_rows(F, _rows(F), ((0, pt, o) for pt, o in candidates), settings,
-                         failures)[0]
+def _refined(F: SparseSystem, points, origins, settings, failures=None) -> SolutionSet:
+    """Newton-refine candidate points, each with its origin, on F, all in one
+    batch; keep the converged ones on the torus that distinct() keeps,
+    sorted. Refinement failures go to `failures` as (origin, message) when
+    given."""
+    return _refined_rows(F, _rows(F), np.zeros(len(origins), dtype=np.intp), points, origins,
+                         settings, failures)[0]
 
 
-def _refined_rows(F: SparseSystem, C, candidates, settings, failures=None) -> list[SolutionSet]:
-    """_refined on the family of F: each (row, point, origin) candidate
-    refined on its row of C, all in one batched Newton; one SolutionSet per
-    row, of its points."""
-    candidates = list(candidates)
-    rows = np.array([r for r, _, _ in candidates], dtype=np.intp)
-    X = np.array([x for _, x, _ in candidates], dtype=complex).reshape(len(rows), F.n)
+def _refined_rows(F: SparseSystem, C, rows, points, origins, settings,
+                  failures=None) -> list[SolutionSet]:
+    """_refined on the family of F: candidate i, points[i] from origins[i],
+    refined on row rows[i] of C, all in one batched Newton; one SolutionSet
+    per row, of its points."""
+    rows = np.asarray(rows, dtype=np.intp)
+    X = np.reshape(np.asarray(points, dtype=complex), (len(rows), F.n))
     X, res, errors = _newton(_homotopy(F, C[0], C), X, rows, settings)
     if failures is not None:
-        failures.extend((origin, str(error)) for (_, _, origin), error in zip(candidates, errors)
+        failures.extend((origin, str(error)) for origin, error in zip(origins, errors)
                         if error is not None)
     ok = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
     ok &= np.array([error is None for error in errors], dtype=bool)
@@ -493,7 +484,7 @@ def _refined_rows(F: SparseSystem, C, candidates, settings, failures=None) -> li
         found = np.flatnonzero(ok & (rows == k))
         sols = SolutionSet()
         for i in found[distinct(X[found])]:
-            sols.append(X[i], res[i], candidates[i][2])
+            sols.append(X[i], res[i], origins[i])
         sols.sort()
         out.append(sols)
     return out
@@ -594,27 +585,31 @@ def _homotopy(F: SparseSystem, start, C, gamma=1.0) -> Homotopy:
 def _compacted(F: SparseSystem, C, points=()):
     """(F_c, C_c, back, points_c): F and the rows C of its family in the
     coordinates of _compacting_change(F.system), with exponents T @ alpha so
-    that F_c(w) = F(Phi_T(w)); the map `back` that takes a compacted point
-    back, Phi_T; and `points` in compacted coordinates. Nothing changes, and
-    `back` is the identity, when F is already compact."""
+    that F_c(w) = F(Phi_T(w)); the map `back` that takes a (P, n) stack of
+    compacted points back, Phi_T; and the stack `points` in compacted
+    coordinates. Nothing changes, and `back` is the identity, when F is
+    already compact."""
     T = _compacting_change(F.system)
     if T is None:
-        return F, C, lambda w: w, points
+        return F, C, lambda W: W, points
     F_c, C_c = _mapped(F, C, range(F.n), T.apply)
     push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))
-    return F_c, C_c, lambda w: torus_apply(push, w), [torus_apply(pull, z) for z in points]
+    if len(points):
+        points = torus_apply(pull, points)
+    return F_c, C_c, lambda W: torus_apply(push, W), points
 
 
 def _tracked(H: Homotopy, points, back, settings, expected=None):
     """(per target of H its endpoints, failures): `points` tracked to each
-    target of H by track_all; the endpoints mapped by `back`, each from
-    "path {i}" for start point i, and the failures of track_all, indexed
-    over all blocks."""
+    target of H by track_all; the endpoints mapped by `back`, all in one
+    stack, each from "path {i}" for start point i, and the failures of
+    track_all, indexed over all blocks."""
     ends, failures = track_all(H, list(points) * len(H.ct), settings, expected)
     out = [SolutionSet() for _ in H.ct]
-    for pt, res, origin in zip(ends.points, ends.residuals, ends.provenance):
+    mapped = back(np.reshape(np.asarray(ends.points, dtype=complex), (len(ends), H.n)))
+    for pt, res, origin in zip(mapped, ends.residuals, ends.provenance):
         block, path = divmod(int(origin.split()[1]), len(points))
-        out[block].append(back(pt), res, f"path {path}")
+        out[block].append(pt, res, f"path {path}")
     return out, failures
 
 

@@ -1,7 +1,10 @@
 """Monomial maps between tori, diagonal-map fibers, and fiber restriction.
 
-Torus points are plain complex numpy vectors; membership means every
-coordinate has modulus above TORUS_THRESHOLD.
+A torus point is a complex numpy vector, a stack of points a (P, n)
+array; membership means every coordinate has modulus above
+TORUS_THRESHOLD. Maps and restrictions take stacks and form each complex
+product and reciprocal as Python does, so a point in a stack gets the
+bits monomial_value gives it alone.
 """
 
 from __future__ import annotations
@@ -11,14 +14,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFiberError
 from .intlinalg import IntMatrix
-from .supports import Reindexing, SparseSystem, SupportSystem
+from .supports import Reindexing, SparseSystem, Support, SupportSystem
 
 TORUS_THRESHOLD = 1e-10
 
@@ -37,11 +39,6 @@ class MonomialMap:
     def domain_dim(self) -> int:
         return self.matrix.rows
 
-    @cached_property
-    def factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per output, the (j, e) pairs of its column's nonzero entries."""
-        return tuple(_factors(alpha) for alpha in self.matrix.columns())
-
 
 def _cpow(base: complex, e: int) -> complex:
     """Binary exponentiation; one reciprocal per negative exponent."""
@@ -57,13 +54,15 @@ def _cpow(base: complex, e: int) -> complex:
     return out
 
 
-def apply(Phi: MonomialMap, x: Sequence[complex]) -> np.ndarray:
-    """Evaluate the monomial map coordinate-wise."""
+def apply(Phi: MonomialMap, x) -> np.ndarray:
+    """Evaluate the monomial map coordinate-wise on one point, or on each
+    row of a (P, n) stack; output i is monomial_value(x, column i) bit for
+    bit."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (Phi.domain_dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != Phi.domain_dim:
         raise ValueError("point dimension does not match the map domain")
-    xs = x.tolist()
-    return np.array([_power_product(xs, f) for f in Phi.factors], dtype=complex)
+    out = _monomials(np.atleast_2d(x), Phi.matrix.columns())
+    return out if x.ndim == 2 else out[0]
 
 
 def monomial_value(x, alpha) -> complex:
@@ -75,16 +74,51 @@ def monomial_value(x, alpha) -> complex:
     return v
 
 
-def _factors(alpha) -> tuple[tuple[int, int], ...]:
-    return tuple((j, e) for j, e in enumerate(alpha) if e)
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = re.astype(complex)
+    out.imag = im
+    return out
 
 
-def _power_product(xs: list[complex], factors) -> complex:
-    """monomial_value(xs, alpha) from alpha's _factors, multiplied in the same order."""
-    v = 1.0 + 0.0j
-    for j, e in factors:
-        v *= _cpow(xs[j], e)
-    return v
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, each part formed as Python's complex product forms it; numpy's
+    own complex product may round otherwise."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _reciprocal(b: np.ndarray) -> np.ndarray:
+    """1.0 / b as Python's complex quotient (1 + 0j) / b takes it: divided
+    through by the part of b larger in modulus (Smith's algorithm), NaN
+    from a NaN part, and ZeroDivisionError for a zero."""
+    re, im = b.real, b.imag
+    if np.any((re == 0) & (im == 0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_re = np.abs(re) >= np.abs(im)
+    ratio = np.where(by_re, im / re, re / im)
+    denom = np.where(by_re, re + im * ratio, re * ratio + im)
+    return _complex(np.where(by_re, 1.0 + 0.0 * ratio, ratio + 0.0) / denom,
+                    np.where(by_re, 0.0 - ratio, 0.0 * ratio - 1.0) / denom)
+
+
+def _monomials(X: np.ndarray, exponents) -> np.ndarray:
+    """(P, len(exponents)) array of monomial_value(X[p], exponents[i]) bit
+    for bit, for a (P, n) stack X: every power x_j^e by _cpow's steps at
+    once, and each monomial's powers multiplied from 1 + 0j in coordinate
+    order. Overflow gives inf or NaN without a warning, as in Python."""
+    i, j, e = np.array([(i, j, int(e)) for i, alpha in enumerate(exponents)
+                        for j, e in enumerate(alpha) if e], dtype=int).reshape(-1, 3).T
+    out = np.ones((len(X), len(exponents)), dtype=complex)
+    with np.errstate(all="ignore"):
+        base = X[:, j]
+        base[:, e < 0] = _reciprocal(base[:, e < 0])
+        power, e = np.ones_like(base), np.abs(e)
+        while e.any():
+            power = np.where(e % 2 == 1, _mul(power, base), power)
+            base, e = _mul(base, base), e >> 1
+        for coordinate in range(X.shape[1]):
+            at = j == coordinate
+            out[:, i[at]] = _mul(out[:, i[at]], power[:, at])
+    return out
 
 
 def diagonal_fiber(d: Sequence[int], y: Sequence[complex]) -> list[np.ndarray]:
@@ -119,40 +153,62 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     coefficient not finite, or a base point with a coordinate of modulus at
     most TORUS_THRESHOLD or not finite, means the fiber is degenerate.
     """
-    return fiber_restriction(F.system, J, pi_J)([c for row in F.coefficients for c in row], y0)
+    return fiber_restriction(F.system, J, pi_J)(np.concatenate(F.coefficients)[None],
+                                                np.asarray(y0, dtype=complex)[None])[0]
 
 
 def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
-    """The function (coefficients, y0) -> restrict_to_fiber(F, J, pi_J, y0)
-    for the system F on S with these coefficients, listed polynomial by
-    polynomial; the images pi_J(alpha) and the exponents' factors are
-    computed once, here. A merged coefficient that overflows (inf, or NaN
-    from inf - inf) raises."""
+    """The function (C, Y) -> (fiber 0, coefficients, errors) that takes
+    fiber p, restrict_to_fiber bit for bit of the system on S with the
+    coefficient row C[p] (polynomial by polynomial) and the base point Y[p],
+    for every p at once: `coefficients` is the (P, M') array of every
+    fiber's coefficients on fiber 0's support, and errors[p] None or the
+    DegenerateFiberError of fiber p >= 1: its own, or else "fiber support
+    over base solution p differs from the start fiber". Fiber 0 raises its
+    error. A merged coefficient that overflows (inf, or NaN from inf - inf)
+    is an error. The images pi_J(alpha) are laid out once, here."""
+    J = sorted(J)
     offsets = list(itertools.accumulate((len(s) for s in S.supports), initial=0))
-    terms = [(j, [(pi_J.apply(alpha), offsets[j] + a, _factors(alpha))
-                  for a, alpha in enumerate(S.supports[j].points)]) for j in sorted(J)]
+    columns, exponents, targets, images, polys = [], [], [], [], []  # polys[t]: J-index of image t
+    for q, j in enumerate(J):
+        points = S.supports[j].points
+        betas = [pi_J.apply(alpha) for alpha in points]
+        images.append(sorted(set(betas)))
+        targets += [len(polys) + images[-1].index(beta) for beta in betas]
+        polys += [q] * len(images[-1])
+        columns += range(offsets[j], offsets[j] + len(points))
+        exponents += points
+    starts = [polys.index(q) for q in range(len(J))]
 
-    def restrict(coefficients, y0) -> SparseSystem:
-        y0 = np.asarray(y0, dtype=complex)
-        if not np.all((np.abs(y0) > TORUS_THRESHOLD) & np.isfinite(y0)):
-            raise DegenerateFiberError("fiber base point leaves the floating-point torus: "
-                                       f"|y0| = {np.abs(y0)}")
-        ys = y0.tolist()
-        pairs_per_poly = []
-        for j, poly in terms:
-            merged: dict[tuple[int, ...], complex] = {}
-            for beta, a, factors in poly:
-                value = coefficients[a] * _power_product(ys, factors)
-                merged[beta] = merged.get(beta, 0.0 + 0.0j) + value
-            if not all(map(cmath.isfinite, merged.values())):
-                raise DegenerateFiberError(f"polynomial {j} has a non-finite coefficient on the "
-                                           f"fiber: |y0| = {np.abs(y0)}")
-            top = max(abs(v) for v in merged.values())
-            kept = [(b, v) for b, v in merged.items() if abs(v) > _MERGE_DROP * top]
-            if not kept:
-                raise DegenerateFiberError(f"polynomial {j} vanishes identically on the fiber")
-            pairs_per_poly.append(kept)
-        return SparseSystem.from_pairs(pairs_per_poly)
+    def restrict(C, Y):
+        Y, merged = np.asarray(Y, dtype=complex), np.zeros((len(Y), len(polys)), dtype=complex)
+        with np.errstate(all="ignore"):
+            terms = _mul(np.asarray(C, dtype=complex)[:, columns], _monomials(Y, exponents))
+            np.add.at(merged, (slice(None), targets), terms)  # from 0j, in the order of S
+            size = np.hypot(merged.real, merged.imag)  # abs() as Python takes it
+            kept = size > _MERGE_DROP * np.maximum.reduceat(size, starts, axis=1)[:, polys]
+        finite = np.logical_and.reduceat(np.isfinite(merged), starts, axis=1)
+        bad = ~finite | ~np.logical_or.reduceat(kept, starts, axis=1)  # per fiber and polynomial
+        on_torus = np.all((np.abs(Y) > TORUS_THRESHOLD) & np.isfinite(Y), axis=1)
+        errors = [None] * len(Y)
+        for p in np.flatnonzero(~on_torus | bad.any(axis=1) | (kept != kept[0]).any(axis=1)):
+            q, modulus = bad[p].argmax(), f"|y0| = {np.abs(Y[p])}"
+            if not on_torus[p]:
+                message = f"fiber base point leaves the floating-point torus: {modulus}"
+            elif not finite[p, q]:
+                message = f"polynomial {J[q]} has a non-finite coefficient on the fiber: {modulus}"
+            elif bad[p, q]:
+                message = f"polynomial {J[q]} vanishes identically on the fiber"
+            else:
+                message = f"fiber support over base solution {p} differs from the start fiber"
+            errors[p] = DegenerateFiberError(message)
+        if errors[0] is not None:
+            raise errors[0]
+        supports = [Support(tuple(itertools.compress(d, kept[0, a:])))
+                    for a, d in zip(starts, images)]
+        cuts = np.cumsum([len(sup) for sup in supports])[:-1]
+        fiber0 = SparseSystem(SupportSystem(tuple(supports)), np.split(merged[0, kept[0]], cuts))
+        return fiber0, merged[:, kept[0]], errors
 
     return restrict
 

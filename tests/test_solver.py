@@ -420,10 +420,10 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
                                      len(fiber_sols), len(got), got) from exc
         per_base.append(direct.points)
         direct_trees.append(direct_tree)
-    out = _refined(F, (
-        (lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
-        for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
-        for zi, z in enumerate(zpts)), settings)
+    lifted = [(lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
+              for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
+              for zi, z in enumerate(zpts)]
+    out = _refined(F, [x for x, _ in lifted], [o for _, o in lifted], settings)
     tree = DecompositionTree(kind="triangular", mv=base_tree.mv * fiber_tree.mv,
                              children=[base_tree, fiber_tree, *direct_trees],
                              solutions=len(out), witness=I,
@@ -721,8 +721,9 @@ def test_companion_roots_equal_np_roots_refined_row_by_row(exponents):
         dense = np.zeros(exponents[-1] - exponents[0] + 1, dtype=complex)
         dense[np.subtract(exponents, exponents[0])] = row
         roots = np.roots(dense[::-1])
-        alone = _refined(F, ((np.array([r]), f"x/eig[{i}]") for i, r in enumerate(roots)
-                             if abs(r) >= 1e-10), TrackerSettings())
+        kept = [(i, r) for i, r in enumerate(roots) if abs(r) >= 1e-10]
+        alone = _refined(F, [[r] for _, r in kept], [f"x/eig[{i}]" for i, _ in kept],
+                         TrackerSettings())
         assert len(sols) == exponents[-1] - exponents[0]
         assert sols.provenance == alone.provenance and sols.residuals == alone.residuals
         assert np.array_equal(sols.points, alone.points)
@@ -802,9 +803,8 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
         H = Homotopy.straight_line(G, target, _unit(rng))
         endpoints, _failures = track_all(H, starts, settings)
-        sols = refined(F, ((back(pt), prov + origin)
-                           for pt, origin in zip(endpoints.points, endpoints.provenance)),
-                       settings)
+        sols = refined(F, [back(pt) for pt in endpoints.points],
+                       [prov + origin for origin in endpoints.provenance], settings)
         if len(sols) == expected:
             return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
                                            paths=expected, bezout_paths=math.prod(degrees),
@@ -1075,7 +1075,7 @@ def test_resultant_roots_give_nothing_without_a_regular_pencil():
     for target in (y_divides_both, y_linear_in_one):  # singular leading coefficient; N = 1
         points, rows, origins = _resultant_roots(target, _rows(target),
                                                  np.random.SeedSequence(0))
-        assert points == [] and len(rows) == 0 and origins == []
+        assert len(points) == 0 and len(rows) == 0 and origins == []
 
 
 # The MV-10 black-box leaf of `decomposable` seed 7, round 1, e-basis[3]
@@ -1105,6 +1105,19 @@ def test_blackbox_finds_every_root_of_an_mv10_leaf():
     assert all(o.startswith("eig[") for o in sols.provenance)
 
 
+def test_a_companion_matrix_that_overflows_leaves_the_other_rows_their_roots():
+    # x^3 + x - 2 has 3 roots alone; the row (1e300, 1, 1e-300) overflows its
+    # companion matrix and gets none, and row 0 keeps its roots bit for bit.
+    from torsolve.solver import _companion_roots
+    from torsolve.tracking import TrackerSettings
+
+    F = SparseSystem.from_pairs([[((0,), -2.0), ((1,), 1.0), ((3,), 1.0)]])
+    (alone,) = _companion_roots(F, [[-2, 1, 1]], TrackerSettings())
+    first, overflowed = _companion_roots(F, [[-2, 1, 1], [1e300, 1, 1e-300]], TrackerSettings())
+    assert len(alone) == 3 and len(overflowed) == 0
+    assert first.provenance == alone.provenance and first.residuals == alone.residuals
+    assert np.array_equal(first.points, alone.points)
+
 
 def test_refined_drops_a_converged_point_off_the_torus():
     from torsolve.solver import _refined
@@ -1112,4 +1125,4 @@ def test_refined_drops_a_converged_point_off_the_torus():
 
     F = SparseSystem.from_pairs([[((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -1.0)],
                                  [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 1.0)]])  # root (0, 1)
-    assert len(_refined(F, [(np.array([1e-3, 1.01]), "near (0, 1)")], TrackerSettings())) == 0
+    assert len(_refined(F, [np.array([1e-3, 1.01])], ["near (0, 1)"], TrackerSettings())) == 0

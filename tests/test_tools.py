@@ -250,3 +250,37 @@ print(json.dumps(blocks))
         "  all short: 0 / 0 -> 1 / 7",
         "  one short: 0 / 0 -> 1 / 1",
     ]
+
+
+def test_parity_counts_torus_apply_calls_and_the_points_they_map():
+    # The counters of the parity child, run on this checkout: a call counts
+    # once and maps one point or the rows of its stack, through the package
+    # module and through the solver's own binding. The printed example maps
+    # four stacks: its two-variable base leaf's 12 eigenvalue candidates out
+    # of compacted coordinates, the triangular node's 8 base points and 16
+    # solutions, and the lacunary root's 32 roots.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.intlinalg import IntMatrix
+from torsolve.supports import SparseSystem
+TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
+                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+Phi = torsolve.torus.MonomialMap(IntMatrix.from_rows([[3, 0], [-1, 4]]))
+workload = "one point"
+torsolve.torus.apply(Phi, np.ones(2))
+workload = "stack"
+torsolve.torus.apply(Phi, np.ones((5, 2)))
+workload = "triangular"
+torsolve.solve_decomposable(F, seed=7)
+print(json.dumps(mapped))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert parity.pair_lines(({}, json.loads(out))) == [
+        "  one point: 0 / 0 -> 1 / 1",
+        "  stack: 0 / 0 -> 1 / 5",
+        "  triangular: 0 / 0 -> 4 / 68",
+    ]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -194,13 +196,28 @@ def bits(values):
 
 
 def test_apply_matches_monomial_value_bit_for_bit():
+    # Each point alone and in a stack. Exponents reach +-150, and moduli from
+    # 1e-3 to 1e3 overflow some monomials to inf or NaN, as Python does,
+    # without a warning. A real and an imaginary point test signed zeros.
     rng = np.random.default_rng(20)
-    for _ in range(100):
+    for case in range(100):
         n, m = (int(v) for v in rng.integers(1, 6, 2))
-        Phi = MonomialMap(IntMatrix.from_rows(rng.integers(-5, 6, (n, m)).tolist()))
-        x = random_torus_point(rng, n)
-        assert bits(apply(Phi, x)) == bits(monomial_value(x, alpha)
-                                           for alpha in Phi.matrix.columns())
+        bound = 5 if case % 2 else 150
+        Phi = MonomialMap(IntMatrix.from_rows(rng.integers(-bound, bound + 1, (n, m)).tolist()))
+        X = np.array([random_torus_point(rng, n) for _ in range(6)])
+        X[1] *= 10.0 ** rng.uniform(-3, 3, n)
+        X[2], X[3] = np.abs(X[2]) * np.sign(rng.normal(size=n)), 1j * np.abs(X[3])
+        stacked = apply(Phi, X)
+        assert stacked.shape == (len(X), m)
+        for x, row in zip(X, stacked):
+            want = bits(monomial_value(x, alpha) for alpha in Phi.matrix.columns())
+            assert bits(apply(Phi, x)) == want and bits(row) == want
+    # The sign of a zero part: a real or imaginary coordinate under one
+    # exponent, where numpy's own reciprocal signs some zeros otherwise.
+    X = np.array([[1.5 + 0j], [complex(-2.0, -0.0)], [complex(-0.0, 1.5)], [-2j]])
+    for e in range(-3, 4):
+        Phi = MonomialMap(IntMatrix.from_rows([[e]]))
+        assert bits(apply(Phi, X)[:, 0]) == bits(monomial_value(x, (e,)) for x in X)
 
 
 def restriction_by_monomial_value(F, J, pi_J, y0):
@@ -216,7 +233,14 @@ def restriction_by_monomial_value(F, J, pi_J, y0):
     return out
 
 
+def on_row(F, row):
+    """The system on F's support with the coefficient row `row`."""
+    cuts = np.cumsum([len(sup) for sup in F.system.supports])[:-1]
+    return SparseSystem(F.system, np.split(np.asarray(row, dtype=complex), cuts))
+
+
 def test_restrict_to_fibers_matches_each_point_bit_for_bit():
+    # Stacks of base points, each on one of several coefficient rows.
     rng = np.random.default_rng(21)
     cases = [(tri_F(), [2], quotient_supports(tri_F().system, [0, 1])[0])]
     for _ in range(20):
@@ -227,57 +251,87 @@ def test_restrict_to_fibers_matches_each_point_bit_for_bit():
         J = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
         cases.append((F, J, IntMatrix.from_rows(rng.integers(-2, 3, (len(J), n)).tolist())))
     for F, J, pi_J in cases:
-        restrict = fiber_restriction(F.system, J, pi_J)
-        coefficients = [c for row in F.coefficients for c in row]
-        for y0 in [random_torus_point(rng, F.n) for _ in range(4)]:
-            got, want = restrict(coefficients, y0), restrict_to_fiber(F, J, pi_J, y0)
-            assert got.system == want.system
-            assert bits(np.concatenate(got.coefficients)) == bits(np.concatenate(want.coefficients))
-            reference = restriction_by_monomial_value(F, J, pi_J, y0)
-            for i, terms in enumerate(reference):  # nothing cancels on random points
-                assert [b for b, _ in terms] == list(got.system.supports[i].points)
-                assert bits(v for _, v in terms) == bits(got.coefficients[i])
+        M = sum(len(sup) for sup in F.system.supports)
+        C = np.vstack([np.concatenate(F.coefficients), rng.normal(size=(2, M, 2)) @ [1, 1j]])
+        rows = rng.integers(0, len(C), 6)
+        Y = np.array([random_torus_point(rng, F.n) for _ in rows])
+        fiber0, coefficients, errors = fiber_restriction(F.system, J, pi_J)(C[rows], Y)
+        support = fiber0.system
+        assert errors == [None] * len(Y)
+        assert coefficients.shape == (len(Y), sum(len(sup) for sup in support.supports))
+        assert bits(np.concatenate(fiber0.coefficients)) == bits(coefficients[0])
+        for y0, r, got in zip(Y, rows, coefficients):
+            want = restrict_to_fiber(on_row(F, C[r]), J, pi_J, y0)
+            assert want.system == support and bits(got) == bits(np.concatenate(want.coefficients))
+            reference = restriction_by_monomial_value(on_row(F, C[r]), J, pi_J, y0)
+            assert [tuple(b for b, _ in terms) for terms in reference] == [
+                sup.points for sup in support.supports]  # nothing cancels on random points
+            assert bits(got) == bits(v for terms in reference for _, v in terms)
 
 
 def test_restrict_to_fibers_raises_the_first_error_of_a_per_point_loop():
-    # f_1 = 1 - x restricts to the constant 1 - x0, which vanishes at x0 = 1.
+    # Over x0 = 1, f_1 = 1 - x restricts to 0 and vanishes; f_2 = 2 - x +
+    # y^400 z loses its constant over x0 = 2 and overflows over y0 = 1e5.
+    # Row 1 has f_1 = 1 - 2x, which vanishes over x0 = 0.5.
     F = SparseSystem.from_pairs([
-        [((0, 0), 1.0), ((1, 0), 2.0)],
-        [((0, 0), 1.0), ((1, 0), -1.0)],
+        [((0, 0, 0), 1.0), ((1, 0, 0), 1.0)],
+        [((0, 0, 0), 1.0), ((1, 0, 0), -1.0)],
+        [((0, 0, 0), 2.0), ((1, 0, 0), -1.0), ((0, 400, 1), 1.0)],
     ])
-    pi = IntMatrix.from_rows([[0, 1]])
-    good, vanishing, off = [2.0, 1.0], [1.0, 3.0], [1e-30, 1.0]
-    restrict = fiber_restriction(F.system, [1], pi)
-    coefficients = [c for row in F.coefficients for c in row]
-    for y0 in (good, vanishing, off, good):  # an error leaves the shared function usable
+    C = np.array([np.concatenate(F.coefficients)] * 2)
+    C[1, 3] = -2.0
+    pi = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1]])
+    stack = [  # (row, base point), in (row, base) order
+        (0, (3, 1, 1)), (0, (2, 1, 1)), (0, (1, 1e5, 1)), (0, (3, 1e5, 1)),
+        (1, (0.5, 1, 1e-30)), (1, (0.5, 1, 1)), (1, (3, 1, 1)), (1, (4, 1, 1)),
+    ]
+    rows, Y = np.array([r for r, _ in stack]), np.array([y for _, y in stack], dtype=complex)
+    start = restrict_to_fiber(on_row(F, C[0]), [1, 2], pi, Y[0])
+    expected = []  # a per-point loop: each point alone, then its support against fiber 0's
+    for p, (r, y0) in enumerate(zip(rows, Y)):
         try:
-            want = restrict_to_fiber(F, [1], pi, y0)
+            fiber = restrict_to_fiber(on_row(F, C[r]), [1, 2], pi, y0)
         except DegenerateFiberError as exc:
-            with pytest.raises(DegenerateFiberError,
-                               match="vanishes" if y0 is vanishing else "torus") as got:
-                restrict(coefficients, y0)
-            assert str(got.value) == str(exc)
+            expected.append(str(exc))
             continue
-        assert y0 is good and restrict(coefficients, y0) == want
+        expected.append(None if fiber.system == start.system
+                        else f"fiber support over base solution {p} differs from the start fiber")
+    for text, match in zip(expected, [None, "differs", "polynomial 1 vanishes",
+                                      r"polynomial 2 .*non-finite.*\|y0\|", "torus",
+                                      "polynomial 1 vanishes", None, None]):
+        assert text is match is None or re.search(match, text)
+    restrict = fiber_restriction(F.system, [1, 2], pi)
+    fiber0, coefficients, errors = restrict(C[rows], Y)
+    assert fiber0 == start
+    assert [str(e) if e else None for e in errors] == expected
+    for p in (0, 6, 7):
+        fiber = restrict_to_fiber(on_row(F, C[rows[p]]), [1, 2], pi, Y[p])
+        assert bits(coefficients[p]) == bits(np.concatenate(fiber.coefficients))
+    for first in range(2, 6):  # a stack that starts at a degenerate fiber raises its error
+        with pytest.raises(DegenerateFiberError) as got:
+            restrict(C[rows[first:]], Y[first:])
+        assert str(got.value) == expected[first]
 
 
 @pytest.mark.parametrize("idx", [1, 2])
 def test_a_fiber_support_that_differs_names_its_base_solution(monkeypatch, idx):
     # The fiber over base solution idx loses a term; the triangular solve
-    # must stop there, naming idx. The node restricts its fibers in base
-    # order, so the fiber over base solution idx is its call idx.
+    # must stop there, naming idx. The node restricts its fibers in one
+    # stack, row 0's first, so the fiber over base solution idx is row idx
+    # of the stack: the coefficient of a term alone at its image is zeroed
+    # there, so that the image's merged coefficient cancels.
     real = solver.fiber_restriction
 
     def losing_a_term(S, J, pi_J):
-        restrict, calls = real(S, J, pi_J), []
+        restrict, j = real(S, J, pi_J), min(J)
+        images = [pi_J.apply(alpha) for alpha in S.supports[j].points]
+        lone = next(a for a, beta in enumerate(images) if images.count(beta) == 1)
+        column = sum(len(sup) for sup in S.supports[:j]) + lone
 
-        def restricted(coefficients, y0):
-            fiber = restrict(coefficients, y0)
-            calls.append(y0)
-            if len(calls) == idx + 1:
-                polys = [fiber.polynomial(i) for i in range(fiber.n)]
-                fiber = SparseSystem.from_pairs([polys[0][1:], *polys[1:]])
-            return fiber
+        def restricted(C, Y):
+            C = np.array(C)
+            C[idx, column] = 0
+            return restrict(C, Y)
 
         return restricted
 

@@ -559,7 +559,7 @@ def test_batched_newton_matches_the_per_point_newton():
     assert str(errors[3]).endswith("after 12 iterations")
 
     failures = []
-    out = _refined(NEWTON_F, zip(X, (origin for origin, _ in NEWTON_BATCH)), TrackerSettings(),
+    out = _refined(NEWTON_F, X, [origin for origin, _ in NEWTON_BATCH], TrackerSettings(),
                    failures)
     assert failures == failed
     assert sorted(out.provenance) == ["converged", "ordinary"]

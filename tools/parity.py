@@ -31,7 +31,10 @@ tracked, summed over calls, so that a transfer tracked again shows; the
 `classify` calls with the `smith_normal_form` calls made inside them; and
 the `normalize` calls, wrapped in every `torsolve` module that binds the
 function, with the rank eliminations (`intlinalg._bareiss_rank` calls), so
-that exact work done twice shows. A call counts once whatever it is given;
+that exact work done twice shows; and the `torus.apply` calls, wrapped in
+every `torsolve` module that binds the function under any name, with the
+points they mapped (a (P, n) stack maps P, one point 1), so that points
+mapped one call each show. A call counts once whatever it is given;
 a checkout whose `normalize` passed a `SparseSystem`'s supports back to
 itself counts that inner call too, so the two sides' `normalize` counts
 differ in meaning when only one of them does so. These counts are
@@ -170,6 +173,21 @@ for name, module in list(sys.modules.items()):
     if name.split(".")[0] == "torsolve" and getattr(module, "normalize", None) is normalize:
         module.normalize = counted_normalize
 torsolve.intlinalg._bareiss_rank = counted_bareiss_rank
+
+mapped = {}  # workload: [torus.apply calls, points they mapped]
+apply = torsolve.torus.apply
+
+def counted_apply(Phi, x):
+    calls = mapped.setdefault(workload, [0, 0])
+    calls[0] += 1
+    calls[1] += len(x) if np.ndim(x) == 2 else 1
+    return apply(Phi, x)
+
+for name, module in list(sys.modules.items()):
+    if name.split(".")[0] == "torsolve":
+        for attr, value in list(vars(module).items()):
+            if value is apply:
+                setattr(module, attr, counted_apply)
 """
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
@@ -178,7 +196,8 @@ torsolve.intlinalg._bareiss_rank = counted_bareiss_rank
 #  {workload: [triangular nodes with a transfer that tracked none, those that did]},
 #  {workload: [track_all calls, target blocks they tracked]},
 #  {workload: [classify calls, smith_normal_form calls inside them]},
-#  {workload: [normalize calls, rank eliminations]}) to standard output.
+#  {workload: [normalize calls, rank eliminations]},
+#  {workload: [torus.apply calls, points they mapped]}) to standard output.
 CHILD = SETUP + """
 def tree_of(tree):
     if tree is None:
@@ -244,14 +263,14 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped)))
 """
 
 
 def solve_all(checkouts):
     """The CHILD records, step counts, leaf counts, fiber-node counts,
-    track_all counts, classify counts and normalize and elimination counts
-    of each checkout, both run at the same time."""
+    track_all counts, classify counts, normalize and elimination counts and
+    torus.apply counts of each checkout, both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -375,7 +394,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, blocks, nodes, exact = zip(*solve_all(
+    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped = zip(*solve_all(
         [args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
@@ -401,6 +420,9 @@ def main(argv=None) -> int:
         print(line)
     print("normalize calls / rank eliminations, parent -> change:")
     for line in pair_lines(exact):
+        print(line)
+    print("torus.apply calls / points they mapped, parent -> change:")
+    for line in pair_lines(mapped):
         print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
