@@ -51,8 +51,9 @@ from .tracking import (
     Homotopy,
     SolutionSet,
     TrackerSettings,
+    _kept_order,
     _newton,
-    distinct,
+    _solution_sets,
     track_all,
 )
 
@@ -142,7 +143,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
     warnings = []
     best = SolutionSet()
     for attempt in range(2):
-        H = _homotopy(F_c, G_row, [F_row], [_unit(rng)])
+        H = Homotopy(F_c.system, G_row, [F_row], [_unit(rng)])
         (ends,), failures = _tracked(H, start_points, back, settings)
         found = _refined(F, ends.points, ends.provenance, settings, failures)
         if len(found) > len(best):
@@ -270,7 +271,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     for _ in range(_MAX_GAMMA_RETRIES + 1):
         if not todo:
             break
-        H = _homotopy(start, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
+        H = Homotopy(start.system, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
         for m, sols in zip(todo, _tracked(H, start_points, back, settings)[0]):
             sols.sort()  # in fiber coordinates, as the family's rows are
             got[m] = sols
@@ -469,25 +470,17 @@ def _refined(F: SparseSystem, points, origins, settings, failures=None) -> Solut
 def _refined_rows(F: SparseSystem, C, rows, points, origins, settings,
                   failures=None) -> list[SolutionSet]:
     """_refined on the family of F: candidate i, points[i] from origins[i],
-    refined on row rows[i] of C, all in one batched Newton; one SolutionSet
-    per row, of its points."""
+    refined on row rows[i] of C, all in one batched Newton, then deduplicated
+    and sorted in one pass over all rows; one SolutionSet per row."""
     rows = np.asarray(rows, dtype=np.intp)
     X = np.reshape(np.asarray(points, dtype=complex), (len(rows), F.n))
-    X, res, errors = _newton(_homotopy(F, C[0], C), X, rows, settings)
+    X, res, errors = _newton(Homotopy(F.system, C[0], C), X, rows, settings)
     if failures is not None:
         failures.extend((origin, str(error)) for origin, error in zip(origins, errors)
                         if error is not None)
     ok = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
-    ok &= np.array([error is None for error in errors], dtype=bool)
-    out = []
-    for k in range(len(C)):
-        found = np.flatnonzero(ok & (rows == k))
-        sols = SolutionSet()
-        for i in found[distinct(X[found])]:
-            sols.append(X[i], res[i], origins[i])
-        sols.sort()
-        out.append(sols)
-    return out
+    ok = np.flatnonzero(ok & np.array([error is None for error in errors], dtype=bool))
+    return _solution_sets(X, res, origins, rows, len(C), ok[_kept_order(X[ok], rows[ok])])
 
 
 def bezout_path_count(S: SupportSystem) -> int:
@@ -574,14 +567,6 @@ def _mapped(F: SparseSystem, C, polys, image):
             C[:, _positions(F, polys, maps)])
 
 
-def _homotopy(F: SparseSystem, start, C, gamma=1.0) -> Homotopy:
-    """The straight-line homotopy on F's support from the coefficient row
-    `start` to each row of C, under gamma."""
-    cuts = np.cumsum([len(s) for s in F.system.supports])[:-1]
-    return Homotopy(F.system, np.split(np.asarray(start), cuts),
-                    [np.split(row, cuts) for row in C], gamma)
-
-
 def _compacted(F: SparseSystem, C, points=()):
     """(F_c, C_c, back, points_c): F and the rows C of its family in the
     coordinates of _compacting_change(F.system), with exponents T @ alpha so
@@ -602,15 +587,15 @@ def _compacted(F: SparseSystem, C, points=()):
 def _tracked(H: Homotopy, points, back, settings, expected=None):
     """(per target of H its endpoints, failures): `points` tracked to each
     target of H by track_all; the endpoints mapped by `back`, all in one
-    stack, each from "path {i}" for start point i, and the failures of
-    track_all, indexed over all blocks."""
+    stack, each from "path {i}" for start point i, in track_all's order,
+    and the failures of track_all, indexed over all blocks."""
     ends, failures = track_all(H, list(points) * len(H.ct), settings, expected)
-    out = [SolutionSet() for _ in H.ct]
+    start = {f"path {i}": i for i in range(len(points) * len(H.ct))}  # track_all's labels
+    index = np.array([start[origin] for origin in ends.provenance], dtype=np.intp)
+    block, path = np.divmod(index, len(points))
     mapped = back(np.reshape(np.asarray(ends.points, dtype=complex), (len(ends), H.n)))
-    for pt, res, origin in zip(mapped, ends.residuals, ends.provenance):
-        block, path = divmod(int(origin.split()[1]), len(points))
-        out[block].append(pt, res, f"path {path}")
-    return out, failures
+    return _solution_sets(mapped, ends.residuals, [f"path {i}" for i in path], block, len(H.ct),
+                          np.argsort(block, kind="stable")), failures
 
 
 def _vertex_start(S: SupportSystem, ss, settings):

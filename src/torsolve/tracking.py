@@ -29,8 +29,9 @@ tangents of the rows that converged.
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton, one batch for all the paths of a homotopy
 that reach _ENDGAME_T (several only when a count stop is near), and the
-refinement of a solver's candidates on the full system, run as one
-batched Newton on it.
+refinement of a family's candidates, one batched Newton on its K rows.
+The points each row keeps are deduplicated and sorted in one pass over
+all rows (_kept_order), as track_all's endpoints are in their blocks.
 """
 
 from __future__ import annotations
@@ -123,24 +124,27 @@ def _relative_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.abs(A - B).max(axis=1) / scale
 
 
-def distinct(points) -> np.ndarray:
+def distinct(points, rows=None) -> np.ndarray:
     """Mask of the points a greedy pass keeps: in order, a point is dropped
-    when its relative_distance to an earlier kept point is below _DEDUP_TOL.
+    when its relative_distance to an earlier kept point of its row rows[i]
+    (all one row without `rows`) is below _DEDUP_TOL.
 
     Two points that close differ in the real part of their first coordinate
     by less than _DEDUP_TOL * max(1, the largest |x|inf of the set), which
-    bounds every pair's own scale from above, so only the pairs within that
-    window of one sort are measured."""
+    bounds every pair's own scale from above, so only the pairs of one row
+    within that window of one sort by row and that real part are measured."""
     X = np.asarray(points, dtype=complex)
     keep = np.ones(len(X), dtype=bool)
     if len(X) < 2:
         return keep
-    order = np.argsort(X[:, 0].real, kind="stable")
-    key = X[order, 0].real
-    # Sorted position p pairs with p + 1 .. last[p]; the window is widened by
-    # one part in 1e9 so that rounding cannot drop a pair.
+    rows = np.zeros(len(X), dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
+    # A complex key sorts by the row, then the real part. Sorted position p pairs
+    # with p + 1 .. last[p]; the window, one part in 1e9 wider, loses no pair to rounding.
+    key = rows + 1j * X[:, 0].real
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     window = _DEDUP_TOL * max(1.0, float(np.abs(X).max())) * (1 + 1e-9)
-    counts = np.searchsorted(key, key + window, side="right") - np.arange(1, len(X) + 1)
+    counts = np.searchsorted(key, key + 1j * window, side="right") - np.arange(1, len(X) + 1)
     first = np.repeat(np.arange(len(X)), counts)
     second = first + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     a, b = order[first], order[second]
@@ -153,33 +157,52 @@ def distinct(points) -> np.ndarray:
     return keep
 
 
-class Homotopy:
-    """Convex combinations of a start and K target coefficient vectors on one
-    shared support, with one unit gamma per target (or one for all).
+def _kept_order(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The indices of the points of the (P, n) stack X that distinct keeps in
+    their row, by row and then as SolutionSet.sort orders a row: one lexsort
+    on the row and the coordinates rounded to 9 decimals, ties in index order."""
+    kept = np.flatnonzero(distinct(X, rows))
+    keys = np.round(X[kept].view(float), 9)
+    return kept[np.lexsort([*keys.T[::-1], rows[kept]])]
 
-    Start and targets are aligned point-for-point on the union of their
-    supports (absent monomials get zero coefficients), so a vertex-supported
-    or total-degree start system embeds into the targets' coefficient space.
-    `ct` holds the K target rows. A system F alone is
-    Homotopy(F.system, F.coefficients, [F.coefficients]) at t = 1.
+
+def _solution_sets(X, residuals, origins, rows, K, order) -> list[SolutionSet]:
+    """Per row k < K the SolutionSet of the points X[i], residuals[i] and
+    origins[i] for the i of `order` with rows[i] == k, in that order, sliced
+    from one gather; `order` lists the rows ascending."""
+    X, res, rows = X[order], np.asarray(residuals)[order].tolist(), rows[order]
+    origins = [origins[i] for i in order.tolist()]
+    cuts = np.searchsorted(rows, np.arange(K + 1)).tolist()
+    return [SolutionSet(list(X[a:b]), res[a:b], origins[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+class Homotopy:
+    """Convex combinations of a start row and K target rows of coefficients
+    on one support, with one unit gamma per target (or one for all).
+
+    A row holds a coefficient for each of the M terms of `system`,
+    polynomial by polynomial: the start row has shape (M,) and the targets
+    (K, M), held as `cs` and `ct`. A start system on fewer terms has zeros
+    on the others, so a vertex-supported or total-degree start embeds into
+    the targets' coefficient space. A system F alone is
+    Homotopy(F.system, c, [c]) at t = 1, c = np.concatenate(F.coefficients).
     """
 
-    def __init__(self, system: SupportSystem, start_coeffs, target_coeffs, gamma=1.0):
+    def __init__(self, system: SupportSystem, start, targets, gamma=1.0):
         self.system = system
         self.n = system.n
         sizes = [len(s) for s in system.supports]
-        if not target_coeffs or any([len(c) for c in coeffs] != sizes
-                                    for coeffs in [start_coeffs, *target_coeffs]):
-            raise ValueError("coefficient vectors must match the shared support")
-        self.gamma = np.broadcast_to(np.asarray(gamma, dtype=complex), len(target_coeffs)).copy()
+        self.cs, self.ct = np.array(start, complex), np.array(targets, complex, order="C")
+        M = sum(sizes)
+        if self.cs.shape != (M,) or self.ct.ndim != 2 or self.ct.shape[1] != M or not len(self.ct):
+            raise ValueError(f"coefficient rows must be a start of shape ({M},) and targets of "
+                             f"shape (K, {M}), K >= 1; got {self.cs.shape} and {self.ct.shape}")
+        self.gamma = np.full(len(self.ct), gamma, dtype=complex)
         if np.any(np.abs(np.abs(self.gamma) - 1.0) > 1e-9):
             raise ValueError("gamma must have unit modulus")
         # All monomials stacked, one row each, and the first row of each polynomial.
-        self.E = np.concatenate([np.array(s.points, dtype=float) for s in system.supports])
-        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        self.cs = np.concatenate([np.asarray(c, dtype=complex) for c in start_coeffs])
-        self.ct = np.array([np.concatenate([np.asarray(c, dtype=complex) for c in coeffs])
-                            for coeffs in target_coeffs])
+        self.E = np.array([p for s in system.supports for p in s.points], dtype=float)
+        self.starts = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
         gcs = self.gamma[:, None] * self.cs
         # Per target: ct and gamma*cs as interleaved floats, and dH/dt's coefficients.
         self._coeffs = (self.ct.view(float), gcs.view(float), self.ct - gcs)
@@ -187,12 +210,13 @@ class Homotopy:
         # The power table's exponents: row j holds the distinct exponents of
         # x_j, zero-padded to one width U <= M; monomial a is the product over
         # j of table column _columns[j][a] of the flattened (n * U) table.
-        exps = [sorted(set(column)) for column in self.E.T.tolist()]
+        # return_index makes numpy sort by mergesort; the first use of its
+        # quicksort would add about 0.25 MB to the peak RSS.
+        exps, _, columns = zip(*(np.unique(column, return_index=True, return_inverse=True)
+                                 for column in self.E.T))
         width = max(map(len, exps))
-        self._exps = np.array([u + [0] * (width - len(u)) for u in exps], dtype=complex)
-        position = [{e: j * width + k for k, e in enumerate(u)} for j, u in enumerate(exps)]
-        self._columns = np.array([[at[e] for e in column]
-                                  for at, column in zip(position, self.E.T.tolist())])
+        self._exps = np.array([u.tolist() + [0] * (width - len(u)) for u in exps], dtype=complex)
+        self._columns = np.array(columns) + width * np.arange(self.n)[:, None]
 
     @classmethod
     def straight_line(cls, start: SparseSystem, target, gamma=1.0) -> Homotopy:
@@ -200,18 +224,15 @@ class Homotopy:
         targets = [target] if isinstance(target, SparseSystem) else list(target)
         if any(T.n != start.n for T in targets):
             raise ValueError("start and target must have the same shape")
-        supports = []
-        cs_rows = []
-        ct_rows = [[] for _ in targets]
+        supports, cs, ct = [], [], [[] for _ in targets]
         for i in range(start.n):
             s_pairs = dict(start.polynomial(i))
             t_pairs = [dict(T.polynomial(i)) for T in targets]
             union = sorted(set(s_pairs).union(*t_pairs))
             supports.append(Support(tuple(union)))
-            cs_rows.append([s_pairs.get(p, 0.0 + 0.0j) for p in union])
-            for rows, pairs in zip(ct_rows, t_pairs):
-                rows.append([pairs.get(p, 0.0 + 0.0j) for p in union])
-        return cls(SupportSystem(tuple(supports)), cs_rows, ct_rows, gamma)
+            for row, pairs in zip([cs, *ct], [s_pairs, *t_pairs]):
+                row += [pairs.get(p, 0j) for p in union]
+        return cls(SupportSystem(tuple(supports)), cs, ct, gamma)
 
     def state(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray):
         """H, its x-Jacobian, dH/dt and a term-magnitude scale at P points.
@@ -507,21 +528,14 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
     settings = settings or TrackerSettings()
     points = starts.points if isinstance(starts, SolutionSet) else list(starts)
     outcomes, residuals = _track(H, points, settings, expected)
-    size = len(points) // len(H.ct)
-    ends = [i for i, out in enumerate(outcomes) if not isinstance(out, PathFailure)]
-    kept = set()
-    for k in range(len(H.ct)):
-        block = [i for i in ends if k * size <= i < (k + 1) * size]
-        kept.update(i for i, keep in zip(block, distinct([outcomes[i] for i in block])) if keep)
-
-    solutions = SolutionSet()
-    failures = []
-    for i, out in enumerate(outcomes):
-        if isinstance(out, PathFailure):
-            failures.append((i, out))
-        elif i in kept:
-            solutions.append(out, residuals[i], origin=f"path {i}")
-        else:
-            failures.append((i, PathFailure("duplicate-endpoint", 1.0, out)))
-    solutions.sort()
+    ends = np.flatnonzero([not isinstance(out, PathFailure) for out in outcomes])
+    X = np.array([outcomes[i] for i in ends], dtype=complex).reshape(len(ends), H.n)
+    order = _kept_order(X, ends // (len(points) // len(H.ct)))
+    kept = ends[order]
+    solutions = SolutionSet(list(X[order]), residuals[kept].tolist(), [f"path {i}" for i in kept])
+    if len(H.ct) > 1:
+        solutions.sort()  # one order over all blocks, ties in start order
+    for i in set(ends.tolist()).difference(kept.tolist()):
+        outcomes[i] = PathFailure("duplicate-endpoint", 1.0, outcomes[i])
+    failures = [(i, out) for i, out in enumerate(outcomes) if isinstance(out, PathFailure)]
     return solutions, failures

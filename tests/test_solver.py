@@ -373,9 +373,9 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     a fiber solved directly when its transfer fails every gamma."""
     from torsolve.decompose import DecompositionTree
     from torsolve.errors import DegenerateFiberError
-    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _homotopy, _refined, _rows, _unit
+    from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _refined, _rows, _unit
     from torsolve.torus import MonomialMap, apply, restrict_to_fiber
-    from torsolve.tracking import SolutionSet
+    from torsolve.tracking import Homotopy, SolutionSet
     import torsolve.solver as solver
 
     n, I, k = F.n, cls.witness, cls.k
@@ -401,8 +401,8 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
         if target.system != fiber0.system:
             raise DegenerateFiberError(f"fiber over base solution {idx}")
         for attempt in range(_MAX_GAMMA_RETRIES + 1):
-            H = _homotopy(start_fiber, _rows(start_fiber)[0],
-                          _compacted(fiber0, _rows(target))[1], _unit(rng))
+            H = Homotopy(start_fiber.system, _rows(start_fiber)[0],
+                         _compacted(fiber0, _rows(target))[1], _unit(rng))
             got, _ = solver.track_all(H, start_points, settings)
             if len(got) == len(fiber_sols):
                 break
@@ -1126,3 +1126,84 @@ def test_refined_drops_a_converged_point_off_the_torus():
     F = SparseSystem.from_pairs([[((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -1.0)],
                                  [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 1.0)]])  # root (0, 1)
     assert len(_refined(F, [np.array([1e-3, 1.01])], ["near (0, 1)"], TrackerSettings())) == 0
+
+
+def per_row_refined(C, rows, origins, newton_out):
+    """The loop _refined_rows ran before it deduplicated and sorted all rows
+    in one pass, on its _newton output: per row, distinct on the converged
+    points on the torus, each appended, then SolutionSet.sort."""
+    from torsolve.torus import TORUS_THRESHOLD
+    from torsolve.tracking import SolutionSet, distinct
+
+    X, res, errors = newton_out
+    ok = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
+    ok &= np.array([error is None for error in errors], dtype=bool)
+    out = []
+    for k in range(len(C)):
+        found = np.flatnonzero(ok & (rows == k))
+        sols = SolutionSet()
+        for i in found[distinct(X[found])]:
+            sols.append(X[i], res[i], origins[i])
+        sols.sort()
+        out.append(sols)
+    return out
+
+
+def refined_rows_calls(monkeypatch, run):
+    """(F, C, rows, origins, _newton output, result) of every _refined_rows
+    call that run() makes."""
+    import torsolve.solver as solver
+
+    real_refined, real_newton, calls, newtons = solver._refined_rows, solver._newton, [], []
+
+    def newton(*args):
+        newtons.append(real_newton(*args))
+        return newtons[-1]
+
+    def refined_rows(F, C, rows, points, origins, *args):
+        result = real_refined(F, C, rows, points, origins, *args)
+        calls.append((F, C, np.asarray(rows), origins, newtons[-1], result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_newton", newton)
+        patch.setattr(solver, "_refined_rows", refined_rows)
+        run()
+    return calls
+
+
+def assert_same_rows(got, want):
+    """Row by row the same points bit for bit, residuals and provenance, in
+    the same order."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.provenance == b.provenance and a.residuals == b.residuals
+        assert [p.tobytes() for p in a.points] == [p.tobytes() for p in b.points]
+
+
+def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypatch):
+    # Every refinement of an e-basis solve, among them its family of K = 50
+    # one-variable fibers, and a companion family of 6 rows: row 2 has a zero
+    # leading coefficient, so a non-finite matrix and no roots; row 3 has the
+    # double root 1, which comes out of Newton twice and is kept once; row 4
+    # repeats row 1 and keeps the same roots.
+    from torsolve.solver import _companion_roots
+    from torsolve.tracking import TrackerSettings
+
+    calls = refined_rows_calls(monkeypatch, lambda: solve_decomposable(e_basis(0), seed=0))
+    assert sum(F.n == 1 and len(C) == 50 for F, C, *_ in calls) == 1
+    for F, C, rows, origins, newton_out, result in calls:
+        assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
+
+    F = SparseSystem.from_pairs([[((e,), 1.0) for e in range(5)]])
+    rng = np.random.default_rng(5)
+    C = np.exp(2j * np.pi * rng.random((6, 5)))
+    C[2, 4] = 0.0
+    C[3] = np.polynomial.polynomial.polyfromroots([1.0, 1.0, -2.0, 0.5j])
+    C[4] = C[1]
+    ((_, C, rows, origins, newton_out, result),) = refined_rows_calls(
+        monkeypatch, lambda: _companion_roots(F, C, TrackerSettings()))
+    assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
+    assert [len(sols) for sols in result] == [4, 4, 0, 3, 4, 4]
+    assert result[4].points[0] is not result[1].points[0]
+    assert_same_rows(result[4:5], result[1:2])

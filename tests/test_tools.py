@@ -284,3 +284,35 @@ print(json.dumps(mapped))
         "  stack: 0 / 0 -> 1 / 5",
         "  triangular: 0 / 0 -> 4 / 68",
     ]
+
+
+def test_parity_counts_dedup_passes_and_the_candidate_points_they_take():
+    # The counters of the parity child, run on this checkout: a direct call
+    # counts its 3 points. Solved by decomposition, the printed example takes
+    # one pass per refinement of a family, whatever its rows: its
+    # two-variable base leaf, its 8 one-variable fibers as one family, the
+    # triangular assembly and the lacunary root; a pass per row would count
+    # 11. The black box takes one for track_all and one for its refinement.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.supports import SparseSystem
+TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
+                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+workload = "direct"
+torsolve.tracking.distinct(np.ones((3, 2)))
+workload = "decomposition"
+torsolve.solve_decomposable(F, seed=7)
+workload = "blackbox"
+torsolve.blackbox(F, seed=7)
+print(json.dumps(deduped))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert parity.pair_lines(({}, json.loads(out))) == [
+        "  blackbox: 0 / 0 -> 2 / 64",
+        "  decomposition: 0 / 0 -> 4 / 72",
+        "  direct: 0 / 0 -> 1 / 3",
+    ]

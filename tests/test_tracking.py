@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -366,32 +367,63 @@ def pairwise_distinct(points):
     return keep
 
 
+def planted_near_duplicates(rng, n, clusters=40):
+    """Clusters of near-duplicates in n variables at moduli from 1e-3 to 1e4,
+    8 points each, shuffled: copies within and just beyond 1e-6 of their own
+    pair's scale, chains whose links are close but whose ends are not, and
+    first coordinates with equal real parts."""
+    points = []
+    for scale in 10.0 ** rng.integers(-3, 5, clusters):
+        p = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        size = max(1.0, float(np.max(np.abs(p))))
+        points.append(p)
+        for rel in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
+            unit = np.exp(2j * np.pi * rng.random(n))
+            points.append(p + rel * size * unit)
+        q = p.copy()
+        q[1:] += 0.5e-6 * size  # the same first coordinate
+        points += [q, p + 0.7e-6 * size, p + 1.4e-6 * size]  # a chain of two links
+    order = rng.permutation(len(points))
+    return [points[i] for i in order]
+
+
 def test_distinct_matches_the_pairwise_mask_on_planted_near_duplicates():
-    # Clusters of near-duplicates at moduli from 1e-3 to 1e4: copies within
-    # and just beyond 1e-6 of their own pair's scale, chains whose links are
-    # close but whose ends are not, and first coordinates with equal real
-    # parts. Where the moduli are above 1 the gap that counts as close grows
-    # with the pair, so a copy 5e-7 of a large point's scale away is a
-    # duplicate even though it is farther from it than 1e-6 in absolute terms.
+    # Where the moduli are above 1 the gap that counts as close grows with
+    # the pair, so a copy 5e-7 of a large point's scale away is a duplicate
+    # even though it is farther from it than 1e-6 in absolute terms.
     rng = np.random.default_rng(26)
     for n in (1, 2, 3, 5):
-        points = []
-        for scale in 10.0 ** rng.integers(-3, 5, 40):
-            p = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-            size = max(1.0, float(np.max(np.abs(p))))
-            points.append(p)
-            for rel in (0.5e-6, 0.99e-6, 1.01e-6, 2e-6):
-                unit = np.exp(2j * np.pi * rng.random(n))
-                points.append(p + rel * size * unit)
-            q = p.copy()
-            q[1:] += 0.5e-6 * size  # the same first coordinate
-            points += [q, p + 0.7e-6 * size, p + 1.4e-6 * size]  # a chain of two links
-        order = rng.permutation(len(points))
-        points = [points[i] for i in order]
+        points = planted_near_duplicates(rng, n)
         want = pairwise_distinct(points)
         assert distinct(points).tolist() == want.tolist()
         assert 40 < want.sum() < len(points) - 40
     assert distinct(np.ones((1, 3))).tolist() == [True]
+
+
+def test_distinct_with_rows_equals_distinct_on_each_row():
+    # The planted clusters dealt to rows 0-4, so that near copies and chains
+    # run across rows; row 5 left empty, row 6 given one point and row 7 a
+    # copy of row 0 in its order. Each row keeps what distinct keeps of it
+    # alone, so row 7 keeps what row 0 keeps; as one row, it would keep none.
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        points = planted_near_duplicates(rng, n, clusters=24)
+        rows = rng.integers(0, 5, len(points))
+        rows[0] = 6
+        copies = [p.copy() for p, r in zip(points, rows) if r == 0]
+        points, rows = points + copies, np.concatenate([rows, np.full(len(copies), 7)])
+        want = np.zeros(len(points), dtype=bool)
+        for k in range(8):
+            alone = np.flatnonzero(rows == k)
+            want[alone] = distinct([points[i] for i in alone])
+        got = distinct(points, rows)
+        assert got.tolist() == want.tolist()
+        assert got[rows == 7].tolist() == got[rows == 0].tolist() and got[rows == 6].all()
+        assert 0 < got[rows == 0].sum() < (rows == 0).sum()
+        one_row = distinct(points)
+        assert not one_row[rows == 7].any()
+        # Near copies in rows 0-4 are kept where they fall in different rows.
+        assert got[rows < 5].sum() > one_row[rows < 5].sum()
 
 
 def reference_track_path(H, x0, settings=TrackerSettings()):
@@ -514,7 +546,8 @@ def reference_newton(evaluate, x, settings=TrackerSettings()):
 
 def as_homotopy(F):
     """F as the homotopy whose target row 0 is F."""
-    return Homotopy(F.system, F.coefficients, [F.coefficients])
+    row = np.concatenate(F.coefficients)
+    return Homotopy(F.system, row, [row])
 
 
 def newton_one(F, x, settings=TrackerSettings()):
@@ -760,6 +793,28 @@ def test_multi_target_track_all_equals_one_target_at_a_time():
         track_all(H, starts[:3])  # 3 starts do not split into 4 equal blocks
     with pytest.raises(ValueError):
         track_all(H, starts * len(targets), None, 3)  # a count needs a single target
+
+
+def test_homotopy_takes_a_start_row_and_target_rows_of_the_supports_terms():
+    # Two polynomials of 2 and 3 terms: rows of M = 5 coefficients. A row of
+    # another length or shape, or no target, raises naming M and the shapes
+    # given; so do ragged rows, such as a row split per polynomial, in numpy.
+    F = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 0), 2.0)],
+                                 [((0, 0), 3.0), ((0, 1), 4.0), ((1, 1), 5.0)]])
+    row = np.concatenate(F.coefficients)
+    H = Homotopy(F.system, row, [row, 2 * row], [1.0, 1j])
+    assert H.cs.shape == (5,) and H.ct.shape == (2, 5) and H.gamma.tolist() == [1, 1j]
+    assert np.array_equal(H.ct[1], 2 * row)
+    bad = [(row[:4], [row], "(4,) and (1, 5)"), (row, np.ones((1, 6)), "(5,) and (1, 6)"),
+           (row, [], "(5,) and (0,)"), (row, row, "(5,) and (5,)"),
+           (row, np.ones((1, 5, 1)), "(5,) and (1, 5, 1)")]
+    for start, targets, shapes in bad:
+        with pytest.raises(ValueError, match=re.escape(
+                f"a start of shape (5,) and targets of shape (K, 5), K >= 1; got {shapes}")):
+            Homotopy(F.system, start, targets)
+    for start, targets in (([row[:2], row[2:]], [row]), (row, [row, row[:4]])):
+        with pytest.raises(ValueError):
+            Homotopy(F.system, start, targets)
 
 
 def test_targets_sharing_an_endpoint_both_keep_it():

@@ -34,7 +34,9 @@ function, with the rank eliminations (`intlinalg._bareiss_rank` calls), so
 that exact work done twice shows; and the `torus.apply` calls, wrapped in
 every `torsolve` module that binds the function under any name, with the
 points they mapped (a (P, n) stack maps P, one point 1), so that points
-mapped one call each show. A call counts once whatever it is given;
+mapped one call each show; and the dedup passes, `distinct` calls wrapped
+the same way, with the candidate points they were given, so that rows
+deduplicated one call each show. A call counts once whatever it is given;
 a checkout whose `normalize` passed a `SparseSystem`'s supports back to
 itself counts that inner call too, so the two sides' `normalize` counts
 differ in meaning when only one of them does so. These counts are
@@ -175,7 +177,8 @@ for name, module in list(sys.modules.items()):
 torsolve.intlinalg._bareiss_rank = counted_bareiss_rank
 
 mapped = {}  # workload: [torus.apply calls, points they mapped]
-apply = torsolve.torus.apply
+deduped = {}  # workload: [distinct calls, candidate points they were given]
+apply, distinct = torsolve.torus.apply, torsolve.tracking.distinct
 
 def counted_apply(Phi, x):
     calls = mapped.setdefault(workload, [0, 0])
@@ -183,11 +186,19 @@ def counted_apply(Phi, x):
     calls[1] += len(x) if np.ndim(x) == 2 else 1
     return apply(Phi, x)
 
+def counted_distinct(points, *args):
+    calls = deduped.setdefault(workload, [0, 0])
+    calls[0] += 1
+    calls[1] += len(points)
+    return distinct(points, *args)
+
 for name, module in list(sys.modules.items()):
     if name.split(".")[0] == "torsolve":
         for attr, value in list(vars(module).items()):
             if value is apply:
                 setattr(module, attr, counted_apply)
+            elif value is distinct:
+                setattr(module, attr, counted_distinct)
 """
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
@@ -197,7 +208,8 @@ for name, module in list(sys.modules.items()):
 #  {workload: [track_all calls, target blocks they tracked]},
 #  {workload: [classify calls, smith_normal_form calls inside them]},
 #  {workload: [normalize calls, rank eliminations]},
-#  {workload: [torus.apply calls, points they mapped]}) to standard output.
+#  {workload: [torus.apply calls, points they mapped]},
+#  {workload: [distinct calls, candidate points they were given]}) to standard output.
 CHILD = SETUP + """
 def tree_of(tree):
     if tree is None:
@@ -263,14 +275,16 @@ with tempfile.TemporaryDirectory() as tmp:
                 "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
                 "residuals": obj.get("residuals", []),
             }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped)))
+sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped,
+                                      deduped)))
 """
 
 
 def solve_all(checkouts):
     """The CHILD records, step counts, leaf counts, fiber-node counts,
-    track_all counts, classify counts, normalize and elimination counts and
-    torus.apply counts of each checkout, both run at the same time."""
+    track_all counts, classify counts, normalize and elimination counts,
+    torus.apply counts and distinct counts of each checkout, both run at the
+    same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -394,8 +408,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped = zip(*solve_all(
-        [args.parent.resolve(), args.change.resolve()]))
+    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped, deduped = zip(
+        *solve_all([args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
@@ -423,6 +437,9 @@ def main(argv=None) -> int:
         print(line)
     print("torus.apply calls / points they mapped, parent -> change:")
     for line in pair_lines(mapped):
+        print(line)
+    print("dedup passes (distinct calls) / candidate points, parent -> change:")
+    for line in pair_lines(deduped):
         print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
