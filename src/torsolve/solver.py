@@ -1,7 +1,8 @@
 """Recursive solver for decomposable sparse systems, plus start systems.
 
 The recursive solver takes a family: K coefficient rows on one support,
-row 0 the system itself. It classifies the supports once per family, then
+row 0 the system itself. It classifies the supports once per family (and
+keeps that work, in _memo, for a later family on the same supports), then
 either extracts roots through a monomial covering (lacunary), or solves a
 subsystem first and fills the fiber over each of its other solutions
 (triangular): every fiber is restricted first, and all fibers, of every
@@ -21,6 +22,7 @@ variables.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -58,6 +60,7 @@ from .tracking import (
 )
 
 _MAX_GAMMA_RETRIES = 3
+_MEMO_SIZE = 1024
 
 
 @dataclass
@@ -171,6 +174,17 @@ def solve_general(F: SparseSystem, seed: int = 0,
 # Recursive machinery.
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _memo(f, *args):
+    """f(*args) for a function f of supports alone (classify,
+    hull_mixed_volume, _compacting_change, vertices, fiber_restriction,
+    _term_orders), once per value of the arguments among the _MEMO_SIZE
+    most recent: supports solved again with new coefficients are not
+    classified again. The results are shared, and no caller changes them;
+    an exception is not cached, so it is raised on every call."""
+    return f(*args)
+
+
 def _solve(F: SparseSystem, C, ss, settings, prov):
     """(per row of C its SolutionSet, the tree of row 0) for the family of
     F: the rows of the (K, M) array C are coefficient vectors of F's
@@ -180,7 +194,7 @@ def _solve(F: SparseSystem, C, ss, settings, prov):
     without tracking comes back short."""
     start = time.perf_counter()
     F, _ = normalize(F)
-    cls = classify(F.system)
+    cls = _memo(classify, F.system)
     if isinstance(cls, Lacunary):
         sols, tree = _solve_lacunary(F, C, cls, ss, settings, prov)
     elif isinstance(cls, Triangular):
@@ -188,14 +202,14 @@ def _solve(F: SparseSystem, C, ss, settings, prov):
     elif F.n == 1:
         sols, tree = _univariate_roots(F, C, settings, prov)
     else:
-        sols, tree = _blackbox(F, C, hull_mixed_volume(F.system), ss, settings, prov)
+        sols, tree = _blackbox(F, C, _memo(hull_mixed_volume, F.system), ss, settings, prov)
     tree.elapsed = time.perf_counter() - start
     return sols, tree
 
 
 def _solve_lacunary(F, C, cls: Lacunary, ss, settings, prov):
     cover = relabel(F, cls.preimage)
-    cover_C = C[:, _positions(F, range(F.n), cls.preimage.index_maps)]
+    cover_C = C[:, _positions(F.system, range(F.n), cls.preimage.index_maps)]
     child_sols, child_tree = _solve(cover, cover_C, ss.spawn(1)[0], settings, prov + "cover/")
     expected = cls.index * len(child_sols[0])
     roots = [(r, w, f"{prov}root[{yi}.{wi}]") for r, sols in enumerate(child_sols)
@@ -222,7 +236,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     J = tuple(j for j in range(n) if j not in I)
     k = cls.k
 
-    base_F, base_C = _mapped(F, C, I, lambda alpha: cls.psi.apply(alpha)[:k])
+    base_F, base_C = _mapped(F, C, I, IntMatrix(cls.psi.entries[:k]))
     base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
     base_sols, base_tree = _solve(base_F, base_C, base_ss, settings, prov + "base/")
 
@@ -238,7 +252,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     # Another row with a degenerate fiber is left without fibers, so short.
     # Row 0 raises for one once its first fiber is solved: that solve's own
     # error came first when the transfers followed it.
-    restrict = fiber_restriction(F.system, J, cls.projection)
+    restrict = _memo(fiber_restriction, F.system, J, cls.projection)
     Y0 = torus_apply(psi_map, np.hstack([Y, np.ones((len(Y), n - k))]))  # fiber base points
     fiber0, fiber_C, errors = restrict(C[rows], Y0)
     row_error = [next(filter(None, errors[a:b]), None) for a, b in zip(starts, starts[1:])]
@@ -249,20 +263,23 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     if row_error[0]:
         raise row_error[0]
     count = len(fiber_sols[0])
-    got = [SolutionSet() for _ in Y]  # got[p]: the latest roots over stack position p
-    for p, sols in zip(family, fiber_sols):
-        got[p] = sols
+    # The family's roots in one stack, position after position, counts[p] of
+    # them over stack position p.
+    counts = np.zeros(len(Y), dtype=np.intp)
+    counts[family] = [len(sols) for sols in fiber_sols]
+    Z = np.concatenate([z for sols in fiber_sols for z in sols.points]).reshape(-1, n - k)
 
     # Row 0's fibers the family left short are reached by transfers from its
     # first fiber, in compacted fiber coordinates, in rounds: each round
     # tracks the transfers still short, ascending, each on the next gamma of
     # the stream, as one multi-target homotopy. A transfer short after the
     # last round has its fiber solved directly. Row 0's base solution m is
-    # stack position m.
-    attempts, direct_trees = Counter(), []
+    # stack position m; latest[m] holds the roots its transfers last found.
+    attempts, direct_trees, latest = Counter(), [], {}
 
     def short():
-        return [m for m in range(1, sizes[0]) if len(got[m]) != count]
+        return [m for m in range(1, sizes[0])
+                if (len(latest[m]) if m in latest else counts[m]) != count]
 
     todo, rng = short(), np.random.default_rng(transfer_ss)
     if todo:
@@ -274,23 +291,26 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
         H = Homotopy(start.system, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
         for m, sols in zip(todo, _tracked(H, start_points, back, settings)[0]):
             sols.sort()  # in fiber coordinates, as the family's rows are
-            got[m] = sols
+            latest[m] = sols
         attempts.update(todo)
         todo = short()
     for m in todo:
         fiber = restrict(C[:1], Y0[m:m + 1])[0]  # the fiber over base solution m alone
         try:
-            (got[m],), direct_tree = _solve(fiber, _rows(fiber), direct_ss, settings,
-                                            f"{prov}fiber{m}/")
+            (latest[m],), direct_tree = _solve(fiber, _rows(fiber), direct_ss, settings,
+                                               f"{prov}fiber{m}/")
         except CountMismatchError as exc:
             raise CountMismatchError(f"fiber transfer to base solution {m}",
-                                     count, len(got[m]), got[m]) from exc
+                                     count, len(latest[m]), latest[m]) from exc
         direct_trees.append(direct_tree)
+    if latest:  # the family's roots over each position, the latest in place of its own
+        pieces = np.split(Z, np.cumsum(counts)[:-1])
+        for m, sols in latest.items():
+            pieces[m], counts[m] = np.reshape(sols.points, (-1, n - k)), len(sols)
+        Z = np.concatenate(pieces)
 
-    counts = [len(sols) for sols in got]
-    Z = np.reshape([z for sols in got for z in sols.points], (-1, n - k))
     origins = [f"{prov}base[{p - starts[r]}]/fiber[{zi}]"
-               for p, (r, c) in enumerate(zip(rows, counts)) for zi in range(c)]
+               for p, (r, c) in enumerate(zip(rows, counts.tolist())) for zi in range(c)]
     lifted = torus_apply(psi_map, np.hstack([np.repeat(Y, counts, axis=0), Z]))
     out = _refined_rows(F, C, np.repeat(rows, counts), lifted, origins, settings)
     expected = len(base_sols[0]) * count
@@ -545,26 +565,36 @@ def _rows(F: SparseSystem) -> np.ndarray:
     return np.concatenate(F.coefficients)[None]
 
 
-def _positions(F: SparseSystem, polys, maps) -> np.ndarray:
-    """The columns of F's coefficient rows that hold term maps[q][j] of
-    polynomial polys[q], for each q and j in turn."""
-    offsets = np.cumsum([0] + [len(s) for s in F.system.supports])
+def _positions(S: SupportSystem, polys, maps) -> np.ndarray:
+    """The columns of the coefficient rows of a system on S that hold term
+    maps[q][j] of polynomial polys[q], for each q and j in turn."""
+    offsets = np.cumsum([0] + [len(s) for s in S.supports])
     return np.concatenate([offsets[i] + np.asarray(m, dtype=np.intp) for i, m in zip(polys, maps)])
 
 
-def _mapped(F: SparseSystem, C, polys, image):
-    """(G, C_G): the polynomials `polys` of F with each exponent alpha taken
-    to image(alpha), their terms sorted as SparseSystem.from_pairs sorts
-    them, and the rows C of F's family in G's term order."""
-    supports, coefficients, maps = [], [], []
+def _term_orders(S: SupportSystem, polys, A: IntMatrix):
+    """(G, maps, positions): the supports `polys` of S with each exponent
+    alpha taken to A @ alpha, their points sorted as SparseSystem.from_pairs
+    sorts them; per polynomial the terms of S in G's order; and the columns
+    of S's coefficient rows in G's term order."""
+    supports, maps = [], []
     for i in polys:
-        points = [image(alpha) for alpha in F.system.supports[i].points]
-        order = sorted(range(len(points)), key=points.__getitem__)
-        supports.append(Support(tuple(points[j] for j in order)))
-        coefficients.append(tuple(F.coefficients[i][j] for j in order))
-        maps.append(order)
-    return (SparseSystem(SupportSystem(tuple(supports)), tuple(coefficients)),
-            C[:, _positions(F, polys, maps)])
+        points = [A.apply(alpha) for alpha in S.supports[i].points]
+        maps.append(tuple(sorted(range(len(points)), key=points.__getitem__)))
+        supports.append(Support(tuple(points[j] for j in maps[-1])))
+    positions = _positions(S, polys, maps)
+    positions.flags.writeable = False  # shared through the memo
+    return SupportSystem(tuple(supports)), tuple(maps), positions
+
+
+def _mapped(F: SparseSystem, C, polys, A: IntMatrix):
+    """(G, C_G): the polynomials `polys` of F with each exponent alpha taken
+    to A @ alpha, their terms sorted as SparseSystem.from_pairs sorts them,
+    and the rows C of F's family in G's term order."""
+    G, maps, positions = _memo(_term_orders, F.system, tuple(polys), A)
+    return (SparseSystem(G, tuple(tuple(F.coefficients[i][j] for j in order)
+                                  for i, order in zip(polys, maps))),
+            C[:, positions])
 
 
 def _compacted(F: SparseSystem, C, points=()):
@@ -574,10 +604,10 @@ def _compacted(F: SparseSystem, C, points=()):
     compacted points back, Phi_T; and the stack `points` in compacted
     coordinates. Nothing changes, and `back` is the identity, when F is
     already compact."""
-    T = _compacting_change(F.system)
+    T = _memo(_compacting_change, F.system)
     if T is None:
         return F, C, lambda W: W, points
-    F_c, C_c = _mapped(F, C, range(F.n), T.apply)
+    F_c, C_c = _mapped(F, C, range(F.n), T)
     push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))
     if len(points):
         points = torus_apply(pull, points)
@@ -604,7 +634,7 @@ def _vertex_start(S: SupportSystem, ss, settings):
     MixedVolumeZeroError for S; G's coefficients and its solve take the
     first two children of `ss`."""
     coeff_ss, solve_ss = ss.spawn(2)
-    vsys = SupportSystem(tuple(vertices(s) for s in S.supports))
+    vsys = SupportSystem(tuple(_memo(vertices, s) for s in S.supports))
     rng = np.random.default_rng(coeff_ss)
     G = SparseSystem(vsys, tuple(tuple(_unit(rng) for _ in s.points) for s in vsys.supports))
     (sols,), tree = _solve(G, _rows(G), solve_ss, settings, "start/")

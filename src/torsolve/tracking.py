@@ -201,22 +201,22 @@ class Homotopy:
         if np.any(np.abs(np.abs(self.gamma) - 1.0) > 1e-9):
             raise ValueError("gamma must have unit modulus")
         # All monomials stacked, one row each, and the first row of each polynomial.
-        self.E = np.array([p for s in system.supports for p in s.points], dtype=float)
+        points = [p for s in system.supports for p in s.points]
+        self.E = np.array(points, dtype=float)
         self.starts = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
         gcs = self.gamma[:, None] * self.cs
         # Per target: ct and gamma*cs as interleaved floats, and dH/dt's coefficients.
         self._coeffs = (self.ct.view(float), gcs.view(float), self.ct - gcs)
         self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
         # The power table's exponents: row j holds the distinct exponents of
-        # x_j, zero-padded to one width U <= M; monomial a is the product over
-        # j of table column _columns[j][a] of the flattened (n * U) table.
-        # return_index makes numpy sort by mergesort; the first use of its
-        # quicksort would add about 0.25 MB to the peak RSS.
-        exps, _, columns = zip(*(np.unique(column, return_index=True, return_inverse=True)
-                                 for column in self.E.T))
+        # x_j, ascending, zero-padded to one width U <= M; monomial a is the
+        # product over j of table column _columns[j][a] of the flattened
+        # (n * U) table.
+        exps = [sorted(set(column)) for column in zip(*points)]
         width = max(map(len, exps))
-        self._exps = np.array([u.tolist() + [0] * (width - len(u)) for u in exps], dtype=complex)
-        self._columns = np.array(columns) + width * np.arange(self.n)[:, None]
+        self._exps = np.array([u + [0] * (width - len(u)) for u in exps], dtype=complex)
+        at = [{e: j * width + i for i, e in enumerate(u)} for j, u in enumerate(exps)]
+        self._columns = np.array([[at[j][p[j]] for p in points] for j in range(self.n)], np.intp)
 
     @classmethod
     def straight_line(cls, start: SparseSystem, target, gamma=1.0) -> Homotopy:

@@ -1207,3 +1207,105 @@ def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypat
     assert [len(sols) for sols in result] == [4, 4, 0, 3, 4, 4]
     assert result[4].points[0] is not result[1].points[0]
     assert_same_rows(result[4:5], result[1:2])
+
+
+def counted_calls(monkeypatch, names):
+    """Count the calls made through each (module, name) of `names`, by the
+    module-level binding that the callers look up."""
+    counts = {}
+    for module, name in names:
+        real = getattr(module, name)
+
+        def counted(*args, real=real, key=f"{module.__name__}.{name}"):
+            counts[key] = counts.get(key, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def same_supports(F, seed):
+    """F's supports with random unit coefficients drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    return SparseSystem(F.system, [np.exp(2j * np.pi * rng.random(len(s)))
+                                   for s in F.system.supports])
+
+
+def assert_bit_identical(a, b):
+    """Two reports with the same points byte for byte, residuals,
+    provenance and tree but for its times."""
+    assert [p.tobytes() for p in a.solutions.points] == [p.tobytes() for p in b.solutions.points]
+    assert a.solutions.residuals == b.solutions.residuals
+    assert a.solutions.provenance == b.solutions.provenance
+    rows = [[{**vars(nd), "children": len(nd.children), "elapsed": 0} for nd in r.tree.walk()]
+            for r in (a, b)]
+    assert rows[0] == rows[1]
+
+
+def test_a_family_solved_again_takes_its_support_work_from_the_memo(monkeypatch):
+    # The e-basis supports hold lacunary, triangular and two-variable black-box
+    # nodes, so every classification, Smith form and hull mixed volume of the
+    # solve is taken once; new coefficients on the same supports take none.
+    import torsolve.decompose as decompose
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "classify"), (solver, "hull_mixed_volume"),
+                                         (decompose, "smith_normal_form")])
+    solver._memo.cache_clear()
+    solve_decomposable(e_basis(0), seed=0)
+    assert counts["torsolve.solver.classify"] and counts["torsolve.solver.hull_mixed_volume"]
+    assert counts["torsolve.decompose.smith_normal_form"]
+    counts.clear()
+    F = same_supports(e_basis(0), 1)
+    again = solve_decomposable(F, seed=3)
+    assert counts == {}
+    assert len(again.solutions) == again.tree.mv == 50
+    solver._memo.cache_clear()
+    assert_bit_identical(again, solve_decomposable(F, seed=3))
+    assert counts["torsolve.solver.classify"] == len(list(again.tree.walk()))
+
+
+def test_a_general_solve_again_takes_its_vertices_from_the_memo(monkeypatch):
+    # The two supports are equal, so their vertices are taken once even in
+    # the first solve.
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "vertices"), (solver, "_compacting_change")])
+    F = unit_coeff_system([START_A, START_A], 4)
+    solver._memo.cache_clear()
+    first = solve_general(F, seed=0)
+    assert counts["torsolve.solver.vertices"] == 1
+    assert counts["torsolve.solver._compacting_change"]
+    counts.clear()
+    again = solve_general(same_supports(F, 5), seed=0)
+    assert counts == {} and len(again.solutions) == len(first.solutions)
+
+
+def test_zero_mixed_volume_raises_on_every_solve(monkeypatch):
+    # An exception is not memoized: the supports are classified, and raise,
+    # on each call.
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "classify")])
+    F = SparseSystem.from_pairs([
+        [((0, 0, 0), 1.0), ((1, 0, 0), 2.0), ((0, 1, 0), 3.0)],
+        [((0, 0, 0), 1.0), ((0, 0, 1), -1.0)],
+        [((0, 0, 0), 1.0), ((0, 0, 2), -1.0)],
+    ])
+    for call in (1, 2):
+        with pytest.raises(MixedVolumeZeroError) as err:
+            solve_decomposable(F, seed=0)
+        assert err.value.witness == (1, 2)
+        assert counts["torsolve.solver.classify"] == call
+
+
+def test_the_exact_entry_points_classify_supports_just_solved(monkeypatch):
+    import torsolve.decompose as decompose
+    from torsolve.decompose import predict_tree
+
+    F = tri_system()
+    rep = solve_decomposable(F, seed=0)
+    counts = counted_calls(monkeypatch, [(decompose, "classify")])
+    tree = predict_tree(F.system)
+    assert counts["torsolve.decompose.classify"] == len(list(tree.walk())) == 4
+    assert [(nd.kind, nd.mv) for nd in tree.walk()] == [(nd.kind, nd.mv) for nd in rep.tree.walk()]

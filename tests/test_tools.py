@@ -316,3 +316,39 @@ print(json.dumps(deduped))
         "  decomposition: 0 / 0 -> 4 / 72",
         "  direct: 0 / 0 -> 1 / 3",
     ]
+
+
+def test_parity_counts_the_hits_and_misses_of_the_solvers_support_memo():
+    # The counters of the parity child, run on this checkout, on the printed
+    # example and then on its supports with one coefficient changed: the
+    # second solve finds all 9 results of support-only work memoized and so
+    # makes no classify call, while predict_tree, outside the solver,
+    # classifies all 4 nodes again and touches no memo.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.supports import SparseSystem
+TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+def system(c):
+    return SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                                    list(zip(TRI_A, [c, 3, 5, 7, 11, 13, 17, 19])),
+                                    list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+workload = "first solve"
+torsolve.solve_decomposable(system(2), seed=7)
+workload = "same supports"
+torsolve.solve_decomposable(system(3), seed=7)
+workload = "predict_tree"
+torsolve.predict_tree(system(2).system)
+print(json.dumps([memo, nodes]))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    memo, nodes = json.loads(out)
+    assert parity.pair_lines(({}, memo)) == [
+        "  first solve: 0 / 0 -> 0 / 9",
+        "  same supports: 0 / 0 -> 9 / 0",
+    ]
+    assert parity.pair_lines(({}, nodes)) == [
+        "  first solve: 0 / 0 -> 4 / 2",
+        "  predict_tree: 0 / 0 -> 4 / 2",
+    ]

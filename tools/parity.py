@@ -36,7 +36,11 @@ every `torsolve` module that binds the function under any name, with the
 points they mapped (a (P, n) stack maps P, one point 1), so that points
 mapped one call each show; and the dedup passes, `distinct` calls wrapped
 the same way, with the candidate points they were given, so that rows
-deduplicated one call each show. A call counts once whatever it is given;
+deduplicated one call each show; and the hits and misses of the solver's
+memo of support-only work (`solver._memo`; a checkout without it counts
+none), so that supports classified again show. Since that memo, the
+solver's `classify` calls count its misses only: a classification the
+memo holds makes no call. A call counts once whatever it is given;
 a checkout whose `normalize` passed a `SparseSystem`'s supports back to
 itself counts that inner call too, so the two sides' `normalize` counts
 differ in meaning when only one of them does so. These counts are
@@ -199,6 +203,19 @@ for name, module in list(sys.modules.items()):
                 setattr(module, attr, counted_apply)
             elif value is distinct:
                 setattr(module, attr, counted_distinct)
+
+memo = {}  # workload: [memo hits, misses]
+cached = getattr(torsolve.solver, "_memo", None)
+
+def counted_memo(*args):
+    hits = cached.cache_info().hits
+    try:
+        return cached(*args)
+    finally:
+        memo.setdefault(workload, [0, 0])[cached.cache_info().hits == hits] += 1
+
+if cached is not None:
+    torsolve.solver._memo = counted_memo
 """
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
@@ -209,7 +226,8 @@ for name, module in list(sys.modules.items()):
 #  {workload: [classify calls, smith_normal_form calls inside them]},
 #  {workload: [normalize calls, rank eliminations]},
 #  {workload: [torus.apply calls, points they mapped]},
-#  {workload: [distinct calls, candidate points they were given]}) to standard output.
+#  {workload: [distinct calls, candidate points they were given]},
+#  {workload: [memo hits, misses]}) to standard output.
 CHILD = SETUP + """
 def tree_of(tree):
     if tree is None:
@@ -276,15 +294,15 @@ with tempfile.TemporaryDirectory() as tmp:
                 "residuals": obj.get("residuals", []),
             }
 sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped,
-                                      deduped)))
+                                      deduped, memo)))
 """
 
 
 def solve_all(checkouts):
     """The CHILD records, step counts, leaf counts, fiber-node counts,
     track_all counts, classify counts, normalize and elimination counts,
-    torus.apply counts and distinct counts of each checkout, both run at the
-    same time."""
+    torus.apply counts, distinct counts and memo counts of each checkout,
+    both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -408,7 +426,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped, deduped = zip(
+    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped, deduped, memo = zip(
         *solve_all([args.parent.resolve(), args.change.resolve()]))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
@@ -431,6 +449,9 @@ def main(argv=None) -> int:
         print(line)
     print("classify calls / smith_normal_form calls inside them, parent -> change:")
     for line in pair_lines(nodes):
+        print(line)
+    print("support-work memo hits / misses, parent -> change:")
+    for line in pair_lines(memo):
         print(line)
     print("normalize calls / rank eliminations, parent -> change:")
     for line in pair_lines(exact):
