@@ -22,6 +22,7 @@ variables.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -119,7 +120,8 @@ def decomposable_start_system(S: SupportSystem, seed: int = 0,
     V(G) seeds a straight-line homotopy to any system supported on S.
     """
     S, _ = normalize(S)
-    G, sols, _ = _vertex_start(S, np.random.SeedSequence(seed), settings or TrackerSettings())
+    G, sols, _ = _vertex_start(_vertex_system(S), np.random.SeedSequence(seed).entropy,
+                               settings or TrackerSettings())
     return G, sols
 
 
@@ -129,12 +131,17 @@ def solve_general(F: SparseSystem, seed: int = 0,
 
     Builds the vertex start system, tracks the straight-line homotopy to F,
     and reports partial results with warnings when endpoints are lost (no
-    endgames; non-generic targets may come up short).
+    endgames; non-generic targets may come up short). The start system is
+    solved once per vertex supports, seed and tolerance, in _memo. A later
+    call gets a copy of its tree, `elapsed` that of the solve that filled the
+    memo, and the ledger, paths_tracked and blackbox_calls still count it.
     """
+    start = time.perf_counter()
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    ss = np.random.SeedSequence(seed)
-    G, start_sols, start_tree = _vertex_start(F.system, ss, settings)
+    ss = np.random.SeedSequence(seed)  # seed None draws fresh entropy, so never a memo hit
+    G, start_sols, start_tree = _memo(_vertex_start, _vertex_system(F.system), ss.entropy,
+                                      settings)
     expected = len(start_sols)
     on_vertices = [dict(G.polynomial(i)) for i in range(F.n)]  # G on F's support, 0 elsewhere
     G_row = [on_vertices[i].get(alpha, 0j) for i, sup in enumerate(F.system.supports)
@@ -142,7 +149,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
     F_c, (F_row, G_row), back, start_points = _compacted(F, np.vstack([_rows(F), G_row]),
                                                          start_sols.points)
 
-    rng = np.random.default_rng(ss.spawn(1)[0])
+    rng = np.random.default_rng(ss.spawn(3)[2])  # the first two are _vertex_start's
     warnings = []
     best = SolutionSet()
     for attempt in range(2):
@@ -162,10 +169,11 @@ def solve_general(F: SparseSystem, seed: int = 0,
     tree = DecompositionTree(
         kind="homotopy",
         mv=expected,
-        children=[start_tree],
+        children=[copy.deepcopy(start_tree)],  # the memo's own stays as it is
         paths=(attempt + 1) * expected,
         solutions=len(best),
         transfers=attempt + 1,
+        elapsed=time.perf_counter() - start,
     )
     return _report(best, tree, seed, warnings)
 
@@ -178,10 +186,12 @@ def solve_general(F: SparseSystem, seed: int = 0,
 def _memo(f, *args):
     """f(*args) for a function f of supports alone (classify,
     hull_mixed_volume, _compacting_change, vertices, fiber_restriction,
-    _term_orders), once per value of the arguments among the _MEMO_SIZE
-    most recent: supports solved again with new coefficients are not
-    classified again. The results are shared, and no caller changes them;
-    an exception is not cached, so it is raised on every call."""
+    _term_orders) or, for _vertex_start, of vertex supports, seed entropy
+    and settings, once per value of the arguments among the _MEMO_SIZE most
+    recent: supports solved again with new coefficients are not classified
+    again, nor at the same seed and tolerance is their start solved again.
+    The results are shared, and no caller changes them; an exception is
+    not cached, so it is raised on every call."""
     return f(*args)
 
 
@@ -628,13 +638,17 @@ def _tracked(H: Homotopy, points, back, settings, expected=None):
                           np.argsort(block, kind="stable")), failures
 
 
-def _vertex_start(S: SupportSystem, ss, settings):
+def _vertex_system(S: SupportSystem) -> SupportSystem:
+    """The vertex supports of normalized S."""
+    return SupportSystem(tuple(_memo(vertices, s) for s in S.supports))
+
+
+def _vertex_start(vsys: SupportSystem, entropy, settings):
     """(G, V(G), tree) for a random unit-modulus system G on the vertex
-    supports of normalized S, solved by _solve, which raises
-    MixedVolumeZeroError for S; G's coefficients and its solve take the
-    first two children of `ss`."""
-    coeff_ss, solve_ss = ss.spawn(2)
-    vsys = SupportSystem(tuple(_memo(vertices, s) for s in S.supports))
+    supports `vsys`, solved by _solve, which raises MixedVolumeZeroError for
+    a zero mixed volume; G's coefficients and its solve take the first two
+    children of SeedSequence(entropy)."""
+    coeff_ss, solve_ss = np.random.SeedSequence(entropy).spawn(2)
     rng = np.random.default_rng(coeff_ss)
     G = SparseSystem(vsys, tuple(tuple(_unit(rng) for _ in s.points) for s in vsys.supports))
     (sols,), tree = _solve(G, _rows(G), solve_ss, settings, "start/")

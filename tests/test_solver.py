@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 
@@ -1281,6 +1282,83 @@ def test_a_general_solve_again_takes_its_vertices_from_the_memo(monkeypatch):
     assert counts == {} and len(again.solutions) == len(first.solutions)
 
 
+def test_a_general_solve_again_takes_its_start_from_the_memo(monkeypatch):
+    # The start system is a function of the vertex supports, the seed and the
+    # tolerance: new coefficients, and supports that differ from F's only in
+    # a point that is not a vertex, solve no start. Each solve equals, tree
+    # included, the same solve on a cold memo.
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "_solve")])
+    F = unit_coeff_system([START_A, START_A], 4)
+    fewer = [p for p in START_A if p != (1, 1)]
+    assert solver._vertex_system(F.system) == solver._vertex_system(
+        SupportSystem.of_points([fewer, START_A]))
+    solver._memo.cache_clear()
+    solve_general(F, seed=0)
+    assert counts["torsolve.solver._solve"]
+    for G in (same_supports(F, 5), unit_coeff_system([fewer, START_A], 6)):
+        counts.clear()
+        again = solve_general(G, seed=0)
+        assert counts == {} and len(again.solutions) == again.tree.mv == 30
+        solver._memo.cache_clear()
+        assert_bit_identical(again, solve_general(G, seed=0))
+        assert counts["torsolve.solver._solve"]
+
+
+def test_a_report_does_not_share_its_start_tree_with_the_memo():
+    import torsolve.solver as solver
+
+    F = unit_coeff_system([START_A, START_A], 4)
+    solver._memo.cache_clear()
+    first = solve_general(F, seed=0)
+    expected = copy.deepcopy(first)
+    start = first.tree.children[0]
+    start.mv, start.elapsed = 0, -1.0
+    start.children.clear()
+    again = solve_general(F, seed=0)
+    assert_bit_identical(again, expected)
+    assert again.tree.children[0].elapsed == expected.tree.children[0].elapsed
+    assert again.tree.children[0] is not first.tree.children[0]
+
+
+def test_a_general_solve_without_a_seed_solves_its_start(monkeypatch):
+    # seed=None draws fresh entropy, which is never a memo key twice.
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "_solve")])
+    F = unit_coeff_system([[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (1, 1)]], 3)
+    for _ in range(2):
+        counts.clear()
+        rep = solve_general(F, seed=None)
+        assert counts["torsolve.solver._solve"] and len(rep.solutions) == rep.tree.mv == 2
+
+
+def test_a_start_system_is_solved_on_every_call(monkeypatch):
+    # decomposable_start_system, a public entry point, keeps no start.
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "_solve")])
+    S = SupportSystem.of_points([START_A, START_A])
+    (G, sols), calls = decomposable_start_system(S, seed=3), counts["torsolve.solver._solve"]
+    assert calls
+    H, again = decomposable_start_system(S, seed=3)
+    assert counts["torsolve.solver._solve"] == 2 * calls
+    assert H == G and [p.tobytes() for p in again.points] == [p.tobytes() for p in sols.points]
+
+
+def test_a_general_solve_times_its_root():
+    # The homotopy root's elapsed is the call's own wall time, so it covers
+    # the start solve below it on a cold memo.
+    import torsolve.solver as solver
+
+    solver._memo.cache_clear()
+    rep = solve_general(unit_coeff_system([START_A, START_A], 4), seed=0)
+    assert rep.tree.kind == "homotopy"
+    assert rep.tree.elapsed > 0
+    assert rep.tree.elapsed >= sum(child.elapsed for child in rep.tree.children) > 0
+
+
 def test_zero_mixed_volume_raises_on_every_solve(monkeypatch):
     # An exception is not memoized: the supports are classified, and raise,
     # on each call.
@@ -1295,6 +1373,11 @@ def test_zero_mixed_volume_raises_on_every_solve(monkeypatch):
     for call in (1, 2):
         with pytest.raises(MixedVolumeZeroError) as err:
             solve_decomposable(F, seed=0)
+        assert err.value.witness == (1, 2)
+        assert counts["torsolve.solver.classify"] == call
+    for call in (3, 4):  # nor is a start system with no roots
+        with pytest.raises(MixedVolumeZeroError) as err:
+            solve_general(F, seed=0)
         assert err.value.witness == (1, 2)
         assert counts["torsolve.solver.classify"] == call
 

@@ -30,6 +30,21 @@ def test_parity_lists_a_change_between_an_exception_and_a_result():
         assert f"{key}: tree / {a.get('tree')!r} -> {b.get('tree')!r}" in diffs
 
 
+def test_parity_compares_the_second_general_round_op_by_op():
+    # The general round is fixed data: its second round solves the same
+    # systems again, from the solver's memo, and a difference there alone is
+    # listed under its round.
+    parity = load("parity")
+    assert ("general", 0, 2) in parity.RUNS
+    assert "runs = " + repr(parity.RUNS) in parity.CHILD
+    record = {"status": "ok", "message": "", "points": [np.array([1 + 0j])], "residuals": [0.0]}
+    parent = {("general", 0, r, "start-pair"): record for r in (0, 1)}
+    change = {**parent, ("general", 0, 1, "start-pair"): {**record,
+                                                          "points": [np.array([1 + 1e-6j])]}}
+    assert parity.compare(parent, change)[0] == [
+        "('general', 0, 1, 'start-pair'): 1 of 1 points differ by more than 1e-08 relative"]
+
+
 def test_parity_counts_the_src_lines_of_a_checkout(tmp_path):
     parity = load("parity")
     package = tmp_path / "src" / "torsolve"

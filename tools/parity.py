@@ -3,9 +3,11 @@
     python3 tools/parity.py PARENT_DIR CHANGE_DIR
 
 Each checkout's `src/` runs in its own subprocess on the ops its
-`perfbench/workloads.py` builds: `decomposable` at seeds 0-9 with 5 rounds
-each, `exact` at seeds 0-9 with 3 rounds each, one `general` round and the
-`blackbox` op; then `torsolve solve FILE --json --tolerance=T` on the three
+`perfbench/workloads.py` builds (RUNS): `decomposable` at seeds 0-9 with 5
+rounds each, `exact` at seeds 0-9 with 3 rounds each, two `general` rounds
+and the `blackbox` op; the second `general` round repeats the first, fixed
+data, so that it compares the solves the solver's memo serves, start
+systems included, op by op as well; then `torsolve solve FILE --json --tolerance=T` on the three
 acceptance systems for each T in CLI_TOLERANCES, since no op sets a
 tolerance. Per op the two runs must agree on the status, the error type
 and message (for the CLI, its standard error), the returned mixed volume
@@ -57,6 +59,9 @@ from pathlib import Path
 POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
+# (workload, seed, rounds) of the benchmark ops each checkout solves.
+RUNS = ([("decomposable", seed, 5) for seed in range(10)] + [("exact", seed, 3) for seed in range(10)]
+        + [("general", 0, 2), ("blackbox", 0, 1)])
 # Import the torsolve of the checkout named by the first argument and wrap
 # the functions it counts, each count going to the global `workload`'s entry.
 SETUP = """
@@ -228,7 +233,9 @@ if cached is not None:
 #  {workload: [torus.apply calls, points they mapped]},
 #  {workload: [distinct calls, candidate points they were given]},
 #  {workload: [memo hits, misses]}) to standard output.
-CHILD = SETUP + """
+CHILD = SETUP + f"""
+runs = {RUNS!r}
+""" + """
 def tree_of(tree):
     if tree is None:
         return None
@@ -239,8 +246,6 @@ def tree_of(tree):
         return node
     return strip(dataclasses.asdict(tree))
 
-runs = ([("decomposable", seed, 5) for seed in range(10)] + [("exact", seed, 3) for seed in range(10)]
-        + [("general", 0, 1), ("blackbox", 0, 1)])
 out = {}
 for workload, seed, rounds in runs:
     for r, ops in enumerate(workloads.build(workload, seed, rounds)):
