@@ -1340,7 +1340,8 @@ def test_a_start_system_is_solved_on_every_call(monkeypatch):
 
     counts = counted_calls(monkeypatch, [(solver, "_solve")])
     S = SupportSystem.of_points([START_A, START_A])
-    (G, sols), calls = decomposable_start_system(S, seed=3), counts["torsolve.solver._solve"]
+    G, sols = decomposable_start_system(S, seed=3)
+    calls = counts["torsolve.solver._solve"]
     assert calls
     H, again = decomposable_start_system(S, seed=3)
     assert counts["torsolve.solver._solve"] == 2 * calls
