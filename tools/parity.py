@@ -5,15 +5,15 @@
 Each checkout's `src/` runs in its own subprocess on the ops its
 `perfbench/workloads.py` builds (RUNS): `decomposable` at seeds 0-9 with 5
 rounds each, `exact` at seeds 0-9 with 3 rounds each, two `general` rounds
-and the `blackbox` op; the second `general` round repeats the first, fixed
-data, so that it compares the solves the solver's memo serves, start
-systems included, op by op as well; then `torsolve solve FILE --json --tolerance=T` on the three
-acceptance systems for each T in CLI_TOLERANCES, since no op sets a
-tolerance. Per op the two runs must agree on the status, the error type
-and message (for the CLI, its standard error), the returned mixed volume
-or the decomposition tree without `elapsed`, the provenance and the
-warnings, the CLI's JSON output without `elapsed_ms`, and the points to
-1e-8 relative, point by point. Prints the largest relative point
+and the `blackbox` op. The second `general` round repeats the first, fixed
+data, so the solves the solver's memo serves, start systems included, are
+compared op by op as well. Then `torsolve solve FILE --json --tolerance=T`
+runs on the three acceptance systems for each T in CLI_TOLERANCES, since
+no op sets a tolerance. Per op the two runs must agree on the status, the
+error type and message (for the CLI, its standard error), the returned
+mixed volume or the decomposition tree without `elapsed`, the provenance
+and the warnings, the CLI's JSON output without `elapsed_ms`, and the
+points to 1e-8 relative, point by point. Prints the largest relative point
 difference and the largest residual change, lists the first differences
 (a differing tree as one line per node field, e.g. `/1/0 gamma_retries
 2 -> 0` for child 0 of the root's child 1; a CLI run whose JSON
@@ -60,8 +60,8 @@ POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
 # (workload, seed, rounds) of the benchmark ops each checkout solves.
-RUNS = ([("decomposable", seed, 5) for seed in range(10)] + [("exact", seed, 3) for seed in range(10)]
-        + [("general", 0, 2), ("blackbox", 0, 1)])
+RUNS = ([("decomposable", seed, 5) for seed in range(10)]
+        + [("exact", seed, 3) for seed in range(10)] + [("general", 0, 2), ("blackbox", 0, 1)])
 # Import the torsolve of the checkout named by the first argument and wrap
 # the functions it counts, each count going to the global `workload`'s entry.
 SETUP = """
@@ -233,9 +233,7 @@ if cached is not None:
 #  {workload: [torus.apply calls, points they mapped]},
 #  {workload: [distinct calls, candidate points they were given]},
 #  {workload: [memo hits, misses]}) to standard output.
-CHILD = SETUP + f"""
-runs = {RUNS!r}
-""" + """
+CHILD = SETUP + f"\nruns = {RUNS!r}\n" + """
 def tree_of(tree):
     if tree is None:
         return None
