@@ -132,16 +132,17 @@ def solve_general(F: SparseSystem, seed: int = 0,
     Builds the vertex start system, tracks the straight-line homotopy to F,
     and reports partial results with warnings when endpoints are lost (no
     endgames; non-generic targets may come up short). The start system is
-    solved once per vertex supports, seed and tolerance, in _memo. A later
-    call gets a copy of its tree, `elapsed` that of the solve that filled the
-    memo, and the ledger, paths_tracked and blackbox_calls still count it.
+    solved once per vertex supports, seed and tolerance, in _memo (at seed
+    None, on every call). A later call gets a copy of its tree, `elapsed` that
+    of the first solve; the ledger, paths_tracked and blackbox_calls count it.
     """
     start = time.perf_counter()
     settings = settings or TrackerSettings()
     F, _ = normalize(F)
-    ss = np.random.SeedSequence(seed)  # seed None draws fresh entropy, so never a memo hit
-    G, start_sols, start_tree = _memo(_vertex_start, _vertex_system(F.system), ss.entropy,
-                                      settings)
+    ss = np.random.SeedSequence(seed)  # the key holds an int or int sequence seed as a tuple
+    key = (_vertex_system(F.system), tuple(np.ravel(ss.entropy).tolist()), settings)
+    G, start_sols, start_tree = (_vertex_start(*key) if seed is None  # fresh entropy: no hit
+                                 else _memo(_vertex_start, *key))
     expected = len(start_sols)
     on_vertices = [dict(G.polynomial(i)) for i in range(F.n)]  # G on F's support, 0 elsewhere
     G_row = [on_vertices[i].get(alpha, 0j) for i, sup in enumerate(F.system.supports)

@@ -1323,15 +1323,40 @@ def test_a_report_does_not_share_its_start_tree_with_the_memo():
 
 
 def test_a_general_solve_without_a_seed_solves_its_start(monkeypatch):
-    # seed=None draws fresh entropy, which is never a memo key twice.
+    # seed=None draws fresh entropy, which no later call can hit, so its
+    # start is solved and not kept: the support work of the first call is
+    # all that the memo gains.
     import torsolve.solver as solver
 
     counts = counted_calls(monkeypatch, [(solver, "_solve")])
     F = unit_coeff_system([[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (1, 1)]], 3)
-    for _ in range(2):
+    solver._memo.cache_clear()
+    for call in range(3):
         counts.clear()
         rep = solve_general(F, seed=None)
         assert counts["torsolve.solver._solve"] and len(rep.solutions) == rep.tree.mv == 2
+        if call:
+            assert solver._memo.cache_info().currsize == kept
+        kept = solver._memo.cache_info().currsize
+
+
+def test_a_general_solve_takes_a_sequence_seed(monkeypatch):
+    # A seed may be a sequence of ints, as for SeedSequence: the memo keys it
+    # by its values, and [5] draws what 5 draws.
+    import torsolve.solver as solver
+
+    counts = counted_calls(monkeypatch, [(solver, "_solve")])
+    F = unit_coeff_system([START_A, START_A], 4)
+    solver._memo.cache_clear()
+    first = solve_general(F, seed=[7, 1])
+    assert counts["torsolve.solver._solve"] and len(first.solutions) == first.tree.mv == 30
+    for seed in ([7, 1], (7, 1), np.array([7, 1])):
+        counts.clear()
+        again = solve_general(F, seed=seed)
+        assert counts == {}
+        assert_bit_identical(again, first)
+    assert_bit_identical(solve_general(F, seed=[5]), solve_general(F, seed=5))
+    assert_bit_identical(solve_general(F, seed=range(3)), solve_general(F, seed=[0, 1, 2]))
 
 
 def test_a_start_system_is_solved_on_every_call(monkeypatch):
