@@ -2,9 +2,9 @@
 
 A torus point is a complex numpy vector, a stack of points a (P, n)
 array; membership means every coordinate has modulus above
-TORUS_THRESHOLD. Maps and restrictions take stacks and form each complex
-product and reciprocal as Python does, so a point in a stack gets the
-bits monomial_value gives it alone.
+TORUS_THRESHOLD. Maps, restrictions and Homotopy.state evaluate monomials
+at a stack with one kernel, power_table and monomials, and a point in a
+stack gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -55,18 +55,19 @@ def _cpow(base: complex, e: int) -> complex:
 
 
 def apply(Phi: MonomialMap, x) -> np.ndarray:
-    """Evaluate the monomial map coordinate-wise on one point, or on each
-    row of a (P, n) stack; output i is monomial_value(x, column i) bit for
-    bit."""
+    """Output i is x^(column i) by monomials, at one point or at each row of
+    a (P, n) stack; overflow gives inf or NaN without a warning."""
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2) or x.shape[-1] != Phi.domain_dim:
         raise ValueError("point dimension does not match the map domain")
-    out = _monomials(np.atleast_2d(x), Phi.matrix.columns())
+    with np.errstate(all="ignore"):
+        out = monomials(np.atleast_2d(x), *power_table(Phi.matrix.columns()))
     return out if x.ndim == 2 else out[0]
 
 
 def monomial_value(x, alpha) -> complex:
-    """x^alpha for an integer exponent vector."""
+    """x^alpha for an integer exponent vector in Python's complex arithmetic:
+    the tests' oracle, independent of numpy's; the solver never calls it."""
     v = 1.0 + 0.0j
     for xj, e in zip(x, alpha):
         if e:
@@ -74,51 +75,30 @@ def monomial_value(x, alpha) -> complex:
     return v
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = re.astype(complex)
-    out.imag = im
-    return out
+def power_table(points) -> tuple[np.ndarray, np.ndarray]:
+    """(exponents, columns), the layout monomials takes M exponent vectors
+    in: row j of the (n, U) `exponents` holds x_j's distinct exponents,
+    ascending, zero-padded to a width U <= M, and monomial a is the product
+    over j of column columns[j, a] of the flattened (n * U) power table."""
+    exps = [sorted(set(column)) for column in zip(*points)]
+    width = max(map(len, exps))
+    at = [{e: j * width + i for i, e in enumerate(u)} for j, u in enumerate(exps)]
+    return (np.array([u + [0] * (width - len(u)) for u in exps], dtype=complex),
+            np.array([[at[j][p[j]] for p in points] for j in range(len(exps))], np.intp))
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b, each part formed as Python's complex product forms it; numpy's
-    own complex product may round otherwise."""
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _reciprocal(b: np.ndarray) -> np.ndarray:
-    """1.0 / b as Python's complex quotient (1 + 0j) / b takes it: divided
-    through by the part of b larger in modulus (Smith's algorithm), NaN
-    from a NaN part, and ZeroDivisionError for a zero."""
-    re, im = b.real, b.imag
-    if np.any((re == 0) & (im == 0)):
-        raise ZeroDivisionError("complex division by zero")
-    by_re = np.abs(re) >= np.abs(im)
-    ratio = np.where(by_re, im / re, re / im)
-    denom = np.where(by_re, re + im * ratio, re * ratio + im)
-    return _complex(np.where(by_re, 1.0 + 0.0 * ratio, ratio + 0.0) / denom,
-                    np.where(by_re, 0.0 - ratio, 0.0 * ratio - 1.0) / denom)
-
-
-def _monomials(X: np.ndarray, exponents) -> np.ndarray:
-    """(P, len(exponents)) array of monomial_value(X[p], exponents[i]) bit
-    for bit, for a (P, n) stack X: every power x_j^e by _cpow's steps at
-    once, and each monomial's powers multiplied from 1 + 0j in coordinate
-    order. Overflow gives inf or NaN without a warning, as in Python."""
-    i, j, e = np.array([(i, j, int(e)) for i, alpha in enumerate(exponents)
-                        for j, e in enumerate(alpha) if e], dtype=int).reshape(-1, 3).T
-    out = np.ones((len(X), len(exponents)), dtype=complex)
-    with np.errstate(all="ignore"):
-        base = X[:, j]
-        base[:, e < 0] = _reciprocal(base[:, e < 0])
-        power, e = np.ones_like(base), np.abs(e)
-        while e.any():
-            power = np.where(e % 2 == 1, _mul(power, base), power)
-            base, e = _mul(base, base), e >> 1
-        for coordinate in range(X.shape[1]):
-            at = j == coordinate
-            out[:, i[at]] = _mul(out[:, i[at]], power[:, at])
-    return out
+def monomials(X: np.ndarray, exponents: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """(P, M) monomials laid out by power_table at the (P, n) stack X: each
+    power by np.power, by repeated squaring for an integer below 100 in
+    modulus, and products over the variables in place, except for one
+    element, whose in-place product numpy rounds otherwise than every other
+    product; so a point gets the same bits alone as in a stack. The caller
+    owns np.errstate."""
+    table = np.power(X[:, :, None], exponents).reshape(len(X), exponents.size)
+    mono = table.take(columns[0], axis=1)
+    for cols in columns[1:]:
+        mono = np.multiply(mono, table.take(cols, axis=1), out=None if mono.size == 1 else mono)
+    return mono
 
 
 def diagonal_fiber(d: Sequence[int], y: Sequence[complex]) -> list[np.ndarray]:
@@ -166,7 +146,8 @@ def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
     DegenerateFiberError of fiber p >= 1: its own, or else "fiber support
     over base solution p differs from the start fiber". Fiber 0 raises its
     error. A merged coefficient that overflows (inf, or NaN from inf - inf)
-    is an error. The images pi_J(alpha) are laid out once, here."""
+    is an error. The images pi_J(alpha) and the points' power_table are laid
+    out once, here."""
     J = sorted(J)
     offsets = list(itertools.accumulate((len(s) for s in S.supports), initial=0))
     columns, exponents, targets, images, polys = [], [], [], [], []  # polys[t]: J-index of image t
@@ -179,11 +160,12 @@ def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
         columns += range(offsets[j], offsets[j] + len(points))
         exponents += points
     starts = [polys.index(q) for q in range(len(J))]
+    table = power_table(exponents)
 
     def restrict(C, Y):
         Y, merged = np.asarray(Y, dtype=complex), np.zeros((len(Y), len(polys)), dtype=complex)
         with np.errstate(all="ignore"):
-            terms = _mul(np.asarray(C, dtype=complex)[:, columns], _monomials(Y, exponents))
+            terms = np.asarray(C, dtype=complex)[:, columns] * monomials(Y, *table)
             np.add.at(merged, (slice(None), targets), terms)  # from 0j, in the order of S
             size = np.hypot(merged.real, merged.imag)  # abs() as Python takes it
             kept = size > _MERGE_DROP * np.maximum.reduceat(size, starts, axis=1)[:, polys]

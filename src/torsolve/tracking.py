@@ -44,7 +44,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergenceError, SingularJacobianError
 from .supports import SparseSystem, Support, SupportSystem
-from .torus import TORUS_THRESHOLD
+from .torus import TORUS_THRESHOLD, monomials, power_table
 
 _DIVERGENCE_NORM = 1e8
 _TRACK_TORUS_GUARD = 1e-12
@@ -208,15 +208,7 @@ class Homotopy:
         # Per target: ct and gamma*cs as interleaved floats, and dH/dt's coefficients.
         self._coeffs = (self.ct.view(float), gcs.view(float), self.ct - gcs)
         self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
-        # The power table's exponents: row j holds the distinct exponents of
-        # x_j, ascending, zero-padded to one width U <= M; monomial a is the
-        # product over j of table column _columns[j][a] of the flattened
-        # (n * U) table.
-        exps = [sorted(set(column)) for column in zip(*points)]
-        width = max(map(len, exps))
-        self._exps = np.array([u + [0] * (width - len(u)) for u in exps], dtype=complex)
-        at = [{e: j * width + i for i, e in enumerate(u)} for j, u in enumerate(exps)]
-        self._columns = np.array([[at[j][p[j]] for p in points] for j in range(self.n)], np.intp)
+        self._exps, self._columns = power_table(points)
 
     @classmethod
     def straight_line(cls, start: SparseSystem, target, gamma=1.0) -> Homotopy:
@@ -239,19 +231,14 @@ class Homotopy:
 
         X is (P, n), t is (P,) and rows (P,) are the target rows; the results
         have shapes (P, n), (P, n, n), (P, n) and (P,). The monomials come
-        from a (P, n, U) table of the integer powers each variable occurs
-        with: numpy raises a complex number to an integer power below 100 by
-        repeated squaring, with no log, exp or trigonometric function, and U
-        is at most the monomial count whatever the exponents' size.
+        from torus.monomials, the one kernel that monomial maps and fiber
+        restriction use too: an integer power below 100 is taken by repeated
+        squaring, with no log, exp or trigonometric function.
 
         The caller owns np.errstate: the tracker and Newton evaluate under
         np.errstate(all="ignore") and catch overflow and NaN per row.
         """
-        table = np.power(X[:, :, None], self._exps).reshape(len(X), self._exps.size)
-        mono = table.take(self._columns[0], axis=1)
-        for columns in self._columns[1:]:
-            mono *= table.take(columns, axis=1)
-        del table
+        mono = monomials(X, self._exps, self._columns)
         # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary parts;
         # a real t times a complex array goes through cast buffers. One
         # target broadcasts its coefficient rows instead of gathering them.

@@ -9,6 +9,13 @@ S is `run_seconds` and the metrics are the `end_to_end` list of this
 checkout's BENCHMARK.json, so both sides run the same length. Each side
 runs its own `perfbench/`; this tool only reads run.py's last line.
 
+Make both checkouts the same way, for example both as fresh copies by
+`git archive COMMIT | tar -x -C DIR`. With the parent a fresh copy and the
+change a working tree, the change has read `setup_s` 16-23% lower though
+it touched no code run at setup, and black-box `wall_s` +4.8% where fresh
+copies of the same two trees read -2.2%: unlike checkouts can show a gain
+or a regression that is not the change's.
+
 For every metric it prints each side's median and quartiles, the relative
 change of the medians, and the pairs the change won and lost (ties count
 for neither). It calls the metric "unresolved" when the parent's runs
