@@ -128,8 +128,8 @@ def system_to_obj(F: SparseSystem) -> dict:
 
 def solutions_to_obj(sols: SolutionSet) -> dict:
     return {
-        "solutions": [[[z.real, z.imag] for z in pt] for pt in sols.points],
-        "residuals": list(sols.residuals),
+        "solutions": np.stack([sols.points.real, sols.points.imag], axis=-1).tolist(),
+        "residuals": sols.residuals.tolist(),
         "provenance": list(sols.provenance),
     }
 

@@ -56,6 +56,7 @@ from .tracking import (
     TrackerSettings,
     _kept_order,
     _newton,
+    _solution_order,
     _solution_sets,
     track_all,
 )
@@ -255,7 +256,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     # holds base solution p - starts[rows[p]] of row rows[p].
     sizes = [len(sols) for sols in base_sols]
     rows, starts = np.repeat(np.arange(len(C)), sizes), np.cumsum([0] + sizes)
-    Y = np.reshape([y for sols in base_sols for y in sols.points], (-1, k))
+    Y = np.concatenate([sols.points for sols in base_sols])
     psi_map = MonomialMap(cls.psi)
 
     # Every fiber of every row is restricted at once and checked against the
@@ -278,7 +279,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     # them over stack position p.
     counts = np.zeros(len(Y), dtype=np.intp)
     counts[family] = [len(sols) for sols in fiber_sols]
-    Z = np.concatenate([z for sols in fiber_sols for z in sols.points]).reshape(-1, n - k)
+    Z = np.concatenate([sols.points for sols in fiber_sols])
 
     # Row 0's fibers the family left short are reached by transfers from its
     # first fiber, in compacted fiber coordinates, in rounds: each round
@@ -300,9 +301,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
         if not todo:
             break
         H = Homotopy(start.system, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
-        for m, sols in zip(todo, _tracked(H, start_points, back, settings)[0]):
-            sols.sort()  # in fiber coordinates, as the family's rows are
-            latest[m] = sols
+        latest.update(zip(todo, _tracked(H, start_points, back, settings)[0]))
         attempts.update(todo)
         todo = short()
     for m in todo:
@@ -317,7 +316,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     if latest:  # the family's roots over each position, the latest in place of its own
         pieces = np.split(Z, np.cumsum(counts)[:-1])
         for m, sols in latest.items():
-            pieces[m], counts[m] = np.reshape(sols.points, (-1, n - k)), len(sols)
+            pieces[m], counts[m] = sols.points, len(sols)
         Z = np.concatenate(pieces)
 
     origins = [f"{prov}base[{p - starts[r]}]/fiber[{zi}]"
@@ -401,7 +400,7 @@ def _blackbox(F, C, expected, ss, settings, prov):
                                        paths=expected, bezout_paths=math.prod(degrees),
                                        gamma_retries=retries)
 
-    sols = [SolutionSet() for _ in C]
+    sols = [SolutionSet(np.zeros((0, n), dtype=complex)) for _ in C]
     if n == 2:  # the child leaves the gamma stream of `ss` as it is
         points, rows, origins = _resultant_roots(target, compact_C, ss.spawn(1)[0])
         sols = _refined_rows(F, C, rows, back(points), [prov + o for o in origins], settings)
@@ -626,17 +625,16 @@ def _compacted(F: SparseSystem, C, points=()):
 
 
 def _tracked(H: Homotopy, points, back, settings, expected=None):
-    """(per target of H its endpoints, failures): `points` tracked to each
-    target of H by track_all; the endpoints mapped by `back`, all in one
-    stack, each from "path {i}" for start point i, in track_all's order,
-    and the failures of track_all, indexed over all blocks."""
-    ends, failures = track_all(H, list(points) * len(H.ct), settings, expected)
-    start = {f"path {i}": i for i in range(len(points) * len(H.ct))}  # track_all's labels
-    index = np.array([start[origin] for origin in ends.provenance], dtype=np.intp)
+    """(per target of H its endpoints, failures): the (P, n) stack `points`
+    tracked to each target of H by track_all; the endpoints mapped by
+    `back`, in _solution_order there, each from "path {i}" for start point
+    i; and the failures of track_all, indexed over all blocks."""
+    ends, failures = track_all(H, np.tile(points, (len(H.ct), 1)), settings, expected)
+    index = np.array([int(origin[5:]) for origin in ends.provenance], dtype=np.intp)  # path {i}
     block, path = np.divmod(index, len(points))
-    mapped = back(np.reshape(np.asarray(ends.points, dtype=complex), (len(ends), H.n)))
+    mapped = back(ends.points)
     return _solution_sets(mapped, ends.residuals, [f"path {i}" for i in path], block, len(H.ct),
-                          np.argsort(block, kind="stable")), failures
+                          _solution_order(mapped, block)), failures
 
 
 def _vertex_system(S: SupportSystem) -> SupportSystem:

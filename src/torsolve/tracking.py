@@ -86,28 +86,17 @@ class PathFailure:
 
 @dataclass
 class SolutionSet:
-    points: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
+    """Solutions as arrays: an (N, n) stack of points, their (N,) max-norm
+    residuals and one provenance string each, in _solution_order. The
+    solver's sets are slices of one stack per family, so a row without
+    roots is a (0, n) stack; SolutionSet() is the empty set, (0, 0)."""
+
+    points: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
+    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     provenance: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.points)
-
-    def append(self, point, residual, origin=""):
-        self.points.append(np.asarray(point, dtype=complex))
-        self.residuals.append(float(residual))
-        self.provenance.append(origin)
-
-    def sort(self):
-        """Order by the coordinates' real and imaginary parts, rounded to 9
-        decimals, first coordinate first; ties keep their order."""
-        if not self.points:
-            return
-        keys = np.round(np.array(self.points).view(float), 9)
-        order = np.lexsort(keys.T[::-1])
-        self.points = [self.points[i] for i in order]
-        self.residuals = [self.residuals[i] for i in order]
-        self.provenance = [self.provenance[i] for i in order]
 
 
 def relative_distance(x, y) -> float:
@@ -157,23 +146,30 @@ def distinct(points, rows=None) -> np.ndarray:
     return keep
 
 
+def _solution_order(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The order of a solution set: the indices of the (P, n) stack X by row
+    rows[i], then by the coordinates' real and imaginary parts rounded to 9
+    decimals, first coordinate first; ties in index order."""
+    keys = np.round(X.view(float), 9)
+    return np.lexsort([*keys.T[::-1], rows])
+
+
 def _kept_order(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The indices of the points of the (P, n) stack X that distinct keeps in
-    their row, by row and then as SolutionSet.sort orders a row: one lexsort
-    on the row and the coordinates rounded to 9 decimals, ties in index order."""
+    their row, in _solution_order."""
     kept = np.flatnonzero(distinct(X, rows))
-    keys = np.round(X[kept].view(float), 9)
-    return kept[np.lexsort([*keys.T[::-1], rows[kept]])]
+    return kept[_solution_order(X[kept], rows[kept])]
 
 
 def _solution_sets(X, residuals, origins, rows, K, order) -> list[SolutionSet]:
     """Per row k < K the SolutionSet of the points X[i], residuals[i] and
-    origins[i] for the i of `order` with rows[i] == k, in that order, sliced
-    from one gather; `order` lists the rows ascending."""
-    X, res, rows = X[order], np.asarray(residuals)[order].tolist(), rows[order]
+    origins[i] for the i of `order` with rows[i] == k, in that order: slices
+    of one gather, so no set copies its points; `order` lists the rows
+    ascending."""
+    X, res, rows = X[order], np.asarray(residuals)[order], rows[order]
     origins = [origins[i] for i in order.tolist()]
     cuts = np.searchsorted(rows, np.arange(K + 1)).tolist()
-    return [SolutionSet(list(X[a:b]), res[a:b], origins[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [SolutionSet(X[a:b], res[a:b], origins[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 class Homotopy:
@@ -506,22 +502,22 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
     With K targets the starts form K equal blocks, block k tracked toward
     target k and deduplicated on its own. Returns (SolutionSet, failures)
     where failures is a list of (start index, PathFailure) and a success
-    comes from "path {start index}". Duplicate endpoints are recorded as
-    warnings in the failure list with reason "duplicate-endpoint". With one
-    target, `expected` stops the tracking once that many distinct endpoints
-    are in; each path still running is then a "count-reached" failure, and
-    every endpoint in is the one a full run gives its path.
+    comes from "path {start index}". The successes are in _solution_order
+    with their block as the row: block 0's first, each block sorted.
+    Duplicate endpoints are recorded as warnings in the failure list with
+    reason "duplicate-endpoint". With one target, `expected` stops the
+    tracking once that many distinct endpoints are in; each path still
+    running is then a "count-reached" failure, and every endpoint in is the
+    one a full run gives its path.
     """
     settings = settings or TrackerSettings()
-    points = starts.points if isinstance(starts, SolutionSet) else list(starts)
+    points = starts.points if isinstance(starts, SolutionSet) else starts
     outcomes, residuals = _track(H, points, settings, expected)
     ends = np.flatnonzero([not isinstance(out, PathFailure) for out in outcomes])
     X = np.array([outcomes[i] for i in ends], dtype=complex).reshape(len(ends), H.n)
     order = _kept_order(X, ends // (len(points) // len(H.ct)))
     kept = ends[order]
-    solutions = SolutionSet(list(X[order]), residuals[kept].tolist(), [f"path {i}" for i in kept])
-    if len(H.ct) > 1:
-        solutions.sort()  # one order over all blocks, ties in start order
+    solutions = SolutionSet(X[order], residuals[kept], [f"path {i}" for i in kept])
     for i in set(ends.tolist()).difference(kept.tolist()):
         outcomes[i] = PathFailure("duplicate-endpoint", 1.0, outcomes[i])
     failures = [(i, out) for i, out in enumerate(outcomes) if isinstance(out, PathFailure)]

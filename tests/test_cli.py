@@ -263,6 +263,36 @@ def test_cmd_bench_one_instance(capsys):
     assert "quartiles" in captured.err
 
 
+@pytest.mark.parametrize("name, status", [("solve_decomposable", "dec-fail"),
+                                          ("blackbox", "bb-fail")])
+def test_cmd_bench_reports_a_failed_instance_and_leaves_it_out_of_the_summary(
+        monkeypatch, capsys, name, status):
+    # Instance 0 fails in the decomposable solve or in the black box: its row
+    # names the failure and leaves the failed solve's time empty (and the
+    # black box's, which a failed decomposable solve skips); the summary
+    # counts instance 1 alone.
+    import torsolve.cli as cli
+    from torsolve.errors import TorsolveError
+
+    real = getattr(cli, name)
+
+    def fails_at_seed_5(F, seed, settings):
+        if seed == 5:
+            raise TorsolveError("fails on purpose")
+        return real(F, seed=seed, settings=settings)
+
+    monkeypatch.setattr(cli, name, fails_at_seed_5)
+    assert main(["bench", "e-basis", "--count", "2", "--seed", "5"]) == 0
+    captured = capsys.readouterr()
+    _, failed, ok = (row.split(",") for row in captured.out.strip().splitlines())
+    assert failed[0] == "0" and failed[6] == status
+    assert failed[5] == "" and (failed[4] == "") == (status == "dec-fail")
+    assert failed[2] == ("0" if status == "dec-fail" else "64")
+    assert ok[0] == "1" and ok[6] == "ok" and "" not in ok[4:6]
+    summary = [line for line in captured.err.splitlines() if line.startswith("# mv=")]
+    assert len(summary) == 1 and summary[0].startswith("# mv=50 n=1 ")
+
+
 def test_bad_file_reports_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -376,7 +376,7 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     from torsolve.errors import DegenerateFiberError
     from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _refined, _rows, _unit
     from torsolve.torus import MonomialMap, apply, restrict_to_fiber
-    from torsolve.tracking import Homotopy, SolutionSet
+    from torsolve.tracking import Homotopy, _solution_order
     import torsolve.solver as solver
 
     n, I, k = F.n, cls.witness, cls.k
@@ -409,9 +409,8 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
                 break
         retries += attempt
         if len(got) == len(fiber_sols):  # sorted in fiber coordinates, as the solver sorts
-            got = SolutionSet([back(w) for w in got.points], got.residuals, got.provenance)
-            got.sort()
-            per_base.append(got.points)
+            mapped = back(got.points)
+            per_base.append(mapped[_solution_order(mapped, np.zeros(len(mapped), dtype=int))])
             continue
         try:
             direct, direct_tree = alone(solver._solve, target, direct_ss, settings,
@@ -476,7 +475,7 @@ def short_families(monkeypatch, keep=lambda prov, r: False):
 
     def solve(F, C, ss, settings, prov):
         sols, tree = real(F, C, ss, settings, prov)
-        return [s if r == 0 or keep(prov, r) else SolutionSet()
+        return [s if r == 0 or keep(prov, r) else SolutionSet(s.points[:0])
                 for r, s in enumerate(sols)], tree
 
     monkeypatch.setattr(solver, "_solve", solve)
@@ -499,15 +498,13 @@ def failing_gammas(monkeypatch, seed, places, node=()):
         if not set(gammas) <= set(draws):
             return sols, failures  # not a transfer
         calls.append(gammas)
-        size, out = len(starts) // len(gammas), SolutionSet()
-        lose = {k for k, gamma in enumerate(gammas) if draws.index(gamma) in places}
-        for pt, res, origin in zip(sols.points, sols.residuals, sols.provenance):
-            block = int(origin.split()[1]) // size
-            if block in lose:
-                lose.discard(block)
-            else:
-                out.append(pt, res, origin)
-        return out, failures
+        size = len(starts) // len(gammas)
+        blocks = [int(origin.split()[1]) // size for origin in sols.provenance]
+        lose = {blocks.index(k) for k, gamma in enumerate(gammas)
+                if draws.index(gamma) in places and k in blocks}  # each block's first point
+        keep = [i for i in range(len(sols)) if i not in lose]
+        return SolutionSet(sols.points[keep], sols.residuals[keep],
+                           [sols.provenance[i] for i in keep]), failures
 
     monkeypatch.setattr(solver, "track_all", track_all)
     short_families(monkeypatch)
@@ -726,7 +723,8 @@ def test_companion_roots_equal_np_roots_refined_row_by_row(exponents):
         alone = _refined(F, [[r] for _, r in kept], [f"x/eig[{i}]" for i, _ in kept],
                          TrackerSettings())
         assert len(sols) == exponents[-1] - exponents[0]
-        assert sols.provenance == alone.provenance and sols.residuals == alone.residuals
+        assert sols.provenance == alone.provenance
+        assert np.array_equal(sols.residuals, alone.residuals)
         assert np.array_equal(sols.points, alone.points)
 
 
@@ -1116,7 +1114,8 @@ def test_a_companion_matrix_that_overflows_leaves_the_other_rows_their_roots():
     (alone,) = _companion_roots(F, [[-2, 1, 1]], TrackerSettings())
     first, overflowed = _companion_roots(F, [[-2, 1, 1], [1e300, 1, 1e-300]], TrackerSettings())
     assert len(alone) == 3 and len(overflowed) == 0
-    assert first.provenance == alone.provenance and first.residuals == alone.residuals
+    assert first.provenance == alone.provenance
+    assert np.array_equal(first.residuals, alone.residuals)
     assert np.array_equal(first.points, alone.points)
 
 
@@ -1132,7 +1131,8 @@ def test_refined_drops_a_converged_point_off_the_torus():
 def per_row_refined(C, rows, origins, newton_out):
     """The loop _refined_rows ran before it deduplicated and sorted all rows
     in one pass, on its _newton output: per row, distinct on the converged
-    points on the torus, each appended, then SolutionSet.sort."""
+    points on the torus, then a stable sort on each point's coordinates'
+    real and imaginary parts rounded to 9 decimals."""
     from torsolve.torus import TORUS_THRESHOLD
     from torsolve.tracking import SolutionSet, distinct
 
@@ -1142,11 +1142,9 @@ def per_row_refined(C, rows, origins, newton_out):
     out = []
     for k in range(len(C)):
         found = np.flatnonzero(ok & (rows == k))
-        sols = SolutionSet()
-        for i in found[distinct(X[found])]:
-            sols.append(X[i], res[i], origins[i])
-        sols.sort()
-        out.append(sols)
+        kept = sorted(found[distinct(X[found])].tolist(),
+                      key=lambda i: tuple(np.round(X[i].view(float), 9).tolist()))
+        out.append(SolutionSet(X[kept], res[kept], [origins[i] for i in kept]))
     return out
 
 
@@ -1178,7 +1176,7 @@ def assert_same_rows(got, want):
     the same order."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.provenance == b.provenance and a.residuals == b.residuals
+        assert a.provenance == b.provenance and np.array_equal(a.residuals, b.residuals)
         assert [p.tobytes() for p in a.points] == [p.tobytes() for p in b.points]
 
 
@@ -1206,7 +1204,7 @@ def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypat
         monkeypatch, lambda: _companion_roots(F, C, TrackerSettings()))
     assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
     assert [len(sols) for sols in result] == [4, 4, 0, 3, 4, 4]
-    assert result[4].points[0] is not result[1].points[0]
+    assert not np.shares_memory(result[4].points, result[1].points)
     assert_same_rows(result[4:5], result[1:2])
 
 
@@ -1236,7 +1234,7 @@ def assert_bit_identical(a, b):
     """Two reports with the same points byte for byte, residuals,
     provenance and tree but for its times."""
     assert [p.tobytes() for p in a.solutions.points] == [p.tobytes() for p in b.solutions.points]
-    assert a.solutions.residuals == b.solutions.residuals
+    assert np.array_equal(a.solutions.residuals, b.solutions.residuals)
     assert a.solutions.provenance == b.solutions.provenance
     rows = [[{**vars(nd), "children": len(nd.children), "elapsed": 0} for nd in r.tree.walk()]
             for r in (a, b)]

@@ -215,7 +215,7 @@ for workload in ("families", "e-basis families"):
 family = torsolve.solver._solve
 def short_rows(F, C, *rest):
     sols, tree = family(F, C, *rest)
-    return [sols[0]] + [SolutionSet() for _ in sols[1:]], tree
+    return [sols[0]] + [SolutionSet(s.points[:0]) for s in sols[1:]], tree
 torsolve.solver._solve = short_rows
 for workload in ("tracked", "e-basis tracked"):
     torsolve.solve_decomposable(F if workload == "tracked" else E, seed=7)
@@ -253,7 +253,7 @@ for workload, lost in (("one short", slice(3, 4)), ("all short", slice(1, None))
     def short(F, rows, *rest, lost=lost):
         out = roots(F, rows, *rest)
         if len(rows) > 1:
-            out[lost] = [SolutionSet()] * len(out[lost])
+            out[lost] = [SolutionSet(s.points[:0]) for s in out[lost]]
         return out
     torsolve.solver._companion_roots = short
     torsolve.solve_decomposable(F, seed=7)

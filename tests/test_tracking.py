@@ -24,6 +24,7 @@ from torsolve.tracking import (
     _newton,
     _predict,
     _solve,
+    _solution_order,
     _track,
     distinct,
     relative_distance,
@@ -184,15 +185,15 @@ def test_relative_distance():
 
 
 def test_solution_set_sorting():
-    s = SolutionSet()
-    s.append(np.array([2.0 + 0j]), 0.0, "b")
-    s.append(np.array([1.0 + 0j]), 0.0, "a")
-    s.sort()
-    assert s.provenance == ["a", "b"]
+    # By row first, then by the coordinates.
+    X = np.array([[2.0 + 0j], [1.0 + 0j], [0.0 + 0j]])
+    assert _solution_order(X[:2], np.zeros(2, dtype=int)).tolist() == [1, 0]
+    assert _solution_order(X, np.array([1, 0, 0])).tolist() == [2, 1, 0]
+    assert len(SolutionSet()) == 0
 
 
 def reference_sort_key(point) -> tuple:
-    """The per-point key the vectorized SolutionSet.sort replaced."""
+    """The per-point key _solution_order vectorizes."""
     return tuple(v for z in point for v in (round(z.real, 9), round(z.imag, 9)))
 
 
@@ -220,12 +221,8 @@ def test_sort_and_distinct_match_the_per_point_references():
     order = rng.permutation(len(points))
     points = [points[i] for i in order]
 
-    s = SolutionSet()
-    for i, p in enumerate(points):
-        s.append(p, 0.0, str(i))
-    s.sort()
-    assert s.provenance == [str(i) for i in sorted(range(len(points)),
-                                                    key=lambda i: reference_sort_key(points[i]))]
+    order = _solution_order(np.array(points), np.zeros(len(points), dtype=int))
+    assert order.tolist() == sorted(range(len(points)), key=lambda i: reference_sort_key(points[i]))
     assert len({reference_sort_key(p) for p in points}) < len(points)  # ties occur
 
     expected, kept = [], np.empty((0, 3), dtype=complex)
@@ -599,6 +596,19 @@ def test_batched_newton_matches_the_per_point_newton():
     for point, origin in zip(out.points, out.provenance):
         ref = kept[["converged", "ordinary"].index(origin)]
         assert np.max(np.abs(point - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_a_newton_step_onto_a_singular_jacobian_fails_its_row_only():
+    # x^2 - 2x + 2 from x = 2 (well conditioned there) steps exactly onto
+    # x = 1, where the derivative is 0: the next step's solve is singular.
+    # The row from 1.2+0.9j, in the same batch, converges to the root 1+1j.
+    H = as_homotopy(univariate({0: 2.0, 1: -2.0, 2: 1.0}))
+    X = np.array([[2.0], [1.2 + 0.9j]], dtype=complex)
+    points, residuals, errors = _newton(H, X, np.zeros(2, dtype=int), TrackerSettings())
+    assert type(errors[0]) is SingularJacobianError and str(errors[0]) == "Singular matrix"
+    assert points[0, 0] == 1.0 and residuals[0] == 1.0
+    assert errors[1] is None and residuals[1] <= 1e-8
+    assert abs(points[1, 0] - (1 + 1j)) <= 1e-12
 
 
 NON_FINITE_STARTS = [[np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200], [0.0, 1.0]]
