@@ -48,7 +48,6 @@ from .torus import (
     apply as torus_apply,
     diagonal_fiber,
     fiber_restriction,
-    relabel,
 )
 from .tracking import (
     Homotopy,
@@ -93,10 +92,9 @@ def _report(sols, tree, seed, warnings=None) -> SolveReport:
 
 
 def _entry(solve, F: SparseSystem, seed: int, settings: TrackerSettings | None, *args):
-    """Run one of the recursive solvers below on normalized F, as the root:
-    the family of F alone."""
-    F, _ = normalize(F)
-    (sols,), tree = solve(F, _rows(F), *args, np.random.SeedSequence(seed),
+    """Run one of the recursive solvers below on F's normalized supports, as
+    the root: the family of F alone."""
+    (sols,), tree = solve(normalize(F.system)[0], _rows(F), *args, np.random.SeedSequence(seed),
                           settings or TrackerSettings(), "")
     return sols, tree
 
@@ -139,25 +137,25 @@ def solve_general(F: SparseSystem, seed: int = 0,
     """
     start = time.perf_counter()
     settings = settings or TrackerSettings()
-    F, _ = normalize(F)
+    S, C = normalize(F.system)[0], _rows(F)
     ss = np.random.SeedSequence(seed)  # the key holds an int or int sequence seed as a tuple
-    key = (_vertex_system(F.system), tuple(np.ravel(ss.entropy).tolist()), settings)
+    key = (_vertex_system(S), tuple(np.ravel(ss.entropy).tolist()), settings)
     G, start_sols, start_tree = (_vertex_start(*key) if seed is None  # fresh entropy: no hit
                                  else _memo(_vertex_start, *key))
     expected = len(start_sols)
-    on_vertices = [dict(G.polynomial(i)) for i in range(F.n)]  # G on F's support, 0 elsewhere
-    G_row = [on_vertices[i].get(alpha, 0j) for i, sup in enumerate(F.system.supports)
+    on_vertices = [dict(G.polynomial(i)) for i in range(S.n)]  # G on F's support, 0 elsewhere
+    G_row = [on_vertices[i].get(alpha, 0j) for i, sup in enumerate(S.supports)
              for alpha in sup.points]
-    F_c, (F_row, G_row), back, start_points = _compacted(F, np.vstack([_rows(F), G_row]),
+    S_c, (F_row, G_row), back, start_points = _compacted(S, np.vstack([C, G_row]),
                                                          start_sols.points)
 
     rng = np.random.default_rng(ss.spawn(3)[2])  # the first two are _vertex_start's
     warnings = []
     best = SolutionSet()
     for attempt in range(2):
-        H = Homotopy(F_c.system, G_row, [F_row], [_unit(rng)])
+        H = Homotopy(S_c, G_row, [F_row], [_unit(rng)])
         (ends,), failures = _tracked(H, start_points, back, settings)
-        found = _refined(F, ends.points, ends.provenance, settings, failures)
+        found = _refined(S, C, ends.points, ends.provenance, settings, failures)
         if len(found) > len(best):
             best = found
         if len(found) == expected:
@@ -188,7 +186,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
 def _memo(f, *args):
     """f(*args) for a function f of supports alone (classify,
     hull_mixed_volume, _compacting_change, vertices, fiber_restriction,
-    _term_orders) or, for _vertex_start, of vertex supports, seed entropy
+    _mapped) or, for _vertex_start, of vertex supports, seed entropy
     and settings, once per value of the arguments among the _MEMO_SIZE most
     recent: supports solved again with new coefficients are not classified
     again, nor at the same seed and tolerance is their start solved again.
@@ -197,38 +195,40 @@ def _memo(f, *args):
     return f(*args)
 
 
-def _solve(F: SparseSystem, C, ss, settings, prov):
-    """(per row of C its SolutionSet, the tree of row 0) for the family of
-    F: the rows of the (K, M) array C are coefficient vectors of F's
-    support, polynomial by polynomial, row 0 F's own. The exact work runs
-    once for the family and the numerics once over all rows. Row 0 is
-    solved in full or raises; another row that a leaf cannot complete
-    without tracking comes back short."""
+def _solve(S: SupportSystem, C, ss, settings, prov):
+    """(per row of C its SolutionSet, the tree of row 0) for the family on
+    the supports S: the rows of the (K, M) array C are coefficient vectors
+    of S, polynomial by polynomial, row 0 the node's own system. The node is
+    decided from S alone, and the exact work runs once for the family; the
+    numerics run once over all rows. Row 0 is solved in full or raises;
+    another row that a leaf cannot complete without tracking comes back
+    short. Every function below takes a node as the pair (S, C), its S
+    normalized."""
     start = time.perf_counter()
-    F, _ = normalize(F)
-    cls = _memo(classify, F.system)
+    S, _ = normalize(S)
+    cls = _memo(classify, S)
     if isinstance(cls, Lacunary):
-        sols, tree = _solve_lacunary(F, C, cls, ss, settings, prov)
+        sols, tree = _solve_lacunary(S, C, cls, ss, settings, prov)
     elif isinstance(cls, Triangular):
-        sols, tree = _solve_triangular(F, C, cls, ss, settings, prov)
-    elif F.n == 1:
-        sols, tree = _univariate_roots(F, C, settings, prov)
+        sols, tree = _solve_triangular(S, C, cls, ss, settings, prov)
+    elif S.n == 1:
+        sols, tree = _univariate_roots(S, C, settings, prov)
     else:
-        sols, tree = _blackbox(F, C, _memo(hull_mixed_volume, F.system), ss, settings, prov)
+        sols, tree = _blackbox(S, C, _memo(hull_mixed_volume, S), ss, settings, prov)
     tree.elapsed = time.perf_counter() - start
     return sols, tree
 
 
-def _solve_lacunary(F, C, cls: Lacunary, ss, settings, prov):
-    cover = relabel(F, cls.preimage)
-    cover_C = C[:, _positions(F.system, range(F.n), cls.preimage.index_maps)]
-    child_sols, child_tree = _solve(cover, cover_C, ss.spawn(1)[0], settings, prov + "cover/")
+def _solve_lacunary(S, C, cls: Lacunary, ss, settings, prov):
+    cover_C = C[:, _positions(S, range(S.n), cls.preimage.index_maps)]
+    child_sols, child_tree = _solve(cls.preimage.system, cover_C, ss.spawn(1)[0], settings,
+                                    prov + "cover/")
     expected = cls.index * len(child_sols[0])
     roots = [(r, w, f"{prov}root[{yi}.{wi}]") for r, sols in enumerate(child_sols)
              for yi, y in enumerate(sols.points)
              for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))]
     rows, W, origins = zip(*roots)
-    out = _refined_rows(F, C, rows, torus_apply(MonomialMap(cls.psi), W), origins, settings)
+    out = _refined_rows(S, C, rows, torus_apply(MonomialMap(cls.psi), W), origins, settings)
     if len(out[0]) != expected:
         raise CountMismatchError("lacunary root extraction", expected, len(out[0]), out[0])
     tree = DecompositionTree(
@@ -242,15 +242,15 @@ def _solve_lacunary(F, C, cls: Lacunary, ss, settings, prov):
     return out, tree
 
 
-def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
-    n = F.n
+def _solve_triangular(S, C, cls: Triangular, ss, settings, prov):
+    n = S.n
     I = cls.witness
     J = tuple(j for j in range(n) if j not in I)
     k = cls.k
 
-    base_F, base_C = _mapped(F, C, I, IntMatrix(cls.psi.entries[:k]))
+    base, positions = _memo(_mapped, S, I, IntMatrix(cls.psi.entries[:k]))
     base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
-    base_sols, base_tree = _solve(base_F, base_C, base_ss, settings, prov + "base/")
+    base_sols, base_tree = _solve(base, C[:, positions], base_ss, settings, prov + "base/")
 
     # The base solutions of every row in one stack, row by row: position p
     # holds base solution p - starts[rows[p]] of row rows[p].
@@ -264,7 +264,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     # Another row with a degenerate fiber is left without fibers, so short.
     # Row 0 raises for one once its first fiber is solved: that solve's own
     # error came first when the transfers followed it.
-    restrict = _memo(fiber_restriction, F.system, J, cls.projection)
+    restrict = _memo(fiber_restriction, S, J, cls.projection)
     Y0 = torus_apply(psi_map, np.hstack([Y, np.ones((len(Y), n - k))]))  # fiber base points
     fiber0, fiber_C, errors = restrict(C[rows], Y0)
     row_error = [next(filter(None, errors[a:b]), None) for a, b in zip(starts, starts[1:])]
@@ -300,14 +300,14 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     for _ in range(_MAX_GAMMA_RETRIES + 1):
         if not todo:
             break
-        H = Homotopy(start.system, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
+        H = Homotopy(start, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
         latest.update(zip(todo, _tracked(H, start_points, back, settings)[0]))
         attempts.update(todo)
         todo = short()
     for m in todo:
-        fiber = restrict(C[:1], Y0[m:m + 1])[0]  # the fiber over base solution m alone
+        fiber, fiber_row, _ = restrict(C[:1], Y0[m:m + 1])  # the fiber over base solution m alone
         try:
-            (latest[m],), direct_tree = _solve(fiber, _rows(fiber), direct_ss, settings,
+            (latest[m],), direct_tree = _solve(fiber, fiber_row, direct_ss, settings,
                                                f"{prov}fiber{m}/")
         except CountMismatchError as exc:
             raise CountMismatchError(f"fiber transfer to base solution {m}",
@@ -322,7 +322,7 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     origins = [f"{prov}base[{p - starts[r]}]/fiber[{zi}]"
                for p, (r, c) in enumerate(zip(rows, counts.tolist())) for zi in range(c)]
     lifted = torus_apply(psi_map, np.hstack([np.repeat(Y, counts, axis=0), Z]))
-    out = _refined_rows(F, C, np.repeat(rows, counts), lifted, origins, settings)
+    out = _refined_rows(S, C, np.repeat(rows, counts), lifted, origins, settings)
     expected = len(base_sols[0]) * count
     if len(out[0]) != expected:
         raise CountMismatchError("triangular assembly", expected, len(out[0]), out[0])
@@ -339,24 +339,24 @@ def _solve_triangular(F, C, cls: Triangular, ss, settings, prov):
     return out, tree
 
 
-def _univariate_roots(F, C, settings, prov):
+def _univariate_roots(S, C, settings, prov):
     """Companion-matrix solve of every row; row 0 must give its degree."""
-    out = _companion_roots(F, C, settings, prov)
-    degree = F.system.supports[0].points[-1][0] - F.system.supports[0].points[0][0]
+    out = _companion_roots(S, C, settings, prov)
+    degree = S.supports[0].points[-1][0] - S.supports[0].points[0][0]
     if len(out[0]) != degree:
         raise CountMismatchError("univariate companion solve", degree, len(out[0]), out[0])
     tree = DecompositionTree(kind="univariate", mv=degree, solutions=len(out[0]))
     return out, tree
 
 
-def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionSet]:
-    """Per coefficient row on the one-variable support of F, its torus roots:
+def _companion_roots(S: SupportSystem, rows, settings, prov="") -> list[SolutionSet]:
+    """Per coefficient row on the one-variable support S, its torus roots:
     the eigenvalues `eig[i]` of K companion matrices stacked in np.roots'
     layout, so bit for bit its roots, refined in one batched Newton on the
     K targets. A row whose matrix is not finite, from a zero or tiny end
     coefficient, gets no roots; the other rows are solved as they are alone."""
     rows = np.asarray(rows, dtype=complex)
-    exps = [p[0] for p in F.system.supports[0].points]
+    exps = [p[0] for p in S.supports[0].points]
     K, degree = len(rows), exps[-1] - exps[0]
     dense = np.zeros((K, degree + 1), dtype=complex)  # highest power first
     dense[:, [exps[-1] - e for e in exps]] = rows
@@ -368,32 +368,31 @@ def _companion_roots(F: SparseSystem, rows, settings, prov="") -> list[SolutionS
     roots = np.zeros((K, degree), dtype=complex)
     roots[finite] = np.linalg.eigvals(A[finite])
     block, index = np.nonzero(np.abs(roots) >= TORUS_THRESHOLD)
-    return _refined_rows(F, rows, block, roots[block, index, None],
+    return _refined_rows(S, rows, block, roots[block, index, None],
                          [f"{prov}eig[{i}]" for i in index], settings)
 
 
-def _blackbox(F, C, expected, ss, settings, prov):
+def _blackbox(S, C, expected, ss, settings, prov):
     """Resultant eigenvalues for n = 2; otherwise, or when they come up
     short for row 0, a total-degree homotopy for row 0 alone from
     c_i x_i^{d_i} - b_i, random units. Another row short stays short.
 
-    `expected` is the mixed volume of F, which must be nonzero, and bounds
+    `expected` is the mixed volume of S, which must be nonzero, and bounds
     the torus roots (Bernstein). For n = 2 the candidates `eig[i]` of
     _resultant_roots, for all rows at once, its units drawn from a child of
     `ss`, are kept for each row that refines them to `expected` roots.
     Otherwise the prod(d_i) paths stop once that many distinct endpoints
     are in; a stopped run short of the MV is tracked again in full before
     the next gamma. The path ledger counts this node as its solution count;
-    bezout_paths keeps prod(d_i) either way. F comes normalized from _solve
+    bezout_paths keeps prod(d_i) either way. S comes normalized from _solve
     or _entry.
     """
-    if F.n == 1:
-        return _univariate_roots(F, C, settings, prov)
-    n = F.n
-    compact, compact_C, back, _ = _compacted(F, C)
-    moved, degrees = _orthant_shifts(compact.system)  # translations keep the terms' order
-    target = SparseSystem.from_pairs([list(zip(pts, c))
-                                      for pts, c in zip(moved, compact.coefficients)])
+    if S.n == 1:
+        return _univariate_roots(S, C, settings, prov)
+    n = S.n
+    compact, compact_C, back, _ = _compacted(S, C)
+    moved, degrees = _orthant_shifts(compact)
+    shifted = SupportSystem.of_points(moved)  # translations keep the terms' order
 
     def solved(sols, retries):
         return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
@@ -402,10 +401,12 @@ def _blackbox(F, C, expected, ss, settings, prov):
 
     sols = [SolutionSet(np.zeros((0, n), dtype=complex)) for _ in C]
     if n == 2:  # the child leaves the gamma stream of `ss` as it is
-        points, rows, origins = _resultant_roots(target, compact_C, ss.spawn(1)[0])
-        sols = _refined_rows(F, C, rows, back(points), [prov + o for o in origins], settings)
+        points, rows, origins = _resultant_roots(shifted, compact_C, ss.spawn(1)[0])
+        sols = _refined_rows(S, C, rows, back(points), [prov + o for o in origins], settings)
         if len(sols[0]) == expected:
             return solved(sols, 0)
+    cuts = np.cumsum([len(sup) for sup in shifted.supports])[:-1]
+    target = SparseSystem(shifted, np.split(compact_C[0], cuts))
     rng = np.random.default_rng(ss)
     for attempt in range(_MAX_GAMMA_RETRIES + 1):
         c = [_unit(rng) for _ in range(n)]
@@ -419,7 +420,7 @@ def _blackbox(F, C, expected, ss, settings, prov):
         H = Homotopy.straight_line(G, [target], [_unit(rng)])
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
             (ends,), failures = _tracked(H, starts, back, settings, count)
-            sols[0] = _refined(F, ends.points, [prov + o for o in ends.provenance], settings)
+            sols[0] = _refined(S, C, ends.points, [prov + o for o in ends.provenance], settings)
             if len(sols[0]) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
         if len(sols[0]) == expected:
@@ -427,9 +428,9 @@ def _blackbox(F, C, expected, ss, settings, prov):
     raise CountMismatchError("blackbox total-degree solve", expected, len(sols[0]), sols[0])
 
 
-def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
+def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
     """(points, rows, origins `eig[i]`): per eigenvalue i of row r of C, a
-    coefficient row of `target`'s support (exponents >= 0), a finite,
+    coefficient row of the supports S (exponents >= 0), a finite,
     nonzero candidate root (x, y) of that row's polynomials f and g, a row
     of the (P, 2) stack `points`.
 
@@ -441,7 +442,7 @@ def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
     y = v[N-2] / v[N-1]. The rows share one stacked eigensolve. Nothing when
     N < 2, and nothing for a row whose leading coefficient is singular.
     """
-    f, g = target.system.supports
+    f, g = S.supports
     m, k = (max(p[1] for p in sup.points) for sup in (f, g))
     N, D = m + k, max(p[0] for sup in (f, g) for p in sup.points)
     if N < 2 or D < 1:
@@ -488,23 +489,24 @@ def _resultant_roots(target: SparseSystem, C, ss) -> tuple:
     return X[keep, index], rows[keep], [f"eig[{i}]" for i in index]
 
 
-def _refined(F: SparseSystem, points, origins, settings, failures=None) -> SolutionSet:
-    """Newton-refine candidate points, each with its origin, on F, all in one
-    batch; keep the converged ones on the torus that distinct() keeps,
-    sorted. Refinement failures go to `failures` as (origin, message) when
-    given."""
-    return _refined_rows(F, _rows(F), np.zeros(len(origins), dtype=np.intp), points, origins,
+def _refined(S: SupportSystem, C, points, origins, settings, failures=None) -> SolutionSet:
+    """Newton-refine candidate points, each with its origin, on the system
+    on S with the coefficient row C[0], all in one batch; keep the converged
+    ones on the torus that distinct() keeps, sorted. Refinement failures go
+    to `failures` as (origin, message) when given."""
+    return _refined_rows(S, C[:1], np.zeros(len(origins), dtype=np.intp), points, origins,
                          settings, failures)[0]
 
 
-def _refined_rows(F: SparseSystem, C, rows, points, origins, settings,
+def _refined_rows(S: SupportSystem, C, rows, points, origins, settings,
                   failures=None) -> list[SolutionSet]:
-    """_refined on the family of F: candidate i, points[i] from origins[i],
-    refined on row rows[i] of C, all in one batched Newton, then deduplicated
-    and sorted in one pass over all rows; one SolutionSet per row."""
+    """_refined on the family on S: candidate i, points[i] from origins[i],
+    refined on the coefficient row rows[i] of C, all in one batched Newton,
+    then deduplicated and sorted in one pass over all rows; one SolutionSet
+    per row of C."""
     rows = np.asarray(rows, dtype=np.intp)
-    X = np.reshape(np.asarray(points, dtype=complex), (len(rows), F.n))
-    X, res, errors = _newton(Homotopy(F.system, C[0], C), X, rows, settings)
+    X = np.reshape(np.asarray(points, dtype=complex), (len(rows), S.n))
+    X, res, errors = _newton(Homotopy(S, C[0], C), X, rows, settings)
     if failures is not None:
         failures.extend((origin, str(error)) for origin, error in zip(origins, errors)
                         if error is not None)
@@ -582,46 +584,37 @@ def _positions(S: SupportSystem, polys, maps) -> np.ndarray:
     return np.concatenate([offsets[i] + np.asarray(m, dtype=np.intp) for i, m in zip(polys, maps)])
 
 
-def _term_orders(S: SupportSystem, polys, A: IntMatrix):
-    """(G, maps, positions): the supports `polys` of S with each exponent
-    alpha taken to A @ alpha, their points sorted as SparseSystem.from_pairs
-    sorts them; per polynomial the terms of S in G's order; and the columns
-    of S's coefficient rows in G's term order."""
+def _mapped(S: SupportSystem, polys, A: IntMatrix):
+    """(G, positions): the supports `polys` of S with each exponent alpha
+    taken to A @ alpha, their points sorted, and the columns of S's
+    coefficient rows in G's term order, so that a family's rows C on S are
+    C[:, positions] on G."""
     supports, maps = [], []
     for i in polys:
         points = [A.apply(alpha) for alpha in S.supports[i].points]
-        maps.append(tuple(sorted(range(len(points)), key=points.__getitem__)))
+        maps.append(sorted(range(len(points)), key=points.__getitem__))
         supports.append(Support(tuple(points[j] for j in maps[-1])))
     positions = _positions(S, polys, maps)
     positions.flags.writeable = False  # shared through the memo
-    return SupportSystem(tuple(supports)), tuple(maps), positions
+    return SupportSystem(tuple(supports)), positions
 
 
-def _mapped(F: SparseSystem, C, polys, A: IntMatrix):
-    """(G, C_G): the polynomials `polys` of F with each exponent alpha taken
-    to A @ alpha, their terms sorted as SparseSystem.from_pairs sorts them,
-    and the rows C of F's family in G's term order."""
-    G, maps, positions = _memo(_term_orders, F.system, tuple(polys), A)
-    return (SparseSystem(G, tuple(tuple(F.coefficients[i][j] for j in order)
-                                  for i, order in zip(polys, maps))),
-            C[:, positions])
-
-
-def _compacted(F: SparseSystem, C, points=()):
-    """(F_c, C_c, back, points_c): F and the rows C of its family in the
-    coordinates of _compacting_change(F.system), with exponents T @ alpha so
-    that F_c(w) = F(Phi_T(w)); the map `back` that takes a (P, n) stack of
-    compacted points back, Phi_T; and the stack `points` in compacted
-    coordinates. Nothing changes, and `back` is the identity, when F is
-    already compact."""
-    T = _memo(_compacting_change, F.system)
+def _compacted(S: SupportSystem, C, points=()):
+    """(S_c, C_c, back, points_c): the supports S and the rows C of its
+    family in the coordinates of _compacting_change(S), with exponents
+    T @ alpha, so that the system on S_c with a row of C_c takes at w the
+    value that the system on S with that row of C takes at Phi_T(w); the map
+    `back` that takes a (P, n) stack of compacted points back, Phi_T; and
+    the stack `points` in compacted coordinates. Nothing changes, and `back`
+    is the identity, when S is already compact."""
+    T = _memo(_compacting_change, S)
     if T is None:
-        return F, C, lambda W: W, points
-    F_c, C_c = _mapped(F, C, range(F.n), T)
+        return S, C, lambda W: W, points
+    S_c, positions = _memo(_mapped, S, tuple(range(S.n)), T)
     push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))
     if len(points):
         points = torus_apply(pull, points)
-    return F_c, C_c, lambda W: torus_apply(push, W), points
+    return S_c, C[:, positions], lambda W: torus_apply(push, W), points
 
 
 def _tracked(H: Homotopy, points, back, settings, expected=None):
@@ -650,5 +643,5 @@ def _vertex_start(vsys: SupportSystem, entropy, settings):
     coeff_ss, solve_ss = np.random.SeedSequence(entropy).spawn(2)
     rng = np.random.default_rng(coeff_ss)
     G = SparseSystem(vsys, tuple(tuple(_unit(rng) for _ in s.points) for s in vsys.supports))
-    (sols,), tree = _solve(G, _rows(G), solve_ss, settings, "start/")
+    (sols,), tree = _solve(vsys, _rows(G), solve_ss, settings, "start/")
     return G, sols, tree

@@ -133,21 +133,23 @@ def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
     coefficient not finite, or a base point with a coordinate of modulus at
     most TORUS_THRESHOLD or not finite, means the fiber is degenerate.
     """
-    return fiber_restriction(F.system, J, pi_J)(np.concatenate(F.coefficients)[None],
-                                                np.asarray(y0, dtype=complex)[None])[0]
+    fiber, coefficients, _ = fiber_restriction(F.system, J, pi_J)(
+        np.concatenate(F.coefficients)[None], np.asarray(y0, dtype=complex)[None])
+    cuts = np.cumsum([len(sup) for sup in fiber.supports])[:-1]
+    return SparseSystem(fiber, np.split(coefficients[0], cuts))
 
 
 def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
-    """The function (C, Y) -> (fiber 0, coefficients, errors) that takes
+    """The function (C, Y) -> (supports, coefficients, errors) that takes
     fiber p, restrict_to_fiber bit for bit of the system on S with the
     coefficient row C[p] (polynomial by polynomial) and the base point Y[p],
-    for every p at once: `coefficients` is the (P, M') array of every
-    fiber's coefficients on fiber 0's support, and errors[p] None or the
-    DegenerateFiberError of fiber p >= 1: its own, or else "fiber support
-    over base solution p differs from the start fiber". Fiber 0 raises its
-    error. A merged coefficient that overflows (inf, or NaN from inf - inf)
-    is an error. The images pi_J(alpha) and the points' power_table are laid
-    out once, here."""
+    for every p at once: `supports` is fiber 0's SupportSystem, row p of the
+    (P, M') array `coefficients` fiber p's coefficients on it, and errors[p]
+    None or the DegenerateFiberError of fiber p >= 1: its own, or else
+    "fiber support over base solution p differs from the start fiber". Fiber
+    0 raises its error. A merged coefficient that overflows (inf, or NaN
+    from inf - inf) is an error. The images pi_J(alpha) and the points'
+    power_table are laid out once, here."""
     J = sorted(J)
     offsets = list(itertools.accumulate((len(s) for s in S.supports), initial=0))
     columns, exponents, targets, images, polys = [], [], [], [], []  # polys[t]: J-index of image t
@@ -186,11 +188,9 @@ def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
             errors[p] = DegenerateFiberError(message)
         if errors[0] is not None:
             raise errors[0]
-        supports = [Support(tuple(itertools.compress(d, kept[0, a:])))
-                    for a, d in zip(starts, images)]
-        cuts = np.cumsum([len(sup) for sup in supports])[:-1]
-        fiber0 = SparseSystem(SupportSystem(tuple(supports)), np.split(merged[0, kept[0]], cuts))
-        return fiber0, merged[:, kept[0]], errors
+        supports = SupportSystem(tuple(Support(tuple(itertools.compress(d, kept[0, a:])))
+                                       for a, d in zip(starts, images)))
+        return supports, merged[:, kept[0]], errors
 
     return restrict
 

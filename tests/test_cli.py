@@ -83,6 +83,23 @@ def test_parse_rejects_non_finite_coefficients(value):
         ]})
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "$: top level must be an object"),
+    ({"n": 1, "polynomials": [[[0], [1]]]}, "polynomials[0]: must be an object"),
+    ({"n": 1, "polynomials": [{"support": []}]},
+     "polynomials[0].support: must be a nonempty list of exponent vectors"),
+    ({"n": 2, "polynomials": [{"support": [[0, 0], [1, 0]], "coefficients": [[1, 0], [2, 0]]},
+                              {"support": [[0, 0], [0, 1]]}]},
+     "polynomials[1]: coefficients must be present for all polynomials or none"),
+    ({"n": 1, "polynomials": [{"support": [[0], [1]], "coefficients": [[1, 0]]}]},
+     "polynomials[0].coefficients: must align one [re, im] pair per support point"),
+])
+def test_parse_rejects_malformed_structure(data, message):
+    with pytest.raises(SystemFileError) as err:
+        parse_system(data)
+    assert str(err.value) == f"<input>: {message}"
+
+
 @pytest.mark.parametrize("command", [["solve", "FILE"], ["start", "FILE"],
                                      ["bench", "e-basis", "--count", "0"]])
 @pytest.mark.parametrize("tolerance", ["0", "-1e-8", "nan"])

@@ -43,6 +43,13 @@ def unit_coeff_system(supports, seed):
     return SparseSystem(sys_, coeffs)
 
 
+def on_supports(S, row):
+    """The SparseSystem on the supports S with the coefficient row `row`,
+    polynomial by polynomial."""
+    cuts = np.cumsum([len(sup) for sup in S.supports])[:-1]
+    return SparseSystem(S, tuple(map(tuple, np.split(np.asarray(row), cuts))))
+
+
 def assert_solves(F, sols, tol=1e-8):
     """Every point has a max-norm residual of at most tol, evaluated term by
     term, independently of the package's homotopy evaluator."""
@@ -353,11 +360,11 @@ def triangular_node(F):
 
 
 def alone(solve, F, *args):
-    """A recursive solver of torsolve.solver run on the family of F alone:
-    (F's solutions, tree)."""
+    """A recursive solver of torsolve.solver run on the family of F alone, its
+    supports and its one coefficient row: (F's solutions, tree)."""
     from torsolve.solver import _rows
 
-    (sols,), tree = solve(F, _rows(F), *args)
+    (sols,), tree = solve(F.system, _rows(F), *args)
     return sols, tree
 
 
@@ -392,7 +399,8 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
 
     fiber0 = restrict_to_fiber(F, J, cls.projection, lift_point(base_sols.points[0]))
     fiber_sols, fiber_tree = alone(solver._solve, fiber0, fiber_ss, settings, prov + "fiber0/")
-    start_fiber, _, back, start_points = _compacted(fiber0, _rows(fiber0), fiber_sols.points)
+    start_fiber, start_C, back, start_points = _compacted(fiber0.system, _rows(fiber0),
+                                                          fiber_sols.points)
     rng = np.random.default_rng(transfer_ss)
     per_base = [fiber_sols.points]
     retries = 0
@@ -402,8 +410,8 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
         if target.system != fiber0.system:
             raise DegenerateFiberError(f"fiber over base solution {idx}")
         for attempt in range(_MAX_GAMMA_RETRIES + 1):
-            H = Homotopy(start_fiber.system, _rows(start_fiber)[0],
-                         _compacted(fiber0, _rows(target))[1], _unit(rng))
+            H = Homotopy(start_fiber, start_C[0], _compacted(fiber0.system, _rows(target))[1],
+                         _unit(rng))
             got, _ = solver.track_all(H, start_points, settings)
             if len(got) == len(fiber_sols):
                 break
@@ -423,7 +431,7 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     lifted = [(lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
               for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
               for zi, z in enumerate(zpts)]
-    out = _refined(F, [x for x, _ in lifted], [o for _, o in lifted], settings)
+    out = _refined(F.system, _rows(F), [x for x, _ in lifted], [o for _, o in lifted], settings)
     tree = DecompositionTree(kind="triangular", mv=base_tree.mv * fiber_tree.mv,
                              children=[base_tree, fiber_tree, *direct_trees],
                              solutions=len(out), witness=I,
@@ -473,8 +481,8 @@ def short_families(monkeypatch, keep=lambda prov, r: False):
 
     real = solver._solve
 
-    def solve(F, C, ss, settings, prov):
-        sols, tree = real(F, C, ss, settings, prov)
+    def solve(S, C, ss, settings, prov):
+        sols, tree = real(S, C, ss, settings, prov)
         return [s if r == 0 or keep(prov, r) else SolutionSet(s.points[:0])
                 for r, s in enumerate(sols)], tree
 
@@ -570,10 +578,10 @@ def test_transfer_failing_every_gamma_raises_for_first_base_solution(monkeypatch
     calls = failing_gammas(monkeypatch, 7, set(range(5, 13)))
     real_solve = solver._solve
 
-    def short_direct_solve(F, C, ss, settings, prov):
+    def short_direct_solve(S, C, ss, settings, prov):
         if prov == "fiber6/":
             raise CountMismatchError("univariate companion solve", 2, 1)
-        return real_solve(F, C, ss, settings, prov)
+        return real_solve(S, C, ss, settings, prov)
 
     monkeypatch.setattr(solver, "_solve", short_direct_solve)
     errors = []
@@ -685,17 +693,18 @@ def test_a_failed_transfer_reports_its_partial_roots_on_its_fiber(monkeypatch):
     calls = failing_gammas(monkeypatch, 0, set(range(64)), node=(1,))
     real_solve, fibers = solver._solve, []
 
-    def short_direct_solve(F, C, ss, settings, prov):
+    def short_direct_solve(S, C, ss, settings, prov):
         if prov == "start/fiber1/":
-            fibers.append(F)
+            fibers.append((S, C))
             raise CountMismatchError("blackbox total-degree solve", 4, 0)
-        return real_solve(F, C, ss, settings, prov)
+        return real_solve(S, C, ss, settings, prov)
 
     monkeypatch.setattr(solver, "_solve", short_direct_solve)
     with pytest.raises(CountMismatchError, match="fiber transfer to base solution 1") as err:
         decomposable_start_system(S, seed=0)
-    (fiber,) = fibers
-    assert fiber.n == 2 and solver._compacted(fiber, solver._rows(fiber))[0] is not fiber
+    ((support, C),) = fibers
+    assert len(C) == 1 and support.n == 2 and solver._compacted(support, C)[0] is not support
+    fiber = on_supports(support, C[0])
     assert len(calls) == 4 and len(err.value.partial) == 3
     for p in err.value.partial.points:
         for i in range(fiber.n):
@@ -713,15 +722,15 @@ def test_companion_roots_equal_np_roots_refined_row_by_row(exponents):
     rows = np.exp(2j * np.pi * rng.random(shape)) * rng.uniform(0.5, 2.0, shape)
     systems = [SparseSystem.from_pairs([list(zip(((e,) for e in exponents), row))])
                for row in rows]
-    batched = _companion_roots(systems[0], rows, TrackerSettings(), "x/")
+    batched = _companion_roots(systems[0].system, rows, TrackerSettings(), "x/")
     assert len(batched) == len(rows)
     for F, row, sols in zip(systems, rows, batched):
         dense = np.zeros(exponents[-1] - exponents[0] + 1, dtype=complex)
         dense[np.subtract(exponents, exponents[0])] = row
         roots = np.roots(dense[::-1])
         kept = [(i, r) for i, r in enumerate(roots) if abs(r) >= 1e-10]
-        alone = _refined(F, [[r] for _, r in kept], [f"x/eig[{i}]" for i, _ in kept],
-                         TrackerSettings())
+        alone = _refined(F.system, row[None], [[r] for _, r in kept],
+                         [f"x/eig[{i}]" for i, _ in kept], TrackerSettings())
         assert len(sols) == exponents[-1] - exponents[0]
         assert sols.provenance == alone.provenance
         assert np.array_equal(sols.residuals, alone.residuals)
@@ -787,10 +796,10 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
     refined = refined or _refined
     F, _ = normalize(F)
     n = F.n
-    compact, _, back, _ = _compacted(F, _rows(F))
-    moved, degrees = _orthant_shifts(compact.system)
-    target = SparseSystem.from_pairs([list(zip(pts, c))
-                                      for pts, c in zip(moved, compact.coefficients)])
+    compact, compact_C, back, _ = _compacted(F.system, _rows(F))
+    moved, degrees = _orthant_shifts(compact)
+    target = SparseSystem.from_pairs([list(zip(pts, c)) for pts, c in
+                                      zip(moved, on_supports(compact, compact_C[0]).coefficients)])
     rng = np.random.default_rng(ss)
     sols = SolutionSet()
     for attempt in range(_MAX_GAMMA_RETRIES + 1):
@@ -802,7 +811,7 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
         starts = diagonal_fiber(degrees, [bi / ci for bi, ci in zip(b, c)])
         H = Homotopy.straight_line(G, target, _unit(rng))
         endpoints, _failures = track_all(H, starts, settings)
-        sols = refined(F, [back(pt) for pt in endpoints.points],
+        sols = refined(F.system, _rows(F), [back(pt) for pt in endpoints.points],
                        [prov + origin for origin in endpoints.provenance], settings)
         if len(sols) == expected:
             return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
@@ -945,16 +954,14 @@ def test_blackbox_matches_the_full_run_loop_on_acceptance_systems(name):
     assert_same_points(sols.points, ref.points)
 
 
-def reference_family_blackbox(F, C, expected, *args):
-    """reference_blackbox on each row of the family of F in turn: per row its
+def reference_family_blackbox(S, C, expected, *args):
+    """reference_blackbox on each row of the family on S in turn: per row its
     solutions, and the tree of row 0. A row after the first that it cannot
     complete keeps its partial roots."""
     out, tree = [], None
-    cuts = np.cumsum([len(s) for s in F.system.supports])[:-1]
     for r, row in enumerate(C):
-        G = SparseSystem(F.system, tuple(map(tuple, np.split(row, cuts))))
         try:
-            sols, row_tree = reference_blackbox(G, expected, *args)
+            sols, row_tree = reference_blackbox(on_supports(S, row), expected, *args)
         except CountMismatchError as exc:
             if r == 0:
                 raise
@@ -979,19 +986,20 @@ def test_blackbox_leaves_match_the_full_run_loop_on_e_basis(monkeypatch, seed):
     assert_same_points(rep.solutions.points, ref.solutions.points)
 
 
-def no_candidates(target, C, ss):
+def no_candidates(S, C, ss):
     return [], np.zeros(0, dtype=np.intp), []
 
 
 def leaves_of(monkeypatch, run):
-    """(F, expected) of every _blackbox call that run() makes."""
+    """(row 0 of the family as a SparseSystem, expected) of every _blackbox
+    call that run() makes."""
     import torsolve.solver as solver
 
     real, seen = solver._blackbox, []
 
-    def spy(F, C, expected, *args):
-        seen.append((F, expected))
-        return real(F, C, expected, *args)
+    def spy(S, C, expected, *args):
+        seen.append((on_supports(S, C[0]), expected))
+        return real(S, C, expected, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_blackbox", spy)
@@ -1030,9 +1038,9 @@ def test_a_short_resultant_count_falls_back_to_the_gamma_loop(monkeypatch):
     F, _ = normalize(MV5_LEAF)
     real, calls = solver._resultant_roots, []
 
-    def one_candidate(target, C, ss):
+    def one_candidate(S, C, ss):
         calls.append(ss)
-        points, rows, origins = real(target, C, ss)
+        points, rows, origins = real(S, C, ss)
         return points[:1], rows[:1], origins[:1]
 
     monkeypatch.setattr(solver, "_resultant_roots", one_candidate)
@@ -1072,9 +1080,27 @@ def test_resultant_roots_give_nothing_without_a_regular_pencil():
     y_linear_in_one = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 1), 2.0)],
                                                [((0, 0), 1.0), ((1, 0), 3.0)]])
     for target in (y_divides_both, y_linear_in_one):  # singular leading coefficient; N = 1
-        points, rows, origins = _resultant_roots(target, _rows(target),
+        points, rows, origins = _resultant_roots(target.system, _rows(target),
                                                  np.random.SeedSequence(0))
         assert len(points) == 0 and len(rows) == 0 and origins == []
+
+
+def test_resultant_roots_solve_the_rows_one_by_one_when_one_row_is_singular():
+    # Row 1 is zero, so the stacked eigensolve raises and each row is solved
+    # alone; row 1 raises there too and is left out, rows 0 and 2 (2F) get
+    # the six candidates each gets alone, bit for bit.
+    from torsolve.solver import _resultant_roots, _rows
+
+    F = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 0), -2.0), ((0, 1), 1.0), ((1, 1), 0.5)],
+                                 [((0, 0), -1.0), ((2, 0), 1.0), ((0, 1), 3.0), ((1, 2), 1.0)]])
+    C = np.vstack([_rows(F), np.zeros_like(_rows(F)), 2 * _rows(F)])
+    points, rows, origins = _resultant_roots(F.system, C, np.random.SeedSequence(3))
+    assert rows.tolist() == [0] * 6 + [2] * 6
+    for r in (0, 2):
+        alone = _resultant_roots(F.system, C[r:r + 1], np.random.SeedSequence(3))
+        assert alone[1].tolist() == [0] * 6
+        assert points[rows == r].tobytes() == alone[0].tobytes()
+        assert [o for o, k in zip(origins, rows) if k == r] == alone[2]
 
 
 # The MV-10 black-box leaf of `decomposable` seed 7, round 1, e-basis[3]
@@ -1111,8 +1137,9 @@ def test_a_companion_matrix_that_overflows_leaves_the_other_rows_their_roots():
     from torsolve.tracking import TrackerSettings
 
     F = SparseSystem.from_pairs([[((0,), -2.0), ((1,), 1.0), ((3,), 1.0)]])
-    (alone,) = _companion_roots(F, [[-2, 1, 1]], TrackerSettings())
-    first, overflowed = _companion_roots(F, [[-2, 1, 1], [1e300, 1, 1e-300]], TrackerSettings())
+    (alone,) = _companion_roots(F.system, [[-2, 1, 1]], TrackerSettings())
+    first, overflowed = _companion_roots(F.system, [[-2, 1, 1], [1e300, 1, 1e-300]],
+                                         TrackerSettings())
     assert len(alone) == 3 and len(overflowed) == 0
     assert first.provenance == alone.provenance
     assert np.array_equal(first.residuals, alone.residuals)
@@ -1120,12 +1147,13 @@ def test_a_companion_matrix_that_overflows_leaves_the_other_rows_their_roots():
 
 
 def test_refined_drops_a_converged_point_off_the_torus():
-    from torsolve.solver import _refined
+    from torsolve.solver import _refined, _rows
     from torsolve.tracking import TrackerSettings
 
     F = SparseSystem.from_pairs([[((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -1.0)],
                                  [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 1.0)]])  # root (0, 1)
-    assert len(_refined(F, [np.array([1e-3, 1.01])], ["near (0, 1)"], TrackerSettings())) == 0
+    assert len(_refined(F.system, _rows(F), [np.array([1e-3, 1.01])], ["near (0, 1)"],
+                        TrackerSettings())) == 0
 
 
 def per_row_refined(C, rows, origins, newton_out):
@@ -1149,7 +1177,7 @@ def per_row_refined(C, rows, origins, newton_out):
 
 
 def refined_rows_calls(monkeypatch, run):
-    """(F, C, rows, origins, _newton output, result) of every _refined_rows
+    """(S, C, rows, origins, _newton output, result) of every _refined_rows
     call that run() makes."""
     import torsolve.solver as solver
 
@@ -1159,9 +1187,9 @@ def refined_rows_calls(monkeypatch, run):
         newtons.append(real_newton(*args))
         return newtons[-1]
 
-    def refined_rows(F, C, rows, points, origins, *args):
-        result = real_refined(F, C, rows, points, origins, *args)
-        calls.append((F, C, np.asarray(rows), origins, newtons[-1], result))
+    def refined_rows(S, C, rows, points, origins, *args):
+        result = real_refined(S, C, rows, points, origins, *args)
+        calls.append((S, C, np.asarray(rows), origins, newtons[-1], result))
         return result
 
     with monkeypatch.context() as patch:
@@ -1190,8 +1218,8 @@ def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypat
     from torsolve.tracking import TrackerSettings
 
     calls = refined_rows_calls(monkeypatch, lambda: solve_decomposable(e_basis(0), seed=0))
-    assert sum(F.n == 1 and len(C) == 50 for F, C, *_ in calls) == 1
-    for F, C, rows, origins, newton_out, result in calls:
+    assert sum(S.n == 1 and len(C) == 50 for S, C, *_ in calls) == 1
+    for S, C, rows, origins, newton_out, result in calls:
         assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
 
     F = SparseSystem.from_pairs([[((e,), 1.0) for e in range(5)]])
@@ -1201,7 +1229,7 @@ def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypat
     C[3] = np.polynomial.polynomial.polyfromroots([1.0, 1.0, -2.0, 0.5j])
     C[4] = C[1]
     ((_, C, rows, origins, newton_out, result),) = refined_rows_calls(
-        monkeypatch, lambda: _companion_roots(F, C, TrackerSettings()))
+        monkeypatch, lambda: _companion_roots(F.system, C, TrackerSettings()))
     assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
     assert [len(sols) for sols in result] == [4, 4, 0, 3, 4, 4]
     assert not np.shares_memory(result[4].points, result[1].points)

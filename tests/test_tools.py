@@ -213,8 +213,8 @@ E = torsolve.cli._bench_instance("e-basis", np.random.default_rng(np.random.Seed
 for workload in ("families", "e-basis families"):
     torsolve.solve_decomposable(F if workload == "families" else E, seed=7)
 family = torsolve.solver._solve
-def short_rows(F, C, *rest):
-    sols, tree = family(F, C, *rest)
+def short_rows(S, C, *rest):
+    sols, tree = family(S, C, *rest)
     return [sols[0]] + [SolutionSet(s.points[:0]) for s in sols[1:]], tree
 torsolve.solver._solve = short_rows
 for workload in ("tracked", "e-basis tracked"):
@@ -250,8 +250,8 @@ workload = "eigenvalues"
 torsolve.solve_decomposable(F, seed=7)
 roots = torsolve.solver._companion_roots
 for workload, lost in (("one short", slice(3, 4)), ("all short", slice(1, None))):
-    def short(F, rows, *rest, lost=lost):
-        out = roots(F, rows, *rest)
+    def short(S, rows, *rest, lost=lost):
+        out = roots(S, rows, *rest)
         if len(rows) > 1:
             out[lost] = [SolutionSet(s.points[:0]) for s in out[lost]]
         return out
@@ -331,6 +331,31 @@ print(json.dumps(deduped))
         "  decomposition: 0 / 0 -> 4 / 72",
         "  direct: 0 / 0 -> 1 / 3",
     ]
+
+
+def test_parity_counts_sparse_system_constructions():
+    # The counters of the parity child, run on this checkout: the printed
+    # example is one SparseSystem. Solved by decomposition it builds none,
+    # each node being its supports and coefficient rows; the black box
+    # builds its total-degree start and target, once for its one gamma.
+    parity = load("parity")
+    run = parity.SETUP + """
+from torsolve.supports import SparseSystem
+TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
+TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+workload = "input"
+F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
+                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+workload = "decomposition"
+torsolve.solve_decomposable(F, seed=7)
+workload = "blackbox"
+torsolve.blackbox(F, seed=7)
+print(json.dumps(built))
+"""
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == {"input": 1, "blackbox": 2}
 
 
 def test_parity_counts_the_hits_and_misses_of_the_solvers_support_memo():

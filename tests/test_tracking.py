@@ -564,7 +564,7 @@ NEWTON_BATCH = [
 
 
 def test_batched_newton_matches_the_per_point_newton():
-    from torsolve.solver import _refined
+    from torsolve.solver import _refined, _rows
 
     H = as_homotopy(NEWTON_F)
     evaluate = point_system(H.E, H.starts, H.ct[0])
@@ -589,8 +589,8 @@ def test_batched_newton_matches_the_per_point_newton():
     assert str(errors[3]).endswith("after 12 iterations")
 
     failures = []
-    out = _refined(NEWTON_F, X, [origin for origin, _ in NEWTON_BATCH], TrackerSettings(),
-                   failures)
+    out = _refined(NEWTON_F.system, _rows(NEWTON_F), X, [origin for origin, _ in NEWTON_BATCH],
+                   TrackerSettings(), failures)
     assert failures == failed
     assert sorted(out.provenance) == ["converged", "ordinary"]
     for point, origin in zip(out.points, out.provenance):

@@ -40,7 +40,10 @@ mapped one call each show; and the dedup passes, `distinct` calls wrapped
 the same way, with the candidate points they were given, so that rows
 deduplicated one call each show; and the hits and misses of the solver's
 memo of support-only work (`solver._memo`; a checkout without it counts
-none), so that supports classified again show. Since that memo, the
+none), so that supports classified again show; and the `SparseSystem`
+constructions (`SparseSystem.__post_init__` calls), the inputs the
+workload builds included, so that systems built per node beside the
+coefficient rows show. Since that memo, the
 solver's `classify` calls count its misses only: a classification the
 memo holds makes no call. A call counts once whatever it is given;
 a checkout whose `normalize` passed a `SparseSystem`'s supports back to
@@ -221,6 +224,16 @@ def counted_memo(*args):
 
 if cached is not None:
     torsolve.solver._memo = counted_memo
+
+built = {}  # workload: SparseSystem constructions
+post_init = torsolve.supports.SparseSystem.__post_init__
+
+def counted_post_init(self):
+    if "workload" in globals():  # one built before the first workload counts for none
+        built[workload] = built.get(workload, 0) + 1
+    post_init(self)
+
+torsolve.supports.SparseSystem.__post_init__ = counted_post_init
 """
 # Run in a fresh interpreter from a checkout: solve every op and pickle
 # ({(workload, seed, round, label): record},
@@ -232,7 +245,8 @@ if cached is not None:
 #  {workload: [normalize calls, rank eliminations]},
 #  {workload: [torus.apply calls, points they mapped]},
 #  {workload: [distinct calls, candidate points they were given]},
-#  {workload: [memo hits, misses]}) to standard output.
+#  {workload: [memo hits, misses]},
+#  {workload: SparseSystem constructions}) to standard output.
 CHILD = SETUP + f"\nruns = {RUNS!r}\n" + """
 def tree_of(tree):
     if tree is None:
@@ -297,15 +311,15 @@ with tempfile.TemporaryDirectory() as tmp:
                 "residuals": obj.get("residuals", []),
             }
 sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped,
-                                      deduped, memo)))
+                                      deduped, memo, built)))
 """
 
 
 def solve_all(checkouts):
     """The CHILD records, step counts, leaf counts, fiber-node counts,
     track_all counts, classify counts, normalize and elimination counts,
-    torus.apply counts, distinct counts and memo counts of each checkout,
-    both run at the same time."""
+    torus.apply counts, distinct counts, memo counts and SparseSystem
+    construction counts of each checkout, both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -429,8 +443,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped, deduped, memo = zip(
-        *solve_all([args.parent.resolve(), args.change.resolve()]))
+    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped, deduped, memo, built = (
+        zip(*solve_all([args.parent.resolve(), args.change.resolve()])))
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
@@ -465,6 +479,9 @@ def main(argv=None) -> int:
     print("dedup passes (distinct calls) / candidate points, parent -> change:")
     for line in pair_lines(deduped):
         print(line)
+    print("SparseSystem constructions, parent -> change:")
+    for workload in sorted(set().union(*built)):
+        print(f"  {workload}: {built[0].get(workload, 0):,} -> {built[1].get(workload, 0):,}")
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
     print(f"max residual: {worst_res[0]:.3g} -> {worst_res[1]:.3g}; "
