@@ -155,7 +155,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
     for attempt in range(2):
         H = Homotopy(S_c, G_row, [F_row], [_unit(rng)])
         (ends,), failures = _tracked(H, start_points, back, settings)
-        found = _refined(S, C, ends.points, ends.provenance, settings, failures)
+        found = _refined(S, C, ends.points, ends.origins, ends.label, settings, failures)
         if len(found) > len(best):
             best = found
         if len(found) == expected:
@@ -224,11 +224,12 @@ def _solve_lacunary(S, C, cls: Lacunary, ss, settings, prov):
     child_sols, child_tree = _solve(cls.preimage.system, cover_C, ss.spawn(1)[0], settings,
                                     prov + "cover/")
     expected = cls.index * len(child_sols[0])
-    roots = [(r, w, f"{prov}root[{yi}.{wi}]") for r, sols in enumerate(child_sols)
+    roots = [(r, w, (yi, wi)) for r, sols in enumerate(child_sols)
              for yi, y in enumerate(sols.points)
              for wi, w in enumerate(diagonal_fiber(cls.diagonal, y))]
     rows, W, origins = zip(*roots)
-    out = _refined_rows(S, C, rows, torus_apply(MonomialMap(cls.psi), W), origins, settings)
+    out = _refined_rows(S, C, rows, torus_apply(MonomialMap(cls.psi), W), np.array(origins),
+                        prov + "root[{}.{}]", settings)
     if len(out[0]) != expected:
         raise CountMismatchError("lacunary root extraction", expected, len(out[0]), out[0])
     tree = DecompositionTree(
@@ -264,9 +265,8 @@ def _solve_triangular(S, C, cls: Triangular, ss, settings, prov):
     # Another row with a degenerate fiber is left without fibers, so short.
     # Row 0 raises for one once its first fiber is solved: that solve's own
     # error came first when the transfers followed it.
-    restrict = _memo(fiber_restriction, S, J, cls.projection)
     Y0 = torus_apply(psi_map, np.hstack([Y, np.ones((len(Y), n - k))]))  # fiber base points
-    fiber0, fiber_C, errors = restrict(C[rows], Y0)
+    fiber0, fiber_C, errors = _memo(fiber_restriction, S, J, cls.projection)(C[rows], Y0)
     row_error = [next(filter(None, errors[a:b]), None) for a, b in zip(starts, starts[1:])]
     # All fibers are solved as one family, the first fiber of row 0 as its
     # row 0; each row's fibers are consecutive, row 0's first.
@@ -275,23 +275,18 @@ def _solve_triangular(S, C, cls: Triangular, ss, settings, prov):
     if row_error[0]:
         raise row_error[0]
     count = len(fiber_sols[0])
-    # The family's roots in one stack, position after position, counts[p] of
-    # them over stack position p.
-    counts = np.zeros(len(Y), dtype=np.intp)
-    counts[family] = [len(sols) for sols in fiber_sols]
-    Z = np.concatenate([sols.points for sols in fiber_sols])
+    roots = dict(zip(family, fiber_sols))  # the roots over each stack position
 
     # Row 0's fibers the family left short are reached by transfers from its
     # first fiber, in compacted fiber coordinates, in rounds: each round
     # tracks the transfers still short, ascending, each on the next gamma of
     # the stream, as one multi-target homotopy. A transfer short after the
     # last round has its fiber solved directly. Row 0's base solution m is
-    # stack position m; latest[m] holds the roots its transfers last found.
-    attempts, direct_trees, latest = Counter(), [], {}
+    # stack position m; its roots are those its transfers last found.
+    attempts, direct_trees = Counter(), []
 
     def short():
-        return [m for m in range(1, sizes[0])
-                if (len(latest[m]) if m in latest else counts[m]) != count]
+        return [m for m in range(1, sizes[0]) if len(roots[m]) != count]
 
     todo, rng = short(), np.random.default_rng(transfer_ss)
     if todo:
@@ -301,28 +296,25 @@ def _solve_triangular(S, C, cls: Triangular, ss, settings, prov):
         if not todo:
             break
         H = Homotopy(start, start_C[0], start_C[todo], [_unit(rng) for _ in todo])
-        latest.update(zip(todo, _tracked(H, start_points, back, settings)[0]))
+        roots.update(zip(todo, _tracked(H, start_points, back, settings)[0]))
         attempts.update(todo)
         todo = short()
-    for m in todo:
-        fiber, fiber_row, _ = restrict(C[:1], Y0[m:m + 1])  # the fiber over base solution m alone
+    for m in todo:  # row 0's fibers all have fiber 0's support, or row_error[0] was raised
         try:
-            (latest[m],), direct_tree = _solve(fiber, fiber_row, direct_ss, settings,
-                                               f"{prov}fiber{m}/")
+            (roots[m],), direct_tree = _solve(fiber0, fiber_C[m:m + 1], direct_ss, settings,
+                                              f"{prov}fiber{m}/")
         except CountMismatchError as exc:
             raise CountMismatchError(f"fiber transfer to base solution {m}",
-                                     count, len(latest[m]), latest[m]) from exc
+                                     count, len(roots[m]), roots[m]) from exc
         direct_trees.append(direct_tree)
-    if latest:  # the family's roots over each position, the latest in place of its own
-        pieces = np.split(Z, np.cumsum(counts)[:-1])
-        for m, sols in latest.items():
-            pieces[m], counts[m] = sols.points, len(sols)
-        Z = np.concatenate(pieces)
-
-    origins = [f"{prov}base[{p - starts[r]}]/fiber[{zi}]"
-               for p, (r, c) in enumerate(zip(rows, counts.tolist())) for zi in range(c)]
+    # The roots in one stack, counts[p] over position p, from (base index, fiber index).
+    counts = np.array([len(roots.get(p, ())) for p in range(len(Y))], dtype=np.intp)
+    Z = np.concatenate([sols.points for sols in roots.values()])
+    b = np.repeat(np.arange(len(Y)) - starts[rows], counts)
+    origins = np.stack([b, np.arange(len(Z)) - np.repeat(np.cumsum(counts) - counts, counts)], 1)
     lifted = torus_apply(psi_map, np.hstack([np.repeat(Y, counts, axis=0), Z]))
-    out = _refined_rows(S, C, np.repeat(rows, counts), lifted, origins, settings)
+    out = _refined_rows(S, C, np.repeat(rows, counts), lifted, origins,
+                        prov + "base[{}]/fiber[{}]", settings)
     expected = len(base_sols[0]) * count
     if len(out[0]) != expected:
         raise CountMismatchError("triangular assembly", expected, len(out[0]), out[0])
@@ -351,7 +343,7 @@ def _univariate_roots(S, C, settings, prov):
 
 def _companion_roots(S: SupportSystem, rows, settings, prov="") -> list[SolutionSet]:
     """Per coefficient row on the one-variable support S, its torus roots:
-    the eigenvalues `eig[i]` of K companion matrices stacked in np.roots'
+    eigenvalue i, `eig[{}]`, of K companion matrices stacked in np.roots'
     layout, so bit for bit its roots, refined in one batched Newton on the
     K targets. A row whose matrix is not finite, from a zero or tiny end
     coefficient, gets no roots; the other rows are solved as they are alone."""
@@ -368,8 +360,8 @@ def _companion_roots(S: SupportSystem, rows, settings, prov="") -> list[Solution
     roots = np.zeros((K, degree), dtype=complex)
     roots[finite] = np.linalg.eigvals(A[finite])
     block, index = np.nonzero(np.abs(roots) >= TORUS_THRESHOLD)
-    return _refined_rows(S, rows, block, roots[block, index, None],
-                         [f"{prov}eig[{i}]" for i in index], settings)
+    return _refined_rows(S, rows, block, roots[block, index, None], index[:, None],
+                         prov + "eig[{}]", settings)
 
 
 def _blackbox(S, C, expected, ss, settings, prov):
@@ -401,8 +393,8 @@ def _blackbox(S, C, expected, ss, settings, prov):
 
     sols = [SolutionSet(np.zeros((0, n), dtype=complex)) for _ in C]
     if n == 2:  # the child leaves the gamma stream of `ss` as it is
-        points, rows, origins = _resultant_roots(shifted, compact_C, ss.spawn(1)[0])
-        sols = _refined_rows(S, C, rows, back(points), [prov + o for o in origins], settings)
+        points, rows, index = _resultant_roots(shifted, compact_C, ss.spawn(1)[0])
+        sols = _refined_rows(S, C, rows, back(points), index[:, None], prov + "eig[{}]", settings)
         if len(sols[0]) == expected:
             return solved(sols, 0)
     cuts = np.cumsum([len(sup) for sup in shifted.supports])[:-1]
@@ -420,7 +412,7 @@ def _blackbox(S, C, expected, ss, settings, prov):
         H = Homotopy.straight_line(G, [target], [_unit(rng)])
         for count in (expected, None):  # stop at the MV; a short stopped run goes again in full
             (ends,), failures = _tracked(H, starts, back, settings, count)
-            sols[0] = _refined(S, C, ends.points, [prov + o for o in ends.provenance], settings)
+            sols[0] = _refined(S, C, ends.points, ends.origins, prov + ends.label, settings)
             if len(sols[0]) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
         if len(sols[0]) == expected:
@@ -429,10 +421,10 @@ def _blackbox(S, C, expected, ss, settings, prov):
 
 
 def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
-    """(points, rows, origins `eig[i]`): per eigenvalue i of row r of C, a
-    coefficient row of the supports S (exponents >= 0), a finite,
-    nonzero candidate root (x, y) of that row's polynomials f and g, a row
-    of the (P, 2) stack `points`.
+    """(points, rows, index): per eigenvalue index[i] of row rows[i] of C, a
+    coefficient row of the supports S (exponents >= 0), a finite, nonzero
+    candidate root (x, y) of that row's polynomials f and g, points[i] of
+    the (P, 2) stack `points`; `rows` and `index` are (P,) integer arrays.
 
     The Sylvester matrix of f and g in y is a matrix polynomial S(x) of size
     N = deg_y f + deg_y g whose kernel at a root's x holds (y^(N-1), ..., 1).
@@ -445,8 +437,9 @@ def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
     f, g = S.supports
     m, k = (max(p[1] for p in sup.points) for sup in (f, g))
     N, D = m + k, max(p[0] for sup in (f, g) for p in sup.points)
+    none = np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
     if N < 2 or D < 1:
-        return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=np.intp), []
+        return none
     K = len(C)
     # Per Sylvester entry (term of the row, power of x, matrix row, column):
     # matrix row `row` holds y^shift f or y^shift g.
@@ -481,38 +474,40 @@ def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
                 except np.linalg.LinAlgError:
                     pass
             if not parts:
-                return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=np.intp), []
+                return none
             rows = np.array(list(parts), dtype=np.intp)
             s, V = (np.concatenate(x) for x in zip(*parts.values()))
         X = np.stack([(a * s + b) / (c * s + d), V[:, N - 2] / V[:, N - 1]], axis=-1)
     keep, index = np.nonzero(np.isfinite(X).all(axis=2) & X.all(axis=2))  # a zero has no image
-    return X[keep, index], rows[keep], [f"eig[{i}]" for i in index]
+    return X[keep, index], rows[keep], index
 
 
-def _refined(S: SupportSystem, C, points, origins, settings, failures=None) -> SolutionSet:
-    """Newton-refine candidate points, each with its origin, on the system
-    on S with the coefficient row C[0], all in one batch; keep the converged
-    ones on the torus that distinct() keeps, sorted. Refinement failures go
-    to `failures` as (origin, message) when given."""
+def _refined(S: SupportSystem, C, points, origins, label, settings, failures=None) -> SolutionSet:
+    """Newton-refine candidate points, each with its row of the (P, k) integer
+    `origins` that the template `label` names, on the system on S with the
+    coefficient row C[0], all in one batch; keep the converged ones on the
+    torus that distinct() keeps, sorted. Refinement failures go to
+    `failures` as (formatted label, message) when given."""
     return _refined_rows(S, C[:1], np.zeros(len(origins), dtype=np.intp), points, origins,
-                         settings, failures)[0]
+                         label, settings, failures)[0]
 
 
-def _refined_rows(S: SupportSystem, C, rows, points, origins, settings,
+def _refined_rows(S: SupportSystem, C, rows, points, origins, label, settings,
                   failures=None) -> list[SolutionSet]:
     """_refined on the family on S: candidate i, points[i] from origins[i],
     refined on the coefficient row rows[i] of C, all in one batched Newton,
     then deduplicated and sorted in one pass over all rows; one SolutionSet
-    per row of C."""
+    per row of C. No label is formatted but a failure's."""
     rows = np.asarray(rows, dtype=np.intp)
     X = np.reshape(np.asarray(points, dtype=complex), (len(rows), S.n))
     X, res, errors = _newton(Homotopy(S, C[0], C), X, rows, settings)
     if failures is not None:
-        failures.extend((origin, str(error)) for origin, error in zip(origins, errors)
-                        if error is not None)
+        failures.extend((label.format(*origins[i].tolist()), str(error))
+                        for i, error in enumerate(errors) if error is not None)
     ok = np.logical_and.reduce(np.abs(X) > TORUS_THRESHOLD, axis=1)
     ok = np.flatnonzero(ok & np.array([error is None for error in errors], dtype=bool))
-    return _solution_sets(X, res, origins, rows, len(C), ok[_kept_order(X[ok], rows[ok])])
+    return _solution_sets(X, res, origins, label, rows, len(C),
+                          ok[_kept_order(X[ok], rows[ok])])
 
 
 def bezout_path_count(S: SupportSystem) -> int:
@@ -620,13 +615,12 @@ def _compacted(S: SupportSystem, C, points=()):
 def _tracked(H: Homotopy, points, back, settings, expected=None):
     """(per target of H its endpoints, failures): the (P, n) stack `points`
     tracked to each target of H by track_all; the endpoints mapped by
-    `back`, in _solution_order there, each from "path {i}" for start point
-    i; and the failures of track_all, indexed over all blocks."""
+    `back`, in _solution_order there, each from its start index in `points`
+    ("path {}"); and the failures of track_all, indexed over all blocks."""
     ends, failures = track_all(H, np.tile(points, (len(H.ct), 1)), settings, expected)
-    index = np.array([int(origin[5:]) for origin in ends.provenance], dtype=np.intp)  # path {i}
-    block, path = np.divmod(index, len(points))
+    block, path = np.divmod(ends.origins[:, 0], len(points))
     mapped = back(ends.points)
-    return _solution_sets(mapped, ends.residuals, [f"path {i}" for i in path], block, len(H.ct),
+    return _solution_sets(mapped, ends.residuals, path[:, None], ends.label, block, len(H.ct),
                           _solution_order(mapped, block)), failures
 
 

@@ -87,16 +87,22 @@ class PathFailure:
 @dataclass
 class SolutionSet:
     """Solutions as arrays: an (N, n) stack of points, their (N,) max-norm
-    residuals and one provenance string each, in _solution_order. The
-    solver's sets are slices of one stack per family, so a row without
+    residuals and (N, k) integer `origins`, which the str.format template
+    `label` names (`provenance` formats them when read), in _solution_order.
+    The solver's sets are slices of one stack per family, so a row without
     roots is a (0, n) stack; SolutionSet() is the empty set, (0, 0)."""
 
     points: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    provenance: list = field(default_factory=list)
+    origins: np.ndarray = field(default_factory=lambda: np.zeros((0, 1), dtype=np.intp))
+    label: str = "path {}"
 
     def __len__(self):
         return len(self.points)
+
+    @property
+    def provenance(self) -> list[str]:
+        return [self.label.format(*o) for o in self.origins.tolist()]
 
 
 def relative_distance(x, y) -> float:
@@ -161,15 +167,14 @@ def _kept_order(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return kept[_solution_order(X[kept], rows[kept])]
 
 
-def _solution_sets(X, residuals, origins, rows, K, order) -> list[SolutionSet]:
+def _solution_sets(X, residuals, origins, label, rows, K, order) -> list[SolutionSet]:
     """Per row k < K the SolutionSet of the points X[i], residuals[i] and
-    origins[i] for the i of `order` with rows[i] == k, in that order: slices
-    of one gather, so no set copies its points; `order` lists the rows
-    ascending."""
-    X, res, rows = X[order], np.asarray(residuals)[order], rows[order]
-    origins = [origins[i] for i in order.tolist()]
+    origins[i] (rows of a (P, k) integer array) for the i of `order` with
+    rows[i] == k, in that order, all named by `label`: slices of one gather,
+    so no set copies its points; `order` lists the rows ascending."""
+    X, res, origins, rows = X[order], np.asarray(residuals)[order], origins[order], rows[order]
     cuts = np.searchsorted(rows, np.arange(K + 1)).tolist()
-    return [SolutionSet(X[a:b], res[a:b], origins[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [SolutionSet(X[a:b], res[a:b], origins[a:b], label) for a, b in zip(cuts, cuts[1:])]
 
 
 class Homotopy:
@@ -501,8 +506,8 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
 
     With K targets the starts form K equal blocks, block k tracked toward
     target k and deduplicated on its own. Returns (SolutionSet, failures)
-    where failures is a list of (start index, PathFailure) and a success
-    comes from "path {start index}". The successes are in _solution_order
+    where failures is a list of (start index, PathFailure) and a success's
+    origin is its start index ("path {}"). The successes are in _solution_order
     with their block as the row: block 0's first, each block sorted.
     Duplicate endpoints are recorded as warnings in the failure list with
     reason "duplicate-endpoint". With one target, `expected` stops the
@@ -517,7 +522,7 @@ def track_all(H: Homotopy, starts, settings: TrackerSettings | None = None,
     X = np.array([outcomes[i] for i in ends], dtype=complex).reshape(len(ends), H.n)
     order = _kept_order(X, ends // (len(points) // len(H.ct)))
     kept = ends[order]
-    solutions = SolutionSet(X[order], residuals[kept], [f"path {i}" for i in kept])
+    solutions = SolutionSet(X[order], residuals[kept], kept[:, None])
     for i in set(ends.tolist()).difference(kept.tolist()):
         outcomes[i] = PathFailure("duplicate-endpoint", 1.0, outcomes[i])
     failures = [(i, out) for i, out in enumerate(outcomes) if isinstance(out, PathFailure)]

@@ -428,10 +428,11 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
                                      len(fiber_sols), len(got), got) from exc
         per_base.append(direct.points)
         direct_trees.append(direct_tree)
-    lifted = [(lift_point(y, np.asarray(z, dtype=complex)), f"{prov}base[{bi}]/fiber[{zi}]")
+    lifted = [(lift_point(y, np.asarray(z, dtype=complex)), (bi, zi))
               for bi, (y, zpts) in enumerate(zip(base_sols.points, per_base))
               for zi, z in enumerate(zpts)]
-    out = _refined(F.system, _rows(F), [x for x, _ in lifted], [o for _, o in lifted], settings)
+    out = _refined(F.system, _rows(F), [x for x, _ in lifted], np.array([o for _, o in lifted]),
+                   prov + "base[{}]/fiber[{}]", settings)
     tree = DecompositionTree(kind="triangular", mv=base_tree.mv * fiber_tree.mv,
                              children=[base_tree, fiber_tree, *direct_trees],
                              solutions=len(out), witness=I,
@@ -458,6 +459,9 @@ def test_batched_transfers_match_per_transfer_loop(system, seed):
              for nd in t.walk()] for t in (tree, ref_tree)]
     assert rows[0] == rows[1] and tree.transfers >= 4
     assert batched.provenance == looped.provenance
+    base, fiber = (child.solutions for child in tree.children[:2])
+    assert sorted(batched.provenance) == sorted(f"base[{b}]/fiber[{z}]"
+                                                for b in range(base) for z in range(fiber))
     assert len(batched) == tree.mv
     for p, q in zip(batched.points, looped.points):
         assert np.max(np.abs(p - q)) <= 1e-10 * max(1.0, float(np.max(np.abs(q))))
@@ -507,12 +511,12 @@ def failing_gammas(monkeypatch, seed, places, node=()):
             return sols, failures  # not a transfer
         calls.append(gammas)
         size = len(starts) // len(gammas)
-        blocks = [int(origin.split()[1]) // size for origin in sols.provenance]
+        blocks = (sols.origins[:, 0] // size).tolist()
         lose = {blocks.index(k) for k, gamma in enumerate(gammas)
                 if draws.index(gamma) in places and k in blocks}  # each block's first point
         keep = [i for i in range(len(sols)) if i not in lose]
-        return SolutionSet(sols.points[keep], sols.residuals[keep],
-                           [sols.provenance[i] for i in keep]), failures
+        return SolutionSet(sols.points[keep], sols.residuals[keep], sols.origins[keep],
+                           sols.label), failures
 
     monkeypatch.setattr(solver, "track_all", track_all)
     short_families(monkeypatch)
@@ -730,9 +734,10 @@ def test_companion_roots_equal_np_roots_refined_row_by_row(exponents):
         roots = np.roots(dense[::-1])
         kept = [(i, r) for i, r in enumerate(roots) if abs(r) >= 1e-10]
         alone = _refined(F.system, row[None], [[r] for _, r in kept],
-                         [f"x/eig[{i}]" for i, _ in kept], TrackerSettings())
+                         np.array([[i] for i, _ in kept]), "x/eig[{}]", TrackerSettings())
         assert len(sols) == exponents[-1] - exponents[0]
         assert sols.provenance == alone.provenance
+        assert sols.provenance == [f"x/eig[{i}]" for i in sols.origins[:, 0]]
         assert np.array_equal(sols.residuals, alone.residuals)
         assert np.array_equal(sols.points, alone.points)
 
@@ -812,7 +817,7 @@ def reference_blackbox(F, expected, ss, settings, prov, refined=None):
         H = Homotopy.straight_line(G, target, _unit(rng))
         endpoints, _failures = track_all(H, starts, settings)
         sols = refined(F.system, _rows(F), [back(pt) for pt in endpoints.points],
-                       [prov + origin for origin in endpoints.provenance], settings)
+                       endpoints.origins, prov + endpoints.label, settings)
         if len(sols) == expected:
             return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
                                            paths=expected, bezout_paths=math.prod(degrees),
@@ -845,10 +850,6 @@ def e_basis(seed):
     return _bench_instance("e-basis", np.random.default_rng(np.random.SeedSequence(seed)))
 
 
-def path_of(origin):
-    return int(origin.split()[-1])
-
-
 @pytest.mark.parametrize("leaf", ["blackbox", "e-basis MV 5"])
 def test_track_all_stops_at_the_expected_count(monkeypatch, leaf):
     from torsolve.tracking import track_all
@@ -864,13 +865,14 @@ def test_track_all_stops_at_the_expected_count(monkeypatch, leaf):
         s for s in seen if s[2] == (50 if leaf == "blackbox" else 5))
 
     full_sols, full_failures = track_all(H, starts)
-    full = {path_of(o): pt for pt, o in zip(full_sols.points, full_sols.provenance)}
+    full = dict(zip(full_sols.origins[:, 0].tolist(), full_sols.points))
     full.update((i, fail) for i, fail in full_failures)
-    indices = [path_of(o) for o in sols.provenance] + [i for i, _ in failures]
+    indices = sols.origins[:, 0].tolist() + [i for i, _ in failures]
     assert sorted(indices) == list(range(len(starts)))
+    assert sols.provenance == [f"path {i}" for i in sols.origins[:, 0]]
     assert len(sols) == len(full_sols) == expected
-    for pt, origin in zip(sols.points, sols.provenance):  # the full run's endpoint, bit for bit
-        end = full[path_of(origin)]
+    for pt, i in zip(sols.points, sols.origins[:, 0]):  # the full run's endpoint, bit for bit
+        end = full[i]
         assert np.array_equal(pt, end if isinstance(end, np.ndarray) else end.point)
     match_sets(sols.points, full_sols.points, tol=1e-10)
     assert any(fail.reason == "count-reached" for _, fail in failures)
@@ -883,7 +885,7 @@ def test_track_all_stops_at_the_expected_count(monkeypatch, leaf):
 def shortened(sols):
     from torsolve.tracking import SolutionSet
 
-    return SolutionSet(sols.points[:-1], sols.residuals[:-1], sols.provenance[:-1])
+    return SolutionSet(sols.points[:-1], sols.residuals[:-1], sols.origins[:-1], sols.label)
 
 
 def test_short_stopped_run_is_tracked_again_in_full(monkeypatch):
@@ -987,7 +989,7 @@ def test_blackbox_leaves_match_the_full_run_loop_on_e_basis(monkeypatch, seed):
 
 
 def no_candidates(S, C, ss):
-    return [], np.zeros(0, dtype=np.intp), []
+    return np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
 
 
 def leaves_of(monkeypatch, run):
@@ -1040,8 +1042,8 @@ def test_a_short_resultant_count_falls_back_to_the_gamma_loop(monkeypatch):
 
     def one_candidate(S, C, ss):
         calls.append(ss)
-        points, rows, origins = real(S, C, ss)
-        return points[:1], rows[:1], origins[:1]
+        points, rows, index = real(S, C, ss)
+        return points[:1], rows[:1], index[:1]
 
     monkeypatch.setattr(solver, "_resultant_roots", one_candidate)
     sols, tree = alone(solver._blackbox, F, 5, np.random.SeedSequence(3), TrackerSettings(), "")
@@ -1080,9 +1082,9 @@ def test_resultant_roots_give_nothing_without_a_regular_pencil():
     y_linear_in_one = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 1), 2.0)],
                                                [((0, 0), 1.0), ((1, 0), 3.0)]])
     for target in (y_divides_both, y_linear_in_one):  # singular leading coefficient; N = 1
-        points, rows, origins = _resultant_roots(target.system, _rows(target),
-                                                 np.random.SeedSequence(0))
-        assert len(points) == 0 and len(rows) == 0 and origins == []
+        points, rows, index = _resultant_roots(target.system, _rows(target),
+                                               np.random.SeedSequence(0))
+        assert len(points) == 0 and len(rows) == 0 and len(index) == 0
 
 
 def test_resultant_roots_solve_the_rows_one_by_one_when_one_row_is_singular():
@@ -1094,13 +1096,13 @@ def test_resultant_roots_solve_the_rows_one_by_one_when_one_row_is_singular():
     F = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 0), -2.0), ((0, 1), 1.0), ((1, 1), 0.5)],
                                  [((0, 0), -1.0), ((2, 0), 1.0), ((0, 1), 3.0), ((1, 2), 1.0)]])
     C = np.vstack([_rows(F), np.zeros_like(_rows(F)), 2 * _rows(F)])
-    points, rows, origins = _resultant_roots(F.system, C, np.random.SeedSequence(3))
+    points, rows, index = _resultant_roots(F.system, C, np.random.SeedSequence(3))
     assert rows.tolist() == [0] * 6 + [2] * 6
     for r in (0, 2):
         alone = _resultant_roots(F.system, C[r:r + 1], np.random.SeedSequence(3))
         assert alone[1].tolist() == [0] * 6
         assert points[rows == r].tobytes() == alone[0].tobytes()
-        assert [o for o, k in zip(origins, rows) if k == r] == alone[2]
+        assert index[rows == r].tolist() == alone[2].tolist()
 
 
 # The MV-10 black-box leaf of `decomposable` seed 7, round 1, e-basis[3]
@@ -1152,11 +1154,11 @@ def test_refined_drops_a_converged_point_off_the_torus():
 
     F = SparseSystem.from_pairs([[((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), -1.0)],
                                  [((1, 0), 1.0), ((0, 1), -1.0), ((0, 0), 1.0)]])  # root (0, 1)
-    assert len(_refined(F.system, _rows(F), [np.array([1e-3, 1.01])], ["near (0, 1)"],
-                        TrackerSettings())) == 0
+    assert len(_refined(F.system, _rows(F), [np.array([1e-3, 1.01])], np.zeros((1, 0), dtype=int),
+                        "near (0, 1)", TrackerSettings())) == 0
 
 
-def per_row_refined(C, rows, origins, newton_out):
+def per_row_refined(C, rows, origins, label, newton_out):
     """The loop _refined_rows ran before it deduplicated and sorted all rows
     in one pass, on its _newton output: per row, distinct on the converged
     points on the torus, then a stable sort on each point's coordinates'
@@ -1172,13 +1174,13 @@ def per_row_refined(C, rows, origins, newton_out):
         found = np.flatnonzero(ok & (rows == k))
         kept = sorted(found[distinct(X[found])].tolist(),
                       key=lambda i: tuple(np.round(X[i].view(float), 9).tolist()))
-        out.append(SolutionSet(X[kept], res[kept], [origins[i] for i in kept]))
+        out.append(SolutionSet(X[kept], res[kept], origins[kept], label))
     return out
 
 
 def refined_rows_calls(monkeypatch, run):
-    """(S, C, rows, origins, _newton output, result) of every _refined_rows
-    call that run() makes."""
+    """(S, C, rows, origins, label, _newton output, result) of every
+    _refined_rows call that run() makes."""
     import torsolve.solver as solver
 
     real_refined, real_newton, calls, newtons = solver._refined_rows, solver._newton, [], []
@@ -1187,9 +1189,9 @@ def refined_rows_calls(monkeypatch, run):
         newtons.append(real_newton(*args))
         return newtons[-1]
 
-    def refined_rows(S, C, rows, points, origins, *args):
-        result = real_refined(S, C, rows, points, origins, *args)
-        calls.append((S, C, np.asarray(rows), origins, newtons[-1], result))
+    def refined_rows(S, C, rows, points, origins, label, *args):
+        result = real_refined(S, C, rows, points, origins, label, *args)
+        calls.append((S, C, np.asarray(rows), origins, label, newtons[-1], result))
         return result
 
     with monkeypatch.context() as patch:
@@ -1219,8 +1221,8 @@ def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypat
 
     calls = refined_rows_calls(monkeypatch, lambda: solve_decomposable(e_basis(0), seed=0))
     assert sum(S.n == 1 and len(C) == 50 for S, C, *_ in calls) == 1
-    for S, C, rows, origins, newton_out, result in calls:
-        assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
+    for S, C, rows, origins, label, newton_out, result in calls:
+        assert_same_rows(result, per_row_refined(C, rows, origins, label, newton_out))
 
     F = SparseSystem.from_pairs([[((e,), 1.0) for e in range(5)]])
     rng = np.random.default_rng(5)
@@ -1228,9 +1230,9 @@ def test_refined_rows_equal_the_per_row_loop_on_the_same_newton_output(monkeypat
     C[2, 4] = 0.0
     C[3] = np.polynomial.polynomial.polyfromroots([1.0, 1.0, -2.0, 0.5j])
     C[4] = C[1]
-    ((_, C, rows, origins, newton_out, result),) = refined_rows_calls(
+    ((_, C, rows, origins, label, newton_out, result),) = refined_rows_calls(
         monkeypatch, lambda: _companion_roots(F.system, C, TrackerSettings()))
-    assert_same_rows(result, per_row_refined(C, rows, origins, newton_out))
+    assert_same_rows(result, per_row_refined(C, rows, origins, label, newton_out))
     assert [len(sols) for sols in result] == [4, 4, 0, 3, 4, 4]
     assert not np.shares_memory(result[4].points, result[1].points)
     assert_same_rows(result[4:5], result[1:2])
@@ -1444,3 +1446,29 @@ def test_the_exact_entry_points_classify_supports_just_solved(monkeypatch):
     tree = predict_tree(F.system)
     assert counts["torsolve.decompose.classify"] == len(list(tree.walk())) == 4
     assert [(nd.kind, nd.mv) for nd in tree.walk()] == [(nd.kind, nd.mv) for nd in rep.tree.walk()]
+
+
+def test_a_solve_formats_no_provenance_until_it_is_read(monkeypatch):
+    # A solution set carries integer origins and a label template; a solve
+    # formats no label, and reading `provenance` formats them all.
+    from torsolve.tracking import SolutionSet
+
+    reads, real = [], SolutionSet.provenance
+    monkeypatch.setattr(SolutionSet, "provenance",
+                        property(lambda sols: reads.append(sols) or real.fget(sols)))
+    lacunary_a = SparseSystem.from_pairs([list(LAC_F1.items()), list(LAC_F2.items())])
+    tri = solve_decomposable(tri_system(), seed=0)
+    results = [tri.solutions, solve_general(lacunary_a, seed=0).solutions,
+               blackbox(e_basis(0), seed=0), decomposable_start_system(tri_system().system)[1]]
+    assert reads == []
+    assert [sols.label for sols in results] == ["root[{}.{}]", "path {}", "path {}",
+                                                "start/root[{}.{}]"]
+    for sols in results:
+        assert len(sols.provenance) == len(sols) > 0
+        assert sols.provenance == [sols.label.format(*o) for o in sols.origins.tolist()]
+    assert len(reads) == 2 * len(results)
+    # The root's label names the cover root and the root over it: root[i.j].
+    covers = tri.tree.children[0].solutions
+    assert sorted(results[0].provenance) == sorted(f"root[{i}.{j}]" for i in range(covers)
+                                                   for j in range(tri.tree.index))
+    assert SolutionSet().provenance == []

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -392,3 +393,27 @@ print(json.dumps([memo, nodes]))
         "  first solve: 0 / 0 -> 4 / 2",
         "  predict_tree: 0 / 0 -> 4 / 2",
     ]
+
+
+def test_parity_compares_the_json_of_torsolve_start():
+    # The parity child, run on this checkout with no benchmark op and one
+    # tolerance, runs `torsolve start` on each acceptance system: its labels
+    # are the only ones with a node prefix that reach a result, and one that
+    # loses its prefix is a difference.
+    parity = load("parity")
+    assert ("cli start", ["start"]) in parity.CLI_RUNS
+    run = parity.CHILD.replace(f"runs = {parity.RUNS!r}", "runs = []")
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent), "1e-6"],
+                         capture_output=True, check=True).stdout
+    records = pickle.loads(out)[0]
+    assert {key[:2] for key in records} == {("cli --tolerance", "1e-6"), ("cli start", "1e-6")}
+    for name in ("lacunary-A", "triangular", "start-pair"):
+        record = records["cli start", "1e-6", 0, name]
+        labels = record["json"]["provenance"]
+        assert record["status"] == "ok" and len(labels) == len(record["points"]) > 0
+        assert all(label.startswith("start/root[") for label in labels)
+        key = ("cli start", "1e-6", 0, name)
+        unprefixed = [label[len("start/"):] for label in labels]
+        moved = {**record, "json": {**record["json"], "provenance": unprefixed}}
+        assert parity.compare({key: record}, {key: moved})[0] == [
+            f"{key}: JSON output differs in ['provenance']"]

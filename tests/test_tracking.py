@@ -238,7 +238,7 @@ def assert_batch_matches_single_paths(H, starts):
     """track_all gives every start the outcome that _track on it alone, and
     the per-path reference loop below, give it."""
     sols, failures = track_all(H, starts)
-    batched = {int(origin.split()[1]): pt for pt, origin in zip(sols.points, sols.provenance)}
+    batched = dict(zip(sols.origins[:, 0].tolist(), sols.points))
     batched.update(failures)
     assert sorted(batched) == list(range(len(starts)))
     reasons = []
@@ -571,12 +571,12 @@ def test_batched_newton_matches_the_per_point_newton():
     X = np.array([x for _, x in NEWTON_BATCH], dtype=complex)
     points, residuals, errors = _newton(H, X, np.zeros(len(X), dtype=int), TrackerSettings())
     kept, failed = [], []
-    for (origin, x), point, res, error in zip(NEWTON_BATCH, points, residuals, errors):
+    for i, ((_, x), point, res, error) in enumerate(zip(NEWTON_BATCH, points, residuals, errors)):
         try:
             ref, ref_res = reference_newton(evaluate, x)
         except (SingularJacobianError, NoConvergenceError) as exc:
             assert type(error) is type(exc) and str(error) == str(exc)
-            failed.append((origin, str(exc)))
+            failed.append((f"batch[{i}]", str(exc)))
             continue
         assert error is None
         assert np.max(np.abs(point - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
@@ -589,12 +589,12 @@ def test_batched_newton_matches_the_per_point_newton():
     assert str(errors[3]).endswith("after 12 iterations")
 
     failures = []
-    out = _refined(NEWTON_F.system, _rows(NEWTON_F), X, [origin for origin, _ in NEWTON_BATCH],
+    out = _refined(NEWTON_F.system, _rows(NEWTON_F), X, np.arange(len(X))[:, None], "batch[{}]",
                    TrackerSettings(), failures)
-    assert failures == failed
-    assert sorted(out.provenance) == ["converged", "ordinary"]
-    for point, origin in zip(out.points, out.provenance):
-        ref = kept[["converged", "ordinary"].index(origin)]
+    assert failures == failed and [label for label, _ in failed] == ["batch[2]", "batch[3]"]
+    assert sorted(out.provenance) == ["batch[0]", "batch[1]"]  # converged, ordinary
+    for point, i in zip(out.points, out.origins[:, 0]):
+        ref = kept[i]
         assert np.max(np.abs(point - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
@@ -760,7 +760,7 @@ def test_newton_refine_at_a_zero_coordinate_raises_a_typed_error():
 def outcomes_by_path(result, count):
     """Per start index: the endpoint, or the PathFailure reason."""
     sols, failures = result
-    out = {int(origin.split()[1]): pt for pt, origin in zip(sols.points, sols.provenance)}
+    out = dict(zip(sols.origins[:, 0].tolist(), sols.points))
     out.update((i, fail.reason) for i, fail in failures)
     assert sorted(out) == list(range(count))
     return [out[i] for i in range(count)]
@@ -835,9 +835,9 @@ def test_targets_sharing_an_endpoint_both_keep_it():
     starts = [np.array([1.0 + 0j]), np.array([-1.0 + 0j])]
     sols, failures = track_all(H, starts * 2)
     assert failures == [] and len(sols) == 4
-    roots = {int(origin.split()[1]) // 2: [] for origin in sols.provenance}
-    for pt, origin in zip(sols.points, sols.provenance):
-        roots[int(origin.split()[1]) // 2].append(round(pt[0].real, 8))
+    roots = {block: [] for block in sols.origins[:, 0] // 2}
+    for pt, block in zip(sols.points, sols.origins[:, 0] // 2):
+        roots[block].append(round(pt[0].real, 8))
     assert sorted(roots[0]) == [1.0, 2.0] and sorted(roots[1]) == [1.0, 3.0]
     assert all(r <= 1e-8 for r in sols.residuals)
 

@@ -7,18 +7,20 @@ Each checkout's `src/` runs in its own subprocess on the ops its
 rounds each, `exact` at seeds 0-9 with 3 rounds each, two `general` rounds
 and the `blackbox` op. The second `general` round repeats the first, fixed
 data, so the solves the solver's memo serves, start systems included, are
-compared op by op as well. Then `torsolve solve FILE --json --tolerance=T`
-runs on the three acceptance systems for each T in CLI_TOLERANCES, since
-no op sets a tolerance. Per op the two runs must agree on the status, the
-error type and message (for the CLI, its standard error), the returned
-mixed volume or the decomposition tree without `elapsed`, the provenance
-and the warnings, the CLI's JSON output without `elapsed_ms`, and the
-points to 1e-8 relative, point by point. Prints the largest relative point
-difference and the largest residual change, lists the first differences
-(a differing tree as one line per node field, e.g. `/1/0 gamma_retries
-2 -> 0` for child 0 of the root's child 1; a CLI run whose JSON
-`solutions` differ with its largest relative point difference), and exits
-1 on any. It also prints, per workload and for each checkout, the number
+compared op by op as well. Then `torsolve solve --json FILE --tolerance=T`
+and `torsolve start FILE --tolerance=T` (CLI_RUNS) run on the three
+acceptance systems for each T in CLI_TOLERANCES, since no op sets a
+tolerance; the start runs return the only labels with a node prefix
+(`start/root[i.j]`) that reach a result. Per op the two runs must agree
+on the status, the error type and message (for the CLI, its standard
+error), the returned mixed volume or the decomposition tree without
+`elapsed`, the provenance and the warnings, the CLI's JSON output without
+`elapsed_ms`, and the points to 1e-8 relative, point by point. Prints the
+largest relative point difference and the largest residual change, lists
+the first differences (a differing tree as one line per node field, e.g.
+`/1/0 gamma_retries 2 -> 0` for child 0 of the root's child 1; a CLI run
+whose JSON `solutions` differ with its largest relative point
+difference), and exits 1 on any. It also prints, per workload and for each checkout, the number
 of tracker passes (`_correct` calls), `Homotopy.state` calls, the rows
 they evaluated, `_newton` calls (the tracker's endgame batches and the
 solver's refinements) and the sum of `gamma_retries` over every node of
@@ -62,6 +64,8 @@ from pathlib import Path
 POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
+# (workload, arguments before FILE and --tolerance) of the CLI runs on the acceptance systems.
+CLI_RUNS = (("cli --tolerance", ["solve", "--json"]), ("cli start", ["start"]))
 # (workload, seed, rounds) of the benchmark ops each checkout solves.
 RUNS = ([("decomposable", seed, 5) for seed in range(10)]
         + [("exact", seed, 3) for seed in range(10)] + [("general", 0, 2), ("blackbox", 0, 1)])
@@ -247,7 +251,7 @@ torsolve.supports.SparseSystem.__post_init__ = counted_post_init
 #  {workload: [distinct calls, candidate points they were given]},
 #  {workload: [memo hits, misses]},
 #  {workload: SparseSystem constructions}) to standard output.
-CHILD = SETUP + f"\nruns = {RUNS!r}\n" + """
+CHILD = SETUP + f"\nruns = {RUNS!r}\nCLI_RUNS = {CLI_RUNS!r}\n" + """
 def tree_of(tree):
     if tree is None:
         return None
@@ -291,25 +295,26 @@ def strip_elapsed_ms(node):
     for child in node.get("children", []):
         strip_elapsed_ms(child)
 
-workload = "cli --tolerance"
 with tempfile.TemporaryDirectory() as tmp:
     for name, F, _ in workloads.acceptance_systems():
         path = Path(tmp) / f"{name}.json"
         path.write_text(json.dumps(torsolve.cli.system_to_obj(F)))
-        for tol in TOLERANCES:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = torsolve.cli.main(["solve", str(path), "--json", f"--tolerance={tol}"])
-            obj = json.loads(stdout.getvalue()) if stdout.getvalue() else {}
-            if "tree" in obj:
-                strip_elapsed_ms(obj["tree"])
-            out["cli --tolerance", tol, 0, name] = {
-                "status": "ok" if code == 0 else f"exit {code}",
-                "message": stderr.getvalue(),
-                "json": obj,
-                "points": [np.array([complex(*z) for z in pt]) for pt in obj.get("solutions", [])],
-                "residuals": obj.get("residuals", []),
-            }
+        for workload, command in CLI_RUNS:
+            for tol in TOLERANCES:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = torsolve.cli.main([*command, str(path), f"--tolerance={tol}"])
+                obj = json.loads(stdout.getvalue()) if stdout.getvalue() else {}
+                if "tree" in obj:
+                    strip_elapsed_ms(obj["tree"])
+                solutions = obj.get("solutions", [])
+                out[workload, tol, 0, name] = {
+                    "status": "ok" if code == 0 else f"exit {code}",
+                    "message": stderr.getvalue(),
+                    "json": obj,
+                    "points": [np.array([complex(*z) for z in pt]) for pt in solutions],
+                    "residuals": obj.get("residuals", []),
+                }
 sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped,
                                       deduped, memo, built)))
 """
