@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import LatticeMembershipError
-from .intlinalg import IntMatrix, solve_integer
+from .intlinalg import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -196,13 +196,13 @@ class Reindexing:
 
 
 def preimage_supports(S: SupportSystem, phi: IntMatrix) -> Reindexing:
-    """Pull every support back through the injective lattice map phi.
+    """Pull every support back through the square, nonsingular lattice map phi.
 
     Each point must lie in the column lattice of phi; a point outside it
     means the caller's classification was wrong.
     """
-    if phi.rank() != phi.cols:
-        raise ValueError("phi must be injective (full column rank)")
+    if phi.rows != phi.cols or phi.rank() != phi.cols:
+        raise ValueError("phi must be square and nonsingular")
     pull = _preimage_solver(phi)
     new_supports = []
     maps = []
@@ -222,9 +222,7 @@ def preimage_supports(S: SupportSystem, phi: IntMatrix) -> Reindexing:
 
 
 def _preimage_solver(phi: IntMatrix):
-    """alpha -> integer beta with phi @ beta == alpha, or None; square phi factored once."""
-    if phi.rows != phi.cols:
-        return lambda alpha: solve_integer(phi, alpha)
+    """alpha -> integer beta with phi @ beta == alpha, or None; phi square, factored once."""
     det, adj = phi.det(), phi.adjugate()
 
     def pull(alpha):

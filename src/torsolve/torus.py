@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateFiberError
 from .intlinalg import IntMatrix
-from .supports import Reindexing, SparseSystem, Support, SupportSystem
+from .supports import SparseSystem, Support, SupportSystem
 
 TORUS_THRESHOLD = 1e-10
 
@@ -194,15 +194,3 @@ def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
 
     return restrict
 
-
-def relabel(F: SparseSystem, iota: Reindexing) -> SparseSystem:
-    """Transfer coefficients onto the preimage supports.
-
-    The resulting system evaluates at x exactly as F evaluates at the image
-    of x under the monomial map that produced the reindexing.
-    """
-    coeffs = tuple(
-        tuple(F.coefficients[i][k] for k in iota.index_maps[i])
-        for i in range(F.n)
-    )
-    return SparseSystem(iota.system, coeffs)

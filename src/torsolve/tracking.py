@@ -84,13 +84,14 @@ class PathFailure:
     point: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SolutionSet:
     """Solutions as arrays: an (N, n) stack of points, their (N,) max-norm
     residuals and (N, k) integer `origins`, which the str.format template
     `label` names (`provenance` formats them when read), in _solution_order.
     The solver's sets are slices of one stack per family, so a row without
-    roots is a (0, n) stack; SolutionSet() is the empty set, (0, 0)."""
+    roots is a (0, n) stack; SolutionSet() is the empty set, (0, 0). A set
+    equals only itself."""
 
     points: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=complex))
     residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))

@@ -5,18 +5,13 @@ import pytest
 from torsolve.cli import main, parse_system
 from torsolve.errors import SystemFileError
 
-LAC_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
-LAC_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
-LAC_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
-LAC_B2 = [(0, 0), (1, 2), (2, 1), (3, 1), (3, 2)]
+from systems import (LACUNARY_A1, LACUNARY_A2, LACUNARY_B1, LACUNARY_B2, START_A, TRI_A,
+                     TRI_A3)
 
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
 TRI_C1 = [1, 2, 3, 4, 5, 6, 7, 8]
 TRI_C2 = [2, 3, 5, 7, 11, 13, 17, 19]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
 TRI_C3 = [1, 3, 9, 27, 81, 243]
 
-START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
 
 # Supports 2 and 3 span one direction only: MV 0, first witness {2, 3}.
 ZERO_MV = [[(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 0, 0), (0, 0, 1)], [(0, 0, 0), (0, 0, 2)]]
@@ -134,7 +129,7 @@ def test_parse_roundtrip_is_canonical():
 
 
 def test_cmd_mv(tmp_path, capsys):
-    path = support_file(tmp_path, "b.json", [LAC_B1, LAC_B2])
+    path = support_file(tmp_path, "b.json", [LACUNARY_B1, LACUNARY_B2])
     assert main(["mv", path]) == 0
     assert capsys.readouterr().out.strip() == "10"
 
@@ -146,7 +141,7 @@ def test_cmd_mv_collinear(tmp_path, capsys):
 
 
 def test_cmd_analyze_lacunary(tmp_path, capsys):
-    path = support_file(tmp_path, "lac.json", [LAC_A1, LAC_A2])
+    path = support_file(tmp_path, "lac.json", [LACUNARY_A1, LACUNARY_A2])
     assert main(["analyze", path]) == 0
     out = capsys.readouterr().out
     assert "lacunary, index 12; child MV 10; total 120" in out
@@ -154,7 +149,7 @@ def test_cmd_analyze_lacunary(tmp_path, capsys):
 
 
 def test_cmd_analyze_indecomposable(tmp_path, capsys):
-    path = support_file(tmp_path, "b.json", [LAC_B1, LAC_B2])
+    path = support_file(tmp_path, "b.json", [LACUNARY_B1, LACUNARY_B2])
     assert main(["analyze", path]) == 0
     out = capsys.readouterr().out
     assert "indecomposable, MV 10" in out
@@ -178,7 +173,7 @@ def test_cmd_solve_triangular_example(tmp_path, capsys):
 
 
 def test_cmd_solve_requires_coefficients(tmp_path, capsys):
-    path = support_file(tmp_path, "s.json", [LAC_B1, LAC_B2])
+    path = support_file(tmp_path, "s.json", [LACUNARY_B1, LACUNARY_B2])
     assert main(["solve", path]) == 1
     assert "coefficients required" in capsys.readouterr().err
 

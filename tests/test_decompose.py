@@ -19,14 +19,8 @@ from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer, unim
 from torsolve.supports import (Support, SupportSystem, normalize, preimage_supports,
                                quotient_supports, subset_span_ranks)
 
-LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
-LACUNARY_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
-LACUNARY_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
-LACUNARY_B2 = [(0, 0), (1, 2), (2, 1), (3, 1), (3, 2)]
-PAPER_PHI = IntMatrix.from_rows([[3, 0], [-1, 4]])
-
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+from systems import (LACUNARY_A1, LACUNARY_A2, LACUNARY_B1, LACUNARY_B2, PAPER_PHI, START_A,
+                     TRI_A, TRI_A3)
 
 BENCH_A1 = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
 BENCH_A2 = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
@@ -35,7 +29,6 @@ BENCH_B2 = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2)]
 CUBE5 = sorted(itertools.product((0, 1), repeat=5))
 E5 = [tuple(int(i == j) for j in range(5)) for i in range(5)]
 SHIFTED = [tuple(a - b for a, b in zip(E5[i], E5[i + 1])) for i in range(4)]
-START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
 
 
 def lacunary_system():

@@ -18,13 +18,7 @@ from torsolve.geometry import (
 from torsolve.intlinalg import IntMatrix
 from torsolve.supports import Support, SupportSystem, _affine_pivots, point_in_hull, vertices
 
-LACUNARY_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
-LACUNARY_B2 = [(0, 0), (1, 2), (2, 1), (3, 1), (3, 2)]
-
-START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
-
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+from systems import LACUNARY_B1, LACUNARY_B2, START_A, TRI_A, TRI_A3
 
 
 def shoelace(points):

@@ -16,10 +16,7 @@ from torsolve.intlinalg import (
     unimodular_inverse,
 )
 
-# Supports of the two-variable lacunary worked example; their union spans a
-# sublattice of index 12.
-LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
-LACUNARY_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
+from systems import LACUNARY_A1, LACUNARY_A2  # their union spans a sublattice of index 12
 
 
 def random_matrix(rng, rows, cols, lo=-20, hi=20):

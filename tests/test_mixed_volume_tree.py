@@ -7,7 +7,8 @@ import random
 
 import numpy as np
 import pytest
-from test_decompose import START_A, _random_unimodular, family_system
+from systems import START_A
+from test_decompose import _random_unimodular, family_system
 from test_solver import reference_solve_triangular, solve_triangular_alone, triangular_node
 
 from torsolve.decompose import classify

@@ -18,12 +18,11 @@ from torsolve.solver import (
 from torsolve.torus import monomial_value
 from torsolve.tracking import relative_distance
 
-START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
+from systems import START_A, TRI_A, cover
 
 LAC_F1 = {(0, 0): 1, (0, 4): 2, (3, 3): 4, (6, 6): 8, (12, 0): 16}
 LAC_F2 = {(0, 0): 3, (3, 7): 5, (6, 2): 7, (9, 1): 11, (9, 5): 13}
 
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
 TRI_F1 = dict(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8]))
 TRI_F2 = dict(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19]))
 TRI_F3 = {(0, 0, 0): 1, (0, 0, 2): 3, (0, 0, 4): 9, (0, 1, 5): 27, (1, 0, 3): 81, (1, 1, 4): 243}
@@ -348,12 +347,11 @@ def triangular_node(F):
     as the solver sees it: (normalized system, classification)."""
     from torsolve.decompose import Lacunary, Triangular, classify
     from torsolve.supports import normalize
-    from torsolve.torus import relabel
 
     F, _ = normalize(F)
     cls = classify(F.system)
     while isinstance(cls, Lacunary):
-        F, _ = normalize(relabel(F, cls.preimage))
+        F, _ = normalize(cover(F, cls.preimage))
         cls = classify(F.system)
     assert isinstance(cls, Triangular)
     return F, cls

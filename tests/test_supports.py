@@ -22,18 +22,9 @@ from torsolve.supports import (
     vertices,
 )
 
-LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
-LACUNARY_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
-LACUNARY_B1 = [(0, 0), (0, 1), (1, 1), (2, 2), (4, 1)]
-LACUNARY_B2 = [(0, 0), (1, 2), (2, 1), (3, 1), (3, 2)]
-PHI = IntMatrix.from_rows([[3, 0], [-1, 4]])
+from systems import (LACUNARY_A1, LACUNARY_A2, LACUNARY_B1, LACUNARY_B2, PAPER_PHI, START_A,
+                     TRI_A, TRI_A3)
 
-# Three-variable triangular example: first two supports share the plane
-# c = a + b, the third is free.
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
-
-START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4), (6, 4)]
 START_V = [(0, 0), (0, 2), (3, 0), (3, 4), (6, 4)]
 
 
@@ -108,8 +99,8 @@ def test_numpy_integer_exponents_build_the_objects_python_integers_build():
     pairs = [[(p, 1.0 + k) for k, p in enumerate(a)] for a in pts]
     pairs64 = [[(np.array(p, dtype=np.int64), v) for p, v in poly] for poly in pairs]
     assert SparseSystem.from_pairs(pairs64) == SparseSystem.from_pairs(pairs)
-    rows = np.array(PHI.entries, dtype=np.int64)
-    assert IntMatrix.from_rows(rows) == IntMatrix(tuple(map(tuple, rows))) == PHI
+    rows = np.array(PAPER_PHI.entries, dtype=np.int64)
+    assert IntMatrix.from_rows(rows) == IntMatrix(tuple(map(tuple, rows))) == PAPER_PHI
     assert all(type(e) is int for row in IntMatrix(tuple(map(tuple, rows))).entries for e in row)
 
 
@@ -168,12 +159,12 @@ def test_point_in_hull():
 
 def test_preimage_supports_paper_map():
     S = SupportSystem.of_points([LACUNARY_A1, LACUNARY_A2])
-    re = preimage_supports(S, PHI)
+    re = preimage_supports(S, PAPER_PHI)
     assert re.system.supports[0].points == tuple(sorted(LACUNARY_B1))
     assert re.system.supports[1].points == tuple(sorted(LACUNARY_B2))
     # forward application of phi is the identity on point sets
     for sup, orig in zip(re.system.supports, S.supports):
-        image = {PHI.apply(p) for p in sup.points}
+        image = {PAPER_PHI.apply(p) for p in sup.points}
         assert image == set(orig.points)
 
 
@@ -194,22 +185,30 @@ def test_preimage_outside_lattice_errors():
 def test_preimage_solver_matches_solve_integer():
     rng = random.Random(61)
     members = others = 0
-    tall = IntMatrix.from_rows([[1, 0], [0, 2], [1, 1]])
     for _ in range(150):
         n = rng.randint(1, 4)
         phi = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         if phi.det() == 0:
             continue
-        for A in (phi, tall):
-            pull = _preimage_solver(A)
-            beta = tuple(rng.randint(-5, 5) for _ in range(A.cols))
-            alpha = A.apply(beta)
-            assert pull(alpha) == solve_integer(A, alpha) == beta
-            nudged = tuple(c + rng.randint(-1, 1) for c in alpha)
-            assert pull(nudged) == solve_integer(A, nudged)
-            members += 1
-            others += pull(nudged) is None
+        pull = _preimage_solver(phi)
+        beta = tuple(rng.randint(-5, 5) for _ in range(phi.cols))
+        alpha = phi.apply(beta)
+        assert pull(alpha) == solve_integer(phi, alpha) == beta
+        nudged = tuple(c + rng.randint(-1, 1) for c in alpha)
+        assert pull(nudged) == solve_integer(phi, nudged)
+        members += 1
+        others += pull(nudged) is None
     assert members > 100 and others > 30
+
+
+def test_preimage_supports_rejects_a_phi_that_is_not_square():
+    # Every point lies in the column lattice of tall: the images of (1, 0),
+    # (0, 1) and (1, 1).
+    tall = IntMatrix.from_rows([[1, 0], [0, 2], [1, 1]])
+    S = SupportSystem.of_points([[(0, 0, 0), (1, 0, 1)], [(0, 0, 0), (0, 2, 1)],
+                                 [(0, 0, 0), (1, 2, 2)]])
+    with pytest.raises(ValueError, match="square"):
+        preimage_supports(S, tall)
 
 
 def test_quotient_supports_triangular_example():

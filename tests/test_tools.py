@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import pickle
@@ -6,6 +7,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import torsolve
+from systems import LACUNARY_A1, LACUNARY_A2, START_A, TRI_A, TRI_A3
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -107,6 +112,25 @@ def test_pairs_calls_a_median_worse_by_more_than_the_bound_a_regression():
         assert s["regression"] is regressed and not s["claim"]
 
 
+def test_pairs_refuses_two_checkouts_made_differently(tmp_path, capsys):
+    pairs = load("pairs")
+    parent, change = (tmp_path / "parent").resolve(), (tmp_path / "change").resolve()
+    for checkout in (parent, change):
+        (checkout / "src" / "torsolve").mkdir(parents=True)
+    assert pairs.difference(parent, change) is None
+    (change / ".git").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        pairs.main([str(parent), str(change), "--workload", "general"])
+    error = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"{parent} and {change} were made differently: only {change} has .git" in error
+    (parent / ".git").mkdir()
+    (parent / "src" / "torsolve" / "__pycache__").mkdir()
+    assert pairs.difference(parent, change) == f"only {parent} has a __pycache__ under src/"
+    (change / "src" / "torsolve" / "__pycache__").mkdir()
+    assert pairs.difference(parent, change) is None
+
+
 def test_parity_counts_newton_calls_and_gamma_retries_per_workload():
     parity = load("parity")
     tree = {"kind": "triangular", "gamma_retries": 1,
@@ -118,9 +142,15 @@ def test_parity_counts_newton_calls_and_gamma_retries_per_workload():
               ("cli --tolerance", "1e-6", 0, "triangular"): {"status": "ok", "json": {"tree": tree}},
               ("exact", 0, 0, "mv"): {"status": "ok", "mv": 5}}
     change = {**parent, ("decomposable", 0, 1, "e-basis[0]"): {"status": "ok", "tree": None}}
-    assert parity.gamma_retries(parent) == {"decomposable": 6, "cli --tolerance": 3, "exact": 0}
+    assert parity.gamma_retries(parent, {}) == {"decomposable": {"gamma_retries": 6},
+                                                "cli --tolerance": {"gamma_retries": 3},
+                                                "exact": {"gamma_retries": 0}}
+    names = [row[0] for row in parity.COUNTERS[0][1]]
     steps = ({"decomposable": [10, 40, 400, 7]}, {"decomposable": [9, 30, 300, 2]})
-    assert parity.count_lines((parent, change), steps) == [
+    counts = [{w: dict(zip(names, values)) for w, values in side.items()} for side in steps]
+    for records, side in zip((parent, change), counts):
+        parity.gamma_retries(records, side)
+    assert parity.lines(names, counts) == [
         "  cli --tolerance: 0 / 0 / 0 / 0 / 3 -> 0 / 0 / 0 / 0 / 3",
         "  decomposable: 10 / 40 / 400 / 7 / 6 -> 9 / 30 / 300 / 2 / 3  (differs)",
         "  exact: 0 / 0 / 0 / 0 / 0 -> 0 / 0 / 0 / 0 / 0",
@@ -129,126 +159,116 @@ def test_parity_counts_newton_calls_and_gamma_retries_per_workload():
 
 def test_parity_lists_the_two_variable_leaves_solved_and_fallen_back():
     parity = load("parity")
+    names = ("eigenproblem leaves", "tracked leaves")
     leaves = ({"decomposable": [0, 612], "general": [0, 12]},
               {"decomposable": [612, 0], "general": [11, 1], "cli --tolerance": [6, 2]})
-    assert parity.pair_lines(leaves) == [
-        "  cli --tolerance: 0 / 0 -> 6 / 2",
-        "  decomposable: 0 / 612 -> 612 / 0",
-        "  general: 0 / 12 -> 11 / 1",
+    counts = [{w: dict(zip(names, values)) for w, values in side.items()} for side in leaves]
+    assert parity.lines(names, counts) == [
+        "  cli --tolerance: 0 / 0 -> 6 / 2  (differs)",
+        "  decomposable: 0 / 612 -> 612 / 0  (differs)",
+        "  general: 0 / 12 -> 11 / 1  (differs)",
     ]
 
 
-def test_parity_counts_classify_calls_and_the_smith_forms_inside_them():
-    # The counters of the parity child, run on this checkout: a Smith form
-    # counts only when a classify call takes it, so the "outside" one does not.
+def test_parity_counts_only_attributes_this_checkout_has():
+    # A counter whose attribute a checkout lacks counts none there, so a
+    # renamed function must be renamed in the table too.
     parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.intlinalg import IntMatrix
-from torsolve.supports import SupportSystem
-LACUNARY = [[(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)], [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]]
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+    for _, rows in parity.COUNTERS:
+        for name, attribute, _, _ in rows:
+            if attribute:
+                assert functools.reduce(getattr, attribute.split("."), torsolve), name
+
+
+# The parity child's scripts below use these supports, and `printed(c)` builds
+# the printed triangular example, c the first coefficient of its second
+# polynomial.
+SUPPORTS = (f"LACUNARY = {[LACUNARY_A1, LACUNARY_A2]!r}\nSTART_A = {START_A!r}\n"
+            f"TRI_A = {TRI_A!r}\nTRI_A3 = {TRI_A3!r}\n" + """
+from torsolve.supports import SparseSystem, SupportSystem
+def printed(c=2):
+    return SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                                    list(zip(TRI_A, [c, 3, 5, 7, 11, 13, 17, 19])),
+                                    list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+""")
+
+
+def counted(script):
+    """(the parity tool, the counts of its child run on this checkout over
+    `script`, which names each workload before its calls)."""
+    parity = load("parity")
+    run = parity.SETUP + SUPPORTS + script + "\nprint(json.dumps(counts))\n"
+    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
+                         text=True, check=True).stdout
+    return parity, json.loads(out)
+
+
+def test_parity_counts_classify_calls_and_the_smith_forms_inside_them():
+    # A Smith form counts only when a classify call takes it, so the
+    # "outside" one does not.
+    parity, counts = counted("""
 workload = "lacunary"
 torsolve.predict_tree(SupportSystem.of_points(LACUNARY))
 workload = "triangular"
 torsolve.predict_tree(SupportSystem.of_points([TRI_A, TRI_A, TRI_A3]))
 workload = "outside"
-torsolve.decompose.smith_normal_form(IntMatrix.from_rows([[2]]))
-print(json.dumps(nodes))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert parity.pair_lines(({}, json.loads(out))) == [
-        "  lacunary: 0 / 0 -> 2 / 1",
-        "  triangular: 0 / 0 -> 4 / 2",
-    ]
+torsolve.decompose.smith_normal_form(torsolve.IntMatrix.from_rows([[2]]))
+""")
+    assert parity.section(("classify calls", "Smith forms"), counts) == {
+        "lacunary": [2, 1], "triangular": [4, 2]}
 
 
 def test_parity_counts_normalize_calls_and_rank_eliminations():
-    # The counters of the parity child, run on this checkout: normalize counts
-    # through every module that binds it, once per classify (the lacunary
-    # root and its cover) and once through the package; the hull mixed volume
-    # of the start pair takes one elimination per point set, each support's
-    # rank and then the three sums {A}, {A, A}, {A}.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.supports import SupportSystem
-LACUNARY = [[(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)], [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]]
-START_A = [(0, 0), (0, 2), (1, 0), (1, 1), (2, 3), (3, 0), (3, 1), (3, 4), (4, 2), (5, 3), (5, 4),
-           (6, 4)]
+    # normalize counts through every module that binds it, once per classify
+    # (the lacunary root and its cover) and once through the package; the
+    # hull mixed volume of the start pair takes one elimination per point
+    # set, each support's rank and then the three sums {A}, {A, A}, {A}.
+    parity, counts = counted("""
 workload = "lacunary"
 torsolve.predict_tree(SupportSystem.of_points(LACUNARY))
 workload = "package"
 torsolve.normalize(SupportSystem.of_points(LACUNARY))
 workload = "hull"
 torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
-print(json.dumps(exact))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert parity.pair_lines(({}, json.loads(out))) == [
-        "  hull: 0 / 0 -> 0 / 5",
-        "  lacunary: 0 / 0 -> 2 / 18",
-        "  package: 0 / 0 -> 1 / 0",
-    ]
+""")
+    assert parity.section(("normalize calls", "rank eliminations"), counts) == {
+        "hull": [0, 5], "lacunary": [2, 18], "package": [1, 0]}
 
 
 def test_parity_counts_one_variable_fiber_nodes_solved_and_fallen_back():
-    # The counters of the parity child, run on this checkout: on the
-    # triangular node of seven one-variable transfers below the printed
-    # example's cover, and on the e-basis root's four transfers to
+    # On the triangular node of seven one-variable transfers below the
+    # printed example's cover, and on the e-basis root's four transfers to
     # three-variable fibers, whose first fiber is a triangular node of nine
     # one-variable transfers. Once as families, once with every family row
     # after the first coming back short, so that each node tracks its
     # transfers.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.supports import SparseSystem
+    parity, counts = counted("""
 from torsolve.tracking import SolutionSet
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
-F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
-                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
-                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
 E = torsolve.cli._bench_instance("e-basis", np.random.default_rng(np.random.SeedSequence(0)))
 for workload in ("families", "e-basis families"):
-    torsolve.solve_decomposable(F if workload == "families" else E, seed=7)
+    torsolve.solve_decomposable(printed() if workload == "families" else E, seed=7)
 family = torsolve.solver._solve
 def short_rows(S, C, *rest):
     sols, tree = family(S, C, *rest)
     return [sols[0]] + [SolutionSet(s.points[:0]) for s in sols[1:]], tree
 torsolve.solver._solve = short_rows
 for workload in ("tracked", "e-basis tracked"):
-    torsolve.solve_decomposable(F if workload == "tracked" else E, seed=7)
-print(json.dumps(fibers))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert parity.pair_lines(({}, json.loads(out))) == [
-        "  e-basis families: 0 / 0 -> 2 / 0",
-        "  e-basis tracked: 0 / 0 -> 0 / 2",
-        "  families: 0 / 0 -> 1 / 0",
-        "  tracked: 0 / 0 -> 0 / 1",
-    ]
+    torsolve.solve_decomposable(printed() if workload == "tracked" else E, seed=7)
+""")
+    assert parity.section(("family nodes", "tracked nodes"), counts) == {
+        "e-basis families": [2, 0], "e-basis tracked": [0, 2], "families": [1, 0],
+        "tracked": [0, 1]}
 
 
 def test_parity_counts_the_target_blocks_that_track_all_tracks():
-    # The counters of the parity child, run on this checkout, on the triangular
-    # node of seven one-variable transfers below the printed example's cover,
-    # with the eigenvalue solve of one fiber or of all seven after the first
-    # coming up short: each short fiber is one target block of one track_all
-    # call.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.supports import SparseSystem
+    # On the triangular node of seven one-variable transfers below the
+    # printed example's cover, with the eigenvalue solve of one fiber or of
+    # all seven after the first coming up short: each short fiber is one
+    # target block of one track_all call.
+    parity, counts = counted("""
 from torsolve.tracking import SolutionSet
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
-F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
-                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
-                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
 workload = "eigenvalues"
-torsolve.solve_decomposable(F, seed=7)
+torsolve.solve_decomposable(printed(), seed=7)
 roots = torsolve.solver._companion_roots
 for workload, lost in (("one short", slice(3, 4)), ("all short", slice(1, None))):
     def short(S, rows, *rest, lost=lost):
@@ -257,142 +277,84 @@ for workload, lost in (("one short", slice(3, 4)), ("all short", slice(1, None))
             out[lost] = [SolutionSet(s.points[:0]) for s in out[lost]]
         return out
     torsolve.solver._companion_roots = short
-    torsolve.solve_decomposable(F, seed=7)
-print(json.dumps(blocks))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert parity.pair_lines(({}, json.loads(out))) == [
-        "  all short: 0 / 0 -> 1 / 7",
-        "  one short: 0 / 0 -> 1 / 1",
-    ]
+    torsolve.solve_decomposable(printed(), seed=7)
+""")
+    assert parity.section(("track_all calls", "target blocks"), counts) == {
+        "all short": [1, 7], "one short": [1, 1]}
 
 
 def test_parity_counts_torus_apply_calls_and_the_points_they_map():
-    # The counters of the parity child, run on this checkout: a call counts
-    # once and maps one point or the rows of its stack, through the package
-    # module and through the solver's own binding. The printed example maps
-    # four stacks: its two-variable base leaf's 12 eigenvalue candidates out
-    # of compacted coordinates, the triangular node's 8 base points and 16
-    # solutions, and the lacunary root's 32 roots.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.intlinalg import IntMatrix
-from torsolve.supports import SparseSystem
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
-F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
-                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
-                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
-Phi = torsolve.torus.MonomialMap(IntMatrix.from_rows([[3, 0], [-1, 4]]))
+    # A call counts once and maps one point or the rows of its stack, through
+    # the package module and through the solver's own binding. The printed
+    # example maps four stacks: its two-variable base leaf's 12 eigenvalue
+    # candidates out of compacted coordinates, the triangular node's 8 base
+    # points and 16 solutions, and the lacunary root's 32 roots.
+    parity, counts = counted("""
+Phi = torsolve.torus.MonomialMap(torsolve.IntMatrix.from_rows([[3, 0], [-1, 4]]))
 workload = "one point"
 torsolve.torus.apply(Phi, np.ones(2))
 workload = "stack"
 torsolve.torus.apply(Phi, np.ones((5, 2)))
 workload = "triangular"
-torsolve.solve_decomposable(F, seed=7)
-print(json.dumps(mapped))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert parity.pair_lines(({}, json.loads(out))) == [
-        "  one point: 0 / 0 -> 1 / 1",
-        "  stack: 0 / 0 -> 1 / 5",
-        "  triangular: 0 / 0 -> 4 / 68",
-    ]
+torsolve.solve_decomposable(printed(), seed=7)
+""")
+    assert parity.section(("apply calls", "points mapped"), counts) == {
+        "one point": [1, 1], "stack": [1, 5], "triangular": [4, 68]}
 
 
 def test_parity_counts_dedup_passes_and_the_candidate_points_they_take():
-    # The counters of the parity child, run on this checkout: a direct call
-    # counts its 3 points. Solved by decomposition, the printed example takes
-    # one pass per refinement of a family, whatever its rows: its
-    # two-variable base leaf, its 8 one-variable fibers as one family, the
-    # triangular assembly and the lacunary root; a pass per row would count
-    # 11. The black box takes one for track_all and one for its refinement.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.supports import SparseSystem
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
-F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
-                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
-                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+    # A direct call counts its 3 points. Solved by decomposition, the printed
+    # example takes one pass per refinement of a family, whatever its rows:
+    # its two-variable base leaf, its 8 one-variable fibers as one family,
+    # the triangular assembly and the lacunary root; a pass per row would
+    # count 11. The black box takes one for track_all and one for its
+    # refinement.
+    parity, counts = counted("""
 workload = "direct"
 torsolve.tracking.distinct(np.ones((3, 2)))
 workload = "decomposition"
-torsolve.solve_decomposable(F, seed=7)
+torsolve.solve_decomposable(printed(), seed=7)
 workload = "blackbox"
-torsolve.blackbox(F, seed=7)
-print(json.dumps(deduped))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert parity.pair_lines(({}, json.loads(out))) == [
-        "  blackbox: 0 / 0 -> 2 / 64",
-        "  decomposition: 0 / 0 -> 4 / 72",
-        "  direct: 0 / 0 -> 1 / 3",
-    ]
+torsolve.blackbox(printed(), seed=7)
+""")
+    assert parity.section(("distinct calls", "candidate points"), counts) == {
+        "blackbox": [2, 64], "decomposition": [4, 72], "direct": [1, 3]}
 
 
 def test_parity_counts_sparse_system_constructions():
-    # The counters of the parity child, run on this checkout: the printed
-    # example is one SparseSystem. Solved by decomposition it builds none,
-    # each node being its supports and coefficient rows; the black box
-    # builds its total-degree start and target, once for its one gamma.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.supports import SparseSystem
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
+    # The printed example is one SparseSystem. Solved by decomposition it
+    # builds none, each node being its supports and coefficient rows; the
+    # black box builds its total-degree start and target, once for its one
+    # gamma.
+    parity, counts = counted("""
 workload = "input"
-F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
-                             list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
-                             list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+F = printed()
 workload = "decomposition"
 torsolve.solve_decomposable(F, seed=7)
 workload = "blackbox"
 torsolve.blackbox(F, seed=7)
-print(json.dumps(built))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    assert json.loads(out) == {"input": 1, "blackbox": 2}
+""")
+    assert parity.section(("SparseSystem constructions",), counts) == {
+        "input": [1], "blackbox": [2]}
 
 
 def test_parity_counts_the_hits_and_misses_of_the_solvers_support_memo():
-    # The counters of the parity child, run on this checkout, on the printed
-    # example and then on its supports with one coefficient changed: the
-    # second solve finds all 9 results of support-only work memoized and so
-    # makes no classify call, while predict_tree, outside the solver,
-    # classifies all 4 nodes again and touches no memo.
-    parity = load("parity")
-    run = parity.SETUP + """
-from torsolve.supports import SparseSystem
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
-def system(c):
-    return SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
-                                    list(zip(TRI_A, [c, 3, 5, 7, 11, 13, 17, 19])),
-                                    list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+    # On the printed example and then on its supports with one coefficient
+    # changed: the second solve finds all 9 results of support-only work
+    # memoized and so makes no classify call, while predict_tree, outside the
+    # solver, classifies all 4 nodes again and touches no memo.
+    parity, counts = counted("""
 workload = "first solve"
-torsolve.solve_decomposable(system(2), seed=7)
+torsolve.solve_decomposable(printed(2), seed=7)
 workload = "same supports"
-torsolve.solve_decomposable(system(3), seed=7)
+torsolve.solve_decomposable(printed(3), seed=7)
 workload = "predict_tree"
-torsolve.predict_tree(system(2).system)
-print(json.dumps([memo, nodes]))
-"""
-    out = subprocess.run([sys.executable, "-c", run, str(TOOLS.parent)], capture_output=True,
-                         text=True, check=True).stdout
-    memo, nodes = json.loads(out)
-    assert parity.pair_lines(({}, memo)) == [
-        "  first solve: 0 / 0 -> 0 / 9",
-        "  same supports: 0 / 0 -> 9 / 0",
-    ]
-    assert parity.pair_lines(({}, nodes)) == [
-        "  first solve: 0 / 0 -> 4 / 2",
-        "  predict_tree: 0 / 0 -> 4 / 2",
-    ]
+torsolve.predict_tree(printed(2).system)
+""")
+    assert parity.section(("memo hits", "memo misses"), counts) == {
+        "first solve": [0, 9], "same supports": [9, 0]}
+    assert parity.section(("classify calls", "Smith forms"), counts) == {
+        "first solve": [4, 2], "predict_tree": [4, 2]}
 
 
 def test_parity_compares_the_json_of_torsolve_start():

@@ -14,13 +14,10 @@ from torsolve.torus import (
     diagonal_fiber,
     fiber_restriction,
     monomial_value,
-    relabel,
     restrict_to_fiber,
 )
 
-LACUNARY_A1 = [(0, 0), (0, 4), (3, 3), (6, 6), (12, 0)]
-LACUNARY_A2 = [(0, 0), (3, 7), (6, 2), (9, 1), (9, 5)]
-PHI = IntMatrix.from_rows([[3, 0], [-1, 4]])  # z = x^3 y^-1, w = y^4
+from systems import PAPER_PHI, TRI_A, cover
 
 F1_COEFFS = {(0, 0): 1, (0, 4): 2, (3, 3): 4, (6, 6): 8, (12, 0): 16}
 F2_COEFFS = {(0, 0): 3, (3, 7): 5, (6, 2): 7, (9, 1): 11, (9, 5): 13}
@@ -34,8 +31,6 @@ def plain_values(F, x):
                      for i in range(F.n)])
 
 
-TRI_A = [(0, 0, 0), (1, 0, 1), (1, 1, 2), (1, 2, 3), (2, 0, 2), (2, 1, 3), (2, 2, 4), (3, 1, 4)]
-TRI_A3 = [(0, 0, 0), (0, 0, 2), (0, 0, 4), (0, 1, 5), (1, 0, 3), (1, 1, 4)]
 F3_COEFFS = {(0, 0, 0): 1, (0, 0, 2): 3, (0, 0, 4): 9, (0, 1, 5): 27, (1, 0, 3): 81, (1, 1, 4): 243}
 
 
@@ -56,7 +51,7 @@ def test_apply_identity():
 
 
 def test_apply_paper_map():
-    Phi = MonomialMap(PHI)
+    Phi = MonomialMap(PAPER_PHI)
     out = apply(Phi, np.array([1.0, 2.0]))
     assert np.allclose(out, [0.5, 16.0])
     Phi3 = MonomialMap(IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))  # (xz, yz)
@@ -79,21 +74,21 @@ def test_diagonal_fiber_counts_and_values():
     assert all(np.array_equal(a, b) for a, b in zip(fiber, again))
 
 
-def test_relabel_reproduces_cover_system():
+def test_cover_coefficients_reproduce_cover_system():
+    # The lacunary node's cover takes F's coefficients at the columns
+    # _positions gives for the preimage supports' index maps.
     F = lacunary_F()
-    re = preimage_supports(F.system, PHI)
-    G = relabel(F, re)
+    G = cover(F, preimage_supports(F.system, PAPER_PHI))
     got1 = dict(G.polynomial(0))
     got2 = dict(G.polynomial(1))
     assert got1 == {k: complex(v) for k, v in G1_COEFFS.items()}
     assert got2 == {k: complex(v) for k, v in G2_COEFFS.items()}
 
 
-def test_relabel_preserves_evaluation():
+def test_cover_coefficients_preserve_evaluation():
     F = lacunary_F()
-    re = preimage_supports(F.system, PHI)
-    G = relabel(F, re)
-    Phi = MonomialMap(PHI)
+    G = cover(F, preimage_supports(F.system, PAPER_PHI))
+    Phi = MonomialMap(PAPER_PHI)
     rng = np.random.default_rng(7)
     for _ in range(10):
         x = random_torus_point(rng, 2)
@@ -103,12 +98,9 @@ def test_relabel_preserves_evaluation():
 
 
 def tri_F():
-    c1 = dict(zip(sorted(TRI_A), range(0, 0)))  # placeholder, replaced below
-    f1 = {(0, 0, 0): 1, (1, 0, 1): 2, (1, 1, 2): 3, (1, 2, 3): 4,
-          (2, 0, 2): 5, (2, 1, 3): 6, (2, 2, 4): 7, (3, 1, 4): 8}
-    f2 = {(0, 0, 0): 2, (1, 0, 1): 3, (1, 1, 2): 5, (1, 2, 3): 7,
-          (2, 0, 2): 11, (2, 1, 3): 13, (2, 2, 4): 17, (3, 1, 4): 19}
-    return SparseSystem.from_pairs([list(f1.items()), list(f2.items()), list(F3_COEFFS.items())])
+    return SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                                    list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
+                                    list(F3_COEFFS.items())])
 
 
 def test_restrict_to_fiber_matches_printed_formula():

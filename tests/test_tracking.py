@@ -192,6 +192,16 @@ def test_solution_set_sorting():
     assert len(SolutionSet()) == 0
 
 
+def test_solution_sets_compare_by_identity_without_raising():
+    # A generated __eq__ would compare the point arrays as tuple elements and
+    # raise for more than one point.
+    def two_points():
+        return SolutionSet(np.array([[1.0 + 0j], [2.0 + 0j]]), np.zeros(2),
+                           np.arange(2)[:, None])
+    a, b = two_points(), two_points()
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+
+
 def reference_sort_key(point) -> tuple:
     """The per-point key _solution_order vectorizes."""
     return tuple(v for z in point for v in (round(z.real, 9), round(z.imag, 9)))

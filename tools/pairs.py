@@ -10,7 +10,9 @@ checkout's BENCHMARK.json, so both sides run the same length. Each side
 runs its own `perfbench/`; this tool only reads run.py's last line.
 
 Make both checkouts the same way, for example both as fresh copies by
-`git archive COMMIT | tar -x -C DIR`. With the parent a fresh copy and the
+`git archive COMMIT | tar -x -C DIR`; the tool exits with an error when
+exactly one of them has `.git`, or exactly one has a `__pycache__` under
+`src/`. With the parent a fresh copy and the
 change a working tree, the change has read `setup_s` 16-23% lower though
 it touched no code run at setup, and black-box `wall_s` +4.8% where fresh
 copies of the same two trees read -2.2%: unlike checkouts can show a gain
@@ -46,6 +48,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def difference(parent: Path, change: Path) -> str | None:
+    """How the two checkouts were made differently, or None: exactly one
+    has `.git`, or exactly one has a `__pycache__` under `src/`."""
+    probes = {".git": lambda d: (d / ".git").exists(),
+              "a __pycache__ under src/": lambda d: any((d / "src").rglob("__pycache__"))}
+    for what, has in probes.items():
+        if has(parent) != has(change):
+            return f"only {parent if has(parent) else change} has {what}"
+    return None
 
 
 def quartiles(values) -> tuple:
@@ -87,6 +100,9 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    unlike = difference(*sides.values())
+    if unlike:
+        parser.error(f"{sides['parent']} and {sides['change']} were made differently: {unlike}")
     runs = {side: [] for side in sides}
     for seed in range(args.pairs):
         order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]

@@ -3,56 +3,17 @@
     python3 tools/parity.py PARENT_DIR CHANGE_DIR
 
 Each checkout's `src/` runs in its own subprocess on the ops its
-`perfbench/workloads.py` builds (RUNS): `decomposable` at seeds 0-9 with 5
-rounds each, `exact` at seeds 0-9 with 3 rounds each, two `general` rounds
-and the `blackbox` op. The second `general` round repeats the first, fixed
-data, so the solves the solver's memo serves, start systems included, are
-compared op by op as well. Then `torsolve solve --json FILE --tolerance=T`
-and `torsolve start FILE --tolerance=T` (CLI_RUNS) run on the three
-acceptance systems for each T in CLI_TOLERANCES, since no op sets a
-tolerance; the start runs return the only labels with a node prefix
-(`start/root[i.j]`) that reach a result. Per op the two runs must agree
-on the status, the error type and message (for the CLI, its standard
-error), the returned mixed volume or the decomposition tree without
-`elapsed`, the provenance and the warnings, the CLI's JSON output without
-`elapsed_ms`, and the points to 1e-8 relative, point by point. Prints the
-largest relative point difference and the largest residual change, lists
-the first differences (a differing tree as one line per node field, e.g.
-`/1/0 gamma_retries 2 -> 0` for child 0 of the root's child 1; a CLI run
-whose JSON `solutions` differ with its largest relative point
-difference), and exits 1 on any. It also prints, per workload and for each checkout, the number
-of tracker passes (`_correct` calls), `Homotopy.state` calls, the rows
-they evaluated, `_newton` calls (the tracker's endgame batches and the
-solver's refinements) and the sum of `gamma_retries` over every node of
-every op's tree, so that a change to the tracker's steps can show its
-effect and its cost in retries; and the two-variable black-box leaves
-(`solver._blackbox` calls with n = 2) that tracked no path, solved by the
-resultant eigenproblem, against those that fell back to tracking; the same
-for the triangular nodes with at least one transfer that returned, their
-fibers all solved as one family or some reached by `track_all` calls of
-their own; the solver's `track_all` calls with the target blocks they
-tracked, summed over calls, so that a transfer tracked again shows; the
-`classify` calls with the `smith_normal_form` calls made inside them; and
-the `normalize` calls, wrapped in every `torsolve` module that binds the
-function, with the rank eliminations (`intlinalg._bareiss_rank` calls), so
-that exact work done twice shows; and the `torus.apply` calls, wrapped in
-every `torsolve` module that binds the function under any name, with the
-points they mapped (a (P, n) stack maps P, one point 1), so that points
-mapped one call each show; and the dedup passes, `distinct` calls wrapped
-the same way, with the candidate points they were given, so that rows
-deduplicated one call each show; and the hits and misses of the solver's
-memo of support-only work (`solver._memo`; a checkout without it counts
-none), so that supports classified again show; and the `SparseSystem`
-constructions (`SparseSystem.__post_init__` calls), the inputs the
-workload builds included, so that systems built per node beside the
-coefficient rows show. Since that memo, the
-solver's `classify` calls count its misses only: a classification the
-memo holds makes no call. A call counts once whatever it is given;
-a checkout whose `normalize` passed a `SparseSystem`'s supports back to
-itself counts that inner call too, so the two sides' `normalize` counts
-differ in meaning when only one of them does so. These counts are
-information, not a check; so is each checkout's `src/` line count, taken
-over the `*.py` files of `src/torsolve` as `perfbench/run.py` takes it.
+`perfbench/workloads.py` builds (RUNS) and on the CLI runs of the acceptance
+systems (CLI_RUNS, at each of CLI_TOLERANCES). Per op the two runs must agree
+on the status, the error type and message (for the CLI, its standard error),
+the mixed volume or the decomposition tree without `elapsed`, the provenance,
+the warnings, the CLI's JSON output without `elapsed_ms`, and the points to
+1e-8 relative, point by point. Prints the largest relative point difference
+and residual change and the first differences (a tree's as one line per node
+field, e.g. `/1/0 gamma_retries 2 -> 0` for child 0 of the root's child 1),
+and exits 1 on any. It also prints, as information and not as a check, each
+checkout's `src/` line count and, per workload, the counters of COUNTERS:
+what the solver did, so that a change shows its effect and its cost.
 """
 
 import argparse
@@ -64,193 +25,120 @@ from pathlib import Path
 POINT_TOL = 1e-8
 SHOWN = 20
 CLI_TOLERANCES = ("1e-6", "1e-10")
-# (workload, arguments before FILE and --tolerance) of the CLI runs on the acceptance systems.
+# (workload, arguments before FILE and --tolerance) of the CLI runs on the acceptance systems;
+# `start` returns the only labels with a node prefix (`start/root[i.j]`) that reach a result.
 CLI_RUNS = (("cli --tolerance", ["solve", "--json"]), ("cli start", ["start"]))
-# (workload, seed, rounds) of the benchmark ops each checkout solves.
+# (workload, seed, rounds) of the benchmark ops each checkout solves. The second general
+# round repeats the first, fixed data, so the solves the solver's memo serves are compared too.
 RUNS = ([("decomposable", seed, 5) for seed in range(10)]
         + [("exact", seed, 3) for seed in range(10)] + [("general", 0, 2), ("blackbox", 0, 1)])
-# Import the torsolve of the checkout named by the first argument and wrap
-# the functions it counts, each count going to the global `workload`'s entry.
-SETUP = """
-import contextlib, dataclasses, io, json, pickle, sys, tempfile
+# The counters, by section: (title, rows). A row is (counter, the torsolve attribute whose
+# calls it counts, what one call adds or None for 1, the counted call it must be made
+# directly inside or None). What a call adds is an expression in its `args`, its result
+# `out` (None if it raised), `inner` (the counted calls made directly inside it, by
+# attribute) and `hits` (the solver memo's hits when it began); it counts nothing when 0.
+# Every binding of an attribute in a torsolve module counts; one a checkout lacks, none.
+COUNTERS = (
+    ("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / gamma_retries", (
+        ("tracker passes", "tracking._correct", None, None),
+        ("state calls", "tracking.Homotopy.state", None, None),
+        ("rows evaluated", "tracking.Homotopy.state", "len(args[1])", None),
+        # the tracker's endgame batches and the solver's refinements
+        ("_newton calls", "tracking._newton", None, None),
+        # over every node of every op's tree, added from the records by gamma_retries
+        ("gamma_retries", None, None, None))),
+    ("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking", (
+        ("eigenproblem leaves", "solver._blackbox",
+         "args[0].n == 2 and not inner['solver.track_all']", None),
+        ("tracked leaves", "solver._blackbox",
+         "args[0].n == 2 and inner['solver.track_all'] > 0", None))),
+    ("triangular nodes with a transfer, fibers solved as one family / fell back to tracking", (
+        ("family nodes", "solver._solve_triangular",
+         "out is not None and out[1].transfers and not inner['solver.track_all']", None),
+        ("tracked nodes", "solver._solve_triangular",
+         "out is not None and out[1].transfers and inner['solver.track_all'] > 0", None))),
+    ("track_all calls / target blocks tracked", (  # a transfer tracked again shows
+        ("track_all calls", "solver.track_all", None, None),
+        ("target blocks", "solver.track_all", "len(args[0].ct)", None))),
+    ("classify calls / smith_normal_form calls inside them", (
+        ("classify calls", "decompose.classify", None, None),  # the solver's: its memo's misses
+        ("Smith forms", "decompose.smith_normal_form", None, "decompose.classify"))),
+    ("support-work memo hits / misses", (  # a miss with a hit inside counts as a hit
+        ("memo hits", "solver._memo", "memo.cache_info().hits > hits", None),
+        ("memo misses", "solver._memo", "memo.cache_info().hits == hits", None))),
+    ("normalize calls / rank eliminations", (  # exact work done twice shows
+        ("normalize calls", "supports.normalize", None, None),
+        ("rank eliminations", "intlinalg._bareiss_rank", None, None))),
+    ("torus.apply calls / points they mapped", (  # a (P, n) stack maps P, one point 1
+        ("apply calls", "torus.apply", None, None),
+        ("points mapped", "torus.apply", "len(args[1]) if np.ndim(args[1]) == 2 else 1", None))),
+    ("dedup passes (distinct calls) / candidate points", (
+        ("distinct calls", "tracking.distinct", None, None),
+        ("candidate points", "tracking.distinct", "len(args[0])", None))),
+    ("SparseSystem constructions", (  # the inputs a workload builds included
+        ("SparseSystem constructions", "supports.SparseSystem.__post_init__", None, None),)),
+)
+# Import the torsolve of the checkout named by the first argument and wrap every
+# attribute COUNTERS counts, each count going to the global `workload`'s entry of `counts`.
+SETUP = f"COUNTERS = {COUNTERS!r}\n" + """
+import collections, contextlib, dataclasses, functools, io, json, pickle, sys, tempfile
 from pathlib import Path
 root = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 import numpy as np
 import torsolve
 import torsolve.cli
-import torsolve.solver
-import torsolve.tracking
 import workloads
 TOLERANCES = sys.argv[2:]
 if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
     raise SystemExit(f"imported torsolve from {torsolve.__file__}")
 
-steps = {}  # workload: [tracker passes, Homotopy.state calls, rows evaluated, _newton calls]
-state, correct = torsolve.tracking.Homotopy.state, torsolve.tracking._correct
-newton = torsolve.tracking._newton
+workload = None  # a call made outside every workload counts for none
+counts = {}  # {workload: {counter: value}}
+calls = []  # the open counted calls, innermost last: (attribute, inner, hits)
+memo = getattr(torsolve.solver, "_memo", None)
 
-def tally():
-    return steps.setdefault(workload, [0, 0, 0, 0])
+def counted(attribute, f, rows):
+    def wrapper(*args):
+        outer = calls[-1][0] if calls else None
+        if calls:
+            calls[-1][1][attribute] += 1
+        calls.append((attribute, collections.Counter(), memo.cache_info().hits if memo else 0))
+        out = None
+        try:
+            out = f(*args)
+            return out
+        finally:
+            _, inner, hits = calls.pop()
+            for counter, size, within in rows:
+                if workload is not None and within in (None, outer):
+                    amount = int(size(args, out, inner, hits)) if size else 1
+                    if amount:
+                        tally = counts.setdefault(workload, {})
+                        tally[counter] = tally.get(counter, 0) + amount
+    return wrapper
 
-def counted_state(self, X, t, rows):
-    tally()[1] += 1
-    tally()[2] += len(X)
-    return state(self, X, t, rows)
-
-def counted_correct(*args):
-    tally()[0] += 1
-    return correct(*args)
-
-def counted_newton(*args):
-    tally()[3] += 1
-    return newton(*args)
-
-torsolve.tracking.Homotopy.state = counted_state
-torsolve.tracking._correct = counted_correct
-torsolve.tracking._newton = torsolve.solver._newton = counted_newton
-
-leaves, tracked = {}, [0]  # workload: [n = 2 leaves solved untracked, leaves that tracked]
-blocks = {}  # workload: [the solver's track_all calls, target blocks they tracked]
-blackbox, track_all = torsolve.solver._blackbox, torsolve.solver.track_all
-
-def counted_track_all(*args):
-    tracked[0] += 1
-    calls = blocks.setdefault(workload, [0, 0])
-    calls[0] += 1
-    calls[1] += len(args[0].ct)
-    if frames and frames[-1] is not None:
-        frames[-1] += 1
-    return track_all(*args)
-
-def counted_blackbox(F, *args):
-    before = tracked[0]
-    try:
-        return blackbox(F, *args)
-    finally:
-        if F.n == 2:
-            leaves.setdefault(workload, [0, 0])[tracked[0] > before] += 1
-
-torsolve.solver._blackbox, torsolve.solver.track_all = counted_blackbox, counted_track_all
-
-# workload: [triangular nodes with a transfer that tracked none, those that did];
-# frames: per open solve, None or, for a triangular node, the track_all calls it made itself
-fibers, frames = {}, []
-solve, triangular = torsolve.solver._solve, torsolve.solver._solve_triangular
-
-def counted_solve(*args):
-    frames.append(None)
-    try:
-        return solve(*args)
-    finally:
-        frames.pop()
-
-def counted_triangular(*args):
-    frames.append(0)
-    try:
-        out = triangular(*args)
-    finally:
-        calls = frames.pop()
-    if out[1].transfers:
-        fibers.setdefault(workload, [0, 0])[calls > 0] += 1
-    return out
-
-torsolve.solver._solve, torsolve.solver._solve_triangular = counted_solve, counted_triangular
-
-nodes, inside = {}, [0]  # workload: [classify calls, smith_normal_form calls inside them]
-classify, smith = torsolve.decompose.classify, torsolve.decompose.smith_normal_form
-
-def counted_classify(S):
-    nodes.setdefault(workload, [0, 0])[0] += 1
-    inside[0] += 1
-    try:
-        return classify(S)
-    finally:
-        inside[0] -= 1
-
-def counted_smith(A):
-    if inside[0]:
-        nodes.setdefault(workload, [0, 0])[1] += 1
-    return smith(A)
-
-torsolve.decompose.classify = torsolve.solver.classify = counted_classify
-torsolve.decompose.smith_normal_form = counted_smith
-
-exact = {}  # workload: [normalize calls, rank eliminations]
-normalize, bareiss_rank = torsolve.supports.normalize, torsolve.intlinalg._bareiss_rank
-
-def counted_normalize(obj):
-    exact.setdefault(workload, [0, 0])[0] += 1
-    return normalize(obj)
-
-def counted_bareiss_rank(m):
-    exact.setdefault(workload, [0, 0])[1] += 1
-    return bareiss_rank(m)
-
-for name, module in list(sys.modules.items()):
-    if name.split(".")[0] == "torsolve" and getattr(module, "normalize", None) is normalize:
-        module.normalize = counted_normalize
-torsolve.intlinalg._bareiss_rank = counted_bareiss_rank
-
-mapped = {}  # workload: [torus.apply calls, points they mapped]
-deduped = {}  # workload: [distinct calls, candidate points they were given]
-apply, distinct = torsolve.torus.apply, torsolve.tracking.distinct
-
-def counted_apply(Phi, x):
-    calls = mapped.setdefault(workload, [0, 0])
-    calls[0] += 1
-    calls[1] += len(x) if np.ndim(x) == 2 else 1
-    return apply(Phi, x)
-
-def counted_distinct(points, *args):
-    calls = deduped.setdefault(workload, [0, 0])
-    calls[0] += 1
-    calls[1] += len(points)
-    return distinct(points, *args)
-
-for name, module in list(sys.modules.items()):
-    if name.split(".")[0] == "torsolve":
-        for attr, value in list(vars(module).items()):
-            if value is apply:
-                setattr(module, attr, counted_apply)
-            elif value is distinct:
-                setattr(module, attr, counted_distinct)
-
-memo = {}  # workload: [memo hits, misses]
-cached = getattr(torsolve.solver, "_memo", None)
-
-def counted_memo(*args):
-    hits = cached.cache_info().hits
-    try:
-        return cached(*args)
-    finally:
-        memo.setdefault(workload, [0, 0])[cached.cache_info().hits == hits] += 1
-
-if cached is not None:
-    torsolve.solver._memo = counted_memo
-
-built = {}  # workload: SparseSystem constructions
-post_init = torsolve.supports.SparseSystem.__post_init__
-
-def counted_post_init(self):
-    if "workload" in globals():  # one built before the first workload counts for none
-        built[workload] = built.get(workload, 0) + 1
-    post_init(self)
-
-torsolve.supports.SparseSystem.__post_init__ = counted_post_init
+rows = collections.defaultdict(list)  # attribute: [(counter, size, within)]
+for _, section in COUNTERS:
+    for counter, attribute, size, within in section:
+        if attribute:
+            rows[attribute].append(
+                (counter, size and eval(f"lambda args, out, inner, hits: {size}"), within))
+modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "torsolve"]
+for attribute, its_rows in rows.items():
+    *path, name = attribute.split(".")
+    owner = functools.reduce(getattr, path, torsolve)
+    f = getattr(owner, name, None)
+    if f is not None:
+        wrapper = counted(attribute, f, its_rows)
+        setattr(owner, name, wrapper)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is f:
+                    setattr(module, key, wrapper)
 """
 # Run in a fresh interpreter from a checkout: solve every op and pickle
-# ({(workload, seed, round, label): record},
-#  {workload: [tracker passes, state calls, rows, _newton calls]},
-#  {workload: [n = 2 black-box leaves that tracked no path, those that did]},
-#  {workload: [triangular nodes with a transfer that tracked none, those that did]},
-#  {workload: [track_all calls, target blocks they tracked]},
-#  {workload: [classify calls, smith_normal_form calls inside them]},
-#  {workload: [normalize calls, rank eliminations]},
-#  {workload: [torus.apply calls, points they mapped]},
-#  {workload: [distinct calls, candidate points they were given]},
-#  {workload: [memo hits, misses]},
-#  {workload: SparseSystem constructions}) to standard output.
+# ({(workload, seed, round, label): record}, counts) to standard output.
 CHILD = SETUP + f"\nruns = {RUNS!r}\nCLI_RUNS = {CLI_RUNS!r}\n" + """
 def tree_of(tree):
     if tree is None:
@@ -315,16 +203,12 @@ with tempfile.TemporaryDirectory() as tmp:
                     "points": [np.array([complex(*z) for z in pt]) for pt in solutions],
                     "residuals": obj.get("residuals", []),
                 }
-sys.stdout.buffer.write(pickle.dumps((out, steps, leaves, fibers, blocks, nodes, exact, mapped,
-                                      deduped, memo, built)))
+sys.stdout.buffer.write(pickle.dumps((out, counts)))
 """
 
 
 def solve_all(checkouts):
-    """The CHILD records, step counts, leaf counts, fiber-node counts,
-    track_all counts, classify counts, normalize and elimination counts,
-    torus.apply counts, distinct counts, memo counts and SparseSystem
-    construction counts of each checkout, both run at the same time."""
+    """The CHILD records and counts of each checkout, both run at the same time."""
     procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(d), *CLI_TOLERANCES], cwd=d,
                               stdout=subprocess.PIPE) for d in checkouts]
     results = []
@@ -362,41 +246,36 @@ def tree_differences(a, b, path=""):
     return out
 
 
-def gamma_retries(records) -> dict:
-    """{workload: the sum of gamma_retries over every node of every op's
-    tree}, from the records' trees or the CLI's JSON trees."""
+def gamma_retries(records, counts) -> dict:
+    """counts, {workload: {counter: value}}, with each workload's sum of
+    gamma_retries over every node of every op's tree added, from the records'
+    trees or the CLI's JSON trees."""
     def total(node):
         return node.get("gamma_retries", 0) + sum(map(total, node.get("children", [])))
-    out = {}
     for key, record in records.items():
         tree = record.get("tree") or record.get("json", {}).get("tree")
-        out[key[0]] = out.get(key[0], 0) + (total(tree) if tree else 0)
+        tally = counts.setdefault(key[0], {})
+        tally["gamma_retries"] = tally.get("gamma_retries", 0) + (total(tree) if tree else 0)
+    return counts
+
+
+def section(counters, counts) -> dict:
+    """{workload: its value of each of `counters`} over the workloads of one
+    side's {workload: {counter: value}} that counted any of them."""
+    return {workload: [tally.get(c, 0) for c in counters] for workload, tally in counts.items()
+            if any(c in tally for c in counters)}
+
+
+def lines(counters, sides) -> list:
+    """Per workload, `  W: a / b -> c / d`: the parent's values of `counters`,
+    then the change's, marked `(differs)` when they differ."""
+    parent, change = (section(counters, side) for side in sides)
+    out = []
+    for workload in sorted({**parent, **change}):
+        a, b = (" / ".join(f"{value:,}" for value in side.get(workload, [0] * len(counters)))
+                for side in (parent, change))
+        out.append(f"  {workload}: {a} -> {b}" + ("" if a == b else "  (differs)"))
     return out
-
-
-def count_lines(records, steps) -> list:
-    """Per workload, `  W: a / b / c / d / e -> ...`: the tracker passes,
-    state calls, rows, _newton calls and gamma_retries of each side."""
-    retries = [gamma_retries(side) for side in records]
-    lines = []
-    for workload in sorted(set().union(*steps, *retries)):
-        a, b = (" / ".join(f"{count:,}" for count in [*side.get(workload, (0, 0, 0, 0)),
-                                                     tried.get(workload, 0)])
-                for side, tried in zip(steps, retries))
-        lines.append(f"  {workload}: {a} -> {b}" + ("" if a == b else "  (differs)"))
-    return lines
-
-
-def pair_lines(counts) -> list:
-    """Per workload, `  W: a / b -> c / d`: two counts of each side, e.g. the
-    two-variable black-box leaves solved by the eigenproblem (a, c) and
-    those that fell back to tracking (b, d)."""
-    lines = []
-    for workload in sorted(set().union(*counts)):
-        a, b = (" / ".join(f"{count:,}" for count in side.get(workload, (0, 0)))
-                for side in counts)
-        lines.append(f"  {workload}: {a} -> {b}")
-    return lines
 
 
 def compare(parent, change):
@@ -448,45 +327,17 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
-    (parent, change), steps, leaves, fibers, blocks, nodes, exact, mapped, deduped, memo, built = (
-        zip(*solve_all([args.parent.resolve(), args.change.resolve()])))
+    (parent, change), counts = zip(*solve_all([args.parent.resolve(), args.change.resolve()]))
+    for records, side in zip((parent, change), counts):
+        gamma_retries(records, side)
     diffs, worst_point, worst_change, worst_res, solutions = compare(parent, change)
     failed = [sum(r["status"] != "ok" for r in side.values()) for side in (parent, change)]
     print(f"ops: {len(parent)} parent, {len(change)} change; failed {failed[0]} -> {failed[1]}")
     print("src/ lines: {:,} -> {:,}".format(*map(src_lines, (args.parent, args.change))))
-    print("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / "
-          "gamma_retries, parent -> change:")
-    for line in count_lines((parent, change), steps):
-        print(line)
-    print("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking, "
-          "parent -> change:")
-    for line in pair_lines(leaves):
-        print(line)
-    print("triangular nodes with a transfer, fibers solved as one family / fell back to "
-          "tracking, parent -> change:")
-    for line in pair_lines(fibers):
-        print(line)
-    print("track_all calls / target blocks tracked, parent -> change:")
-    for line in pair_lines(blocks):
-        print(line)
-    print("classify calls / smith_normal_form calls inside them, parent -> change:")
-    for line in pair_lines(nodes):
-        print(line)
-    print("support-work memo hits / misses, parent -> change:")
-    for line in pair_lines(memo):
-        print(line)
-    print("normalize calls / rank eliminations, parent -> change:")
-    for line in pair_lines(exact):
-        print(line)
-    print("torus.apply calls / points they mapped, parent -> change:")
-    for line in pair_lines(mapped):
-        print(line)
-    print("dedup passes (distinct calls) / candidate points, parent -> change:")
-    for line in pair_lines(deduped):
-        print(line)
-    print("SparseSystem constructions, parent -> change:")
-    for workload in sorted(set().union(*built)):
-        print(f"  {workload}: {built[0].get(workload, 0):,} -> {built[1].get(workload, 0):,}")
+    for title, rows in COUNTERS:
+        print(f"{title}, parent -> change:")
+        for line in lines([row[0] for row in rows], counts):
+            print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
     print(f"max residual: {worst_res[0]:.3g} -> {worst_res[1]:.3g}; "
