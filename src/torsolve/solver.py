@@ -50,6 +50,7 @@ from .torus import (
     fiber_restriction,
 )
 from .tracking import (
+    _DIVERGENCE_NORM,
     Homotopy,
     SolutionSet,
     TrackerSettings,
@@ -422,9 +423,10 @@ def _blackbox(S, C, expected, ss, settings, prov):
 
 def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
     """(points, rows, index): per eigenvalue index[i] of row rows[i] of C, a
-    coefficient row of the supports S (exponents >= 0), a finite, nonzero
-    candidate root (x, y) of that row's polynomials f and g, points[i] of
-    the (P, 2) stack `points`; `rows` and `index` are (P,) integer arrays.
+    coefficient row of the supports S (exponents >= 0), a nonzero candidate
+    root (x, y) of that row's polynomials f and g with max(|x|, |y|) at
+    most _DIVERGENCE_NORM, the tracker's bound, points[i] of the (P, 2)
+    stack `points`; `rows` and `index` are (P,) integer arrays.
 
     The Sylvester matrix of f and g in y is a matrix polynomial S(x) of size
     N = deg_y f + deg_y g whose kernel at a root's x holds (y^(N-1), ..., 1).
@@ -478,7 +480,7 @@ def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
             rows = np.array(list(parts), dtype=np.intp)
             s, V = (np.concatenate(x) for x in zip(*parts.values()))
         X = np.stack([(a * s + b) / (c * s + d), V[:, N - 2] / V[:, N - 1]], axis=-1)
-    keep, index = np.nonzero(np.isfinite(X).all(axis=2) & X.all(axis=2))  # a zero has no image
+    keep, index = np.nonzero((np.abs(X).max(axis=2) <= _DIVERGENCE_NORM) & X.all(axis=2))
     return X[keep, index], rows[keep], index
 
 

@@ -29,9 +29,10 @@ tangents of the rows that converged.
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton, one batch for all the paths of a homotopy
 that reach _ENDGAME_T (several only when a count stop is near), and the
-refinement of a family's candidates, one batched Newton on its K rows.
-The points each row keeps are deduplicated and sorted in one pass over
-all rows (_kept_order), as track_all's endpoints are in their blocks.
+refinement of K rows' candidates in one batched Newton, which takes
+Homotopy.values (state's values alone) at all rows and state at those that
+step. The points each row keeps are deduplicated and sorted in one pass
+over all rows (_kept_order), as track_all's endpoints are in their blocks.
 """
 
 from __future__ import annotations
@@ -228,6 +229,24 @@ class Homotopy:
                 row += [pairs.get(p, 0j) for p in union]
         return cls(SupportSystem(tuple(supports)), cs, ct, gamma)
 
+    def _terms(self, X, t, rows):
+        """(terms, monomials, dH/dt's coefficients): values' and state's one path, so a
+        row gets the same bits from both; a one-element product goes out of place."""
+        mono = monomials(X, self._exps, self._columns)
+        # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary parts;
+        # a real t times a complex array goes through cast buffers. One
+        # target broadcasts its coefficient rows instead of gathering them.
+        ct, gcs, dc = self._coeffs if len(self.ct) == 1 else [c.take(rows, 0) for c in self._coeffs]
+        tc = t[:, None]
+        terms = ct * tc
+        terms += gcs * (1.0 - tc)
+        terms = terms.view(complex)
+        return np.multiply(terms, mono, out=None if mono.size == 1 else terms), mono, dc
+
+    def values(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """H at P points, state's first result bit for bit, and nothing else."""
+        return np.add.reduceat(self._terms(X, t, rows)[0], self.starts, axis=1)
+
     def state(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray):
         """H, its x-Jacobian, dH/dt and a term-magnitude scale at P points.
 
@@ -240,18 +259,9 @@ class Homotopy:
         The caller owns np.errstate: the tracker and Newton evaluate under
         np.errstate(all="ignore") and catch overflow and NaN per row.
         """
-        mono = monomials(X, self._exps, self._columns)
-        # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary parts;
-        # a real t times a complex array goes through cast buffers. One
-        # target broadcasts its coefficient rows instead of gathering them.
-        ct, gcs, dc = self._coeffs if len(self.ct) == 1 else [c.take(rows, 0) for c in self._coeffs]
-        tc = t[:, None]
-        terms = ct * tc
-        terms += gcs * (1.0 - tc)
-        terms = terms.view(complex)
-        terms *= mono
+        terms, mono, dc = self._terms(X, t, rows)
         values = np.add.reduceat(terms, self.starts, axis=1)
-        mono *= dc
+        mono = np.multiply(mono, dc, out=None if mono.size == 1 else mono)
         dt = np.add.reduceat(mono, self.starts, axis=1)
         sums = np.add.reduceat(np.abs(terms), self.starts, axis=1)
         scale = np.maximum(1.0, np.maximum.reduce(sums, axis=1))
@@ -446,15 +456,18 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
     residual is at most settings.tolerance after a small step. Each row
     takes the steps it would take alone, and a failing row, even a
     non-finite one, fails only itself. `known` is (mask, values, Jacobians):
-    the rows in the mask take their first H and Jacobian at t = 1 from it.
-    """
+    the rows in the mask take their first H and Jacobian at t = 1 from it;
+    else H comes from Homotopy.values, and state only at the rows that step."""
     X = np.array(X, dtype=complex)
     res = np.full(len(X), np.nan)
     errors = [None] * len(X)
     todo, ones = np.arange(len(X)), np.ones(len(X))
-    Y = X  # the rows todo of X, gathered once some row leaves
     # Overflow and NaN are caught per row by the finiteness checks.
     with np.errstate(all="ignore"):
+        if known is None:  # values first: only a row that steps needs a Jacobian
+            res[:] = np.maximum.reduce(np.abs(H.values(X, ones, rows)), axis=1)
+            todo = np.flatnonzero(~(res <= 0.01 * settings.tolerance))
+        Y = X.take(todo, 0)  # the rows todo of X
         for it in range(_NEWTON_ITERS + 1):
             if not todo.size:
                 break
@@ -471,7 +484,7 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
             if it == 0:  # the rows about to take their first step
                 cond = np.full(len(todo), np.inf)
                 finite = np.logical_and.reduce(np.isfinite(jac), axis=(1, 2)) & ~done
-                cond[finite] = np.linalg.cond(jac[finite])
+                cond[finite] = np.linalg.cond(jac[finite]) if finite.any() else np.inf
                 bad = (~done & ~(cond <= _COND_LIMIT)).nonzero()[0]
                 for i, c in zip(todo.take(bad), cond.take(bad)):
                     errors[i] = SingularJacobianError(f"Jacobian condition estimate {c:.2e}")

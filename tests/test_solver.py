@@ -16,7 +16,7 @@ from torsolve.solver import (
     solve_general,
 )
 from torsolve.torus import monomial_value
-from torsolve.tracking import relative_distance
+from torsolve.tracking import _DIVERGENCE_NORM, relative_distance
 
 from systems import START_A, TRI_A, cover
 
@@ -1088,17 +1088,21 @@ def test_resultant_roots_give_nothing_without_a_regular_pencil():
 def test_resultant_roots_solve_the_rows_one_by_one_when_one_row_is_singular():
     # Row 1 is zero, so the stacked eigensolve raises and each row is solved
     # alone; row 1 raises there too and is left out, rows 0 and 2 (2F) get
-    # the six candidates each gets alone, bit for bit.
+    # the four candidates each gets alone, bit for bit: the mixed volume. Two
+    # more eigenvalues per row, at |x| near 3e14 and 1.1e15, lie beyond the
+    # tracker's divergence bound and are dropped.
     from torsolve.solver import _resultant_roots, _rows
 
     F = SparseSystem.from_pairs([[((0, 0), 1.0), ((1, 0), -2.0), ((0, 1), 1.0), ((1, 1), 0.5)],
                                  [((0, 0), -1.0), ((2, 0), 1.0), ((0, 1), 3.0), ((1, 2), 1.0)]])
+    assert hull_mixed_volume(F.system) == 4
     C = np.vstack([_rows(F), np.zeros_like(_rows(F)), 2 * _rows(F)])
     points, rows, index = _resultant_roots(F.system, C, np.random.SeedSequence(3))
-    assert rows.tolist() == [0] * 6 + [2] * 6
+    assert rows.tolist() == [0] * 4 + [2] * 4 and index.tolist() == [0, 1, 2, 3] * 2
+    assert np.abs(points).max() <= _DIVERGENCE_NORM
     for r in (0, 2):
         alone = _resultant_roots(F.system, C[r:r + 1], np.random.SeedSequence(3))
-        assert alone[1].tolist() == [0] * 6
+        assert alone[1].tolist() == [0] * 4
         assert points[rows == r].tobytes() == alone[0].tobytes()
         assert index[rows == r].tolist() == alone[2].tolist()
 

@@ -357,6 +357,38 @@ torsolve.predict_tree(printed(2).system)
         "first solve": [4, 2], "predict_tree": [4, 2]}
 
 
+def test_parity_counts_a_memo_miss_with_a_hit_inside_as_a_miss():
+    # `outer` misses and, inside, hits `one`; then `outer` hits. A call is a
+    # hit exactly when the memo's hits rose by one and its misses did not.
+    parity, counts = counted("""
+def one():
+    return 1
+def outer(x):
+    return torsolve.solver._memo(one) + x
+workload = "nested"
+torsolve.solver._memo(one)
+torsolve.solver._memo(outer, 1)
+torsolve.solver._memo(outer, 1)
+""")
+    assert parity.section(("memo hits", "memo misses"), counts) == {"nested": [2, 2]}
+
+
+def test_parity_counts_the_values_only_evaluations_and_their_rows():
+    # One Newton batch of three rows on x^2 - 2: every row's residual comes
+    # from one Homotopy.values call, and only the two rows that step reach
+    # Homotopy.state, one call per iteration.
+    parity, counts = counted("""
+F = SparseSystem.from_pairs([[((0,), -2.0), ((2,), 1.0)]])
+c = np.concatenate(F.coefficients)
+H = torsolve.Homotopy(F.system, c, [c])
+workload = "newton"
+torsolve.tracking._newton(H, np.array([[2 ** 0.5], [1.5], [-1.4]], dtype=complex),
+                          np.zeros(3, dtype=int), torsolve.TrackerSettings())
+""")
+    assert parity.section(("values calls", "values rows"), counts) == {"newton": [1, 3]}
+    calls, rows = parity.section(("state calls", "rows evaluated"), counts)["newton"]
+    assert rows <= 2 * calls
+
 def test_parity_compares_the_json_of_torsolve_start():
     # The parity child, run on this checkout with no benchmark op and one
     # tolerance, runs `torsolve start` on each acceptance system: its labels

@@ -1081,3 +1081,71 @@ def test_solve_fails_an_exactly_singular_row_only(n):
     assert singular.tolist() == [2] and np.isnan(x[2]).all()
     for k in (0, 1, 3, 4, 5):
         assert np.array_equal(x[k], np.linalg.solve(A[k], b[k]))
+
+
+def random_homotopy(rng, supports, targets):
+    """A homotopy on `supports` with random start and target coefficients."""
+    def system():
+        return SparseSystem.from_pairs([[(p, complex(*rng.normal(size=2))) for p in sup]
+                                        for sup in supports])
+
+    return Homotopy.straight_line(system(), [system() for _ in range(targets)],
+                                  np.exp(1j * rng.uniform(0, 2 * np.pi, targets)))
+
+
+@pytest.mark.parametrize("supports", [KERNEL_SHAPES["univariate"][0],
+                                      [[(0, 0), (2, 1), (-1, 3)], [(1, 0), (0, 0), (3, -2)]],
+                                      KERNEL_SUPPORTS["mixed"]], ids=["n=1", "n=2", "n=3"])
+def test_homotopy_values_equal_the_values_of_state_stacked_and_alone(supports):
+    # Newton takes a row's first residual from Homotopy.values and its steps
+    # from Homotopy.state: both must give the row the same bits.
+    rng = np.random.default_rng(31)
+    H = random_homotopy(rng, supports, 3)
+    n = len(supports)
+    X = np.exp(rng.uniform(-0.5, 0.5, (5, n)) + 1j * rng.uniform(-np.pi, np.pi, (5, n)))
+    t, rows = np.array([0.0, 0.2, 0.7, 1.0, 1.0]), np.array([0, 2, 1, 1, 0])
+    stacked = H.values(X, t, rows)
+    assert np.array_equal(stacked, H.state(X, t, rows)[0])
+    for k in range(len(X)):
+        alone = H.values(X[k:k + 1], t[k:k + 1], rows[k:k + 1])
+        assert np.array_equal(alone, H.state(X[k:k + 1], t[k:k + 1], rows[k:k + 1])[0])
+        assert np.array_equal(alone[0], stacked[k])
+
+
+def test_a_one_term_homotopy_gives_a_row_the_same_bits_alone_as_in_a_stack():
+    # n = 1, M = 1: every product is of one element when one row is evaluated,
+    # and numpy rounds an in-place product of one element otherwise.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        H = random_homotopy(rng, [[(3,)]], 2)
+        X = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+        t, rows = rng.uniform(0, 1, 4), np.array([0, 1, 1, 0])
+        stacked = H.state(X, t, rows)
+        for k in range(len(X)):
+            alone = H.state(X[k:k + 1], t[k:k + 1], rows[k:k + 1])
+            for a, b in zip(alone, stacked):
+                assert np.array_equal(a[0], b[k])
+
+
+def test_newton_evaluates_state_only_at_the_rows_that_step(monkeypatch):
+    # Row 0 of NEWTON_BATCH is a root already: Homotopy.values gives its
+    # residual and state never sees it. The three others step, and the first
+    # state call takes exactly them.
+    H = as_homotopy(NEWTON_F)
+    X = np.array([x for _, x in NEWTON_BATCH], dtype=complex)
+    evaluated = {"values": [], "state": []}
+    for name in evaluated:
+        real = getattr(Homotopy, name)
+
+        def counting(self, X, t, rows, name=name, real=real):
+            evaluated[name].append(X.copy())
+            return real(self, X, t, rows)
+
+        monkeypatch.setattr(Homotopy, name, counting)
+    points, residuals, errors = _newton(H, X, np.zeros(len(X), dtype=int), TrackerSettings())
+    assert [len(Y) for Y in evaluated["values"]] == [4]
+    assert np.array_equal(evaluated["state"][0], X[1:])
+    assert not any((Y == X[0]).all(axis=1).any() for Y in evaluated["state"])
+    assert residuals[0] <= 0.01 * TrackerSettings().tolerance and errors[0] is None
+    monkeypatch.undo()
+    assert residuals[0] == np.abs(H.state(X[:1], np.ones(1), np.zeros(1, dtype=int))[0]).max()

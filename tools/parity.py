@@ -36,7 +36,7 @@ RUNS = ([("decomposable", seed, 5) for seed in range(10)]
 # calls it counts, what one call adds or None for 1, the counted call it must be made
 # directly inside or None). What a call adds is an expression in its `args`, its result
 # `out` (None if it raised), `inner` (the counted calls made directly inside it, by
-# attribute) and `hits` (the solver memo's hits when it began); it counts nothing when 0.
+# attribute) and `info` (the solver memo's cache_info when it began); it counts nothing when 0.
 # Every binding of an attribute in a torsolve module counts; one a checkout lacks, none.
 COUNTERS = (
     ("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / gamma_retries", (
@@ -47,6 +47,9 @@ COUNTERS = (
         ("_newton calls", "tracking._newton", None, None),
         # over every node of every op's tree, added from the records by gamma_retries
         ("gamma_retries", None, None, None))),
+    ("Homotopy.values calls / rows evaluated", (  # the residuals Newton takes before any step
+        ("values calls", "tracking.Homotopy.values", None, None),
+        ("values rows", "tracking.Homotopy.values", "len(args[1])", None))),
     ("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking", (
         ("eigenproblem leaves", "solver._blackbox",
          "args[0].n == 2 and not inner['solver.track_all']", None),
@@ -63,9 +66,10 @@ COUNTERS = (
     ("classify calls / smith_normal_form calls inside them", (
         ("classify calls", "decompose.classify", None, None),  # the solver's: its memo's misses
         ("Smith forms", "decompose.smith_normal_form", None, "decompose.classify"))),
-    ("support-work memo hits / misses", (  # a miss with a hit inside counts as a hit
-        ("memo hits", "solver._memo", "memo.cache_info().hits > hits", None),
-        ("memo misses", "solver._memo", "memo.cache_info().hits == hits", None))),
+    ("support-work memo hits / misses", (  # a miss with a hit inside is a miss
+        ("memo hits", "solver._memo", "memo.cache_info()[:2] == (info.hits + 1, info.misses)",
+         None),
+        ("memo misses", "solver._memo", "memo.cache_info().misses > info.misses", None))),
     ("normalize calls / rank eliminations", (  # exact work done twice shows
         ("normalize calls", "supports.normalize", None, None),
         ("rank eliminations", "intlinalg._bareiss_rank", None, None))),
@@ -95,7 +99,7 @@ if Path(torsolve.__file__).resolve().parent != root / "src" / "torsolve":
 
 workload = None  # a call made outside every workload counts for none
 counts = {}  # {workload: {counter: value}}
-calls = []  # the open counted calls, innermost last: (attribute, inner, hits)
+calls = []  # the open counted calls, innermost last: (attribute, inner, info)
 memo = getattr(torsolve.solver, "_memo", None)
 
 def counted(attribute, f, rows):
@@ -103,16 +107,16 @@ def counted(attribute, f, rows):
         outer = calls[-1][0] if calls else None
         if calls:
             calls[-1][1][attribute] += 1
-        calls.append((attribute, collections.Counter(), memo.cache_info().hits if memo else 0))
+        calls.append((attribute, collections.Counter(), memo.cache_info() if memo else None))
         out = None
         try:
             out = f(*args)
             return out
         finally:
-            _, inner, hits = calls.pop()
+            _, inner, info = calls.pop()
             for counter, size, within in rows:
                 if workload is not None and within in (None, outer):
-                    amount = int(size(args, out, inner, hits)) if size else 1
+                    amount = int(size(args, out, inner, info)) if size else 1
                     if amount:
                         tally = counts.setdefault(workload, {})
                         tally[counter] = tally.get(counter, 0) + amount
@@ -123,7 +127,7 @@ for _, section in COUNTERS:
     for counter, attribute, size, within in section:
         if attribute:
             rows[attribute].append(
-                (counter, size and eval(f"lambda args, out, inner, hits: {size}"), within))
+                (counter, size and eval(f"lambda args, out, inner, info: {size}"), within))
 modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "torsolve"]
 for attribute, its_rows in rows.items():
     *path, name = attribute.split(".")
