@@ -22,12 +22,11 @@ variables.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,6 +77,11 @@ class SolveReport:
 def _unit(rng) -> complex:
     """Uniform point on the complex unit circle."""
     return complex(np.exp(2j * np.pi * rng.random()))
+
+
+def _copied(tree: DecompositionTree) -> DecompositionTree:
+    """A copy of `tree` sharing no node with it; its other fields are immutable."""
+    return replace(tree, children=[_copied(child) for child in tree.children])
 
 
 def _report(sols, tree, seed, warnings=None) -> SolveReport:
@@ -170,7 +174,7 @@ def solve_general(F: SparseSystem, seed: int = 0,
     tree = DecompositionTree(
         kind="homotopy",
         mv=expected,
-        children=[copy.deepcopy(start_tree)],  # the memo's own stays as it is
+        children=[_copied(start_tree)],  # the memo's own stays as it is
         paths=(attempt + 1) * expected,
         solutions=len(best),
         transfers=attempt + 1,
@@ -423,10 +427,10 @@ def _blackbox(S, C, expected, ss, settings, prov):
 
 def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
     """(points, rows, index): per eigenvalue index[i] of row rows[i] of C, a
-    coefficient row of the supports S (exponents >= 0), a nonzero candidate
-    root (x, y) of that row's polynomials f and g with max(|x|, |y|) at
-    most _DIVERGENCE_NORM, the tracker's bound, points[i] of the (P, 2)
-    stack `points`; `rows` and `index` are (P,) integer arrays.
+    coefficient row of the supports S (exponents >= 0), a candidate root
+    (x, y) of that row's polynomials f and g with 1/B <= |x|, |y| <= B,
+    B = _DIVERGENCE_NORM the tracker's bound, points[i] of the (P, 2) stack
+    `points`; `rows` and `index` are (P,) integer arrays.
 
     The Sylvester matrix of f and g in y is a matrix polynomial S(x) of size
     N = deg_y f + deg_y g whose kernel at a root's x holds (y^(N-1), ..., 1).
@@ -480,7 +484,8 @@ def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
             rows = np.array(list(parts), dtype=np.intp)
             s, V = (np.concatenate(x) for x in zip(*parts.values()))
         X = np.stack([(a * s + b) / (c * s + d), V[:, N - 2] / V[:, N - 1]], axis=-1)
-    keep, index = np.nonzero((np.abs(X).max(axis=2) <= _DIVERGENCE_NORM) & X.all(axis=2))
+    size, B = np.abs(X), _DIVERGENCE_NORM  # x -> 1/x maps the torus to itself: both ways
+    keep, index = np.nonzero((size.max(axis=2) <= B) & (size.min(axis=2) >= 1 / B))
     return X[keep, index], rows[keep], index
 
 

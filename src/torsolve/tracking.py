@@ -22,9 +22,9 @@ the point, and the Hermite terms of its previous point, so the next
 predictor evaluates and solves nothing; a path accepted at t = 1 also
 keeps H and its Jacobian there for the endgame Newton's first iteration.
 A pass is bound by numpy's per-call cost, so the running paths' arrays are
-compacted only when some path ends, the corrector works in place, and one
-batched solve takes the Newton steps of the rows still correcting and the
-tangents of the rows that converged.
+compacted only when some path ends, the corrector forms its coefficient rows
+once and works in place, and one batched solve takes the Newton steps of the
+rows still correcting and the tangents of the rows that converged.
 
 A target system is the homotopy at t = 1, so Homotopy.state is the one
 evaluator: the endgame Newton, one batch for all the paths of a homotopy
@@ -37,6 +37,7 @@ over all rows (_kept_order), as track_all's endpoints are in their blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -179,6 +180,21 @@ def _solution_sets(X, residuals, origins, label, rows, K, order) -> list[Solutio
     return [SolutionSet(X[a:b], res[a:b], origins[a:b], label) for a, b in zip(cuts, cuts[1:])]
 
 
+@functools.lru_cache(maxsize=1024)
+def _layout(system: SupportSystem):
+    """Homotopy's read-only layout of `system`, shared by equal supports: E (a row per
+    monomial), starts (each polynomial's first row), blocks and power_table's result."""
+    sizes = [len(s) for s in system.supports]
+    points = [p for s in system.supports for p in s.points]
+    layout = (np.array(points, dtype=float), np.cumsum([0, *sizes[:-1]], dtype=np.intp),
+              *power_table(points))
+    for a in layout:
+        a.flags.writeable = False
+    E, starts, exps, columns = layout
+    blocks = tuple((slice(a, a + m), E[a:a + m]) for a, m in zip(starts, sizes))
+    return E, starts, blocks, exps, columns
+
+
 class Homotopy:
     """Convex combinations of a start row and K target rows of coefficients
     on one support, with one unit gamma per target (or one for all).
@@ -194,24 +210,18 @@ class Homotopy:
     def __init__(self, system: SupportSystem, start, targets, gamma=1.0):
         self.system = system
         self.n = system.n
-        sizes = [len(s) for s in system.supports]
+        self.E, self.starts, self._blocks, self._exps, self._columns = _layout(system)
         self.cs, self.ct = np.array(start, complex), np.array(targets, complex, order="C")
-        M = sum(sizes)
+        M = len(self.E)
         if self.cs.shape != (M,) or self.ct.ndim != 2 or self.ct.shape[1] != M or not len(self.ct):
             raise ValueError(f"coefficient rows must be a start of shape ({M},) and targets of "
                              f"shape (K, {M}), K >= 1; got {self.cs.shape} and {self.ct.shape}")
         self.gamma = np.full(len(self.ct), gamma, dtype=complex)
         if np.any(np.abs(np.abs(self.gamma) - 1.0) > 1e-9):
             raise ValueError("gamma must have unit modulus")
-        # All monomials stacked, one row each, and the first row of each polynomial.
-        points = [p for s in system.supports for p in s.points]
-        self.E = np.array(points, dtype=float)
-        self.starts = np.cumsum([0, *sizes[:-1]], dtype=np.intp)
         gcs = self.gamma[:, None] * self.cs
         # Per target: ct and gamma*cs as interleaved floats, and dH/dt's coefficients.
         self._coeffs = (self.ct.view(float), gcs.view(float), self.ct - gcs)
-        self._blocks = [(slice(a, a + m), self.E[a:a + m]) for a, m in zip(self.starts, sizes)]
-        self._exps, self._columns = power_table(points)
 
     @classmethod
     def straight_line(cls, start: SparseSystem, target, gamma=1.0) -> Homotopy:
@@ -229,37 +239,40 @@ class Homotopy:
                 row += [pairs.get(p, 0j) for p in union]
         return cls(SupportSystem(tuple(supports)), cs, ct, gamma)
 
-    def _terms(self, X, t, rows):
-        """(terms, monomials, dH/dt's coefficients): values' and state's one path, so a
-        row gets the same bits from both; a one-element product goes out of place."""
-        mono = monomials(X, self._exps, self._columns)
-        # t*ct + (1-t)*gamma*cs on the interleaved real and imaginary parts;
-        # a real t times a complex array goes through cast buffers. One
-        # target broadcasts its coefficient rows instead of gathering them.
+    def coefficients(self, t: np.ndarray, rows: np.ndarray):
+        """(t*ct + (1-t)*gamma*cs, dH/dt's coefficients) of the target rows `rows` at t,
+        (P, M) and (P, M) or, with one target, (1, M), broadcast instead of gathered."""
+        # On the interleaved floats: a real t times a complex array goes through cast buffers.
         ct, gcs, dc = self._coeffs if len(self.ct) == 1 else [c.take(rows, 0) for c in self._coeffs]
         tc = t[:, None]
-        terms = ct * tc
-        terms += gcs * (1.0 - tc)
-        terms = terms.view(complex)
-        return np.multiply(terms, mono, out=None if mono.size == 1 else terms), mono, dc
+        c = ct * tc
+        c += gcs * (1.0 - tc)
+        return c.view(complex), dc
 
-    def values(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _terms(self, X, t, rows, coefficients=None):
+        """(terms, monomials, dH/dt's coefficients): values' and state's one path, bit for bit."""
+        c, dc = self.coefficients(t, rows) if coefficients is None else coefficients
+        mono = monomials(X, self._exps, self._columns)
+        return np.multiply(c, mono), mono, dc
+
+    def values(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray, coefficients=None):
         """H at P points, state's first result bit for bit, and nothing else."""
-        return np.add.reduceat(self._terms(X, t, rows)[0], self.starts, axis=1)
+        return np.add.reduceat(self._terms(X, t, rows, coefficients)[0], self.starts, axis=1)
 
-    def state(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray):
+    def state(self, X: np.ndarray, t: np.ndarray, rows: np.ndarray, coefficients=None):
         """H, its x-Jacobian, dH/dt and a term-magnitude scale at P points.
 
         X is (P, n), t is (P,) and rows (P,) are the target rows; the results
-        have shapes (P, n), (P, n, n), (P, n) and (P,). The monomials come
-        from torus.monomials, the one kernel that monomial maps and fiber
+        have shapes (P, n), (P, n, n), (P, n) and (P,); the corrector passes
+        self.coefficients(t, rows) once formed. The monomials come from
+        torus.monomials, the one kernel that monomial maps and fiber
         restriction use too: an integer power below 100 is taken by repeated
         squaring, with no log, exp or trigonometric function.
 
         The caller owns np.errstate: the tracker and Newton evaluate under
         np.errstate(all="ignore") and catch overflow and NaN per row.
         """
-        terms, mono, dc = self._terms(X, t, rows)
+        terms, mono, dc = self._terms(X, t, rows, coefficients)
         values = np.add.reduceat(terms, self.starts, axis=1)
         mono = np.multiply(mono, dc, out=None if mono.size == 1 else mono)
         dt = np.add.reduceat(mono, self.starts, axis=1)
@@ -330,7 +343,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     # Overflow and NaN are caught per path by the finiteness checks.
     with np.errstate(all="ignore"):
         _, jac, dt, _ = H.state(X, t, rows)
-        v = _solve(jac, dt)[0]
+        v = _umath_linalg.solve1(jac, dt, signature="DD->D")  # a singular row is NaN
         while len(ids):
             if expected is not None and len(found) >= expected:
                 fail(range(len(ids)), "count-reached")
@@ -420,11 +433,12 @@ def _correct(H: Homotopy, X, t, rows, settings):
     Xa, ta, ra = (X, t, rows) if at.size == len(X) else (X.take(at, 0), t[at], rows[at])
     if one := at.size and np.maximum.reduce(ta) == 1.0:  # some row may succeed at t = 1
         H1, J1 = np.empty_like(X), np.empty((len(X), H.n, H.n), dtype=complex)
+    c, dc = H.coefficients(ta, ra)  # t is fixed through the iterations
     for it in range(_CORRECTOR_ITERS + 1):
-        values, jac, dt, scale = H.state(Xa, ta, ra)
+        values, jac, dt, scale = H.state(Xa, ta, ra, (c, dc))
         done = np.maximum.reduce(np.abs(values), axis=1) <= settings.tolerance * scale
-        # J y = dH/dt (rows done) or H (the rest): y is exactly minus the tangent or Newton step.
-        y = _solve(jac, np.where(done[:, None], dt, values))[0]
+        # J y = dH/dt (rows done) or H: minus the tangent or Newton step, NaN where J is singular.
+        y = _umath_linalg.solve1(jac, np.where(done[:, None], dt, values), signature="DD->D")
         won[at], V[at] = done, y
         if one:
             H1[at], J1[at] = values, jac
@@ -439,7 +453,8 @@ def _correct(H: Homotopy, X, t, rows, settings):
         if not k.size:
             break
         if k.size < at.size:
-            at, Xa, ta, ra = at[k], Xa.take(k, 0), ta[k], ra[k]
+            at, Xa, ta, ra, c = at[k], Xa.take(k, 0), ta[k], ra[k], c.take(k, 0)
+            dc = dc if len(dc) == 1 else dc.take(k, 0)
     ends = (won & (t == 1.0)).nonzero()[0] if one else _NO_ROWS
     H1, J1 = (H1, J1) if one else (values, jac)
     return won.nonzero()[0], X, V, ends, H1[ends], J1[ends]

@@ -18,7 +18,7 @@ from torsolve.solver import (
 from torsolve.torus import monomial_value
 from torsolve.tracking import _DIVERGENCE_NORM, relative_distance
 
-from systems import START_A, TRI_A, cover
+from systems import START_A, TRI_A, TRI_A3, cover
 
 LAC_F1 = {(0, 0): 1, (0, 4): 2, (3, 3): 4, (6, 6): 8, (12, 0): 16}
 LAC_F2 = {(0, 0): 3, (3, 7): 5, (6, 2): 7, (9, 1): 11, (9, 5): 13}
@@ -1105,6 +1105,28 @@ def test_resultant_roots_solve_the_rows_one_by_one_when_one_row_is_singular():
         assert alone[1].tolist() == [0] * 4
         assert points[rows == r].tobytes() == alone[0].tobytes()
         assert index[rows == r].tolist() == alone[2].tolist()
+
+
+def test_resultant_roots_keep_no_candidate_near_a_coordinate_hyperplane(monkeypatch):
+    # The printed triangular example's base leaf has 12 eigenvalue candidates
+    # at seed 7, two of them at |x| near 4e-12 and 1e-12: x -> 1/x maps the
+    # torus to itself, so the tracker's bound 1e8 holds there as 1e-8.
+    import torsolve.solver as solver
+
+    F = SparseSystem.from_pairs([list(zip(TRI_A, [1, 2, 3, 4, 5, 6, 7, 8])),
+                                 list(zip(TRI_A, [2, 3, 5, 7, 11, 13, 17, 19])),
+                                 list(zip(TRI_A3, [1, 3, 9, 27, 81, 243]))])
+    real, kept = solver._resultant_roots, []
+
+    def recording(S, C, ss):
+        out = real(S, C, ss)
+        kept.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_resultant_roots", recording)
+    rep = solve_decomposable(F, seed=7)
+    assert len(rep.solutions) == rep.tree.mv and [len(points) for points in kept] == [10]
+    assert np.abs(kept[0]).min() >= 1 / _DIVERGENCE_NORM
 
 
 # The MV-10 black-box leaf of `decomposable` seed 7, round 1, e-basis[3]

@@ -286,9 +286,10 @@ for workload, lost in (("one short", slice(3, 4)), ("all short", slice(1, None))
 def test_parity_counts_torus_apply_calls_and_the_points_they_map():
     # A call counts once and maps one point or the rows of its stack, through
     # the package module and through the solver's own binding. The printed
-    # example maps four stacks: its two-variable base leaf's 12 eigenvalue
-    # candidates out of compacted coordinates, the triangular node's 8 base
-    # points and 16 solutions, and the lacunary root's 32 roots.
+    # example maps four stacks: its two-variable base leaf's 10 eigenvalue
+    # candidates out of compacted coordinates (2 more lie outside the bounds
+    # 1e-8 <= |x_j| <= 1e8), the triangular node's 8 base points and 16
+    # solutions, and the lacunary root's 32 roots.
     parity, counts = counted("""
 Phi = torsolve.torus.MonomialMap(torsolve.IntMatrix.from_rows([[3, 0], [-1, 4]]))
 workload = "one point"
@@ -299,7 +300,7 @@ workload = "triangular"
 torsolve.solve_decomposable(printed(), seed=7)
 """)
     assert parity.section(("apply calls", "points mapped"), counts) == {
-        "one point": [1, 1], "stack": [1, 5], "triangular": [4, 68]}
+        "one point": [1, 1], "stack": [1, 5], "triangular": [4, 66]}
 
 
 def test_parity_counts_dedup_passes_and_the_candidate_points_they_take():

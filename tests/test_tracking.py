@@ -326,9 +326,9 @@ def test_track_all_evaluates_no_point_twice(monkeypatch, batch):
     seen = []
     state = Homotopy.state
 
-    def recording(self, X, t, rows):
+    def recording(self, X, t, rows, *coefficients):
         seen.extend((int(r), float(s), x.tobytes()) for r, s, x in zip(rows, t, X))
-        return state(self, X, t, rows)
+        return state(self, X, t, rows, *coefficients)
 
     monkeypatch.setattr(Homotopy, "state", recording)
     track_all(H, starts)
@@ -857,10 +857,10 @@ def count_states(monkeypatch, H, starts):
     counts = [0, 0]
     state = Homotopy.state
 
-    def counting(self, X, t, rows):
+    def counting(self, X, t, rows, *coefficients):
         counts[0] += 1
         counts[1] += len(X)
-        return state(self, X, t, rows)
+        return state(self, X, t, rows, *coefficients)
 
     monkeypatch.setattr(Homotopy, "state", counting)
     track_all(H, starts)
@@ -1110,6 +1110,67 @@ def test_homotopy_values_equal_the_values_of_state_stacked_and_alone(supports):
         alone = H.values(X[k:k + 1], t[k:k + 1], rows[k:k + 1])
         assert np.array_equal(alone, H.state(X[k:k + 1], t[k:k + 1], rows[k:k + 1])[0])
         assert np.array_equal(alone[0], stacked[k])
+
+
+@pytest.mark.parametrize("targets", [1, 3])
+@pytest.mark.parametrize("supports", [KERNEL_SHAPES["univariate"][0],
+                                      [[(0, 0), (2, 1), (-1, 3)], [(1, 0), (0, 0), (3, -2)]],
+                                      KERNEL_SUPPORTS["mixed"]], ids=["n=1", "n=2", "n=3"])
+def test_state_on_coefficient_rows_formed_once_is_bit_identical(supports, targets):
+    # The corrector forms a pass's coefficient rows once and takes the rows
+    # still correcting: stacked, alone or taken, state and values give every
+    # row the bits they give it from t and its target row.
+    rng = np.random.default_rng(41)
+    H = random_homotopy(rng, supports, targets)
+    n = len(supports)
+    X = np.exp(rng.uniform(-0.5, 0.5, (5, n)) + 1j * rng.uniform(-np.pi, np.pi, (5, n)))
+    t, rows = np.array([0.0, 0.2, 0.7, 1.0, 0.4]), rng.integers(0, targets, 5)
+    c, dc = H.coefficients(t, rows)
+    assert c.shape == (5, len(H.E)) and dc.shape == (1 if targets == 1 else 5, len(H.E))
+    for k in [np.arange(5), np.array([1, 3, 4])] + [np.array([i]) for i in range(5)]:
+        taken = c.take(k, 0), dc if len(dc) == 1 else dc.take(k, 0)
+        for a, b in zip(H.state(X[k], t[k], rows[k], taken), H.state(X[k], t[k], rows[k])):
+            assert np.array_equal(a, b)
+        assert np.array_equal(H.values(X[k], t[k], rows[k], taken), H.values(X[k], t[k], rows[k]))
+
+
+def test_correct_fails_an_exactly_singular_row_only():
+    # Target 0's two polynomials are equal, so at t = 1 its Jacobian has two
+    # equal rows and elimination leaves an exact zero: the batched solve turns
+    # that row alone NaN. Row 2 is target 1's root (1, 1), row 3 converges to
+    # it, and every row but 1 gets the X and V of its run alone.
+    G = SparseSystem.from_pairs([[((0, 0), -1.0), ((1, 0), 1.0), ((0, 1), 0.5)],
+                                 [((0, 0), -1.0), ((1, 0), 0.3), ((0, 1), 1.0)]])
+    equal = SparseSystem.from_pairs([[((0, 0), -2.0), ((1, 0), 1.0), ((0, 1), 1.0)]] * 2)
+    regular = SparseSystem.from_pairs([[((0, 0), -3.0), ((1, 0), 1.0), ((0, 1), 2.0)],
+                                       [((0, 0), -1.0), ((1, 0), 2.0), ((0, 1), -1.0)]])
+    H = Homotopy.straight_line(G, [equal, regular], np.exp(1j * np.array([0.4, 1.9])))
+    X0 = np.array([[0.9 + 0.2j, 1.1], [0.5 + 0.1j, 0.7], [1.0, 1.0], [1.01, 0.99 + 0.01j],
+                   [1.2, 0.8 - 0.1j]])
+    t, rows = np.array([0.3, 1.0, 1.0, 1.0, 0.8]), np.array([1, 0, 1, 1, 0])
+    settings = TrackerSettings()
+    with np.errstate(all="ignore"):
+        at, X, V, *_ = _correct(H, X0.copy(), t, rows, settings)
+        assert 1 not in at and {2, 3} <= set(at.tolist()) and np.isnan(X[1]).all()
+        for i in (0, 2, 3, 4):
+            alone, Xi, Vi, *_ = _correct(H, X0[i:i + 1].copy(), t[i:i + 1], rows[i:i + 1],
+                                         settings)
+            assert (i in at) == (0 in alone)
+            assert np.array_equal(X[i], Xi[0]) and np.array_equal(V[i], Vi[0])
+
+
+def test_homotopies_on_equal_supports_share_a_read_only_layout():
+    rng = np.random.default_rng(8)
+    supports = [[(0, 0), (2, 1), (-1, 3)], [(1, 0), (0, 0), (3, -2)]]
+    H, H2 = random_homotopy(rng, supports, 1), random_homotopy(rng, supports, 3)
+    assert H.system == H2.system and H.system is not H2.system
+    assert H._blocks is H2._blocks
+    layout = (H.E, H.starts, H._exps, H._columns, *(Eb for _, Eb in H._blocks))
+    for a, b in zip(layout, (H2.E, H2.starts, H2._exps, H2._columns)):
+        assert a is b
+    for a in layout:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_a_one_term_homotopy_gives_a_row_the_same_bits_alone_as_in_a_stack():
