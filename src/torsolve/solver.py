@@ -190,13 +190,14 @@ def solve_general(F: SparseSystem, seed: int = 0,
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _memo(f, *args):
     """f(*args) for a function f of supports alone (classify,
-    hull_mixed_volume, _compacting_change, vertices, fiber_restriction,
-    _mapped) or, for _vertex_start, of vertex supports, seed entropy
-    and settings, once per value of the arguments among the _MEMO_SIZE most
-    recent: supports solved again with new coefficients are not classified
-    again, nor at the same seed and tolerance is their start solved again.
-    The results are shared, and no caller changes them; an exception is
-    not cached, so it is raised on every call."""
+    hull_mixed_volume, _compacting_change, unimodular_inverse of its change,
+    vertices, fiber_restriction, _mapped) or, for _vertex_start, of vertex
+    supports, seed entropy and settings, once per value of the arguments
+    among the _MEMO_SIZE most recent: supports solved again with new
+    coefficients are not classified again, nor at the same seed and
+    tolerance is their start solved again. The results are shared, and no
+    caller changes them; an exception is not cached, so it is raised on
+    every call."""
     return f(*args)
 
 
@@ -613,7 +614,7 @@ def _compacted(S: SupportSystem, C, points=()):
     if T is None:
         return S, C, lambda W: W, points
     S_c, positions = _memo(_mapped, S, tuple(range(S.n)), T)
-    push, pull = MonomialMap(T), MonomialMap(unimodular_inverse(T))
+    push, pull = MonomialMap(T), MonomialMap(_memo(unimodular_inverse, T))
     if len(points):
         points = torus_apply(pull, points)
     return S_c, C[:, positions], lambda W: torus_apply(push, W), points

@@ -3,11 +3,14 @@
 H(t) = t*F + (1-t)*gamma*G for t running 0 -> 1, with a cubic Hermite
 predictor through a path's last two accepted points and their tangents on
 the Davidenko system (Euler on its first step) and at most three Newton
-corrector steps per accepted t. An accepted step scales by (tau/delta)^(1/4)
-for the cubic predictor, delta its error as the corrector just measured it;
-a rejected one halves, even when 1 - t clipped it. gamma is a random
-unit-modulus twist of the start system; it leaves V(G) unchanged while
-steering the path bundle away from the discriminant for generic data.
+corrector steps per accepted t. The corrector holds a point at t < 1 to a
+relative residual of _PATH_TOL (or the looser settings.tolerance), and one
+at t = 1 and every Newton refinement to settings.tolerance. An accepted
+step scales by (tau/delta)^(1/4) for the cubic predictor, delta its error
+as the corrector just measured it; a rejected one halves, even when 1 - t
+clipped it. gamma is a random unit-modulus twist of the start system; it
+leaves V(G) unchanged while steering the path bundle away from the
+discriminant for generic data.
 
 A homotopy may hold K targets F_k with one gamma_k each: its P start
 points form K equal blocks, block k following t*F_k + (1-t)*gamma_k*G, so
@@ -60,6 +63,7 @@ _STEP_TOL_PREDICT = 2e-2  # corrector displacement, relative to 1 + |x|, that ke
 _MAX_PATH_STEPS = 4000
 _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
+_PATH_TOL = 1e-6  # the corrector's relative residual bound at t < 1, when looser than settings'
 _DEDUP_TOL = 1e-6
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
@@ -67,8 +71,8 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 @dataclass(frozen=True)
 class TrackerSettings:
     """The tracker's one tolerance: the corrector's residual bound relative
-    to the term magnitudes, and the max-norm residual at which Newton
-    accepts a root."""
+    to the term magnitudes at t = 1 (mid-path, the larger of it and
+    _PATH_TOL), and the max-norm residual at which Newton accepts a root."""
 
     tolerance: float = 1e-8
 
@@ -421,8 +425,9 @@ def _solve(A, b):
 
 def _correct(H: Homotopy, X, t, rows, settings):
     """At most three Newton steps on H(., t) for every finite row of X, in
-    place, on the rows still correcting; success is a small residual
-    relative to the term magnitudes. Returns (at, X, V, at1, H, J): the rows
+    place, on the rows still correcting; success is a residual relative to
+    the term magnitudes within settings.tolerance at t = 1 and within the
+    larger of it and _PATH_TOL before. Returns (at, X, V, at1, H, J): the rows
     that succeed; X with their corrected points and V with J^-1 dH/dt there
     (NaN where J is singular), from the batched solve that also takes the
     other rows' Newton steps; and the rows that succeed at t = 1, with H and
@@ -433,10 +438,11 @@ def _correct(H: Homotopy, X, t, rows, settings):
     Xa, ta, ra = (X, t, rows) if at.size == len(X) else (X.take(at, 0), t[at], rows[at])
     if one := at.size and np.maximum.reduce(ta) == 1.0:  # some row may succeed at t = 1
         H1, J1 = np.empty_like(X), np.empty((len(X), H.n, H.n), dtype=complex)
-    c, dc = H.coefficients(ta, ra)  # t is fixed through the iterations
+    c, dc = H.coefficients(ta, ra)  # t is fixed through the iterations, and so is the bound
+    bound = np.where(ta == 1.0, settings.tolerance, max(settings.tolerance, _PATH_TOL))
     for it in range(_CORRECTOR_ITERS + 1):
         values, jac, dt, scale = H.state(Xa, ta, ra, (c, dc))
-        done = np.maximum.reduce(np.abs(values), axis=1) <= settings.tolerance * scale
+        done = np.maximum.reduce(np.abs(values), axis=1) <= bound * scale
         # J y = dH/dt (rows done) or H: minus the tangent or Newton step, NaN where J is singular.
         y = _umath_linalg.solve1(jac, np.where(done[:, None], dt, values), signature="DD->D")
         won[at], V[at] = done, y
@@ -453,7 +459,7 @@ def _correct(H: Homotopy, X, t, rows, settings):
         if not k.size:
             break
         if k.size < at.size:
-            at, Xa, ta, ra, c = at[k], Xa.take(k, 0), ta[k], ra[k], c.take(k, 0)
+            at, Xa, ta, ra, c, bound = at[k], Xa.take(k, 0), ta[k], ra[k], c.take(k, 0), bound[k]
             dc = dc if len(dc) == 1 else dc.take(k, 0)
     ends = (won & (t == 1.0)).nonzero()[0] if one else _NO_ROWS
     H1, J1 = (H1, J1) if one else (values, jac)

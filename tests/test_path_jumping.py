@@ -39,6 +39,17 @@ FAR_ROOT = SparseSystem.from_pairs([
      ((1, 1), 0.8534781134132176 - 0.5211286884490384j),
      ((3, 0), -0.7838140031521431 - 0.6209956589724378j)]])
 
+# The general workload's random[7] (MV 8). With the corrector's mid-path bound
+# at 1e-5 two of its paths meet: the first homotopy ends 7/8 with a duplicate
+# endpoint, and a second gamma is needed. The bound of 1e-6 keeps them apart.
+NEAR_PATHS = SparseSystem.from_pairs([
+    [((0, 0), -0.19838125909311416 + 0.9801249287925651j),
+     ((1, 3), -0.4175595630472203 - 0.9086495536276978j),
+     ((2, 3), 0.9907036649730014 + 0.1360376720216242j)],
+    [((0, 0), -0.9519151784758244 + 0.30636170287315506j),
+     ((1, 2), -0.66326086785023 - 0.7483882823632126j),
+     ((2, 0), -0.30990576570700556 - 0.9507672777191875j)]])
+
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(unit_systems())
@@ -68,3 +79,10 @@ def test_blackbox_returns_mixed_volume_distinct_roots_in_two_variables(F):
     hypothesis.assume(mv >= 1)
     sols = blackbox(F)
     assert len(sols) == mv and distinct(sols.points).all()
+
+
+def test_the_near_paths_draw_is_solved_on_the_first_homotopy():
+    report = solve_general(NEAR_PATHS)
+    assert mixed_volume(NEAR_PATHS.system) == 8
+    assert len(report.solutions) == 8 and distinct(report.solutions.points).all()
+    assert report.warnings == []  # no duplicate endpoint, no second gamma

@@ -341,9 +341,10 @@ torsolve.blackbox(F, seed=7)
 
 def test_parity_counts_the_hits_and_misses_of_the_solvers_support_memo():
     # On the printed example and then on its supports with one coefficient
-    # changed: the second solve finds all 9 results of support-only work
-    # memoized and so makes no classify call, while predict_tree, outside the
-    # solver, classifies all 4 nodes again and touches no memo.
+    # changed: the second solve finds all 10 results of support-only work
+    # memoized (unimodular_inverse's among them) and so makes no classify
+    # call, while predict_tree, outside the solver, classifies all 4 nodes
+    # again and touches no memo.
     parity, counts = counted("""
 workload = "first solve"
 torsolve.solve_decomposable(printed(2), seed=7)
@@ -353,7 +354,7 @@ workload = "predict_tree"
 torsolve.predict_tree(printed(2).system)
 """)
     assert parity.section(("memo hits", "memo misses"), counts) == {
-        "first solve": [0, 9], "same supports": [9, 0]}
+        "first solve": [0, 10], "same supports": [10, 0]}
     assert parity.section(("classify calls", "Smith forms"), counts) == {
         "first solve": [4, 2], "predict_tree": [4, 2]}
 
