@@ -6,10 +6,11 @@ n! * vol(K). `mixed_volume` follows the lacunary/triangular decomposition
 tree; at its indecomposable and univariate leaves `hull_mixed_volume` runs
 inclusion-exclusion over the subsets' Minkowski sums, built incrementally:
 each full-rank partial sum passes on only the points on the facets of the
-hull that gives its volume, an exact integer beneath-beyond triangulation.
-Every simplex volume there is a facet height that the visibility test has
-already computed, so no volume takes a determinant of its own; no floats
-enter any volume.
+hull that gives its volume. A planar hull is Andrew's monotone chain, whose
+edges hold its vertices only; above the plane it is an exact integer
+beneath-beyond triangulation, whose every simplex volume is a facet height
+that the visibility test has already computed, so no volume takes a
+determinant of its own. No floats enter any volume.
 """
 
 from __future__ import annotations
@@ -115,22 +116,26 @@ def _minkowski_points(A, B):
 
 
 def _hull(pts, seed):
-    """Beneath-beyond hull of a full-rank integer point set in Z^d, grown
-    from the d + 1 affinely independent points indexed by `seed`.
+    """Hull of a full-rank integer point set in Z^d, with `seed` indexing
+    d + 1 affinely independent points of it.
 
-    Returns (d! * volume, facet list as tuples of point indices). The facet
-    simplices triangulate the boundary; only strictly-beyond insertions add
-    volume, so points already on the current boundary are skipped harmlessly.
-    Each volume is a facet height: with the facet's unreduced outward plane
-    a . x = b, the cone from a point p over it has d! * volume a . p - b,
-    the very value the visibility test computes. All of it is Python
-    integer arithmetic, so no coordinate size can overflow it.
+    Returns (d! * volume, facet list as tuples of point indices): at d = 1
+    the two ends, at d = 2 `_polygon`'s edges. From d = 3 on, the facet
+    simplices of a beneath-beyond hull grown from `seed` triangulate the
+    boundary; only strictly-beyond insertions add volume, so points already
+    on the current boundary are skipped harmlessly. Each volume is a facet
+    height: with the facet's unreduced outward plane a . x = b, the cone
+    from a point p over it has d! * volume a . p - b, the very value the
+    visibility test computes. All of it is Python integer arithmetic, so no
+    coordinate size can overflow it.
     """
     d = len(seed) - 1
     if d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i])
         hi = max(range(len(pts)), key=lambda i: pts[i])
         return pts[hi][0] - pts[lo][0], [(lo,), (hi,)]
+    if d == 2:
+        return _polygon(pts)
 
     ref = tuple(sum(pts[i][c] for i in seed) for c in range(d))  # (d+1) * centroid
     a, b = _facet_plane([pts[i] for i in seed[:d]], d)
@@ -181,6 +186,30 @@ def _hull(pts, seed):
             add_facet(ridge + (i,))
 
     return dvol, list(facets)
+
+
+def _polygon(pts):
+    """(2! * area, edges in counter-clockwise order) of a full-rank planar
+    point set by Andrew's monotone chain (Inf. Process. Lett. 9, 1979). Its
+    chains keep strict left turns only, by exact integer cross products, so
+    the edges hold the vertices alone; the area is their shoelace sum."""
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+
+    def chain(indices):  # the lower chain from left to right, or the upper back
+        kept = []
+        for i in indices:
+            x, y = pts[i]
+            while len(kept) > 1:
+                (ax, ay), (bx, by) = pts[kept[-2]], pts[kept[-1]]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
+                kept.pop()
+            kept.append(i)
+        return kept[:-1]  # its last point starts the other chain
+
+    cycle = chain(order) + chain(reversed(order))
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    return sum(pts[i][0] * pts[j][1] - pts[j][0] * pts[i][1] for i, j in edges), edges
 
 
 def _facet_plane(points, d):

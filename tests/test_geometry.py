@@ -145,6 +145,48 @@ def test_hull_matches_scipy_convex_hull(d):
         assert set(qh.vertices) <= {v for f in facets for v in f}
 
 
+def collinear_rich_planar_set(rng):
+    """{point: "vertex", "edge" or "interior"}: the lattice points of a
+    w x h rectangle, or the points a*P + b*Q + c*R (a + b + c = m) on a
+    triangle's edges and some inside it, each named by its zero weights."""
+    kinds = ("interior", "edge", "vertex")
+    if rng.random() < 0.5:
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        return {(i, j): kinds[(i in (0, w)) + (j in (0, h))]
+                for i in range(w + 1) for j in range(h + 1)}
+    while True:
+        P, Q, R = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+        if (Q[0] - P[0]) * (R[1] - P[1]) != (Q[1] - P[1]) * (R[0] - P[0]):
+            break
+    m = rng.randint(2, 7)
+    weights = [(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1 - a)]
+    return {tuple(a * p + b * q + c * r for p, q, r in zip(P, Q, R)): kinds[(a, b, c).count(0)]
+            for a, b, c in weights if 0 in (a, b, c) or rng.random() < 0.3}
+
+
+@pytest.mark.parametrize("bits", [63, 100])
+def test_planar_hull_is_the_counter_clockwise_cycle_of_the_vertices(bits):
+    # Python-integer coordinates: the set is sheared by a unimodular map,
+    # stretched and moved to about 2^bits, where every cross product of the
+    # monotone chain is far past the int64 range.
+    rng = random.Random(bits)
+    for _ in range(30):
+        U, step = random_unimodular(2, rng), rng.randint(1, 2 ** 20)
+        shift = [rng.choice([-1, 1]) * 2 ** bits + rng.randint(-2 ** 40, 2 ** 40) for _ in range(2)]
+        kind = {tuple(step * c + t for c, t in zip(U.apply(p), shift)): k
+                for p, k in collinear_rich_planar_set(rng).items()}
+        pts = sorted(kind)
+        dvol, facets = _hull(pts, [0, *_affine_pivots(pts)])
+        assert dvol == 2 * shoelace(pts)
+        cycle = [i for i, _ in facets]
+        assert [j for _, j in facets] == cycle[1:] + cycle[:1]
+        assert sorted(pts[i] for i in cycle) == list(vertices(Support(pts)).points)
+        assert {kind[pts[i]] for i in cycle} == {"vertex"}
+        for a, b, c in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
+            (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+            assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0  # a strict left turn
+
+
 def greedy_seed(pts, d):
     """The hull seed found one rank at a time: index 0, then each point whose
     difference from point 0 raises the rank of the differences chosen so far."""

@@ -235,6 +235,20 @@ torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
         "hull": [0, 5], "lacunary": [2, 18], "package": [1, 0]}
 
 
+def test_parity_counts_hulls_in_and_above_the_plane():
+    # The start pair's three sums {A}, {A, A}, {A} are polygons; a segment
+    # counts with them, and the cube's hull is above the plane.
+    parity, counts = counted("""
+workload = "plane"
+torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
+torsolve.polytope_volume([(0,), (2,)])
+workload = "space"
+torsolve.polytope_volume([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+""")
+    assert parity.section(("planar hulls", "hulls above the plane"), counts) == {
+        "plane": [4, 0], "space": [0, 1]}
+
+
 def test_parity_counts_one_variable_fiber_nodes_solved_and_fallen_back():
     # On the triangular node of seven one-variable transfers below the
     # printed example's cover, and on the e-basis root's four transfers to
