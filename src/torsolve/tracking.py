@@ -22,17 +22,17 @@ take alone, and a failing path drops out without touching the others.
 One state per tracker point: each path keeps J^-1 dH/dt (minus its
 tangent) at its current (x, t), from the corrector iteration that accepted
 the point, and the Hermite terms of its previous point, so the next
-predictor evaluates and solves nothing; a path accepted at t = 1 also
-keeps H and its Jacobian there for the endgame Newton's first iteration.
+predictor evaluates and solves nothing. A path that reaches _ENDGAME_T
+keeps only its point, which the endgame Newton evaluates again.
 A pass is bound by numpy's per-call cost, so the running paths' arrays are
 compacted only when some path ends, the corrector forms its coefficient rows
 once and works in place, and one batched solve takes the Newton steps of the
 rows still correcting and the tangents of the rows that converged.
 
 A target system is the homotopy at t = 1, so Homotopy.state is the one
-evaluator: the endgame Newton, one batch for all the paths of a homotopy
-that reach _ENDGAME_T (several only when a count stop is near), and the
-refinement of K rows' candidates in one batched Newton, which takes
+evaluator, and _newton the one Newton: the endgame, one batch for all the
+paths of a homotopy that reach _ENDGAME_T (several only when a count stop
+is near), and the refinement of K rows' candidates alike take
 Homotopy.values (state's values alone) at all rows and state at those that
 step. The points each row keeps are deduplicated and sorted in one pass
 over all rows (_kept_order), as track_all's endpoints are in their blocks.
@@ -65,7 +65,6 @@ _COND_LIMIT = 1e12
 _STEP_TOL = 1e-8  # relative Newton-step size that counts as converged
 _PATH_TOL = 1e-6  # the corrector's relative residual bound at t < 1, when looser than settings'
 _DEDUP_TOL = 1e-6
-_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -313,15 +312,14 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
     outcomes = [None] * P
     residuals = np.full(P, np.nan)
     found = []  # distinct endpoints so far
-    queue = []  # per pass: start index, point, target row and t = 1 of the paths to refine
+    queue = []  # per pass: start index, point and target row of the paths to refine
     # The running paths in start order, compacted when some end: start index,
     # target row (block k follows target k), point, t, step, v = J^-1 dH/dt
     # minus the tangent (NaN where J is singular) and _predict's (e, g, d),
-    # zero (Euler) before a first step. H, J at t = 1 go by start index.
+    # zero (Euler) before a first step.
     ids, rows = np.arange(P), np.repeat(np.arange(len(H.ct)), P // len(H.ct))
     t, step = np.zeros(P), np.full(P, _STEP_START)
     e, g, d = np.zeros_like(X), np.zeros_like(X), np.ones(P)
-    at_one = (np.empty((P, H.n), dtype=complex), np.empty((P, H.n, H.n), dtype=complex))
     passes = 0  # every running path takes every pass: this is its step count
 
     def fail(paths, reason):
@@ -329,10 +327,9 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             outcomes[ids[k]] = PathFailure(reason, float(t[k]), X[k].copy())
 
     def endgame():
-        idx, points, targets, one = (np.concatenate(a) for a in zip(*queue))
+        idx, points, targets = (np.concatenate(a) for a in zip(*queue))
         queue.clear()
-        newton = _newton(H, points, targets, settings, (one, at_one[0][idx], at_one[1][idx]))
-        for i, x, refined, res, error in zip(idx, points, *newton):
+        for i, x, refined, res, error in zip(idx, points, *_newton(H, points, targets, settings)):
             if error is not None:
                 outcomes[i] = PathFailure("no-convergence", 1.0, x.copy())
             elif float(np.min(np.abs(refined))) <= TORUS_THRESHOLD:
@@ -359,9 +356,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
             t1 = t + np.minimum(step, 1.0 - t)
             h = t1 - t
             xp = _predict(X, v, h, e, g, d)  # NaN: rejected
-            at, xn, vn, ends, *state = _correct(H, xp.copy(), t1, rows, settings)
-            if ends.size:
-                at_one[0][ids[ends]], at_one[1][ids[ends]] = state
+            at, xn, vn = _correct(H, xp.copy(), t1, rows, settings)
             new = (xn, vn, X - xn - h[:, None] * vn, h[:, None] * (vn - v))
             size = np.abs(xn)
             top = np.maximum.reduce(size, axis=1)
@@ -389,7 +384,7 @@ def _track(H: Homotopy, starts, settings: TrackerSettings, expected: int | None 
                 fail((near & ~far).nonzero()[0], "left-torus")
                 paths = (late & ~far & ~near).nonzero()[0]
                 if paths.size:
-                    queue.append((ids[paths], X[paths], rows[paths], t[paths] == 1.0))
+                    queue.append((ids[paths], X[paths], rows[paths]))
                 ids, rows, X, t, step, e, g, d, v = (
                     a[~gone] for a in (ids, rows, X, t, step, e, g, d, v))
                 if expected is not None and len(found) + sum(len(q[0]) for q in queue) >= expected:
@@ -408,36 +403,18 @@ def _predict(X, V, h, e, g, d):
     return X - h[:, None] * V + r * r * ((3.0 + 2.0 * r) * e + (1.0 + r) * g)
 
 
-def _solve(A, b):
-    """Solve the stack A x = b, b (P, n), bit for bit as np.linalg.solve but
-    without its checks; returns (x, singular): an exactly singular matrix
-    fails its row only, which is NaN and listed in `singular`."""
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _umath_linalg.solve1(A, b, signature="DD->D"), _NO_ROWS
-    except FloatingPointError:
-        if len(b) == 1:
-            return np.full_like(b, np.nan), np.zeros(1, dtype=np.intp)
-    parts = [_solve(A[k:k + 1], b[k:k + 1]) for k in range(len(b))]
-    return (np.concatenate([x for x, _ in parts]),
-            np.array([k for k, (_, bad) in enumerate(parts) if bad.size], dtype=np.intp))
-
-
 def _correct(H: Homotopy, X, t, rows, settings):
     """At most three Newton steps on H(., t) for every finite row of X, in
     place, on the rows still correcting; success is a residual relative to
     the term magnitudes within settings.tolerance at t = 1 and within the
-    larger of it and _PATH_TOL before. Returns (at, X, V, at1, H, J): the rows
-    that succeed; X with their corrected points and V with J^-1 dH/dt there
-    (NaN where J is singular), from the batched solve that also takes the
-    other rows' Newton steps; and the rows that succeed at t = 1, with H and
-    the x-Jacobian there. X and V hold no result in the other rows."""
+    larger of it and _PATH_TOL before. Returns (at, X, V): the rows that
+    succeed, X with their corrected points and V with J^-1 dH/dt there (NaN
+    where J is singular), from the batched solve that also takes the other
+    rows' Newton steps. X and V hold no result in the other rows."""
     V = np.empty_like(X)
     won = np.zeros(len(X), dtype=bool)
     at = np.logical_and.reduce(np.isfinite(X), axis=1).nonzero()[0]
     Xa, ta, ra = (X, t, rows) if at.size == len(X) else (X.take(at, 0), t[at], rows[at])
-    if one := at.size and np.maximum.reduce(ta) == 1.0:  # some row may succeed at t = 1
-        H1, J1 = np.empty_like(X), np.empty((len(X), H.n, H.n), dtype=complex)
     c, dc = H.coefficients(ta, ra)  # t is fixed through the iterations, and so is the bound
     bound = np.where(ta == 1.0, settings.tolerance, max(settings.tolerance, _PATH_TOL))
     for it in range(_CORRECTOR_ITERS + 1):
@@ -446,8 +423,6 @@ def _correct(H: Homotopy, X, t, rows, settings):
         # J y = dH/dt (rows done) or H: minus the tangent or Newton step, NaN where J is singular.
         y = _umath_linalg.solve1(jac, np.where(done[:, None], dt, values), signature="DD->D")
         won[at], V[at] = done, y
-        if one:
-            H1[at], J1[at] = values, jac
         if Xa is not X:
             X[at] = Xa
         if it == _CORRECTOR_ITERS:  # the rows still correcting fail
@@ -461,55 +436,43 @@ def _correct(H: Homotopy, X, t, rows, settings):
         if k.size < at.size:
             at, Xa, ta, ra, c, bound = at[k], Xa.take(k, 0), ta[k], ra[k], c.take(k, 0), bound[k]
             dc = dc if len(dc) == 1 else dc.take(k, 0)
-    ends = (won & (t == 1.0)).nonzero()[0] if one else _NO_ROWS
-    H1, J1 = (H1, J1) if one else (values, jac)
-    return won.nonzero()[0], X, V, ends, H1[ends], J1[ends]
+    return won.nonzero()[0], X, V
 
 
-def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
+def _newton(H: Homotopy, X, rows, settings: TrackerSettings):
     """Newton on the target rows of H at t = 1, from every row of X at once.
 
     Returns (X, residuals, errors): the refined points, their max-norm
     residuals and per row None or the SingularJacobianError or
-    NoConvergenceError it failed with. A row stops before any step when its
-    residual is at most 0.01 * settings.tolerance, its Jacobian's condition
-    is checked on the first iteration only, and it converges when its
-    residual is at most settings.tolerance after a small step. Each row
-    takes the steps it would take alone, and a failing row, even a
-    non-finite one, fails only itself. `known` is (mask, values, Jacobians):
-    the rows in the mask take their first H and Jacobian at t = 1 from it;
-    else H comes from Homotopy.values, and state only at the rows that step."""
+    NoConvergenceError it failed with. H comes from Homotopy.values at every
+    row, and state only at the rows that step: a row stops before any step
+    when its residual is at most 0.01 * settings.tolerance. A row's Jacobian
+    condition is checked on its first step only, a step with a NaN (J
+    singular) fails its row, and a row converges when its residual is at most
+    settings.tolerance after a small step. Each row takes the steps it would
+    take alone, and a failing row, even a non-finite one, fails only itself."""
     X = np.array(X, dtype=complex)
-    res = np.full(len(X), np.nan)
     errors = [None] * len(X)
-    todo, ones = np.arange(len(X)), np.ones(len(X))
-    # Overflow and NaN are caught per row by the finiteness checks.
+    ones = np.ones(len(X))
+    # Overflow and NaN are caught per row by the finiteness checks; a singular solve is NaN.
     with np.errstate(all="ignore"):
-        if known is None:  # values first: only a row that steps needs a Jacobian
-            res[:] = np.maximum.reduce(np.abs(H.values(X, ones, rows)), axis=1)
-            todo = np.flatnonzero(~(res <= 0.01 * settings.tolerance))
+        res = np.maximum.reduce(np.abs(H.values(X, ones, rows)), axis=1)
+        todo = np.flatnonzero(~(res <= 0.01 * settings.tolerance))
         Y = X.take(todo, 0)  # the rows todo of X
         for it in range(_NEWTON_ITERS + 1):
             if not todo.size:
                 break
-            if it == 0 and known is not None:
-                mask, values, jac = known
-                fresh = np.flatnonzero(~mask)
-                if fresh.size:
-                    values[fresh], jac[fresh], _, _ = H.state(X[fresh], ones[:fresh.size],
-                                                              rows[fresh])
-            else:
-                values, jac, _, _ = H.state(Y, ones[:todo.size], rows.take(todo))
+            values, jac, _, _ = H.state(Y, ones[:todo.size], rows.take(todo))
             res[todo] = r = np.maximum.reduce(np.abs(values), axis=1)
-            done = r <= 0.01 * settings.tolerance if it == 0 else (r <= settings.tolerance) & small
-            if it == 0:  # the rows about to take their first step
+            if it == 0:  # every row todo is about to take its first step
                 cond = np.full(len(todo), np.inf)
-                finite = np.logical_and.reduce(np.isfinite(jac), axis=(1, 2)) & ~done
+                finite = np.logical_and.reduce(np.isfinite(jac), axis=(1, 2))
                 cond[finite] = np.linalg.cond(jac[finite]) if finite.any() else np.inf
-                bad = (~done & ~(cond <= _COND_LIMIT)).nonzero()[0]
-                for i, c in zip(todo.take(bad), cond.take(bad)):
+                done = ~(cond <= _COND_LIMIT)
+                for i, c in zip(todo[done], cond[done]):
                     errors[i] = SingularJacobianError(f"Jacobian condition estimate {c:.2e}")
-                done[bad] = True
+            else:
+                done = (r <= settings.tolerance) & small
             keep = (~done).nonzero()[0]
             if keep.size < todo.size:
                 todo, Y, values, jac = (a.take(keep, 0) for a in (todo, Y, values, jac))
@@ -518,11 +481,12 @@ def _newton(H: Homotopy, X, rows, settings: TrackerSettings, known=None):
                     errors[i] = NoConvergenceError(
                         f"residual {res[i]:.2e} after {_NEWTON_ITERS} iterations")
                 break
-            delta, singular = _solve(jac, -values)
-            if singular.size:
+            delta = _umath_linalg.solve1(jac, -values, signature="DD->D")
+            singular = np.logical_or.reduce(np.isnan(delta), axis=1)
+            if singular.any():
                 for i in todo[singular]:
                     errors[i] = SingularJacobianError("Singular matrix")
-                todo, Y, delta = (np.delete(a, singular, axis=0) for a in (todo, Y, delta))
+                todo, Y, delta = (a[~singular] for a in (todo, Y, delta))
             Y = Y + delta
             X[todo] = Y
             finite = np.logical_and.reduce(np.isfinite(Y), axis=1)
