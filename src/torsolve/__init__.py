@@ -7,9 +7,9 @@ general sparse systems.
 """
 
 from .intlinalg import IntMatrix, SmithForm, smith_normal_form, unimodular_inverse
-from .supports import SparseSystem, Support, SupportSystem, normalize, preimage_supports, quotient_supports, span_rank, vertices
-from .geometry import mixed_volume, mv_is_zero, polytope_volume
-from .torus import MonomialMap, diagonal_fiber, restrict_to_fiber
+from .supports import SparseSystem, Support, SupportSystem, normalize, preimage_supports, vertices
+from .geometry import mixed_volume, mv_is_zero
+from .torus import MonomialMap, diagonal_fiber
 from .tracking import Homotopy, SolutionSet, TrackerSettings, track_all
 from .decompose import (Classification, DecompositionTree, Indecomposable, Lacunary,
                         Triangular, classify, predict_tree)
@@ -18,10 +18,10 @@ from .solver import (SolveReport, blackbox, decomposable_start_system, solve_dec
 
 __all__ = [
     "IntMatrix", "SmithForm", "smith_normal_form", "unimodular_inverse",
-    "Support", "SupportSystem", "SparseSystem", "normalize", "span_rank", "vertices",
-    "preimage_supports", "quotient_supports",
-    "mixed_volume", "mv_is_zero", "polytope_volume",
-    "MonomialMap", "diagonal_fiber", "restrict_to_fiber",
+    "Support", "SupportSystem", "SparseSystem", "normalize", "vertices",
+    "preimage_supports",
+    "mixed_volume", "mv_is_zero",
+    "MonomialMap", "diagonal_fiber",
     "Homotopy", "TrackerSettings", "SolutionSet", "track_all",
     "Classification", "Lacunary", "Triangular", "Indecomposable",
     "DecompositionTree", "classify", "predict_tree",

@@ -22,22 +22,7 @@ from operator import mul
 
 from .errors import MixedVolumeZeroError
 from .intlinalg import _bareiss_det
-from .supports import Support, SupportSystem, _affine_pivots, subset_span_ranks
-
-
-def polytope_volume(P) -> Fraction:
-    """Exact Euclidean volume of the hull of a Support or of points with
-    int, Fraction or float coordinates; zero when it is dimension deficient."""
-    points = [tuple(map(Fraction, p)) for p in (P.points if isinstance(P, Support) else P)]
-    if not points or len({len(p) for p in points}) != 1:
-        raise ValueError("polytope_volume needs at least one point, all of one dimension")
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    pts = sorted({tuple(int(c * scale) for c in p) for p in points})
-    n, pivots = len(pts[0]), _affine_pivots(pts)
-    if len(pivots) < n:
-        return Fraction(0)
-    dvol, _ = _hull(pts, [0, *pivots])
-    return Fraction(dvol, math.factorial(n) * scale**n)
+from .supports import SupportSystem, _affine_pivots, subset_span_ranks
 
 
 def mixed_volume(S: SupportSystem) -> int:
@@ -58,24 +43,27 @@ def hull_mixed_volume(S: SupportSystem) -> int:
     Subsets are enumerated depth-first so partial Minkowski sums are shared,
     with larger supports placed last. Each sum's _affine_pivots give its
     rank and, when it is full, the seed simplex of the hull built for its
-    volume. A full-rank partial sum passes on only the points on that
-    hull's facets, which include every vertex; a lower-rank sum passes on
-    all its points.
+    volume; a single support's are taken once, for both. A full-rank
+    partial sum passes on only the points on that hull's facets, which
+    include every vertex; a lower-rank sum passes on all its points.
     """
     n = S.n
     sups = sorted((s.points for s in S.supports), key=len)
-    ranks = [len(_affine_pivots(p)) for p in sups]
+    bases = [_affine_pivots(p) for p in sups]
     suffix_rank = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix_rank[i] = suffix_rank[i + 1] + ranks[i]
+        suffix_rank[i] = suffix_rank[i + 1] + len(bases[i])
 
     total = Fraction(0)
 
     def visit(idx, pts, size):
         nonlocal total
         for j in range(idx, n):
-            new = _minkowski_points(pts, sups[j]) if pts is not None else sups[j]
-            pivots = _affine_pivots(new)
+            if pts is None:
+                new, pivots = sups[j], bases[j]
+            else:
+                new = _minkowski_points(pts, sups[j])
+                pivots = _affine_pivots(new)
             if len(pivots) + suffix_rank[j + 1] < n:
                 continue  # no completion of this branch reaches full rank
             if len(pivots) == n:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotUnimodularError, ZeroMatrixError
@@ -37,10 +36,6 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, columns) -> IntMatrix:
         return cls.from_rows(zip(*columns))
-
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -322,40 +317,3 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
         raise AssertionError("inverse verification failed")
     return result
 
-
-def solve_integer(A: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
-    """Solve A x = rhs exactly over the integers.
-
-    Requires A to have full column rank (the solution, if any, is unique).
-    Returns None when the system is inconsistent or the unique rational
-    solution is not integral.
-    """
-    n, m = A.rows, A.cols
-    if len(rhs) != n:
-        raise ValueError("right-hand side length mismatch")
-    aug = [[Fraction(e) for e in row] + [Fraction(operator.index(b))]
-           for row, b in zip(A.entries, rhs)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < m:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None  # inconsistent
-    x = [aug[i][m] for i in range(m)]
-    if any(v.denominator != 1 for v in x):
-        return None
-    return tuple(int(v) for v in x)

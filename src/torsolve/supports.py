@@ -1,4 +1,4 @@
-"""Supports of sparse systems: normalization, spans, quotients, vertices.
+"""Supports of sparse systems: normalization, span ranks, preimages, vertices.
 
 A support is a finite set of lattice points in Z^n, stored sorted
 lexicographically so equality is canonical and coefficient alignment is
@@ -126,10 +126,6 @@ def normalize(obj):
     return obj, shifts
 
 
-def _difference_columns(S: SupportSystem, indices) -> list[tuple[int, ...]]:
-    return [d for i in indices for d in _differences(S.supports[i].points)]
-
-
 def _differences(points) -> list[tuple[int, ...]]:
     return [tuple(c - b for c, b in zip(p, points[0])) for p in points[1:]]
 
@@ -142,25 +138,12 @@ def _affine_pivots(points) -> list[int]:
     return [c + 1 for c in IntMatrix.from_columns(cols).pivot_columns()] if cols else []
 
 
-def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
-    """Rank of the lattice generated by the supports indexed by I.
-
-    Uses in-support differences, which agrees with the point span once the
-    supports are normalized.
-    """
-    if not I:
-        raise ValueError("index subset must be nonempty")
-    _check_indices(S, I)
-    cols = _difference_columns(S, I)
-    if not cols:
-        return 0
-    return IntMatrix.from_columns(cols).rank()
-
-
 def subset_span_ranks(S: SupportSystem):
-    """Yield (I, span_rank(S, I)) for every nonempty index subset I, by
-    increasing size and then lexicographically. I is ranked on the union of
-    its supports' bases, each support's differences p_j - p_0 at its
+    """Yield (I, r) for every nonempty index subset I, by increasing size
+    and then lexicographically: r is the rank of the lattice spanned by the
+    differences within each support indexed by I, which is their points'
+    span once the supports are normalized. I is ranked on the union of its
+    supports' bases, each support's differences p_j - p_0 at its
     _affine_pivots: at most n columns per support."""
     bases = [[d[j - 1] for j in _affine_pivots(sup.points)]
              for sup in S.supports for d in [_differences(sup.points)]]
@@ -230,33 +213,6 @@ def _preimage_solver(phi: IntMatrix):
         return None if any(v % det for v in num) else tuple(v // det for v in num)
 
     return pull
-
-
-def _check_indices(S: SupportSystem, I: Sequence[int]) -> None:
-    for i in I:
-        if not 0 <= i < S.n:
-            raise ValueError(f"index {i} is outside 0..{S.n - 1}")
-
-
-def quotient_supports(S: SupportSystem, I: Sequence[int]) -> tuple[IntMatrix, SupportSystem]:
-    """Project the complementary supports to the quotient by the I-span.
-
-    The Triangular data classify gives the witness I of the normalized
-    system: a Smith normal form saturates the lattice spanned by the
-    supports in I and completes it to a basis of Z^n. Returns the induced
-    projection onto the last n-k coordinates together with the images of
-    the supports of S outside I (duplicate images merged).
-    """
-    from .decompose import _fiber_supports, _triangular_data  # local: decompose imports us
-
-    _check_indices(S, I)
-    I = sorted(set(I))
-    if not 0 < len(I) < S.n:
-        raise ValueError("index subset must be nonempty and proper")
-    if span_rank(S, I) != len(I):
-        raise ValueError("supports indexed by I do not span rank |I|")
-    data = _triangular_data(normalize(S)[0], I)
-    return data.projection, _fiber_supports(S, data)
 
 
 def point_in_hull(point: Sequence[int], pts: Sequence[Sequence[int]]) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateFiberError
 from .intlinalg import IntMatrix
-from .supports import SparseSystem, Support, SupportSystem
+from .supports import Support, SupportSystem
 
 TORUS_THRESHOLD = 1e-10
 
@@ -40,20 +40,6 @@ class MonomialMap:
         return self.matrix.rows
 
 
-def _cpow(base: complex, e: int) -> complex:
-    """Binary exponentiation; one reciprocal per negative exponent."""
-    if e < 0:
-        base = 1.0 / base
-        e = -e
-    out = 1.0 + 0.0j
-    while e:
-        if e & 1:
-            out *= base
-        base *= base
-        e >>= 1
-    return out
-
-
 def apply(Phi: MonomialMap, x) -> np.ndarray:
     """Output i is x^(column i) by monomials, at one point or at each row of
     a (P, n) stack; overflow gives inf or NaN without a warning."""
@@ -63,16 +49,6 @@ def apply(Phi: MonomialMap, x) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = monomials(np.atleast_2d(x), *power_table(Phi.matrix.columns()))
     return out if x.ndim == 2 else out[0]
-
-
-def monomial_value(x, alpha) -> complex:
-    """x^alpha for an integer exponent vector in Python's complex arithmetic:
-    the tests' oracle, independent of numpy's; the solver never calls it."""
-    v = 1.0 + 0.0j
-    for xj, e in zip(x, alpha):
-        if e:
-            v *= _cpow(complex(xj), int(e))
-    return v
 
 
 def power_table(points) -> tuple[np.ndarray, np.ndarray]:
@@ -122,34 +98,24 @@ def diagonal_fiber(d: Sequence[int], y: Sequence[complex]) -> list[np.ndarray]:
     return [np.array(combo, dtype=complex) for combo in itertools.product(*axes)]
 
 
-def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,
-                      y0: Sequence[complex]) -> SparseSystem:
-    """Restrict the J-polynomials of F to the fiber through y0.
-
-    The restricted support of f_j is the projection of its support, and the
-    coefficient at an image point is the sum of c_alpha * y0^alpha over the
-    original points alpha mapping there. Merged coefficients that cancel to
-    zero are dropped; a polynomial losing all its terms or with a merged
-    coefficient not finite, or a base point with a coordinate of modulus at
-    most TORUS_THRESHOLD or not finite, means the fiber is degenerate.
-    """
-    fiber, coefficients, _ = fiber_restriction(F.system, J, pi_J)(
-        np.concatenate(F.coefficients)[None], np.asarray(y0, dtype=complex)[None])
-    cuts = np.cumsum([len(sup) for sup in fiber.supports])[:-1]
-    return SparseSystem(fiber, np.split(coefficients[0], cuts))
-
-
 def fiber_restriction(S: SupportSystem, J: Sequence[int], pi_J: IntMatrix):
-    """The function (C, Y) -> (supports, coefficients, errors) that takes
-    fiber p, restrict_to_fiber bit for bit of the system on S with the
-    coefficient row C[p] (polynomial by polynomial) and the base point Y[p],
-    for every p at once: `supports` is fiber 0's SupportSystem, row p of the
+    """The function (C, Y) -> (supports, coefficients, errors) that
+    restricts the J-polynomials of the system on S with the coefficient row
+    C[p] (polynomial by polynomial) to the fiber through the base point
+    Y[p], for every p at once, and gives fiber p the bits a call with its
+    row alone gives. f_j's restricted support is the image pi_J(alpha) of
+    its points, and an image point's coefficient is the sum of
+    c_alpha * Y[p]^alpha over the points alpha mapping there; a merged
+    coefficient at most _MERGE_DROP times its polynomial's largest is a
+    cancellation and dropped. A polynomial that loses every term or keeps a
+    merged coefficient that is not finite (an overflow: inf, or NaN from
+    inf - inf), or a base point with a coordinate of modulus at most
+    TORUS_THRESHOLD or not finite, makes its fiber degenerate. `supports` is fiber 0's SupportSystem, row p of the
     (P, M') array `coefficients` fiber p's coefficients on it, and errors[p]
     None or the DegenerateFiberError of fiber p >= 1: its own, or else
     "fiber support over base solution p differs from the start fiber". Fiber
-    0 raises its error. A merged coefficient that overflows (inf, or NaN
-    from inf - inf) is an error. The images pi_J(alpha) and the points'
-    power_table are laid out once, here."""
+    0 raises its error. The images pi_J(alpha) and the points' power_table
+    are laid out once, here."""
     J = sorted(J)
     offsets = list(itertools.accumulate((len(s) for s in S.supports), initial=0))
     columns, exponents, targets, images, polys = [], [], [], [], []  # polys[t]: J-index of image t

@@ -111,23 +111,16 @@ class SolutionSet:
         return [self.label.format(*o) for o in self.origins.tolist()]
 
 
-def relative_distance(x, y) -> float:
-    x = np.asarray(x)
-    y = np.asarray(y)
-    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    return float(np.max(np.abs(x - y))) / scale
-
-
 def _relative_gaps(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """relative_distance between the rows of A and B, pair by pair; a
-    single row broadcasts."""
+    """max |a - b| / max(1, max |a|, max |b|) over the coordinates of the
+    rows a of A and b of B, pair by pair; a single row broadcasts."""
     scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=1), np.abs(B).max(axis=1)))
     return np.abs(A - B).max(axis=1) / scale
 
 
 def distinct(points, rows=None) -> np.ndarray:
     """Mask of the points a greedy pass keeps: in order, a point is dropped
-    when its relative_distance to an earlier kept point of its row rows[i]
+    when its _relative_gaps to an earlier kept point of its row rows[i]
     (all one row without `rows`) is below _DEDUP_TOL.
 
     Two points that close differ in the real part of their first coordinate

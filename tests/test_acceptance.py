@@ -14,12 +14,13 @@ import pytest
 
 from torsolve.decompose import Lacunary, _triangular_data, classify
 from torsolve.geometry import hull_mixed_volume, mixed_volume, mv_is_zero
-from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer
+from torsolve.intlinalg import IntMatrix, smith_normal_form
 from torsolve.solver import (_blackbox, _rows, decomposable_start_system, solve_decomposable,
                              solve_general)
-from torsolve.supports import SparseSystem, SupportSystem, normalize, quotient_supports, span_rank
-from torsolve.torus import restrict_to_fiber
-from torsolve.tracking import TrackerSettings, relative_distance
+from torsolve.supports import SparseSystem, SupportSystem, normalize
+from torsolve.tracking import TrackerSettings
+
+from oracles import quotient_supports, relative_distance, restrict_to_fiber, solve_integer, span_rank
 
 # --- fixed data -----------------------------------------------------------
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -322,3 +326,15 @@ def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
 def test_missing_file(capsys):
     assert main(["mv", "/nonexistent/x.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_the_package_and_its_cli_import_nothing_test_side():
+    # torsolve depends on numpy alone, and no module under src/ reaches the
+    # tests' libraries or their oracles, which the tests directory makes importable.
+    tests = Path(__file__).resolve().parent
+    script = "import json, sys, torsolve, torsolve.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], cwd=tests, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(tests.parent / "src")}, check=True)
+    loaded = {name.split(".")[0] for name in json.loads(out.stdout)}
+    assert {"torsolve", "numpy"} <= loaded
+    assert not loaded & {"scipy", "sympy", "hypothesis", "mpmath", "pytest", "oracles"}

@@ -15,10 +15,10 @@ from torsolve.decompose import (
 )
 from torsolve.errors import MixedVolumeZeroError
 from torsolve.geometry import hull_mixed_volume, mixed_volume
-from torsolve.intlinalg import IntMatrix, smith_normal_form, solve_integer, unimodular_inverse
-from torsolve.supports import (Support, SupportSystem, normalize, preimage_supports,
-                               quotient_supports, subset_span_ranks)
+from torsolve.intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
+from torsolve.supports import Support, SupportSystem, normalize, preimage_supports, subset_span_ranks
 
+from oracles import identity, quotient_supports, solve_integer, span_rank
 from systems import (LACUNARY_A1, LACUNARY_A2, LACUNARY_B1, LACUNARY_B2, PAPER_PHI, START_A,
                      TRI_A, TRI_A3)
 
@@ -191,13 +191,11 @@ def test_product_formula_random_triangular():
 
 
 def _rank_ok(S, I, k):
-    from torsolve.supports import span_rank
-
     return span_rank(S, I) == k
 
 
 def _random_unimodular(rng, n):
-    U = IntMatrix.identity(n)
+    U = identity(n)
     rows = [list(r) for r in U.entries]
     for _ in range(4):
         i, j = rng.sample(range(n), 2)
@@ -317,7 +315,7 @@ def _random_system(rng):
     dilation of each coordinate."""
     n = rng.randint(1, 4)
     k = rng.randint(0, n - 1)
-    U = _random_unimodular(rng, n) if n > 1 else IntMatrix.identity(1)
+    U = _random_unimodular(rng, n) if n > 1 else identity(1)
     scale = (1, 2, 3) if rng.random() < 0.5 else (1,)
     dilate = IntMatrix.from_rows([[rng.choice(scale) if i == j else 0 for j in range(n)]
                                   for i in range(n)])

@@ -15,9 +15,9 @@ from torsolve.solver import (
     solve_decomposable,
     solve_general,
 )
-from torsolve.torus import monomial_value
-from torsolve.tracking import _DIVERGENCE_NORM, relative_distance
+from torsolve.tracking import _DIVERGENCE_NORM
 
+from oracles import monomial_value, relative_distance, restrict_to_fiber
 from systems import START_A, TRI_A, TRI_A3, cover
 
 LAC_F1 = {(0, 0): 1, (0, 4): 2, (3, 3): 4, (6, 6): 8, (12, 0): 16}
@@ -380,7 +380,7 @@ def reference_solve_triangular(F, cls, ss, settings, prov):
     from torsolve.decompose import DecompositionTree
     from torsolve.errors import DegenerateFiberError
     from torsolve.solver import _MAX_GAMMA_RETRIES, _compacted, _refined, _rows, _unit
-    from torsolve.torus import MonomialMap, apply, restrict_to_fiber
+    from torsolve.torus import MonomialMap, apply
     from torsolve.tracking import Homotopy, _solution_order
     import torsolve.solver as solver
 

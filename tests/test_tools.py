@@ -222,7 +222,8 @@ def test_parity_counts_normalize_calls_and_rank_eliminations():
     # normalize counts through every module that binds it, once per classify
     # (the lacunary root and its cover) and once through the package; the
     # hull mixed volume of the start pair takes one elimination per point
-    # set, each support's rank and then the three sums {A}, {A, A}, {A}.
+    # set it has not ranked yet: each support's basis, which the two branches
+    # {A} and {A} reuse, and then the sum {A, A}.
     parity, counts = counted("""
 workload = "lacunary"
 torsolve.predict_tree(SupportSystem.of_points(LACUNARY))
@@ -232,18 +233,19 @@ workload = "hull"
 torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
 """)
     assert parity.section(("normalize calls", "rank eliminations"), counts) == {
-        "hull": [0, 5], "lacunary": [2, 18], "package": [1, 0]}
+        "hull": [0, 3], "lacunary": [2, 16], "package": [1, 0]}
 
 
 def test_parity_counts_hulls_in_and_above_the_plane():
     # The start pair's three sums {A}, {A, A}, {A} are polygons; a segment
-    # counts with them, and the cube's hull is above the plane.
+    # counts with them, and the cube's hull, seeded at the origin and its
+    # three neighbours, is above the plane.
     parity, counts = counted("""
 workload = "plane"
 torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
-torsolve.polytope_volume([(0,), (2,)])
+torsolve.geometry._hull([(0,), (2,)], [0, 1])
 workload = "space"
-torsolve.polytope_volume([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)])
+torsolve.geometry._hull([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)], [0, 1, 2, 4])
 """)
     assert parity.section(("planar hulls", "hulls above the plane"), counts) == {
         "plane": [4, 0], "space": [0, 1]}

@@ -6,17 +6,16 @@ import pytest
 from torsolve.decompose import Triangular, _triangular_data
 from torsolve.errors import DegenerateFiberError
 from torsolve.intlinalg import IntMatrix
-from torsolve.supports import SparseSystem, SupportSystem, normalize, preimage_supports, quotient_supports
+from torsolve.supports import SparseSystem, SupportSystem, normalize, preimage_supports
 from torsolve import solver
 from torsolve.torus import (
     MonomialMap,
     apply,
     diagonal_fiber,
     fiber_restriction,
-    monomial_value,
-    restrict_to_fiber,
 )
 
+from oracles import identity, monomial_value, quotient_supports, restrict_to_fiber
 from systems import PAPER_PHI, TRI_A, cover
 
 F1_COEFFS = {(0, 0): 1, (0, 4): 2, (3, 3): 4, (6, 6): 8, (12, 0): 16}
@@ -45,7 +44,7 @@ def random_torus_point(rng, n):
 
 
 def test_apply_identity():
-    Phi = MonomialMap(IntMatrix.identity(3))
+    Phi = MonomialMap(identity(3))
     x = np.array([1 + 1j, 2.0, -0.5j])
     assert np.allclose(apply(Phi, x), x)
 

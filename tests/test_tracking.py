@@ -28,9 +28,10 @@ from torsolve.tracking import (
     _solution_order,
     _track,
     distinct,
-    relative_distance,
     track_all,
 )
+
+from oracles import relative_distance
 
 
 def univariate(coeff_by_exp):
