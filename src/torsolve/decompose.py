@@ -10,12 +10,13 @@ neither structure occurs the system goes to a black box solver.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import MixedVolumeZeroError
 from .geometry import hull_mixed_volume
-from .intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
+from .intlinalg import IntMatrix, _bareiss_rank, _det, _image, smith_normal_form, unimodular_inverse
 from .supports import (
     Reindexing,
     Support,
@@ -85,25 +86,16 @@ def classify(S: SupportSystem) -> Classification:
 
     cols = [p for sup in S.supports for p in sup.points]
     by_size = sorted(cols, key=lambda p: sum(map(abs, p)))
-    pivots = [by_size[c] for c in IntMatrix.from_columns(by_size).pivot_columns()]
-    if len(pivots) != n or abs(IntMatrix.from_columns(pivots).det()) != 1:
+    pivots = [by_size[c] for c in _bareiss_rank(zip(*by_size))]
+    if len(pivots) != n or abs(_det(pivots)) != 1:  # det of the transpose
         form = smith_normal_form(IntMatrix.from_columns(cols))
         if form.rank != n:
             raise AssertionError("nonzero mixed volume forces a full-rank span")
         if form.invariant_factors[-1] > 1:
             d = form.invariant_factors
-            D_n = IntMatrix.from_rows(
-                [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-            phi = form.P @ D_n
-            psi = unimodular_inverse(form.P)
-            return Lacunary(
-                phi=phi,
-                psi=psi,
-                diagonal=d,
-                index=math.prod(d),
-                preimage=preimage_supports(S, phi),
-            )
+            phi = IntMatrix(tuple(tuple(map(operator.mul, row, d)) for row in form.P.entries))
+            return Lacunary(phi=phi, psi=unimodular_inverse(form.P), diagonal=d,
+                            index=math.prod(d), preimage=preimage_supports(S, phi))
 
     for I, rank in ranks[:-1]:  # proper subsets only
         if rank == len(I):
@@ -113,30 +105,17 @@ def classify(S: SupportSystem) -> Classification:
 
 def _triangular_data(S: SupportSystem, I) -> Triangular:
     I = tuple(sorted(I))
-    n = S.n
     k = len(I)
     cols = [p for i in I for p in S.supports[i].points]
     form = smith_normal_form(IntMatrix.from_columns(cols))
     if form.rank != k:
         raise ValueError("witness subset does not have matching rank")
     psi = unimodular_inverse(form.P)
-    projection = IntMatrix.from_rows(psi.entries[k:])
-    base_supports = []
-    for i in I:
-        pts = []
-        for alpha in S.supports[i].points:
-            image = psi.apply(alpha)
-            if any(image[k:]):
-                raise AssertionError("witness support left the saturation")
-            pts.append(image[:k])
-        base_supports.append(Support(tuple(pts)))
-    return Triangular(
-        witness=I,
-        k=k,
-        psi=psi,
-        projection=projection,
-        base=SupportSystem(tuple(base_supports)),
-    )
+    images = [[_image(psi.entries, alpha) for alpha in S.supports[i].points] for i in I]
+    if any(any(image[k:]) for pts in images for image in pts):
+        raise AssertionError("witness support left the saturation")
+    base = SupportSystem(tuple(Support(tuple(image[:k] for image in pts)) for pts in images))
+    return Triangular(witness=I, k=k, psi=psi, projection=IntMatrix(psi.entries[k:]), base=base)
 
 
 def _fiber_supports(S: SupportSystem, data: Triangular) -> SupportSystem:
@@ -145,7 +124,7 @@ def _fiber_supports(S: SupportSystem, data: Triangular) -> SupportSystem:
     builds before it drops cancelled terms. A translate of S gives
     translates of the same supports."""
     return SupportSystem(tuple(
-        Support(tuple({data.projection.apply(p) for p in sup.points}))
+        Support(tuple({_image(data.projection.entries, p) for p in sup.points}))
         for j, sup in enumerate(S.supports) if j not in data.witness))
 
 

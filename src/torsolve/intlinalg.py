@@ -3,6 +3,12 @@
 All arithmetic uses Python's arbitrary-precision integers; intermediate
 entries of an elimination can grow well past 64 bits even for small inputs,
 so nothing here may round-trip through floats.
+
+Entries are validated once, where they enter: IntMatrix's constructor, like
+Support's, converts each by operator.index. Below the public entry points a
+matrix is a tuple of such integer rows, taken as it is by the functions
+after IntMatrix, which its methods call; an IntMatrix is built only where a
+matrix leaves the package.
 """
 
 from __future__ import annotations
@@ -57,57 +63,27 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = other.transpose().entries
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
+        return IntMatrix(_product(self.entries, other.entries))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
+        return _image(self.entries, vector)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            e == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-        )
+        return self.entries == _identity(self.rows)
 
     def det(self) -> int:
-        """Determinant: Laplace expansion along the rows with one nonzero
-        entry, then fraction-free (Bareiss) elimination of the minor left."""
-        n = self.rows
-        if n != self.cols:
+        if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        perm, scale = [None] * n, 1  # perm[i]: the column of row i's factor
-        for i, row in enumerate(self.entries):
-            if row.count(0) == n - 1:
-                scale *= (v := max(row) or min(row))
-                perm[i] = row.index(v)
-        rows, cols = [i for i in range(n) if perm[i] is None], sorted(set(range(n)).difference(perm))
-        if len(cols) != len(rows):
-            return 0  # two rows are multiples of one unit vector
-        for i, j in zip(rows, cols):
-            perm[i] = j
-        for i in range(n):  # the sign of perm, one flip per transposition
-            while (j := perm[i]) != i:
-                perm[i], perm[j], scale = perm[j], j, -scale
-        return scale * _bareiss_det([[self.entries[i][j] for j in cols] for i in rows])
+        return _det(self.entries)
 
     def adjugate(self) -> IntMatrix:
         """Integer adjugate: A @ A.adjugate() == A.det() * identity."""
-        n = self.rows
-        if n != self.cols:
+        if self.rows != self.cols:
             raise ValueError("adjugate requires a square matrix")
-
-        def cofactor(i, j):
-            minor = [[e for c, e in enumerate(row) if c != j]
-                     for r, row in enumerate(self.entries) if r != i]
-            return (-1) ** (i + j) * _bareiss_det(minor)
-
-        return IntMatrix.from_rows([[cofactor(j, i) for j in range(n)] for i in range(n)])
+        return IntMatrix(_adjugate(self.entries))
 
     def rank(self) -> int:
         """Rank by fraction-free Gaussian elimination."""
@@ -115,7 +91,53 @@ class IntMatrix:
 
     def pivot_columns(self) -> list[int]:
         """Indices of the columns outside the span of those before them: a basis over Q."""
-        return _bareiss_rank([list(r) for r in self.entries])
+        return _bareiss_rank(self.entries)
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _product(A, B) -> tuple[tuple[int, ...], ...]:
+    """The rows of A @ B."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in A)
+
+
+def _image(A, vector) -> tuple[int, ...]:
+    """A @ vector."""
+    return tuple(sum(map(operator.mul, row, vector)) for row in A)
+
+
+def _det(A) -> int:
+    """Determinant of the square A: Laplace expansion along the rows with one
+    nonzero entry, then fraction-free (Bareiss) elimination of the minor left."""
+    n = len(A)
+    perm, scale = [None] * n, 1  # perm[i]: the column of row i's factor
+    for i, row in enumerate(A):
+        if row.count(0) == n - 1:
+            scale *= (v := max(row) or min(row))
+            perm[i] = row.index(v)
+    rows, cols = [i for i in range(n) if perm[i] is None], sorted(set(range(n)).difference(perm))
+    if len(cols) != len(rows):
+        return 0  # two rows are multiples of one unit vector
+    for i, j in zip(rows, cols):
+        perm[i] = j
+    for i in range(n):  # the sign of perm, one flip per transposition
+        while (j := perm[i]) != i:
+            perm[i], perm[j], scale = perm[j], j, -scale
+    return scale * _bareiss_det([[A[i][j] for j in cols] for i in rows])
+
+
+def _adjugate(A) -> tuple[tuple[int, ...], ...]:
+    """The rows of the square A's adjugate, by cofactors."""
+    n = len(A)
+
+    def cofactor(i, j):
+        minor = [[e for c, e in enumerate(row) if c != j] for r, row in enumerate(A) if r != i]
+        return (-1) ** (i + j) * _bareiss_det(minor)
+
+    return tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n))
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -139,8 +161,10 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def _bareiss_rank(m: list[list[int]]) -> list[int]:
-    """Pivot columns of fraction-free elimination; their count is the rank."""
+def _bareiss_rank(A) -> list[int]:
+    """Pivot columns of fraction-free elimination of the rows A; their count is
+    the rank. Vectors as columns: `_bareiss_rank(zip(*vectors))`."""
+    m = [list(row) for row in A]
     rows = len(m)
     cols = len(m[0])
     prev = 1
@@ -309,11 +333,11 @@ def unimodular_inverse(U: IntMatrix) -> IntMatrix:
     """Exact integer inverse of a unimodular matrix: det(U) * adj(U), det = +-1."""
     if U.rows != U.cols:
         raise NotUnimodularError("matrix is not square")
-    det = U.det()
+    det = _det(U.entries)
     if abs(det) != 1:
         raise NotUnimodularError("determinant is not +-1")
-    result = IntMatrix.from_rows([[det * e for e in row] for row in U.adjugate().entries])
-    if not (U @ result).is_identity():
+    inverse = tuple(tuple(det * e for e in row) for row in _adjugate(U.entries))
+    if _product(U.entries, inverse) != _identity(U.rows):
         raise AssertionError("inverse verification failed")
-    return result
+    return IntMatrix(inverse)
 

@@ -39,7 +39,7 @@ from .decompose import (
 )
 from .errors import CountMismatchError
 from .geometry import hull_mixed_volume
-from .intlinalg import IntMatrix, unimodular_inverse
+from .intlinalg import IntMatrix, _image, unimodular_inverse
 from .supports import SparseSystem, Support, SupportSystem, normalize, vertices
 from .torus import (
     TORUS_THRESHOLD,
@@ -255,7 +255,7 @@ def _solve_triangular(S, C, cls: Triangular, ss, settings, prov):
     J = tuple(j for j in range(n) if j not in I)
     k = cls.k
 
-    base, positions = _memo(_mapped, S, I, IntMatrix(cls.psi.entries[:k]))
+    base, positions = _memo(_mapped, S, I, cls.psi.entries[:k])
     base_ss, fiber_ss, transfer_ss, direct_ss = ss.spawn(4)
     base_sols, base_tree = _solve(base, C[:, positions], base_ss, settings, prov + "base/")
 
@@ -569,9 +569,7 @@ def _compacting_change(S: SupportSystem) -> IntMatrix | None:
                     improved = changed = True
         if not improved:
             break
-    if not changed:
-        return None
-    return IntMatrix.from_rows(T)
+    return IntMatrix(T) if changed else None
 
 
 def _rows(F: SparseSystem) -> np.ndarray:
@@ -587,14 +585,14 @@ def _positions(S: SupportSystem, polys, maps) -> np.ndarray:
     return np.concatenate([offsets[i] + np.asarray(m, dtype=np.intp) for i, m in zip(polys, maps)])
 
 
-def _mapped(S: SupportSystem, polys, A: IntMatrix):
+def _mapped(S: SupportSystem, polys, A):
     """(G, positions): the supports `polys` of S with each exponent alpha
-    taken to A @ alpha, their points sorted, and the columns of S's
-    coefficient rows in G's term order, so that a family's rows C on S are
-    C[:, positions] on G."""
+    taken to A @ alpha, for A given by its integer rows, their points
+    sorted, and the columns of S's coefficient rows in G's term order, so
+    that a family's rows C on S are C[:, positions] on G."""
     supports, maps = [], []
     for i in polys:
-        points = [A.apply(alpha) for alpha in S.supports[i].points]
+        points = [_image(A, alpha) for alpha in S.supports[i].points]
         maps.append(sorted(range(len(points)), key=points.__getitem__))
         supports.append(Support(tuple(points[j] for j in maps[-1])))
     positions = _positions(S, polys, maps)
@@ -613,7 +611,7 @@ def _compacted(S: SupportSystem, C, points=()):
     T = _memo(_compacting_change, S)
     if T is None:
         return S, C, lambda W: W, points
-    S_c, positions = _memo(_mapped, S, tuple(range(S.n)), T)
+    S_c, positions = _memo(_mapped, S, tuple(range(S.n)), T.entries)
     push, pull = MonomialMap(T), MonomialMap(_memo(unimodular_inverse, T))
     if len(points):
         points = torus_apply(pull, points)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import LatticeMembershipError
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, _adjugate, _bareiss_rank, _det, _image
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def _affine_pivots(points) -> list[int]:
     differences before it, from one elimination: with 0 an affine basis of
     the points, and its length their affine rank."""
     cols = _differences(points)
-    return [c + 1 for c in IntMatrix.from_columns(cols).pivot_columns()] if cols else []
+    return [c + 1 for c in _bareiss_rank(zip(*cols))] if cols else []
 
 
 def subset_span_ranks(S: SupportSystem):
@@ -150,7 +150,7 @@ def subset_span_ranks(S: SupportSystem):
     for size in range(1, S.n + 1):
         for I in itertools.combinations(range(S.n), size):
             cols = [c for i in I for c in bases[i]]
-            yield I, IntMatrix.from_columns(cols).rank() if cols else 0
+            yield I, len(_bareiss_rank(zip(*cols))) if cols else 0
 
 
 def vertices(A: Support) -> Support:
@@ -184,19 +184,13 @@ def preimage_supports(S: SupportSystem, phi: IntMatrix) -> Reindexing:
     Each point must lie in the column lattice of phi; a point outside it
     means the caller's classification was wrong.
     """
-    if phi.rows != phi.cols or phi.rank() != phi.cols:
-        raise ValueError("phi must be square and nonsingular")
     pull = _preimage_solver(phi)
-    new_supports = []
-    maps = []
+    new_supports, maps = [], []
     for sup in S.supports:
         pairs = []
         for idx, alpha in enumerate(sup.points):
-            beta = pull(alpha)
-            if beta is None:
-                raise LatticeMembershipError(
-                    f"point {alpha} is not in the column lattice of the map"
-                )
+            if (beta := pull(alpha)) is None:
+                raise LatticeMembershipError(f"point {alpha} is not in the column lattice of the map")
             pairs.append((beta, idx))
         pairs.sort()
         new_supports.append(Support(tuple(b for b, _ in pairs)))
@@ -205,11 +199,15 @@ def preimage_supports(S: SupportSystem, phi: IntMatrix) -> Reindexing:
 
 
 def _preimage_solver(phi: IntMatrix):
-    """alpha -> integer beta with phi @ beta == alpha, or None; phi square, factored once."""
-    det, adj = phi.det(), phi.adjugate()
+    """alpha -> integer beta with phi @ beta == alpha, or None; phi factored
+    once. Raises ValueError unless phi is square and nonsingular."""
+    det = _det(phi.entries) if phi.rows == phi.cols else 0
+    if det == 0:
+        raise ValueError("phi must be square and nonsingular")
+    adj = _adjugate(phi.entries)
 
     def pull(alpha):
-        num = adj.apply(alpha)
+        num = _image(adj, alpha)
         return None if any(v % det for v in num) else tuple(v // det for v in num)
 
     return pull

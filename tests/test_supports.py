@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from torsolve.decompose import Lacunary, Triangular, classify
 from torsolve.errors import LatticeMembershipError
 from torsolve.intlinalg import IntMatrix, smith_normal_form
 from torsolve.supports import (
@@ -100,6 +101,15 @@ def test_numpy_integer_exponents_build_the_objects_python_integers_build():
     rows = np.array(PAPER_PHI.entries, dtype=np.int64)
     assert IntMatrix.from_rows(rows) == IntMatrix(tuple(map(tuple, rows))) == PAPER_PHI
     assert all(type(e) is int for row in IntMatrix(tuple(map(tuple, rows))).entries for e in row)
+    # The lattice code below the entry points takes the Support's Python
+    # integers as they are: a numpy int64 there would overflow in Bareiss
+    # elimination without a word. The printed example's cover is triangular.
+    cover = classify(tri_system()).preimage.system
+    for points, kind in [(pts, Lacunary), ([s.points for s in cover.supports], Triangular)]:
+        got = classify(SupportSystem.of_points([np.array(a, dtype=np.int64) for a in points]))
+        assert type(got) is kind and got == classify(SupportSystem.of_points(points))
+        matrices = [got.phi, got.psi] if kind is Lacunary else [got.psi, got.projection]
+        assert all(type(e) is int for M in matrices for row in M.entries for e in row)
 
 
 def test_from_pairs_rejects_a_repeated_point_by_name():
@@ -207,6 +217,10 @@ def test_preimage_supports_rejects_a_phi_that_is_not_square():
                                  [(0, 0, 0), (1, 2, 2)]])
     with pytest.raises(ValueError, match="square"):
         preimage_supports(S, tall)
+    # Square but singular: (1, 0) and (0, 1) are outside its column lattice.
+    with pytest.raises(ValueError, match="square and nonsingular"):
+        preimage_supports(SupportSystem.of_points([[(0, 0), (1, 0)], [(0, 0), (0, 1)]]),
+                          IntMatrix.from_rows([[1, 2], [2, 4]]))
 
 
 def test_quotient_supports_triangular_example():

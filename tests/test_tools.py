@@ -220,10 +220,11 @@ torsolve.decompose.smith_normal_form(torsolve.IntMatrix.from_rows([[2]]))
 
 def test_parity_counts_normalize_calls_and_rank_eliminations():
     # normalize counts through every module that binds it, once per classify
-    # (the lacunary root and its cover) and once through the package; the
-    # hull mixed volume of the start pair takes one elimination per point
-    # set it has not ranked yet: each support's basis, which the two branches
-    # {A} and {A} reuse, and then the sum {A, A}.
+    # (the lacunary root and its cover) and once through the package;
+    # preimage_supports takes none, as phi's determinant decides that it is
+    # nonsingular; the hull mixed volume of the start pair takes one
+    # elimination per point set it has not ranked yet: each support's basis,
+    # which the two branches {A} and {A} reuse, and then the sum {A, A}.
     parity, counts = counted("""
 workload = "lacunary"
 torsolve.predict_tree(SupportSystem.of_points(LACUNARY))
@@ -233,7 +234,7 @@ workload = "hull"
 torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
 """)
     assert parity.section(("normalize calls", "rank eliminations"), counts) == {
-        "hull": [0, 3], "lacunary": [2, 16], "package": [1, 0]}
+        "hull": [0, 3], "lacunary": [2, 15], "package": [1, 0]}
 
 
 def test_parity_counts_hulls_in_and_above_the_plane():
@@ -353,6 +354,18 @@ torsolve.blackbox(F, seed=7)
 """)
     assert parity.section(("SparseSystem constructions",), counts) == {
         "input": [1], "blackbox": [2]}
+
+
+def test_parity_counts_int_matrix_constructions():
+    # One classify of the lacunary acceptance system builds the Smith form's
+    # input and its P, D and Q, then the Lacunary's phi and psi: its ranks,
+    # determinants and preimages work on rows.
+    parity, counts = counted("""
+S = SupportSystem.of_points(LACUNARY)
+workload = "classify"
+torsolve.classify(S)
+""")
+    assert parity.section(("IntMatrix constructions",), counts) == {"classify": [6]}
 
 
 def test_parity_counts_the_hits_and_misses_of_the_solvers_support_memo():

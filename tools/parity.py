@@ -84,6 +84,8 @@ COUNTERS = (
         ("candidate points", "tracking.distinct", "len(args[0])", None))),
     ("SparseSystem constructions", (  # the inputs a workload builds included
         ("SparseSystem constructions", "supports.SparseSystem.__post_init__", None, None),)),
+    ("IntMatrix constructions", (  # each validates its entries; the inputs included
+        ("IntMatrix constructions", "intlinalg.IntMatrix.__post_init__", None, None),)),
 )
 # Import the torsolve of the checkout named by the first argument and wrap every
 # attribute COUNTERS counts, each count going to the global `workload`'s entry of `counts`.
