@@ -379,7 +379,9 @@ def main(argv=None) -> int:
     p_solve.add_argument("--json", action="store_true")
     p_start = sub.add_parser("start", help="build and solve a vertex start system")
     common(p_start)
-    p_bench = sub.add_parser("bench", help="benchmark a family of instances")
+    p_bench = sub.add_parser("bench", help="benchmark a family of instances", description=(
+        "Solves each instance decomposed and by the total-degree black box, which tracks up to "
+        "the full Bezout count: `random` can take minutes (about 8 for --count 5 on two cores)."))
     p_bench.add_argument("family", choices=["e-basis", "shifted", "random"])
     p_bench.add_argument("--count", type=int, default=10)
     common(p_bench, needs_file=False)

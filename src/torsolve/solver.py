@@ -17,11 +17,14 @@ multi-target homotopy, short transfers again on fresh gammas, and a fiber
 whose transfer fails every gamma solved directly. All three homotopies go
 through _tracked, in coordinates from _compacted. Recursion terminates
 because each level decreases either the mixed volume or the number of
-variables.
+variables. solve_general takes this solver where the supports decompose with
+no black-box leaf of n >= 3, and tracks from a start on the vertex supports
+otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import time
@@ -34,10 +37,11 @@ from .decompose import (
     DecompositionTree,
     Lacunary,
     Triangular,
+    _fiber_supports,
     classify,
     predict_tree,
 )
-from .errors import CountMismatchError
+from .errors import CountMismatchError, TorsolveError
 from .geometry import hull_mixed_volume
 from .intlinalg import IntMatrix, _image, unimodular_inverse
 from .supports import SparseSystem, Support, SupportSystem, normalize, vertices
@@ -131,7 +135,9 @@ def decomposable_start_system(S: SupportSystem, seed: int = 0,
 
 def solve_general(F: SparseSystem, seed: int = 0,
                   settings: TrackerSettings | None = None) -> SolveReport:
-    """Solve any sparse system with finite V(F) via a decomposable start.
+    """Solve any sparse system with finite V(F): as solve_decomposable(F,
+    seed, settings) where F's supports route it there (_decomposes) and that
+    solve raises no TorsolveError, otherwise via a decomposable start.
 
     Builds the vertex start system, tracks the straight-line homotopy to F,
     and reports partial results with warnings when endpoints are lost (no
@@ -143,6 +149,9 @@ def solve_general(F: SparseSystem, seed: int = 0,
     start = time.perf_counter()
     settings = settings or TrackerSettings()
     S, C = normalize(F.system)[0], _rows(F)
+    if _memo(_decomposes, S):  # raises MixedVolumeZeroError for a zero mixed volume
+        with contextlib.suppress(TorsolveError):  # non-generic F: the homotopy reports it
+            return solve_decomposable(F, seed, settings)
     ss = np.random.SeedSequence(seed)  # the key holds an int or int sequence seed as a tuple
     key = (_vertex_system(S), tuple(np.ravel(ss.entropy).tolist()), settings)
     G, start_sols, start_tree = (_vertex_start(*key) if seed is None  # fresh entropy: no hit
@@ -191,8 +200,8 @@ def solve_general(F: SparseSystem, seed: int = 0,
 def _memo(f, *args):
     """f(*args) for a function f of supports alone (classify,
     hull_mixed_volume, _compacting_change, unimodular_inverse of its change,
-    vertices, fiber_restriction, _mapped) or, for _vertex_start, of vertex
-    supports, seed entropy and settings, once per value of the arguments
+    vertices, fiber_restriction, _mapped, _decomposes) or, for _vertex_start,
+    of vertex supports, seed entropy and settings, once per value of the arguments
     among the _MEMO_SIZE most recent: supports solved again with new
     coefficients are not classified again, nor at the same seed and
     tolerance is their start solved again. The results are shared, and no
@@ -628,6 +637,19 @@ def _tracked(H: Homotopy, points, back, settings, expected=None):
     mapped = back(ends.points)
     return _solution_sets(mapped, ends.residuals, path[:, None], ends.label, block, len(H.ct),
                           _solution_order(mapped, block)), failures
+
+
+def _decomposes(S: SupportSystem, root=True) -> bool:
+    """Whether the normalized supports S decompose, as predict_tree walks
+    them, over univariate leaves and, below the root, n = 2 black-box leaves.
+    A leaf of n >= 3 tracks total degree, as an n = 2 root does when its
+    resultant comes up short; the vertex start is faster there."""
+    cls = _memo(classify, S)
+    if not isinstance(cls, (Lacunary, Triangular)):
+        return S.n == 1 or (S.n == 2 and not root)
+    below = ([cls.preimage.system] if isinstance(cls, Lacunary)
+             else [cls.base, _fiber_supports(S, cls)])
+    return all(_memo(_decomposes, normalize(T)[0], False) for T in below)
 
 
 def _vertex_system(S: SupportSystem) -> SupportSystem:

@@ -202,12 +202,16 @@ def test_cmd_solve_mv_zero_reports_the_first_witness(tmp_path, capsys):
 
 def test_cmd_solve_fallback_reports_the_input_mixed_volume(tmp_path, capsys, monkeypatch):
     import torsolve.cli
+    import torsolve.solver
     from torsolve.errors import CountMismatchError
 
     def short(F, seed, settings):
         raise CountMismatchError("forced", 32, 0)
 
+    # solve_general hands the triangular supports to the solver's own
+    # solve_decomposable first, so that one fails too.
     monkeypatch.setattr(torsolve.cli, "solve_decomposable", short)
+    monkeypatch.setattr(torsolve.solver, "solve_decomposable", short)
     code = main(["solve", tri_file(tmp_path), "--seed", "3", "--json"])
     captured = capsys.readouterr()
     out = json.loads(captured.out)

@@ -2,21 +2,28 @@
 the inclusion-exclusion over convex hulls, the classification and the
 mixed volume do not move under translations and unimodular maps, and a
 system triangular by construction solves to its mixed volume as the
-per-transfer loop solves it. Needs `hypothesis`."""
+per-transfer loop solves it, and solve_general solves such a system as
+solve_decomposable does where its supports route it there. Needs
+`hypothesis`."""
 import random
 
 import numpy as np
 import pytest
 from systems import START_A
 from test_decompose import _random_unimodular, family_system
-from test_solver import reference_solve_triangular, solve_triangular_alone, triangular_node
+from test_solver import (
+    assert_same_report,
+    reference_solve_triangular,
+    solve_triangular_alone,
+    triangular_node,
+)
 
 from torsolve.decompose import classify
-from torsolve.errors import CountMismatchError, MixedVolumeZeroError
+from torsolve.errors import CountMismatchError, MixedVolumeZeroError, TorsolveError
 from torsolve.geometry import hull_mixed_volume, mixed_volume, mv_is_zero
 from torsolve.intlinalg import IntMatrix
-from torsolve.solver import solve_decomposable
-from torsolve.supports import SparseSystem, SupportSystem
+from torsolve.solver import solve_decomposable, solve_general
+from torsolve.supports import SparseSystem, SupportSystem, normalize
 from torsolve.tracking import TrackerSettings
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -130,3 +137,22 @@ def test_triangular_systems_solve_to_the_mixed_volume_as_the_transfer_loop(F):
     assert len(out) == len(ref)
     for p, q in zip(out.points, ref.points):
         assert np.max(np.abs(p - q)) <= 1e-8 * max(1.0, float(np.max(np.abs(q))))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(triangular_systems())
+def test_triangular_systems_routed_by_solve_general_solve_as_solve_decomposable(F):
+    # Where the supports route F to solve_decomposable, solve_general returns
+    # its report bit for bit; where they do not, or that solve raises, it
+    # tracks from the vertex start.
+    from torsolve.solver import _decomposes
+
+    rep = solve_general(F, seed=0)
+    try:
+        ref = solve_decomposable(F, seed=0)
+    except TorsolveError:
+        ref = None
+    if ref is not None and _decomposes(normalize(F.system)[0]):
+        assert_same_report(rep, ref)
+    else:
+        assert rep.tree.kind == "homotopy"

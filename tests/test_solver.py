@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 
@@ -193,6 +194,96 @@ def test_solve_general_deficient_target():
     ])
     rep = solve_general(F, seed=6)
     assert len(rep.solutions) < 4
+    assert rep.warnings
+
+
+def untimed(tree):
+    """The tree with every node's `elapsed` set to 0."""
+    return dataclasses.replace(tree, elapsed=0.0, children=[untimed(c) for c in tree.children])
+
+
+def assert_same_report(rep, ref):
+    """Two SolveReports equal bit for bit, but for their trees' `elapsed`."""
+    for name in ("points", "residuals", "origins"):
+        assert np.array_equal(getattr(rep.solutions, name), getattr(ref.solutions, name))
+    assert rep.solutions.label == ref.solutions.label
+    assert untimed(rep.tree) == untimed(ref.tree)
+    assert (rep.paths_tracked, rep.blackbox_calls, rep.seed, rep.warnings) == (
+        ref.paths_tracked, ref.blackbox_calls, ref.seed, ref.warnings)
+
+
+@pytest.mark.parametrize("name", ["lacunary-A", "triangular"])
+def test_solve_general_decomposes_a_decomposable_input(name):
+    # A lacunary, triangular or univariate root whose black-box leaves have
+    # n <= 2 is solved by solve_decomposable, with its tree and ledger.
+    F = {"lacunary-A": SparseSystem.from_pairs([list(LAC_F1.items()), list(LAC_F2.items())]),
+         "triangular": tri_system()}[name]
+    for seed in (0, 5):
+        rep = solve_general(F, seed=seed)
+        assert rep.tree.kind == "lacunary"
+        assert_same_report(rep, solve_decomposable(F, seed=seed))
+
+
+# random[1] of the general benchmark workload: a lacunary root over an n = 3
+# indecomposable cover, which the vertex start solves faster than the cover's
+# total-degree black box.
+RANDOM_1 = [[(0, 0, 0), (0, 0, 2), (0, 2, 1)], [(0, 0, 0), (2, 0, 2), (2, 2, 0)],
+            [(0, 0, 0), (2, 0, 0), (2, 2, 0)]]
+
+
+@pytest.mark.parametrize("supports", [[START_A, START_A], RANDOM_1], ids=["start-pair", "random-1"])
+def test_solve_general_tracks_from_the_vertex_start_where_a_leaf_must_track(supports):
+    # An indecomposable root of n = 2, or a black-box leaf of n >= 3 below
+    # the root, keeps the straight-line homotopy from the vertex start.
+    F = unit_coeff_system(supports, seed=9)
+    rep = solve_general(F, seed=4)
+    assert rep.tree.kind == "homotopy"
+    assert rep.tree.children[0].kind != "homotopy"  # the start's decomposition
+    assert len(rep.solutions) == hull_mixed_volume(F.system)
+
+
+def test_solve_general_falls_back_to_the_homotopy_when_the_decomposition_fails(monkeypatch):
+    # (x-1)^2 = 0, y^2 - 1 = 0 is lacunary over univariate leaves, so it goes
+    # to solve_decomposable first; the double root fails the companion solve,
+    # and the homotopy runs as it does alone: the same warnings and points.
+    import torsolve.solver as solver
+
+    F = SparseSystem.from_pairs([
+        [((0, 0), 1.0), ((1, 0), -2.0), ((2, 0), 1.0)],
+        [((0, 0), -1.0), ((0, 2), 1.0)],
+    ])
+    raised, real = [], solver.solve_decomposable
+
+    def recorded(*args):
+        try:
+            return real(*args)
+        except CountMismatchError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(solver, "solve_decomposable", recorded)
+    rep = solve_general(F, seed=6)
+    assert raised == ["univariate companion solve: expected 2 solutions, found 1"]
+    assert rep.tree.kind == "homotopy"
+    assert rep.warnings == [f"homotopy attempt {k}: 0/4 endpoints ({{'no-convergence': 4}})"
+                            for k in (1, 2)]
+    assert len(rep.solutions) == 0
+    monkeypatch.setattr(solver, "_decomposes", lambda S: False)
+    assert_same_report(rep, solve_general(F, seed=6))
+    assert len(raised) == 1
+
+
+def test_solve_general_falls_back_when_a_fiber_loses_its_mixed_volume():
+    # x - 1, y + y^2 - x y^2: over x = 1 the fiber is the monomial y, whose
+    # supports classify as mixed volume zero, though F's supports have MV 1.
+    # That is the coefficients' doing, so the homotopy reports what it finds.
+    F = SparseSystem.from_pairs([[((0, 0), -1.0), ((1, 0), 1.0)],
+                                 [((0, 1), 1.0), ((0, 2), 1.0), ((1, 2), -1.0)]])
+    with pytest.raises(MixedVolumeZeroError):
+        solve_decomposable(F, seed=0)
+    rep = solve_general(F, seed=0)
+    assert rep.tree.kind == "homotopy"
+    assert len(rep.solutions) == 0
     assert rep.warnings
 
 
@@ -1481,12 +1572,15 @@ def test_a_solve_formats_no_provenance_until_it_is_read(monkeypatch):
     monkeypatch.setattr(SolutionSet, "provenance",
                         property(lambda sols: reads.append(sols) or real.fget(sols)))
     lacunary_a = SparseSystem.from_pairs([list(LAC_F1.items()), list(LAC_F2.items())])
+    start_pair = unit_coeff_system([START_A, START_A], seed=9)
     tri = solve_decomposable(tri_system(), seed=0)
     results = [tri.solutions, solve_general(lacunary_a, seed=0).solutions,
-               blackbox(e_basis(0), seed=0), decomposable_start_system(tri_system().system)[1]]
+               solve_general(start_pair, seed=0).solutions, blackbox(e_basis(0), seed=0),
+               decomposable_start_system(tri_system().system)[1]]
     assert reads == []
-    assert [sols.label for sols in results] == ["root[{}.{}]", "path {}", "path {}",
-                                                "start/root[{}.{}]"]
+    # lacunary A decomposes; the start pair is tracked from the vertex start.
+    assert [sols.label for sols in results] == ["root[{}.{}]", "root[{}.{}]", "path {}",
+                                                "path {}", "start/root[{}.{}]"]
     for sols in results:
         assert len(sols.provenance) == len(sols) > 0
         assert sols.provenance == [sols.label.format(*o) for o in sols.origins.tolist()]

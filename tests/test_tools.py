@@ -218,6 +218,20 @@ torsolve.decompose.smith_normal_form(torsolve.IntMatrix.from_rows([[2]]))
         "lacunary": [2, 1], "triangular": [4, 2]}
 
 
+def test_parity_counts_general_solves_decomposed_and_tracked_from_the_vertex_start():
+    # Lacunary A decomposes; the start pair, an indecomposable n = 2 root, is
+    # tracked, here called by keyword as the CLI calls it.
+    parity, counts = counted("""
+workload = "general"
+unit = lambda sups: SparseSystem.from_pairs([[(p, 1j ** k + 2) for k, p in enumerate(s)]
+                                             for s in sups])
+torsolve.solve_general(unit(LACUNARY))
+torsolve.solve_general(unit([START_A, START_A]), seed=0, settings=None)
+""")
+    assert parity.section(("general decomposed", "general tracked"), counts) == {
+        "general": [1, 1]}
+
+
 def test_parity_counts_normalize_calls_and_rank_eliminations():
     # normalize counts through every module that binds it, once per classify
     # (the lacunary root and its cover) and once through the package;

@@ -60,6 +60,11 @@ COUNTERS = (
          "out is not None and out[1].transfers and not inner['solver.track_all']", None),
         ("tracked nodes", "solver._solve_triangular",
          "out is not None and out[1].transfers and inner['solver.track_all'] > 0", None))),
+    ("solve_general calls decomposed / tracked from the vertex start", (
+        ("general decomposed", "solver.solve_general",
+         "out is not None and out.tree.kind != 'homotopy'", None),
+        ("general tracked", "solver.solve_general",
+         "out is not None and out.tree.kind == 'homotopy'", None))),
     ("track_all calls / target blocks tracked", (  # a transfer tracked again shows
         ("track_all calls", "solver.track_all", None, None),
         ("target blocks", "solver.track_all", "len(args[0].ct)", None))),
@@ -108,14 +113,14 @@ calls = []  # the open counted calls, innermost last: (attribute, inner, info)
 memo = getattr(torsolve.solver, "_memo", None)
 
 def counted(attribute, f, rows):
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):  # the CLI passes seed and settings by keyword
         outer = calls[-1][0] if calls else None
         if calls:
             calls[-1][1][attribute] += 1
         calls.append((attribute, collections.Counter(), memo.cache_info() if memo else None))
         out = None
         try:
-            out = f(*args)
+            out = f(*args, **kwargs)
             return out
         finally:
             _, inner, info = calls.pop()
