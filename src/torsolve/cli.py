@@ -22,11 +22,11 @@ from .errors import MixedVolumeZeroError, SystemFileError, TorsolveError
 from .geometry import mixed_volume
 from .intlinalg import _bareiss_rank
 from .solver import (
+    _vertex_homotopy,
     bezout_path_count,
     blackbox,
     decomposable_start_system,
     solve_decomposable,
-    solve_general,
 )
 from .supports import SparseSystem, SupportSystem
 from .tracking import SolutionSet, TrackerSettings
@@ -225,7 +225,7 @@ def cmd_solve(args) -> int:
     except TorsolveError as exc:
         print(f"decomposable solve failed ({exc}); falling back to start-system homotopy",
               file=sys.stderr)
-        report = solve_general(F, seed=args.seed, settings=settings)
+        report = _vertex_homotopy(F, args.seed, settings, time.perf_counter())
     full = len(report.solutions) == mv
     if args.json:
         obj = {

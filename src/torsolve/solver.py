@@ -18,8 +18,8 @@ whose transfer fails every gamma solved directly. All three homotopies go
 through _tracked, in coordinates from _compacted. Recursion terminates
 because each level decreases either the mixed volume or the number of
 variables. solve_general takes this solver where the supports decompose with
-no black-box leaf of n >= 3, and tracks from a start on the vertex supports
-otherwise.
+no black-box leaf of n >= 3, an indecomposable n = 2 root's resultant alone,
+and otherwise, or when those come up short, a start on the vertex supports.
 """
 
 from __future__ import annotations
@@ -137,14 +137,9 @@ def solve_general(F: SparseSystem, seed: int = 0,
                   settings: TrackerSettings | None = None) -> SolveReport:
     """Solve any sparse system with finite V(F): as solve_decomposable(F,
     seed, settings) where F's supports route it there (_decomposes) and that
-    solve raises no TorsolveError, otherwise via a decomposable start.
-
-    Builds the vertex start system, tracks the straight-line homotopy to F,
-    and reports partial results with warnings when endpoints are lost (no
-    endgames; non-generic targets may come up short). The start system is
-    solved once per vertex supports, seed and tolerance, in _memo (at seed
-    None, on every call). A later call gets a copy of its tree, `elapsed` that
-    of the first solve; the ledger, paths_tracked and blackbox_calls count it.
+    solve raises no TorsolveError, or where F is indecomposable of n = 2 and
+    its resultant (_eigen_leaf, no total-degree fallback) gives every root;
+    otherwise via a decomposable start (_vertex_homotopy).
     """
     start = time.perf_counter()
     settings = settings or TrackerSettings()
@@ -152,6 +147,25 @@ def solve_general(F: SparseSystem, seed: int = 0,
     if _memo(_decomposes, S):  # raises MixedVolumeZeroError for a zero mixed volume
         with contextlib.suppress(TorsolveError):  # non-generic F: the homotopy reports it
             return solve_decomposable(F, seed, settings)
+    elif S.n == 2:  # indecomposable: solve_decomposable's leaf without its gammas
+        with contextlib.suppress(TorsolveError):
+            sols, tree, _ = _eigen_leaf(S, C, _memo(hull_mixed_volume, S),
+                                        np.random.SeedSequence(seed), settings, "")
+            if len(sols[0]) == tree.mv:
+                return _report(sols[0], replace(tree, elapsed=time.perf_counter() - start), seed)
+    return _vertex_homotopy(F, seed, settings, start)
+
+
+def _vertex_homotopy(F: SparseSystem, seed, settings: TrackerSettings, start) -> SolveReport:
+    """Build the vertex start system, track the straight-line homotopy to F,
+    and report partial results with warnings when endpoints are lost (no
+    endgames; non-generic targets may come up short); the root's `elapsed`
+    runs from the perf_counter reading `start`. The start system is solved
+    once per vertex supports, seed and tolerance, in _memo (at seed None, on
+    every call). A later call gets a copy of its tree, `elapsed` that of the
+    first solve; the ledger, paths_tracked and blackbox_calls count it.
+    """
+    S, C = normalize(F.system)[0], _rows(F)
     ss = np.random.SeedSequence(seed)  # the key holds an int or int sequence seed as a tuple
     key = (_vertex_system(S), tuple(np.ravel(ss.entropy).tolist()), settings)
     G, start_sols, start_tree = (_vertex_start(*key) if seed is None  # fresh entropy: no hit
@@ -380,40 +394,24 @@ def _companion_roots(S: SupportSystem, rows, settings, prov="") -> list[Solution
 
 
 def _blackbox(S, C, expected, ss, settings, prov):
-    """Resultant eigenvalues for n = 2; otherwise, or when they come up
-    short for row 0, a total-degree homotopy for row 0 alone from
+    """_eigen_leaf's roots for n = 2; otherwise, or when they come up short
+    for row 0, a total-degree homotopy for row 0 alone from
     c_i x_i^{d_i} - b_i, random units. Another row short stays short.
 
     `expected` is the mixed volume of S, which must be nonzero, and bounds
-    the torus roots (Bernstein). For n = 2 the candidates `eig[i]` of
-    _resultant_roots, for all rows at once, its units drawn from a child of
-    `ss`, are kept for each row that refines them to `expected` roots.
-    Otherwise the prod(d_i) paths stop once that many distinct endpoints
-    are in; a stopped run short of the MV is tracked again in full before
-    the next gamma. The path ledger counts this node as its solution count;
-    bezout_paths keeps prod(d_i) either way. S comes normalized from _solve
-    or _entry.
+    the torus roots (Bernstein). The prod(d_i) paths stop once that many
+    distinct endpoints are in; a stopped run short of the MV is tracked
+    again in full before the next gamma. S comes normalized from _solve or
+    _entry.
     """
     if S.n == 1:
         return _univariate_roots(S, C, settings, prov)
     n = S.n
-    compact, compact_C, back, _ = _compacted(S, C)
-    moved, degrees = _orthant_shifts(compact)
-    shifted = SupportSystem.of_points(moved)  # translations keep the terms' order
-
-    def solved(sols, retries):
-        return sols, DecompositionTree(kind="blackbox", mv=expected, solutions=expected,
-                                       paths=expected, bezout_paths=math.prod(degrees),
-                                       gamma_retries=retries)
-
-    sols = [SolutionSet(np.zeros((0, n), dtype=complex)) for _ in C]
-    if n == 2:  # the child leaves the gamma stream of `ss` as it is
-        points, rows, index = _resultant_roots(shifted, compact_C, ss.spawn(1)[0])
-        sols = _refined_rows(S, C, rows, back(points), index[:, None], prov + "eig[{}]", settings)
-        if len(sols[0]) == expected:
-            return solved(sols, 0)
+    sols, tree, (shifted, C_c, back, degrees) = _eigen_leaf(S, C, expected, ss, settings, prov)
+    if len(sols[0]) == expected:
+        return sols, tree
     cuts = np.cumsum([len(sup) for sup in shifted.supports])[:-1]
-    target = SparseSystem(shifted, np.split(compact_C[0], cuts))
+    target = SparseSystem(shifted, np.split(C_c[0], cuts))
     rng = np.random.default_rng(ss)
     for attempt in range(_MAX_GAMMA_RETRIES + 1):
         c = [_unit(rng) for _ in range(n)]
@@ -431,8 +429,29 @@ def _blackbox(S, C, expected, ss, settings, prov):
             if len(sols[0]) == expected or all(f.reason != "count-reached" for _, f in failures):
                 break
         if len(sols[0]) == expected:
-            return solved(sols, attempt)
+            return sols, replace(tree, gamma_retries=attempt)
     raise CountMismatchError("blackbox total-degree solve", expected, len(sols[0]), sols[0])
+
+
+def _eigen_leaf(S, C, expected, ss, settings, prov):
+    """(sols, tree, frame): the black box on S before it tracks. For n = 2,
+    per row of C its roots from the candidates `eig[i]` of _resultant_roots,
+    for all rows at once, its units drawn from a child of `ss`; for n >= 3
+    none. `tree` is the leaf's node once row 0 has `expected` roots: the path
+    ledger counts it as its solution count; bezout_paths keeps prod(d_i).
+    `frame` is (shifted, compact_C, back, degrees): S and C in _compacted's
+    coordinates, each support moved into the positive orthant (its terms'
+    order kept), and its total degree there."""
+    compact, compact_C, back, _ = _compacted(S, C)
+    moved, degrees = _orthant_shifts(compact)
+    shifted = SupportSystem.of_points(moved)
+    sols = [SolutionSet(np.zeros((0, S.n), dtype=complex)) for _ in C]
+    if S.n == 2:  # the child leaves the gamma stream of `ss` as it is
+        points, rows, index = _resultant_roots(shifted, compact_C, ss.spawn(1)[0])
+        sols = _refined_rows(S, C, rows, back(points), index[:, None], prov + "eig[{}]", settings)
+    tree = DecompositionTree(kind="blackbox", mv=expected, solutions=expected, paths=expected,
+                             bezout_paths=math.prod(degrees))
+    return sols, tree, (shifted, compact_C, back, degrees)
 
 
 def _resultant_roots(S: SupportSystem, C, ss) -> tuple:
@@ -642,8 +661,8 @@ def _tracked(H: Homotopy, points, back, settings, expected=None):
 def _decomposes(S: SupportSystem, root=True) -> bool:
     """Whether the normalized supports S decompose, as predict_tree walks
     them, over univariate leaves and, below the root, n = 2 black-box leaves.
-    A leaf of n >= 3 tracks total degree, as an n = 2 root does when its
-    resultant comes up short; the vertex start is faster there."""
+    A leaf of n >= 3 tracks total degree, slower than the vertex start, as an
+    n = 2 root does when its resultant is short; solve_general tries that alone."""
     cls = _memo(classify, S)
     if not isinstance(cls, (Lacunary, Triangular)):
         return S.n == 1 or (S.n == 2 and not root)

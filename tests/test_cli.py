@@ -202,16 +202,12 @@ def test_cmd_solve_mv_zero_reports_the_first_witness(tmp_path, capsys):
 
 def test_cmd_solve_fallback_reports_the_input_mixed_volume(tmp_path, capsys, monkeypatch):
     import torsolve.cli
-    import torsolve.solver
     from torsolve.errors import CountMismatchError
 
     def short(F, seed, settings):
         raise CountMismatchError("forced", 32, 0)
 
-    # solve_general hands the triangular supports to the solver's own
-    # solve_decomposable first, so that one fails too.
     monkeypatch.setattr(torsolve.cli, "solve_decomposable", short)
-    monkeypatch.setattr(torsolve.solver, "solve_decomposable", short)
     code = main(["solve", tri_file(tmp_path), "--seed", "3", "--json"])
     captured = capsys.readouterr()
     out = json.loads(captured.out)
@@ -219,6 +215,34 @@ def test_cmd_solve_fallback_reports_the_input_mixed_volume(tmp_path, capsys, mon
     assert out["tree"]["kind"] == "homotopy"
     assert out["mixed_volume"] == 32
     assert code == (0 if out["count"] == 32 else 2)
+
+
+def test_cmd_solve_falls_back_without_decomposing_again(tmp_path, capsys, monkeypatch):
+    # (x - 1)^2, y^2 - 1 fails its decomposable solve on the double root; the
+    # fallback tracks from the vertex start and does not try that solve again.
+    import torsolve.cli
+    import torsolve.solver
+
+    calls, real = [], torsolve.solver.solve_decomposable
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(torsolve.cli, "solve_decomposable", counted)
+    monkeypatch.setattr(torsolve.solver, "solve_decomposable", counted)
+    path = system_file(tmp_path, "double.json", [[(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 2)]],
+                       [[1, -2, 1], [-1, 1]])
+    assert main(["solve", path, "--seed", "6"]) == 2
+    captured = capsys.readouterr()
+    assert len(calls) == 1
+    assert captured.err == (
+        "decomposable solve failed (univariate companion solve: expected 2 solutions, found 1);"
+        " falling back to start-system homotopy\n"
+        + "".join(f"warning: homotopy attempt {k}: 0/4 endpoints ({{'no-convergence': 4}})\n"
+                  for k in (1, 2)))
+    assert captured.out.splitlines()[0] == "straight-line homotopy, MV 4"
+    assert "solutions: 0 of MV 4; paths tracked: 8; seed: 6" in captured.out
 
 
 def test_cmd_solve_mixed_volume_is_the_inputs_when_a_fiber_loses_terms(tmp_path, capsys):

@@ -3,12 +3,15 @@ the inclusion-exclusion over convex hulls, the classification and the
 mixed volume do not move under translations and unimodular maps, and a
 system triangular by construction solves to its mixed volume as the
 per-transfer loop solves it, and solve_general solves such a system as
-solve_decomposable does where its supports route it there. Needs
-`hypothesis`."""
+solve_decomposable does where its supports route it there, and a
+two-variable system to its mixed volume wherever solve_decomposable does.
+Needs `hypothesis`."""
+import itertools
 import random
 
 import numpy as np
 import pytest
+from oracles import relative_distance
 from systems import START_A
 from test_decompose import _random_unimodular, family_system
 from test_solver import (
@@ -156,3 +159,31 @@ def test_triangular_systems_routed_by_solve_general_solve_as_solve_decomposable(
         assert_same_report(rep, ref)
     else:
         assert rep.tree.kind == "homotopy"
+
+
+@st.composite
+def two_variable_systems(draw):
+    """Systems shaped like the general workload's n = 2 draws
+    (perfbench/workloads.py, random_supports): each support the origin and
+    1-4 more points in [0, 3]^2, with unit coefficients."""
+    points = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+                     min_size=1, max_size=4)
+    S = SupportSystem.of_points([sorted({(0, 0)} | draw(points)) for _ in range(2)])
+    hypothesis.assume(not mv_is_zero(S)[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SparseSystem(S, [np.exp(2j * np.pi * rng.random(len(sup))) for sup in S.supports])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(two_variable_systems())
+def test_solve_general_finds_every_root_of_a_two_variable_system_solve_decomposable_does(F):
+    # Routed, solved by the resultant or tracked from the vertex start,
+    # solve_general never returns fewer distinct roots than solve_decomposable.
+    mv = hull_mixed_volume(F.system)
+    try:
+        hypothesis.assume(len(solve_decomposable(F, seed=0).solutions) == mv)
+    except TorsolveError:
+        hypothesis.assume(False)
+    points = solve_general(F, seed=0).solutions.points
+    assert len(points) == mv
+    assert all(relative_distance(p, q) > 1e-6 for p, q in itertools.combinations(points, 2))

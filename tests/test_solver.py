@@ -229,11 +229,26 @@ def test_solve_general_decomposes_a_decomposable_input(name):
 # total-degree black box.
 RANDOM_1 = [[(0, 0, 0), (0, 0, 2), (0, 2, 1)], [(0, 0, 0), (2, 0, 2), (2, 2, 0)],
             [(0, 0, 0), (2, 0, 0), (2, 2, 0)]]
+# random[21]: an indecomposable root of n = 3, MV 15.
+RANDOM_21 = [[(0, 0, 0), (1, 2, 1), (2, 1, 2)], [(0, 0, 0), (0, 0, 1), (2, 1, 0)],
+             [(0, 0, 0), (0, 2, 1), (2, 2, 1), (2, 2, 2)]]
+# The n = 2 indecomposable roots of the general workload, random[6], [7], [16],
+# [17], [19] and [28], which their resultant solves in full.
+RANDOM_PAIRS = {
+    6: [[(0, 0), (1, 0), (1, 2)], [(0, 0), (1, 1), (3, 2), (3, 3)]],
+    7: [[(0, 0), (1, 3), (2, 3)], [(0, 0), (1, 2), (2, 0)]],
+    16: [[(0, 0), (1, 3), (2, 0), (2, 2), (3, 1)], [(0, 0), (1, 2), (2, 0), (3, 0)]],
+    17: [[(0, 0), (2, 1), (2, 2), (3, 0)], [(0, 0), (1, 3), (2, 2), (2, 3)]],
+    19: [[(0, 0), (1, 3), (2, 2), (3, 2)], [(0, 0), (0, 2), (1, 0), (2, 1), (2, 2)]],
+    28: [[(0, 0), (0, 1), (2, 0), (2, 1), (2, 3)], [(0, 0), (0, 2), (2, 0), (3, 0), (3, 1)]],
+}
+# Three copies of the unit simplex and (1, 1, 1): indecomposable, n = 3, MV 3.
+CORNER = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
 
 
-@pytest.mark.parametrize("supports", [[START_A, START_A], RANDOM_1], ids=["start-pair", "random-1"])
+@pytest.mark.parametrize("supports", [RANDOM_21, RANDOM_1], ids=["random-21", "random-1"])
 def test_solve_general_tracks_from_the_vertex_start_where_a_leaf_must_track(supports):
-    # An indecomposable root of n = 2, or a black-box leaf of n >= 3 below
+    # An indecomposable root of n >= 3, or a black-box leaf of n >= 3 below
     # the root, keeps the straight-line homotopy from the vertex start.
     F = unit_coeff_system(supports, seed=9)
     rep = solve_general(F, seed=4)
@@ -271,6 +286,48 @@ def test_solve_general_falls_back_to_the_homotopy_when_the_decomposition_fails(m
     monkeypatch.setattr(solver, "_decomposes", lambda S: False)
     assert_same_report(rep, solve_general(F, seed=6))
     assert len(raised) == 1
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_PAIRS))
+def test_solve_general_solves_an_indecomposable_pair_by_its_resultant(name):
+    # An n = 2 indecomposable root whose resultant gives every root returns
+    # solve_decomposable's report: the black-box leaf, no gamma tracked.
+    F = unit_coeff_system(RANDOM_PAIRS[name], seed=name)
+    for seed in (0, 5):
+        rep = solve_general(F, seed=seed)
+        assert rep.tree.kind == "blackbox" and rep.tree.gamma_retries == 0
+        assert len(rep.solutions) == hull_mixed_volume(F.system)
+        assert rep.solutions.label == "eig[{}]"
+        assert_same_report(rep, solve_decomposable(F, seed=seed))
+
+
+def test_a_short_resultant_root_goes_to_the_homotopy_without_a_gamma(monkeypatch):
+    # The root's resultant loses a candidate: no total-degree gamma is tracked,
+    # and the report is the homotopy's alone, without an added warning.
+    import time
+
+    import torsolve.solver as solver
+    from torsolve.tracking import Homotopy, TrackerSettings
+
+    F = unit_coeff_system(RANDOM_PAIRS[7], seed=7)  # its 8 candidates are its 8 roots
+    solver._memo.cache_clear()
+    ref = solver._vertex_homotopy(F, 3, TrackerSettings(), time.perf_counter())
+    calls, real = [], solver._resultant_roots
+
+    def short(S, C, ss):  # the root's candidates lose their first; the start's are whole
+        points, rows, index = real(S, C, ss)
+        calls.append(len(index))
+        return (points[1:], rows[1:], index[1:]) if len(calls) == 1 else (points, rows, index)
+
+    lines, line = [], Homotopy.straight_line
+    monkeypatch.setattr(solver, "_resultant_roots", short)
+    monkeypatch.setattr(Homotopy, "straight_line",
+                        classmethod(lambda cls, *args: lines.append(args) or line(*args)))
+    solver._memo.cache_clear()
+    rep = solve_general(F, seed=3)
+    assert calls[0] == len(rep.solutions) == 8 and lines == []
+    assert rep.tree.kind == "homotopy" and rep.warnings == []
+    assert_same_report(rep, ref)
 
 
 def test_solve_general_falls_back_when_a_fiber_loses_its_mixed_volume():
@@ -1410,12 +1467,12 @@ def test_a_family_solved_again_takes_its_support_work_from_the_memo(monkeypatch)
 
 
 def test_a_general_solve_again_takes_its_vertices_from_the_memo(monkeypatch):
-    # The two supports are equal, so their vertices are taken once even in
+    # The three supports are equal, so their vertices are taken once even in
     # the first solve.
     import torsolve.solver as solver
 
     counts = counted_calls(monkeypatch, [(solver, "vertices"), (solver, "_compacting_change")])
-    F = unit_coeff_system([START_A, START_A], 4)
+    F = unit_coeff_system([CORNER, CORNER, CORNER], 4)
     solver._memo.cache_clear()
     first = solve_general(F, seed=0)
     assert counts["torsolve.solver.vertices"] == 1
@@ -1433,17 +1490,17 @@ def test_a_general_solve_again_takes_its_start_from_the_memo(monkeypatch):
     import torsolve.solver as solver
 
     counts = counted_calls(monkeypatch, [(solver, "_solve")])
-    F = unit_coeff_system([START_A, START_A], 4)
-    fewer = [p for p in START_A if p != (1, 1)]
+    F = unit_coeff_system(RANDOM_21, 4)
+    fuller = [*RANDOM_21[:2], sorted(RANDOM_21[2] + [(1, 2, 1)])]  # on an edge
     assert solver._vertex_system(F.system) == solver._vertex_system(
-        SupportSystem.of_points([fewer, START_A]))
+        SupportSystem.of_points(fuller))
     solver._memo.cache_clear()
     solve_general(F, seed=0)
     assert counts["torsolve.solver._solve"]
-    for G in (same_supports(F, 5), unit_coeff_system([fewer, START_A], 6)):
+    for G in (same_supports(F, 5), unit_coeff_system(fuller, 6)):
         counts.clear()
         again = solve_general(G, seed=0)
-        assert counts == {} and len(again.solutions) == again.tree.mv == 30
+        assert counts == {} and len(again.solutions) == again.tree.mv == 15
         solver._memo.cache_clear()
         assert_bit_identical(again, solve_general(G, seed=0))
         assert counts["torsolve.solver._solve"]
@@ -1452,7 +1509,7 @@ def test_a_general_solve_again_takes_its_start_from_the_memo(monkeypatch):
 def test_a_report_does_not_share_its_start_tree_with_the_memo():
     import torsolve.solver as solver
 
-    F = unit_coeff_system([START_A, START_A], 4)
+    F = unit_coeff_system(RANDOM_21, 4)
     solver._memo.cache_clear()
     first = solve_general(F, seed=0)
     expected = copy.deepcopy(first)
@@ -1472,12 +1529,12 @@ def test_a_general_solve_without_a_seed_solves_its_start(monkeypatch):
     import torsolve.solver as solver
 
     counts = counted_calls(monkeypatch, [(solver, "_solve")])
-    F = unit_coeff_system([[(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0), (1, 1)]], 3)
+    F = unit_coeff_system([CORNER, CORNER, CORNER], 3)
     solver._memo.cache_clear()
     for call in range(3):
         counts.clear()
         rep = solve_general(F, seed=None)
-        assert counts["torsolve.solver._solve"] and len(rep.solutions) == rep.tree.mv == 2
+        assert counts["torsolve.solver._solve"] and len(rep.solutions) == rep.tree.mv == 3
         if call:
             assert solver._memo.cache_info().currsize == kept
         kept = solver._memo.cache_info().currsize
@@ -1489,10 +1546,10 @@ def test_a_general_solve_takes_a_sequence_seed(monkeypatch):
     import torsolve.solver as solver
 
     counts = counted_calls(monkeypatch, [(solver, "_solve")])
-    F = unit_coeff_system([START_A, START_A], 4)
+    F = unit_coeff_system(RANDOM_21, 4)
     solver._memo.cache_clear()
     first = solve_general(F, seed=[7, 1])
-    assert counts["torsolve.solver._solve"] and len(first.solutions) == first.tree.mv == 30
+    assert counts["torsolve.solver._solve"] and len(first.solutions) == first.tree.mv == 15
     for seed in ([7, 1], (7, 1), np.array([7, 1])):
         counts.clear()
         again = solve_general(F, seed=seed)
@@ -1522,7 +1579,7 @@ def test_a_general_solve_times_its_root():
     import torsolve.solver as solver
 
     solver._memo.cache_clear()
-    rep = solve_general(unit_coeff_system([START_A, START_A], 4), seed=0)
+    rep = solve_general(unit_coeff_system(RANDOM_21, 4), seed=0)
     assert rep.tree.kind == "homotopy"
     assert rep.tree.elapsed > 0
     assert rep.tree.elapsed >= sum(child.elapsed for child in rep.tree.children) > 0
@@ -1572,13 +1629,13 @@ def test_a_solve_formats_no_provenance_until_it_is_read(monkeypatch):
     monkeypatch.setattr(SolutionSet, "provenance",
                         property(lambda sols: reads.append(sols) or real.fget(sols)))
     lacunary_a = SparseSystem.from_pairs([list(LAC_F1.items()), list(LAC_F2.items())])
-    start_pair = unit_coeff_system([START_A, START_A], seed=9)
+    random_21 = unit_coeff_system(RANDOM_21, seed=9)
     tri = solve_decomposable(tri_system(), seed=0)
     results = [tri.solutions, solve_general(lacunary_a, seed=0).solutions,
-               solve_general(start_pair, seed=0).solutions, blackbox(e_basis(0), seed=0),
+               solve_general(random_21, seed=0).solutions, blackbox(e_basis(0), seed=0),
                decomposable_start_system(tri_system().system)[1]]
     assert reads == []
-    # lacunary A decomposes; the start pair is tracked from the vertex start.
+    # lacunary A decomposes; random[21]'s supports are tracked from the vertex start.
     assert [sols.label for sols in results] == ["root[{}.{}]", "root[{}.{}]", "path {}",
                                                 "path {}", "start/root[{}.{}]"]
     for sols in results:

@@ -232,6 +232,25 @@ torsolve.solve_general(unit([START_A, START_A]), seed=0, settings=None)
         "general": [1, 1]}
 
 
+def test_parity_counts_general_roots_solved_by_the_resultant_and_their_attempts():
+    # random[7]'s supports are solved by their resultant: an eigenproblem leaf
+    # and a resultant root. At these coefficients the start pair's resultant
+    # comes up short, so its attempt is a tracked leaf and the call tracked;
+    # the vertex start's own leaf is solved by the eigenproblem.
+    parity, counts = counted("""
+unit = lambda sups: SparseSystem.from_pairs([[(p, 1j ** k + 2) for k, p in enumerate(s)]
+                                             for s in sups])
+workload = "resultant"
+torsolve.solve_general(unit([[(0, 0), (1, 3), (2, 3)], [(0, 0), (1, 2), (2, 0)]]))
+workload = "short"
+torsolve.solve_general(unit([START_A, START_A]))
+""")
+    assert parity.section(("eigenproblem leaves", "tracked leaves"), counts) == {
+        "resultant": [1, 0], "short": [1, 1]}
+    assert parity.section(("general decomposed", "general resultant", "general tracked"),
+                          counts) == {"resultant": [0, 1, 0], "short": [0, 0, 1]}
+
+
 def test_parity_counts_normalize_calls_and_rank_eliminations():
     # normalize counts through every module that binds it, once per classify
     # (the lacunary root and its cover) and once through the package;

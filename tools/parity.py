@@ -34,9 +34,10 @@ RUNS = ([("decomposable", seed, 5) for seed in range(10)]
         + [("exact", seed, 3) for seed in range(10)] + [("general", 0, 2), ("blackbox", 0, 1)])
 # The counters, by section: (title, rows). A row is (counter, the torsolve attribute whose
 # calls it counts, what one call adds or None for 1, the counted call it must be made
-# directly inside or None). What a call adds is an expression in its `args`, its result
-# `out` (None if it raised), `inner` (the counted calls made directly inside it, by
-# attribute) and `info` (the solver memo's cache_info when it began); it counts nothing when 0.
+# directly inside or None); rows that share a counter add to it. What a call adds is an
+# expression in its `args`, its result `out` (None if it raised), `inner` (the counted calls
+# made directly inside it, by attribute) and `info` (the solver memo's cache_info when it
+# began); it counts nothing when 0.
 # Every binding of an attribute in a torsolve module counts; one a checkout lacks, none.
 COUNTERS = (
     ("tracker passes / Homotopy.state calls / rows evaluated / _newton calls / gamma_retries", (
@@ -50,19 +51,27 @@ COUNTERS = (
     ("Homotopy.values calls / rows evaluated", (  # the residuals Newton takes before any step
         ("values calls", "tracking.Homotopy.values", None, None),
         ("values rows", "tracking.Homotopy.values", "len(args[1])", None))),
-    ("n = 2 black-box leaves solved by the eigenproblem / fell back to tracking", (
+    ("n = 2 black-box leaves and solve_general roots solved by the eigenproblem"
+     " / fell back to tracking", (
         ("eigenproblem leaves", "solver._blackbox",
          "args[0].n == 2 and not inner['solver.track_all']", None),
         ("tracked leaves", "solver._blackbox",
-         "args[0].n == 2 and inner['solver.track_all'] > 0", None))),
+         "args[0].n == 2 and inner['solver.track_all'] > 0", None),
+        # solve_general's attempt on an indecomposable root, short: the vertex start tracks
+        ("eigenproblem leaves", "solver._eigen_leaf",
+         "out is not None and len(out[0][0]) == out[1].mv", "solver.solve_general"),
+        ("tracked leaves", "solver._eigen_leaf", "out is None or len(out[0][0]) < out[1].mv",
+         "solver.solve_general"))),
     ("triangular nodes with a transfer, fibers solved as one family / fell back to tracking", (
         ("family nodes", "solver._solve_triangular",
          "out is not None and out[1].transfers and not inner['solver.track_all']", None),
         ("tracked nodes", "solver._solve_triangular",
          "out is not None and out[1].transfers and inner['solver.track_all'] > 0", None))),
-    ("solve_general calls decomposed / tracked from the vertex start", (
+    ("solve_general calls decomposed / solved by the resultant / tracked from the vertex start", (
         ("general decomposed", "solver.solve_general",
-         "out is not None and out.tree.kind != 'homotopy'", None),
+         "out is not None and out.tree.kind not in ('blackbox', 'homotopy')", None),
+        ("general resultant", "solver.solve_general",
+         "out is not None and out.tree.kind == 'blackbox'", None),
         ("general tracked", "solver.solve_general",
          "out is not None and out.tree.kind == 'homotopy'", None))),
     ("track_all calls / target blocks tracked", (  # a transfer tracked again shows
@@ -350,7 +359,7 @@ def main(argv=None) -> int:
     print("src/ lines: {:,} -> {:,}".format(*map(src_lines, (args.parent, args.change))))
     for title, rows in COUNTERS:
         print(f"{title}, parent -> change:")
-        for line in lines([row[0] for row in rows], counts):
+        for line in lines(list(dict.fromkeys(row[0] for row in rows)), counts):
             print(line)
     print(f"solutions compared: {solutions}")
     print(f"max relative point difference: {worst_point:.3g}")
