@@ -662,7 +662,7 @@ def _decomposes(S: SupportSystem, root=True) -> bool:
     """Whether the normalized supports S decompose, as predict_tree walks
     them, over univariate leaves and, below the root, n = 2 black-box leaves.
     A leaf of n >= 3 tracks total degree, slower than the vertex start, as an
-    n = 2 root does when its resultant is short; solve_general tries that alone."""
+    n = 2 root does when its resultant is short; solve_general tries its resultant alone."""
     cls = _memo(classify, S)
     if not isinstance(cls, (Lacunary, Triangular)):
         return S.n == 1 or (S.n == 2 and not root)
