@@ -10,7 +10,8 @@ hull that gives its volume. A planar hull is Andrew's monotone chain, whose
 edges hold its vertices only; above the plane it is an exact integer
 beneath-beyond triangulation, whose every simplex volume is a facet height
 that the visibility test has already computed, so no volume takes a
-determinant of its own. No floats enter any volume.
+determinant of its own. The same hull gives `supports.vertices`. No floats
+enter any volume.
 """
 
 from __future__ import annotations
@@ -107,11 +108,14 @@ def _hull(pts, seed):
     """Hull of a full-rank integer point set in Z^d, with `seed` indexing
     d + 1 affinely independent points of it.
 
-    Returns (d! * volume, facet list as tuples of point indices): at d = 1
+    Returns (d! * volume, the facets as tuples of point indices): at d = 1
     the two ends, at d = 2 `_polygon`'s edges. From d = 3 on, the facet
     simplices of a beneath-beyond hull grown from `seed` triangulate the
-    boundary; only strictly-beyond insertions add volume, so points already
-    on the current boundary are skipped harmlessly. Each volume is a facet
+    boundary, and the facets are a dict from each simplex to its outward
+    plane and ridges (a, b, ridges); only strictly-beyond insertions add
+    volume, so points already on the current boundary are skipped
+    harmlessly, and a point inside a true face may stay a simplex vertex,
+    which `supports.vertices` filters by the planes. Each volume is a facet
     height: with the facet's unreduced outward plane a . x = b, the cone
     from a point p over it has d! * volume a . p - b, the very value the
     visibility test computes. All of it is Python integer arithmetic, so no
@@ -173,7 +177,7 @@ def _hull(pts, seed):
         for ridge in horizon:
             add_facet(ridge + (i,))
 
-    return dvol, list(facets)
+    return dvol, facets
 
 
 def _polygon(pts):

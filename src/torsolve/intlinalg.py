@@ -57,41 +57,16 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix.from_rows(zip(*self.entries))
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return IntMatrix(_product(self.entries, other.entries))
-
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
         return _image(self.entries, vector)
 
-    def is_identity(self) -> bool:
-        return self.entries == _identity(self.rows)
-
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
         return _det(self.entries)
-
-    def adjugate(self) -> IntMatrix:
-        """Integer adjugate: A @ A.adjugate() == A.det() * identity."""
-        if self.rows != self.cols:
-            raise ValueError("adjugate requires a square matrix")
-        return IntMatrix(_adjugate(self.entries))
-
-    def rank(self) -> int:
-        """Rank by fraction-free Gaussian elimination."""
-        return len(self.pivot_columns())
-
-    def pivot_columns(self) -> list[int]:
-        """Indices of the columns outside the span of those before them: a basis over Q."""
-        return _bareiss_rank(self.entries)
 
 
 def _identity(n: int) -> tuple[tuple[int, ...], ...]:

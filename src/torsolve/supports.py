@@ -2,7 +2,8 @@
 
 A support is a finite set of lattice points in Z^n, stored sorted
 lexicographically so equality is canonical and coefficient alignment is
-stable. A square system carries one support per variable.
+stable. A square system carries one support per variable. Vertices are read
+off the exact hull that `geometry` builds for every mixed volume.
 """
 
 from __future__ import annotations
@@ -154,16 +155,26 @@ def subset_span_ranks(S: SupportSystem):
 
 
 def vertices(A: Support) -> Support:
-    """Extreme points of conv(A), by an exact rational LP test per point."""
-    pts = A.points
-    if len(pts) == 1:
+    """Extreme points of conv(A), read off the one exact hull engine,
+    `geometry._hull`, of A projected onto the coordinates on which its affine
+    span projects one to one. In the line and the plane every facet point is
+    a vertex. Above it, the triangulated boundary may also hold a point
+    inside a true face, so a facet point is kept only when the normals of the
+    facets through it have full rank: only a vertex's normal cone is
+    full-dimensional, while a point inside a k-face lies on facets through
+    that face alone, whose normals span at most d - k dimensions."""
+    from .geometry import _hull  # local: geometry imports this module
+
+    if len(A) == 1:
         return A
-    keep = []
-    for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if not point_in_hull(p, others):
-            keep.append(p)
-    return Support(tuple(keep))
+    coords = _bareiss_rank(_differences(A.points))
+    d, pts = len(coords), [tuple(p[c] for c in coords) for p in A.points]
+    _, facets = _hull(pts, [0, *_affine_pivots(pts)])
+    keep = {v for f in facets for v in f}
+    if d >= 3:
+        keep = {v for v in keep
+                if len(_bareiss_rank([a for f, (a, _, _) in facets.items() if v in f])) == d}
+    return Support(tuple(A.points[v] for v in keep))
 
 
 @dataclass(frozen=True)
@@ -211,71 +222,3 @@ def _preimage_solver(phi: IntMatrix):
         return None if any(v % det for v in num) else tuple(v // det for v in num)
 
     return pull
-
-
-def point_in_hull(point: Sequence[int], pts: Sequence[Sequence[int]]) -> bool:
-    """Exact test whether an integer point lies in conv(pts).
-
-    Phase-1 simplex with integer pivoting and Bland's rule: feasibility of
-    sum(lam_i * q_i) = p, sum(lam_i) = 1, lam >= 0.
-    """
-    if not pts:
-        return False
-    n = len(point)
-    m = len(pts)
-    nrows = n + 1
-    # Constraint rows [Q | rhs], forced to rhs >= 0.
-    rows = []
-    for r in range(nrows):
-        if r < n:
-            coeffs = [operator.index(q[r]) for q in pts]
-            b = operator.index(point[r])
-        else:
-            coeffs = [1] * m
-            b = 1
-        if b < 0:
-            coeffs = [-c for c in coeffs]
-            b = -b
-        rows.append(coeffs + [0] * nrows + [b])
-    for r in range(nrows):
-        rows[r][m + r] = 1
-    # Phase-1 objective: minimize the artificials. Reduced-cost row for the
-    # artificial basis is minus the column sums over the lambda columns.
-    obj = [0] * (m + nrows + 1)
-    for j in range(m):
-        obj[j] = -sum(rows[r][j] for r in range(nrows))
-    obj[-1] = -sum(rows[r][-1] for r in range(nrows))
-    tableau = rows + [obj]
-    basis = [m + r for r in range(nrows)]
-    denom = 1
-
-    while True:
-        objrow = tableau[nrows]
-        enter = next((j for j in range(m + nrows) if objrow[j] < 0), None)
-        if enter is None:
-            break
-        # Bland leaving rule: smallest ratio, ties by smallest basis index.
-        leave = None
-        for r in range(nrows):
-            a = tableau[r][enter]
-            if a <= 0:
-                continue
-            if leave is None:
-                leave = r
-            else:
-                lhs = tableau[r][-1] * tableau[leave][enter]
-                rhs = tableau[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave = r
-        if leave is None:
-            raise AssertionError("phase-1 simplex cannot be unbounded")
-        piv = tableau[leave][enter]
-        for r in range(nrows + 1):
-            if r == leave:
-                continue
-            f = tableau[r][enter]
-            tableau[r] = [(v * piv - f * w) // denom for v, w in zip(tableau[r], tableau[leave])]
-        denom = piv
-        basis[leave] = enter
-
-    return tableau[nrows][-1] == 0

@@ -1,10 +1,12 @@
-"""Independent references the tests check the package against: exact
-integer solves, span ranks and quotients of supports, polytope volumes,
+"""Independent references the tests check the package against: integer
+matrix products, adjugates and ranks, exact integer solves, span ranks and
+quotients of supports, polytope volumes, an LP test of hull membership,
 fiber restriction one system at a time, monomials in Python's complex
 arithmetic and the relative distance between two points. The solver and
 the CLI reach none of them."""
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -14,7 +16,7 @@ import numpy as np
 
 from torsolve.decompose import _fiber_supports, _triangular_data
 from torsolve.geometry import _hull
-from torsolve.intlinalg import IntMatrix
+from torsolve.intlinalg import IntMatrix, _adjugate, _bareiss_rank, _product
 from torsolve.supports import (SparseSystem, Support, SupportSystem, _affine_pivots, _differences,
                                normalize)
 from torsolve.torus import fiber_restriction
@@ -22,6 +24,27 @@ from torsolve.torus import fiber_restriction
 
 def identity(n: int) -> IntMatrix:
     return IntMatrix.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def is_identity(A: IntMatrix) -> bool:
+    return A.entries == identity(A.rows).entries
+
+
+def product(*matrices: IntMatrix) -> IntMatrix:
+    """The matrices multiplied from left to right."""
+    if any(A.cols != B.rows for A, B in zip(matrices, matrices[1:])):
+        raise ValueError("dimension mismatch in matrix product")
+    return IntMatrix(functools.reduce(_product, (A.entries for A in matrices)))
+
+
+def adjugate(A: IntMatrix) -> IntMatrix:
+    """Integer adjugate: product(A, adjugate(A)) == A.det() * identity."""
+    return IntMatrix(_adjugate(A.entries))
+
+
+def rank(A: IntMatrix) -> int:
+    """Rank by fraction-free Gaussian elimination."""
+    return len(_bareiss_rank(A.entries))
 
 
 def solve_integer(A: IntMatrix, rhs: Sequence[int]) -> tuple[int, ...] | None:
@@ -78,7 +101,7 @@ def span_rank(S: SupportSystem, I: Sequence[int]) -> int:
     cols = _difference_columns(S, I)
     if not cols:
         return 0
-    return IntMatrix.from_columns(cols).rank()
+    return rank(IntMatrix.from_columns(cols))
 
 
 def _check_indices(S: SupportSystem, I: Sequence[int]) -> None:
@@ -119,6 +142,74 @@ def polytope_volume(P) -> Fraction:
         return Fraction(0)
     dvol, _ = _hull(pts, [0, *pivots])
     return Fraction(dvol, math.factorial(n) * scale**n)
+
+
+def point_in_hull(point: Sequence[int], pts: Sequence[Sequence[int]]) -> bool:
+    """Exact test whether an integer point lies in conv(pts).
+
+    Phase-1 simplex with integer pivoting and Bland's rule: feasibility of
+    sum(lam_i * q_i) = p, sum(lam_i) = 1, lam >= 0.
+    """
+    if not pts:
+        return False
+    n = len(point)
+    m = len(pts)
+    nrows = n + 1
+    # Constraint rows [Q | rhs], forced to rhs >= 0.
+    rows = []
+    for r in range(nrows):
+        if r < n:
+            coeffs = [operator.index(q[r]) for q in pts]
+            b = operator.index(point[r])
+        else:
+            coeffs = [1] * m
+            b = 1
+        if b < 0:
+            coeffs = [-c for c in coeffs]
+            b = -b
+        rows.append(coeffs + [0] * nrows + [b])
+    for r in range(nrows):
+        rows[r][m + r] = 1
+    # Phase-1 objective: minimize the artificials. Reduced-cost row for the
+    # artificial basis is minus the column sums over the lambda columns.
+    obj = [0] * (m + nrows + 1)
+    for j in range(m):
+        obj[j] = -sum(rows[r][j] for r in range(nrows))
+    obj[-1] = -sum(rows[r][-1] for r in range(nrows))
+    tableau = rows + [obj]
+    basis = [m + r for r in range(nrows)]
+    denom = 1
+
+    while True:
+        objrow = tableau[nrows]
+        enter = next((j for j in range(m + nrows) if objrow[j] < 0), None)
+        if enter is None:
+            break
+        # Bland leaving rule: smallest ratio, ties by smallest basis index.
+        leave = None
+        for r in range(nrows):
+            a = tableau[r][enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave = r
+            else:
+                lhs = tableau[r][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
+        if leave is None:
+            raise AssertionError("phase-1 simplex cannot be unbounded")
+        piv = tableau[leave][enter]
+        for r in range(nrows + 1):
+            if r == leave:
+                continue
+            f = tableau[r][enter]
+            tableau[r] = [(v * piv - f * w) // denom for v, w in zip(tableau[r], tableau[leave])]
+        denom = piv
+        basis[leave] = enter
+
+    return tableau[nrows][-1] == 0
 
 
 def restrict_to_fiber(F: SparseSystem, J: Sequence[int], pi_J: IntMatrix,

@@ -20,7 +20,8 @@ from torsolve.solver import (_blackbox, _rows, decomposable_start_system, solve_
 from torsolve.supports import SparseSystem, SupportSystem, normalize
 from torsolve.tracking import TrackerSettings
 
-from oracles import quotient_supports, relative_distance, restrict_to_fiber, solve_integer, span_rank
+from oracles import (product, quotient_supports, relative_distance, restrict_to_fiber, solve_integer,
+                     span_rank)
 
 # --- fixed data -----------------------------------------------------------
 
@@ -301,7 +302,7 @@ def test_criterion_8_snf_suite():
         if all(e == 0 for r in A.entries for e in r):
             continue
         form = smith_normal_form(A)
-        assert (form.P @ form.D @ form.Q).entries == A.entries
+        assert product(form.P, form.D, form.Q).entries == A.entries
         assert abs(form.P.det()) == 1 and abs(form.Q.det()) == 1
         f = form.invariant_factors
         assert all(b % a == 0 for a, b in zip(f, f[1:]))

@@ -18,7 +18,7 @@ from torsolve.geometry import hull_mixed_volume, mixed_volume
 from torsolve.intlinalg import IntMatrix, smith_normal_form, unimodular_inverse
 from torsolve.supports import Support, SupportSystem, normalize, preimage_supports, subset_span_ranks
 
-from oracles import identity, quotient_supports, solve_integer, span_rank
+from oracles import identity, product, quotient_supports, solve_integer, span_rank
 from systems import (LACUNARY_A1, LACUNARY_A2, LACUNARY_B1, LACUNARY_B2, PAPER_PHI, START_A,
                      TRI_A, TRI_A3)
 
@@ -301,8 +301,8 @@ def _classify_by_smith_form(S):
     form = smith_normal_form(IntMatrix.from_columns([p for sup in S.supports for p in sup.points]))
     d = form.invariant_factors
     if d[-1] > 1:
-        phi = form.P @ IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(n)]
-                                            for i in range(n)])
+        phi = product(form.P, IntMatrix.from_rows([[d[i] if i == j else 0 for j in range(n)]
+                                                   for i in range(n)]))
         return Lacunary(phi=phi, psi=unimodular_inverse(form.P), diagonal=d,
                         index=math.prod(d), preimage=preimage_supports(S, phi))
     return next((_triangular_data(S, I) for I, rank in ranks[:-1] if rank == len(I)),
@@ -319,7 +319,7 @@ def _random_system(rng):
     scale = (1, 2, 3) if rng.random() < 0.5 else (1,)
     dilate = IntMatrix.from_rows([[rng.choice(scale) if i == j else 0 for j in range(n)]
                                   for i in range(n)])
-    M = U @ dilate
+    M = product(U, dilate)
     return SupportSystem.of_points([
         {M.apply([rng.randint(0, 3) if i >= k or c < k else 0 for c in range(n)])
          for _ in range(rng.randint(2, 5))}

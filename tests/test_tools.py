@@ -273,16 +273,22 @@ torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
 def test_parity_counts_hulls_in_and_above_the_plane():
     # The start pair's three sums {A}, {A, A}, {A} are polygons; a segment
     # counts with them, and the cube's hull, seeded at the origin and its
-    # three neighbours, is above the plane.
+    # three neighbours, is above the plane. vertices takes one hull for A
+    # and one for the cube, each counted with the hulls and as a vertices
+    # call, and none for a single point.
     parity, counts = counted("""
 workload = "plane"
 torsolve.geometry.hull_mixed_volume(SupportSystem.of_points([START_A, START_A]))
 torsolve.geometry._hull([(0,), (2,)], [0, 1])
 workload = "space"
 torsolve.geometry._hull([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)], [0, 1, 2, 4])
+workload = "vertices"
+torsolve.vertices(torsolve.Support(START_A))
+torsolve.vertices(torsolve.Support([(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]))
+torsolve.vertices(torsolve.Support([(1, 2)]))
 """)
-    assert parity.section(("planar hulls", "hulls above the plane"), counts) == {
-        "plane": [4, 0], "space": [0, 1]}
+    assert parity.section(("planar hulls", "hulls above the plane", "vertices calls"), counts) == {
+        "plane": [4, 0, 0], "space": [0, 1, 0], "vertices": [1, 1, 2]}
 
 
 def test_parity_counts_one_variable_fiber_nodes_solved_and_fallen_back():

@@ -84,9 +84,12 @@ COUNTERS = (
         ("memo hits", "solver._memo", "memo.cache_info()[:2] == (info.hits + 1, info.misses)",
          None),
         ("memo misses", "solver._memo", "memo.cache_info().misses > info.misses", None))),
-    ("_hull calls in the line or the plane (d <= 2) / above it (d >= 3)", (
+    ("_hull calls in the line or the plane (d <= 2) / above it (d >= 3)"
+     " / vertices calls that took one", (
         ("planar hulls", "geometry._hull", "len(args[1]) <= 3", None),  # the seed has d + 1
-        ("hulls above the plane", "geometry._hull", "len(args[1]) > 3", None))),
+        ("hulls above the plane", "geometry._hull", "len(args[1]) > 3", None),
+        # the hulls that vertices reads, apart from hull_mixed_volume's
+        ("vertices calls", "supports.vertices", "inner['geometry._hull']", None))),
     ("normalize calls / rank eliminations", (  # exact work done twice shows
         ("normalize calls", "supports.normalize", None, None),
         ("rank eliminations", "intlinalg._bareiss_rank", None, None))),
